@@ -20,24 +20,32 @@
 //! first settled receiver state carries the maximum achievable
 //! satisfaction — the Figure-5 optimality argument.
 //!
-//! ## The zero-allocation hot path
+//! ## The hot path: a reused arena and an O(Δ) trace log
 //!
 //! Every search structure lives in a per-thread scratch arena
 //! ([`SelectScratch`]) reused across requests: the settled and candidate
 //! label stores are dense generation-stamped slot arrays indexed by the
-//! interned state handle `vertex × format_count + format`, the
+//! interned state handle `vertex × format_count + format`, and the
 //! lazy-deletion heap and all working buffers keep their capacity
-//! between runs, and `VT` holds `VertexId`s instead of cloned name
-//! strings (names are materialized only when a trace row is recorded).
-//! Dominance pruning — dropping a relaxed label that does not beat the
-//! incumbent of its state — is an O(1) slot comparison. The dense scan
-//! order (vertex-major, format-minor) equals the `BTreeMap<StateKey, _>`
-//! iteration order of the maps it replaced, so plans, traces, and
-//! tie-breaks are bitwise identical to the allocating implementation.
+//! between runs. Dominance pruning — dropping a relaxed label that does
+//! not beat the incumbent of its state — is an O(1) slot comparison. The
+//! dense scan order (vertex-major, format-minor) equals the
+//! `BTreeMap<StateKey, _>` iteration order of the maps it replaced, so
+//! plans, traces, and tie-breaks are bitwise identical to the allocating
+//! implementation.
+//!
+//! What a run allocates is what it returns: the chain, and — with
+//! [`SelectOptions::record_trace`], which is on by default — the
+//! [`TraceLog`]. The search keeps no VT or CS display list. It appends
+//! one log entry when a state first enters CS and one when a round
+//! selects, so recording costs O(states newly discovered + 1) per round,
+//! compares no names and grows three buffers amortised; the Table-1 rows
+//! are built from the log only when somebody reads them (see
+//! [`trace`](crate::select::trace)).
 
-use crate::graph::{AdaptationGraph, EdgeId, VertexId};
+use crate::graph::{AdaptationGraph, EdgeId};
 use crate::select::label::{ExtendContext, Label, StateKey};
-use crate::select::trace::{SelectionTrace, TraceRow};
+use crate::select::trace::{SelectionTrace, TraceLog};
 use crate::select::{ChainStep, SelectedChain};
 use crate::Result;
 use qosc_media::FormatRegistry;
@@ -87,7 +95,8 @@ pub struct SelectOptions {
     pub candidate_store: CandidateStore,
     /// Parameter-optimizer tuning.
     pub optimizer: OptimizeOptions,
-    /// Record the full Table-1 trace (costs VT/CS snapshots per round).
+    /// Record the Table-1 trace: one log entry per state discovered and
+    /// per round (rows are materialised when read, not when recorded).
     pub record_trace: bool,
     /// Safety valve on rounds (defaults to effectively unlimited).
     pub max_rounds: usize,
@@ -311,8 +320,8 @@ impl<T> StateSlots<T> {
 }
 
 /// Per-thread reusable scratch for [`select_chain`]: in steady state a
-/// selection run performs no heap allocation of its own (trace rows and
-/// the returned chain still allocate, but only when requested).
+/// selection run allocates only what it returns (the chain and, when
+/// recorded, the trace log).
 struct SelectScratch {
     /// Settled labels per state (Step 5).
     settled: StateSlots<Label>,
@@ -321,11 +330,6 @@ struct SelectScratch {
     candidates: StateSlots<Candidate>,
     /// Lazy-deletion heap for [`CandidateStore::BinaryHeap`].
     heap: BinaryHeap<HeapEntry>,
-    /// CS display order: states in discovery order.
-    cs_discovery: Vec<StateKey>,
-    /// VT display order: settled vertices (names materialized only for
-    /// trace rows; dedup is by *name*, matching the paper's tables).
-    vt: Vec<VertexId>,
     /// Out-edges of the settling vertex matching its committed format.
     matching: Vec<EdgeId>,
     /// Relaxation buffer for [`ExtendContext::extend_into`].
@@ -340,8 +344,6 @@ impl SelectScratch {
             settled: StateSlots::new(),
             candidates: StateSlots::new(),
             heap: BinaryHeap::new(),
-            cs_discovery: Vec::new(),
-            vt: Vec::new(),
             matching: Vec::new(),
             extend_buf: Vec::new(),
             requests: 0,
@@ -352,8 +354,6 @@ impl SelectScratch {
         self.settled.reset(states);
         self.candidates.reset(states);
         self.heap.clear();
-        self.cs_discovery.clear();
-        self.vt.clear();
         self.matching.clear();
         self.extend_buf.clear();
     }
@@ -467,9 +467,15 @@ fn select_with_scratch(
 
     let format_count = formats.len();
     scratch.reset(graph.vertex_count() * format_count);
-    scratch.vt.push(sender);
     let mut next_seq: u64 = 0;
     let mut optimizations: usize = 0;
+    let mut trace = SelectionTrace::default();
+    let mut log = if options.record_trace {
+        trace.rows = TraceLog::start(&graph.vertex(sender)?.name, receiver);
+        Some(&mut trace.rows)
+    } else {
+        None
+    };
 
     // Step 1: settle the sender states, seed CS with its neighbors.
     let sender_labels = context.sender_labels()?;
@@ -484,13 +490,12 @@ fn select_with_scratch(
             options,
             label,
             scratch,
-            format_count,
             &mut next_seq,
             &mut optimizations,
+            log.as_deref_mut(),
         )?;
     }
 
-    let mut trace = SelectionTrace::default();
     let mut rounds = 0usize;
 
     loop {
@@ -538,40 +543,14 @@ fn select_with_scratch(
             .remove(state_index(best_state, format_count))
             .expect("picked from slots");
 
-        if options.record_trace {
-            trace.rows.push(make_row(
-                graph,
-                rounds,
-                &scratch.vt,
-                &scratch.cs_discovery,
-                &scratch.candidates,
-                &label,
-                &scratch.settled,
-                format_count,
-                receiver,
-            )?);
+        if let Some(log) = log.as_deref_mut() {
+            log.select(&label);
         }
 
-        // Step 5 / Step 6. VT dedup is by display *name* (distinct
-        // vertices may share one), matching the paper's tables.
-        let name = &graph.vertex(label.state.vertex)?.name;
-        let mut seen = false;
-        for &vertex in &scratch.vt {
-            if &graph.vertex(vertex)?.name == name {
-                seen = true;
-                break;
-            }
-        }
-        if !seen {
-            scratch.vt.push(label.state.vertex);
-        }
+        // Step 5 / Step 6.
         scratch
             .settled
             .insert(state_index(label.state, format_count), label);
-        let candidates = &scratch.candidates;
-        scratch
-            .cs_discovery
-            .retain(|s| candidates.contains(state_index(*s, format_count)));
 
         // Step 7.
         if label.state.vertex == receiver {
@@ -591,35 +570,36 @@ fn select_with_scratch(
             options,
             &label,
             scratch,
-            format_count,
             &mut next_seq,
             &mut optimizations,
+            log.as_deref_mut(),
         )?;
     }
 }
 
 /// Step 2 / Step 8: evaluate every neighbor of `label` and relax it into
-/// the candidate set.
+/// the candidate set, logging each state that enters CS for the first
+/// time.
 fn expand(
     context: &ExtendContext<'_>,
     options: &SelectOptions,
     label: &Label,
     scratch: &mut SelectScratch,
-    format_count: usize,
     next_seq: &mut u64,
     optimizations: &mut usize,
+    mut log: Option<&mut TraceLog>,
 ) -> Result<()> {
     let SelectScratch {
         settled,
         candidates,
         heap,
-        cs_discovery,
         matching,
         extend_buf,
         ..
     } = scratch;
 
     let graph = context.graph;
+    let format_count = context.formats.len();
     matching.clear();
     for &edge_id in graph.out_edges(label.state.vertex) {
         let edge = graph.edge(edge_id)?;
@@ -634,20 +614,27 @@ fn expand(
     // settled label, so parallel evaluation changes scheduling, never
     // results; the in-order merge keeps seq numbering (and the trace)
     // bitwise identical to sequential mode.
+    let mut merge = |candidate: Label| -> Result<()> {
+        let discovered = relax(
+            options,
+            settled,
+            candidates,
+            heap,
+            next_seq,
+            format_count,
+            candidate,
+        );
+        if let (true, Some(log)) = (discovered, log.as_deref_mut()) {
+            let state = candidate.state;
+            log.discover(state, &graph.vertex(state.vertex)?.name);
+        }
+        Ok(())
+    };
     if options.parallel_expand && matching.len() > 1 {
         for batch in evaluate_edges_parallel(context, label, matching) {
             *optimizations += 1;
             for candidate in batch? {
-                relax(
-                    options,
-                    settled,
-                    candidates,
-                    heap,
-                    cs_discovery,
-                    next_seq,
-                    format_count,
-                    candidate,
-                );
+                merge(candidate)?;
             }
         }
     } else {
@@ -655,16 +642,7 @@ fn expand(
             context.extend_into(label, edge_id, extend_buf)?;
             *optimizations += 1;
             for &candidate in extend_buf.iter() {
-                relax(
-                    options,
-                    settled,
-                    candidates,
-                    heap,
-                    cs_discovery,
-                    next_seq,
-                    format_count,
-                    candidate,
-                );
+                merge(candidate)?;
             }
         }
     }
@@ -676,21 +654,20 @@ fn expand(
 /// its state (better satisfaction, then lower cost, wins), admitted
 /// otherwise. Every generated label draws a discovery sequence number
 /// whether or not it survives — the tie-break policies depend on it.
-#[allow(clippy::too_many_arguments)]
+/// Returns whether the label's state entered CS for the first time.
 fn relax(
     options: &SelectOptions,
     settled: &StateSlots<Label>,
     candidates: &mut StateSlots<Candidate>,
     heap: &mut BinaryHeap<HeapEntry>,
-    cs_discovery: &mut Vec<StateKey>,
     next_seq: &mut u64,
     format_count: usize,
     candidate: Label,
-) {
+) -> bool {
     let state = candidate.state;
     let index = state_index(state, format_count);
     if settled.contains(index) {
-        return;
+        return false;
     }
     let seq = *next_seq;
     *next_seq += 1;
@@ -710,6 +687,7 @@ fn relax(
                 existing.label = candidate;
                 existing.seq = seq;
             }
+            false
         }
         None => {
             if options.candidate_store == CandidateStore::BinaryHeap {
@@ -726,7 +704,7 @@ fn relax(
                     seq,
                 },
             );
-            cs_discovery.push(state);
+            true
         }
     }
 }
@@ -826,85 +804,6 @@ fn pick_best(candidates: &StateSlots<Candidate>, tie_break: TieBreak) -> StateKe
         }
     }
     best.expect("candidates not empty").label.state
-}
-
-/// Build one Table-1 row for the round that settles `selected`. Only
-/// trace recording materializes name strings; the hot path never does.
-#[allow(clippy::too_many_arguments)]
-fn make_row(
-    graph: &AdaptationGraph,
-    round: usize,
-    vt: &[VertexId],
-    cs_discovery: &[StateKey],
-    remaining: &StateSlots<Candidate>,
-    selected: &Label,
-    settled: &StateSlots<Label>,
-    format_count: usize,
-    receiver: crate::graph::VertexId,
-) -> Result<TraceRow> {
-    // CS display: discovery order, receiver pinned last, deduplicated,
-    // including the about-to-be-selected candidate (the paper shows the
-    // CS at the *start* of the round).
-    let mut cs_names: Vec<String> = Vec::new();
-    let mut receiver_present = false;
-    let mut push_state = |state: &StateKey, names: &mut Vec<String>| -> Result<()> {
-        if state.vertex == receiver {
-            receiver_present = true;
-            return Ok(());
-        }
-        let name = &graph.vertex(state.vertex)?.name;
-        if !names.contains(name) {
-            names.push(name.clone());
-        }
-        Ok(())
-    };
-    for state in cs_discovery {
-        if *state == selected.state || remaining.contains(state_index(*state, format_count)) {
-            push_state(state, &mut cs_names)?;
-        }
-    }
-    if selected.state.vertex == receiver {
-        receiver_present = true;
-    }
-    if receiver_present {
-        cs_names.push(graph.vertex(receiver)?.name.clone());
-    }
-
-    let mut considered: Vec<String> = Vec::with_capacity(vt.len());
-    for &vertex in vt {
-        considered.push(graph.vertex(vertex)?.name.clone());
-    }
-    let path = path_names(graph, settled, selected, format_count)?;
-    Ok(TraceRow {
-        round,
-        considered,
-        candidates: cs_names,
-        selected: graph.vertex(selected.state.vertex)?.name.clone(),
-        selected_path: path,
-        params: selected.params,
-        satisfaction: selected.satisfaction,
-        accumulated_cost: selected.accumulated_cost,
-    })
-}
-
-/// Names of the chain from the sender to `label`, via parent links
-/// (Step 10's reverse walk).
-fn path_names(
-    graph: &AdaptationGraph,
-    settled: &StateSlots<Label>,
-    label: &Label,
-    format_count: usize,
-) -> Result<Vec<String>> {
-    let mut names = vec![graph.vertex(label.state.vertex)?.name.clone()];
-    let mut parent = label.parent;
-    while let Some(state) = parent {
-        names.push(graph.vertex(state.vertex)?.name.clone());
-        parent = settled
-            .get(state_index(state, format_count))
-            .and_then(|l| l.parent);
-    }
-    names.reverse();
-    Ok(names)
 }
 
 /// Step 10: materialize the full chain from the receiver's label.
@@ -1036,7 +935,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(outcome.trace.rows.len(), outcome.rounds);
-        let first = &outcome.trace.rows[0];
+        let first = &outcome.trace.rows.to_vec()[0];
         assert_eq!(first.considered, vec!["sender".to_string()]);
         assert_eq!(first.selected, "T_fast");
         assert!(first.candidates.contains(&"T_slow".to_string()));

@@ -3,6 +3,8 @@
 pub mod alternates;
 pub mod greedy;
 pub mod label;
+#[cfg(test)]
+mod reference;
 pub mod trace;
 
 pub use alternates::{alternates, Alternate};

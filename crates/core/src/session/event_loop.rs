@@ -1092,60 +1092,66 @@ impl<W: SessionWorld + Sync, S: TelemetrySink> Loop<'_, '_, W, S> {
         let requests = self.requests;
         let config = &self.config.resilient;
         let sink = self.sink;
-        let mut collected: Vec<(usize, (JobOut, TraceState))> = Vec::with_capacity(prepared.len());
-        crossbeam::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    let next = &next;
-                    let prepared = &prepared;
-                    scope.spawn(move || {
-                        let composer = world.composer();
-                        let mut local = Vec::new();
-                        loop {
-                            let slot = next.fetch_add(1, Ordering::Relaxed);
-                            let Some(&(job, state)) = prepared.get(slot) else {
-                                return local;
-                            };
-                            let request = &requests[job.session];
-                            let mut trace = RequestTrace::resume(sink, state);
-                            let out = match backend {
-                                Backend::Cached { cache, options } => {
-                                    let result = catch_unwind(AssertUnwindSafe(|| {
-                                        cache.compose_traced(
-                                            &composer,
-                                            &request.request.profiles,
-                                            request.request.sender_host,
-                                            request.request.receiver_host,
-                                            options,
-                                            &mut trace,
-                                        )
-                                    }))
-                                    .unwrap_or_else(|payload| {
-                                        Err(CoreError::WorkerPanic(panic_message(payload)))
-                                    });
-                                    JobOut::Batch(result)
-                                }
-                                Backend::Resilient => JobOut::Outcome(serve_one(
-                                    &composer,
-                                    graph_store,
-                                    &request.request,
-                                    job.session,
-                                    config,
-                                    job.start_rung,
-                                    &mut trace,
-                                )),
-                            };
-                            local.push((slot, (out, trace.save())));
-                        }
-                    })
-                })
-                .collect();
-            for handle in handles {
-                if let Ok(local) = handle.join() {
-                    collected.extend(local);
-                }
+        // One worker's loop: claim slots until none are left. A panic
+        // that escapes it (one outside `serve_one`'s own guard) loses
+        // what this worker had produced — those slots stay `None`.
+        let worker = || {
+            let composer = world.composer();
+            let mut local = Vec::new();
+            loop {
+                let slot = next.fetch_add(1, Ordering::Relaxed);
+                let Some(&(job, state)) = prepared.get(slot) else {
+                    return local;
+                };
+                let request = &requests[job.session];
+                let mut trace = RequestTrace::resume(sink, state);
+                let out = match backend {
+                    Backend::Cached { cache, options } => {
+                        let result = catch_unwind(AssertUnwindSafe(|| {
+                            cache.compose_traced(
+                                &composer,
+                                &request.request.profiles,
+                                request.request.sender_host,
+                                request.request.receiver_host,
+                                options,
+                                &mut trace,
+                            )
+                        }))
+                        .unwrap_or_else(|payload| {
+                            Err(CoreError::WorkerPanic(panic_message(payload)))
+                        });
+                        JobOut::Batch(result)
+                    }
+                    Backend::Resilient => JobOut::Outcome(serve_one(
+                        &composer,
+                        graph_store,
+                        &request.request,
+                        job.session,
+                        config,
+                        job.start_rung,
+                        &mut trace,
+                    )),
+                };
+                local.push((slot, (out, trace.save())));
             }
-        });
+        };
+        let collected: Vec<(usize, (JobOut, TraceState))> = if workers == 1 {
+            // Inline on the caller's thread, so its per-thread selection
+            // arena stays warm from one instant to the next; the guard
+            // stands in for the join a spawned worker would get.
+            catch_unwind(AssertUnwindSafe(worker)).unwrap_or_default()
+        } else {
+            let mut collected = Vec::with_capacity(prepared.len());
+            crossbeam::thread::scope(|scope| {
+                let handles: Vec<_> = (0..workers).map(|_| scope.spawn(worker)).collect();
+                for handle in handles {
+                    if let Ok(local) = handle.join() {
+                        collected.extend(local);
+                    }
+                }
+            });
+            collected
+        };
         for (slot, result) in collected {
             slots[slot] = Some(result);
         }

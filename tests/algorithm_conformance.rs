@@ -11,7 +11,7 @@ use qosc_workload::paper;
 fn step1_initial_sets() {
     let scenario = paper::figure6_scenario(true);
     let composition = scenario.compose(&SelectOptions::default()).unwrap();
-    let first = &composition.selection.trace.rows[0];
+    let first = &composition.selection.trace.rows.to_vec()[0];
     assert_eq!(first.considered, vec!["sender"]);
     // Figure-6 sender neighbors are exactly T1..T10.
     assert_eq!(
@@ -103,7 +103,7 @@ fn step7_stops_at_receiver() {
 fn step8_neighbor_discovery() {
     let scenario = paper::figure6_scenario(true);
     let composition = scenario.compose(&SelectOptions::default()).unwrap();
-    let rows = &composition.selection.trace.rows;
+    let rows = composition.selection.trace.rows.to_vec();
     let discovered_after = |round: usize| -> Vec<String> {
         let before: &Vec<String> = &rows[round - 1].candidates;
         let after: &Vec<String> = &rows[round].candidates;

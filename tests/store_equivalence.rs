@@ -59,8 +59,8 @@ proptest! {
             prop_assert_eq!(s.failure.clone(), h.failure.clone(), "failure under {:?}", tie_break);
             // The selection *sequence* — which state settles in which
             // round — is the heart of the equivalence.
-            let scan_sequence: Vec<&String> = s.trace.rows.iter().map(|r| &r.selected).collect();
-            let heap_sequence: Vec<&String> = h.trace.rows.iter().map(|r| &r.selected).collect();
+            let scan_sequence: Vec<String> = s.trace.rows.iter().map(|r| r.selected).collect();
+            let heap_sequence: Vec<String> = h.trace.rows.iter().map(|r| r.selected).collect();
             prop_assert_eq!(scan_sequence, heap_sequence, "selection sequence under {:?}", tie_break);
             // And the full traces agree row-for-row (paths, params,
             // satisfaction, costs — exact float equality).

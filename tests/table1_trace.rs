@@ -42,7 +42,7 @@ fn final_chain_matches_paper() {
 fn considered_set_grows_in_selection_order() {
     let scenario = paper::figure6_scenario(true);
     let composition = scenario.compose(&SelectOptions::default()).unwrap();
-    let rows = &composition.selection.trace.rows;
+    let rows = composition.selection.trace.rows.to_vec();
     // VT starts as {sender} and gains exactly the previously selected
     // service each round.
     assert_eq!(rows[0].considered, vec!["sender"]);

@@ -103,7 +103,7 @@ fn considered_and_candidate_sets_match_snapshot() {
     let composition = paper::figure6_scenario(true)
         .compose(&SelectOptions::default())
         .unwrap();
-    let rows = &composition.selection.trace.rows;
+    let rows = composition.selection.trace.rows.to_vec();
     assert_eq!(rows[0].considered, vec!["sender"]);
     assert_eq!(
         rows[0].candidates,
