@@ -12,8 +12,8 @@
 //! Design points:
 //!
 //! - **All arithmetic is integer `u64` bps** with saturating operations and
-//!   deterministic tie-breaks (flows by session id, links by
-//!   `(LinkId, direction)`), so allocations are bit-identical across runs,
+//!   deterministic tie-breaks (links by `(LinkId, direction)`; nothing
+//!   depends on flow order), so allocations are bit-identical across runs,
 //!   worker counts and flow-registration orders.
 //! - **Preemption-free departures.** When a flow leaves, its released
 //!   bandwidth is redistributed by water-filling *upward from the surviving
@@ -21,18 +21,52 @@
 //!   changes trigger a full rebalance (a newcomer must be able to squeeze
 //!   incumbents down to their fair share — that is fairness, not
 //!   preemption).
-//! - **Epoch counter.** `epoch()` bumps only when the published grants
-//!   actually change, so consumers (the session event loop) can cheaply
-//!   detect reallocations and re-evaluate ladder rungs without
+//! - **Epoch counter.** `epoch()` bumps iff a grant value or the set of
+//!   granted sessions changed, so consumers (the session event loop) can
+//!   cheaply detect reallocations and re-evaluate ladder rungs without
 //!   re-composing.
 //!
 //! The greedy first-come first-served baseline lives behind the same API
-//! ([`SharingPolicy::Fcfs`]) so benchmarks compare both under identical
-//! event sequences.
+//! ([`SharingPolicy::Fcfs`]) and runs over the same tables, so benchmarks
+//! compare both under identical event sequences.
+//!
+//! # Data layout
+//!
+//! Every arrival, re-pin and departure re-solves the whole allocation, so
+//! the solver's cost is the ceiling on sessions per second. Everything it
+//! touches is therefore a dense table the broker owns and reuses; a
+//! steady-state `register` / `deregister` / `rebalance` allocates nothing
+//! (`tests/broker_alloc.rs` gates that).
+//!
+//! - **Links** are interned to dense ids whose order is ascending
+//!   `(LinkId, direction)`, so "first link reaching the minimum level" in id
+//!   order is the documented tie-break. A link enters the table at its first
+//!   `set_capacity` or when a flow first names it as a hop (without a
+//!   capacity it stays unconstrained) and never leaves. Interning is a
+//!   binary search plus one ordered insert; only an insert *below* an
+//!   existing id renumbers the hops of registered flows, which happens while
+//!   a topology is still being announced, not per recompute.
+//! - **Flows** live in slots (a free list recycles them, keeping each
+//!   slot's hop buffer). A flow's hops are translated to link ids once, at
+//!   `register`, and kept sorted so duplicates are adjacent. Each link keeps
+//!   the list of slots crossing it. A `(session, slot)` vector sorted by
+//!   session answers [`BandwidthBroker::grant`] and
+//!   [`BandwidthBroker::flow`] by binary search.
+//! - **Per-recompute state** (`residual` and `weight_sum` per link; working
+//!   level, `active` bit and freeze reason per slot; the cap-limited order)
+//!   is overwritten in place. Whether any grant changed is decided as each
+//!   final grant is written.
+//!
+//! A recompute costs `O(flows·hops + a·log a + rounds·links)` where `a` is
+//! the number of flows still below their cap after the floors; see
+//! [`BandwidthBroker::bottleneck`] for what each flow's outcome records.
 
 use qosc_netsim::LinkId;
 use qosc_telemetry::MetricsRegistry;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
+
+#[cfg(test)]
+mod reference;
 
 /// A directed traversal of one link: `(link, forward?)` — the same encoding
 /// `Route::directed_hops` produces.
@@ -41,8 +75,7 @@ pub type DirectedLink = (LinkId, bool);
 /// One session's registered demand, pinned to its plan's route.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FlowSpec {
-    /// Session identifier (index into the session table); the deterministic
-    /// tie-break key.
+    /// Session identifier (index into the session table).
     pub session: u64,
     /// Guaranteed floor in bps (granted before any water-filling; callers
     /// must keep admission honest so floors stay feasible).
@@ -75,32 +108,99 @@ pub enum SharingPolicy {
     WeightedMaxMin,
 }
 
+/// Why a flow holds the grant it holds — what the last recompute recorded
+/// when it fixed the flow's rate.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Bottleneck {
+    /// The flow holds its full demand (`max_bps`): its floor already
+    /// reached the cap, no hop is capacity-constrained, or the water level
+    /// reached its headroom before any of its links saturated.
+    Cap,
+    /// The flow holds exactly its floor (`min_bps`, or its previous grant
+    /// after a departure): `link` had nothing left above the floors of the
+    /// flows crossing it (it froze them at level 0).
+    Floor { link: DirectedLink },
+    /// `link` saturated at water level `level`: the flow holds
+    /// `floor + level × weight`. Under [`SharingPolicy::Fcfs`] there is no
+    /// water level; `level` is the per-crossing rate `link` had left when
+    /// the flow's turn came, which is the grant.
+    Link { link: DirectedLink, level: u64 },
+}
+
+/// One interned directed link.
+#[derive(Debug, Clone)]
+struct Link {
+    key: DirectedLink,
+    /// Effective capacity in bps; `None` = unconstrained.
+    capacity: Option<u64>,
+    /// Slots of the registered flows crossing this link, once per crossing,
+    /// in no particular order.
+    crossers: Vec<u32>,
+    /// Recompute scratch: capacity not yet granted. Meaningless on
+    /// unconstrained links (written, never read).
+    residual: u64,
+    /// Recompute scratch: Σ weight over the still-active crossings. Stays 0
+    /// on unconstrained links.
+    weight_sum: u64,
+}
+
+/// One flow slot. Vacant slots (`spec == None`) sit on the free list and
+/// keep `links`' buffer for the next tenant.
+#[derive(Debug, Clone)]
+struct FlowSlot {
+    spec: Option<FlowSpec>,
+    /// Registration sequence number — the FCFS order (a re-pin keeps it).
+    seq: u64,
+    /// `spec.hops` as link ids, ascending (duplicates adjacent).
+    links: Vec<u32>,
+    /// Published grant.
+    grant: u64,
+    limit: Bottleneck,
+    /// Recompute scratch: the floor the flow water-fills upward from.
+    floor: u64,
+    /// Recompute scratch: still rising with the water level.
+    active: bool,
+}
+
+impl FlowSlot {
+    /// The tenant's spec, for slots the caller knows are occupied (it found
+    /// them through `index`, or marked them active in this recompute).
+    fn flow(&self) -> &FlowSpec {
+        self.spec.as_ref().expect("occupied slot")
+    }
+}
+
 /// The broker: capacities + registered flows + published grants.
 #[derive(Debug, Clone)]
 pub struct BandwidthBroker {
     policy: SharingPolicy,
-    /// Effective capacity per directed link (bps). Links absent from this
-    /// map are unconstrained.
-    capacity: BTreeMap<DirectedLink, u64>,
-    /// Flows keyed by session id; `seq` preserves registration order for
-    /// the FCFS policy (re-pins keep the original sequence number).
-    flows: BTreeMap<u64, (u64, FlowSpec)>,
+    /// Interned links; index = dense id, ascending `key`.
+    links: Vec<Link>,
+    slots: Vec<FlowSlot>,
+    /// Vacant slots.
+    free: Vec<u32>,
+    /// `(session, slot)` of every registered flow, ascending session.
+    index: Vec<(u64, u32)>,
     next_seq: u64,
-    grants: BTreeMap<u64, u64>,
     epoch: u64,
     reallocations: u64,
+    /// Recompute scratch: `(⌈headroom / weight⌉, slot)` of the active flows
+    /// under water-filling, `(seq, slot)` of every flow under FCFS.
+    order: Vec<(u64, u32)>,
 }
 
 impl BandwidthBroker {
     pub fn new(policy: SharingPolicy) -> BandwidthBroker {
         BandwidthBroker {
             policy,
-            capacity: BTreeMap::new(),
-            flows: BTreeMap::new(),
+            links: Vec::new(),
+            slots: Vec::new(),
+            free: Vec::new(),
+            index: Vec::new(),
             next_seq: 0,
-            grants: BTreeMap::new(),
             epoch: 0,
             reallocations: 0,
+            order: Vec::new(),
         }
     }
 
@@ -112,53 +212,99 @@ impl BandwidthBroker {
     /// recompute: callers batch capacity changes (e.g. one chaos event can
     /// squeeze many links) and then call [`BandwidthBroker::rebalance`].
     pub fn set_capacity(&mut self, link: LinkId, forward: bool, capacity_bps: u64) {
-        self.capacity.insert((link, forward), capacity_bps);
+        let id = self.intern((link, forward));
+        self.links[id as usize].capacity = Some(capacity_bps);
     }
 
     /// Register (or re-pin) a session's flow, then rebalance from scratch.
     /// A re-pin replaces the previous spec but keeps the original FCFS
     /// sequence number, so rung switches don't launder queue position.
     pub fn register(&mut self, flow: FlowSpec) {
-        let seq = match self.flows.get(&flow.session) {
-            Some((seq, _)) => *seq,
-            None => {
-                let s = self.next_seq;
+        for &hop in &flow.hops {
+            self.intern(hop);
+        }
+        let (slot, arrived) = match self.index.binary_search_by_key(&flow.session, |e| e.0) {
+            Ok(at) => {
+                let slot = self.index[at].1;
+                self.unlink(slot);
+                (slot, false)
+            }
+            Err(at) => {
+                let slot = self.free.pop().unwrap_or_else(|| {
+                    let slot = u32::try_from(self.slots.len()).expect("fewer than 2^32 flows");
+                    self.slots.push(FlowSlot {
+                        spec: None,
+                        seq: 0,
+                        links: Vec::new(),
+                        grant: 0,
+                        limit: Bottleneck::Cap,
+                        floor: 0,
+                        active: false,
+                    });
+                    slot
+                });
+                self.index.insert(at, (flow.session, slot));
+                self.slots[slot as usize].seq = self.next_seq;
                 self.next_seq += 1;
-                s
+                (slot, true)
             }
         };
-        self.flows.insert(flow.session, (seq, flow));
-        self.recompute(Floors::None);
+        let entry = &mut self.slots[slot as usize];
+        entry.links.clear();
+        for hop in &flow.hops {
+            let id = self
+                .links
+                .binary_search_by_key(hop, |l| l.key)
+                .expect("interned above");
+            entry.links.push(id as u32);
+        }
+        entry.links.sort_unstable();
+        for &id in &entry.links {
+            self.links[id as usize].crossers.push(slot);
+        }
+        entry.spec = Some(flow);
+        self.recompute(Floors::None, arrived);
     }
 
     /// Remove a departing session's flow. The released bandwidth is
     /// redistributed preemption-free: survivors are water-filled upward
     /// from their current grants, so no survivor's grant decreases.
     pub fn deregister(&mut self, session: u64) -> bool {
-        if self.flows.remove(&session).is_none() {
+        let Ok(at) = self.index.binary_search_by_key(&session, |e| e.0) else {
             return false;
-        }
-        self.recompute(Floors::PreviousGrants);
+        };
+        let slot = self.index.remove(at).1;
+        self.unlink(slot);
+        self.slots[slot as usize].spec = None;
+        self.free.push(slot);
+        self.recompute(Floors::PreviousGrants, true);
         true
     }
 
     /// Full rebalance against the current capacities (arrivals and
     /// capacity changes rebalance from the registered floors only).
     pub fn rebalance(&mut self) {
-        self.recompute(Floors::None);
+        self.recompute(Floors::None, false);
     }
 
     /// Granted rate in bps for a session, if it has a registered flow.
     pub fn grant(&self, session: u64) -> Option<u64> {
-        self.grants.get(&session).copied()
+        self.slot_of(session).map(|slot| slot.grant)
     }
 
     /// The registered spec for a session, if any.
     pub fn flow(&self, session: u64) -> Option<&FlowSpec> {
-        self.flows.get(&session).map(|(_, f)| f)
+        self.slot_of(session).map(FlowSlot::flow)
     }
 
-    /// Bumps every time the published grants map changes.
+    /// What fixed the session's grant in the last recompute: its own cap,
+    /// its floor, or a saturated link and the water level it froze at.
+    pub fn bottleneck(&self, session: u64) -> Option<Bottleneck> {
+        self.slot_of(session).map(|slot| slot.limit)
+    }
+
+    /// Bumps every time a grant value or the set of granted sessions
+    /// changes.
     pub fn epoch(&self) -> u64 {
         self.epoch
     }
@@ -169,12 +315,16 @@ impl BandwidthBroker {
     }
 
     pub fn flow_count(&self) -> usize {
-        self.flows.len()
+        self.index.len()
     }
 
-    /// All current grants (session → bps), in session-id order.
-    pub fn grants(&self) -> &BTreeMap<u64, u64> {
-        &self.grants
+    /// All current grants (session → bps), in session-id order,
+    /// materialised on demand.
+    pub fn grants(&self) -> BTreeMap<u64, u64> {
+        self.index
+            .iter()
+            .map(|&(session, slot)| (session, self.slots[slot as usize].grant))
+            .collect()
     }
 
     /// Publish per-class gauges and the reallocation counter.
@@ -184,11 +334,12 @@ impl BandwidthBroker {
             .store(self.reallocations);
         registry
             .gauge("qosc_broker_flows")
-            .set(self.flows.len() as i64);
+            .set(self.flow_count() as i64);
         let mut by_weight: BTreeMap<u64, u64> = BTreeMap::new();
-        for (session, (_, flow)) in &self.flows {
-            let granted = self.grants.get(session).copied().unwrap_or(0);
-            *by_weight.entry(flow.weight_u64()).or_insert(0) += granted;
+        for slot in &self.slots {
+            if let Some(flow) = &slot.spec {
+                *by_weight.entry(flow.weight_u64()).or_insert(0) += slot.grant;
+            }
         }
         for (weight, total) in by_weight {
             registry
@@ -197,58 +348,302 @@ impl BandwidthBroker {
         }
     }
 
-    fn recompute(&mut self, floors: Floors) {
-        let next = match self.policy {
-            SharingPolicy::Fcfs => self.compute_fcfs(),
-            SharingPolicy::WeightedMaxMin => {
-                let flows: Vec<&FlowSpec> = self.flows.values().map(|(_, f)| f).collect();
-                let floor_of = |f: &FlowSpec| match floors {
-                    Floors::None => f.min_bps.min(f.max_bps),
-                    Floors::PreviousGrants => self
-                        .grants
-                        .get(&f.session)
-                        .copied()
-                        .unwrap_or(0)
-                        .max(f.min_bps)
-                        .min(f.max_bps),
-                };
-                waterfill(&flows, &self.capacity, floor_of)
+    fn slot_of(&self, session: u64) -> Option<&FlowSlot> {
+        let at = self.index.binary_search_by_key(&session, |e| e.0).ok()?;
+        Some(&self.slots[self.index[at].1 as usize])
+    }
+
+    /// Dense id of `key`, interning it (unconstrained) if it is new. Ids
+    /// stay in ascending key order: an insert below existing ids shifts
+    /// them, and the registered flows' translated hops with them.
+    fn intern(&mut self, key: DirectedLink) -> u32 {
+        let at = match self.links.binary_search_by_key(&key, |l| l.key) {
+            Ok(at) => at,
+            Err(at) => {
+                self.links.insert(
+                    at,
+                    Link {
+                        key,
+                        capacity: None,
+                        crossers: Vec::new(),
+                        residual: 0,
+                        weight_sum: 0,
+                    },
+                );
+                if at + 1 < self.links.len() {
+                    for id in self.slots.iter_mut().flat_map(|slot| &mut slot.links) {
+                        if *id as usize >= at {
+                            *id += 1;
+                        }
+                    }
+                }
+                at
             }
         };
-        if next != self.grants {
-            self.grants = next;
+        u32::try_from(at).expect("fewer than 2^32 directed links")
+    }
+
+    /// Take `slot` off the crosser list of every link it crosses (once per
+    /// crossing).
+    fn unlink(&mut self, slot: u32) {
+        for &id in &self.slots[slot as usize].links {
+            let crossers = &mut self.links[id as usize].crossers;
+            if let Some(at) = crossers.iter().position(|&s| s == slot) {
+                crossers.swap_remove(at);
+            }
+        }
+    }
+
+    /// Re-solve the allocation. The epoch bumps iff a grant value changed
+    /// or `membership_changed` (a session arrived or left).
+    fn recompute(&mut self, floors: Floors, membership_changed: bool) {
+        let grant_changed = match self.policy {
+            SharingPolicy::Fcfs => self.fill_fcfs(),
+            SharingPolicy::WeightedMaxMin => self.waterfill(floors),
+        };
+        if grant_changed || membership_changed {
             self.epoch += 1;
             self.reallocations += 1;
         }
     }
 
-    fn compute_fcfs(&self) -> BTreeMap<u64, u64> {
-        let mut order: Vec<(&u64, &(u64, FlowSpec))> = self.flows.iter().collect();
-        order.sort_by_key(|(_, (seq, _))| *seq);
-        let mut residual = self.capacity.clone();
-        let mut grants = BTreeMap::new();
-        for (session, (_, flow)) in order {
-            // Multiplicity-aware bottleneck: crossing a link c times caps
-            // the rate at residual / c there.
-            let mut crossings: BTreeMap<DirectedLink, u64> = BTreeMap::new();
-            for hop in &flow.hops {
-                *crossings.entry(*hop).or_insert(0) += 1;
-            }
-            let mut avail = flow.max_bps;
-            for (hop, count) in &crossings {
-                if let Some(r) = residual.get(hop) {
-                    avail = avail.min(r / count);
-                }
-            }
-            grants.insert(*session, avail);
-            for hop in &flow.hops {
-                if let Some(r) = residual.get_mut(hop) {
-                    *r = r.saturating_sub(avail);
-                }
+    /// First-come first-served over the dense tables: replay registration
+    /// order, grant each flow `min(max_bps, residual / crossings)` over its
+    /// constrained links. Returns whether any grant changed.
+    fn fill_fcfs(&mut self) -> bool {
+        let BandwidthBroker {
+            links,
+            slots,
+            order,
+            ..
+        } = self;
+        for link in links.iter_mut() {
+            link.residual = link.capacity.unwrap_or(0);
+        }
+        order.clear();
+        for (s, slot) in slots.iter().enumerate() {
+            if slot.spec.is_some() {
+                order.push((slot.seq, s as u32));
             }
         }
-        grants
+        order.sort_unstable();
+        let mut changed = false;
+        for &(_, s) in order.iter() {
+            let slot = &mut slots[s as usize];
+            // Multiplicity-aware bottleneck: crossing a link c times caps
+            // the rate at residual / c there. `links` is sorted, so the c
+            // crossings of one link are adjacent.
+            let mut avail = slot.flow().max_bps;
+            let mut limit = Bottleneck::Cap;
+            let mut run = 0;
+            while run < slot.links.len() {
+                let id = slot.links[run];
+                let crossings = slot.links[run..].iter().take_while(|&&l| l == id).count();
+                run += crossings;
+                let link = &links[id as usize];
+                let share = link.residual / crossings as u64;
+                if link.capacity.is_some() && share < avail {
+                    avail = share;
+                    limit = Bottleneck::Link {
+                        link: link.key,
+                        level: avail,
+                    };
+                }
+            }
+            for &id in &slot.links {
+                let link = &mut links[id as usize];
+                link.residual = link.residual.saturating_sub(avail);
+            }
+            changed |= slot.grant != avail;
+            slot.grant = avail;
+            slot.limit = limit;
+        }
+        changed
     }
+
+    /// Integer weighted max-min water-filling. Returns whether any grant
+    /// changed.
+    ///
+    /// Tier 1 grants every flow its floor (saturating the residuals —
+    /// admission keeps floors feasible, the kernel stays total regardless).
+    /// Tier 2 then raises all unfrozen flows in lock-step proportional to
+    /// weight: each round computes the per-link level
+    /// `floor(residual / Σ weights crossing)`, takes the global minimum `λ`,
+    /// freezes cap-limited flows (remaining headroom `≤ λ·w`) at their cap,
+    /// otherwise freezes every flow crossing the bottleneck link (lowest
+    /// `(LinkId, direction)` on ties) at exactly `floor + λ·w`. No
+    /// sub-weight remainder is distributed and every per-link update is a
+    /// commutative saturating add/subtract, so the result is independent of
+    /// flow order; the waste per saturated link is below the link's weight
+    /// sum.
+    ///
+    /// # Finding the cap-limited flows
+    ///
+    /// An unfrozen flow holds only its floor — `residual` is reduced by
+    /// frozen flows alone — so `λ` is an absolute level, each flow's
+    /// headroom `h = max_bps − floor` is fixed for the whole recompute, and
+    /// `λ` never falls from one round to the next: freezing a flow on link
+    /// `l` takes at most `λ·w` from a residual that was at least
+    /// `λ·weight_sum(l)` and takes `w` from `weight_sum(l)`, so what is left
+    /// is still at least `λ` per remaining weight unit. With integer `λ` and
+    /// `w ≥ 1`, `h ≤ λ·w ⇔ ⌈h/w⌉ ≤ λ`; the kernel's test is
+    /// `h ≤ λ.saturating_mul(w)`, and at the saturation edge
+    /// (`λ·w > u64::MAX`) that is `h ≤ u64::MAX`, always true, exactly like
+    /// `h ≤ λ·w` over the integers — the two agree for every `u64` input.
+    /// So the active flows are sorted once by `⌈h/w⌉`, and each round's
+    /// cap-limited set is the next run of that order up to `λ` (skipping
+    /// flows a bottleneck link froze meanwhile): a round costs
+    /// `O(links + flows it freezes)`, and the crossers of a link are walked
+    /// only in the one round that freezes it. The sort itself waits for the
+    /// first round whose `λ` reaches the smallest `⌈h/w⌉`: until then no
+    /// flow can be cap-limited, and when floors nearly fill the shared
+    /// links — one bottleneck freezing everybody at a low level — it never
+    /// runs.
+    fn waterfill(&mut self, floors: Floors) -> bool {
+        let BandwidthBroker {
+            links,
+            slots,
+            order,
+            ..
+        } = self;
+        for link in links.iter_mut() {
+            link.residual = link.capacity.unwrap_or(0);
+            link.weight_sum = 0;
+        }
+
+        // Tier 1: floors.
+        for slot in slots.iter_mut() {
+            let Some(flow) = &slot.spec else { continue };
+            let floor = match floors {
+                Floors::None => flow.min_bps,
+                Floors::PreviousGrants => slot.grant.max(flow.min_bps),
+            }
+            .min(flow.max_bps);
+            slot.floor = floor;
+            for &id in &slot.links {
+                let link = &mut links[id as usize];
+                link.residual = link.residual.saturating_sub(floor);
+            }
+        }
+
+        // Tier 2: water-fill the headroom above the floors. Flows already
+        // at their cap, or crossing no constrained link, are settled here;
+        // the rest go active.
+        let mut changed = false;
+        let mut lowest_cap = u64::MAX;
+        order.clear();
+        for (s, slot) in slots.iter_mut().enumerate() {
+            let Some(flow) = &slot.spec else { continue };
+            let weight = flow.weight_u64();
+            slot.active = false;
+            if slot.floor < flow.max_bps {
+                for &id in &slot.links {
+                    let link = &mut links[id as usize];
+                    if link.capacity.is_some() {
+                        link.weight_sum += weight;
+                        slot.active = true;
+                    }
+                }
+            }
+            if !slot.active {
+                changed |= slot.grant != flow.max_bps;
+                slot.grant = flow.max_bps;
+                slot.limit = Bottleneck::Cap;
+                continue;
+            }
+            let capped_at = (flow.max_bps - slot.floor).div_ceil(weight);
+            lowest_cap = lowest_cap.min(capped_at);
+            order.push((capped_at, s as u32));
+        }
+
+        let mut remaining = order.len();
+        let mut sorted = false;
+        let mut next_capped = 0;
+        while remaining > 0 {
+            // Global water level and bottleneck link (first achiever in
+            // ascending id = (LinkId, direction) order wins ties).
+            let mut bottleneck: Option<(u64, usize)> = None;
+            for (id, link) in links.iter().enumerate() {
+                if link.weight_sum == 0 {
+                    continue;
+                }
+                let level = link.residual / link.weight_sum;
+                if bottleneck.is_none_or(|(lowest, _)| level < lowest) {
+                    bottleneck = Some((level, id));
+                }
+            }
+            // Every active flow crosses a constrained link and holds its
+            // weight in that link's sum until it freezes.
+            let Some((level, bottleneck)) = bottleneck else {
+                debug_assert!(false, "active flows without a weighted link");
+                break;
+            };
+
+            // Cap-limited flows freeze first (at their cap, which is at or
+            // below the level share); only if none exist does the
+            // bottleneck link freeze its crossers at exactly λ·w.
+            let before = remaining;
+            if level >= lowest_cap {
+                if !sorted {
+                    order.sort_unstable();
+                    sorted = true;
+                }
+                while let Some(&(capped_at, s)) = order.get(next_capped) {
+                    let slot = &mut slots[s as usize];
+                    if slot.active {
+                        if capped_at > level {
+                            break;
+                        }
+                        let headroom = slot.flow().max_bps - slot.floor;
+                        changed |= freeze(slot, links, headroom, Bottleneck::Cap);
+                        remaining -= 1;
+                    }
+                    next_capped += 1;
+                }
+            }
+            if remaining < before {
+                continue;
+            }
+            let key = links[bottleneck].key;
+            let limit = if level == 0 {
+                Bottleneck::Floor { link: key }
+            } else {
+                Bottleneck::Link { link: key, level }
+            };
+            for at in 0..links[bottleneck].crossers.len() {
+                let slot = &mut slots[links[bottleneck].crossers[at] as usize];
+                if slot.active {
+                    // Not cap-limited, so λ·w is below the headroom and
+                    // cannot have saturated.
+                    let extra = level * slot.flow().weight_u64();
+                    changed |= freeze(slot, links, extra, limit);
+                    remaining -= 1;
+                }
+            }
+            debug_assert!(remaining < before, "a round must freeze a flow");
+        }
+        changed
+    }
+}
+
+/// Fix an active flow's grant at `floor + extra`: take `extra` from the
+/// residual and the flow's weight from the weight sum of every link it
+/// crosses, and report whether the published grant moved.
+fn freeze(slot: &mut FlowSlot, links: &mut [Link], extra: u64, limit: Bottleneck) -> bool {
+    let weight = slot.flow().weight_u64();
+    for &id in &slot.links {
+        // Unconstrained links carry no weight (their sum stays 0) and
+        // nobody reads their residual.
+        let link = &mut links[id as usize];
+        link.residual = link.residual.saturating_sub(extra);
+        link.weight_sum = link.weight_sum.saturating_sub(weight);
+    }
+    let grant = slot.floor + extra;
+    let changed = slot.grant != grant;
+    slot.grant = grant;
+    slot.limit = limit;
+    slot.active = false;
+    changed
 }
 
 /// Which floor each flow water-fills upward from.
@@ -260,127 +655,12 @@ enum Floors {
     PreviousGrants,
 }
 
-/// Integer weighted max-min water-filling.
-///
-/// Tier 1 grants every flow its floor (saturating the residuals — admission
-/// keeps floors feasible, the kernel stays total regardless). Tier 2 then
-/// raises all unfrozen flows in lock-step proportional to weight: each round
-/// computes the per-link level `floor(residual / Σ weights crossing)`, takes
-/// the global minimum `λ`, freezes cap-limited flows (remaining headroom
-/// `≤ λ·w`) at their cap, otherwise freezes every flow crossing the
-/// bottleneck link (lowest `(LinkId, direction)` on ties) at exactly `λ·w`.
-/// No sub-weight remainder is distributed, so the result is independent of
-/// flow order; the waste per saturated link is below the link's weight sum.
-fn waterfill(
-    flows: &[&FlowSpec],
-    capacity: &BTreeMap<DirectedLink, u64>,
-    floor_of: impl Fn(&FlowSpec) -> u64,
-) -> BTreeMap<u64, u64> {
-    let mut grants: BTreeMap<u64, u64> = BTreeMap::new();
-    let mut residual = capacity.clone();
-    let mut order: Vec<usize> = (0..flows.len()).collect();
-    order.sort_by_key(|&i| flows[i].session);
-
-    // Tier 1: floors.
-    for &i in &order {
-        let flow = flows[i];
-        let floor = floor_of(flow).min(flow.max_bps);
-        grants.insert(flow.session, floor);
-        for hop in &flow.hops {
-            if let Some(r) = residual.get_mut(hop) {
-                *r = r.saturating_sub(floor);
-            }
-        }
-    }
-
-    // Tier 2: water-fill the headroom above the floors. Per-link state is
-    // maintained incrementally (each flow is frozen exactly once), keeping a
-    // recompute at O(flows·hops + rounds·links).
-    let mut active: Vec<usize> = Vec::new();
-    let mut weight_sum: BTreeMap<DirectedLink, u64> = BTreeMap::new();
-    for &i in &order {
-        let flow = flows[i];
-        if grants[&flow.session] >= flow.max_bps {
-            continue;
-        }
-        let constrained = flow.hops.iter().any(|h| residual.contains_key(h));
-        if !constrained {
-            // No shared link on the path: grant the full demand.
-            grants.insert(flow.session, flow.max_bps);
-            continue;
-        }
-        for hop in &flow.hops {
-            if residual.contains_key(hop) {
-                *weight_sum.entry(*hop).or_insert(0) += flow.weight_u64();
-            }
-        }
-        active.push(i);
-    }
-
-    while !active.is_empty() {
-        // Global water level and bottleneck link (first achiever in
-        // ascending (LinkId, direction) order wins ties).
-        let mut level = u64::MAX;
-        let mut bottleneck: Option<DirectedLink> = None;
-        for (link, w) in &weight_sum {
-            if *w == 0 {
-                continue;
-            }
-            let l = residual.get(link).copied().unwrap_or(0) / w;
-            if l < level {
-                level = l;
-                bottleneck = Some(*link);
-            }
-        }
-        let Some(bottleneck) = bottleneck else { break };
-
-        // Cap-limited flows freeze first (at their cap, which is at or
-        // below the level share); only if none exist does the bottleneck
-        // link freeze its crossers at exactly λ·w.
-        let mut frozen: Vec<usize> = active
-            .iter()
-            .copied()
-            .filter(|&i| {
-                let f = flows[i];
-                f.max_bps - grants[&f.session] <= level.saturating_mul(f.weight_u64())
-            })
-            .collect();
-        if frozen.is_empty() {
-            frozen = active
-                .iter()
-                .copied()
-                .filter(|&i| flows[i].hops.contains(&bottleneck))
-                .collect();
-        }
-        debug_assert!(!frozen.is_empty());
-
-        let frozen_set: BTreeSet<usize> = frozen.iter().copied().collect();
-        for &i in &frozen {
-            let flow = flows[i];
-            let headroom = flow.max_bps - grants[&flow.session];
-            let extra = headroom.min(level.saturating_mul(flow.weight_u64()));
-            *grants.get_mut(&flow.session).expect("granted in tier 1") += extra;
-            for hop in &flow.hops {
-                if let Some(r) = residual.get_mut(hop) {
-                    *r = r.saturating_sub(extra);
-                }
-                if let Some(w) = weight_sum.get_mut(hop) {
-                    *w = w.saturating_sub(flow.weight_u64());
-                }
-            }
-        }
-        active.retain(|i| !frozen_set.contains(i));
-    }
-
-    grants
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use qosc_netsim::{Node, Topology};
 
-    fn line_topology(links: usize) -> (Topology, Vec<LinkId>) {
+    pub(crate) fn line_topology(links: usize) -> (Topology, Vec<LinkId>) {
         let mut topo = Topology::new();
         let mut prev = topo.add_node(Node::unconstrained("n0"));
         let mut ids = Vec::new();
@@ -472,6 +752,47 @@ mod tests {
         assert_eq!(broker.grant(1), Some(3_000));
         assert_eq!(broker.grant(2), Some(3_000));
         assert_eq!(broker.grant(0), Some(7_000));
+    }
+
+    #[test]
+    fn bottleneck_names_what_fixed_each_grant() {
+        // The two-link example above, plus D whose 1k demand is met before
+        // any link saturates: D freezes at its cap (round 1, level 1k ≤
+        // L2's 2k), B and C on L2 at level (6k − 1k) / 2, A on L1 with the
+        // 6.5k nobody else could use.
+        let (_topo, ids) = line_topology(2);
+        let (l1, l2) = (ids[0], ids[1]);
+        let mut broker = BandwidthBroker::new(SharingPolicy::WeightedMaxMin);
+        broker.set_capacity(l1, true, 10_000);
+        broker.set_capacity(l2, true, 6_000);
+        broker.register(flow(0, 0, 100_000, 1, vec![(l1, true)]));
+        broker.register(flow(1, 0, 100_000, 1, vec![(l1, true), (l2, true)]));
+        broker.register(flow(2, 0, 100_000, 1, vec![(l2, true)]));
+        broker.register(flow(3, 0, 1_000, 1, vec![(l1, true), (l2, true)]));
+        let on = |link, level| Some(Bottleneck::Link { link, level });
+        assert_eq!(broker.bottleneck(3), Some(Bottleneck::Cap));
+        assert_eq!(broker.bottleneck(1), on((l2, true), 2_500));
+        assert_eq!(broker.bottleneck(2), on((l2, true), 2_500));
+        assert_eq!(broker.bottleneck(0), on((l1, true), 6_500));
+        assert_eq!(broker.grant(0), Some(6_500));
+        assert_eq!(broker.bottleneck(9), None);
+        // Floors that fill L2 leave nothing to share: its crossers hold
+        // exactly their floors.
+        broker.register(flow(2, 5_000, 100_000, 1, vec![(l2, true)]));
+        broker.register(flow(3, 1_000, 1_000, 1, vec![(l1, true), (l2, true)]));
+        assert_eq!(broker.grant(2), Some(5_000));
+        assert_eq!(
+            broker.bottleneck(2),
+            Some(Bottleneck::Floor { link: (l2, true) })
+        );
+        assert_eq!(broker.bottleneck(3), Some(Bottleneck::Cap));
+        // FCFS reports the link that ran short and what it had left.
+        let mut fcfs = BandwidthBroker::new(SharingPolicy::Fcfs);
+        fcfs.set_capacity(l1, true, 10_000);
+        fcfs.register(flow(0, 0, 8_000, 1, vec![(l1, true)]));
+        fcfs.register(flow(1, 0, 8_000, 1, vec![(l1, true)]));
+        assert_eq!(fcfs.bottleneck(0), Some(Bottleneck::Cap));
+        assert_eq!(fcfs.bottleneck(1), on((l1, true), 2_000));
     }
 
     #[test]

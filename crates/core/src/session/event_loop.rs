@@ -229,6 +229,13 @@ struct Loop<'a, 'w, W: SessionWorld, S: TelemetrySink> {
     /// reevaluation, not re-composition. Brokerless worlds never move
     /// the epoch, so this path stays cold.
     last_grant_epoch: u64,
+    /// Indices of the `Phase::Active` sessions, ascending — what the
+    /// per-instant scans walk instead of every offered session.
+    /// Maintained by [`Loop::set_phase`], the only writer of
+    /// `Sess::phase`.
+    streaming: Vec<usize>,
+    /// Reused copy of `streaming` for scans whose body ends streams.
+    scan: Vec<usize>,
 }
 
 /// Priority-class weight fed to the broker: interactive traffic gets
@@ -297,6 +304,8 @@ pub(crate) fn run<W: SessionWorld + Sync, S: TelemetrySink>(
             (sla.mode == SlaMode::DriftAware).then(|| SlaWatchdog::new(sla.estimator))
         }),
         last_grant_epoch: initial_grant_epoch,
+        streaming: Vec::new(),
+        scan: Vec::new(),
     };
 
     // Shared per-run graph store: the world snapshot only moves at
@@ -377,6 +386,24 @@ pub(crate) fn run<W: SessionWorld + Sync, S: TelemetrySink>(
 }
 
 impl<W: SessionWorld + Sync, S: TelemetrySink> Loop<'_, '_, W, S> {
+    /// Move session `i` to `phase`, keeping `streaming` the ascending
+    /// list of `Phase::Active` sessions.
+    fn set_phase(&mut self, i: usize, phase: Phase) {
+        let was = self.sessions[i].phase == Phase::Active;
+        let is = phase == Phase::Active;
+        self.sessions[i].phase = phase;
+        if was == is {
+            return;
+        }
+        match self.streaming.binary_search(&i) {
+            Err(at) if is => self.streaming.insert(at, i),
+            Ok(at) if !is => {
+                self.streaming.remove(at);
+            }
+            _ => debug_assert!(false, "streaming list out of step with phases"),
+        }
+    }
+
     fn handle(&mut self, t: u64, ev: Ev) {
         match ev {
             Ev::World(k) => {
@@ -404,10 +431,10 @@ impl<W: SessionWorld + Sync, S: TelemetrySink> Loop<'_, '_, W, S> {
     fn open(&mut self, t: u64, i: usize) {
         let request = &self.requests[i];
         self.counters.opened += 1;
+        self.set_phase(i, Phase::PendingOpen);
         let sess = &mut self.sessions[i];
         sess.outcome.opened = true;
         sess.outcome.opened_us = t;
-        sess.phase = Phase::PendingOpen;
         // The root span opens here (request id = session index) and its
         // counters persist in TraceState across every later step, so
         // the whole session is one monotone per-request sequence.
@@ -560,7 +587,7 @@ impl<W: SessionWorld + Sync, S: TelemetrySink> Loop<'_, '_, W, S> {
         let sess = &mut self.sessions[i];
         sess.outcome.shed = Some(reason);
         sess.outcome.closed_us = Some(t);
-        sess.phase = Phase::Done;
+        self.set_phase(i, Phase::Done);
         self.counters.shed += 1;
     }
 
@@ -616,7 +643,14 @@ impl<W: SessionWorld + Sync, S: TelemetrySink> Loop<'_, '_, W, S> {
     /// World state changed at `t`: every streaming session re-checks
     /// its plan, in session-index order.
     fn check_liveness(&mut self, t: u64) {
-        for i in 0..self.sessions.len() {
+        // A dead plan takes its session off `streaming` mid-scan, so walk
+        // a copy. No session *starts* streaming in here (only `apply`
+        // does that), so this visits exactly the sessions a scan of the
+        // whole table would.
+        let mut scan = std::mem::take(&mut self.scan);
+        scan.clear();
+        scan.extend_from_slice(&self.streaming);
+        for &i in &scan {
             if self.sessions[i].phase != Phase::Active {
                 continue;
             }
@@ -630,6 +664,7 @@ impl<W: SessionWorld + Sync, S: TelemetrySink> Loop<'_, '_, W, S> {
                 self.begin_recompose(t, i);
             }
         }
+        self.scan = scan;
     }
 
     /// Mode-dependent plan liveness. Reactive mode (and the no-buffer
@@ -686,8 +721,10 @@ impl<W: SessionWorld + Sync, S: TelemetrySink> Loop<'_, '_, W, S> {
         if self.config.abr.is_none() {
             return;
         }
-        for i in 0..self.sessions.len() {
-            if self.sessions[i].phase != Phase::Active || self.sessions[i].abr.is_none() {
+        // Nothing in the body changes a phase, so `streaming` is stable.
+        for k in 0..self.streaming.len() {
+            let i = self.streaming[k];
+            if self.sessions[i].abr.is_none() {
                 continue;
             }
             let before = self.sessions[i].abr.as_ref().map(|a| a.fill_ppm);
@@ -951,7 +988,7 @@ impl<W: SessionWorld + Sync, S: TelemetrySink> Loop<'_, '_, W, S> {
             return;
         }
         self.sessions[i].outcome.recompositions = attempt;
-        self.sessions[i].phase = Phase::Recomposing;
+        self.set_phase(i, Phase::Recomposing);
         match self.admission.as_mut() {
             Some(q) => {
                 // Re-compositions inherit the session's class and cost
@@ -1036,8 +1073,8 @@ impl<W: SessionWorld + Sync, S: TelemetrySink> Loop<'_, '_, W, S> {
         // Departures are preemption-free: the broker redistributes the
         // released grant without lowering any survivor.
         self.world.deregister_session_flow(i as u64);
+        self.set_phase(i, Phase::Done);
         let sess = &mut self.sessions[i];
-        sess.phase = Phase::Done;
         sess.outcome.closed_us = Some(t);
         sess.outcome.close = Some(reason);
         if self.config.session_spans {
@@ -1244,7 +1281,7 @@ impl<W: SessionWorld + Sync, S: TelemetrySink> Loop<'_, '_, W, S> {
                     self.accrue(i, t);
                     if served {
                         self.adopt_plan(t, i, &outcome);
-                        self.sessions[i].phase = Phase::Active;
+                        self.set_phase(i, Phase::Active);
                         if self.sessions[i].abr.is_some() {
                             self.resample_fill(i);
                         }
@@ -1264,7 +1301,7 @@ impl<W: SessionWorld + Sync, S: TelemetrySink> Loop<'_, '_, W, S> {
                 let sess = &mut self.sessions[i];
                 sess.outcome.started_us = Some(t);
                 sess.last_accrual_us = t;
-                sess.phase = Phase::Active;
+                self.set_phase(i, Phase::Active);
                 let hold = self.requests[i].hold_us;
                 if hold == 0 {
                     self.close(t, i, CloseReason::Completed);

@@ -670,6 +670,10 @@ impl SessionWorld for ChaosWorld<'_> {
     fn deregister_session_flow(&mut self, session: u64) {
         if let Some(broker) = self.broker.as_mut() {
             broker.deregister(session);
+            // A departed flow is either closed for good or comes back
+            // under a new plan generation: its memo entry can never hit
+            // again, so the memo tracks live flows, not offered sessions.
+            self.delivery_cache.get_mut().entries.remove(&session);
         }
     }
 
@@ -692,11 +696,11 @@ impl SessionWorld for ChaosWorld<'_> {
         let Some(broker) = self.broker.as_ref() else {
             return self.delivery_ppm(plan, demand_bps);
         };
-        if broker.flow(session).is_none() {
+        let Some(grant) = broker.grant(session) else {
             // Not yet registered (e.g. a probe before adoption): answer
             // shared-fate rather than starving the session.
             return self.delivery_ppm(plan, demand_bps);
-        }
+        };
         let epoch = broker.epoch();
         let net_version = self.network.version();
         {
@@ -714,13 +718,8 @@ impl SessionWorld for ChaosWorld<'_> {
                     }
                     // Broker reallocation: invalidate only the
                     // grant-dependent part.
-                    let ppm = granted_ppm(
-                        broker,
-                        session,
-                        entry.routable,
-                        entry.required_bps,
-                        entry.sag_cap_ppm,
-                    );
+                    let ppm =
+                        granted_ppm(grant, entry.routable, entry.required_bps, entry.sag_cap_ppm);
                     entry.epoch = epoch;
                     entry.ppm = ppm;
                     stats.refreshes += 1;
@@ -733,7 +732,7 @@ impl SessionWorld for ChaosWorld<'_> {
         let routable = self.plan_routable(plan);
         let (_, required_bps) = self.flow_shape(plan, demand_bps);
         let sag_cap_ppm = self.plan_sag_cap(plan);
-        let ppm = granted_ppm(broker, session, routable, required_bps, sag_cap_ppm);
+        let ppm = granted_ppm(grant, routable, required_bps, sag_cap_ppm);
         let mut cache = self.delivery_cache.lock();
         cache.entries.insert(
             session,
@@ -757,17 +756,10 @@ impl SessionWorld for ChaosWorld<'_> {
 /// The grant-dependent half of a brokered delivery answer: granted
 /// rate over required rate in ppm, zeroed for unroutable plans, capped
 /// by the worst grey sag.
-fn granted_ppm(
-    broker: &BandwidthBroker,
-    session: u64,
-    routable: bool,
-    required_bps: u64,
-    sag_cap_ppm: u64,
-) -> u64 {
+fn granted_ppm(grant: u64, routable: bool, required_bps: u64, sag_cap_ppm: u64) -> u64 {
     if !routable {
         return 0;
     }
-    let grant = broker.grant(session).unwrap_or(0);
     let ppm = grant.saturating_mul(1_000_000) / required_bps.max(1);
     ppm.min(sag_cap_ppm)
 }
@@ -1218,6 +1210,35 @@ mod tests {
             (1, 1, 1),
             "epoch-only change takes the refresh path"
         );
+    }
+
+    #[test]
+    fn delivery_memo_forgets_departed_sessions() {
+        let f = fixture();
+        let (mut w, h) = world(&f);
+        w.set_sharing(Some(SharingPolicy::WeightedMaxMin));
+        let plan = w
+            .composer()
+            .compose(&profiles(), h.server, h.client, &SelectOptions::default())
+            .unwrap()
+            .plan
+            .unwrap();
+        let memo_size = |w: &ChaosWorld| w.delivery_cache.lock().entries.len();
+        for session in 0..5 {
+            w.register_session_flow(session, &plan, 0, 2);
+            w.session_delivery_ppm(session, 0, &plan, 0);
+            assert_eq!(memo_size(&w), w.broker().unwrap().flow_count());
+        }
+        for session in [3, 0, 4] {
+            w.deregister_session_flow(session);
+            assert_eq!(memo_size(&w), w.broker().unwrap().flow_count());
+        }
+        // A stale sample of a departed session answers shared-fate and
+        // leaves the memo alone.
+        let stats = w.delivery_cache_stats();
+        w.session_delivery_ppm(3, 0, &plan, 0);
+        assert_eq!(memo_size(&w), 2);
+        assert_eq!(w.delivery_cache_stats(), stats);
     }
 
     #[test]

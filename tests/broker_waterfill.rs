@@ -101,7 +101,7 @@ fn broker_with(caps: &[u64], links: &[LinkId], specs: &[FlowSpec]) -> BandwidthB
 /// Per-link grant sums, keyed by link position in the chain.
 fn link_usage(caps: &[u64], links: &[LinkId], broker: &BandwidthBroker) -> Vec<u64> {
     let mut used = vec![0u64; caps.len()];
-    for (&session, &grant) in broker.grants() {
+    for (session, grant) in broker.grants() {
         let spec = broker.flow(session).unwrap();
         for (i, &link) in links.iter().enumerate() {
             if spec.hops.contains(&(link, true)) {
@@ -200,10 +200,10 @@ proptest! {
         let links = chain_links(&caps);
         let specs = specs(&links, &flows, false);
         let mut broker = broker_with(&caps, &links, &specs);
-        let before = broker.grants().clone();
+        let before = broker.grants();
         let victim = (victim % specs.len()) as u64;
         prop_assert!(broker.deregister(victim));
-        for (&session, &grant) in broker.grants() {
+        for (session, grant) in broker.grants() {
             prop_assert!(
                 grant >= before[&session],
                 "session {session} shrank from {} to {grant} on a departure",
