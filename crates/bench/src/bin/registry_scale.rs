@@ -18,10 +18,17 @@
 //! threads sharing a store and digests the plans in request order: the
 //! digest must not depend on the worker count.
 //!
+//! Each size tier also reports its **peak resident set** (`VmHWM`, the
+//! high-water mark restarted when the tier begins): everything the tier
+//! held at once — the scenario's registry, both graph stores, and every
+//! thread's selection arena — flat baseline included wherever it runs.
+//!
 //! Output goes to `BENCH_scale.json` (first CLI argument overrides the
-//! path). `--deterministic` omits every timing-derived field so two
-//! runs produce byte-identical files — the CI `scale-smoke` step runs
-//! the bin twice with `--max=10000` and `cmp`s the outputs.
+//! path). `--deterministic` omits every measured field (timings, peak
+//! RSS) so two runs produce byte-identical files — the CI `scale-smoke`
+//! step runs the bin twice with `--max=10000` and `cmp`s the outputs.
+//! Stdout carries one `peak_rss_mb services=N X` line per tier in either
+//! mode; the same CI step holds the 10^4 line under a fixed ceiling.
 
 use qosc_bench::TextTable;
 use qosc_core::{GraphStore, SelectOptions};
@@ -49,6 +56,30 @@ impl Digest {
             self.0 = self.0.wrapping_mul(0x0000_0100_0000_01B3);
         }
     }
+}
+
+/// Peak resident set of this process (`VmHWM`), MB; 0 where `/proc`
+/// does not say.
+fn peak_rss_mb() -> f64 {
+    let status = std::fs::read_to_string("/proc/self/status").unwrap_or_default();
+    status
+        .lines()
+        .find_map(|line| line.strip_prefix("VmHWM:"))
+        .and_then(|rest| {
+            rest.trim()
+                .trim_end_matches("kB")
+                .trim()
+                .parse::<f64>()
+                .ok()
+        })
+        .map_or(0.0, |kb| kb / 1024.0)
+}
+
+/// Restart the high-water mark at the current resident set, so the next
+/// reading is the peak since now. Best effort: where the kernel refuses,
+/// readings stay cumulative (sizes ascend, so still each tier's own).
+fn restart_peak_rss() {
+    let _ = std::fs::write("/proc/self/clear_refs", "5");
 }
 
 fn percentile(sorted_us: &[f64], p: f64) -> f64 {
@@ -342,10 +373,13 @@ fn main() {
     let _ = run_cell(1_000, 0.0);
 
     let mut cells = Vec::new();
+    let mut tier_peak_rss_mb = Vec::new();
     for &size in &sizes {
+        restart_peak_rss();
         for &churn_rate in &CHURN_RATES {
             cells.push(run_cell(size, churn_rate));
         }
+        tier_peak_rss_mb.push(peak_rss_mb());
     }
     let worker_size = if sizes.contains(&10_000) {
         10_000
@@ -391,6 +425,9 @@ fn main() {
         ]);
     }
     println!("{}", table.render());
+    for (size, peak) in sizes.iter().zip(&tier_peak_rss_mb) {
+        println!("peak_rss_mb services={size} {peak:.1}");
+    }
 
     let total_deviations: usize = cells.iter().map(|c| c.deviations).sum();
     let total_compared: usize = cells.iter().map(|c| c.compared).sum();
@@ -436,6 +473,17 @@ fn main() {
     json.push_str(&format!("  \"worker_digest\": \"{batch_digest:016x}\",\n"));
     json.push_str(&format!("  \"plan_deviations\": {total_deviations},\n"));
     json.push_str(&format!("  \"plans_compared\": {total_compared},\n"));
+    if !deterministic {
+        json.push_str(&format!(
+            "  \"tiers\": [{}],\n",
+            sizes
+                .iter()
+                .zip(&tier_peak_rss_mb)
+                .map(|(size, peak)| format!("{{\"services\": {size}, \"peak_rss_mb\": {peak:.1}}}"))
+                .collect::<Vec<_>>()
+                .join(", ")
+        ));
+    }
     json.push_str("  \"cells\": [\n");
     for (i, cell) in cells.iter().enumerate() {
         json.push_str(&format!(

@@ -75,8 +75,8 @@ pub use graph::{
 };
 pub use plan::{AdaptationPlan, PlanStep};
 pub use select::{
-    arena_reuse_total, select_chain, select_chain_with_penalties, SelectOptions, SelectedChain,
-    SelectionOutcome, SelectionTrace, TieBreak,
+    arena_reuse_total, arena_slots, select_chain, select_chain_with_penalties, SelectOptions,
+    SelectedChain, SelectionOutcome, SelectionTrace, TieBreak,
 };
 pub use session::{
     run_sessions, serve_batch_resilient_sessions, serve_batch_resilient_sessions_traced,

@@ -23,16 +23,21 @@
 //! ## The hot path: a reused arena and an O(Δ) trace log
 //!
 //! Every search structure lives in a per-thread scratch arena
-//! ([`SelectScratch`]) reused across requests: the settled and candidate
-//! label stores are dense generation-stamped slot arrays indexed by the
-//! interned state handle `vertex × format_count + format`, and the
-//! lazy-deletion heap and all working buffers keep their capacity
-//! between runs. Dominance pruning — dropping a relaxed label that does
-//! not beat the incumbent of its state — is an O(1) slot comparison. The
-//! dense scan order (vertex-major, format-minor) equals the
-//! `BTreeMap<StateKey, _>` iteration order of the maps it replaced, so
+//! ([`SelectScratch`]) reused across requests. A state's handle comes
+//! from a per-request [`StateTable`]: each vertex's *advertised* outputs
+//! (the distinct `output` formats of its conversions), sorted ascending
+//! and laid end to end, so `handle(v, f) = base[v] + rank of f among v's
+//! outputs`. The settled and candidate label stores are
+//! generation-stamped slot arrays over those handles — Σ_v |outputs(v)|
+//! slots, one per state the search can ever label, however many formats
+//! the registry holds — and the lazy-deletion heap and all working
+//! buffers keep their capacity between runs. Dominance pruning —
+//! dropping a relaxed label that does not beat the incumbent of its
+//! state — is one slot comparison. Handles ascend vertex-major, then by
+//! `FormatId` within a vertex: the `Ord` of [`StateKey`], hence the
+//! iteration order of the `BTreeMap<StateKey, _>` the slots replaced, so
 //! plans, traces, and tie-breaks are bitwise identical to the allocating
-//! implementation.
+//! implementation (`select/reference.rs` holds it to that).
 //!
 //! What a run allocates is what it returns: the chain, and — with
 //! [`SelectOptions::record_trace`], which is on by default — the
@@ -47,8 +52,8 @@ use crate::graph::{AdaptationGraph, EdgeId};
 use crate::select::label::{ExtendContext, Label, StateKey};
 use crate::select::trace::{SelectionTrace, TraceLog};
 use crate::select::{ChainStep, SelectedChain};
-use crate::Result;
-use qosc_media::FormatRegistry;
+use crate::{CoreError, Result};
+use qosc_media::{FormatId, FormatRegistry};
 use qosc_satisfaction::{OptimizeOptions, SatisfactionProfile};
 use std::cell::RefCell;
 use std::collections::BinaryHeap;
@@ -133,12 +138,14 @@ impl Default for SelectOptions {
 }
 
 /// A heap entry: the order-encoded key plus enough to validate against
-/// the candidate store on pop (lazy deletion).
+/// the candidate store on pop (lazy deletion). `seq` is unique within a
+/// request, so the derived order never reaches `handle`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 struct HeapEntry {
     key: [u64; 4],
     seq: u64,
-    state: StateKey,
+    /// The [`StateTable`] handle of the entry's state.
+    handle: usize,
 }
 
 /// Encode (label, policy) into a lexicographically max-ordered key that
@@ -214,16 +221,89 @@ struct Candidate {
     seq: u64,
 }
 
-/// The interned state handle: states are `(vertex, output format)`
-/// pairs, so `vertex × format_count + format` enumerates them
-/// vertex-major, format-minor — exactly the `Ord` of [`StateKey`],
-/// which keeps dense scans identical to iteration over the `BTreeMap`s
-/// this replaced.
-fn state_index(state: StateKey, format_count: usize) -> usize {
-    state.vertex.index() * format_count + state.output_format.index()
+/// The states of one request's graph, and their dense handles.
+///
+/// A state is a `(vertex, output format)` pair the vertex *advertises*:
+/// `output` of one of its conversions. The table is CSR-shaped — vertex
+/// `v`'s distinct outputs, ascending by [`FormatId`], occupy
+/// `outputs[base[v]..base[v + 1]]` — and a state's handle is its
+/// position in `outputs`. Handles therefore ascend vertex-major and
+/// format-ascending within a vertex, which is the derived `Ord` of
+/// [`StateKey`]: a scan over the slot stores visits states in the order
+/// the `BTreeMap<StateKey, _>` they replaced did, and that order is
+/// what decides ties the policies leave open.
+///
+/// Rebuilt per request into buffers that keep their capacity
+/// (O(Σ conversions), no steady-state allocation). It is not cached on
+/// the graph: the graph store edits graphs in place, and a rebuild is
+/// cheaper than the invalidation paths a cache would add.
+struct StateTable {
+    /// `base[v]` = handle of `v`'s first state; one trailing entry holds
+    /// the state count.
+    base: Vec<usize>,
+    /// Every vertex's distinct outputs, ascending, back to back.
+    outputs: Vec<FormatId>,
 }
 
-/// A dense slot store over state handles with generation stamps: O(1)
+impl StateTable {
+    fn new() -> StateTable {
+        StateTable {
+            base: Vec::new(),
+            outputs: Vec::new(),
+        }
+    }
+
+    /// Index the states of `graph`.
+    fn rebuild(&mut self, graph: &AdaptationGraph) -> Result<()> {
+        self.base.clear();
+        self.outputs.clear();
+        for vertex in graph.vertex_ids() {
+            let start = self.outputs.len();
+            self.base.push(start);
+            for conversion in &graph.vertex(vertex)?.conversions {
+                // Sorted insert into the vertex's own (short) run: keeps
+                // it ascending and free of repeats whatever the listing
+                // order, and however many inputs share an output.
+                if let Err(rank) = self.outputs[start..].binary_search(&conversion.output) {
+                    self.outputs.insert(start + rank, conversion.output);
+                }
+            }
+        }
+        self.base.push(self.outputs.len());
+        Ok(())
+    }
+
+    /// Number of states (= slots a store over this table needs).
+    fn len(&self) -> usize {
+        self.outputs.len()
+    }
+
+    /// The dense handle of `state`, or [`CoreError::StaleId`] when the
+    /// vertex is not in the indexed graph or does not advertise the
+    /// format — a label built by hand, or against another graph.
+    fn index(&self, state: StateKey) -> Result<usize> {
+        let vertex = state.vertex.index();
+        let (Some(&start), Some(&end)) = (self.base.get(vertex), self.base.get(vertex + 1)) else {
+            return Err(stale_state(state));
+        };
+        // A vertex advertises a handful of outputs: a linear probe beats
+        // a binary search at that size.
+        self.outputs[start..end]
+            .iter()
+            .position(|&format| format == state.output_format)
+            .map(|rank| start + rank)
+            .ok_or_else(|| stale_state(state))
+    }
+}
+
+fn stale_state(state: StateKey) -> CoreError {
+    CoreError::StaleId(format!(
+        "state {:?} emitting {:?}: not advertised by the graph under selection",
+        state.vertex, state.output_format
+    ))
+}
+
+/// A slot store over [`StateTable`] handles with generation stamps: O(1)
 /// insert/lookup/remove/dominance-check, O(1) clear (one counter bump),
 /// in-order scans. Slots keep their capacity across requests.
 struct StateSlots<T> {
@@ -303,15 +383,16 @@ impl<T> StateSlots<T> {
         self.len == 0
     }
 
-    /// Live slots in ascending dense-handle order (vertex-major,
-    /// format-minor — the `StateKey` sort order).
-    fn iter(&self) -> impl Iterator<Item = &T> + '_ {
+    /// Live slots with their handles, in ascending handle order
+    /// (vertex-major, format-ascending — the `StateKey` sort order).
+    fn iter(&self) -> impl Iterator<Item = (usize, &T)> + '_ {
         self.stamps
             .iter()
             .zip(self.slots.iter())
-            .filter_map(move |(&stamp, slot)| {
+            .enumerate()
+            .filter_map(move |(handle, (&stamp, slot))| {
                 if stamp == self.generation {
-                    slot.as_ref()
+                    slot.as_ref().map(|value| (handle, value))
                 } else {
                     None
                 }
@@ -323,6 +404,8 @@ impl<T> StateSlots<T> {
 /// selection run allocates only what it returns (the chain and, when
 /// recorded, the trace log).
 struct SelectScratch {
+    /// The states of the graph under selection and their handles.
+    states: StateTable,
     /// Settled labels per state (Step 5).
     settled: StateSlots<Label>,
     /// Candidate set: best label per state (Steps 2/8, dominance-pruned
@@ -334,6 +417,8 @@ struct SelectScratch {
     matching: Vec<EdgeId>,
     /// Relaxation buffer for [`ExtendContext::extend_into`].
     extend_buf: Vec<Label>,
+    /// The sender's labels ([`ExtendContext::sender_labels_into`]).
+    sender_buf: Vec<Label>,
     /// Requests served by this scratch (for the reuse telemetry).
     requests: u64,
 }
@@ -341,21 +426,27 @@ struct SelectScratch {
 impl SelectScratch {
     fn new() -> SelectScratch {
         SelectScratch {
+            states: StateTable::new(),
             settled: StateSlots::new(),
             candidates: StateSlots::new(),
             heap: BinaryHeap::new(),
             matching: Vec::new(),
             extend_buf: Vec::new(),
+            sender_buf: Vec::new(),
             requests: 0,
         }
     }
 
-    fn reset(&mut self, states: usize) {
-        self.settled.reset(states);
-        self.candidates.reset(states);
+    /// Start a request over `graph`: index its states and invalidate
+    /// everything the previous request left behind.
+    fn reset(&mut self, graph: &AdaptationGraph) -> Result<()> {
+        self.states.rebuild(graph)?;
+        self.settled.reset(self.states.len());
+        self.candidates.reset(self.states.len());
         self.heap.clear();
         self.matching.clear();
         self.extend_buf.clear();
+        Ok(())
     }
 }
 
@@ -372,6 +463,16 @@ static ARENA_REUSES: AtomicU64 = AtomicU64::new(0);
 /// only — never emitted on a traced request path).
 pub fn arena_reuse_total() -> u64 {
     ARENA_REUSES.load(Ordering::Relaxed)
+}
+
+/// Label slots the calling thread's scratch arena holds, per store: the
+/// largest state count — Σ over vertices of distinct advertised outputs
+/// — of any graph this thread has selected on. Read-only; for footprint
+/// tests and scorecards.
+pub fn arena_slots() -> usize {
+    // Selection runs no caller-supplied code, so the arena is never
+    // borrowed while this can be called.
+    SCRATCH.with(|cell| cell.borrow().settled.stamps.len())
 }
 
 /// Run the QoS selection algorithm of Figure 4 on `graph`.
@@ -465,8 +566,7 @@ fn select_with_scratch(
         }
     };
 
-    let format_count = formats.len();
-    scratch.reset(graph.vertex_count() * format_count);
+    scratch.reset(graph)?;
     let mut next_seq: u64 = 0;
     let mut optimizations: usize = 0;
     let mut trace = SelectionTrace::default();
@@ -478,11 +578,13 @@ fn select_with_scratch(
     };
 
     // Step 1: settle the sender states, seed CS with its neighbors.
-    let sender_labels = context.sender_labels()?;
+    // (`expand` needs the whole scratch, so the buffer steps out of it
+    // for the loop.)
+    let mut sender_labels = std::mem::take(&mut scratch.sender_buf);
+    context.sender_labels_into(&mut sender_labels)?;
     for label in &sender_labels {
-        scratch
-            .settled
-            .insert(state_index(label.state, format_count), *label);
+        let handle = scratch.states.index(label.state)?;
+        scratch.settled.insert(handle, *label);
     }
     for label in &sender_labels {
         expand(
@@ -495,6 +597,7 @@ fn select_with_scratch(
             log.as_deref_mut(),
         )?;
     }
+    scratch.sender_buf = sender_labels;
 
     let mut rounds = 0usize;
 
@@ -532,29 +635,27 @@ fn select_with_scratch(
         rounds += 1;
 
         // Step 4: select the candidate with the highest satisfaction.
-        let best_state = match options.candidate_store {
+        let best = match options.candidate_store {
             CandidateStore::LinearScan => pick_best(&scratch.candidates, options.tie_break),
-            CandidateStore::BinaryHeap => {
-                pick_best_heap(&mut scratch.heap, &scratch.candidates, format_count)
-            }
+            CandidateStore::BinaryHeap => pick_best_heap(&mut scratch.heap, &scratch.candidates),
         };
+        // Both argmaxes return the handle of a slot they just read as
+        // live, and nothing ran in between.
         let Candidate { label, .. } = scratch
             .candidates
-            .remove(state_index(best_state, format_count))
-            .expect("picked from slots");
+            .remove(best)
+            .expect("the picked slot is live");
 
         if let Some(log) = log.as_deref_mut() {
             log.select(&label);
         }
 
         // Step 5 / Step 6.
-        scratch
-            .settled
-            .insert(state_index(label.state, format_count), label);
+        scratch.settled.insert(best, label);
 
         // Step 7.
         if label.state.vertex == receiver {
-            let chain = reconstruct(graph, &scratch.settled, &label, format_count)?;
+            let chain = reconstruct(graph, &scratch.states, &scratch.settled, &label)?;
             return Ok(SelectionOutcome {
                 chain: Some(chain),
                 failure: None,
@@ -590,6 +691,7 @@ fn expand(
     mut log: Option<&mut TraceLog>,
 ) -> Result<()> {
     let SelectScratch {
+        states,
         settled,
         candidates,
         heap,
@@ -599,7 +701,6 @@ fn expand(
     } = scratch;
 
     let graph = context.graph;
-    let format_count = context.formats.len();
     matching.clear();
     for &edge_id in graph.out_edges(label.state.vertex) {
         let edge = graph.edge(edge_id)?;
@@ -616,14 +717,8 @@ fn expand(
     // bitwise identical to sequential mode.
     let mut merge = |candidate: Label| -> Result<()> {
         let discovered = relax(
-            options,
-            settled,
-            candidates,
-            heap,
-            next_seq,
-            format_count,
-            candidate,
-        );
+            options, states, settled, candidates, heap, next_seq, candidate,
+        )?;
         if let (true, Some(log)) = (discovered, log.as_deref_mut()) {
             let state = candidate.state;
             log.discover(state, &graph.vertex(state.vertex)?.name);
@@ -654,20 +749,21 @@ fn expand(
 /// its state (better satisfaction, then lower cost, wins), admitted
 /// otherwise. Every generated label draws a discovery sequence number
 /// whether or not it survives — the tie-break policies depend on it.
-/// Returns whether the label's state entered CS for the first time.
+/// Returns whether the label's state entered CS for the first time, or
+/// [`CoreError::StaleId`] for a label whose state the graph does not
+/// advertise.
 fn relax(
     options: &SelectOptions,
+    states: &StateTable,
     settled: &StateSlots<Label>,
     candidates: &mut StateSlots<Candidate>,
     heap: &mut BinaryHeap<HeapEntry>,
     next_seq: &mut u64,
-    format_count: usize,
     candidate: Label,
-) -> bool {
-    let state = candidate.state;
-    let index = state_index(state, format_count);
+) -> Result<bool> {
+    let index = states.index(candidate.state)?;
     if settled.contains(index) {
-        return false;
+        return Ok(false);
     }
     let seq = *next_seq;
     *next_seq += 1;
@@ -681,20 +777,20 @@ fn relax(
                     heap.push(HeapEntry {
                         key: heap_key(options.tie_break, &candidate, seq),
                         seq,
-                        state,
+                        handle: index,
                     });
                 }
                 existing.label = candidate;
                 existing.seq = seq;
             }
-            false
+            Ok(false)
         }
         None => {
             if options.candidate_store == CandidateStore::BinaryHeap {
                 heap.push(HeapEntry {
                     key: heap_key(options.tie_break, &candidate, seq),
                     seq,
-                    state,
+                    handle: index,
                 });
             }
             candidates.insert(
@@ -704,7 +800,7 @@ fn relax(
                     seq,
                 },
             );
-            true
+            Ok(true)
         }
     }
 }
@@ -751,31 +847,34 @@ fn evaluate_edges_parallel(
 }
 
 /// Step 4's argmax via the lazy-deletion heap: pop entries until one
-/// still matches the candidate store's current generation for its state.
-fn pick_best_heap(
-    heap: &mut BinaryHeap<HeapEntry>,
-    candidates: &StateSlots<Candidate>,
-    format_count: usize,
-) -> StateKey {
+/// still matches the candidate store's current generation for its state,
+/// and return that state's handle. Call with a non-empty candidate set.
+fn pick_best_heap(heap: &mut BinaryHeap<HeapEntry>, candidates: &StateSlots<Candidate>) -> usize {
     while let Some(entry) = heap.pop() {
-        if let Some(current) = candidates.get(state_index(entry.state, format_count)) {
+        if let Some(current) = candidates.get(entry.handle) {
             if current.seq == entry.seq {
-                return entry.state;
+                return entry.handle;
             }
         }
         // Stale: superseded by relaxation or already settled.
     }
-    unreachable!("heap drained while candidates remain — generations out of sync")
+    // `relax` pushes an entry with the slot's `seq` in the same call
+    // that writes the slot, entries leave the heap only above, and the
+    // one matching a live slot returns there: a live slot always has
+    // its entry in the heap.
+    unreachable!("heap drained while candidates remain")
 }
 
-/// Step 4's argmax with the configured tie-break: a scan over the dense
-/// candidate slots, whose order equals the replaced `BTreeMap`'s.
-fn pick_best(candidates: &StateSlots<Candidate>, tie_break: TieBreak) -> StateKey {
-    let mut best: Option<&Candidate> = None;
-    for candidate in candidates.iter() {
+/// Step 4's argmax with the configured tie-break: a scan over the
+/// candidate slots in handle order — the replaced `BTreeMap`'s order,
+/// which settles what the policy leaves tied — returning the winner's
+/// handle. Call with a non-empty candidate set.
+fn pick_best(candidates: &StateSlots<Candidate>, tie_break: TieBreak) -> usize {
+    let mut best: Option<(usize, &Candidate)> = None;
+    for (handle, candidate) in candidates.iter() {
         let better = match best {
             None => true,
-            Some(current) => {
+            Some((_, current)) => {
                 let sat = candidate.label.satisfaction;
                 let best_sat = current.label.satisfaction;
                 if sat != best_sat {
@@ -800,18 +899,20 @@ fn pick_best(candidates: &StateSlots<Candidate>, tie_break: TieBreak) -> StateKe
             }
         };
         if better {
-            best = Some(candidate);
+            best = Some((handle, candidate));
         }
     }
-    best.expect("candidates not empty").label.state
+    // Step 3 returned `CandidatesExhausted` unless a slot is live, and
+    // the scan visits every live slot.
+    best.expect("candidates not empty").0
 }
 
 /// Step 10: materialize the full chain from the receiver's label.
 fn reconstruct(
     graph: &AdaptationGraph,
+    states: &StateTable,
     settled: &StateSlots<Label>,
     receiver_label: &Label,
-    format_count: usize,
 ) -> Result<SelectedChain> {
     let mut steps: Vec<ChainStep> = Vec::new();
     let mut cursor: Option<&Label> = Some(receiver_label);
@@ -824,9 +925,10 @@ fn reconstruct(
             satisfaction: label.satisfaction,
             accumulated_cost: label.accumulated_cost,
         });
-        cursor = label
-            .parent
-            .and_then(|p| settled.get(state_index(p, format_count)));
+        cursor = match label.parent {
+            Some(parent) => settled.get(states.index(parent)?),
+            None => None,
+        };
     }
     steps.reverse();
     Ok(SelectedChain {
@@ -1098,6 +1200,127 @@ mod tests {
         };
         let outcome = select_chain(&graph, &formats, &profile, f64::INFINITY, &options).unwrap();
         assert_eq!(outcome.failure, Some(SelectFailure::RoundLimit));
+    }
+
+    /// A transcoder-shaped vertex converting `pairs` (input, output).
+    fn bare_vertex(kind: VertexKind, pairs: &[(FormatId, FormatId)]) -> crate::graph::Vertex {
+        crate::graph::Vertex {
+            kind,
+            name: "v".to_string(),
+            host: Topology::new().add_node(Node::unconstrained("h")),
+            conversions: pairs
+                .iter()
+                .map(|&(input, output)| crate::graph::model::VertexConversion {
+                    input,
+                    output,
+                    output_domain: DomainVector::new(),
+                })
+                .collect(),
+            price_per_second: 0.0,
+            price_per_mbit: 0.0,
+        }
+    }
+
+    #[test]
+    fn state_handles_ascend_in_state_key_order() {
+        let mut formats = FormatRegistry::new();
+        let f: Vec<FormatId> = (0..4)
+            .map(|i| formats.register_abstract(format!("F{i}"), MediaKind::Video))
+            .collect();
+        let mut graph = AdaptationGraph::new();
+        // Outputs listed descending, one of them from two inputs; then a
+        // vertex with nothing to say; then a repeat-free ascending one.
+        let a = graph.add_vertex(bare_vertex(
+            VertexKind::Sender,
+            &[(f[0], f[3]), (f[0], f[1]), (f[2], f[3]), (f[2], f[0])],
+        ));
+        let b = graph.add_vertex(bare_vertex(VertexKind::Receiver, &[]));
+        let c = graph.add_vertex(bare_vertex(
+            VertexKind::Receiver,
+            &[(f[1], f[1]), (f[2], f[2])],
+        ));
+
+        let mut table = StateTable::new();
+        table.rebuild(&graph).unwrap();
+        let key = |vertex, output_format| StateKey {
+            vertex,
+            output_format,
+        };
+        let mut keys = [
+            key(c, f[2]),
+            key(a, f[3]),
+            key(a, f[0]),
+            key(c, f[1]),
+            key(a, f[1]),
+        ];
+        assert_eq!(table.len(), keys.len(), "one slot per advertised output");
+        keys.sort();
+        let handles: Vec<usize> = keys.iter().map(|&k| table.index(k).unwrap()).collect();
+        assert_eq!(
+            handles,
+            vec![0, 1, 2, 3, 4],
+            "handle order is StateKey order"
+        );
+
+        // Rebuilding over a smaller graph forgets the larger one.
+        let mut small = AdaptationGraph::new();
+        small.add_vertex(bare_vertex(VertexKind::Sender, &[(f[0], f[2])]));
+        table.rebuild(&small).unwrap();
+        assert_eq!(table.len(), 1);
+        assert_eq!(table.index(key(a, f[2])).unwrap(), 0);
+        for stale in [key(a, f[3]), key(b, f[2]), key(c, f[2])] {
+            assert!(matches!(table.index(stale), Err(CoreError::StaleId(_))));
+        }
+    }
+
+    #[test]
+    fn a_label_the_graph_does_not_advertise_is_a_stale_id() {
+        let (formats, graph) = fork_fixture();
+        let profile = qosc_satisfaction::SatisfactionProfile::paper_table1();
+        let context = ExtendContext {
+            graph: &graph,
+            formats: &formats,
+            profile: &profile,
+            budget: f64::INFINITY,
+            optimizer: OptimizeOptions::default(),
+            penalties: &[],
+        };
+        let sender = context.sender_labels().unwrap()[0];
+        let mut scratch = SelectScratch::new();
+        scratch.reset(&graph).unwrap();
+        let mut next_seq = 0;
+        let mut relax_label = |label: Label, scratch: &mut SelectScratch| {
+            relax(
+                &SelectOptions::default(),
+                &scratch.states,
+                &scratch.settled,
+                &mut scratch.candidates,
+                &mut scratch.heap,
+                &mut next_seq,
+                label,
+            )
+        };
+        assert!(matches!(relax_label(sender, &mut scratch), Ok(true)));
+
+        // The sender offers A, never B; and vertex 99 is another graph's.
+        let receiver_format =
+            graph.vertex(graph.receiver().unwrap()).unwrap().conversions[0].output;
+        let mut wrong_format = sender;
+        wrong_format.state.output_format = receiver_format;
+        let mut wrong_vertex = sender;
+        wrong_vertex.state.vertex = crate::graph::VertexId::from_index(99);
+        for label in [wrong_format, wrong_vertex] {
+            let error = relax_label(label, &mut scratch).unwrap_err();
+            assert!(matches!(error, CoreError::StaleId(_)), "{error}");
+        }
+        assert_eq!(next_seq, 1, "a rejected label draws no sequence number");
+
+        // A settled label whose parent is not a state of the graph fails
+        // the Step-10 walk the same way.
+        let mut orphan = sender;
+        orphan.parent = Some(wrong_format.state);
+        let error = reconstruct(&graph, &scratch.states, &scratch.settled, &orphan).unwrap_err();
+        assert!(matches!(error, CoreError::StaleId(_)), "{error}");
     }
 
     #[test]

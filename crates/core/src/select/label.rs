@@ -18,6 +18,14 @@ use qosc_services::ServiceId;
 /// keeps the greedy search exact for multi-output services (committing
 /// to one output format cannot hide a chain through another) and
 /// coincides with the paper's model when every service has one output.
+///
+/// The states of a graph are the pairs its vertices *advertise* — a
+/// vertex and the `output` of one of its conversions — so there are
+/// Σ_v |distinct outputs(v)| of them, whatever the size of the format
+/// registry. The derived `Ord` (vertex, then format) is load-bearing:
+/// the greedy kernel numbers states in exactly this order, and where a
+/// tie-break policy leaves two candidates tied, the first in this order
+/// wins.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct StateKey {
     /// The vertex.
@@ -30,7 +38,7 @@ pub struct StateKey {
 ///
 /// All fields are plain values (`ParamVector` is a fixed-size axis
 /// array), so labels are `Copy` and the greedy search can hold them in
-/// dense slot arrays without indirection.
+/// slot arrays without indirection.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Label {
     /// The labelled state.
@@ -75,14 +83,20 @@ impl ExtendContext<'_> {
     /// listing order. The sender's configuration is the variant's best
     /// offer; its cost is zero.
     pub fn sender_labels(&self) -> Result<Vec<Label>> {
-        let sender = match self.graph.sender() {
-            Some(s) => s,
-            None => return Ok(Vec::new()),
+        let mut labels = Vec::new();
+        self.sender_labels_into(&mut labels)?;
+        Ok(labels)
+    }
+
+    /// Allocation-free form of
+    /// [`sender_labels`](ExtendContext::sender_labels): clears `labels`
+    /// and fills it (empty when the graph has no sender).
+    pub fn sender_labels_into(&self, labels: &mut Vec<Label>) -> Result<()> {
+        labels.clear();
+        let Some(sender) = self.graph.sender() else {
+            return Ok(());
         };
-        let vertex = self.graph.vertex(sender)?;
-        let mut labels = Vec::with_capacity(vertex.conversions.len());
-        for conversion in &vertex.conversions {
-            let params = conversion.output_domain.top();
+        for conversion in &self.graph.vertex(sender)?.conversions {
             labels.push(Label {
                 state: StateKey {
                     vertex: sender,
@@ -95,13 +109,13 @@ impl ExtendContext<'_> {
                 // wrongly zero kind-changing chains (a video master has
                 // no text axes to score).
                 satisfaction: 1.0,
-                params,
+                params: conversion.output_domain.top(),
                 accumulated_cost: 0.0,
                 via_edge: None,
                 parent: None,
             });
         }
-        Ok(labels)
+        Ok(())
     }
 
     /// Extend `parent` across `edge`: evaluate every conversion of the

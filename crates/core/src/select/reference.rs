@@ -5,13 +5,16 @@
 //! VT and CS kept as display lists — and builds every [`TraceRow`] eagerly
 //! with the row builder (`make_row` / `path_names`) that recorded traces
 //! before they became an event log. The properties below hold the log's
-//! materialised rows to its rows, `Debug`-bitwise.
+//! materialised rows to its rows, `Debug`-bitwise, and the optimised
+//! search's discovery and selection sequences to its own, state by
+//! state — which is what pins the slot stores' scan order to the maps'
+//! `StateKey` order where a tie-break policy leaves the choice to it.
 
 use crate::graph::model::VertexConversion;
 use crate::graph::{AdaptationGraph, Edge, Vertex, VertexId, VertexKind};
 use crate::select::greedy::{
-    select_chain_with_penalties, CandidateStore, SelectFailure, SelectOptions, SelectionOutcome,
-    TieBreak,
+    arena_slots, select_chain_with_penalties, CandidateStore, SelectFailure, SelectOptions,
+    SelectionOutcome, TieBreak,
 };
 use crate::select::label::{ExtendContext, Label, StateKey};
 use crate::select::trace::TraceRow;
@@ -41,6 +44,12 @@ struct ReferenceRun {
     rows: Vec<TraceRow>,
     /// Every state that ever entered CS, in discovery order.
     discovered: Vec<StateKey>,
+    /// The state each round selected.
+    selected: Vec<StateKey>,
+    /// Rounds whose argmax the policy left tied — `ByVertexIndex`, two
+    /// states of one vertex at the winning satisfaction — so that the
+    /// map's iteration order chose.
+    order_decided_rounds: usize,
     chain: Option<Vec<String>>,
     failure: Option<SelectFailure>,
     rounds: usize,
@@ -77,6 +86,8 @@ fn reference_select(
     let mut optimizations = 0usize;
     let mut rows = Vec::new();
     let mut rounds = 0usize;
+    let mut selected = Vec::new();
+    let mut order_decided_rounds = 0usize;
 
     let mut expand = |label: &Label,
                       settled: &BTreeMap<StateKey, Label>,
@@ -142,6 +153,14 @@ fn reference_select(
 
         let best = pick_best(&candidates, options.tie_break);
         let label = candidates.remove(&best).expect("picked from the map").label;
+        selected.push(best);
+        order_decided_rounds += usize::from(
+            options.tie_break == TieBreak::ByVertexIndex
+                && candidates.values().any(|other| {
+                    other.label.state.vertex == best.vertex
+                        && other.label.satisfaction == label.satisfaction
+                }),
+        );
         rows.push(make_row(
             graph,
             rounds,
@@ -175,6 +194,8 @@ fn reference_select(
     Ok(ReferenceRun {
         rows,
         discovered,
+        selected,
+        order_decided_rounds,
         chain,
         failure,
         rounds,
@@ -292,9 +313,12 @@ fn path_names(
 
 /// A seeded random adaptation graph, built vertex by vertex so the
 /// generator controls what `graph::build` never produces: transcoders
-/// that share a display name (even the sender's or the receiver's), and
-/// a thin direct sender → receiver edge that puts the receiver in CS from
-/// round 1 while better chains are still being explored.
+/// that share a display name (even the sender's or the receiver's), a
+/// thin direct sender → receiver edge that puts the receiver in CS from
+/// round 1 while better chains are still being explored, and "fan"
+/// transcoders that list their outputs in *descending* `FormatId` order
+/// at one quality cap (their states tie wherever they are candidates
+/// together) and reach one output from several inputs.
 struct Mesh {
     formats: FormatRegistry,
     graph: AdaptationGraph,
@@ -361,17 +385,35 @@ fn random_mesh(seed: u64) -> Mesh {
         // A few frame-rate caps and few names: satisfaction ties and
         // shared display names are the common case, not the rare one.
         let input = any_format(&mut rng);
-        let conversions = (0..rng.random_range(1..=3usize))
-            .map(|_| VertexConversion {
-                input: if rng.random_bool(0.7) {
-                    input
-                } else {
-                    any_format(&mut rng)
-                },
-                output: any_format(&mut rng),
-                output_domain: frame_rates(pick(&mut rng, &[10.0, 15.0, 20.0, 24.0, 30.0])),
+        let conversions = if rng.random_bool(0.3) {
+            let low = rng.random_range(0..format_ids.len() - 1);
+            let high = rng.random_range(low + 1..format_ids.len());
+            let domain = frame_rates(pick(&mut rng, &[15.0, 24.0, 30.0]));
+            [
+                (input, format_ids[high]),
+                (input, format_ids[low]),
+                (any_format(&mut rng), format_ids[low]),
+            ]
+            .into_iter()
+            .map(|(input, output)| VertexConversion {
+                input,
+                output,
+                output_domain: domain.clone(),
             })
-            .collect();
+            .collect()
+        } else {
+            (0..rng.random_range(1..=3usize))
+                .map(|_| VertexConversion {
+                    input: if rng.random_bool(0.7) {
+                        input
+                    } else {
+                        any_format(&mut rng)
+                    },
+                    output: any_format(&mut rng),
+                    output_domain: frame_rates(pick(&mut rng, &[10.0, 15.0, 20.0, 24.0, 30.0])),
+                })
+                .collect()
+        };
         let name = match rng.random_range(0..20u32) {
             0 => "sender".to_string(),
             1 => "receiver".to_string(),
@@ -490,12 +532,14 @@ fn assert_same(outcome: &SelectionOutcome, want: &ReferenceRun, context: &str) {
         "{context}: rows"
     );
     assert_eq!(
-        (
-            outcome.trace.rows.discovered_states(),
-            outcome.trace.rows.len()
-        ),
-        (want.discovered.len(), want.rounds),
-        "{context}: one log entry per discovered state and per round"
+        outcome.trace.rows.discovered_state_keys(),
+        want.discovered,
+        "{context}: one log entry per discovered state, in discovery order"
+    );
+    assert_eq!(
+        outcome.trace.rows.selected_state_keys(),
+        want.selected,
+        "{context}: one log entry per round, naming the state it selected"
     );
     assert_eq!(outcome.failure, want.failure, "{context}: failure");
     assert_eq!(outcome.rounds, want.rounds, "{context}: rounds");
@@ -612,4 +656,82 @@ fn generated_meshes_cover_the_special_cases() {
         "partial-trace failures: {exhausted_midway}"
     );
     assert!(reached >= 100, "receiver reached: {reached}");
+}
+
+/// The generator also reaches what the state table exists to get right:
+/// a vertex whose listing order is not its `FormatId` order, an output
+/// shared by conversions from different inputs, and — under
+/// `LinearScan` × `ByVertexIndex`, the one combination that leaves ties
+/// to the store's scan order — rounds that order actually decides.
+#[test]
+fn generated_meshes_cover_the_state_table_cases() {
+    let options = SelectOptions {
+        tie_break: TieBreak::ByVertexIndex,
+        candidate_store: CandidateStore::LinearScan,
+        ..SelectOptions::default()
+    };
+    let (mut descending, mut shared_output, mut order_decided) = (0, 0, 0);
+    for seed in 0..200 {
+        let mesh = random_mesh(seed);
+        let want = reference(&mesh, &options, &[]);
+        let reached = |vertex: VertexId, output: FormatId| {
+            want.discovered.contains(&StateKey {
+                vertex,
+                output_format: output,
+            })
+        };
+        let vertices = || {
+            mesh.graph
+                .vertex_ids()
+                .map(|id| (id, &mesh.graph.vertex(id).unwrap().conversions))
+        };
+        descending += usize::from(vertices().any(|(id, conversions)| {
+            conversions.windows(2).any(|pair| {
+                pair[0].output > pair[1].output
+                    && reached(id, pair[0].output)
+                    && reached(id, pair[1].output)
+            })
+        }));
+        shared_output += usize::from(vertices().any(|(id, conversions)| {
+            conversions.iter().any(|a| {
+                reached(id, a.output)
+                    && conversions
+                        .iter()
+                        .any(|b| b.output == a.output && b.input != a.input)
+            })
+        }));
+        order_decided += usize::from(want.order_decided_rounds > 0);
+    }
+    assert!(
+        descending >= 50,
+        "descending listings reached: {descending}"
+    );
+    assert!(
+        shared_output >= 50,
+        "shared outputs reached: {shared_output}"
+    );
+    assert!(order_decided >= 50, "scan-order ties: {order_decided}");
+}
+
+/// The arena holds one slot per advertised `(vertex, output)` — neither
+/// one per conversion nor one per registered format. Capacity is per
+/// thread and only grows, so each mesh runs on a thread of its own.
+#[test]
+fn the_arena_holds_one_slot_per_advertised_output() {
+    for seed in 0..64 {
+        let mesh = random_mesh(seed);
+        let states: usize = mesh
+            .graph
+            .vertex_ids()
+            .map(|id| mesh.graph.vertex(id).unwrap().output_formats().len())
+            .sum();
+        let slots = std::thread::scope(|scope| {
+            let run = || {
+                run(&mesh, &SelectOptions::default(), &[]);
+                arena_slots()
+            };
+            scope.spawn(run).join().expect("selection thread")
+        });
+        assert_eq!(slots, states, "seed {seed}");
+    }
 }

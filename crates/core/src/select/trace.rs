@@ -131,6 +131,18 @@ impl TraceLog {
         self.states.len()
     }
 
+    /// The discovered states, in discovery order.
+    #[cfg(test)]
+    pub(crate) fn discovered_state_keys(&self) -> Vec<StateKey> {
+        self.states.iter().map(|entry| entry.state).collect()
+    }
+
+    /// The state each round selected.
+    #[cfg(test)]
+    pub(crate) fn selected_state_keys(&self) -> Vec<StateKey> {
+        self.rounds.iter().map(|round| round.label.state).collect()
+    }
+
     /// Materialise the rows one at a time, first round first.
     pub fn iter(&self) -> Rows<'_> {
         Rows::new(self)

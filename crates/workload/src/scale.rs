@@ -10,8 +10,12 @@
 //!   dst`: cluster `c` has "head" transcoders reading the shared entry
 //!   format `src{c % G}` and "tail" transcoders producing the receiver
 //!   format `dst`. Relay formats are shared (`m = c % M`, `M ≈ √N`
-//!   capped at 512) so the format space — and with it the selector's
-//!   per-(vertex × format) label arena — grows as `√N`, not `N`,
+//!   capped at 512): `M` trades the width of the format registry
+//!   against head→tail edge fan-out (`N²/4M` edges). The selector's
+//!   label arena holds a slot per *advertised* (vertex, output) and does
+//!   not grow with the registry, so `M` bounds edge fan-out only; the
+//!   X20 scorecard and the `compose_scale` benchmark workload are
+//!   defined on this value,
 //! * every service of cluster `c` caps its output frame rate at a
 //!   **strictly decreasing** per-cluster ceiling, so cluster 0 dominates
 //!   and the per-shard summary frontier can prove every other cluster's
@@ -217,10 +221,11 @@ pub fn scale_scenario(config: &ScaleConfig) -> ScaleScenario {
             ))
         })
         .collect();
-    // Relay formats are shared across clusters: `M ≈ √N` of them, so
-    // format count (which the selector's dense label arena multiplies by
-    // vertex count) and head→tail edge fan-out (`N²/4M`) stay balanced
-    // instead of one of them exploding at 10^5..10^6 services.
+    // Relay formats are shared across clusters: `M ≈ √N` of them. `M`
+    // bounds head→tail edge fan-out (`N²/4M` edges: 6.77 M in the scoped
+    // graph at 10^6, where the cap of 512 binds) and nothing else — the
+    // selector's label arena is sized by advertised outputs, not by the
+    // registry. X20 and `compose_scale` are defined on this value.
     let mid_count = (config.total() as f64).sqrt().floor().clamp(16.0, 512.0) as usize;
     let mid_count = mid_count.min(clusters).max(1);
     let mid: Vec<FormatId> = (0..mid_count)
