@@ -7,11 +7,13 @@
 //! selection for each is wasted work while nothing changed.
 //!
 //! [`ShardedCompositionCache`] memoizes [`AdaptationPlan`]s keyed by
-//! the request's observable inputs. A hit is *revalidated* before
-//! reuse: every service on the cached chain must still be live in the
-//! registry and every hop must still have the bandwidth the plan needs
-//! — the same liveness condition the resilience monitor checks. Stale
-//! entries are recomposed transparently.
+//! the request's observable inputs — a structural 64-bit hash of the
+//! profile set and the endpoints. A hit is *revalidated* before reuse:
+//! every service on the cached chain must still be live in the registry
+//! and every hop must still have the bandwidth the plan needs — the
+//! same liveness condition the resilience monitor checks — each half
+//! re-checked only when its own stamp (registry epoch, network version)
+//! moved. Stale entries are recomposed transparently.
 //!
 //! The store is split into power-of-two **shards**, each guarded by its
 //! own `RwLock`, selected by the low bits of the request key. Requests
@@ -84,13 +86,14 @@ impl CacheStats {
 }
 
 /// A cached plan stamped with the world state it was validated
-/// against. While the registry epoch and network version both hold
-/// still, *nothing* a revalidation scan reads can have changed (every
-/// registry mutation bumps the epoch, every network mutation bumps the
-/// version), so a stamp match certifies the plan in O(1) without
-/// touching the registry. When either stamp moved, the full scan runs
-/// — and on success re-stamps the entry, so the classification is
-/// exactly what the scan-every-time cache produced.
+/// against. While the registry epoch holds still nothing the registry
+/// half of a revalidation reads can have changed, and likewise the
+/// network version for the network half (every registry mutation bumps
+/// the epoch, every network mutation bumps the version), so a stamp
+/// match certifies its half of the plan with one integer compare. The
+/// half whose stamp moved is re-checked — and on success the entry is
+/// re-stamped, so the classification is exactly what a
+/// scan-everything-every-time cache produces.
 #[derive(Debug, Clone)]
 struct CachedPlan {
     plan: AdaptationPlan,
@@ -101,9 +104,8 @@ struct CachedPlan {
     /// plan's services live in ("touched shards"). When the flat epoch
     /// moved but every touched shard's epoch still matches, the
     /// mutations were confined to shards this plan never reads — the
-    /// revalidation scan would necessarily pass, so the probe stays
-    /// O(touched shards) instead of O(plan × registry). `None` on
-    /// entries stamped by the flat path.
+    /// registry half would necessarily pass, so it is skipped. `None`
+    /// on entries stamped by the flat path.
     shard_stamps: Option<Vec<(u32, u64)>>,
 }
 
@@ -201,6 +203,10 @@ impl ShardedCompositionCache {
     /// `None` means the request is currently unsolvable (negative
     /// results are *not* cached — the graph may heal).
     ///
+    /// Only the plan comes back, so the selection behind a miss or a
+    /// stale entry never records the Table-1 trace, whatever
+    /// `options.record_trace` says.
+    ///
     /// Composition and revalidation both run outside the shard lock, so
     /// concurrent requests only contend on the map lookup/insert. Two
     /// threads racing on the same cold key may both compose; both count
@@ -237,73 +243,27 @@ impl ShardedCompositionCache {
         options: &SelectOptions,
         trace: &mut RequestTrace<'_, S>,
     ) -> Result<Option<AdaptationPlan>> {
-        let key = request_key(profiles, sender_host, receiver_host)?;
-        let shard = self.shard_for(key);
-        let probe = |trace: &mut RequestTrace<'_, S>, outcome: CacheOutcome| {
-            let span = trace.open_span(ROOT_SPAN, "cache");
-            trace.emit(span, EventKind::CacheProbe { outcome });
+        let options = plan_only(options);
+        let world = World {
+            services: composer.services,
+            sharded: None,
+            network: composer.network,
         };
-        let registry_epoch = composer.services.epoch();
-        let network_version = composer.network.version();
-        let cached = shard.entries.read().get(&key).cloned();
-        match cached {
-            Some(entry) => {
-                // O(1) revalidation: matching stamps certify that no
-                // registry or network mutation happened since the plan
-                // was last validated, so the full scan would
-                // necessarily succeed too.
-                let fresh_stamps = entry.registry_epoch == registry_epoch
-                    && entry.network_version == network_version;
-                if fresh_stamps
-                    || plan_still_valid(composer.services, composer.network, &entry.plan)
-                {
-                    if !fresh_stamps {
-                        // The world moved but the plan survived the
-                        // full scan: re-stamp so the next probe is
-                        // O(1) again.
-                        if let Some(entry) = shard.entries.write().get_mut(&key) {
-                            entry.registry_epoch = registry_epoch;
-                            entry.network_version = network_version;
-                            entry.shard_stamps = None;
-                        }
-                    }
-                    shard.hits.fetch_add(1, Ordering::Relaxed);
-                    probe(trace, CacheOutcome::Hit);
-                    return Ok(Some(entry.plan));
+        let key = request_key(profiles, sender_host, receiver_host);
+        self.probe(key, &world, trace, || {
+            Ok(match &self.graph_store {
+                Some(store) => {
+                    composer
+                        .compose_with_store(store, profiles, sender_host, receiver_host, &options)?
+                        .plan
                 }
-                shard.entries.write().remove(&key);
-                shard.stale.fetch_add(1, Ordering::Relaxed);
-                probe(trace, CacheOutcome::Stale);
-            }
-            None => {
-                shard.misses.fetch_add(1, Ordering::Relaxed);
-                probe(trace, CacheOutcome::Miss);
-            }
-        }
-        let plan = match &self.graph_store {
-            Some(store) => {
-                composer
-                    .compose_with_store(store, profiles, sender_host, receiver_host, options)?
-                    .plan
-            }
-            None => {
-                composer
-                    .compose(profiles, sender_host, receiver_host, options)?
-                    .plan
-            }
-        };
-        if let Some(plan) = &plan {
-            shard.entries.write().insert(
-                key,
-                CachedPlan {
-                    plan: plan.clone(),
-                    registry_epoch,
-                    network_version,
-                    shard_stamps: None,
-                },
-            );
-        }
-        Ok(plan)
+                None => {
+                    composer
+                        .compose(profiles, sender_host, receiver_host, &options)?
+                        .plan
+                }
+            })
+        })
     }
 
     /// [`compose`](ShardedCompositionCache::compose) against a sharded
@@ -311,8 +271,7 @@ impl ShardedCompositionCache {
     /// additionally stamped with the epochs of the shards the plan
     /// actually touches, so registry churn confined to *other* shards
     /// keeps the probe an O(touched shards) stamp check — neither the
-    /// full revalidation scan nor a recompose runs (proven white-box by
-    /// test).
+    /// registry scan nor a recompose runs (proven white-box by test).
     pub fn compose_sharded(
         &self,
         composer: &ShardedComposer<'_>,
@@ -342,70 +301,102 @@ impl ShardedCompositionCache {
         options: &SelectOptions,
         trace: &mut RequestTrace<'_, S>,
     ) -> Result<Option<AdaptationPlan>> {
-        let key = request_key(profiles, sender_host, receiver_host)?;
+        let options = plan_only(options);
+        let world = World {
+            services: composer.services.flat(),
+            sharded: Some(composer.services),
+            network: composer.network,
+        };
+        let key = request_key(profiles, sender_host, receiver_host);
+        self.probe(key, &world, trace, || {
+            // The two-level path needs a store for its scoped graphs;
+            // without one a throwaway store preserves semantics at the
+            // cost of cold builds.
+            let throwaway;
+            let store = match &self.graph_store {
+                Some(store) => store,
+                None => {
+                    throwaway = GraphStore::new();
+                    &throwaway
+                }
+            };
+            Ok(composer
+                .compose_with_store(store, profiles, sender_host, receiver_host, &options)?
+                .composition
+                .plan)
+        })
+    }
+
+    /// The one probe behind both front doors: look `key` up, revalidate
+    /// a found entry by halves against `world`, and on a miss or a
+    /// stale entry run `compose` and store its plan.
+    ///
+    /// Each half of the world is re-checked only when its own stamp
+    /// moved. The registry half ([`ServiceRegistry::is_available`] per
+    /// stage) reads nothing but the registry, which cannot have changed
+    /// while its epoch — or, on the sharded path, the epoch of every
+    /// shard the plan touches — stands still; the network half
+    /// ([`Network::node_failed`] per host, [`Network::available_between`]
+    /// per hop) reads nothing but the network, whose answers are
+    /// identical at equal [`Network::version`]s. An entry is stamped
+    /// only when both halves hold (composed against this world, or
+    /// re-checked), so a half whose stamp is fresh would pass again:
+    /// skipping it classifies exactly as re-running it.
+    fn probe<S: TelemetrySink>(
+        &self,
+        key: u64,
+        world: &World<'_>,
+        trace: &mut RequestTrace<'_, S>,
+        compose: impl FnOnce() -> Result<Option<AdaptationPlan>>,
+    ) -> Result<Option<AdaptationPlan>> {
         let shard = self.shard_for(key);
-        let probe = |trace: &mut RequestTrace<'_, S>, outcome: CacheOutcome| {
+        let mut record = |outcome: CacheOutcome| {
             let span = trace.open_span(ROOT_SPAN, "cache");
             trace.emit(span, EventKind::CacheProbe { outcome });
         };
-        let registry_epoch = composer.services.flat().epoch();
-        let network_version = composer.network.version();
+        let registry_epoch = world.services.epoch();
+        let network_version = world.network.version();
         let cached = shard.entries.read().get(&key).cloned();
         match cached {
             Some(entry) => {
-                // Stamp freshness, cheapest first: the registry-wide
+                // Registry freshness, cheapest first: the registry-wide
                 // epoch (nothing anywhere moved), then the per-shard
                 // stamps (mutations happened, but only in shards this
                 // plan never touches).
-                let fresh_stamps = entry.network_version == network_version
-                    && (entry.registry_epoch == registry_epoch
-                        || entry.shard_stamps.as_ref().is_some_and(|stamps| {
-                            stamps
-                                .iter()
-                                .all(|&(s, e)| composer.services.shard_epoch(s) == e)
-                        }));
-                if fresh_stamps
-                    || plan_still_valid(composer.services.flat(), composer.network, &entry.plan)
+                let registry_fresh = entry.registry_epoch == registry_epoch
+                    || world.sharded.is_some_and(|sharded| {
+                        entry.shard_stamps.as_ref().is_some_and(|stamps| {
+                            stamps.iter().all(|&(s, e)| sharded.shard_epoch(s) == e)
+                        })
+                    });
+                let network_fresh = entry.network_version == network_version;
+                if (registry_fresh || services_still_available(world.services, &entry.plan))
+                    && (network_fresh || hops_still_routable(world.network, &entry.plan))
                 {
-                    if !fresh_stamps {
+                    if !(registry_fresh && network_fresh) {
+                        // The world moved but the plan survived the
+                        // half that moved: re-stamp so the next probe
+                        // is a stamp compare again.
                         if let Some(entry) = shard.entries.write().get_mut(&key) {
                             entry.registry_epoch = registry_epoch;
                             entry.network_version = network_version;
-                            entry.shard_stamps =
-                                Some(shard_stamps_for(composer.services, &entry.plan));
+                            entry.shard_stamps = world.shard_stamps_for(&entry.plan);
                         }
                     }
                     shard.hits.fetch_add(1, Ordering::Relaxed);
-                    probe(trace, CacheOutcome::Hit);
+                    record(CacheOutcome::Hit);
                     return Ok(Some(entry.plan));
                 }
                 shard.entries.write().remove(&key);
                 shard.stale.fetch_add(1, Ordering::Relaxed);
-                probe(trace, CacheOutcome::Stale);
+                record(CacheOutcome::Stale);
             }
             None => {
                 shard.misses.fetch_add(1, Ordering::Relaxed);
-                probe(trace, CacheOutcome::Miss);
+                record(CacheOutcome::Miss);
             }
         }
-        let plan = match &self.graph_store {
-            Some(store) => {
-                composer
-                    .compose_with_store(store, profiles, sender_host, receiver_host, options)?
-                    .composition
-                    .plan
-            }
-            None => {
-                // The two-level path needs a store for its scoped
-                // graphs; a throwaway one preserves semantics at the
-                // cost of cold builds.
-                let store = GraphStore::new();
-                composer
-                    .compose_with_store(&store, profiles, sender_host, receiver_host, options)?
-                    .composition
-                    .plan
-            }
-        };
+        let plan = compose()?;
         if let Some(plan) = &plan {
             shard.entries.write().insert(
                 key,
@@ -413,7 +404,7 @@ impl ShardedCompositionCache {
                     plan: plan.clone(),
                     registry_epoch,
                     network_version,
-                    shard_stamps: Some(shard_stamps_for(composer.services, plan)),
+                    shard_stamps: world.shard_stamps_for(plan),
                 },
             );
         }
@@ -546,42 +537,66 @@ impl CompositionCache {
     }
 }
 
-/// Key a request by its serialized profile set plus the endpoints. The
-/// JSON form is canonical for our profile types (struct field order is
-/// fixed), so equal requests collide and different requests do not
-/// (modulo 64-bit hashing).
-fn request_key(profiles: &ProfileSet, sender: NodeId, receiver: NodeId) -> Result<u64> {
-    let json = profiles.to_json().map_err(crate::CoreError::Profile)?;
+/// The world a probe validates against. `sharded` is what the two front
+/// doors differ by: with it, freshness may also be judged per shard,
+/// and entries record the stamps of the shards their plan touches.
+struct World<'a> {
+    services: &'a ServiceRegistry,
+    sharded: Option<&'a ShardedServiceRegistry>,
+    network: &'a Network,
+}
+
+impl World<'_> {
+    /// The `(shard, epoch)` stamps covering exactly the shards of
+    /// `plan`'s services — what a fresh per-shard revalidation must
+    /// match. `None` on the flat path.
+    fn shard_stamps_for(&self, plan: &AdaptationPlan) -> Option<Vec<(u32, u64)>> {
+        self.sharded.map(|sharded| {
+            sharded
+                .touched_shards(plan.steps.iter().filter_map(|s| s.service))
+                .into_iter()
+                .map(|s| (s, sharded.shard_epoch(s)))
+                .collect()
+        })
+    }
+}
+
+/// `options` for a compose whose selection outcome is dropped for its
+/// plan: the Table-1 trace would be built and thrown away.
+fn plan_only(options: &SelectOptions) -> SelectOptions {
+    SelectOptions {
+        record_trace: false,
+        ..*options
+    }
+}
+
+/// Key a request by hashing its profile set structurally, plus the
+/// endpoints: every field of every profile goes straight into the
+/// hasher (see `impl Hash for ProfileSet`), so equal requests collide
+/// and different requests do not (modulo 64-bit hashing), without
+/// rendering or allocating anything.
+fn request_key(profiles: &ProfileSet, sender: NodeId, receiver: NodeId) -> u64 {
     let mut hasher = DefaultHasher::new();
-    json.hash(&mut hasher);
+    profiles.hash(&mut hasher);
     sender.index().hash(&mut hasher);
     receiver.index().hash(&mut hasher);
-    Ok(hasher.finish())
+    hasher.finish()
 }
 
-/// The `(shard, epoch)` stamps covering exactly the shards of `plan`'s
-/// services — what a fresh per-shard revalidation must match.
-fn shard_stamps_for(services: &ShardedServiceRegistry, plan: &AdaptationPlan) -> Vec<(u32, u64)> {
-    services
-        .touched_shards(plan.steps.iter().filter_map(|s| s.service))
-        .into_iter()
-        .map(|s| (s, services.shard_epoch(s)))
-        .collect()
+/// The registry half of revalidation: every trans-coding stage still
+/// advertised (live lease, not quarantined).
+fn services_still_available(services: &ServiceRegistry, plan: &AdaptationPlan) -> bool {
+    plan.steps
+        .iter()
+        .filter_map(|step| step.service)
+        .all(|service| services.is_available(service))
 }
 
-/// Revalidate a cached plan against the current registry and network:
-/// every trans-coding stage still advertised (live lease, not
-/// quarantined), every hop still routable with the plan's rate.
-fn plan_still_valid(services: &ServiceRegistry, network: &Network, plan: &AdaptationPlan) -> bool {
-    for step in &plan.steps {
-        if let Some(service) = step.service {
-            if !services.is_available(service) {
-                return false;
-            }
-        }
-        if network.node_failed(step.host) {
-            return false;
-        }
+/// The network half of revalidation: every host up, every hop still
+/// routable with the plan's rate.
+fn hops_still_routable(network: &Network, plan: &AdaptationPlan) -> bool {
+    if plan.steps.iter().any(|step| network.node_failed(step.host)) {
+        return false;
     }
     for pair in plan.steps.windows(2) {
         match network.available_between(pair[0].host, pair[1].host) {
@@ -821,7 +836,7 @@ mod tests {
         // Invalidate the plan for the scan (proxy down bumps the
         // network version), then forge fresh stamps on the entry.
         f.network.fail_node(proxy_host).unwrap();
-        let key = request_key(&f.profiles, f.server, f.client).unwrap();
+        let key = request_key(&f.profiles, f.server, f.client);
         {
             let shard = cache.shard_for(key);
             let mut entries = shard.entries.write();
@@ -887,7 +902,7 @@ mod tests {
                 .expect("solvable")
         };
         compose(&f);
-        let key = request_key(&f.profiles, f.server, f.client).unwrap();
+        let key = request_key(&f.profiles, f.server, f.client);
         let stamps = |cache: &ShardedCompositionCache| {
             let shard = cache.shard_for(key);
             let entries = shard.entries.read();
@@ -1054,7 +1069,7 @@ mod tests {
             cooldown_us: 1_000_000,
         });
         assert!(services.report_failure(tails[1], SimTime(10)).unwrap());
-        let key = request_key(&profiles, s, r).unwrap();
+        let key = request_key(&profiles, s, r);
         {
             let shard = cache.shard_for(key);
             let mut entries = shard.entries.write();
@@ -1133,5 +1148,787 @@ mod tests {
             .unwrap();
         assert_eq!(cache.stats().stale, 1);
         assert!(after.is_none(), "single proxy dead → unsolvable");
+    }
+
+    // -----------------------------------------------------------------
+    // Revalidation by halves
+    // -----------------------------------------------------------------
+
+    /// Which front door a white-box test drives.
+    #[derive(Debug, Clone, Copy)]
+    enum Door {
+        Flat,
+        Sharded,
+    }
+
+    /// [`fixture`] over a sharded registry, so one world serves both
+    /// doors: the flat composer reads `services.flat()`.
+    struct HalvesFixture {
+        formats: FormatRegistry,
+        services: ShardedServiceRegistry,
+        network: Network,
+        profiles: ProfileSet,
+        server: NodeId,
+        client: NodeId,
+        cache: ShardedCompositionCache,
+        door: Door,
+    }
+
+    impl HalvesFixture {
+        fn new(door: Door) -> HalvesFixture {
+            let f = fixture();
+            let proxy = f.services.live_services().next().unwrap().1.host;
+            let mut services = ShardedServiceRegistry::new(4);
+            for spec in catalog::full_catalog() {
+                services.register_static(
+                    TranscoderDescriptor::resolve(&spec, &f.formats, proxy).unwrap(),
+                );
+            }
+            services.set_quarantine_config(qosc_services::QuarantineConfig {
+                failure_threshold: 1,
+                cooldown_us: 1_000_000,
+            });
+            HalvesFixture {
+                formats: f.formats,
+                services,
+                network: f.network,
+                profiles: f.profiles,
+                server: f.server,
+                client: f.client,
+                cache: ShardedCompositionCache::new(1),
+                door,
+            }
+        }
+
+        fn compose(&self) -> Option<AdaptationPlan> {
+            let options = SelectOptions::default();
+            match self.door {
+                Door::Flat => self.cache.compose(
+                    &Composer {
+                        formats: &self.formats,
+                        services: self.services.flat(),
+                        network: &self.network,
+                    },
+                    &self.profiles,
+                    self.server,
+                    self.client,
+                    &options,
+                ),
+                Door::Sharded => self.cache.compose_sharded(
+                    &ShardedComposer {
+                        formats: &self.formats,
+                        services: &self.services,
+                        network: &self.network,
+                    },
+                    &self.profiles,
+                    self.server,
+                    self.client,
+                    &options,
+                ),
+            }
+            .unwrap()
+        }
+
+        /// Run `edit` on the one cached entry.
+        fn with_entry<T>(&self, edit: impl FnOnce(&mut CachedPlan) -> T) -> T {
+            let key = request_key(&self.profiles, self.server, self.client);
+            let mut entries = self.cache.shard_for(key).entries.write();
+            edit(entries.get_mut(&key).expect("entry cached"))
+        }
+
+        fn stamps(&self) -> (u64, u64) {
+            self.with_entry(|entry| (entry.registry_epoch, entry.network_version))
+        }
+
+        fn world_stamps(&self) -> (u64, u64) {
+            (self.services.flat().epoch(), self.network.version())
+        }
+
+        /// A registry mutation that leaves `service` available but moves
+        /// the flat epoch *and* the epoch of its shard, so neither door
+        /// can call the registry half fresh.
+        fn churn_around(&mut self, service: qosc_services::ServiceId) {
+            use qosc_netsim::SimTime;
+            self.services
+                .renew(service, SimTime(20), u64::MAX / 2)
+                .unwrap();
+        }
+    }
+
+    fn first_service(plan: &AdaptationPlan) -> (qosc_services::ServiceId, NodeId) {
+        let step = plan
+            .steps
+            .iter()
+            .find(|s| s.service.is_some())
+            .expect("has a transcoder");
+        (step.service.unwrap(), step.host)
+    }
+
+    /// (a) Network stamp fresh, registry epoch moved: only the registry
+    /// half runs. The entry's network half is poisoned (its proxy is
+    /// down) under a forged-fresh network stamp; the probe must hit and
+    /// re-stamp, and the same entry must go stale as soon as the
+    /// network version moves.
+    #[test]
+    fn fresh_network_stamp_skips_the_network_half() {
+        for door in [Door::Flat, Door::Sharded] {
+            let mut f = HalvesFixture::new(door);
+            let first = f.compose().expect("solvable");
+            let (service, proxy) = first_service(&first);
+            f.network.fail_node(proxy).unwrap();
+            let version = f.network.version();
+            f.with_entry(|entry| entry.network_version = version);
+            f.churn_around(service);
+            assert_ne!(f.stamps().0, f.world_stamps().0, "{door:?}");
+
+            let again = f.compose().expect("network half must be skipped");
+            assert_eq!(again, first, "{door:?}");
+            assert_eq!(
+                f.cache.stats(),
+                CacheStats {
+                    hits: 1,
+                    misses: 1,
+                    stale: 0
+                },
+                "{door:?}"
+            );
+            assert_eq!(f.stamps(), f.world_stamps(), "{door:?}: re-stamped");
+
+            // Any network mutation, even one that changes no answer,
+            // sends the probe through the network half.
+            let _ = f.network.background_mut();
+            assert!(f.compose().is_none(), "{door:?}: the one proxy is down");
+            assert_eq!(f.cache.stats().stale, 1, "{door:?}");
+        }
+    }
+
+    /// (b) A chain service quarantined with the network untouched: the
+    /// registry half runs on its own and rejects the entry.
+    #[test]
+    fn quarantined_chain_service_is_stale_with_the_network_untouched() {
+        use qosc_netsim::SimTime;
+        for door in [Door::Flat, Door::Sharded] {
+            let mut f = HalvesFixture::new(door);
+            let first = f.compose().expect("solvable");
+            let (service, _) = first_service(&first);
+            let version = f.network.version();
+            assert!(f.services.report_failure(service, SimTime(10)).unwrap());
+            assert_eq!(f.network.version(), version);
+
+            let replacement = f.compose();
+            assert_eq!(
+                f.cache.stats(),
+                CacheStats {
+                    hits: 0,
+                    misses: 1,
+                    stale: 1
+                },
+                "{door:?}"
+            );
+            let replacement = replacement.expect("the catalog has another chain");
+            assert!(
+                replacement.steps.iter().all(|s| s.service != Some(service)),
+                "{door:?}: recomposed around the quarantined service"
+            );
+            // The stale entry made way for the recompose's.
+            assert_eq!(f.cache.len(), 1, "{door:?}");
+            assert_eq!(f.with_entry(|entry| entry.plan.clone()), replacement);
+            assert_eq!(f.stamps(), f.world_stamps(), "{door:?}");
+        }
+    }
+
+    /// (c) Registry stamps fresh, network version moved: only the
+    /// network half runs. The entry's registry half is poisoned (a
+    /// chain service is quarantined) under forged-fresh registry
+    /// stamps; the probe must hit and re-stamp, and the same entry must
+    /// go stale as soon as the registry moves where the plan looks.
+    #[test]
+    fn fresh_registry_stamps_skip_the_registry_half() {
+        use qosc_netsim::SimTime;
+        for door in [Door::Flat, Door::Sharded] {
+            let mut f = HalvesFixture::new(door);
+            let first = f.compose().expect("solvable");
+            let (service, _) = first_service(&first);
+            assert!(f.services.report_failure(service, SimTime(10)).unwrap());
+            let epoch = f.services.flat().epoch();
+            let shard_epochs = f.services.shard_epochs();
+            f.with_entry(|entry| {
+                entry.registry_epoch = epoch;
+                for (shard, stamp) in entry.shard_stamps.iter_mut().flatten() {
+                    *stamp = shard_epochs
+                        .iter()
+                        .find(|&&(s, _)| s == *shard)
+                        .expect("touched shard exists")
+                        .1;
+                }
+            });
+            let _ = f.network.background_mut();
+            assert_ne!(f.stamps().1, f.world_stamps().1, "{door:?}");
+
+            let again = f.compose().expect("registry half must be skipped");
+            assert_eq!(again, first, "{door:?}");
+            assert_eq!(
+                f.cache.stats(),
+                CacheStats {
+                    hits: 1,
+                    misses: 1,
+                    stale: 0
+                },
+                "{door:?}"
+            );
+            assert_eq!(f.stamps(), f.world_stamps(), "{door:?}: re-stamped");
+
+            // Registry movement in the plan's own shard sends the probe
+            // through the registry half, which sees the quarantine.
+            f.services.release_quarantines(SimTime(11));
+            f.churn_around(service);
+            assert!(!f.services.flat().is_available(service));
+            f.compose();
+            assert_eq!(f.cache.stats().stale, 1, "{door:?}");
+        }
+    }
+
+    // -----------------------------------------------------------------
+    // The request key
+    // -----------------------------------------------------------------
+
+    /// The key this cache used to compute — a hash of the canonical
+    /// profile-set JSON — kept as the oracle for the structural one.
+    fn json_key(profiles: &ProfileSet, sender: NodeId, receiver: NodeId) -> u64 {
+        let json = profiles.to_json().expect("profiles render");
+        let mut hasher = DefaultHasher::new();
+        json.hash(&mut hasher);
+        sender.index().hash(&mut hasher);
+        receiver.index().hash(&mut hasher);
+        hasher.finish()
+    }
+
+    mod key {
+        use super::*;
+        use proptest::prelude::*;
+        use qosc_media::{Axis, AxisDomain, DomainVector, MediaKind, VariantSpec};
+        use qosc_profiles::{AdaptationPolicy, HardwareCaps};
+        use qosc_satisfaction::{AxisPreference, Combiner, SatisfactionFn, SatisfactionProfile};
+
+        /// One of two endpoints.
+        fn node(index: usize) -> NodeId {
+            let mut topo = Topology::new();
+            [
+                topo.add_node(Node::unconstrained("a")),
+                topo.add_node(Node::unconstrained("b")),
+            ][index]
+        }
+
+        fn key_of(profiles: &ProfileSet) -> u64 {
+            request_key(profiles, node(0), node(1))
+        }
+
+        /// Every optional part present, every `Vec` non-empty, one
+        /// preference per [`SatisfactionFn`] variant with fields.
+        fn base() -> ProfileSet {
+            let satisfaction = SatisfactionProfile::new()
+                .with(AxisPreference::weighted(
+                    Axis::FrameRate,
+                    SatisfactionFn::Linear {
+                        min_acceptable: 1.0,
+                        ideal: 30.0,
+                    },
+                    2.0,
+                ))
+                .with(AxisPreference::new(
+                    Axis::PixelCount,
+                    SatisfactionFn::Piecewise {
+                        knots: vec![(100.0, 0.25), (1000.0, 0.75)],
+                    },
+                ))
+                .with(AxisPreference::new(
+                    Axis::Channels,
+                    SatisfactionFn::Step { threshold: 2.0 },
+                ))
+                .with(AxisPreference::new(
+                    Axis::SampleRate,
+                    SatisfactionFn::Saturating {
+                        min_acceptable: 8_000.0,
+                        ideal: 44_100.0,
+                        scale: 9_000.0,
+                    },
+                ))
+                .with_combiner(Combiner::WeightedHarmonic {
+                    weights: vec![2.0, 1.0, 1.0, 1.0],
+                });
+            let mut content = ContentProfile::demo_video("clip")
+                .with_author("someone")
+                .with_duration(90.0);
+            content.keywords = vec!["news".to_string()];
+            content.variants.push(VariantSpec {
+                format: "image/gif".to_string(),
+                offered: DomainVector::new()
+                    .with(Axis::ColorDepth, AxisDomain::Discrete(vec![8.0, 16.0]))
+                    .with(Axis::Fidelity, AxisDomain::Fixed(50.0)),
+            });
+            ProfileSet {
+                user: UserProfile::new("someone", satisfaction)
+                    .with_budget(3.0)
+                    .with_policy(AdaptationPolicy {
+                        degrade_first: vec![MediaKind::Audio],
+                    }),
+                content,
+                device: DeviceProfile::demo_pda(),
+                context: ContextProfile::noisy_commute(),
+                network: NetworkProfile::cellular(),
+            }
+        }
+
+        /// The last variant's offered domains, one of which is
+        /// `Discrete` and one `Fixed` (the first variant's are
+        /// `Continuous`).
+        fn last_offered(p: &mut ProfileSet) -> &mut DomainVector {
+            &mut p.content.variants.last_mut().unwrap().offered
+        }
+
+        fn reprefer(p: &mut ProfileSet, axis: Axis, edit: impl FnOnce(&mut AxisPreference)) {
+            let mut pref = p.user.satisfaction.get(axis).expect("base has it").clone();
+            edit(&mut pref);
+            p.user.satisfaction.insert(pref);
+        }
+
+        type Mutation = (&'static str, fn(&mut ProfileSet));
+
+        /// One entry per leaf field under [`ProfileSet`].
+        const MUTATIONS: &[Mutation] = &[
+            ("user.name", |p| p.user.name.push('x')),
+            ("user.budget value", |p| p.user.budget = Some(4.0)),
+            ("user.budget presence", |p| p.user.budget = None),
+            ("user.policy.degrade_first", |p| {
+                p.user.policy.degrade_first.push(MediaKind::Video)
+            }),
+            ("preference.axis", |p| {
+                reprefer(p, Axis::Channels, |pref| pref.axis = Axis::SampleDepth)
+            }),
+            ("preference.weight", |p| {
+                reprefer(p, Axis::FrameRate, |pref| pref.weight = 3.0)
+            }),
+            ("preference.function variant", |p| {
+                reprefer(p, Axis::Channels, |pref| {
+                    pref.function = SatisfactionFn::Indifferent
+                })
+            }),
+            ("Linear.min_acceptable", |p| {
+                reprefer(p, Axis::FrameRate, |pref| {
+                    pref.function = SatisfactionFn::Linear {
+                        min_acceptable: 2.0,
+                        ideal: 30.0,
+                    }
+                })
+            }),
+            ("Linear.ideal", |p| {
+                reprefer(p, Axis::FrameRate, |pref| {
+                    pref.function = SatisfactionFn::Linear {
+                        min_acceptable: 1.0,
+                        ideal: 25.0,
+                    }
+                })
+            }),
+            ("Piecewise knot value", |p| {
+                reprefer(p, Axis::PixelCount, |pref| {
+                    pref.function = SatisfactionFn::Piecewise {
+                        knots: vec![(200.0, 0.25), (1000.0, 0.75)],
+                    }
+                })
+            }),
+            ("Piecewise knot satisfaction", |p| {
+                reprefer(p, Axis::PixelCount, |pref| {
+                    pref.function = SatisfactionFn::Piecewise {
+                        knots: vec![(100.0, 0.25), (1000.0, 1.0)],
+                    }
+                })
+            }),
+            ("Piecewise knot count", |p| {
+                reprefer(p, Axis::PixelCount, |pref| {
+                    pref.function = SatisfactionFn::Piecewise {
+                        knots: vec![(100.0, 0.25)],
+                    }
+                })
+            }),
+            ("Step.threshold", |p| {
+                reprefer(p, Axis::Channels, |pref| {
+                    pref.function = SatisfactionFn::Step { threshold: 1.0 }
+                })
+            }),
+            ("Saturating.min_acceptable", |p| {
+                reprefer(p, Axis::SampleRate, |pref| {
+                    pref.function = SatisfactionFn::Saturating {
+                        min_acceptable: 11_025.0,
+                        ideal: 44_100.0,
+                        scale: 9_000.0,
+                    }
+                })
+            }),
+            ("Saturating.ideal", |p| {
+                reprefer(p, Axis::SampleRate, |pref| {
+                    pref.function = SatisfactionFn::Saturating {
+                        min_acceptable: 8_000.0,
+                        ideal: 48_000.0,
+                        scale: 9_000.0,
+                    }
+                })
+            }),
+            ("Saturating.scale", |p| {
+                reprefer(p, Axis::SampleRate, |pref| {
+                    pref.function = SatisfactionFn::Saturating {
+                        min_acceptable: 8_000.0,
+                        ideal: 44_100.0,
+                        scale: 10_000.0,
+                    }
+                })
+            }),
+            ("combiner variant", |p| {
+                p.user.satisfaction.combiner = Combiner::Min
+            }),
+            ("combiner weights", |p| {
+                p.user.satisfaction.combiner = Combiner::WeightedHarmonic {
+                    weights: vec![2.0, 1.0, 1.0, 2.0],
+                }
+            }),
+            ("content.title", |p| p.content.title.push('x')),
+            ("content.author", |p| p.content.author.push('x')),
+            ("content.duration_secs", |p| p.content.duration_secs = 91.0),
+            ("content.keywords", |p| p.content.keywords[0].push('x')),
+            ("content.variants order", |p| p.content.variants.reverse()),
+            ("variant.format", |p| p.content.variants[0].format.push('x')),
+            ("variant.offered axis", |p| {
+                let domain = last_offered(p).get(Axis::Fidelity).unwrap().clone();
+                *last_offered(p) = DomainVector::new()
+                    .with(Axis::ColorDepth, AxisDomain::Discrete(vec![8.0, 16.0]))
+                    .with(Axis::SampleDepth, domain);
+            }),
+            ("Continuous.min", |p| {
+                p.content.variants[0].offered.set(
+                    Axis::FrameRate,
+                    AxisDomain::Continuous {
+                        min: 2.0,
+                        max: 30.0,
+                    },
+                );
+            }),
+            ("Continuous.max", |p| {
+                p.content.variants[0].offered.set(
+                    Axis::FrameRate,
+                    AxisDomain::Continuous {
+                        min: 1.0,
+                        max: 29.0,
+                    },
+                );
+            }),
+            ("Discrete value", |p| {
+                last_offered(p).set(Axis::ColorDepth, AxisDomain::Discrete(vec![8.0, 24.0]));
+            }),
+            ("Discrete count", |p| {
+                last_offered(p).set(Axis::ColorDepth, AxisDomain::Discrete(vec![8.0]));
+            }),
+            ("Fixed value", |p| {
+                last_offered(p).set(Axis::Fidelity, AxisDomain::Fixed(60.0));
+            }),
+            ("domain variant", |p| {
+                last_offered(p).set(Axis::Fidelity, AxisDomain::Discrete(vec![50.0]));
+            }),
+            ("device.name", |p| p.device.name.push('x')),
+            ("device.os", |p| p.device.os.push('x')),
+            ("device.decoders", |p| p.device.decoders.reverse()),
+            ("hardware.screen_width", |p| {
+                p.device.hardware.screen_width += 1
+            }),
+            ("hardware.screen_height", |p| {
+                p.device.hardware.screen_height += 1
+            }),
+            ("hardware.color_depth", |p| {
+                p.device.hardware.color_depth += 1
+            }),
+            ("hardware.audio_channels", |p| {
+                p.device.hardware.audio_channels += 1
+            }),
+            ("hardware.max_sample_rate", |p| {
+                p.device.hardware.max_sample_rate += 1
+            }),
+            ("hardware.cpu_mips", |p| p.device.hardware.cpu_mips += 1.0),
+            ("hardware.memory_bytes", |p| {
+                p.device.hardware.memory_bytes += 1.0
+            }),
+            ("context.location", |p| p.context.location.push('x')),
+            ("context.activity", |p| p.context.activity.push('x')),
+            ("context.ambient_noise", |p| p.context.ambient_noise = 0.7),
+            ("context.illumination", |p| p.context.illumination = 0.5),
+            ("context.mobile", |p| p.context.mobile = false),
+            ("network.technology", |p| p.network.technology.push('x')),
+            ("network.downlink_bps", |p| p.network.downlink_bps += 1.0),
+            ("network.uplink_bps", |p| p.network.uplink_bps += 1.0),
+            ("network.delay_us", |p| p.network.delay_us += 1),
+            ("network.error_rate", |p| p.network.error_rate = 0.03),
+            ("network.price_per_mbit", |p| {
+                p.network.price_per_mbit = 0.06
+            }),
+        ];
+
+        #[test]
+        fn every_leaf_field_reaches_the_key() {
+            let base = base();
+            assert_eq!(key_of(&base), key_of(&base.clone()));
+            let mut seen = vec![("base", key_of(&base))];
+            for (field, mutate) in MUTATIONS {
+                let mut mutated = base.clone();
+                mutate(&mut mutated);
+                assert_ne!(mutated, base, "{field}: the mutation changed nothing");
+                let key = key_of(&mutated);
+                if let Some((other, _)) = seen.iter().find(|&&(_, k)| k == key) {
+                    panic!("{field} keys like {other}");
+                }
+                seen.push((field, key));
+            }
+            // The endpoints are part of the request, in order.
+            let (a, b) = (node(0), node(1));
+            assert_ne!(request_key(&base, a, b), request_key(&base, b, a));
+            assert_ne!(request_key(&base, a, b), request_key(&base, a, a));
+        }
+
+        #[test]
+        fn signed_zeros_key_alike() {
+            let mut plus = base();
+            let mut minus = base();
+            plus.context.ambient_noise = 0.0;
+            minus.context.ambient_noise = -0.0;
+            assert_eq!(plus, minus);
+            assert_eq!(key_of(&plus), key_of(&minus));
+        }
+
+        /// Two things the JSON key conflated, because JSON renders both
+        /// a non-finite number and an absent value as `null`, and every
+        /// integer as an `f64`.
+        #[test]
+        fn the_structural_key_separates_what_json_conflated() {
+            let a = node(0);
+            let mut unbounded = base();
+            let mut absent = base();
+            unbounded.user.budget = Some(f64::INFINITY);
+            absent.user.budget = None;
+            assert_eq!(json_key(&unbounded, a, a), json_key(&absent, a, a));
+            assert_ne!(key_of(&unbounded), key_of(&absent));
+
+            let mut low = base();
+            let mut high = base();
+            low.network.delay_us = 1 << 53;
+            high.network.delay_us = (1 << 53) + 1;
+            assert_eq!(json_key(&low, a, a), json_key(&high, a, a));
+            assert_ne!(key_of(&low), key_of(&high));
+        }
+
+        // Small pools, so that two independently drawn values are equal
+        // often enough for the `⇔` below to be exercised in both
+        // directions on sub-structures.
+        fn real() -> impl Strategy<Value = f64> {
+            prop_oneof![Just(0.0), Just(1.0), Just(24.0), 0.0f64..1e6]
+        }
+
+        fn word() -> impl Strategy<Value = String> {
+            prop_oneof![Just(""), Just("a"), Just("video/mpeg2"), Just("x\"y\n")]
+                .prop_map(str::to_string)
+        }
+
+        fn axis() -> impl Strategy<Value = Axis> {
+            (0..Axis::COUNT).prop_map(|i| Axis::from_index(i).expect("in range"))
+        }
+
+        fn satisfaction_fn() -> impl Strategy<Value = SatisfactionFn> {
+            prop_oneof![
+                (real(), real()).prop_map(|(min_acceptable, ideal)| SatisfactionFn::Linear {
+                    min_acceptable,
+                    ideal
+                }),
+                proptest::collection::vec((real(), real()), 0..3)
+                    .prop_map(|knots| SatisfactionFn::Piecewise { knots }),
+                real().prop_map(|threshold| SatisfactionFn::Step { threshold }),
+                (real(), real(), real()).prop_map(|(min_acceptable, ideal, scale)| {
+                    SatisfactionFn::Saturating {
+                        min_acceptable,
+                        ideal,
+                        scale,
+                    }
+                }),
+                Just(SatisfactionFn::Indifferent),
+            ]
+        }
+
+        fn combiner() -> impl Strategy<Value = Combiner> {
+            prop_oneof![
+                Just(Combiner::HarmonicMean),
+                proptest::collection::vec(real(), 0..3)
+                    .prop_map(|weights| Combiner::WeightedHarmonic { weights }),
+                Just(Combiner::Min),
+                Just(Combiner::Product),
+                Just(Combiner::GeometricMean),
+                Just(Combiner::ArithmeticMean),
+            ]
+        }
+
+        fn satisfaction_profile() -> impl Strategy<Value = SatisfactionProfile> {
+            (
+                proptest::collection::vec((axis(), satisfaction_fn(), real()), 0..3),
+                combiner(),
+            )
+                .prop_map(|(preferences, combiner)| {
+                    preferences
+                        .into_iter()
+                        .fold(SatisfactionProfile::new(), |profile, (axis, f, weight)| {
+                            profile.with(AxisPreference::weighted(axis, f, weight))
+                        })
+                        .with_combiner(combiner)
+                })
+        }
+
+        fn domain_vector() -> impl Strategy<Value = DomainVector> {
+            let domain = prop_oneof![
+                (real(), real()).prop_map(|(min, max)| AxisDomain::Continuous { min, max }),
+                proptest::collection::vec(real(), 0..3).prop_map(AxisDomain::Discrete),
+                real().prop_map(AxisDomain::Fixed),
+            ];
+            proptest::collection::vec((axis(), domain), 0..3).prop_map(|domains| {
+                domains
+                    .into_iter()
+                    .fold(DomainVector::new(), |vector, (axis, domain)| {
+                        vector.with(axis, domain)
+                    })
+            })
+        }
+
+        fn profile_set() -> impl Strategy<Value = ProfileSet> {
+            let kind = (0..MediaKind::ALL.len()).prop_map(|i| MediaKind::ALL[i]);
+            let user = (
+                word(),
+                satisfaction_profile(),
+                proptest::option::of(real()),
+                proptest::collection::vec(kind, 0..3),
+            )
+                .prop_map(|(name, satisfaction, budget, degrade_first)| UserProfile {
+                    name,
+                    satisfaction,
+                    budget,
+                    policy: AdaptationPolicy { degrade_first },
+                });
+            let variant = (word(), domain_vector())
+                .prop_map(|(format, offered)| VariantSpec { format, offered });
+            let content = (
+                word(),
+                word(),
+                real(),
+                proptest::collection::vec(word(), 0..3),
+                proptest::collection::vec(variant, 0..3),
+            )
+                .prop_map(
+                    |(title, author, duration_secs, keywords, variants)| ContentProfile {
+                        title,
+                        author,
+                        duration_secs,
+                        keywords,
+                        variants,
+                    },
+                );
+            let hardware = (
+                (0u32..3, 0u32..3, 0u32..3, 0u32..3, 0u32..3),
+                real(),
+                real(),
+            )
+                .prop_map(|(ints, cpu_mips, memory_bytes)| HardwareCaps {
+                    screen_width: ints.0,
+                    screen_height: ints.1,
+                    color_depth: ints.2,
+                    audio_channels: ints.3,
+                    max_sample_rate: ints.4,
+                    cpu_mips,
+                    memory_bytes,
+                });
+            let device = (
+                word(),
+                word(),
+                proptest::collection::vec(word(), 0..3),
+                hardware,
+            )
+                .prop_map(|(name, os, decoders, hardware)| DeviceProfile {
+                    name,
+                    os,
+                    decoders,
+                    hardware,
+                });
+            let context = (word(), word(), real(), real(), proptest::bool::ANY).prop_map(
+                |(location, activity, ambient_noise, illumination, mobile)| ContextProfile {
+                    location,
+                    activity,
+                    ambient_noise,
+                    illumination,
+                    mobile,
+                },
+            );
+            let network = (word(), real(), real(), 0u64..1 << 53, real(), real()).prop_map(
+                |(technology, downlink_bps, uplink_bps, delay_us, error_rate, price_per_mbit)| {
+                    NetworkProfile {
+                        technology,
+                        downlink_bps,
+                        uplink_bps,
+                        delay_us,
+                        error_rate,
+                        price_per_mbit,
+                    }
+                },
+            );
+            (user, content, device, context, network).prop_map(
+                |(user, content, device, context, network)| ProfileSet {
+                    user,
+                    content,
+                    device,
+                    context,
+                    network,
+                },
+            )
+        }
+
+        /// A second profile set that differs from `a` in at most one
+        /// member profile (and, one time in six, in none).
+        fn near(a: &ProfileSet, other: ProfileSet, member: usize) -> ProfileSet {
+            let mut b = a.clone();
+            match member {
+                0 => b.user = other.user,
+                1 => b.content = other.content,
+                2 => b.device = other.device,
+                3 => b.context = other.context,
+                4 => b.network = other.network,
+                _ => {}
+            }
+            b
+        }
+
+        proptest! {
+            /// On finite floats and integers below 2^53 — where the
+            /// JSON rendering is injective — the structural key
+            /// separates exactly what the JSON key separated.
+            #[test]
+            fn structural_key_agrees_with_the_json_oracle(
+                a in profile_set(),
+                other in profile_set(),
+                member in 0usize..6,
+                endpoints in (0usize..2, 0usize..2),
+                swapped in proptest::bool::ANY,
+            ) {
+                let b = near(&a, other, member);
+                let (sa, ra) = (node(endpoints.0), node(endpoints.1));
+                let (sb, rb) = if swapped { (ra, sa) } else { (sa, ra) };
+                let same_key = request_key(&a, sa, ra) == request_key(&b, sb, rb);
+                if a == b && (sa, ra) == (sb, rb) {
+                    prop_assert!(same_key, "equal requests must key alike");
+                }
+                prop_assert_eq!(
+                    same_key,
+                    json_key(&a, sa, ra) == json_key(&b, sb, rb),
+                    "{:?} vs {:?}", a, b
+                );
+            }
+        }
     }
 }

@@ -42,7 +42,7 @@ use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Above this many net vertex/edge-set changes the delta path gives up
 /// and rebuilds — replaying a large tail costs more than one build.
@@ -75,7 +75,10 @@ struct StoreEntry {
 pub struct GraphScope<'a> {
     sharded: &'a ShardedServiceRegistry,
     expanded: &'a [bool],
-    filter: Vec<bool>,
+    /// O(registered services) to derive, and read only when a graph is
+    /// rebuilt or delta-updated — so derived on first use, not per
+    /// compose.
+    filter: OnceLock<Vec<bool>>,
 }
 
 impl<'a> GraphScope<'a> {
@@ -85,13 +88,14 @@ impl<'a> GraphScope<'a> {
         GraphScope {
             sharded,
             expanded,
-            filter: sharded.scope_filter(expanded),
+            filter: OnceLock::new(),
         }
     }
 
     /// Per-service include flags.
     pub fn filter(&self) -> &[bool] {
-        &self.filter
+        self.filter
+            .get_or_init(|| self.sharded.scope_filter(self.expanded))
     }
 
     /// Epochs of the expanded shards, in shard order.
@@ -328,7 +332,6 @@ impl GraphStore {
             Some(scope) => scope.stamp(),
         };
         let version = input.network.version();
-        let filter = scope.map(GraphScope::filter);
 
         // Fast path: the stored graph is current.
         {
@@ -340,6 +343,7 @@ impl GraphStore {
                 }
             }
         }
+        let filter = scope.map(GraphScope::filter);
 
         // Snapshot the stale entry (if any) outside the lock.
         let snapshot = {

@@ -32,7 +32,7 @@ pub mod variant;
 pub use bitrate::BitrateModel;
 pub use format::{FormatId, FormatRegistry, FormatSpec};
 pub use kind::MediaKind;
-pub use params::{Axis, AxisDomain, DomainVector, ParamVector};
+pub use params::{hash_f64, Axis, AxisDomain, DomainVector, ParamVector};
 pub use variant::{ContentVariant, VariantSpec};
 
 /// Errors produced by this crate.

@@ -10,6 +10,15 @@
 
 use crate::MediaError;
 use serde::{Deserialize, Serialize};
+use std::hash::{Hash, Hasher};
+
+/// Feed `x` to `state` so that hashing agrees with `f64`'s `PartialEq`:
+/// `x + 0.0` maps `-0.0` to `0.0` (the one pair of distinct bit
+/// patterns that compare equal) and leaves every other value alone.
+/// The profile types hash their floats through this one helper.
+pub fn hash_f64<H: Hasher>(x: f64, state: &mut H) {
+    (x + 0.0).to_bits().hash(state);
+}
 
 /// A QoS parameter axis.
 ///
@@ -249,6 +258,25 @@ pub enum AxisDomain {
     Fixed(f64),
 }
 
+impl Hash for AxisDomain {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        std::mem::discriminant(self).hash(state);
+        match self {
+            AxisDomain::Continuous { min, max } => {
+                hash_f64(*min, state);
+                hash_f64(*max, state);
+            }
+            AxisDomain::Discrete(values) => {
+                values.len().hash(state);
+                for &value in values {
+                    hash_f64(value, state);
+                }
+            }
+            AxisDomain::Fixed(value) => hash_f64(*value, state),
+        }
+    }
+}
+
 impl AxisDomain {
     /// A validated continuous domain.
     pub fn continuous(axis: Axis, min: f64, max: f64) -> Result<AxisDomain, MediaError> {
@@ -398,6 +426,13 @@ impl AxisDomain {
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct DomainVector {
     domains: [Option<AxisDomain>; Axis::COUNT],
+}
+
+impl Hash for DomainVector {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        let DomainVector { domains } = self;
+        domains.hash(state);
+    }
 }
 
 impl DomainVector {

@@ -8,6 +8,7 @@
 use crate::format::FormatId;
 use crate::params::{DomainVector, ParamVector};
 use serde::{Deserialize, Serialize};
+use std::hash::{Hash, Hasher};
 
 /// One variant of a piece of content: a format plus the quality the sender
 /// can offer in that format.
@@ -44,6 +45,14 @@ pub struct VariantSpec {
     pub format: String,
     /// Offered quality configurations.
     pub offered: DomainVector,
+}
+
+impl Hash for VariantSpec {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        let VariantSpec { format, offered } = self;
+        format.hash(state);
+        offered.hash(state);
+    }
 }
 
 #[cfg(test)]

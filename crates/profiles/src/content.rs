@@ -9,9 +9,11 @@
 
 use crate::{ProfileError, Result};
 use qosc_media::{
-    Axis, AxisDomain, ContentVariant, DomainVector, FormatRegistry, MediaKind, VariantSpec,
+    hash_f64, Axis, AxisDomain, ContentVariant, DomainVector, FormatRegistry, MediaKind,
+    VariantSpec,
 };
 use serde::{Deserialize, Serialize};
+use std::hash::{Hash, Hasher};
 
 /// Descriptive metadata plus the variant list of one piece of content.
 ///
@@ -34,6 +36,23 @@ pub struct ContentProfile {
     /// scenario registry. Order matters: it is the listing order used by
     /// deterministic tie-breaking in the selection algorithm.
     pub variants: Vec<VariantSpec>,
+}
+
+impl Hash for ContentProfile {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        let ContentProfile {
+            title,
+            author,
+            duration_secs,
+            keywords,
+            variants,
+        } = self;
+        title.hash(state);
+        author.hash(state);
+        hash_f64(*duration_secs, state);
+        keywords.hash(state);
+        variants.hash(state);
+    }
 }
 
 impl ContentProfile {

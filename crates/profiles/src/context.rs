@@ -12,9 +12,10 @@
 //! location/activity strings, and implement the "act on" part: a context
 //! *adjusts* the user's satisfaction profile before optimization.
 
-use qosc_media::Axis;
+use qosc_media::{hash_f64, Axis};
 use qosc_satisfaction::{AxisPreference, SatisfactionProfile};
 use serde::{Deserialize, Serialize};
+use std::hash::{Hash, Hasher};
 
 /// The user's current context.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -29,6 +30,23 @@ pub struct ContextProfile {
     pub illumination: f64,
     /// Whether the user is in motion (commuting, walking).
     pub mobile: bool,
+}
+
+impl Hash for ContextProfile {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        let ContextProfile {
+            location,
+            activity,
+            ambient_noise,
+            illumination,
+            mobile,
+        } = self;
+        location.hash(state);
+        activity.hash(state);
+        hash_f64(*ambient_noise, state);
+        hash_f64(*illumination, state);
+        mobile.hash(state);
+    }
 }
 
 impl Default for ContextProfile {

@@ -9,8 +9,9 @@
 //! clamp the feasible QoS domains).
 
 use crate::{ProfileError, Result};
-use qosc_media::{Axis, FormatId, FormatRegistry, ParamVector};
+use qosc_media::{hash_f64, Axis, FormatId, FormatRegistry, ParamVector};
 use serde::{Deserialize, Serialize};
+use std::hash::{Hash, Hasher};
 
 /// Hardware characteristics that cap deliverable quality.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -29,6 +30,27 @@ pub struct HardwareCaps {
     pub cpu_mips: f64,
     /// Device memory in bytes.
     pub memory_bytes: f64,
+}
+
+impl Hash for HardwareCaps {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        let HardwareCaps {
+            screen_width,
+            screen_height,
+            color_depth,
+            audio_channels,
+            max_sample_rate,
+            cpu_mips,
+            memory_bytes,
+        } = self;
+        screen_width.hash(state);
+        screen_height.hash(state);
+        color_depth.hash(state);
+        audio_channels.hash(state);
+        max_sample_rate.hash(state);
+        hash_f64(*cpu_mips, state);
+        hash_f64(*memory_bytes, state);
+    }
 }
 
 impl HardwareCaps {
@@ -88,6 +110,21 @@ pub struct DeviceProfile {
     pub decoders: Vec<String>,
     /// Hardware capability caps.
     pub hardware: HardwareCaps,
+}
+
+impl Hash for DeviceProfile {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        let DeviceProfile {
+            name,
+            os,
+            decoders,
+            hardware,
+        } = self;
+        name.hash(state);
+        os.hash(state);
+        decoders.hash(state);
+        hardware.hash(state);
+    }
 }
 
 impl DeviceProfile {

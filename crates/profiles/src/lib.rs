@@ -45,6 +45,7 @@ pub use service_spec::{ConversionSpec, PriceModel, ServiceSpec};
 pub use user::{AdaptationPolicy, UserProfile};
 
 use serde::{Deserialize, Serialize};
+use std::hash::{Hash, Hasher};
 
 /// Errors produced by this crate.
 #[derive(Debug)]
@@ -117,6 +118,26 @@ pub struct ProfileSet {
     pub context: ContextProfile,
     /// The user's access network.
     pub network: NetworkProfile,
+}
+
+/// Structural: every field of every member profile, floats through
+/// [`qosc_media::hash_f64`] so that `a == b` implies equal hashes. The
+/// composition cache keys requests with it.
+impl Hash for ProfileSet {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        let ProfileSet {
+            user,
+            content,
+            device,
+            context,
+            network,
+        } = self;
+        user.hash(state);
+        content.hash(state);
+        device.hash(state);
+        context.hash(state);
+        network.hash(state);
+    }
 }
 
 impl ProfileSet {

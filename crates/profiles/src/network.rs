@@ -12,7 +12,9 @@
 //! workload generator provisions) in MPEG-21-style terms.
 
 use crate::{ProfileError, Result};
+use qosc_media::hash_f64;
 use serde::{Deserialize, Serialize};
+use std::hash::{Hash, Hasher};
 
 /// Access-network characteristics of the receiver's connection.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -29,6 +31,25 @@ pub struct NetworkProfile {
     pub error_rate: f64,
     /// Monetary price per megabit carried (metered connections).
     pub price_per_mbit: f64,
+}
+
+impl Hash for NetworkProfile {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        let NetworkProfile {
+            technology,
+            downlink_bps,
+            uplink_bps,
+            delay_us,
+            error_rate,
+            price_per_mbit,
+        } = self;
+        technology.hash(state);
+        hash_f64(*downlink_bps, state);
+        hash_f64(*uplink_bps, state);
+        delay_us.hash(state);
+        hash_f64(*error_rate, state);
+        hash_f64(*price_per_mbit, state);
+    }
 }
 
 impl NetworkProfile {

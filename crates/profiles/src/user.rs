@@ -8,9 +8,10 @@
 //! when resources are limited." — Section 3.
 
 use crate::{ProfileError, Result};
-use qosc_media::MediaKind;
+use qosc_media::{hash_f64, MediaKind};
 use qosc_satisfaction::{AxisPreference, SatisfactionFn, SatisfactionProfile};
 use serde::{Deserialize, Serialize};
+use std::hash::{Hash, Hasher};
 
 /// Degradation policy: when resources run out, which media kind gives
 /// way first (earlier entries degrade first).
@@ -18,6 +19,13 @@ use serde::{Deserialize, Serialize};
 pub struct AdaptationPolicy {
     /// Media kinds in degrade-first order; kinds not listed degrade last.
     pub degrade_first: Vec<MediaKind>,
+}
+
+impl Hash for AdaptationPolicy {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        let AdaptationPolicy { degrade_first } = self;
+        degrade_first.hash(state);
+    }
 }
 
 impl AdaptationPolicy {
@@ -44,6 +52,24 @@ pub struct UserProfile {
     pub budget: Option<f64>,
     /// Degradation policy for multi-media sessions.
     pub policy: AdaptationPolicy,
+}
+
+impl Hash for UserProfile {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        let UserProfile {
+            name,
+            satisfaction,
+            budget,
+            policy,
+        } = self;
+        name.hash(state);
+        satisfaction.hash(state);
+        budget.is_some().hash(state);
+        if let Some(budget) = budget {
+            hash_f64(*budget, state);
+        }
+        policy.hash(state);
+    }
 }
 
 impl UserProfile {

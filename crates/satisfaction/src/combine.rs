@@ -8,7 +8,9 @@
 //! both plus alternatives used by the ablation experiment (X6).
 
 use crate::{Result, SatisfactionError};
+use qosc_media::hash_f64;
 use serde::{Deserialize, Serialize};
+use std::hash::{Hash, Hasher};
 
 /// A strategy for combining per-parameter satisfactions into a total.
 ///
@@ -46,12 +48,44 @@ pub enum Combiner {
     ArithmeticMean,
 }
 
+impl Hash for Combiner {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        std::mem::discriminant(self).hash(state);
+        match self {
+            Combiner::WeightedHarmonic { weights } => {
+                weights.len().hash(state);
+                for &weight in weights {
+                    hash_f64(weight, state);
+                }
+            }
+            Combiner::HarmonicMean
+            | Combiner::Min
+            | Combiner::Product
+            | Combiner::GeometricMean
+            | Combiner::ArithmeticMean => {}
+        }
+    }
+}
+
 impl Combiner {
     /// Combine `values` (each in `[0, 1]`) into a total in `[0, 1]`.
     ///
     /// Errors on an empty slice, and for [`Combiner::WeightedHarmonic`]
     /// on a weight-count mismatch.
     pub fn combine(&self, values: &[f64]) -> Result<f64> {
+        let weights = match self {
+            Combiner::WeightedHarmonic { weights } => weights.as_slice(),
+            _ => &[],
+        };
+        self.combine_with_weights(values, weights)
+    }
+
+    /// [`combine`](Combiner::combine) with the weights of
+    /// [`Combiner::WeightedHarmonic`] taken from `weights` instead of
+    /// the stored ones (the other combiners ignore them), so a caller
+    /// scoring a subset of the axes can pass the matching subset of
+    /// weights without building a new combiner.
+    pub(crate) fn combine_with_weights(&self, values: &[f64], weights: &[f64]) -> Result<f64> {
         if values.is_empty() {
             return Err(SatisfactionError::EmptyCombination);
         }
@@ -70,7 +104,7 @@ impl Combiner {
                     n / values.iter().map(|v| 1.0 / v).sum::<f64>()
                 }
             }
-            Combiner::WeightedHarmonic { weights } => {
+            Combiner::WeightedHarmonic { .. } => {
                 if weights.len() != values.len() {
                     return Err(SatisfactionError::WeightMismatch {
                         values: values.len(),

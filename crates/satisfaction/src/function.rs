@@ -8,7 +8,9 @@
 //! domain." — Section 4.1.
 
 use crate::{Result, SatisfactionError};
+use qosc_media::hash_f64;
 use serde::{Deserialize, Serialize};
+use std::hash::{Hash, Hasher};
 
 /// A monotone non-decreasing mapping from a QoS parameter value to a
 /// satisfaction in `[0, 1]`.
@@ -69,6 +71,39 @@ pub enum SatisfactionFn {
     /// Indifference: every value is fully satisfying. The neutral element
     /// of the harmonic-mean combination.
     Indifferent,
+}
+
+impl Hash for SatisfactionFn {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        std::mem::discriminant(self).hash(state);
+        match self {
+            SatisfactionFn::Linear {
+                min_acceptable,
+                ideal,
+            } => {
+                hash_f64(*min_acceptable, state);
+                hash_f64(*ideal, state);
+            }
+            SatisfactionFn::Piecewise { knots } => {
+                knots.len().hash(state);
+                for &(value, satisfaction) in knots {
+                    hash_f64(value, state);
+                    hash_f64(satisfaction, state);
+                }
+            }
+            SatisfactionFn::Step { threshold } => hash_f64(*threshold, state),
+            SatisfactionFn::Saturating {
+                min_acceptable,
+                ideal,
+                scale,
+            } => {
+                hash_f64(*min_acceptable, state);
+                hash_f64(*ideal, state);
+                hash_f64(*scale, state);
+            }
+            SatisfactionFn::Indifferent => {}
+        }
+    }
 }
 
 impl SatisfactionFn {

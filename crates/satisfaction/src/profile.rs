@@ -9,8 +9,9 @@
 use crate::combine::Combiner;
 use crate::function::SatisfactionFn;
 use crate::Result;
-use qosc_media::{Axis, ParamVector};
+use qosc_media::{hash_f64, Axis, ParamVector};
 use serde::{Deserialize, Serialize};
+use std::hash::{Hash, Hasher};
 
 /// One axis the user has a preference about.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -22,6 +23,19 @@ pub struct AxisPreference {
     /// Relative importance, used when the profile's combiner is
     /// weight-aware. Must be non-negative. Defaults to 1.
     pub weight: f64,
+}
+
+impl Hash for AxisPreference {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        let AxisPreference {
+            axis,
+            function,
+            weight,
+        } = self;
+        axis.hash(state);
+        function.hash(state);
+        hash_f64(*weight, state);
+    }
 }
 
 impl AxisPreference {
@@ -53,6 +67,17 @@ pub struct SatisfactionProfile {
     preferences: Vec<AxisPreference>,
     /// How per-axis satisfactions are combined (`fcomb`).
     pub combiner: Combiner,
+}
+
+impl Hash for SatisfactionProfile {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        let SatisfactionProfile {
+            preferences,
+            combiner,
+        } = self;
+        preferences.hash(state);
+        combiner.hash(state);
+    }
 }
 
 impl SatisfactionProfile {
@@ -136,23 +161,31 @@ impl SatisfactionProfile {
     /// part of this delivery). If no preference axis is present in
     /// `params`, the configuration tells the user nothing and scores 0.
     pub fn score(&self, params: &ParamVector) -> f64 {
-        let mut values = Vec::with_capacity(self.preferences.len());
-        let mut weights = Vec::with_capacity(self.preferences.len());
+        // At most one preference per axis, so the present ones fit two
+        // stack arrays: `Optimize()` calls this per candidate point.
+        let mut values = [0.0; Axis::COUNT];
+        let mut weights = [0.0; Axis::COUNT];
+        let mut present = 0;
         for pref in &self.preferences {
+            // A deserialized profile can repeat an axis; it never gets
+            // to index past the arrays.
+            if present == Axis::COUNT {
+                break;
+            }
             if let Some(x) = params.get(pref.axis) {
-                values.push(pref.function.eval(x));
-                weights.push(pref.weight);
+                values[present] = pref.function.eval(x);
+                weights[present] = pref.weight;
+                present += 1;
             }
         }
-        if values.is_empty() {
+        if present == 0 {
             return 0.0;
         }
-        let combiner = match &self.combiner {
-            // Re-slice stored weights to the axes actually present.
-            Combiner::WeightedHarmonic { .. } => Combiner::WeightedHarmonic { weights },
-            other => other.clone(),
-        };
-        combiner.combine(&values).unwrap_or(0.0)
+        // The weighted combiner reads the weights of the axes actually
+        // present, not the stored ones.
+        self.combiner
+            .combine_with_weights(&values[..present], &weights[..present])
+            .unwrap_or(0.0)
     }
 
     /// Convenience: enable the weighted extension of [29] using the
@@ -281,6 +314,24 @@ mod tests {
             },
         ));
         assert!(profile.validate().is_err());
+    }
+
+    /// `insert` keeps one preference per axis, but a profile read from
+    /// JSON need not: scoring it must not index past the per-axis
+    /// arrays.
+    #[test]
+    fn score_survives_more_preferences_than_axes() {
+        let one = serde_json::to_string(&SatisfactionProfile::paper_table1()).unwrap();
+        let entry = one
+            .split_once('[')
+            .and_then(|(_, rest)| rest.rsplit_once(']'))
+            .expect("the preference list")
+            .0;
+        let many = one.replace(entry, &[entry; Axis::COUNT + 1].join(","));
+        let profile: SatisfactionProfile = serde_json::from_str(&many).unwrap();
+        assert_eq!(profile.len(), Axis::COUNT + 1);
+        let p = ParamVector::from_pairs([(Axis::FrameRate, 15.0)]);
+        assert!((profile.score(&p) - 0.5).abs() < 1e-12);
     }
 
     #[test]

@@ -1,0 +1,123 @@
+//! Allocation gate for the composition cache's probe: a request that
+//! hits — even after the registry epoch moved, so that the registry
+//! half of the revalidation runs and the entry is re-stamped —
+//! allocates exactly what cloning the cached plan allocates. The key is
+//! hashed straight out of the profile set (no JSON text, no value
+//! tree), and with the network version unchanged no hop is re-routed
+//! (no `Route`).
+//!
+//! One test only, on one thread: the counter is per thread. The
+//! counting allocator is the one of `tests/broker_alloc.rs`.
+
+use qosc_core::{SelectOptions, ShardedCompositionCache};
+use qosc_netsim::SimTime;
+use qosc_services::QuarantineConfig;
+use qosc_workload::generator::{random_scenario, GeneratorConfig};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+thread_local! {
+    /// `Some(n)` while this thread is counting; const-initialised and
+    /// without a destructor, so touching it never allocates.
+    static ALLOCATIONS: Cell<Option<u64>> = const { Cell::new(None) };
+}
+
+struct Counting;
+
+fn count_one() {
+    ALLOCATIONS.with(|n| n.set(n.get().map(|n| n + 1)));
+}
+
+// SAFETY: defers every request to `System` unchanged; the counter is a
+// plain thread-local `Cell` that never allocates or unwinds.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count_one();
+        System.alloc(layout)
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count_one();
+        System.alloc_zeroed(layout)
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count_one();
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Heap allocations (fresh, zeroed or resized) `work` performs on this
+/// thread.
+fn allocations_in(work: impl FnOnce()) -> u64 {
+    ALLOCATIONS.with(|n| n.set(Some(0)));
+    work();
+    ALLOCATIONS.with(|n| n.replace(None)).expect("counting")
+}
+
+#[test]
+fn a_hit_allocates_only_the_plan_it_returns() {
+    // The X15 mesh of the `compose_hot` benchmark workload.
+    let config = GeneratorConfig {
+        layers: 5,
+        services_per_layer: 12,
+        formats_per_layer: 3,
+        conversions_per_service: 1,
+        ..GeneratorConfig::default()
+    };
+    let mut scenario = random_scenario(&config, 7);
+    scenario.services.set_quarantine_config(QuarantineConfig {
+        failure_threshold: 1,
+        cooldown_us: 1_000_000,
+    });
+    let cache = ShardedCompositionCache::new(1);
+    let options = SelectOptions::default();
+    let probe = |scenario: &qosc_workload::Scenario| {
+        cache
+            .compose(
+                &scenario.composer(),
+                &scenario.profiles,
+                scenario.sender_host,
+                scenario.receiver_host,
+                &options,
+            )
+            .expect("compose")
+            .expect("the mesh solves")
+    };
+    let first = probe(&scenario);
+    let plan_cost = allocations_in(|| {
+        std::hint::black_box(first.clone());
+    });
+    assert!(plan_cost > first.steps.len() as u64);
+
+    // Same stamps: a lookup and a clone.
+    let mut hit = None;
+    let allocations = allocations_in(|| hit = Some(probe(&scenario)));
+    assert_eq!(hit.as_ref(), Some(&first));
+    assert_eq!(allocations, plan_cost, "same-stamp hit");
+
+    // Quarantine a service the chain does not use: the epoch moves, the
+    // registry half runs and passes, the entry is re-stamped.
+    let bystander = scenario
+        .services
+        .live_services()
+        .map(|(id, _)| id)
+        .find(|id| first.steps.iter().all(|s| s.service != Some(*id)))
+        .expect("the mesh has services off the chain");
+    let epoch = scenario.services.epoch();
+    assert!(scenario
+        .services
+        .report_failure(bystander, SimTime(10))
+        .unwrap());
+    assert_ne!(scenario.services.epoch(), epoch);
+    let allocations = allocations_in(|| hit = Some(probe(&scenario)));
+    assert_eq!(hit.as_ref(), Some(&first));
+    assert_eq!(allocations, plan_cost, "hit after the registry epoch moved");
+
+    let stats = cache.stats();
+    assert_eq!((stats.hits, stats.misses, stats.stale), (2, 1, 0));
+}

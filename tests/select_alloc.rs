@@ -2,20 +2,14 @@
 //! arena is warm, a selection run with `record_trace: false` allocates
 //! only the chain it returns. In particular the per-request state table
 //! (the `(vertex, advertised output)` → slot index) is rebuilt into
-//! buffers the arena keeps.
-//!
-//! The gate is on the kernel, not on `Optimize()`: the run uses a
-//! satisfaction profile without preferences, because
-//! `SatisfactionProfile::score` builds two `Vec`s per call for any other
-//! (with the scenario's own profile the same run allocates 505 times, 5
-//! of them the chain). Every label then scores 0, so the search is a
-//! cheapest-first sweep that settles more states than the real one.
+//! buffers the arena keeps, and `Optimize()` — `SatisfactionProfile::score`
+//! per candidate point, under the scenario's own profile — allocates
+//! nothing.
 //!
 //! One test only, on one thread: the counter and the arena are both per
 //! thread. The counting allocator is the one of `tests/broker_alloc.rs`.
 
 use qosc_core::{select_chain, GraphStore, SelectOptions};
-use qosc_satisfaction::SatisfactionProfile;
 use qosc_workload::scale::{scale_scenario, ScaleConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -80,7 +74,7 @@ fn a_warm_selection_allocates_only_the_chain_it_returns() {
         .expect("two-level compose")
         .composition
         .graph;
-    let profile = SatisfactionProfile::new();
+    let profile = scenario.profiles.effective_satisfaction();
     let budget = scenario.profiles.user.budget_or_infinite();
     let options = SelectOptions {
         record_trace: false,
@@ -94,7 +88,12 @@ fn a_warm_selection_allocates_only_the_chain_it_returns() {
     let allocations = allocations_in(|| second = Some(select()));
     let second = second.expect("ran");
     assert_eq!(second.chain, warm_up.chain);
-    assert!(second.rounds > 20, "the sweep settles most of the graph");
+    assert!(
+        second.rounds > 20 && second.optimizations > 100,
+        "the search did real work: {} rounds, {} Optimize() calls",
+        second.rounds,
+        second.optimizations
+    );
     assert!(second.trace.rows.is_empty());
 
     // What the chain itself costs: its steps pushed one by one onto a
