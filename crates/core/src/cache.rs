@@ -1056,7 +1056,7 @@ mod tests {
         let touched: Vec<u32> =
             services.touched_shards(first.steps.iter().filter_map(|st| st.service));
         assert!(
-            !touched.contains(&services.shard_of(tails[1])),
+            !touched.contains(&services.shard_of(tails[1]).unwrap()),
             "the winning plan must not touch the losing cluster's shard"
         );
 

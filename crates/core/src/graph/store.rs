@@ -1186,7 +1186,7 @@ mod tests {
         };
         let a = sharded.register_static(make(&formats, "TA", "A"));
         let c = sharded.register_static(make(&formats, "TC", "C"));
-        let (sa, sc_shard) = (sharded.shard_of(a), sharded.shard_of(c));
+        let (sa, sc_shard) = (sharded.shard_of(a).unwrap(), sharded.shard_of(c).unwrap());
         assert_ne!(sa, sc_shard, "fixture formats land in distinct shards");
 
         let variants = vec![ContentVariant::new(fa, DomainVector::new())];

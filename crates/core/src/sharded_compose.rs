@@ -38,6 +38,21 @@
 //! surviving vertices, and the strict-bound check rules out every chain
 //! the subgraph cannot see. The equivalence is enforced by property
 //! test across shard counts and churn schedules.
+//!
+//! # The summary level's state
+//!
+//! `FormatId` is a dense index, so everything the summary level keeps
+//! per format — bound, parent hop, "reaches a decoder" — is a flat
+//! table in a per-thread [`SummaryScratch`] (the `SelectScratch`
+//! pattern of `select/greedy.rs`): a warm compose's summary level
+//! descends no tree and allocates nothing. The *sweep order* is part of
+//! the contract, not an implementation detail: hops are visited in
+//! `(shard, PairKey)` order in whole passes until nothing moves. The
+//! per-format values are the same under any order, but the parent
+//! pointers — which hop first reached a format at its final value —
+//! are not, and they choose the seed shards, hence `expanded_shards`,
+//! `rounds` and every scoped-graph cache key. A `#[cfg(test)]`
+//! tree-map reference of the same algorithm is the oracle.
 
 use crate::composer::StoredComposition;
 use crate::graph::{BuildInput, GraphScope, GraphStore};
@@ -48,7 +63,7 @@ use qosc_media::{FormatId, FormatRegistry};
 use qosc_netsim::{Network, NodeId};
 use qosc_profiles::ProfileSet;
 use qosc_services::ShardedServiceRegistry;
-use std::collections::{BTreeMap, BTreeSet};
+use std::cell::RefCell;
 
 /// The two-level composition facade. The sharded sibling of
 /// [`Composer`](crate::Composer): same inputs, same outputs, but the
@@ -76,6 +91,20 @@ pub struct TwoLevelComposition {
     /// Whether the search fell back to expanding every shard (selection
     /// failure, or a winner that could not be proven optimal earlier).
     pub full_expansion: bool,
+    /// Frontier classes scored under this request's satisfaction
+    /// profile: one per `(shard, input, output, axis set)`.
+    pub hops_scored: usize,
+    /// Whole passes the max-min relaxation swept over those hops,
+    /// the last one — which moved nothing — included.
+    pub relaxation_passes: u32,
+    /// `max U_s` over the shards left unexpanded: the best satisfaction
+    /// any complete chain through a pruned shard could reach
+    /// (`-inf` when none of them lies on a complete chain). A plan
+    /// stands because its `W` —
+    /// `composition.selection.chain`'s satisfaction — is strictly
+    /// above this; `W - max U_s` is the margin of that proof. `None`
+    /// when every shard was expanded, so nothing was pruned.
+    pub max_pruned_bound: Option<f64>,
 }
 
 /// One summary-level hop: shard `shard` converts `input` to `output`
@@ -87,12 +116,236 @@ struct SummaryHop {
     bound: f64,
 }
 
+/// Marks a format no hop has reached in [`SummaryTables::parent`].
+const NO_PARENT: u32 = u32::MAX;
+
+/// The summary level's dense state: per-format tables indexed by
+/// [`FormatId::index`], per-shard tables indexed by shard. Everything
+/// is overwritten by [`SummaryTables::summarize`]; the buffers only
+/// carry capacity from one request to the next.
+#[derive(Default)]
+struct SummaryTables {
+    /// Upper bound on the satisfaction of any chain delivering the
+    /// format; meaningful where `known`.
+    value: Vec<f64>,
+    /// Whether the format is offered or reached by some hop.
+    known: Vec<bool>,
+    /// Index (into the hop list) of the hop that last set the format's
+    /// value, or [`NO_PARENT`]: the provisional winning path.
+    parent: Vec<u32>,
+    /// Whether some decoder is reachable from the format through the
+    /// summary pairs.
+    reaches_decoder: Vec<bool>,
+    /// `U_s`: upper bound on any complete chain using the shard.
+    shard_bound: Vec<f64>,
+    /// Shards in the current expansion scope. Seeded here, widened by
+    /// the expansion level.
+    expanded: Vec<bool>,
+}
+
+/// What [`SummaryTables::summarize`] reports beside the tables.
+struct SummaryOutcome {
+    /// No decoder is reachable: every shard was marked expanded.
+    full_expansion: bool,
+    /// Whole passes of the max-min relaxation, the idle last included.
+    relaxation_passes: u32,
+}
+
+impl SummaryTables {
+    /// The summary level proper: from the scored `hops` (in
+    /// `(shard, PairKey)` order, every `shard < shard_count`), the
+    /// scored `offered` variants and the receiver's `decoders`, fill
+    /// `shard_bound` with `U_s` and `expanded` with the seed expansion.
+    ///
+    /// Both fixpoints sweep `hops` front to back in whole passes; see
+    /// the module docs for why no other order will do. Tables are sized
+    /// by the largest format index among the arguments, whatever
+    /// registry they were resolved against.
+    fn summarize(
+        &mut self,
+        hops: &[SummaryHop],
+        offered: &[(FormatId, f64)],
+        decoders: &[FormatId],
+        shard_count: usize,
+    ) -> SummaryOutcome {
+        let format_count = hops
+            .iter()
+            .flat_map(|hop| [hop.input, hop.output])
+            .chain(offered.iter().map(|&(format, _)| format))
+            .chain(decoders.iter().copied())
+            .map(|format| format.index() + 1)
+            .max()
+            .unwrap_or(0);
+        let SummaryTables {
+            value,
+            known,
+            parent,
+            reaches_decoder,
+            shard_bound,
+            expanded,
+        } = self;
+        refill(value, format_count, 0.0);
+        refill(known, format_count, false);
+        refill(parent, format_count, NO_PARENT);
+        refill(reaches_decoder, format_count, false);
+        refill(shard_bound, shard_count, f64::NEG_INFINITY);
+        refill(expanded, shard_count, false);
+
+        // Max-min relaxation over formats: `value[f]` upper-bounds the
+        // satisfaction of any chain delivering format `f`. Seeded from
+        // the offered variants, relaxed to a fixpoint; the parent
+        // pointer records the hop that set each format's value.
+        for &(format, score) in offered {
+            let f = format.index();
+            if !(known[f] && value[f] >= score) {
+                value[f] = score;
+                known[f] = true;
+            }
+        }
+        let mut relaxation_passes = 0u32;
+        loop {
+            relaxation_passes += 1;
+            let mut moved = false;
+            for (index, hop) in hops.iter().enumerate() {
+                let (input, output) = (hop.input.index(), hop.output.index());
+                if !known[input] {
+                    continue;
+                }
+                let through = value[input].min(hop.bound);
+                if !known[output] || through > value[output] {
+                    value[output] = through;
+                    known[output] = true;
+                    // A frontier holds far fewer than 2^32 classes;
+                    // the sentinel itself is never a hop index.
+                    parent[output] = index as u32;
+                    moved = true;
+                }
+            }
+            if !moved {
+                break;
+            }
+        }
+
+        // Backward reachability: formats from which some decoder is
+        // reachable through the summary pairs. A pair whose output
+        // cannot reach a decoder can sit on no complete chain.
+        for decoder in decoders {
+            reaches_decoder[decoder.index()] = true;
+        }
+        loop {
+            let mut grew = false;
+            for hop in hops {
+                if reaches_decoder[hop.output.index()] && !reaches_decoder[hop.input.index()] {
+                    reaches_decoder[hop.input.index()] = true;
+                    grew = true;
+                }
+            }
+            if !grew {
+                break;
+            }
+        }
+
+        // Per-shard bound: the best complete chain using the shard is
+        // capped by the best min(value at the hop input, hop bound)
+        // over its pairs that can still reach a decoder.
+        for hop in hops {
+            if !reaches_decoder[hop.output.index()] || !known[hop.input.index()] {
+                continue;
+            }
+            let through = value[hop.input.index()].min(hop.bound);
+            if through > shard_bound[hop.shard as usize] {
+                shard_bound[hop.shard as usize] = through;
+            }
+        }
+
+        // Seed expansion: the shards on the parent path of the
+        // highest-valued decoder — among equals the last listed, and
+        // never one whose value is NaN. No reachable decoder → nothing
+        // to seed from; expand everything so failures replay the flat
+        // search bitwise (including its trace).
+        let mut best: Option<(usize, f64)> = None;
+        for decoder in decoders {
+            let f = decoder.index();
+            if known[f] && !value[f].is_nan() && best.is_none_or(|(_, top)| value[f] >= top) {
+                best = Some((f, value[f]));
+            }
+        }
+        let full_expansion = best.is_none();
+        match best {
+            Some((mut format, _)) => {
+                while parent[format] != NO_PARENT {
+                    let hop = &hops[parent[format] as usize];
+                    expanded[hop.shard as usize] = true;
+                    format = hop.input.index();
+                }
+            }
+            None => expanded.fill(true),
+        }
+        SummaryOutcome {
+            full_expansion,
+            relaxation_passes,
+        }
+    }
+}
+
+/// Overwrite `table` with `len` copies of `fill`, keeping its capacity.
+fn refill<T: Copy>(table: &mut Vec<T>, len: usize, fill: T) {
+    table.clear();
+    table.resize(len, fill);
+}
+
+/// Per-thread reusable state of the summary level: on a warm thread
+/// [`ShardedComposer::compose_with_store`] allocates, beyond what its
+/// expansion level needs, only the `expanded_shards` it returns.
+#[derive(Default)]
+struct SummaryScratch {
+    /// Every shard's frontier, scored, in `(shard, PairKey)` order.
+    hops: Vec<SummaryHop>,
+    /// The offered variants' formats and scores, in profile order.
+    offered: Vec<(FormatId, f64)>,
+    tables: SummaryTables,
+}
+
+thread_local! {
+    static SCRATCH: RefCell<SummaryScratch> = RefCell::new(SummaryScratch::default());
+}
+
 impl ShardedComposer<'_> {
     /// Compose an adaptation chain for one request, expanding as few
     /// shards as the admissible bounds allow. Graphs are served (and
     /// cached per expansion scope) by `store`.
     pub fn compose_with_store(
         &self,
+        store: &GraphStore,
+        profiles: &ProfileSet,
+        sender_host: NodeId,
+        receiver_host: NodeId,
+        options: &SelectOptions,
+    ) -> Result<TwoLevelComposition> {
+        SCRATCH.with(|cell| {
+            // A re-entrant call on this thread (defensive) runs on a
+            // throwaway scratch rather than aliasing the live one; an
+            // empty scratch costs nothing to make.
+            let mut throwaway = SummaryScratch::default();
+            let mut live = cell.try_borrow_mut();
+            let scratch = match &mut live {
+                Ok(scratch) => &mut **scratch,
+                Err(_) => &mut throwaway,
+            };
+            self.compose_with_scratch(
+                scratch,
+                store,
+                profiles,
+                sender_host,
+                receiver_host,
+                options,
+            )
+        })
+    }
+
+    fn compose_with_scratch(
+        &self,
+        scratch: &mut SummaryScratch,
         store: &GraphStore,
         profiles: &ProfileSet,
         sender_host: NodeId,
@@ -111,112 +364,36 @@ impl ShardedComposer<'_> {
 
         // Score every shard's frontier once: the per-(shard, pair)
         // admissible bound under this request's satisfaction profile.
-        let mut hops: Vec<SummaryHop> = Vec::new();
+        let SummaryScratch {
+            hops,
+            offered,
+            tables,
+        } = scratch;
+        hops.clear();
         for shard in 0..shard_count as u32 {
-            for (key, top) in self.services.summaries(shard) {
-                hops.push(SummaryHop {
-                    shard,
-                    input: key.input,
-                    output: key.output,
-                    bound: satisfaction.score(&top),
-                });
-            }
+            hops.extend(self.services.summaries(shard).map(|(key, top)| SummaryHop {
+                shard,
+                input: key.input,
+                output: key.output,
+                bound: satisfaction.score(&top),
+            }));
         }
-
-        // Max-min relaxation over formats: `value[f]` upper-bounds the
-        // satisfaction of any chain delivering format `f`. Seeded from
-        // the offered variants, relaxed to a fixpoint in deterministic
-        // (shard, pair) order; a parent pointer records the hop that
-        // set each format's value, giving the provisional winning path.
-        let mut value: BTreeMap<FormatId, f64> = BTreeMap::new();
-        for variant in &variants {
-            let offered = satisfaction.score(&variant.offered.top());
-            match value.get(&variant.format) {
-                Some(&existing) if existing >= offered => {}
-                _ => {
-                    value.insert(variant.format, offered);
-                }
-            }
-        }
-        let mut parent: BTreeMap<FormatId, (u32, FormatId)> = BTreeMap::new();
-        loop {
-            let mut moved = false;
-            for hop in &hops {
-                let Some(&upstream) = value.get(&hop.input) else {
-                    continue;
-                };
-                let through = upstream.min(hop.bound);
-                let improves = match value.get(&hop.output) {
-                    Some(&existing) => through > existing,
-                    None => true,
-                };
-                if improves {
-                    value.insert(hop.output, through);
-                    parent.insert(hop.output, (hop.shard, hop.input));
-                    moved = true;
-                }
-            }
-            if !moved {
-                break;
-            }
-        }
-
-        // Backward reachability: formats from which some decoder is
-        // reachable through the summary pairs. A pair whose output
-        // cannot reach a decoder can sit on no complete chain.
-        let mut reaches_decoder: BTreeSet<FormatId> = decoders.iter().copied().collect();
-        loop {
-            let before = reaches_decoder.len();
-            for hop in &hops {
-                if reaches_decoder.contains(&hop.output) {
-                    reaches_decoder.insert(hop.input);
-                }
-            }
-            if reaches_decoder.len() == before {
-                break;
-            }
-        }
-
-        // Per-shard bound: the best complete chain using the shard is
-        // capped by the best min(value at the hop input, hop bound)
-        // over its pairs that can still reach a decoder.
-        let mut shard_bound = vec![f64::NEG_INFINITY; shard_count];
-        for hop in &hops {
-            if !reaches_decoder.contains(&hop.output) {
-                continue;
-            }
-            let Some(&upstream) = value.get(&hop.input) else {
-                continue;
-            };
-            let through = upstream.min(hop.bound);
-            if through > shard_bound[hop.shard as usize] {
-                shard_bound[hop.shard as usize] = through;
-            }
-        }
-
-        // Seed expansion: the shards on the parent path of the
-        // highest-valued decoder. No reachable decoder → nothing to
-        // seed from; expand everything so failures replay the flat
-        // search bitwise (including its trace).
-        let best_decoder = decoders
-            .iter()
-            .filter_map(|f| value.get(f).map(|&v| (f, v)))
-            .max_by(|a, b| a.1.partial_cmp(&b.1).expect("scores are never NaN"))
-            .map(|(f, _)| *f);
-        let mut expanded = vec![false; shard_count];
-        let mut full_expansion = false;
-        match best_decoder {
-            Some(mut format) => {
-                while let Some(&(shard, upstream)) = parent.get(&format) {
-                    expanded[shard as usize] = true;
-                    format = upstream;
-                }
-            }
-            None => {
-                expanded.iter_mut().for_each(|e| *e = true);
-                full_expansion = true;
-            }
-        }
+        offered.clear();
+        offered.extend(
+            variants
+                .iter()
+                .map(|variant| (variant.format, satisfaction.score(&variant.offered.top()))),
+        );
+        let SummaryOutcome {
+            mut full_expansion,
+            relaxation_passes,
+        } = tables.summarize(hops, offered, &decoders, shard_count);
+        let hops_scored = hops.len();
+        let SummaryTables {
+            shard_bound,
+            expanded,
+            ..
+        } = tables;
 
         // ----- expansion level -----
 
@@ -240,7 +417,7 @@ impl ShardedComposer<'_> {
             let graph = if all {
                 store.graph_for(&input)?
             } else {
-                let scope = GraphScope::new(self.services, &expanded);
+                let scope = GraphScope::new(self.services, expanded);
                 store.scoped_graph_for(&input, &scope)?
             };
             let selection = select_chain_with_penalties(
@@ -252,57 +429,55 @@ impl ShardedComposer<'_> {
                 self.services.flat().selection_penalties(),
             )?;
 
-            match &selection.chain {
+            let plan = match &selection.chain {
                 Some(chain) => {
                     // Any chain through a non-expanded shard scores at
                     // most that shard's bound; strictly below the
                     // winner means it cannot even tie, so the winner
                     // stands as the flat optimum.
-                    let need: Vec<u32> = (0..shard_count as u32)
-                        .filter(|&s| {
-                            !expanded[s as usize] && shard_bound[s as usize] >= chain.satisfaction
-                        })
-                        .collect();
-                    if need.is_empty() {
-                        let plan = AdaptationPlan::from_chain(&graph, self.formats, chain)?;
-                        return Ok(TwoLevelComposition {
-                            composition: StoredComposition {
-                                graph,
-                                plan: Some(plan),
-                                selection,
-                            },
-                            expanded_shards: collect_expanded(&expanded),
-                            rounds,
-                            full_expansion,
-                        });
+                    let mut proven = true;
+                    for (e, &bound) in expanded.iter_mut().zip(shard_bound.iter()) {
+                        if !*e && bound >= chain.satisfaction {
+                            *e = true;
+                            proven = false;
+                        }
                     }
-                    for s in need {
-                        expanded[s as usize] = true;
+                    if !proven {
+                        continue;
                     }
+                    Some(AdaptationPlan::from_chain(&graph, self.formats, chain)?)
                 }
+                // The flat search failed too: return its outcome
+                // verbatim.
+                None if all => None,
                 None => {
-                    if all {
-                        // The flat search failed too: return its
-                        // outcome verbatim.
-                        return Ok(TwoLevelComposition {
-                            composition: StoredComposition {
-                                graph,
-                                plan: None,
-                                selection,
-                            },
-                            expanded_shards: collect_expanded(&expanded),
-                            rounds,
-                            full_expansion,
-                        });
-                    }
                     // The seed subgraph was too small (the summary
                     // level bounds satisfaction, not feasibility —
                     // budgets, bandwidth and capping can starve it).
                     // Fall back to the flat graph.
-                    expanded.iter_mut().for_each(|e| *e = true);
+                    expanded.fill(true);
                     full_expansion = true;
+                    continue;
                 }
-            }
+            };
+            let max_pruned_bound = expanded
+                .iter()
+                .zip(shard_bound.iter())
+                .filter_map(|(&e, &bound)| (!e).then_some(bound))
+                .reduce(f64::max);
+            return Ok(TwoLevelComposition {
+                composition: StoredComposition {
+                    graph,
+                    plan,
+                    selection,
+                },
+                expanded_shards: collect_expanded(expanded),
+                rounds,
+                full_expansion,
+                hops_scored,
+                relaxation_passes,
+                max_pruned_bound,
+            });
         }
     }
 }
@@ -320,6 +495,7 @@ fn collect_expanded(expanded: &[bool]) -> Vec<u32> {
 mod tests {
     use super::*;
     use crate::composer::Composer;
+    use proptest::prelude::*;
     use qosc_media::{Axis, AxisDomain, DomainVector, MediaKind, VariantSpec};
     use qosc_netsim::{Node, Topology};
     use qosc_profiles::{
@@ -328,6 +504,9 @@ mod tests {
     };
     use qosc_satisfaction::{AxisPreference, SatisfactionFn, SatisfactionProfile};
     use qosc_services::TranscoderDescriptor;
+    use rand::rngs::SmallRng;
+    use rand::{RngExt, SeedableRng};
+    use std::collections::{BTreeMap, BTreeSet};
 
     struct World {
         formats: FormatRegistry,
@@ -560,5 +739,338 @@ mod tests {
         );
         assert_eq!(stats.deltas, baseline.deltas, "no replays: {stats:?}");
         assert!(stats.reuses > baseline.reuses, "{stats:?}");
+    }
+
+    #[test]
+    fn a_proven_prune_reports_its_margin() {
+        let w = world(8);
+        let composer = ShardedComposer {
+            formats: &w.formats,
+            services: &w.services,
+            network: &w.network,
+        };
+        let two = composer
+            .compose_with_store(
+                &GraphStore::new(),
+                &w.profiles,
+                w.sender,
+                w.receiver,
+                &SelectOptions::default(),
+            )
+            .unwrap();
+        assert!(!two.full_expansion);
+        let winner = two
+            .composition
+            .selection
+            .chain
+            .as_ref()
+            .expect("cluster 0 chain exists")
+            .satisfaction;
+        let pruned = two.max_pruned_bound.expect("some shard stayed unexpanded");
+        // Cluster 1 reaches 25 of the ideal 30 fps; the winner all 30.
+        assert!(pruned < winner, "max U_s {pruned} vs W {winner}");
+        assert!(pruned > 0.0, "the losing clusters do complete a chain");
+        assert_eq!(two.hops_scored, 8, "head and tail of four clusters");
+        assert!(
+            two.relaxation_passes >= 2,
+            "one pass that moves, one that proves the fixpoint"
+        );
+    }
+
+    // ----- the summary level on its own -----
+
+    fn format_ids(count: usize) -> Vec<FormatId> {
+        let mut formats = FormatRegistry::new();
+        (0..count)
+            .map(|f| formats.register_abstract(format!("f{f}"), MediaKind::Video))
+            .collect()
+    }
+
+    fn seed_expansion(
+        hops: &[SummaryHop],
+        offered: &[(FormatId, f64)],
+        decoders: &[FormatId],
+        shard_count: usize,
+    ) -> (Vec<bool>, bool) {
+        let mut tables = SummaryTables::default();
+        let outcome = tables.summarize(hops, offered, decoders, shard_count);
+        (tables.expanded, outcome.full_expansion)
+    }
+
+    #[test]
+    fn of_equally_valued_decoders_the_last_listed_seeds_the_expansion() {
+        let f = format_ids(4);
+        let (src, a, b, c) = (f[0], f[1], f[2], f[3]);
+        let hop = |shard, output| SummaryHop {
+            shard,
+            input: src,
+            output,
+            bound: 0.5,
+        };
+        let hops = [hop(0, a), hop(1, b)];
+        let offered = [(src, 1.0)];
+        assert_eq!(
+            seed_expansion(&hops, &offered, &[a, b], 2),
+            (vec![false, true], false),
+            "b is listed last"
+        );
+        assert_eq!(
+            seed_expansion(&hops, &offered, &[b, a], 2),
+            (vec![true, false], false),
+            "a is listed last"
+        );
+
+        // A NaN-valued decoder is never the seed, wherever it is listed
+        // — and alone it is no seed at all.
+        let offered = [(src, 1.0), (c, f64::NAN)];
+        for decoders in [[a, c], [c, a]] {
+            assert_eq!(
+                seed_expansion(&hops, &offered, &decoders, 2),
+                (vec![true, false], false),
+                "{decoders:?}"
+            );
+        }
+        assert_eq!(
+            seed_expansion(&hops, &offered, &[c], 2),
+            (vec![true, true], true)
+        );
+    }
+
+    /// What the tree-map summary level computed.
+    struct ReferenceSummary {
+        value: BTreeMap<FormatId, f64>,
+        shard_bound: Vec<f64>,
+        expanded: Vec<bool>,
+        full_expansion: bool,
+    }
+
+    /// The summary level as it was before the dense tables: the same
+    /// passes in the same order over `BTreeMap`/`BTreeSet` state, the
+    /// parent pointer stored as `(shard, upstream format)`. The oracle
+    /// of [`dense_summary_equals_the_tree_map_reference`].
+    fn reference_summary(
+        hops: &[SummaryHop],
+        offered: &[(FormatId, f64)],
+        decoders: &[FormatId],
+        shard_count: usize,
+    ) -> ReferenceSummary {
+        let mut value: BTreeMap<FormatId, f64> = BTreeMap::new();
+        for &(format, score) in offered {
+            match value.get(&format) {
+                Some(&existing) if existing >= score => {}
+                _ => {
+                    value.insert(format, score);
+                }
+            }
+        }
+        let mut parent: BTreeMap<FormatId, (u32, FormatId)> = BTreeMap::new();
+        loop {
+            let mut moved = false;
+            for hop in hops {
+                let Some(&upstream) = value.get(&hop.input) else {
+                    continue;
+                };
+                let through = upstream.min(hop.bound);
+                let improves = match value.get(&hop.output) {
+                    Some(&existing) => through > existing,
+                    None => true,
+                };
+                if improves {
+                    value.insert(hop.output, through);
+                    parent.insert(hop.output, (hop.shard, hop.input));
+                    moved = true;
+                }
+            }
+            if !moved {
+                break;
+            }
+        }
+
+        let mut reaches_decoder: BTreeSet<FormatId> = decoders.iter().copied().collect();
+        loop {
+            let before = reaches_decoder.len();
+            for hop in hops {
+                if reaches_decoder.contains(&hop.output) {
+                    reaches_decoder.insert(hop.input);
+                }
+            }
+            if reaches_decoder.len() == before {
+                break;
+            }
+        }
+
+        let mut shard_bound = vec![f64::NEG_INFINITY; shard_count];
+        for hop in hops {
+            if !reaches_decoder.contains(&hop.output) {
+                continue;
+            }
+            let Some(&upstream) = value.get(&hop.input) else {
+                continue;
+            };
+            let through = upstream.min(hop.bound);
+            if through > shard_bound[hop.shard as usize] {
+                shard_bound[hop.shard as usize] = through;
+            }
+        }
+
+        let best_decoder = decoders
+            .iter()
+            .filter_map(|f| value.get(f).map(|&v| (f, v)))
+            .max_by(|a, b| a.1.partial_cmp(&b.1).expect("scores are never NaN"))
+            .map(|(f, _)| *f);
+        let mut expanded = vec![false; shard_count];
+        let mut full_expansion = false;
+        match best_decoder {
+            Some(mut format) => {
+                while let Some(&(shard, upstream)) = parent.get(&format) {
+                    expanded[shard as usize] = true;
+                    format = upstream;
+                }
+            }
+            None => {
+                expanded.iter_mut().for_each(|e| *e = true);
+                full_expansion = true;
+            }
+        }
+        ReferenceSummary {
+            value,
+            shard_bound,
+            expanded,
+            full_expansion,
+        }
+    }
+
+    /// One random summary-level input.
+    struct SummaryCase {
+        formats: Vec<FormatId>,
+        hops: Vec<SummaryHop>,
+        offered: Vec<(FormatId, f64)>,
+        decoders: Vec<FormatId>,
+        shard_count: usize,
+    }
+
+    /// ≤ 24 formats, ≤ 8 shards, bounds and offered scores drawn from
+    /// four values so that ties are the common case. Hops land anywhere
+    /// — cycles, self-loops, the same pair in several shards and several
+    /// times in one shard (axis sets) — and are then put in the
+    /// `(shard, input, output)` order the frontier scan produces.
+    /// Decoders and offered formats are drawn independently of the
+    /// hops, so unreachable decoders, several decoders and formats
+    /// nobody offers all occur.
+    fn random_summary_case(seed: u64) -> SummaryCase {
+        const LEVELS: [f64; 4] = [0.25, 0.5, 0.75, 1.0];
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let formats = format_ids(rng.random_range(1..=24));
+        let shard_count = rng.random_range(1..=8usize);
+        let format = |rng: &mut SmallRng| formats[rng.random_range(0..formats.len())];
+        let level = |rng: &mut SmallRng| LEVELS[rng.random_range(0..LEVELS.len())];
+        let mut hops: Vec<SummaryHop> = (0..rng.random_range(0..=3 * formats.len()))
+            .map(|_| SummaryHop {
+                shard: rng.random_range(0..shard_count) as u32,
+                input: format(&mut rng),
+                output: format(&mut rng),
+                bound: level(&mut rng),
+            })
+            .collect();
+        hops.sort_by_key(|hop| (hop.shard, hop.input, hop.output));
+        let offered = (0..rng.random_range(0..=3))
+            .map(|_| (format(&mut rng), level(&mut rng)))
+            .collect();
+        let decoders = (0..rng.random_range(0..=3))
+            .map(|_| format(&mut rng))
+            .collect();
+        SummaryCase {
+            formats,
+            hops,
+            offered,
+            decoders,
+            shard_count,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 512, ..ProptestConfig::default() })]
+
+        /// Per-format values, `U_s`, the seed expansion and
+        /// `full_expansion`, bit for bit. One `SummaryTables` serves
+        /// every case, so stale state from a larger earlier case would
+        /// show.
+        #[test]
+        fn dense_summary_equals_the_tree_map_reference(seed in 0u64..1 << 48) {
+            thread_local! {
+                static TABLES: RefCell<SummaryTables> = RefCell::new(SummaryTables::default());
+            }
+            let case = random_summary_case(seed);
+            let want = reference_summary(&case.hops, &case.offered, &case.decoders, case.shard_count);
+            TABLES.with(|tables| {
+                let mut tables = tables.borrow_mut();
+                let outcome =
+                    tables.summarize(&case.hops, &case.offered, &case.decoders, case.shard_count);
+                for &format in &case.formats {
+                    let f = format.index();
+                    let got = (f < tables.known.len() && tables.known[f])
+                        .then(|| tables.value[f].to_bits());
+                    let want = want.value.get(&format).map(|v| v.to_bits());
+                    assert_eq!(got, want, "seed {seed}: value of {format:?}");
+                }
+                let bits = |bounds: &[f64]| bounds.iter().map(|b| b.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&tables.shard_bound), bits(&want.shard_bound), "seed {seed}: U_s");
+                assert_eq!(tables.expanded, want.expanded, "seed {seed}: seed expansion");
+                assert_eq!(outcome.full_expansion, want.full_expansion, "seed {seed}");
+            });
+        }
+    }
+
+    /// The generator reaches the cases the proptest is there for.
+    #[test]
+    fn random_summary_cases_cover_ties_cycles_and_dead_ends() {
+        let (mut tied_decoders, mut full, mut multi_shard_seed, mut slow_fixpoint) = (0, 0, 0, 0);
+        let (mut repeated_pair, mut unreachable_decoder) = (0, 0);
+        for seed in 0..512 {
+            let case = random_summary_case(seed);
+            let mut tables = SummaryTables::default();
+            let outcome =
+                tables.summarize(&case.hops, &case.offered, &case.decoders, case.shard_count);
+            let decoder_values: Vec<u64> = case
+                .decoders
+                .iter()
+                .filter(|d| tables.known[d.index()])
+                .map(|d| tables.value[d.index()].to_bits())
+                .collect();
+            let top = decoder_values.iter().max();
+            let distinct: BTreeSet<FormatId> = case
+                .decoders
+                .iter()
+                .copied()
+                .filter(|d| {
+                    tables.known[d.index()] && Some(&tables.value[d.index()].to_bits()) == top
+                })
+                .collect();
+            tied_decoders += usize::from(distinct.len() > 1);
+            unreachable_decoder +=
+                usize::from(case.decoders.iter().any(|d| !tables.known[d.index()]));
+            full += usize::from(outcome.full_expansion);
+            multi_shard_seed += usize::from(
+                !outcome.full_expansion && tables.expanded.iter().filter(|&&e| e).count() > 1,
+            );
+            slow_fixpoint += usize::from(outcome.relaxation_passes > 2);
+            repeated_pair +=
+                usize::from(case.hops.windows(2).any(|pair| {
+                    (pair[0].input, pair[0].output) == (pair[1].input, pair[1].output)
+                }));
+        }
+        for (what, count) in [
+            ("distinct decoders tied at the top", tied_decoders),
+            ("no reachable decoder", full),
+            ("a seed path crossing shards", multi_shard_seed),
+            (
+                "a relaxation needing more than one moving pass",
+                slow_fixpoint,
+            ),
+            ("one pair under several keys of one shard", repeated_pair),
+            ("a decoder no chain delivers", unreachable_decoder),
+        ] {
+            assert!(count >= 16, "{what}: only {count} of 512 cases");
+        }
     }
 }

@@ -204,9 +204,10 @@ impl ShardedServiceRegistry {
         self.router.shard_count()
     }
 
-    /// The shard `id` was routed to at registration.
-    pub fn shard_of(&self, id: ServiceId) -> u32 {
-        self.shard_of[id.index()]
+    /// The shard `id` was routed to at registration — `None` for an id
+    /// this registry never issued.
+    pub fn shard_of(&self, id: ServiceId) -> Option<u32> {
+        self.shard_of.get(id.index()).copied()
     }
 
     /// The router in use.
@@ -313,10 +314,12 @@ impl ShardedServiceRegistry {
     /// The shard's monotone epoch: life-cycle events recorded against
     /// services of shard `shard` (including compacted ones). Mutations
     /// in other shards never move it — the property per-shard cache
-    /// stamps rely on.
+    /// stamps rely on. A shard this registry does not have never
+    /// recorded anything: epoch 0.
     pub fn shard_epoch(&self, shard: u32) -> u64 {
-        let s = &self.shards[shard as usize];
-        s.compacted + s.events.len() as u64
+        self.shards
+            .get(shard as usize)
+            .map_or(0, |s| s.compacted + s.events.len() as u64)
     }
 
     /// `(shard, epoch)` for every shard, in shard order.
@@ -329,9 +332,12 @@ impl ShardedServiceRegistry {
     /// The shard's events since `epoch` (a value previously returned
     /// by [`Self::shard_epoch`]), oldest first — `None` when that tail
     /// was compacted away, mirroring
-    /// [`ServiceRegistry::events_since`].
+    /// [`ServiceRegistry::events_since`]. A shard this registry does
+    /// not have has no events.
     pub fn shard_events_since(&self, shard: u32, epoch: u64) -> Option<&[RegistryEvent]> {
-        let s = &self.shards[shard as usize];
+        let Some(s) = self.shards.get(shard as usize) else {
+            return Some(&[]);
+        };
         if epoch < s.compacted {
             return None;
         }
@@ -341,10 +347,13 @@ impl ShardedServiceRegistry {
 
     /// Discard shard events older than `epoch` (shard-epoch scale).
     /// Returns the number discarded. Mirrors
-    /// [`ServiceRegistry::compact_events_below`] per shard.
+    /// [`ServiceRegistry::compact_events_below`] per shard; a shard
+    /// this registry does not have has nothing to discard.
     pub fn compact_shard_events_below(&mut self, shard: u32, epoch: u64) -> usize {
         let top = self.shard_epoch(shard);
-        let s = &mut self.shards[shard as usize];
+        let Some(s) = self.shards.get_mut(shard as usize) else {
+            return 0;
+        };
         let target = epoch.min(top);
         if target <= s.compacted {
             return 0;
@@ -369,12 +378,13 @@ impl ShardedServiceRegistry {
     /// maximum of the advertised output domains over the shard's
     /// *available* services. Scoring a hull top with a satisfaction
     /// profile upper-bounds the satisfaction any hop through this
-    /// shard and pair can contribute.
+    /// shard and pair can contribute. A shard this registry does not
+    /// have summarises nothing.
     pub fn summaries(&self, shard: u32) -> impl Iterator<Item = (PairKey, ParamVector)> + '_ {
-        self.shards[shard as usize]
-            .frontier
-            .iter()
-            .map(|(key, group)| (*key, group.top))
+        self.shards
+            .get(shard as usize)
+            .into_iter()
+            .flat_map(|s| s.frontier.iter().map(|(key, group)| (*key, group.top)))
     }
 
     /// The incrementally maintained frontier as a vector — test
@@ -389,7 +399,7 @@ impl ShardedServiceRegistry {
     pub fn frontier_from_scratch(&self, shard: u32) -> Vec<(PairKey, ParamVector)> {
         let mut frontier: BTreeMap<PairKey, ParamVector> = BTreeMap::new();
         for (id, descriptor) in self.flat.live_services() {
-            if self.shard_of[id.index()] != shard || !self.flat.is_available(id) {
+            if self.shard_of(id) != Some(shard) || !self.flat.is_available(id) {
                 continue;
             }
             for conversion in &descriptor.conversions {
@@ -419,7 +429,7 @@ impl ShardedServiceRegistry {
     /// The sorted, deduplicated shards of `ids` — the "touched shards"
     /// a cached plan's per-shard stamps cover.
     pub fn touched_shards<I: IntoIterator<Item = ServiceId>>(&self, ids: I) -> Vec<u32> {
-        let mut shards: Vec<u32> = ids.into_iter().map(|id| self.shard_of(id)).collect();
+        let mut shards: Vec<u32> = ids.into_iter().filter_map(|id| self.shard_of(id)).collect();
         shards.sort_unstable();
         shards.dedup();
         shards
@@ -430,29 +440,50 @@ impl ShardedServiceRegistry {
     /// Distribute every flat event recorded since `pre_epoch` to its
     /// owning shard: append to the shard log and update the shard's
     /// frontier.
+    ///
+    /// # Panics
+    ///
+    /// Only if a mutation reached the flat registry or its log without
+    /// going through this wrapper; the two sites below say why none can.
     fn distribute(&mut self, pre_epoch: u64) {
-        let tail: Vec<RegistryEvent> = self
-            .flat
+        // The flat log, the assignment and the shard overlays are
+        // disjoint fields: the tail and the descriptors are read in
+        // place while the shards are written.
+        let ShardedServiceRegistry {
+            flat,
+            shard_of,
+            shards,
+            ..
+        } = self;
+        // `pre_epoch` was read from `flat.epoch()` inside the same
+        // `&mut self` mutation, and only `compact_flat_events_below`
+        // — another `&mut self` call — moves the flat watermark, so the
+        // tail since `pre_epoch` is still in the log.
+        let tail = flat
             .events_since(pre_epoch)
-            .expect("the pre-mutation epoch was captured before any compaction")
-            .to_vec();
+            .expect("no compaction runs between reading the epoch and distributing");
         for event in tail {
             let id = event.service();
-            let shard = self.shard_of[id.index()] as usize;
+            // Every id in the flat log was issued by `register`, which
+            // records the assignment before distributing, and every
+            // assignment is `router.route(..) < shards.len()`.
+            let shard = &mut shards[shard_of[id.index()] as usize];
             match event {
                 RegistryEvent::Registered(_) | RegistryEvent::Reinstated(_) => {
                     // `release_quarantines` can reinstate a service
                     // whose lease already expired; the availability
                     // guard keeps such ghosts out of the frontier.
-                    if self.flat.is_available(id) {
-                        let descriptor = self.flat.get(id).expect("available implies live").clone();
-                        add_contributions(&mut self.shards[shard], id, &descriptor);
+                    match flat.get(id) {
+                        Ok(descriptor) if flat.is_available(id) => {
+                            add_contributions(shard, id, descriptor);
+                        }
+                        _ => {}
                     }
                 }
                 RegistryEvent::Expired(_)
                 | RegistryEvent::Deregistered(_)
                 | RegistryEvent::Quarantined(_) => {
-                    remove_contributions(&mut self.shards[shard], id);
+                    remove_contributions(shard, id);
                 }
                 RegistryEvent::Renewed(_)
                 | RegistryEvent::Probated(_)
@@ -463,7 +494,7 @@ impl ShardedServiceRegistry {
                     // bound — the frontier is unchanged.
                 }
             }
-            self.shards[shard].events.push(event);
+            shard.events.push(event.clone());
         }
     }
 }
@@ -474,9 +505,9 @@ fn add_contributions(shard: &mut ShardState, id: ServiceId, descriptor: &Transco
     if shard.contributions.contains_key(&id) {
         return;
     }
-    // Collapse the service's conversions to one per-key top first —
-    // a service may advertise several conversions in one class.
-    let mut own: BTreeMap<PairKey, ParamVector> = BTreeMap::new();
+    // One member entry per class, however many conversions the service
+    // advertises in it (almost always one conversion, one class).
+    let mut keys: Vec<PairKey> = Vec::with_capacity(descriptor.conversions.len());
     for conversion in &descriptor.conversions {
         let key = PairKey {
             input: conversion.input,
@@ -484,13 +515,17 @@ fn add_contributions(shard: &mut ShardState, id: ServiceId, descriptor: &Transco
             axes: axis_mask(&conversion.output_domain),
         };
         let top = conversion.output_domain.top();
-        merge_max(own.entry(key).or_default(), &top);
-    }
-    let keys: Vec<PairKey> = own.keys().copied().collect();
-    for (key, top) in own {
         let group = shard.frontier.entry(key).or_default();
-        group.members.push((id, top));
         merge_max(&mut group.top, &top);
+        match group.members.last_mut() {
+            // A further conversion of a class already entered above:
+            // `id` is the member pushed last.
+            Some((member, own)) if *member == id => merge_max(own, &top),
+            _ => {
+                group.members.push((id, top));
+                keys.push(key);
+            }
+        }
     }
     shard.contributions.insert(id, keys);
 }
@@ -503,21 +538,16 @@ fn remove_contributions(shard: &mut ShardState, id: ServiceId) {
         return;
     };
     for key in keys {
-        let remove_group = {
-            let group = shard
-                .frontier
-                .get_mut(&key)
-                .expect("contribution index and frontier stay in sync");
-            group.members.retain(|&(member, _)| member != id);
-            if group.members.is_empty() {
-                true
-            } else {
-                group.recompute_top();
-                false
-            }
+        // Only `add_contributions` writes either index, and it enters
+        // a key in both; a missing group leaves nothing to remove.
+        let Some(group) = shard.frontier.get_mut(&key) else {
+            continue;
         };
-        if remove_group {
+        group.members.retain(|&(member, _)| member != id);
+        if group.members.is_empty() {
             shard.frontier.remove(&key);
+        } else {
+            group.recompute_top();
         }
     }
 }
@@ -589,7 +619,7 @@ mod tests {
         let sum: u64 = reg.shard_epochs().iter().map(|&(_, e)| e).sum();
         assert_eq!(sum, reg.flat().epoch());
         // Every event landed in the owner's log.
-        let sa = reg.shard_of(a);
+        let sa = reg.shard_of(a).unwrap();
         assert_eq!(
             reg.shard_events_since(sa, 0).unwrap(),
             &[
@@ -606,7 +636,7 @@ mod tests {
         let mut reg = ShardedServiceRegistry::new(8);
         let a = reg.register_static(descriptor(&f, "s1", "a", "b", 30.0));
         let b = reg.register_static(descriptor(&f, "s2", "b", "c", 30.0));
-        let (sa, sb) = (reg.shard_of(a), reg.shard_of(b));
+        let (sa, sb) = (reg.shard_of(a).unwrap(), reg.shard_of(b).unwrap());
         assert_ne!(sa, sb, "fixture formats land in distinct shards");
         let before = reg.shard_epoch(sb);
         reg.set_quarantine_config(QuarantineConfig {
@@ -704,7 +734,7 @@ mod tests {
         let a = reg.register_static(descriptor(&f, "s1", "a", "b", 30.0));
         reg.renew(a, SimTime(10), 1_000).unwrap();
         reg.renew(a, SimTime(20), 1_000).unwrap();
-        let s = reg.shard_of(a);
+        let s = reg.shard_of(a).unwrap();
         assert_eq!(reg.shard_epoch(s), 3);
 
         assert_eq!(reg.compact_shard_events_below(s, 2), 2);
@@ -727,7 +757,7 @@ mod tests {
         let mut reg = ShardedServiceRegistry::new(8);
         let a = reg.register_static(descriptor(&f, "s1", "a", "b", 30.0));
         let b = reg.register_static(descriptor(&f, "s2", "b", "c", 30.0));
-        let (sa, sb) = (reg.shard_of(a), reg.shard_of(b));
+        let (sa, sb) = (reg.shard_of(a).unwrap(), reg.shard_of(b).unwrap());
         let mut expanded = vec![false; 8];
         expanded[sa as usize] = true;
         let filter = reg.scope_filter(&expanded);
@@ -737,5 +767,80 @@ mod tests {
         want.sort_unstable();
         want.dedup();
         assert_eq!(reg.touched_shards([a, b, a]), want);
+    }
+
+    #[test]
+    fn several_conversions_of_one_class_make_one_member() {
+        let f = fixture();
+        let fps = |max: f64| {
+            DomainVector::new().with(Axis::FrameRate, AxisDomain::Continuous { min: 1.0, max })
+        };
+        // Two (a, b, {frame_rate}) conversions around an (a, c) one.
+        let spec = ServiceSpec::new(
+            "twice",
+            vec![
+                ConversionSpec::new("a", "b", fps(20.0)),
+                ConversionSpec::new("a", "c", fps(10.0)),
+                ConversionSpec::new("a", "b", fps(30.0)),
+            ],
+        );
+        let mut reg = ShardedServiceRegistry::new(1);
+        let twice =
+            reg.register_static(TranscoderDescriptor::resolve(&spec, &f.formats, f.node).unwrap());
+        let other = reg.register_static(descriptor(&f, "other", "a", "b", 25.0));
+        let frontier = reg.frontier(0);
+        assert_eq!(frontier.len(), 2, "{frontier:?}");
+        assert_eq!(frontier[0].1.get(Axis::FrameRate), Some(30.0));
+        assert_eq!(frontier, reg.frontier_from_scratch(0));
+
+        // Removing the other member leaves the service's own class top;
+        // removing the service leaves no trace of either conversion.
+        reg.deregister(other).unwrap();
+        assert_eq!(reg.frontier(0)[0].1.get(Axis::FrameRate), Some(30.0));
+        assert_eq!(reg.frontier(0), reg.frontier_from_scratch(0));
+        reg.deregister(twice).unwrap();
+        assert!(reg.frontier(0).is_empty());
+    }
+
+    #[test]
+    fn unknown_shards_and_foreign_ids_read_as_empty() {
+        let f = fixture();
+        let mut reg = ShardedServiceRegistry::new(2);
+        let a = reg.register_static(descriptor(&f, "s1", "a", "b", 30.0));
+
+        for shard in [2, u32::MAX] {
+            assert_eq!(reg.summaries(shard).count(), 0);
+            assert!(reg.frontier(shard).is_empty());
+            assert!(reg.frontier_from_scratch(shard).is_empty());
+            assert_eq!(reg.shard_epoch(shard), 0);
+            assert_eq!(reg.shard_events_since(shard, 0), Some(&[][..]));
+            assert_eq!(reg.shard_events_since(shard, 7), Some(&[][..]));
+            assert_eq!(reg.compact_shard_events_below(shard, u64::MAX), 0);
+        }
+
+        // An id issued by a larger registry.
+        let mut other = ShardedServiceRegistry::new(2);
+        other.register_static(descriptor(&f, "o1", "a", "b", 30.0));
+        let foreign = other.register_static(descriptor(&f, "o2", "b", "c", 30.0));
+        assert_eq!(reg.shard_of(foreign), None);
+        assert_eq!(
+            reg.touched_shards([foreign, a]),
+            vec![reg.shard_of(a).unwrap()],
+            "a foreign id touches no shard"
+        );
+        // Flags shorter than the shard count exclude, never panic.
+        assert_eq!(reg.scope_filter(&[]), vec![false]);
+        assert!(reg.deregister(foreign).is_err());
+        assert!(reg.renew(foreign, SimTime(1), 1_000).is_err());
+        assert_eq!(reg.report_failure(foreign, SimTime(1)).ok(), Some(false));
+        assert!(reg.report_success(foreign).is_err());
+        assert!(!reg.probate(foreign, 100_000, SimTime(1)));
+        assert!(!reg.probe_success(foreign, SimTime(1)));
+        let sum: u64 = reg.shard_epochs().iter().map(|&(_, e)| e).sum();
+        assert_eq!(
+            sum,
+            reg.flat().epoch(),
+            "nothing was recorded for the foreign id"
+        );
     }
 }
