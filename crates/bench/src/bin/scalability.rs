@@ -63,7 +63,6 @@ fn main() {
         "Expected shape: time grows near-linearly in the *edge* count \
          (heap-backed label-setting plus one single-source Dijkstra per \
          host for edge annotations) — 'similar complexity to shortest \
-         path', as Section 4.4 claims. Pass \
-         candidate_store = LinearScan to see the textbook O(V^2) variant."
+         path', as Section 4.4 claims."
     );
 }

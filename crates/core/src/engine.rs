@@ -68,8 +68,8 @@ pub struct CompositionRequest {
 /// Tuning for [`serve_batch`].
 #[derive(Debug, Clone, Copy)]
 pub struct EngineConfig {
-    /// Worker threads to spawn (clamped to at least 1; `1` serves the
-    /// batch on the spawned worker without any sharing races).
+    /// Worker threads (clamped to at least 1; `1` serves the batch
+    /// inline on the caller's thread).
     pub workers: usize,
     /// Selection options applied to every request in the batch.
     pub options: SelectOptions,
@@ -85,7 +85,7 @@ impl Default for EngineConfig {
 }
 
 /// Render a panic payload for error reporting.
-pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -93,6 +93,53 @@ pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     } else {
         "opaque panic payload".to_string()
     }
+}
+
+/// What a request reports when [`fan_out`] lost its worker.
+const LOST_WORKER: &str = "worker thread lost before reporting";
+
+/// Run `job(0)..job(n - 1)` on up to `workers` threads and return the
+/// results by index — the crate's one worker pool. Workers claim indices
+/// off a shared counter: which worker runs a job is left to scheduling,
+/// where its result lands is not. One worker runs inline on the caller's
+/// thread: at `workers = 0` or `1` nothing is spawned, and the caller's
+/// per-thread selection arena stays warm from one call to the next. Jobs
+/// guard their own panics; a slot is `None` only when the worker that
+/// claimed it died outside that guard, taking everything it had produced
+/// with it.
+pub(crate) fn fan_out<T: Send>(
+    workers: usize,
+    n: usize,
+    job: impl Fn(usize) -> T + Sync,
+) -> Vec<Option<T>> {
+    let next = AtomicUsize::new(0);
+    let worker = || {
+        let mut local = Vec::new();
+        loop {
+            let index = next.fetch_add(1, Ordering::Relaxed);
+            if index >= n {
+                return local;
+            }
+            local.push((index, job(index)));
+        }
+    };
+    let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
+    let mut keep = |local: Vec<(usize, T)>| {
+        for (index, out) in local {
+            slots[index] = Some(out);
+        }
+    };
+    crossbeam::thread::scope(|scope| {
+        let spawned: Vec<_> = (1..workers.min(n)).map(|_| scope.spawn(worker)).collect();
+        // The guard stands in for the join a spawned worker gets.
+        keep(catch_unwind(AssertUnwindSafe(worker)).unwrap_or_default());
+        for handle in spawned {
+            if let Ok(local) = handle.join() {
+                keep(local);
+            }
+        }
+    });
+    slots
 }
 
 /// Serve a batch of requests concurrently through a shared cache.
@@ -123,69 +170,26 @@ pub fn serve_batch_traced<S: TelemetrySink>(
     config: &EngineConfig,
     sink: &S,
 ) -> Vec<Result<Option<AdaptationPlan>>> {
-    let workers = config.workers.max(1).min(requests.len().max(1));
-    let next = AtomicUsize::new(0);
-    let mut collected: Vec<(usize, Result<Option<AdaptationPlan>>)> =
-        Vec::with_capacity(requests.len());
-
-    crossbeam::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                let next = &next;
-                scope.spawn(move || {
-                    let mut local = Vec::new();
-                    loop {
-                        let index = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(request) = requests.get(index) else {
-                            return local;
-                        };
-                        // Per-request isolation: a panic poisons this
-                        // index only, the worker moves on to the next
-                        // request.
-                        let mut trace = RequestTrace::new(sink, index as u64, 0);
-                        let outcome = catch_unwind(AssertUnwindSafe(|| {
-                            cache.compose_traced(
-                                composer,
-                                &request.profiles,
-                                request.sender_host,
-                                request.receiver_host,
-                                &config.options,
-                                &mut trace,
-                            )
-                        }))
-                        .unwrap_or_else(|payload| {
-                            Err(crate::CoreError::WorkerPanic(panic_message(payload)))
-                        });
-                        local.push((index, outcome));
-                    }
-                })
-            })
-            .collect();
-        for handle in handles {
-            // With per-request catch_unwind a worker can only die to a
-            // fault outside composition; salvage what it produced and
-            // let the gap-fill below account for anything lost.
-            if let Ok(local) = handle.join() {
-                collected.extend(local);
-            }
-        }
-    });
-
-    let mut results: Vec<Option<Result<Option<AdaptationPlan>>>> =
-        (0..requests.len()).map(|_| None).collect();
-    for (index, outcome) in collected {
-        results[index] = Some(outcome);
-    }
-    results
-        .into_iter()
-        .map(|slot| {
-            slot.unwrap_or_else(|| {
-                Err(crate::CoreError::WorkerPanic(
-                    "worker thread lost before reporting".to_string(),
-                ))
-            })
-        })
-        .collect()
+    fan_out(config.workers, requests.len(), |index| {
+        let request = &requests[index];
+        // Per-request isolation: a panic poisons this index only, the
+        // worker moves on to the next request.
+        let mut trace = RequestTrace::new(sink, index as u64, 0);
+        catch_unwind(AssertUnwindSafe(|| {
+            cache.compose_traced(
+                composer,
+                &request.profiles,
+                request.sender_host,
+                request.receiver_host,
+                &config.options,
+                &mut trace,
+            )
+        }))
+        .unwrap_or_else(|payload| Err(crate::CoreError::WorkerPanic(panic_message(payload))))
+    })
+    .into_iter()
+    .map(|slot| slot.unwrap_or_else(|| Err(crate::CoreError::WorkerPanic(LOST_WORKER.to_string()))))
+    .collect()
 }
 
 // ---------------------------------------------------------------------
@@ -574,7 +578,7 @@ fn is_transient(error: &crate::CoreError) -> bool {
     )
 }
 
-pub(crate) fn unserved(
+fn unserved(
     attempts: u32,
     backoff_us: u64,
     deadline_exceeded: bool,
@@ -591,6 +595,11 @@ pub(crate) fn unserved(
         brownout_rung: None,
         error,
     }
+}
+
+/// The outcome of a request whose [`fan_out`] worker was lost.
+fn lost_worker() -> RequestOutcome {
+    unserved(0, 0, false, Some(LOST_WORKER.to_string()))
 }
 
 /// Serve one request through the ladder (from `start_rung` down), with
@@ -800,67 +809,25 @@ pub fn serve_batch_resilient_traced<S: TelemetrySink>(
     config: &ResilientEngineConfig,
     sink: &S,
 ) -> ResilientBatch {
-    let workers = config.workers.max(1).min(requests.len().max(1));
-    let next = AtomicUsize::new(0);
-    let mut collected: Vec<(usize, RequestOutcome)> = Vec::with_capacity(requests.len());
     // One graph store per batch, shared across workers: the snapshot
     // cannot move mid-batch, so every request after the first per
     // (endpoints, variants, decoders) key reuses the built graph.
     let graph_store = GraphStore::new();
-
-    crossbeam::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                let next = &next;
-                let graph_store = &graph_store;
-                scope.spawn(move || {
-                    let mut local = Vec::new();
-                    loop {
-                        let index = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(request) = requests.get(index) else {
-                            return local;
-                        };
-                        let mut trace = RequestTrace::new(sink, index as u64, 0);
-                        local.push((
-                            index,
-                            serve_one(
-                                composer,
-                                graph_store,
-                                request,
-                                index,
-                                config,
-                                DegradationRung::Full,
-                                &mut trace,
-                            ),
-                        ));
-                    }
-                })
-            })
-            .collect();
-        for handle in handles {
-            if let Ok(local) = handle.join() {
-                collected.extend(local);
-            }
-        }
-    });
-
-    let mut slots: Vec<Option<RequestOutcome>> = (0..requests.len()).map(|_| None).collect();
-    for (index, outcome) in collected {
-        slots[index] = Some(outcome);
-    }
-    let outcomes = slots
-        .into_iter()
-        .map(|slot| {
-            slot.unwrap_or_else(|| {
-                unserved(
-                    0,
-                    0,
-                    false,
-                    Some("worker thread lost before reporting".to_string()),
-                )
-            })
-        })
-        .collect();
+    let outcomes = fan_out(config.workers, requests.len(), |index| {
+        let mut trace = RequestTrace::new(sink, index as u64, 0);
+        serve_one(
+            composer,
+            &graph_store,
+            &requests[index],
+            index,
+            config,
+            DegradationRung::Full,
+            &mut trace,
+        )
+    })
+    .into_iter()
+    .map(|slot| slot.unwrap_or_else(lost_worker))
+    .collect();
     ResilientBatch { outcomes }
 }
 
@@ -936,66 +903,40 @@ pub fn serve_batch_with_admission_traced<S: TelemetrySink>(
     let admitted: Vec<usize> = (0..requests.len())
         .filter(|&i| admission.decisions[i].admitted)
         .collect();
-    let workers = config.workers.max(1).min(admitted.len().max(1));
-    let next = AtomicUsize::new(0);
-    let mut collected: Vec<(usize, RequestOutcome)> = Vec::with_capacity(admitted.len());
     // Shared per-batch graph store (see serve_batch_resilient_traced);
     // brown-out rungs rewrite only the user profile, so every rung of
     // every admitted request maps to the same graph key.
     let graph_store = GraphStore::new();
-
-    crossbeam::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                let next = &next;
-                let admitted = &admitted;
-                let admission = &admission;
-                let graph_store = &graph_store;
-                scope.spawn(move || {
-                    let mut local = Vec::new();
-                    loop {
-                        let slot = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(&index) = admitted.get(slot) else {
-                            return local;
-                        };
-                        let decision = &admission.decisions[index];
-                        let rung = decision.start_rung;
-                        let mut trace =
-                            RequestTrace::new(sink, index as u64, arrivals[index].arrival_us);
-                        let admission_span = trace.open_span(ROOT_SPAN, "admission");
-                        trace.emit(
-                            admission_span,
-                            EventKind::RequestAdmitted {
-                                queue_wait_us: decision.queue_wait_us,
-                                rung: rung.label(),
-                            },
-                        );
-                        trace.advance_to(decision.start_us);
-                        let mut outcome = serve_one(
-                            composer,
-                            graph_store,
-                            &requests[index],
-                            index,
-                            config,
-                            rung,
-                            &mut trace,
-                        );
-                        outcome.brownout_rung = Some(rung);
-                        local.push((index, outcome));
-                    }
-                })
-            })
-            .collect();
-        for handle in handles {
-            if let Ok(local) = handle.join() {
-                collected.extend(local);
-            }
-        }
+    let composed = fan_out(config.workers, admitted.len(), |slot| {
+        let index = admitted[slot];
+        let decision = &admission.decisions[index];
+        let rung = decision.start_rung;
+        let mut trace = RequestTrace::new(sink, index as u64, arrivals[index].arrival_us);
+        let admission_span = trace.open_span(ROOT_SPAN, "admission");
+        trace.emit(
+            admission_span,
+            EventKind::RequestAdmitted {
+                queue_wait_us: decision.queue_wait_us,
+                rung: rung.label(),
+            },
+        );
+        trace.advance_to(decision.start_us);
+        let mut outcome = serve_one(
+            composer,
+            &graph_store,
+            &requests[index],
+            index,
+            config,
+            rung,
+            &mut trace,
+        );
+        outcome.brownout_rung = Some(rung);
+        outcome
     });
 
     let mut slots: Vec<Option<RequestOutcome>> = (0..requests.len()).map(|_| None).collect();
-    for (index, outcome) in collected {
-        slots[index] = Some(outcome);
+    for (&index, outcome) in admitted.iter().zip(composed) {
+        slots[index] = outcome;
     }
     let outcomes: Vec<RequestOutcome> = slots
         .into_iter()
@@ -1024,12 +965,7 @@ pub fn serve_batch_with_admission_traced<S: TelemetrySink>(
                         ..unserved(0, 0, false, None)
                     }
                 }
-                None => unserved(
-                    0,
-                    0,
-                    false,
-                    Some("worker thread lost before reporting".to_string()),
-                ),
+                None => lost_worker(),
             }
         })
         .collect();
@@ -1111,6 +1047,57 @@ mod tests {
             }],
         );
         request
+    }
+
+    #[test]
+    fn fan_out_returns_results_by_index() {
+        for workers in [0usize, 1, 2, 9] {
+            for n in [0usize, 1, 7] {
+                let got = fan_out(workers, n, |index| index * 10);
+                let want: Vec<Option<usize>> = (0..n).map(|index| Some(index * 10)).collect();
+                assert_eq!(got, want, "workers={workers} n={n}");
+            }
+        }
+    }
+
+    #[test]
+    fn fan_out_loses_only_what_a_dead_worker_had_claimed() {
+        use std::sync::{Barrier, Mutex};
+        use std::thread::ThreadId;
+        const N: usize = 7;
+        for workers in [1usize, 3] {
+            // The first `workers` jobs meet at a barrier, so every worker
+            // holds a result by the time the last job takes its worker down.
+            let barrier = Barrier::new(workers);
+            let claimed: Mutex<Vec<Option<ThreadId>>> = Mutex::new(vec![None; N]);
+            let slots = fan_out(workers, N, |index| {
+                claimed.lock().unwrap()[index] = Some(std::thread::current().id());
+                if index < workers {
+                    barrier.wait();
+                }
+                if index == N - 1 {
+                    panic!("a fault outside any per-request guard");
+                }
+                index
+            });
+            let claimed = claimed.into_inner().unwrap();
+            let dead = claimed[N - 1];
+            let mut lost = 0;
+            for (index, slot) in slots.iter().enumerate() {
+                if claimed[index] == dead {
+                    assert_eq!(*slot, None, "workers={workers} index={index}");
+                    lost += 1;
+                } else {
+                    assert_eq!(*slot, Some(index), "workers={workers} index={index}");
+                }
+            }
+            assert!(lost >= 2, "the dead worker's earlier results go with it");
+            if workers == 1 {
+                assert_eq!(lost, N);
+            } else {
+                assert!(lost < N, "the other workers' results survive");
+            }
+        }
     }
 
     #[test]

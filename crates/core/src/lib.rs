@@ -79,11 +79,9 @@ pub use select::{
     SelectedChain, SelectionOutcome, SelectionTrace, TieBreak,
 };
 pub use session::{
-    run_sessions, serve_batch_resilient_sessions, serve_batch_resilient_sessions_traced,
-    serve_batch_sessions, serve_batch_sessions_traced, serve_batch_with_admission_sessions,
-    serve_batch_with_admission_sessions_traced, AbrConfig, AbrMode, BolaController, BufferAdvance,
-    CloseReason, PlayoutBuffer, SessionCounters, SessionEngineConfig, SessionOutcome,
-    SessionRequest, SessionWorld, SessionsReport, SlaConfig, SlaMode, StaticWorld,
+    run_sessions, AbrConfig, AbrMode, BolaController, BufferAdvance, CloseReason, PlayoutBuffer,
+    SessionCounters, SessionEngineConfig, SessionOutcome, SessionRequest, SessionWorld,
+    SessionsReport, SlaConfig, SlaMode, StaticWorld,
 };
 pub use sharded_compose::{ShardedComposer, TwoLevelComposition};
 

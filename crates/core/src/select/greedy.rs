@@ -33,11 +33,11 @@
 //! the registry holds — and the lazy-deletion heap and all working
 //! buffers keep their capacity between runs. Dominance pruning —
 //! dropping a relaxed label that does not beat the incumbent of its
-//! state — is one slot comparison. Handles ascend vertex-major, then by
-//! `FormatId` within a vertex: the `Ord` of [`StateKey`], hence the
-//! iteration order of the `BTreeMap<StateKey, _>` the slots replaced, so
-//! plans, traces, and tie-breaks are bitwise identical to the allocating
-//! implementation (`select/reference.rs` holds it to that).
+//! state — is one slot comparison. Step 4's argmax pops the heap, whose
+//! key encodes the tie-break policy and, where the policy leaves a tie,
+//! the [`StateKey`] itself, so plans, traces, and tie-breaks are bitwise
+//! identical to the allocating search over `BTreeMap<StateKey, _>`
+//! (`select/reference.rs` holds it to that).
 //!
 //! What a run allocates is what it returns: the chain, and — with
 //! [`SelectOptions::record_trace`], which is on by default — the
@@ -57,7 +57,7 @@ use qosc_media::{FormatId, FormatRegistry};
 use qosc_satisfaction::{OptimizeOptions, SatisfactionProfile};
 use std::cell::RefCell;
 use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Deterministic tie-breaking among equally satisfying candidates.
 ///
@@ -76,28 +76,11 @@ pub enum TieBreak {
     ByVertexIndex,
 }
 
-/// How Step 4's argmax over the candidate set is computed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CandidateStore {
-    /// A lazy-deletion binary heap keyed by an order-encoding of the
-    /// tie-break policy: O(log n) per round. Produces *exactly* the same
-    /// selection sequence as [`CandidateStore::LinearScan`] (asserted by
-    /// tests); the default.
-    #[default]
-    BinaryHeap,
-    /// A linear scan over the candidate slots: the reference
-    /// implementation, O(n) per round — "textbook Dijkstra without a
-    /// heap".
-    LinearScan,
-}
-
 /// Options for [`select_chain`].
 #[derive(Debug, Clone, Copy)]
 pub struct SelectOptions {
     /// Tie-breaking policy.
     pub tie_break: TieBreak,
-    /// Candidate-set data structure.
-    pub candidate_store: CandidateStore,
     /// Parameter-optimizer tuning.
     pub optimizer: OptimizeOptions,
     /// Record the Table-1 trace: one log entry per state discovered and
@@ -105,16 +88,6 @@ pub struct SelectOptions {
     pub record_trace: bool,
     /// Safety valve on rounds (defaults to effectively unlimited).
     pub max_rounds: usize,
-    /// Evaluate the Step-2/Step-8 `Optimize()` calls for a settled
-    /// label's out-edges on a scoped thread pool instead of in edge
-    /// order. The per-edge evaluations are independent (they read only
-    /// the settled label and the shared graph), and their results are
-    /// merged back *in edge order*, so the candidate relaxation
-    /// sequence — and with it the selection trace — is bitwise
-    /// identical to the sequential mode (asserted by tests). Off by
-    /// default; worthwhile only when single-edge optimization is
-    /// expensive relative to thread handoff.
-    pub parallel_expand: bool,
     /// Wall-clock deadline for this selection run, checked between
     /// rounds. `None` (the default) never trips, keeping seeded runs
     /// deterministic; the resilient engine sets it from a per-request
@@ -127,11 +100,9 @@ impl Default for SelectOptions {
     fn default() -> SelectOptions {
         SelectOptions {
             tie_break: TieBreak::default(),
-            candidate_store: CandidateStore::default(),
             optimizer: OptimizeOptions::default(),
             record_trace: true,
             max_rounds: usize::MAX,
-            parallel_expand: false,
             deadline: None,
         }
     }
@@ -148,10 +119,12 @@ struct HeapEntry {
     handle: usize,
 }
 
-/// Encode (label, policy) into a lexicographically max-ordered key that
-/// reproduces the linear scan's selection order exactly. Satisfaction
-/// and cost are non-negative finite floats, so `f64::to_bits` is
-/// monotone; descending components are bit-complemented.
+/// Encode (label, policy) into a lexicographically max-ordered key:
+/// highest satisfaction first, ties by `tie_break`, what the policy
+/// leaves tied by ascending [`StateKey`] (`select/reference.rs` holds
+/// the order to a scan over ordered maps). Satisfaction and cost are
+/// non-negative finite floats, so `f64::to_bits` is monotone;
+/// descending components are bit-complemented.
 fn heap_key(tie_break: TieBreak, label: &Label, seq: u64) -> [u64; 4] {
     let sat = label.satisfaction.to_bits();
     let state_code =
@@ -228,10 +201,7 @@ struct Candidate {
 /// `v`'s distinct outputs, ascending by [`FormatId`], occupy
 /// `outputs[base[v]..base[v + 1]]` — and a state's handle is its
 /// position in `outputs`. Handles therefore ascend vertex-major and
-/// format-ascending within a vertex, which is the derived `Ord` of
-/// [`StateKey`]: a scan over the slot stores visits states in the order
-/// the `BTreeMap<StateKey, _>` they replaced did, and that order is
-/// what decides ties the policies leave open.
+/// format-ascending within a vertex, the derived `Ord` of [`StateKey`].
 ///
 /// Rebuilt per request into buffers that keep their capacity
 /// (O(Σ conversions), no steady-state allocation). It is not cached on
@@ -304,8 +274,8 @@ fn stale_state(state: StateKey) -> CoreError {
 }
 
 /// A slot store over [`StateTable`] handles with generation stamps: O(1)
-/// insert/lookup/remove/dominance-check, O(1) clear (one counter bump),
-/// in-order scans. Slots keep their capacity across requests.
+/// insert/lookup/remove/dominance-check, O(1) clear (one counter bump).
+/// Slots keep their capacity across requests.
 struct StateSlots<T> {
     generation: u32,
     stamps: Vec<u32>,
@@ -382,22 +352,6 @@ impl<T> StateSlots<T> {
     fn is_empty(&self) -> bool {
         self.len == 0
     }
-
-    /// Live slots with their handles, in ascending handle order
-    /// (vertex-major, format-ascending — the `StateKey` sort order).
-    fn iter(&self) -> impl Iterator<Item = (usize, &T)> + '_ {
-        self.stamps
-            .iter()
-            .zip(self.slots.iter())
-            .enumerate()
-            .filter_map(move |(handle, (&stamp, slot))| {
-                if stamp == self.generation {
-                    slot.as_ref().map(|value| (handle, value))
-                } else {
-                    None
-                }
-            })
-    }
 }
 
 /// Per-thread reusable scratch for [`select_chain`]: in steady state a
@@ -411,7 +365,7 @@ struct SelectScratch {
     /// Candidate set: best label per state (Steps 2/8, dominance-pruned
     /// on relaxation).
     candidates: StateSlots<Candidate>,
-    /// Lazy-deletion heap for [`CandidateStore::BinaryHeap`].
+    /// Lazy-deletion heap over `candidates` for Step 4's argmax.
     heap: BinaryHeap<HeapEntry>,
     /// Out-edges of the settling vertex matching its committed format.
     matching: Vec<EdgeId>,
@@ -635,12 +589,9 @@ fn select_with_scratch(
         rounds += 1;
 
         // Step 4: select the candidate with the highest satisfaction.
-        let best = match options.candidate_store {
-            CandidateStore::LinearScan => pick_best(&scratch.candidates, options.tie_break),
-            CandidateStore::BinaryHeap => pick_best_heap(&mut scratch.heap, &scratch.candidates),
-        };
-        // Both argmaxes return the handle of a slot they just read as
-        // live, and nothing ran in between.
+        let best = pick_best(&mut scratch.heap, &scratch.candidates);
+        // The argmax returns the handle of a slot it just read as live,
+        // and nothing ran in between.
         let Candidate { label, .. } = scratch
             .candidates
             .remove(best)
@@ -710,34 +661,16 @@ fn expand(
         matching.push(edge_id);
     }
 
-    // Evaluate Optimize() per edge — in parallel when asked — and merge
-    // in edge order. Each evaluation reads only the shared graph and the
-    // settled label, so parallel evaluation changes scheduling, never
-    // results; the in-order merge keeps seq numbering (and the trace)
-    // bitwise identical to sequential mode.
-    let mut merge = |candidate: Label| -> Result<()> {
-        let discovered = relax(
-            options, states, settled, candidates, heap, next_seq, candidate,
-        )?;
-        if let (true, Some(log)) = (discovered, log.as_deref_mut()) {
-            let state = candidate.state;
-            log.discover(state, &graph.vertex(state.vertex)?.name);
-        }
-        Ok(())
-    };
-    if options.parallel_expand && matching.len() > 1 {
-        for batch in evaluate_edges_parallel(context, label, matching) {
-            *optimizations += 1;
-            for candidate in batch? {
-                merge(candidate)?;
-            }
-        }
-    } else {
-        for &edge_id in matching.iter() {
-            context.extend_into(label, edge_id, extend_buf)?;
-            *optimizations += 1;
-            for &candidate in extend_buf.iter() {
-                merge(candidate)?;
+    for &edge_id in matching.iter() {
+        context.extend_into(label, edge_id, extend_buf)?;
+        *optimizations += 1;
+        for &candidate in extend_buf.iter() {
+            let discovered = relax(
+                options, states, settled, candidates, heap, next_seq, candidate,
+            )?;
+            if let (true, Some(log)) = (discovered, log.as_deref_mut()) {
+                let state = candidate.state;
+                log.discover(state, &graph.vertex(state.vertex)?.name);
             }
         }
     }
@@ -773,26 +706,22 @@ fn relax(
                 || (candidate.satisfaction == existing.label.satisfaction
                     && candidate.accumulated_cost < existing.label.accumulated_cost);
             if better {
-                if options.candidate_store == CandidateStore::BinaryHeap {
-                    heap.push(HeapEntry {
-                        key: heap_key(options.tie_break, &candidate, seq),
-                        seq,
-                        handle: index,
-                    });
-                }
+                heap.push(HeapEntry {
+                    key: heap_key(options.tie_break, &candidate, seq),
+                    seq,
+                    handle: index,
+                });
                 existing.label = candidate;
                 existing.seq = seq;
             }
             Ok(false)
         }
         None => {
-            if options.candidate_store == CandidateStore::BinaryHeap {
-                heap.push(HeapEntry {
-                    key: heap_key(options.tie_break, &candidate, seq),
-                    seq,
-                    handle: index,
-                });
-            }
+            heap.push(HeapEntry {
+                key: heap_key(options.tie_break, &candidate, seq),
+                seq,
+                handle: index,
+            });
             candidates.insert(
                 index,
                 Candidate {
@@ -805,51 +734,10 @@ fn relax(
     }
 }
 
-/// Evaluate `context.extend(label, edge)` for every edge on a scoped
-/// worker pool, returning results indexed by the edge's position in
-/// `edges` (so the caller can merge in edge order).
-fn evaluate_edges_parallel(
-    context: &ExtendContext<'_>,
-    label: &Label,
-    edges: &[EdgeId],
-) -> Vec<Result<Vec<Label>>> {
-    let workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(edges.len());
-    let next = AtomicUsize::new(0);
-    let mut out: Vec<Option<Result<Vec<Label>>>> = (0..edges.len()).map(|_| None).collect();
-    crossbeam::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                let next = &next;
-                scope.spawn(move || {
-                    let mut local = Vec::new();
-                    loop {
-                        let index = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(&edge_id) = edges.get(index) else {
-                            return local;
-                        };
-                        local.push((index, context.extend(label, edge_id)));
-                    }
-                })
-            })
-            .collect();
-        for handle in handles {
-            for (index, result) in handle.join().expect("edge evaluation worker panicked") {
-                out[index] = Some(result);
-            }
-        }
-    });
-    out.into_iter()
-        .map(|slot| slot.expect("every edge index claimed by exactly one worker"))
-        .collect()
-}
-
 /// Step 4's argmax via the lazy-deletion heap: pop entries until one
 /// still matches the candidate store's current generation for its state,
 /// and return that state's handle. Call with a non-empty candidate set.
-fn pick_best_heap(heap: &mut BinaryHeap<HeapEntry>, candidates: &StateSlots<Candidate>) -> usize {
+fn pick_best(heap: &mut BinaryHeap<HeapEntry>, candidates: &StateSlots<Candidate>) -> usize {
     while let Some(entry) = heap.pop() {
         if let Some(current) = candidates.get(entry.handle) {
             if current.seq == entry.seq {
@@ -863,48 +751,6 @@ fn pick_best_heap(heap: &mut BinaryHeap<HeapEntry>, candidates: &StateSlots<Cand
     // one matching a live slot returns there: a live slot always has
     // its entry in the heap.
     unreachable!("heap drained while candidates remain")
-}
-
-/// Step 4's argmax with the configured tie-break: a scan over the
-/// candidate slots in handle order — the replaced `BTreeMap`'s order,
-/// which settles what the policy leaves tied — returning the winner's
-/// handle. Call with a non-empty candidate set.
-fn pick_best(candidates: &StateSlots<Candidate>, tie_break: TieBreak) -> usize {
-    let mut best: Option<(usize, &Candidate)> = None;
-    for (handle, candidate) in candidates.iter() {
-        let better = match best {
-            None => true,
-            Some((_, current)) => {
-                let sat = candidate.label.satisfaction;
-                let best_sat = current.label.satisfaction;
-                if sat != best_sat {
-                    sat > best_sat
-                } else {
-                    match tie_break {
-                        TieBreak::PaperOrder => {
-                            let cost = candidate.label.accumulated_cost;
-                            let best_cost = current.label.accumulated_cost;
-                            if cost != best_cost {
-                                cost < best_cost
-                            } else {
-                                candidate.seq > current.seq
-                            }
-                        }
-                        TieBreak::Fifo => candidate.seq < current.seq,
-                        TieBreak::ByVertexIndex => {
-                            candidate.label.state.vertex < current.label.state.vertex
-                        }
-                    }
-                }
-            }
-        };
-        if better {
-            best = Some((handle, candidate));
-        }
-    }
-    // Step 3 returned `CandidatesExhausted` unless a slot is live, and
-    // the scan visits every live slot.
-    best.expect("candidates not empty").0
 }
 
 /// Step 10: materialize the full chain from the receiver's label.
@@ -1341,41 +1187,5 @@ mod tests {
             format!("{:?}", second.trace.rows)
         );
         assert_eq!(first.chain.unwrap().names(), second.chain.unwrap().names());
-    }
-
-    #[test]
-    fn heap_and_scan_agree_after_arena_reuse() {
-        // Alternate candidate stores on one thread so both paths run on
-        // a warm (previously used) arena, then compare selections.
-        let (formats, graph) = fork_fixture();
-        let profile = qosc_satisfaction::SatisfactionProfile::paper_table1();
-        for _ in 0..3 {
-            let heap = select_chain(
-                &graph,
-                &formats,
-                &profile,
-                f64::INFINITY,
-                &SelectOptions {
-                    candidate_store: CandidateStore::BinaryHeap,
-                    ..SelectOptions::default()
-                },
-            )
-            .unwrap();
-            let scan = select_chain(
-                &graph,
-                &formats,
-                &profile,
-                f64::INFINITY,
-                &SelectOptions {
-                    candidate_store: CandidateStore::LinearScan,
-                    ..SelectOptions::default()
-                },
-            )
-            .unwrap();
-            assert_eq!(
-                format!("{:?}", heap.trace.rows),
-                format!("{:?}", scan.trace.rows)
-            );
-        }
     }
 }

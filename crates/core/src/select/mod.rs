@@ -9,8 +9,8 @@ pub mod trace;
 
 pub use alternates::{alternates, Alternate};
 pub use greedy::{
-    arena_reuse_total, arena_slots, select_chain, select_chain_with_penalties, CandidateStore,
-    SelectFailure, SelectOptions, SelectionOutcome, TieBreak,
+    arena_reuse_total, arena_slots, select_chain, select_chain_with_penalties, SelectFailure,
+    SelectOptions, SelectionOutcome, TieBreak,
 };
 pub use label::{ExtendContext, Label, StateKey};
 pub use trace::{SelectionTrace, TraceRow};

@@ -7,14 +7,14 @@
 //! before they became an event log. The properties below hold the log's
 //! materialised rows to its rows, `Debug`-bitwise, and the optimised
 //! search's discovery and selection sequences to its own, state by
-//! state — which is what pins the slot stores' scan order to the maps'
+//! state — which is what pins the heap's key order to the maps'
 //! `StateKey` order where a tie-break policy leaves the choice to it.
 
 use crate::graph::model::VertexConversion;
 use crate::graph::{AdaptationGraph, Edge, Vertex, VertexId, VertexKind};
 use crate::select::greedy::{
-    arena_slots, select_chain_with_penalties, CandidateStore, SelectFailure, SelectOptions,
-    SelectionOutcome, TieBreak,
+    arena_slots, select_chain_with_penalties, SelectFailure, SelectOptions, SelectionOutcome,
+    TieBreak,
 };
 use crate::select::label::{ExtendContext, Label, StateKey};
 use crate::select::trace::TraceRow;
@@ -497,7 +497,6 @@ const TIE_BREAKS: [TieBreak; 3] = [
     TieBreak::Fifo,
     TieBreak::ByVertexIndex,
 ];
-const STORES: [CandidateStore; 2] = [CandidateStore::BinaryHeap, CandidateStore::LinearScan];
 
 fn run(mesh: &Mesh, options: &SelectOptions, penalties: &[(ServiceId, u64)]) -> SelectionOutcome {
     select_chain_with_penalties(
@@ -557,21 +556,16 @@ fn assert_same(outcome: &SelectionOutcome, want: &ReferenceRun, context: &str) {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 96, ..ProptestConfig::default() })]
 
-    /// Every policy × store × penalties combination, run to completion
-    /// (success or `CandidatesExhausted`, each with the rounds that ran).
+    /// Every policy × penalties combination, run to completion (success
+    /// or `CandidatesExhausted`, each with the rounds that ran).
     #[test]
     fn materialised_rows_equal_reference_rows(seed in 0u64..1 << 48) {
         let mesh = random_mesh(seed);
         for tie_break in TIE_BREAKS {
-            for candidate_store in STORES {
-                for penalties in [&[][..], &mesh.penalties[..]] {
-                    let options = SelectOptions { tie_break, candidate_store, ..SelectOptions::default() };
-                    let context = format!(
-                        "seed {seed} {tie_break:?} {candidate_store:?} {} penalties",
-                        penalties.len()
-                    );
-                    assert_same(&run(&mesh, &options, penalties), &reference(&mesh, &options, penalties), &context);
-                }
+            for penalties in [&[][..], &mesh.penalties[..]] {
+                let options = SelectOptions { tie_break, ..SelectOptions::default() };
+                let context = format!("seed {seed} {tie_break:?} {} penalties", penalties.len());
+                assert_same(&run(&mesh, &options, penalties), &reference(&mesh, &options, penalties), &context);
             }
         }
     }
@@ -661,13 +655,12 @@ fn generated_meshes_cover_the_special_cases() {
 /// The generator also reaches what the state table exists to get right:
 /// a vertex whose listing order is not its `FormatId` order, an output
 /// shared by conversions from different inputs, and — under
-/// `LinearScan` × `ByVertexIndex`, the one combination that leaves ties
-/// to the store's scan order — rounds that order actually decides.
+/// `ByVertexIndex`, the one policy that leaves ties to the reference's
+/// map order — rounds that order actually decides.
 #[test]
 fn generated_meshes_cover_the_state_table_cases() {
     let options = SelectOptions {
         tie_break: TieBreak::ByVertexIndex,
-        candidate_store: CandidateStore::LinearScan,
         ..SelectOptions::default()
     };
     let (mut descending, mut shared_output, mut order_decided) = (0, 0, 0);

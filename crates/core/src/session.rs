@@ -31,16 +31,6 @@
 //! of one virtual instant fan out across workers, but every result is
 //! a pure function of the request and the world snapshot).
 //!
-//! ## Batch adapters
-//!
-//! [`serve_batch_sessions`], [`serve_batch_resilient_sessions`] and
-//! [`serve_batch_with_admission_sessions`] re-express the existing
-//! batch entry points as degenerate zero-duration sessions and produce
-//! **bitwise identical** plans, outcomes, counters and telemetry logs
-//! (the `batch_adapter_equivalence` integration test pins this), so
-//! every committed scorecard is reproducible through the session
-//! engine path.
-//!
 //! Naming note: `qosc_pipeline::session` replays one *frame-level*
 //! streaming session through an already-composed chain; this module is
 //! the *serving* loop that owns many concurrent session lifecycles and
@@ -49,19 +39,14 @@
 pub mod abr;
 pub mod event_loop;
 
-use crate::admission::{AdmissionConfig, AdmissionStats, ArrivalMeta, PriorityClass, ShedReason};
-use crate::cache::ShardedCompositionCache;
+use crate::admission::{AdmissionConfig, AdmissionStats, ArrivalMeta, ShedReason};
 use crate::composer::Composer;
-use crate::engine::{
-    unserved, AdmittedBatch, CompositionRequest, DegradationRung, EngineConfig, RequestOutcome,
-    ResilientBatch, ResilientEngineConfig,
-};
+use crate::engine::{CompositionRequest, DegradationRung, ResilientEngineConfig};
 use crate::plan::AdaptationPlan;
-use crate::AdmissionPlan;
 use qosc_media::FormatRegistry;
 use qosc_netsim::Network;
 use qosc_services::{QosEstimatorConfig, QosObservation, ServiceId, ServiceRegistry};
-use qosc_telemetry::{MetricsRegistry, TelemetrySink};
+use qosc_telemetry::MetricsRegistry;
 
 pub use abr::{AbrConfig, AbrMode, BolaController, BufferAdvance, PlayoutBuffer};
 pub use event_loop::run_sessions;
@@ -263,8 +248,7 @@ pub trait SessionWorld {
 }
 
 /// A world that never changes: composition state borrowed from a
-/// scenario, no scheduled events, plans never break. The batch adapters
-/// run on this.
+/// scenario, no scheduled events, plans never break.
 #[derive(Debug, Clone, Copy)]
 pub struct StaticWorld<'a> {
     /// Format registry.
@@ -351,9 +335,9 @@ pub struct SessionEngineConfig {
     /// to quiescence.
     pub horizon_us: Option<u64>,
     /// Emit session-scoped telemetry (`session_opened`/`session_closed`
-    /// events, `epoch`/`recompose` child spans). The batch adapters
-    /// turn this off so traces stay bitwise identical to the
-    /// pre-session paths.
+    /// events, `epoch` child spans, rebuffer/switch/SLA/grant events).
+    /// Off, a session logs only its compositions — admission verdict,
+    /// ladder rungs, retries, mid-stream repairs.
     pub session_spans: bool,
     /// Buffer-aware mid-stream adaptation ([`AbrConfig`]). `None` runs
     /// the exact pre-buffer code paths — no buffer state, no extra
@@ -653,234 +637,10 @@ impl SessionsReport {
     }
 }
 
-// ---------------------------------------------------------------------
-// Batch adapters: serve_batch* as degenerate zero-duration sessions
-// ---------------------------------------------------------------------
-
-fn degenerate(request: &CompositionRequest, arrival: ArrivalMeta) -> SessionRequest {
-    SessionRequest {
-        request: request.clone(),
-        arrival,
-        hold_us: 0,
-        demand_bps: 0,
-    }
-}
-
-fn zero_arrival() -> ArrivalMeta {
-    ArrivalMeta {
-        arrival_us: 0,
-        priority: PriorityClass::Standard,
-        service_cost_us: 1,
-        deadline_budget_us: None,
-    }
-}
-
-fn batch_config(
-    resilient: ResilientEngineConfig,
-    admission: Option<AdmissionConfig>,
-) -> SessionEngineConfig {
-    SessionEngineConfig {
-        resilient,
-        admission,
-        tick_us: 0,
-        max_recompositions: 0,
-        horizon_us: None,
-        session_spans: false,
-        abr: None,
-        sla: None,
-    }
-}
-
-/// [`serve_batch`](crate::serve_batch) re-expressed through the session
-/// engine: every request is a zero-duration session opening at virtual
-/// time 0 with no admission. Results are bitwise identical to
-/// `serve_batch`, including telemetry.
-pub fn serve_batch_sessions(
-    composer: &Composer<'_>,
-    cache: &ShardedCompositionCache,
-    requests: &[CompositionRequest],
-    config: &EngineConfig,
-) -> Vec<crate::Result<Option<AdaptationPlan>>> {
-    serve_batch_sessions_traced(composer, cache, requests, config, &qosc_telemetry::NoopSink)
-}
-
-/// [`serve_batch_traced`](crate::serve_batch_traced) through the
-/// session engine.
-pub fn serve_batch_sessions_traced<S: TelemetrySink>(
-    composer: &Composer<'_>,
-    cache: &ShardedCompositionCache,
-    requests: &[CompositionRequest],
-    config: &EngineConfig,
-    sink: &S,
-) -> Vec<crate::Result<Option<AdaptationPlan>>> {
-    let mut world = StaticWorld {
-        formats: composer.formats,
-        services: composer.services,
-        network: composer.network,
-    };
-    let sessions: Vec<SessionRequest> = requests
-        .iter()
-        .map(|r| degenerate(r, zero_arrival()))
-        .collect();
-    let resilient = ResilientEngineConfig {
-        workers: config.workers,
-        options: config.options,
-        ..ResilientEngineConfig::default()
-    };
-    let run = event_loop::run(
-        &mut world,
-        &sessions,
-        &batch_config(resilient, None),
-        event_loop::Backend::Cached {
-            cache,
-            options: config.options,
-        },
-        sink,
-    );
-    run.batch_results
-        .into_iter()
-        .map(|slot| {
-            slot.unwrap_or_else(|| {
-                Err(crate::CoreError::WorkerPanic(
-                    "worker thread lost before reporting".to_string(),
-                ))
-            })
-        })
-        .collect()
-}
-
-/// [`serve_batch_resilient`](crate::serve_batch_resilient) re-expressed
-/// through the session engine; outcomes, counters and telemetry are
-/// bitwise identical.
-pub fn serve_batch_resilient_sessions(
-    composer: &Composer<'_>,
-    requests: &[CompositionRequest],
-    config: &ResilientEngineConfig,
-) -> ResilientBatch {
-    serve_batch_resilient_sessions_traced(composer, requests, config, &qosc_telemetry::NoopSink)
-}
-
-/// [`serve_batch_resilient_traced`](crate::serve_batch_resilient_traced)
-/// through the session engine.
-pub fn serve_batch_resilient_sessions_traced<S: TelemetrySink>(
-    composer: &Composer<'_>,
-    requests: &[CompositionRequest],
-    config: &ResilientEngineConfig,
-    sink: &S,
-) -> ResilientBatch {
-    let mut world = StaticWorld {
-        formats: composer.formats,
-        services: composer.services,
-        network: composer.network,
-    };
-    let sessions: Vec<SessionRequest> = requests
-        .iter()
-        .map(|r| degenerate(r, zero_arrival()))
-        .collect();
-    let run = event_loop::run(
-        &mut world,
-        &sessions,
-        &batch_config(*config, None),
-        event_loop::Backend::Resilient,
-        sink,
-    );
-    ResilientBatch {
-        outcomes: collect_outcomes(run.request_outcomes),
-    }
-}
-
-/// [`serve_batch_with_admission`](crate::serve_batch_with_admission)
-/// re-expressed through the session engine; outcomes, admission
-/// decisions, stats and telemetry are bitwise identical.
-///
-/// # Panics
-///
-/// Panics when `requests.len() != arrivals.len()`.
-pub fn serve_batch_with_admission_sessions(
-    composer: &Composer<'_>,
-    requests: &[CompositionRequest],
-    arrivals: &[ArrivalMeta],
-    config: &ResilientEngineConfig,
-) -> AdmittedBatch {
-    serve_batch_with_admission_sessions_traced(
-        composer,
-        requests,
-        arrivals,
-        config,
-        &qosc_telemetry::NoopSink,
-    )
-}
-
-/// [`serve_batch_with_admission_traced`](crate::serve_batch_with_admission_traced)
-/// through the session engine.
-///
-/// # Panics
-///
-/// Panics when `requests.len() != arrivals.len()`.
-pub fn serve_batch_with_admission_sessions_traced<S: TelemetrySink>(
-    composer: &Composer<'_>,
-    requests: &[CompositionRequest],
-    arrivals: &[ArrivalMeta],
-    config: &ResilientEngineConfig,
-    sink: &S,
-) -> AdmittedBatch {
-    assert_eq!(
-        requests.len(),
-        arrivals.len(),
-        "one ArrivalMeta per CompositionRequest"
-    );
-    let mut world = StaticWorld {
-        formats: composer.formats,
-        services: composer.services,
-        network: composer.network,
-    };
-    let sessions: Vec<SessionRequest> = requests
-        .iter()
-        .zip(arrivals)
-        .map(|(r, &a)| degenerate(r, a))
-        .collect();
-    let run = event_loop::run(
-        &mut world,
-        &sessions,
-        &batch_config(*config, Some(config.admission)),
-        event_loop::Backend::Resilient,
-        sink,
-    );
-    let decisions = run
-        .open_decisions
-        .into_iter()
-        .map(|d| d.expect("no horizon: every offered session is decided"))
-        .collect();
-    AdmittedBatch {
-        batch: ResilientBatch {
-            outcomes: collect_outcomes(run.request_outcomes),
-        },
-        admission: AdmissionPlan {
-            decisions,
-            stats: run.report.admission,
-        },
-    }
-}
-
-fn collect_outcomes(slots: Vec<Option<RequestOutcome>>) -> Vec<RequestOutcome> {
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.unwrap_or_else(|| {
-                unserved(
-                    0,
-                    0,
-                    false,
-                    Some("worker thread lost before reporting".to_string()),
-                )
-            })
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::admission::PriorityClass;
     use qosc_media::FormatRegistry;
     use qosc_netsim::{Network, Node, NodeId, Topology};
     use qosc_profiles::{

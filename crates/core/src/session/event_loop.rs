@@ -23,79 +23,26 @@
 //! bitwise-identical decisions.
 //!
 //! Compositions triggered at one virtual instant are collected and
-//! fanned out across a crossbeam worker pool; each job is a pure
-//! function of its request and the world snapshot (the snapshot cannot
-//! change mid-instant: all world events at that time were applied
-//! first), so results — applied in job-collection order — are
-//! independent of worker count.
-
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
+//! fanned out across the engine's worker pool (`engine::fan_out`); each
+//! job is a pure function of its request and the world snapshot (the
+//! snapshot cannot change mid-instant: all world events at that time
+//! were applied first), so results — applied in job-collection order —
+//! are independent of worker count.
 
 use qosc_netsim::{EventQueue, SimTime};
 use qosc_services::{ServiceId, SlaVerdict, SlaWatchdog};
 use qosc_telemetry::{EventKind, RequestTrace, TelemetrySink, TraceState, ROOT_SPAN};
 
-use crate::admission::{AdmissionDecision, AdmissionQueue, ArrivalMeta};
-use crate::cache::ShardedCompositionCache;
-use crate::engine::{panic_message, serve_one, unserved, DegradationRung, RequestOutcome};
+use crate::admission::{AdmissionQueue, ArrivalMeta, ShedReason};
+use crate::engine::{fan_out, serve_one, DegradationRung, RequestOutcome};
 use crate::graph::GraphStore;
 use crate::plan::AdaptationPlan;
-use crate::select::SelectOptions;
-use crate::CoreError;
 
 use super::abr::{AbrMode, BolaController, PlayoutBuffer};
 use super::{
     CloseReason, SessionCounters, SessionEngineConfig, SessionOutcome, SessionRequest,
     SessionWorld, SessionsReport, SlaMode,
 };
-
-/// How compositions run.
-pub(crate) enum Backend<'a> {
-    /// Through the sharded composition cache —
-    /// [`serve_batch`](crate::serve_batch) semantics: one attempt, no
-    /// ladder, panics isolated per request.
-    Cached {
-        /// The shared cache.
-        cache: &'a ShardedCompositionCache,
-        /// Selection options (the cached path ignores
-        /// `config.resilient.options`).
-        options: SelectOptions,
-    },
-    /// Through [`serve_one`] — ladder, retries, deadline, starting at
-    /// the rung admission assigned.
-    Resilient,
-}
-
-/// Everything a run produces; the public API exposes
-/// [`SessionsReport`], the batch adapters read the rest.
-pub(crate) struct EngineRun {
-    pub report: SessionsReport,
-    /// `serve_one` outcome of each session's *opening* composition (or
-    /// its shed record), `None` while pending/never-opened.
-    pub request_outcomes: Vec<Option<RequestOutcome>>,
-    /// Cached-backend results, `None` while pending/never-opened.
-    pub batch_results: Vec<Option<crate::Result<Option<AdaptationPlan>>>>,
-    /// Admission decision of each session's open (`None` without
-    /// admission or while queued at the end of the run).
-    pub open_decisions: Vec<Option<AdmissionDecision>>,
-}
-
-/// Run long-lived sessions through `world` until quiescence (or the
-/// configured horizon) and report the lifecycle partition, per-session
-/// accrual, and admission aggregates.
-///
-/// Deterministic: for fixed `(world, requests, config)` the report —
-/// and, with session spans on, the merged telemetry log — is bitwise
-/// identical across runs, machines, and worker counts.
-pub fn run_sessions<W: SessionWorld + Sync, S: TelemetrySink>(
-    world: &mut W,
-    requests: &[SessionRequest],
-    config: &SessionEngineConfig,
-    sink: &S,
-) -> SessionsReport {
-    run(world, requests, config, Backend::Resilient, sink).report
-}
 
 /// One pending composition at the current virtual instant.
 #[derive(Debug, Clone, Copy)]
@@ -125,6 +72,13 @@ enum JobKind {
     /// replacement serves; a failed, stale, or identical result changes
     /// nothing.
     Evade,
+}
+
+/// What a composition that served hands its session.
+struct Served {
+    plan: AdaptationPlan,
+    rung: DegradationRung,
+    satisfaction: f64,
 }
 
 /// Buffer-aware state attached to a streaming session when
@@ -179,11 +133,6 @@ struct Sess {
     last_evade_us: Option<u64>,
 }
 
-enum JobOut {
-    Batch(crate::Result<Option<AdaptationPlan>>),
-    Outcome(RequestOutcome),
-}
-
 enum Ev {
     /// Apply world mutation `k`.
     World(usize),
@@ -212,9 +161,6 @@ struct Loop<'a, 'w, W: SessionWorld, S: TelemetrySink> {
     pumps: std::collections::HashSet<u64>,
     sessions: Vec<Sess>,
     counters: SessionCounters,
-    request_outcomes: Vec<Option<RequestOutcome>>,
-    batch_results: Vec<Option<crate::Result<Option<AdaptationPlan>>>>,
-    open_decisions: Vec<Option<AdmissionDecision>>,
     /// Jobs collected at the current instant.
     jobs: Vec<Job>,
     /// A world event fired at the current instant; live plans need a
@@ -248,13 +194,19 @@ fn priority_weight(priority: crate::admission::PriorityClass) -> u32 {
     }
 }
 
-pub(crate) fn run<W: SessionWorld + Sync, S: TelemetrySink>(
+/// Run long-lived sessions through `world` until quiescence (or the
+/// configured horizon) and report the lifecycle partition, per-session
+/// accrual, and admission aggregates.
+///
+/// Deterministic: for fixed `(world, requests, config)` the report —
+/// and, with session spans on, the merged telemetry log — is bitwise
+/// identical across runs, machines, and worker counts.
+pub fn run_sessions<W: SessionWorld + Sync, S: TelemetrySink>(
     world: &mut W,
     requests: &[SessionRequest],
     config: &SessionEngineConfig,
-    backend: Backend<'_>,
     sink: &S,
-) -> EngineRun {
+) -> SessionsReport {
     let horizon = config.horizon_us.unwrap_or(u64::MAX);
     let mut queue = EventQueue::new();
     // World events first (see module docs for the equal-time contract).
@@ -295,9 +247,6 @@ pub(crate) fn run<W: SessionWorld + Sync, S: TelemetrySink>(
             offered: n,
             ..SessionCounters::default()
         },
-        request_outcomes: (0..n).map(|_| None).collect(),
-        batch_results: (0..n).map(|_| None).collect(),
-        open_decisions: (0..n).map(|_| None).collect(),
         jobs: Vec::new(),
         world_changed: false,
         watchdog: config.sla.and_then(|sla| {
@@ -325,7 +274,7 @@ pub(crate) fn run<W: SessionWorld + Sync, S: TelemetrySink>(
         // collect compose jobs.
         loop {
             while lp.queue.peek_time() == Some(head) {
-                let (_, ev) = lp.queue.pop().expect("peeked event");
+                let Some((_, ev)) = lp.queue.pop() else { break };
                 lp.handle(t, ev);
             }
             if lp.world_changed {
@@ -340,10 +289,9 @@ pub(crate) fn run<W: SessionWorld + Sync, S: TelemetrySink>(
         // apply results in collection order.
         if !lp.jobs.is_empty() {
             let jobs = std::mem::take(&mut lp.jobs);
-            let results = lp.run_jobs(&jobs, &backend, &graph_store);
-            let cached = matches!(backend, Backend::Cached { .. });
+            let results = lp.run_jobs(&jobs, &graph_store);
             for (job, result) in jobs.iter().zip(results) {
-                lp.apply(t, *job, result, cached);
+                lp.apply(t, *job, result);
             }
         }
         // Membership changes this instant (opens, closes, switches,
@@ -372,16 +320,11 @@ pub(crate) fn run<W: SessionWorld + Sync, S: TelemetrySink>(
 
     let admission_stats = lp.admission.as_ref().map(|q| q.stats()).unwrap_or_default();
     let outcomes: Vec<SessionOutcome> = lp.sessions.into_iter().map(|s| s.outcome).collect();
-    EngineRun {
-        report: SessionsReport {
-            outcomes,
-            counters: lp.counters,
-            admission: admission_stats,
-            end_us,
-        },
-        request_outcomes: lp.request_outcomes,
-        batch_results: lp.batch_results,
-        open_decisions: lp.open_decisions,
+    SessionsReport {
+        outcomes,
+        counters: lp.counters,
+        admission: admission_stats,
+        end_us,
     }
 }
 
@@ -491,12 +434,10 @@ impl<W: SessionWorld + Sync, S: TelemetrySink> Loop<'_, '_, W, S> {
             if self.sessions[i].phase == Phase::Done {
                 continue;
             }
-            let decision = self
-                .admission
-                .as_ref()
-                .expect("admission present")
-                .decision(ticket)
-                .expect("newly decided ticket has a decision");
+            // `take_newly_decided` yields only tickets it has decided.
+            let Some(decision) = self.admission.as_ref().and_then(|q| q.decision(ticket)) else {
+                continue;
+            };
             if recompose {
                 if decision.admitted {
                     self.jobs.push(Job {
@@ -527,10 +468,13 @@ impl<W: SessionWorld + Sync, S: TelemetrySink> Loop<'_, '_, W, S> {
                     self.close(t, i, CloseReason::Starved);
                 }
             } else {
-                self.open_decisions[i] = Some(decision);
-                if decision.admitted {
-                    // Replicates the admitted-request trace prologue of
-                    // serve_batch_with_admission_traced byte for byte.
+                // A decision is admitted exactly when it carries no
+                // shed reason.
+                if let Some(reason) = decision.shed {
+                    self.shed_open(t, i, reason, decision.queue_wait_us);
+                } else {
+                    // The admitted-request trace prologue of
+                    // serve_batch_with_admission_traced, byte for byte.
                     if let Some(state) = self.sessions[i].trace {
                         let mut trace = RequestTrace::resume(self.sink, state);
                         let admission_span = trace.open_span(ROOT_SPAN, "admission");
@@ -551,23 +495,20 @@ impl<W: SessionWorld + Sync, S: TelemetrySink> Loop<'_, '_, W, S> {
                         kind: JobKind::Open,
                         gen: 0,
                     });
-                } else {
-                    self.shed_open(t, i, decision);
                 }
             }
         }
     }
 
     /// The admission queue refused a session's open.
-    fn shed_open(&mut self, t: u64, i: usize, decision: AdmissionDecision) {
-        let reason = decision.shed.expect("refused decisions carry a reason");
+    fn shed_open(&mut self, t: u64, i: usize, reason: ShedReason, queue_wait_us: u64) {
         let arrival_us = self.requests[i].arrival.arrival_us;
         if let Some(state) = self.sessions[i].trace {
             // Same event sequence as the shed arm of
             // serve_batch_with_admission_traced.
             let mut trace = RequestTrace::resume(self.sink, state);
             let admission_span = trace.open_span(ROOT_SPAN, "admission");
-            trace.advance_to(arrival_us.saturating_add(decision.queue_wait_us));
+            trace.advance_to(arrival_us.saturating_add(queue_wait_us));
             trace.emit(
                 admission_span,
                 EventKind::RequestShed {
@@ -579,11 +520,6 @@ impl<W: SessionWorld + Sync, S: TelemetrySink> Loop<'_, '_, W, S> {
             }
             self.sessions[i].trace = Some(trace.save());
         }
-        self.request_outcomes[i] = Some(RequestOutcome {
-            shed: true,
-            error: Some(format!("shed: {reason}")),
-            ..unserved(0, 0, false, None)
-        });
         let sess = &mut self.sessions[i];
         sess.outcome.shed = Some(reason);
         sess.outcome.closed_us = Some(t);
@@ -895,36 +831,35 @@ impl<W: SessionWorld + Sync, S: TelemetrySink> Loop<'_, '_, W, S> {
     /// new chain actually differs (different services or hosts).
     /// Anything else is discarded — the session never goes dark over
     /// an evasion.
-    fn apply_evade(&mut self, t: u64, job: Job, outcome: RequestOutcome) {
+    fn apply_evade(&mut self, t: u64, job: Job, served: Option<Served>) {
         let i = job.session;
         self.sessions[i].evading = false;
         if self.sessions[i].plan_gen != job.gen || self.sessions[i].phase != Phase::Active {
             return;
         }
-        let Some(new_plan) = outcome.plan.as_ref() else {
+        let Some(served) = served else {
             return; // composed nothing: keep streaming on the old plan
         };
         let same_chain = self.sessions[i]
             .plan
             .as_ref()
             .map(|old| {
-                old.steps.len() == new_plan.steps.len()
+                old.steps.len() == served.plan.steps.len()
                     && old
                         .steps
                         .iter()
-                        .zip(&new_plan.steps)
+                        .zip(&served.plan.steps)
                         .all(|(a, b)| a.service == b.service && a.host == b.host)
             })
             .unwrap_or(false);
         if same_chain {
             return; // no alternative chain exists yet; dwell limits retries
         }
-        let from = self.sessions[i].rung;
-        let to = outcome.rung.expect("served outcomes carry a rung");
+        let (from, to) = (self.sessions[i].rung, served.rung);
         // Close the interval on the sagging chain, then go live on the
         // replacement without a dark gap (make-before-break).
         self.accrue(i, t);
-        self.adopt_plan(t, i, &outcome);
+        self.adopt_plan(t, i, served);
         if self.sessions[i].abr.is_some() {
             self.resample_fill(i);
         }
@@ -1101,203 +1036,101 @@ impl<W: SessionWorld + Sync, S: TelemetrySink> Loop<'_, '_, W, S> {
     /// Fan the instant's compositions out across the worker pool.
     /// Every job is pure in (request, world snapshot, saved trace), so
     /// the result vector — indexed like `jobs` — is identical for any
-    /// worker count.
+    /// worker count; a `None` is a job whose worker died outside
+    /// `serve_one`'s own guard.
     fn run_jobs(
         &self,
         jobs: &[Job],
-        backend: &Backend<'_>,
         graph_store: &GraphStore,
-    ) -> Vec<Option<(JobOut, TraceState)>> {
-        let prepared: Vec<(Job, TraceState)> = jobs
-            .iter()
-            .map(|job| {
-                let state = self.sessions[job.session]
-                    .trace
-                    .expect("jobs only exist for opened sessions");
-                (*job, state)
-            })
-            .collect();
-        let workers = self
-            .config
-            .resilient
-            .workers
-            .max(1)
-            .min(prepared.len().max(1));
-        let next = AtomicUsize::new(0);
-        let mut slots: Vec<Option<(JobOut, TraceState)>> = prepared.iter().map(|_| None).collect();
-        let world: &W = &*self.world;
+    ) -> Vec<Option<(RequestOutcome, TraceState)>> {
+        let sessions = &self.sessions;
+        let composer = self.world.composer();
         let requests = self.requests;
         let config = &self.config.resilient;
         let sink = self.sink;
-        // One worker's loop: claim slots until none are left. A panic
-        // that escapes it (one outside `serve_one`'s own guard) loses
-        // what this worker had produced — those slots stay `None`.
-        let worker = || {
-            let composer = world.composer();
-            let mut local = Vec::new();
-            loop {
-                let slot = next.fetch_add(1, Ordering::Relaxed);
-                let Some(&(job, state)) = prepared.get(slot) else {
-                    return local;
-                };
-                let request = &requests[job.session];
-                let mut trace = RequestTrace::resume(sink, state);
-                let out = match backend {
-                    Backend::Cached { cache, options } => {
-                        let result = catch_unwind(AssertUnwindSafe(|| {
-                            cache.compose_traced(
-                                &composer,
-                                &request.request.profiles,
-                                request.request.sender_host,
-                                request.request.receiver_host,
-                                options,
-                                &mut trace,
-                            )
-                        }))
-                        .unwrap_or_else(|payload| {
-                            Err(CoreError::WorkerPanic(panic_message(payload)))
-                        });
-                        JobOut::Batch(result)
-                    }
-                    Backend::Resilient => JobOut::Outcome(serve_one(
-                        &composer,
-                        graph_store,
-                        &request.request,
-                        job.session,
-                        config,
-                        job.start_rung,
-                        &mut trace,
-                    )),
-                };
-                local.push((slot, (out, trace.save())));
-            }
-        };
-        let collected: Vec<(usize, (JobOut, TraceState))> = if workers == 1 {
-            // Inline on the caller's thread, so its per-thread selection
-            // arena stays warm from one instant to the next; the guard
-            // stands in for the join a spawned worker would get.
-            catch_unwind(AssertUnwindSafe(worker)).unwrap_or_default()
-        } else {
-            let mut collected = Vec::with_capacity(prepared.len());
-            crossbeam::thread::scope(|scope| {
-                let handles: Vec<_> = (0..workers).map(|_| scope.spawn(worker)).collect();
-                for handle in handles {
-                    if let Ok(local) = handle.join() {
-                        collected.extend(local);
-                    }
-                }
-            });
-            collected
-        };
-        for (slot, result) in collected {
-            slots[slot] = Some(result);
-        }
-        slots
+        fan_out(config.workers, jobs.len(), |slot| {
+            let job = jobs[slot];
+            // Every job is pushed after `open` saved its session's
+            // trace; one without would be applied as lost.
+            let mut trace = RequestTrace::resume(sink, sessions[job.session].trace?);
+            let outcome = serve_one(
+                &composer,
+                graph_store,
+                &requests[job.session].request,
+                job.session,
+                config,
+                job.start_rung,
+                &mut trace,
+            );
+            Some((outcome, trace.save()))
+        })
+        .into_iter()
+        .map(Option::flatten)
+        .collect()
     }
 
     /// Apply one composition result back onto its session.
-    fn apply(&mut self, t: u64, job: Job, result: Option<(JobOut, TraceState)>, cached: bool) {
+    fn apply(&mut self, t: u64, job: Job, result: Option<(RequestOutcome, TraceState)>) {
         let i = job.session;
         if self.sessions[i].phase == Phase::Done {
             return; // decided after the session already closed
         }
-        let Some((out, state)) = result else {
+        let Some((outcome, state)) = result else {
             // The worker thread died outside composition; account for
             // the loss the way the batch paths do. A lost *switch* or
             // *evasion* changes nothing — make-before-break keeps the
             // session on its current plan.
-            if job.kind == JobKind::Switch {
-                if let Some(abr) = self.sessions[i].abr.as_mut() {
-                    abr.switching = false;
+            match job.kind {
+                JobKind::Switch => {
+                    if let Some(abr) = self.sessions[i].abr.as_mut() {
+                        abr.switching = false;
+                    }
                 }
-                return;
-            }
-            if job.kind == JobKind::Evade {
-                self.sessions[i].evading = false;
-                return;
-            }
-            if cached {
-                self.batch_results[i] = Some(Err(CoreError::WorkerPanic(
-                    "worker thread lost before reporting".to_string(),
-                )));
-            } else if job.kind == JobKind::Open {
-                self.request_outcomes[i] = Some(unserved(
-                    0,
-                    0,
-                    false,
-                    Some("worker thread lost before reporting".to_string()),
-                ));
-            }
-            if job.kind == JobKind::Recompose {
-                self.accrue(i, t);
-                self.close(t, i, CloseReason::Starved);
-            } else {
-                self.close(t, i, CloseReason::FailedOpen);
+                JobKind::Evade => self.sessions[i].evading = false,
+                JobKind::Recompose => {
+                    self.accrue(i, t);
+                    self.close(t, i, CloseReason::Starved);
+                }
+                JobKind::Open => self.close(t, i, CloseReason::FailedOpen),
             }
             return;
         };
-        self.sessions[i].trace = Some(state);
-        match out {
-            JobOut::Batch(result) => {
-                let served = matches!(&result, Ok(Some(_)));
-                self.batch_results[i] = Some(result);
-                // Cached-backend sessions are always degenerate: close
-                // at the open instant.
-                self.sessions[i].outcome.started_us = Some(t);
-                self.sessions[i].last_accrual_us = t;
-                self.close(
-                    t,
-                    i,
-                    if served {
-                        CloseReason::Completed
-                    } else {
-                        CloseReason::FailedOpen
-                    },
-                );
+        let sess = &mut self.sessions[i];
+        sess.trace = Some(state);
+        sess.outcome.attempts = sess.outcome.attempts.saturating_add(outcome.attempts);
+        // `serve_one` sets plan and rung together; an outcome with one
+        // but not the other did not serve.
+        let served = match (outcome.plan, outcome.rung) {
+            (Some(plan), Some(rung)) => Some(Served {
+                plan,
+                rung,
+                satisfaction: outcome.satisfaction,
+            }),
+            _ => None,
+        };
+        match job.kind {
+            JobKind::Switch => self.apply_switch(t, job, served),
+            JobKind::Evade => self.apply_evade(t, job, served),
+            JobKind::Recompose => {
+                // Close the dark interval *before* the new plan goes
+                // live, so the repair latency accrues as dark time.
+                self.accrue(i, t);
+                let Some(served) = served else {
+                    self.close(t, i, CloseReason::Starved);
+                    return;
+                };
+                self.adopt_plan(t, i, served);
+                self.set_phase(i, Phase::Active);
+                if self.sessions[i].abr.is_some() {
+                    self.resample_fill(i);
+                }
             }
-            JobOut::Outcome(mut outcome) => {
-                if job.kind == JobKind::Open && self.admission.is_some() {
-                    // serve_batch_with_admission stamps the brown-out
-                    // rung onto every admitted outcome.
-                    outcome.brownout_rung = Some(job.start_rung);
-                }
-                self.sessions[i].outcome.attempts = self.sessions[i]
-                    .outcome
-                    .attempts
-                    .saturating_add(outcome.attempts);
-                let served = outcome.plan.is_some();
-                if job.kind == JobKind::Switch {
-                    self.apply_switch(t, job, outcome);
-                    return;
-                }
-                if job.kind == JobKind::Evade {
-                    self.apply_evade(t, job, outcome);
-                    return;
-                }
-                if job.kind == JobKind::Recompose {
-                    // Close the dark interval *before* the new plan
-                    // goes live, so the repair latency accrues as dark
-                    // time.
-                    self.accrue(i, t);
-                    if served {
-                        self.adopt_plan(t, i, &outcome);
-                        self.set_phase(i, Phase::Active);
-                        if self.sessions[i].abr.is_some() {
-                            self.resample_fill(i);
-                        }
-                    } else {
-                        self.close(t, i, CloseReason::Starved);
-                    }
-                    return;
-                }
-                if served {
-                    self.adopt_plan(t, i, &outcome);
-                }
-                self.request_outcomes[i] = Some(outcome);
-                if !served {
+            JobKind::Open => {
+                let Some(served) = served else {
                     self.close(t, i, CloseReason::FailedOpen);
                     return;
-                }
+                };
+                self.adopt_plan(t, i, served);
                 let sess = &mut self.sessions[i];
                 sess.outcome.started_us = Some(t);
                 sess.last_accrual_us = t;
@@ -1333,7 +1166,7 @@ impl<W: SessionWorld + Sync, S: TelemetrySink> Loop<'_, '_, W, S> {
     /// matches the plan generation it was issued against, actually
     /// changed rung, and the session is still streaming. Anything else
     /// is discarded — the session never goes dark over a switch.
-    fn apply_switch(&mut self, t: u64, job: Job, outcome: RequestOutcome) {
+    fn apply_switch(&mut self, t: u64, job: Job, served: Option<Served>) {
         let i = job.session;
         let stale = self.sessions[i]
             .abr
@@ -1346,12 +1179,10 @@ impl<W: SessionWorld + Sync, S: TelemetrySink> Loop<'_, '_, W, S> {
         if stale || self.sessions[i].phase != Phase::Active {
             return;
         }
-        let from = self.sessions[i].rung;
-        let to = match (&outcome.plan, outcome.rung) {
-            (Some(_), Some(rung)) => rung,
-            // The switch composed nothing: stay on the current plan.
-            _ => return,
+        let Some(served) = served else {
+            return; // composed nothing: stay on the current plan
         };
+        let (from, to) = (self.sessions[i].rung, served.rung);
         if to == from {
             // The ladder fell back to the rung we already stream on
             // (an up-switch that was not feasible): not a switch.
@@ -1360,7 +1191,7 @@ impl<W: SessionWorld + Sync, S: TelemetrySink> Loop<'_, '_, W, S> {
         // Close the interval on the old rung, then go live on the new
         // plan without a dark gap (make-before-break).
         self.accrue(i, t);
-        self.adopt_plan(t, i, &outcome);
+        self.adopt_plan(t, i, served);
         self.resample_fill(i);
         let mut buffer_us = 0;
         if let Some(abr) = self.sessions[i].abr.as_mut() {
@@ -1387,12 +1218,16 @@ impl<W: SessionWorld + Sync, S: TelemetrySink> Loop<'_, '_, W, S> {
 
     /// A composition served: install the plan, record the rung
     /// transition.
-    fn adopt_plan(&mut self, t: u64, i: usize, outcome: &RequestOutcome) {
-        let rung = outcome.rung.expect("served outcomes carry a rung");
+    fn adopt_plan(&mut self, t: u64, i: usize, served: Served) {
+        let Served {
+            plan,
+            rung,
+            satisfaction,
+        } = served;
         let sess = &mut self.sessions[i];
-        sess.plan = outcome.plan.clone();
+        sess.plan = Some(plan);
         sess.rung = rung;
-        sess.satisfaction = outcome.satisfaction;
+        sess.satisfaction = satisfaction;
         sess.outcome.final_rung = Some(rung);
         sess.outcome.rung_history.push((t, rung));
         sess.plan_gen = sess.plan_gen.wrapping_add(1);
@@ -1403,7 +1238,7 @@ impl<W: SessionWorld + Sync, S: TelemetrySink> Loop<'_, '_, W, S> {
         // with the world's broker (a re-pin after a rung switch lowers
         // or raises the registered window in place). No-op without a
         // broker.
-        if let Some(plan) = outcome.plan.as_ref() {
+        if let Some(plan) = sess.plan.as_ref() {
             let weight = priority_weight(self.requests[i].arrival.priority);
             self.world
                 .register_session_flow(i as u64, plan, self.requests[i].demand_bps, weight);

@@ -162,8 +162,8 @@ pub enum EventKind {
     },
     /// A long-lived session opened (steady-state serving loop).
     SessionOpened {
-        /// Requested holding time, virtual microseconds (0 for
-        /// degenerate batch-adapter sessions).
+        /// Requested holding time, virtual microseconds (0 closes the
+        /// session at open).
         hold_us: u64,
     },
     /// A long-lived session closed.

@@ -190,57 +190,6 @@ fn tie_breaks_are_deterministic() {
     }
 }
 
-/// The heap-backed candidate store reproduces the linear scan's
-/// selection order exactly, for every tie-break policy.
-#[test]
-fn heap_store_equals_linear_scan() {
-    use qosc_core::select::greedy::CandidateStore;
-    let selected_sequence =
-        |options: &SelectOptions, scenario: &qosc_workload::Scenario| -> Vec<String> {
-            scenario
-                .compose(options)
-                .unwrap()
-                .selection
-                .trace
-                .rows
-                .iter()
-                .map(|r| r.selected.clone())
-                .collect()
-        };
-    for tie_break in [
-        TieBreak::PaperOrder,
-        TieBreak::Fifo,
-        TieBreak::ByVertexIndex,
-    ] {
-        // Paper scenario.
-        let scenario = paper::figure6_scenario(true);
-        let linear = SelectOptions {
-            tie_break,
-            candidate_store: CandidateStore::LinearScan,
-            ..SelectOptions::default()
-        };
-        let heap = SelectOptions {
-            tie_break,
-            candidate_store: CandidateStore::BinaryHeap,
-            ..SelectOptions::default()
-        };
-        assert_eq!(
-            selected_sequence(&linear, &scenario),
-            selected_sequence(&heap, &scenario),
-            "{tie_break:?} on the paper scenario"
-        );
-        // Random scenarios.
-        for seed in 0..12u64 {
-            let scenario = random_scenario(&GeneratorConfig::default(), seed);
-            assert_eq!(
-                selected_sequence(&linear, &scenario),
-                selected_sequence(&heap, &scenario),
-                "{tie_break:?} seed {seed}"
-            );
-        }
-    }
-}
-
 /// In-format reducers (JPEG→JPEG, MPEG-2→MPEG-2) on multiple proxies
 /// create genuine cycles in the adaptation graph; the paper handles this
 /// with the formats-distinct rule, and the state-based search must

@@ -4,9 +4,11 @@
 //! reporting, and shedding invariants.
 
 use qosc_core::{
-    serve_batch_resilient, serve_batch_with_admission, AdmissionConfig, CompositionRequest,
-    DegradationRung, PriorityClass, ResilientEngineConfig,
+    plan_admission, run_sessions, serve_batch_resilient, serve_batch_with_admission,
+    AdmissionConfig, CompositionRequest, DegradationRung, PriorityClass, ResilientEngineConfig,
+    SessionEngineConfig, SessionRequest, StaticWorld,
 };
+use qosc_telemetry::NoopSink;
 use qosc_workload::arrivals::{poisson_burst_arrivals, ArrivalPattern};
 use qosc_workload::generator::{random_scenario, GeneratorConfig};
 use qosc_workload::Scenario;
@@ -277,6 +279,52 @@ fn shed_outcomes_never_touch_a_worker() {
             assert_eq!(outcome.attempts, 0, "shed before any composition attempt");
             assert!(outcome.plan.is_none());
             assert!(outcome.error.as_deref().unwrap_or("").starts_with("shed:"));
+        }
+    }
+}
+
+/// The serving loop decides admission incrementally, one pump event at
+/// a time; the decisions it acts on are the offline plan's.
+#[test]
+fn pumped_admission_equals_the_offline_plan() {
+    let scenario = scenario();
+    let arrivals = poisson_burst_arrivals(&overload_pattern(), 42);
+    let admission = AdmissionConfig::protected();
+    let plan = plan_admission(&arrivals, &admission);
+    assert!(plan.stats.admitted > 0 && plan.stats.shed_total() > 0);
+
+    let sessions: Vec<SessionRequest> = requests_for(&scenario, arrivals.len())
+        .into_iter()
+        .zip(&arrivals)
+        .map(|(request, &arrival)| SessionRequest {
+            request,
+            arrival,
+            hold_us: 0,
+            demand_bps: 0,
+        })
+        .collect();
+    for workers in [1usize, 4] {
+        let mut world = StaticWorld {
+            formats: &scenario.formats,
+            services: &scenario.services,
+            network: &scenario.network,
+        };
+        let config = SessionEngineConfig {
+            resilient: ResilientEngineConfig {
+                workers,
+                ..ResilientEngineConfig::default()
+            },
+            admission: Some(admission),
+            ..SessionEngineConfig::default()
+        };
+        let report = run_sessions(&mut world, &sessions, &config, &NoopSink);
+        assert_eq!(report.admission, plan.stats, "workers={workers}");
+        for (outcome, decision) in report.outcomes.iter().zip(&plan.decisions) {
+            assert_eq!(outcome.shed, decision.shed);
+            if decision.admitted {
+                assert_eq!(outcome.started_us, Some(decision.start_us));
+                assert!(outcome.final_rung >= Some(decision.start_rung));
+            }
         }
     }
 }
