@@ -2,7 +2,7 @@
 //! the Table-1 scenario, E1).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use qosc_core::{Composer, CompositionCache, SelectOptions};
+use qosc_core::{Composer, SelectOptions, ShardedCompositionCache};
 use qosc_workload::generator::{random_scenario, GeneratorConfig};
 use qosc_workload::paper;
 
@@ -52,7 +52,7 @@ fn bench_composition_cache(c: &mut Criterion) {
     };
     c.bench_function("selection/cache_cold", |b| {
         b.iter(|| {
-            let mut cache = CompositionCache::new();
+            let cache = ShardedCompositionCache::new(1);
             cache
                 .compose(
                     &composer,
@@ -64,7 +64,7 @@ fn bench_composition_cache(c: &mut Criterion) {
                 .expect("composes")
         })
     });
-    let mut warm = CompositionCache::new();
+    let warm = ShardedCompositionCache::new(1);
     warm.compose(
         &composer,
         &scenario.profiles,

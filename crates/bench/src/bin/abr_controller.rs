@@ -20,9 +20,9 @@
 //!   down-switching before the buffer runs dry and up-switching when
 //!   headroom returns (make-before-break).
 //!
-//! Emits `BENCH_abr.json` (first CLI argument overrides the path;
-//! `--deterministic` is accepted for CI parity — the file is always
-//! deterministic). Every cell runs at 1/2/4/8 workers and the digests
+//! Emits `BENCH_abr.json` (first CLI argument overrides the path); the
+//! file is deterministic, and CI `cmp`s a fresh one against the
+//! checked-in copy. Every cell runs at 1/2/4/8 workers and the digests
 //! must agree byte for byte.
 //!
 //! The bin asserts the PR's acceptance shape directly: at storm
@@ -31,20 +31,14 @@
 //! re-composition, and every session's switch count respects the
 //! dwell-window bound `switches ≤ 1 + active/dwell`.
 
+use qosc_bench::scorecard::{self, STRICT_TOPOLOGY_SEED as TOPOLOGY_SEED, WORKER_COUNTS};
 use qosc_bench::TextTable;
 use qosc_core::{
-    run_sessions, AbrConfig, AbrMode, CompositionRequest, ResilientEngineConfig,
-    SessionEngineConfig, SessionRequest, SessionsReport,
+    run_sessions, AbrConfig, AbrMode, ResilientEngineConfig, SessionEngineConfig, SessionsReport,
 };
-use qosc_media::Axis;
-use qosc_pipeline::{ChaosWorld, FailureEvent};
-use qosc_satisfaction::{AxisPreference, SatisfactionFn, SatisfactionProfile};
-use qosc_services::DiscoveryConfig;
+use qosc_pipeline::FailureEvent;
 use qosc_workload::arrivals::{session_arrivals, ArrivalPattern, SessionPattern};
-use qosc_workload::generator::{random_scenario, GeneratorConfig};
-use qosc_workload::Scenario;
 
-const TOPOLOGY_SEED: u64 = 5;
 const ARRIVAL_SEED: u64 = 42;
 /// Virtual run length.
 const HORIZON_US: u64 = 30_000_000;
@@ -62,7 +56,6 @@ const HOLD_RANGE_US: (u64, u64) = (6_000_000, 12_000_000);
 const DEMAND_RANGE_BPS: (u64, u64) = (1_000, 4_000);
 /// Session opens per virtual second (mean concurrency ≈ rate × 9 s).
 const ARRIVAL_RATE_PER_SEC: u64 = 2;
-const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
 const INTENSITIES: [&str; 3] = ["calm", "gusty", "storm"];
 const CONTROLLERS: [(&str, AbrMode); 3] = [
     ("static", AbrMode::StaticLadder),
@@ -95,38 +88,6 @@ fn squeeze_fraction(intensity: &str) -> f64 {
         .map(|(s, e, _)| e - s)
         .sum();
     busy as f64 / HORIZON_US as f64
-}
-
-fn generator_config() -> GeneratorConfig {
-    GeneratorConfig {
-        services_per_layer: 5,
-        multi_axis: true,
-        ..GeneratorConfig::default()
-    }
-}
-
-/// The steady-state-scorecard mesh with the strict user (12 fps floor,
-/// weight 3) — the ladder visibly rescores what it serves.
-fn strict_scenario() -> Scenario {
-    let mut scenario = random_scenario(&generator_config(), TOPOLOGY_SEED);
-    scenario.profiles.user.satisfaction = SatisfactionProfile::new()
-        .with(AxisPreference::weighted(
-            Axis::FrameRate,
-            SatisfactionFn::Linear {
-                min_acceptable: 12.0,
-                ideal: 30.0,
-            },
-            3.0,
-        ))
-        .with(AxisPreference::weighted(
-            Axis::PixelCount,
-            SatisfactionFn::Linear {
-                min_acceptable: 0.0,
-                ideal: 307_200.0,
-            },
-            1.0,
-        ));
-    scenario
 }
 
 fn session_pattern() -> SessionPattern {
@@ -163,37 +124,10 @@ fn engine_config(mode: AbrMode, workers: usize) -> SessionEngineConfig {
     }
 }
 
-/// FNV-1a over the rendered report: every worker count must agree on
-/// it byte for byte.
-struct Digest(u64);
-
-impl Digest {
-    fn new() -> Digest {
-        Digest(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn update(&mut self, text: &str) {
-        for byte in text.bytes().chain(std::iter::once(0x1e)) {
-            self.0 ^= byte as u64;
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    }
-}
-
-fn report_digest(report: &SessionsReport) -> u64 {
-    let mut digest = Digest::new();
-    for outcome in &report.outcomes {
-        digest.update(&format!("{outcome:?}"));
-    }
-    digest.update(&format!("{:?}", report.counters));
-    digest.update(&format!("end={}", report.end_us));
-    digest.0
-}
-
 fn run_once(mode: AbrMode, intensity: &str, workers: usize) -> SessionsReport {
     // The world is stateful (faults, discovery), so every run gets a
     // fresh copy of the *same* seeded scenario.
-    let scenario = strict_scenario();
+    let scenario = scorecard::strict_scenario();
     // The star topology gives the receiver exactly one access link;
     // every plan's final hop crosses it, so squeezing it cannot be
     // routed around.
@@ -209,19 +143,11 @@ fn run_once(mode: AbrMode, intensity: &str, workers: usize) -> SessionsReport {
         );
         neighbors[0].1
     };
-    let descriptors: Vec<_> = scenario
-        .services
-        .live_services()
-        .map(|(_, d)| d.clone())
-        .collect();
-    let mut world = ChaosWorld::new(
-        &scenario.formats,
-        scenario.network,
-        DiscoveryConfig::default(),
+    let requests = scorecard::session_requests(
+        &scenario,
+        session_arrivals(&session_pattern(), ARRIVAL_SEED),
     );
-    for descriptor in descriptors {
-        world.join(descriptor);
-    }
+    let mut world = scorecard::chaos_world(&scenario.formats, &scenario.services, scenario.network);
     for &(start, end, permille) in squeeze_windows(intensity) {
         world.schedule_fault(
             start,
@@ -232,20 +158,6 @@ fn run_once(mode: AbrMode, intensity: &str, workers: usize) -> SessionsReport {
         );
         world.schedule_fault(end, FailureEvent::Unsqueeze(access_link));
     }
-
-    let requests: Vec<SessionRequest> = session_arrivals(&session_pattern(), ARRIVAL_SEED)
-        .into_iter()
-        .map(|sa| SessionRequest {
-            request: CompositionRequest {
-                profiles: scenario.profiles.clone(),
-                sender_host: scenario.sender_host,
-                receiver_host: scenario.receiver_host,
-            },
-            arrival: sa.meta,
-            hold_us: sa.hold_us,
-            demand_bps: sa.demand_bps,
-        })
-        .collect();
 
     run_sessions(
         &mut world,
@@ -281,19 +193,11 @@ fn run_cell(intensity_label: &'static str, controller: &'static str) -> Cell {
         .find(|(name, _)| *name == controller)
         .expect("known controller")
         .1;
-    let mut reference: Option<(u64, SessionsReport)> = None;
-    for &workers in &WORKER_COUNTS {
+    let cell = format!("{intensity_label} × {controller}");
+    let (digest, report) = scorecard::worker_sweep(&cell, &WORKER_COUNTS, |workers| {
         let report = run_once(mode, intensity_label, workers);
-        let digest = report_digest(&report);
-        match &reference {
-            None => reference = Some((digest, report)),
-            Some((expected, _)) => assert_eq!(
-                digest, *expected,
-                "{intensity_label} × {controller}: workers={workers} diverged from workers=1"
-            ),
-        }
-    }
-    let (digest, report) = reference.expect("at least one worker count runs");
+        (scorecard::sessions_digest(&report), report)
+    });
 
     // The TLA+ switch-rate bound: at most one committed switch per
     // dwell window, plus the window in flight.
@@ -350,7 +254,6 @@ fn main() {
     let out_path = std::env::args()
         .nth(1)
         .unwrap_or_else(|| "BENCH_abr.json".to_string());
-    let deterministic = std::env::args().nth(2).as_deref() == Some("--deterministic");
 
     println!(
         "X17 — buffer-aware adaptation scorecard (topology seed {TOPOLOGY_SEED}, arrival seed \
@@ -425,14 +328,10 @@ fn main() {
         storm_reactive.mean_rung
     );
 
-    let config = generator_config();
     let mut json = String::new();
     json.push_str("{\n");
     json.push_str("  \"bench\": \"abr_controller\",\n");
-    json.push_str(&format!(
-        "  \"scenario\": {{\"topology_seed\": {TOPOLOGY_SEED}, \"layers\": {}, \"services_per_layer\": {}, \"formats_per_layer\": {}, \"multi_axis\": true, \"fps_floor\": 12.0}},\n",
-        config.layers, config.services_per_layer, config.formats_per_layer
-    ));
+    json.push_str(&scorecard::strict_scenario_json());
     json.push_str(&format!(
         "  \"run\": {{\"arrival_seed\": {ARRIVAL_SEED}, \"horizon_us\": {HORIZON_US}, \"hold_range_us\": [{}, {}], \"demand_range_bps\": [{}, {}], \"rate_per_sec\": {ARRIVAL_RATE_PER_SEC}, \"tick_us\": 250000, \"max_recompositions\": 8}},\n",
         HOLD_RANGE_US.0, HOLD_RANGE_US.1, DEMAND_RANGE_BPS.0, DEMAND_RANGE_BPS.1
@@ -468,7 +367,6 @@ fn main() {
             .collect::<Vec<_>>()
             .join(", ")
     ));
-    json.push_str(&format!("  \"deterministic\": {deterministic},\n"));
     json.push_str("  \"cells\": [\n");
     for (i, c) in cells.iter().enumerate() {
         json.push_str(&format!(

@@ -33,6 +33,7 @@
 //! deterministic). `--scales=100,1000` restricts the sweep for smoke
 //! runs.
 
+use qosc_bench::scorecard::{self, WORKER_COUNTS};
 use qosc_bench::TextTable;
 use qosc_core::{
     run_sessions, AbrConfig, AbrMode, CompositionRequest, ResilientEngineConfig,
@@ -67,7 +68,6 @@ const ACCESS_PER_SESSION_BPS: u64 = 1_100_000;
 /// Fabric links are 4× the access link so the access tier is the
 /// bottleneck (single-path routing concentrates sender-side flows).
 const FABRIC_MULT: u64 = 4;
-const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
 const SCALES: [usize; 3] = [100, 1_000, 10_000];
 
 /// The full worker sweep below 10k sessions; at 10k a run costs
@@ -210,59 +210,6 @@ fn requests(scale: usize, sender: NodeId, receivers: &[NodeId]) -> Vec<SessionRe
         .collect()
 }
 
-/// FNV-1a over the rendered report: every worker count must agree on
-/// it byte for byte.
-struct Digest(u64);
-
-impl Digest {
-    fn new() -> Digest {
-        Digest(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn update(&mut self, text: &str) {
-        for byte in text.bytes().chain(std::iter::once(0x1e)) {
-            self.0 ^= byte as u64;
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    }
-}
-
-fn report_digest(report: &SessionsReport) -> u64 {
-    let mut digest = Digest::new();
-    for outcome in &report.outcomes {
-        digest.update(&format!("{outcome:?}"));
-    }
-    digest.update(&format!("{:?}", report.counters));
-    digest.update(&format!("end={}", report.end_us));
-    digest.0
-}
-
-/// Per-session delivered satisfaction: composed satisfaction per
-/// active µs, discounted by the stalled share of playback.
-fn delivered_ratios(report: &SessionsReport) -> Vec<f64> {
-    report
-        .outcomes
-        .iter()
-        .filter_map(|o| {
-            let active = o.active_us();
-            if active == 0 {
-                return None;
-            }
-            let playing = active.saturating_sub(o.rebuffer_us) as f64 / active as f64;
-            Some((o.satisfaction_us / active as f64) * playing)
-        })
-        .collect()
-}
-
-/// 5th percentile by sorted rank — deterministic, no interpolation.
-fn p5(mut ratios: Vec<f64>) -> f64 {
-    if ratios.is_empty() {
-        return 0.0;
-    }
-    ratios.sort_by(|a, b| a.total_cmp(b));
-    ratios[(ratios.len() - 1) * 5 / 100]
-}
-
 fn mean(ratios: &[f64]) -> f64 {
     if ratios.is_empty() {
         return 0.0;
@@ -308,22 +255,13 @@ struct Cell {
 }
 
 fn run_cell(scale: usize, mode: Mode) -> Cell {
-    let mut reference = None;
-    for &workers in worker_counts(scale) {
-        let (report, cache, reallocations) = run_once(scale, mode, workers);
-        let digest = report_digest(&report);
-        match &reference {
-            None => reference = Some((digest, report, cache, reallocations)),
-            Some((expected, _, _, _)) => assert_eq!(
-                digest,
-                *expected,
-                "{scale} × {}: workers={workers} diverged from workers=1",
-                mode.label()
-            ),
-        }
-    }
-    let (digest, report, cache, reallocations) = reference.expect("at least one worker count runs");
-    let ratios = delivered_ratios(&report);
+    let label = format!("{scale} × {}", mode.label());
+    let (digest, (report, cache, reallocations)) =
+        scorecard::worker_sweep(&label, worker_counts(scale), |workers| {
+            let run = run_once(scale, mode, workers);
+            (scorecard::sessions_digest(&run.0), run)
+        });
+    let ratios = scorecard::delivered_ratios(&report);
     Cell {
         scale,
         mode,
@@ -335,7 +273,7 @@ fn run_cell(scale: usize, mode: Mode) -> Cell {
         grant_updates: report.outcomes.iter().map(|o| o.grant_updates as u64).sum(),
         reallocations,
         rebuffer_ratio: report.rebuffer_ratio(),
-        p5_satisfaction: p5(ratios.clone()),
+        p5_satisfaction: scorecard::p5(ratios.clone()),
         mean_satisfaction: mean(&ratios),
         cache,
         digest,

@@ -1,15 +1,15 @@
 //! X9 — composition caching at a proxy front-end (motivated by the
 //! paper's reference [7], Chang & Chen's trans-coding proxy caches):
 //! replay a skewed request stream with and without the
-//! [`CompositionCache`](qosc_core::CompositionCache), under light
-//! service churn so cached chains occasionally go stale.
+//! [`ShardedCompositionCache`], under light service churn so cached
+//! chains occasionally go stale.
 //!
 //! ```text
 //! cargo run -p qosc-bench --release --bin cache_hits
 //! ```
 
 use qosc_bench::TextTable;
-use qosc_core::{Composer, CompositionCache, SelectOptions};
+use qosc_core::{Composer, SelectOptions, ShardedCompositionCache};
 use qosc_media::FormatRegistry;
 use qosc_netsim::{Network, Node, SimTime, Topology};
 use qosc_profiles::{
@@ -117,7 +117,7 @@ fn replay(churn_per_request: f64, use_cache: bool) -> (f64, f64, usize) {
         record_trace: false,
         ..SelectOptions::default()
     };
-    let mut cache = CompositionCache::new();
+    let cache = ShardedCompositionCache::new(1);
     let start = Instant::now();
     for request in 0..REQUESTS {
         let now = SimTime::from_secs(request as u64);

@@ -27,9 +27,9 @@
 //! life rebuffering delivers half its composed satisfaction no matter
 //! what the selection scored.
 //!
-//! Emits `BENCH_grey.json` (first CLI argument overrides the path;
-//! `--deterministic` is accepted for CI parity — the file is always
-//! deterministic). Every cell runs at 1/2/4/8 workers and the digests
+//! Emits `BENCH_grey.json` (first CLI argument overrides the path);
+//! the file is deterministic, and CI `cmp`s a fresh one against the
+//! checked-in copy. Every cell runs at 1/2/4/8 workers and the digests
 //! must agree byte for byte.
 //!
 //! The bin asserts the PR's acceptance shape directly: under grey
@@ -39,20 +39,16 @@
 //! both — while at calm all three modes are bit-identical, the
 //! estimators' do-no-harm bound.
 
+use qosc_bench::scorecard::{self, STRICT_TOPOLOGY_SEED as TOPOLOGY_SEED, WORKER_COUNTS};
 use qosc_bench::TextTable;
 use qosc_core::{
-    run_sessions, AbrConfig, AbrMode, CompositionRequest, ResilientEngineConfig, SelectOptions,
-    SessionEngineConfig, SessionRequest, SessionsReport, SlaConfig, SlaMode,
+    run_sessions, AbrConfig, AbrMode, ResilientEngineConfig, SelectOptions, SessionEngineConfig,
+    SessionsReport, SlaConfig, SlaMode,
 };
-use qosc_media::Axis;
-use qosc_pipeline::{ChaosAction, ChaosWorld};
-use qosc_satisfaction::{AxisPreference, SatisfactionFn, SatisfactionProfile};
-use qosc_services::{DiscoveryConfig, QosEstimatorConfig};
+use qosc_pipeline::ChaosAction;
+use qosc_services::QosEstimatorConfig;
 use qosc_workload::arrivals::{session_arrivals, ArrivalPattern, SessionPattern};
-use qosc_workload::generator::{random_scenario, GeneratorConfig};
-use qosc_workload::Scenario;
 
-const TOPOLOGY_SEED: u64 = 5;
 const ARRIVAL_SEED: u64 = 42;
 /// Virtual run length.
 const HORIZON_US: u64 = 30_000_000;
@@ -66,7 +62,6 @@ const HOLD_RANGE_US: (u64, u64) = (6_000_000, 12_000_000);
 const DEMAND_RANGE_BPS: (u64, u64) = (1_000, 4_000);
 /// Session opens per virtual second (mean concurrency ≈ rate × 9 s).
 const ARRIVAL_RATE_PER_SEC: u64 = 2;
-const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
 const CHAOS: [&str; 2] = ["calm", "grey"];
 const DETECTORS: [&str; 3] = ["off", "binary", "drift"];
 
@@ -88,38 +83,6 @@ fn sag_windows(chaos: &str) -> &'static [(u64, u64, u16)] {
 fn sag_fraction(chaos: &str) -> f64 {
     let busy: u64 = sag_windows(chaos).iter().map(|(s, e, _)| e - s).sum();
     busy as f64 / HORIZON_US as f64
-}
-
-fn generator_config() -> GeneratorConfig {
-    GeneratorConfig {
-        services_per_layer: 5,
-        multi_axis: true,
-        ..GeneratorConfig::default()
-    }
-}
-
-/// The steady-state-scorecard mesh with the strict user (12 fps floor,
-/// weight 3) — identical to X17 so the two scorecards compare.
-fn strict_scenario() -> Scenario {
-    let mut scenario = random_scenario(&generator_config(), TOPOLOGY_SEED);
-    scenario.profiles.user.satisfaction = SatisfactionProfile::new()
-        .with(AxisPreference::weighted(
-            Axis::FrameRate,
-            SatisfactionFn::Linear {
-                min_acceptable: 12.0,
-                ideal: 30.0,
-            },
-            3.0,
-        ))
-        .with(AxisPreference::weighted(
-            Axis::PixelCount,
-            SatisfactionFn::Linear {
-                min_acceptable: 0.0,
-                ideal: 307_200.0,
-            },
-            1.0,
-        ));
-    scenario
 }
 
 fn session_pattern() -> SessionPattern {
@@ -166,63 +129,10 @@ fn engine_config(detector: &str, workers: usize) -> SessionEngineConfig {
     }
 }
 
-/// FNV-1a over the rendered report: every worker count must agree on
-/// it byte for byte.
-struct Digest(u64);
-
-impl Digest {
-    fn new() -> Digest {
-        Digest(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn update(&mut self, text: &str) {
-        for byte in text.bytes().chain(std::iter::once(0x1e)) {
-            self.0 ^= byte as u64;
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    }
-}
-
-fn report_digest(report: &SessionsReport) -> u64 {
-    let mut digest = Digest::new();
-    for outcome in &report.outcomes {
-        digest.update(&format!("{outcome:?}"));
-    }
-    digest.update(&format!("{:?}", report.counters));
-    digest.update(&format!("end={}", report.end_us));
-    digest.0
-}
-
-/// Per-session delivered satisfaction: composed satisfaction per
-/// active µs, discounted by the stalled share of playback.
-fn delivered_ratios(report: &SessionsReport) -> Vec<f64> {
-    report
-        .outcomes
-        .iter()
-        .filter_map(|o| {
-            let active = o.active_us();
-            if active == 0 {
-                return None;
-            }
-            let playing = active.saturating_sub(o.rebuffer_us) as f64 / active as f64;
-            Some((o.satisfaction_us / active as f64) * playing)
-        })
-        .collect()
-}
-
-/// 5th percentile by sorted rank — deterministic, no interpolation.
-fn p5(mut ratios: Vec<f64>) -> f64 {
-    if ratios.is_empty() {
-        return 0.0;
-    }
-    ratios.sort_by(|a, b| a.total_cmp(b));
-    ratios[(ratios.len() - 1) * 5 / 100]
-}
-
 fn run_once(detector: &str, chaos: &str, workers: usize) -> SessionsReport {
     // The world is stateful (grey windows, discovery, probation), so
     // every run gets a fresh copy of the *same* seeded scenario.
-    let scenario = strict_scenario();
+    let scenario = scorecard::strict_scenario();
     // Compose the nominal chain once to learn which members serve it:
     // those are the ones the grey windows make sick. Member index =
     // position in `live_services()` order, which is join order below.
@@ -247,19 +157,11 @@ fn run_once(detector: &str, chaos: &str, workers: usize) -> SessionsReport {
         !sick_members.is_empty(),
         "the nominal chain rides at least one transcoder"
     );
-    let descriptors: Vec<_> = scenario
-        .services
-        .live_services()
-        .map(|(_, d)| d.clone())
-        .collect();
-    let mut world = ChaosWorld::new(
-        &scenario.formats,
-        scenario.network,
-        DiscoveryConfig::default(),
+    let requests = scorecard::session_requests(
+        &scenario,
+        session_arrivals(&session_pattern(), ARRIVAL_SEED),
     );
-    for descriptor in descriptors {
-        world.join(descriptor);
-    }
+    let mut world = scorecard::chaos_world(&scenario.formats, &scenario.services, scenario.network);
     for &(start, end, permille) in sag_windows(chaos) {
         for &index in &sick_members {
             world.schedule_action(
@@ -272,20 +174,6 @@ fn run_once(detector: &str, chaos: &str, workers: usize) -> SessionsReport {
             world.schedule_action(end, ChaosAction::UnsagMember(index));
         }
     }
-
-    let requests: Vec<SessionRequest> = session_arrivals(&session_pattern(), ARRIVAL_SEED)
-        .into_iter()
-        .map(|sa| SessionRequest {
-            request: CompositionRequest {
-                profiles: scenario.profiles.clone(),
-                sender_host: scenario.sender_host,
-                receiver_host: scenario.receiver_host,
-            },
-            arrival: sa.meta,
-            hold_us: sa.hold_us,
-            demand_bps: sa.demand_bps,
-        })
-        .collect();
 
     run_sessions(
         &mut world,
@@ -314,19 +202,11 @@ struct Cell {
 }
 
 fn run_cell(chaos: &'static str, detector: &'static str) -> Cell {
-    let mut reference: Option<(u64, SessionsReport)> = None;
-    for &workers in &WORKER_COUNTS {
+    let cell = format!("{chaos} × {detector}");
+    let (digest, report) = scorecard::worker_sweep(&cell, &WORKER_COUNTS, |workers| {
         let report = run_once(detector, chaos, workers);
-        let digest = report_digest(&report);
-        match &reference {
-            None => reference = Some((digest, report)),
-            Some((expected, _)) => assert_eq!(
-                digest, *expected,
-                "{chaos} × {detector}: workers={workers} diverged from workers=1"
-            ),
-        }
-    }
-    let (digest, report) = reference.expect("at least one worker count runs");
+        (scorecard::sessions_digest(&report), report)
+    });
     Cell {
         chaos,
         intensity: sag_fraction(chaos),
@@ -340,7 +220,7 @@ fn run_cell(chaos: &'static str, detector: &'static str) -> Cell {
         sla_violations: report.sla_violations(),
         rebuffer_us: report.rebuffer_us(),
         rebuffer_ratio: report.rebuffer_ratio(),
-        p5_satisfaction: p5(delivered_ratios(&report)),
+        p5_satisfaction: scorecard::p5(scorecard::delivered_ratios(&report)),
         availability: report.availability(),
         digest,
     }
@@ -357,7 +237,6 @@ fn main() {
     let out_path = std::env::args()
         .nth(1)
         .unwrap_or_else(|| "BENCH_grey.json".to_string());
-    let deterministic = std::env::args().nth(2).as_deref() == Some("--deterministic");
 
     println!(
         "X18 — grey-failure detection scorecard (topology seed {TOPOLOGY_SEED}, arrival seed \
@@ -475,16 +354,12 @@ fn main() {
         grey_off.p5_satisfaction
     );
 
-    let config = generator_config();
     let estimator = QosEstimatorConfig::default();
     let sla = SlaConfig::default();
     let mut json = String::new();
     json.push_str("{\n");
     json.push_str("  \"bench\": \"grey_failure\",\n");
-    json.push_str(&format!(
-        "  \"scenario\": {{\"topology_seed\": {TOPOLOGY_SEED}, \"layers\": {}, \"services_per_layer\": {}, \"formats_per_layer\": {}, \"multi_axis\": true, \"fps_floor\": 12.0}},\n",
-        config.layers, config.services_per_layer, config.formats_per_layer
-    ));
+    json.push_str(&scorecard::strict_scenario_json());
     json.push_str(&format!(
         "  \"run\": {{\"arrival_seed\": {ARRIVAL_SEED}, \"horizon_us\": {HORIZON_US}, \"hold_range_us\": [{}, {}], \"demand_range_bps\": [{}, {}], \"rate_per_sec\": {ARRIVAL_RATE_PER_SEC}, \"tick_us\": 250000, \"max_recompositions\": 8}},\n",
         HOLD_RANGE_US.0, HOLD_RANGE_US.1, DEMAND_RANGE_BPS.0, DEMAND_RANGE_BPS.1
@@ -521,7 +396,6 @@ fn main() {
             .collect::<Vec<_>>()
             .join(", ")
     ));
-    json.push_str(&format!("  \"deterministic\": {deterministic},\n"));
     json.push_str("  \"cells\": [\n");
     for (i, c) in cells.iter().enumerate() {
         json.push_str(&format!(

@@ -27,56 +27,22 @@
 //! capacity; priority protects the interactive class specifically; and
 //! brown-out holds interactive goodput ≥ 0.9 at 4× offered load.
 
+use qosc_bench::scorecard::{
+    strict_scenario, strict_scenario_json, STRICT_TOPOLOGY_SEED as TOPOLOGY_SEED,
+};
 use qosc_bench::TextTable;
 use qosc_core::{
     serve_batch_with_admission, AdmissionConfig, CompositionRequest, PriorityClass,
     ResilientEngineConfig,
 };
-use qosc_media::Axis;
-use qosc_satisfaction::{AxisPreference, SatisfactionFn, SatisfactionProfile};
 use qosc_workload::arrivals::{poisson_burst_arrivals, ArrivalPattern};
-use qosc_workload::generator::{random_scenario, GeneratorConfig};
-use qosc_workload::Scenario;
 
-const TOPOLOGY_SEED: u64 = 5;
 const ARRIVAL_SEEDS: [u64; 3] = [41, 42, 43];
 /// Offered load as a percentage of virtual capacity.
 const LOADS: [(&str, u64); 4] = [("0.5x", 50), ("1x", 100), ("2x", 200), ("4x", 400)];
 const POLICIES: [&str; 4] = ["none", "shed", "shed_priority", "full"];
 const VIRTUAL_CORES: u32 = 4;
 const MEAN_COST_US: u64 = 20_000;
-
-fn generator_config() -> GeneratorConfig {
-    GeneratorConfig {
-        services_per_layer: 5,
-        multi_axis: true,
-        ..GeneratorConfig::default()
-    }
-}
-
-/// The resilience-scorecard mesh with the strict user (12 fps floor,
-/// weight 3) — brown-out visibly rescores what it serves.
-fn strict_scenario() -> Scenario {
-    let mut scenario = random_scenario(&generator_config(), TOPOLOGY_SEED);
-    scenario.profiles.user.satisfaction = SatisfactionProfile::new()
-        .with(AxisPreference::weighted(
-            Axis::FrameRate,
-            SatisfactionFn::Linear {
-                min_acceptable: 12.0,
-                ideal: 30.0,
-            },
-            3.0,
-        ))
-        .with(AxisPreference::weighted(
-            Axis::PixelCount,
-            SatisfactionFn::Linear {
-                min_acceptable: 0.0,
-                ideal: 307_200.0,
-            },
-            1.0,
-        ));
-    scenario
-}
 
 fn policy_config(policy: &str) -> AdmissionConfig {
     let base = match policy {
@@ -286,14 +252,10 @@ fn main() {
     }
     println!("{}", table.render());
 
-    let config = generator_config();
     let mut json = String::new();
     json.push_str("{\n");
     json.push_str("  \"bench\": \"overload_matrix\",\n");
-    json.push_str(&format!(
-        "  \"scenario\": {{\"topology_seed\": {TOPOLOGY_SEED}, \"layers\": {}, \"services_per_layer\": {}, \"formats_per_layer\": {}, \"multi_axis\": true, \"fps_floor\": 12.0}},\n",
-        config.layers, config.services_per_layer, config.formats_per_layer
-    ));
+    json.push_str(&strict_scenario_json());
     json.push_str(&format!(
         "  \"capacity\": {{\"virtual_cores\": {VIRTUAL_CORES}, \"mean_cost_us\": {MEAN_COST_US}}},\n"
     ));

@@ -30,6 +30,7 @@
 //! Stdout carries one `peak_rss_mb services=N X` line per tier in either
 //! mode; the same CI step holds the 10^4 line under a fixed ceiling.
 
+use qosc_bench::scorecard::{self, percentile, Digest, WORKER_COUNTS};
 use qosc_bench::TextTable;
 use qosc_core::{GraphStore, SelectOptions};
 use qosc_netsim::SimTime;
@@ -39,24 +40,7 @@ use std::time::Instant;
 const SIZES: [usize; 4] = [1_000, 10_000, 100_000, 1_000_000];
 const CHURN_RATES: [f64; 3] = [0.0, 0.25, 1.0];
 const FLAT_MAX_SERVICES: usize = 100_000;
-const WORKERS: [usize; 4] = [1, 2, 4, 8];
 const WORKER_REQUESTS: usize = 32;
-
-/// FNV-1a over the rendered plans.
-struct Digest(u64);
-
-impl Digest {
-    fn new() -> Digest {
-        Digest(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn update(&mut self, text: &str) {
-        for byte in text.bytes().chain(std::iter::once(0x1e)) {
-            self.0 ^= byte as u64;
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    }
-}
 
 /// Peak resident set of this process (`VmHWM`), MB; 0 where `/proc`
 /// does not say.
@@ -80,11 +64,6 @@ fn peak_rss_mb() -> f64 {
 /// readings stay cumulative (sizes ascend, so still each tier's own).
 fn restart_peak_rss() {
     let _ = std::fs::write("/proc/self/clear_refs", "5");
-}
-
-fn percentile(sorted_us: &[f64], p: f64) -> f64 {
-    let index = ((sorted_us.len() as f64 - 1.0) * p).round() as usize;
-    sorted_us[index]
 }
 
 #[derive(Clone, Copy, Default)]
@@ -277,7 +256,7 @@ fn run_cell(size: usize, churn_rate: f64) -> Cell {
         deviations,
         compared,
         flat_ran,
-        digest: digest.0,
+        digest: digest.finish(),
         two_cold: path_stats(&mut two_cold),
         two_warm: path_stats(&mut two_warm),
         flat_cold: if flat_ran {
@@ -332,21 +311,12 @@ fn worker_digests(size: usize) -> u64 {
         for plan in &plans {
             digest.update(plan.as_deref().expect("every request served"));
         }
-        digest.0
+        digest.finish()
     };
-
-    let mut reference = None;
-    for &workers in &WORKERS {
-        let digest = digest_for(workers);
-        match reference {
-            None => reference = Some(digest),
-            Some(expected) => assert_eq!(
-                digest, expected,
-                "plans diverged between 1 and {workers} workers"
-            ),
-        }
-    }
-    reference.expect("at least one worker count")
+    scorecard::worker_sweep("two-level plans", &WORKER_COUNTS, |workers| {
+        (digest_for(workers), ())
+    })
+    .0
 }
 
 fn main() {

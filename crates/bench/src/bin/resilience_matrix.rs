@@ -20,52 +20,15 @@
 //! a squeezed path that no longer clears the user's 12 fps floor still
 //! carries a degraded stream instead of going dark.
 
+use qosc_bench::scorecard::{
+    strict_scenario, strict_scenario_json, STRICT_TOPOLOGY_SEED as TOPOLOGY_SEED,
+};
 use qosc_bench::TextTable;
-use qosc_media::Axis;
 use qosc_pipeline::{run_resilient, ChaosModel, ChaosPlan, ResilienceConfig, ResilientRun};
-use qosc_satisfaction::{AxisPreference, SatisfactionFn, SatisfactionProfile};
-use qosc_workload::generator::{random_scenario, GeneratorConfig};
-use qosc_workload::Scenario;
 
-const TOPOLOGY_SEED: u64 = 5;
 const CHAOS_SEEDS: [u64; 3] = [101, 202, 303];
 const INTENSITIES: [f64; 4] = [0.25, 0.5, 0.75, 1.0];
 const POLICIES: [&str; 4] = ["none", "recompose", "preplan", "ladder"];
-
-fn generator_config() -> GeneratorConfig {
-    GeneratorConfig {
-        services_per_layer: 5,
-        multi_axis: true,
-        ..GeneratorConfig::default()
-    }
-}
-
-/// The generated mesh with a *strict* user on top: a 12 fps quality
-/// floor (weight 3) beside the resolution preference (weight 1).
-/// Bandwidth squeezes push delivered frame rates below the floor, which
-/// is exactly the regime that separates the ladder from plain
-/// re-composition.
-fn strict_scenario() -> Scenario {
-    let mut scenario = random_scenario(&generator_config(), TOPOLOGY_SEED);
-    scenario.profiles.user.satisfaction = SatisfactionProfile::new()
-        .with(AxisPreference::weighted(
-            Axis::FrameRate,
-            SatisfactionFn::Linear {
-                min_acceptable: 12.0,
-                ideal: 30.0,
-            },
-            3.0,
-        ))
-        .with(AxisPreference::weighted(
-            Axis::PixelCount,
-            SatisfactionFn::Linear {
-                min_acceptable: 0.0,
-                ideal: 307_200.0,
-            },
-            1.0,
-        ));
-    scenario
-}
 
 fn policy_config(policy: &str, seed: u64) -> ResilienceConfig {
     ResilienceConfig {
@@ -238,14 +201,10 @@ fn main() {
     }
     println!("{}", table.render());
 
-    let config = generator_config();
     let mut json = String::new();
     json.push_str("{\n");
     json.push_str("  \"bench\": \"resilience_matrix\",\n");
-    json.push_str(&format!(
-        "  \"scenario\": {{\"topology_seed\": {TOPOLOGY_SEED}, \"layers\": {}, \"services_per_layer\": {}, \"formats_per_layer\": {}, \"multi_axis\": true, \"fps_floor\": 12.0}},\n",
-        config.layers, config.services_per_layer, config.formats_per_layer
-    ));
+    json.push_str(&strict_scenario_json());
     json.push_str(&format!(
         "  \"chaos_seeds\": [{}],\n",
         CHAOS_SEEDS

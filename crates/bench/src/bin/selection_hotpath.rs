@@ -17,6 +17,7 @@
 //! every timing-derived field so two runs of the bin produce
 //! byte-identical files — the CI smoke step runs it twice and `cmp`s.
 
+use qosc_bench::scorecard::{self, percentile, Digest, WORKER_COUNTS};
 use qosc_bench::TextTable;
 use qosc_core::{
     arena_reuse_total, serve_batch, AdaptationPlan, Composer, CompositionRequest, EngineConfig,
@@ -32,25 +33,7 @@ use std::time::Instant;
 const CHURN_RATES: [f64; 3] = [0.0, 0.05, 0.25];
 const REPEAT_RATES: [f64; 2] = [0.0, 0.9];
 const REQUESTS_PER_CELL: usize = 96;
-const WORKERS: [usize; 4] = [1, 2, 4, 8];
 const SEED: u64 = 7;
-
-/// FNV-1a over the rendered plans: the digest two paths (or two worker
-/// counts) must agree on byte for byte.
-struct Digest(u64);
-
-impl Digest {
-    fn new() -> Digest {
-        Digest(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn update(&mut self, text: &str) {
-        for byte in text.bytes().chain(std::iter::once(0x1e)) {
-            self.0 ^= byte as u64;
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    }
-}
 
 /// `n` profile sets with `repeat_rate` of them re-using an earlier
 /// cache key (same construction as the throughput sweep).
@@ -63,11 +46,6 @@ fn profile_mix(scenario: &Scenario, n: usize, repeat_rate: f64) -> Vec<ProfileSe
             profiles
         })
         .collect()
-}
-
-fn percentile(sorted_us: &[f64], p: f64) -> f64 {
-    let index = ((sorted_us.len() as f64 - 1.0) * p).round() as usize;
-    sorted_us[index]
 }
 
 struct PathStats {
@@ -208,7 +186,7 @@ fn run_cell(config: &GeneratorConfig, churn_rate: f64, repeat_rate: f64) -> Cell
         deltas: graph.deltas,
         delta_ops: graph.delta_ops,
         reuses: graph.reuses,
-        digest: digest.0,
+        digest: digest.finish(),
         store: path_stats(&mut store_latencies),
         baseline: path_stats(&mut base_latencies),
     }
@@ -233,26 +211,18 @@ fn worker_digests(config: &GeneratorConfig) -> u64 {
         for plan in plans {
             digest.update(&format!("{:?}", plan.as_ref().expect("compose")));
         }
-        digest.0
+        digest.finish()
     };
 
-    let mut reference = None;
-    for &workers in &WORKERS {
+    let (reference, ()) = scorecard::worker_sweep("batch plans", &WORKER_COUNTS, |workers| {
         let cache = ShardedCompositionCache::new(16);
         let engine = EngineConfig {
             workers,
             options: SelectOptions::default(),
         };
         let served = serve_batch(&composer, &cache, &requests, &engine);
-        let digest = digest_of(&served);
-        match reference {
-            None => reference = Some(digest),
-            Some(expected) => assert_eq!(
-                digest, expected,
-                "plans diverged between 1 and {workers} workers"
-            ),
-        }
-    }
+        (digest_of(&served), ())
+    });
     // The rebuild-per-request path must land on the same bytes too.
     let cache = ShardedCompositionCache::new_without_graph_store(16);
     let engine = EngineConfig {
@@ -260,7 +230,6 @@ fn worker_digests(config: &GeneratorConfig) -> u64 {
         options: SelectOptions::default(),
     };
     let served = serve_batch(&composer, &cache, &requests, &engine);
-    let reference = reference.expect("at least one worker count");
     assert_eq!(
         digest_of(&served),
         reference,

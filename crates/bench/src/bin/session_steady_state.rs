@@ -10,12 +10,11 @@
 //! ticks detect plans broken by mid-session faults or lease expiry,
 //! and each break re-composes on the surviving graph.
 //!
-//! Emits `BENCH_session.json` (first CLI argument overrides the path;
-//! `--deterministic` as the second argument is accepted for CI parity
-//! with the other scorecards — the file is always deterministic).
-//! Every cell runs at 1/2/4/8 workers and the run digests must agree
-//! byte for byte; the digest of the workers=1 run is what the file
-//! records.
+//! Emits `BENCH_session.json` (first CLI argument overrides the path);
+//! the file is deterministic, and CI `cmp`s a fresh one against the
+//! checked-in copy. Every cell runs at 1/2/4/8 workers and the run
+//! digests must agree byte for byte; the digest of the workers=1 run
+//! is what the file records.
 //!
 //! Expected shape: at calm intensity availability is ~1 and nothing
 //! re-composes. As intensity rises, recompositions per session-hour
@@ -24,20 +23,14 @@
 //! on top. Satisfaction degrades gracefully — the p5 session tracks
 //! the brown-out ladder, not zero.
 
+use qosc_bench::scorecard::{self, STRICT_TOPOLOGY_SEED as TOPOLOGY_SEED, WORKER_COUNTS};
 use qosc_bench::TextTable;
 use qosc_core::{
-    run_sessions, AdmissionConfig, CompositionRequest, ResilientEngineConfig, SessionEngineConfig,
-    SessionRequest, SessionsReport,
+    run_sessions, AdmissionConfig, ResilientEngineConfig, SessionEngineConfig, SessionsReport,
 };
-use qosc_media::Axis;
-use qosc_pipeline::{ChaosModel, ChaosPlan, ChaosWorld};
-use qosc_satisfaction::{AxisPreference, SatisfactionFn, SatisfactionProfile};
-use qosc_services::{DiscoveryConfig, TranscoderDescriptor};
+use qosc_pipeline::{ChaosModel, ChaosPlan};
 use qosc_workload::arrivals::{session_arrivals, ArrivalPattern, SessionPattern};
-use qosc_workload::generator::{random_scenario, GeneratorConfig};
-use qosc_workload::Scenario;
 
-const TOPOLOGY_SEED: u64 = 5;
 const ARRIVAL_SEED: u64 = 42;
 const CHAOS_SEED: u64 = 11;
 /// Virtual run length; matches the chaos model's default horizon.
@@ -48,43 +41,10 @@ const ARRIVAL_HORIZON_US: u64 = 25_000_000;
 /// Session holding times: 0.5–1.5 s, mean 1 s, so the target mean
 /// concurrency equals the arrival rate (Little's law).
 const HOLD_RANGE_US: (u64, u64) = (500_000, 1_500_000);
-const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
 /// Offered load as target mean concurrent sessions.
 const LOADS: [(&str, u64); 3] = [("light", 2), ("busy", 6), ("heavy", 16)];
 const INTENSITIES: [(&str, f64); 3] = [("calm", 0.0), ("gusty", 0.5), ("storm", 1.0)];
 const VIRTUAL_CORES: u32 = 4;
-
-fn generator_config() -> GeneratorConfig {
-    GeneratorConfig {
-        services_per_layer: 5,
-        multi_axis: true,
-        ..GeneratorConfig::default()
-    }
-}
-
-/// The overload-scorecard mesh with the strict user (12 fps floor,
-/// weight 3) — degradation visibly rescores what it serves.
-fn strict_scenario() -> Scenario {
-    let mut scenario = random_scenario(&generator_config(), TOPOLOGY_SEED);
-    scenario.profiles.user.satisfaction = SatisfactionProfile::new()
-        .with(AxisPreference::weighted(
-            Axis::FrameRate,
-            SatisfactionFn::Linear {
-                min_acceptable: 12.0,
-                ideal: 30.0,
-            },
-            3.0,
-        ))
-        .with(AxisPreference::weighted(
-            Axis::PixelCount,
-            SatisfactionFn::Linear {
-                min_acceptable: 0.0,
-                ideal: 307_200.0,
-            },
-            1.0,
-        ));
-    scenario
-}
 
 fn session_pattern(concurrency: u64) -> SessionPattern {
     SessionPattern {
@@ -119,38 +79,10 @@ fn engine_config(workers: usize) -> SessionEngineConfig {
     }
 }
 
-/// FNV-1a over the rendered report: every worker count must agree on
-/// it byte for byte.
-struct Digest(u64);
-
-impl Digest {
-    fn new() -> Digest {
-        Digest(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn update(&mut self, text: &str) {
-        for byte in text.bytes().chain(std::iter::once(0x1e)) {
-            self.0 ^= byte as u64;
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    }
-}
-
-fn report_digest(report: &SessionsReport) -> u64 {
-    let mut digest = Digest::new();
-    for outcome in &report.outcomes {
-        digest.update(&format!("{outcome:?}"));
-    }
-    digest.update(&format!("{:?}", report.counters));
-    digest.update(&format!("{:?}", report.admission));
-    digest.update(&format!("end={}", report.end_us));
-    digest.0
-}
-
 fn run_once(concurrency: u64, intensity: f64, workers: usize) -> SessionsReport {
     // The world is stateful (faults, lease churn), so every run gets a
     // fresh copy of the *same* seeded scenario.
-    let scenario = strict_scenario();
+    let scenario = scorecard::strict_scenario();
     let chaos = {
         let topology = scenario.network.topology();
         let backbone = topology
@@ -168,35 +100,12 @@ fn run_once(concurrency: u64, intensity: f64, workers: usize) -> SessionsReport 
             intensity,
         )
     };
-    let descriptors: Vec<TranscoderDescriptor> = scenario
-        .services
-        .live_services()
-        .map(|(_, d)| d.clone())
-        .collect();
-    let mut world = ChaosWorld::new(
-        &scenario.formats,
-        scenario.network,
-        DiscoveryConfig::default(),
+    let requests = scorecard::session_requests(
+        &scenario,
+        session_arrivals(&session_pattern(concurrency), ARRIVAL_SEED),
     );
-    for descriptor in descriptors {
-        world.join(descriptor);
-    }
+    let mut world = scorecard::chaos_world(&scenario.formats, &scenario.services, scenario.network);
     world.load_plan(&chaos);
-
-    let requests: Vec<SessionRequest> =
-        session_arrivals(&session_pattern(concurrency), ARRIVAL_SEED)
-            .into_iter()
-            .map(|sa| SessionRequest {
-                request: CompositionRequest {
-                    profiles: scenario.profiles.clone(),
-                    sender_host: scenario.sender_host,
-                    receiver_host: scenario.receiver_host,
-                },
-                arrival: sa.meta,
-                hold_us: sa.hold_us,
-                demand_bps: sa.demand_bps,
-            })
-            .collect();
 
     run_sessions(
         &mut world,
@@ -233,19 +142,11 @@ fn run_cell(
     intensity_label: &'static str,
     intensity: f64,
 ) -> Cell {
-    let mut reference: Option<(u64, SessionsReport)> = None;
-    for &workers in &WORKER_COUNTS {
+    let cell = format!("load {load} × {intensity_label}");
+    let (digest, report) = scorecard::worker_sweep(&cell, &WORKER_COUNTS, |workers| {
         let report = run_once(concurrency, intensity, workers);
-        let digest = report_digest(&report);
-        match &reference {
-            None => reference = Some((digest, report)),
-            Some((expected, _)) => assert_eq!(
-                digest, *expected,
-                "load {load} × {intensity_label}: workers={workers} diverged from workers=1"
-            ),
-        }
-    }
-    let (digest, report) = reference.expect("at least one worker count runs");
+        (scorecard::sessions_digest_with_admission(&report), report)
+    });
 
     // Per-session mean satisfaction over sessions that streamed at all.
     let mut sats: Vec<f64> = report
@@ -292,7 +193,6 @@ fn main() {
     let out_path = std::env::args()
         .nth(1)
         .unwrap_or_else(|| "BENCH_session.json".to_string());
-    let deterministic = std::env::args().nth(2).as_deref() == Some("--deterministic");
 
     println!(
         "X16 — steady-state session scorecard (topology seed {TOPOLOGY_SEED}, arrival seed \
@@ -338,14 +238,10 @@ fn main() {
     }
     println!("{}", table.render());
 
-    let config = generator_config();
     let mut json = String::new();
     json.push_str("{\n");
     json.push_str("  \"bench\": \"session_steady_state\",\n");
-    json.push_str(&format!(
-        "  \"scenario\": {{\"topology_seed\": {TOPOLOGY_SEED}, \"layers\": {}, \"services_per_layer\": {}, \"formats_per_layer\": {}, \"multi_axis\": true, \"fps_floor\": 12.0}},\n",
-        config.layers, config.services_per_layer, config.formats_per_layer
-    ));
+    json.push_str(&scorecard::strict_scenario_json());
     json.push_str(&format!(
         "  \"run\": {{\"arrival_seed\": {ARRIVAL_SEED}, \"chaos_seed\": {CHAOS_SEED}, \"horizon_us\": {HORIZON_US}, \"hold_range_us\": [{}, {}], \"tick_us\": 250000, \"max_recompositions\": 8, \"virtual_cores\": {VIRTUAL_CORES}}},\n",
         HOLD_RANGE_US.0, HOLD_RANGE_US.1
@@ -358,7 +254,6 @@ fn main() {
             .collect::<Vec<_>>()
             .join(", ")
     ));
-    json.push_str(&format!("  \"deterministic\": {deterministic},\n"));
     json.push_str("  \"cells\": [\n");
     for (i, c) in cells.iter().enumerate() {
         json.push_str(&format!(

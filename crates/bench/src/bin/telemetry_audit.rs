@@ -28,6 +28,9 @@
 //! explain-chain depth), and explain-depth statistics. The file is
 //! byte-identical across runs and machines, and CI snapshots it.
 
+use qosc_bench::scorecard::{
+    strict_scenario, strict_scenario_json, STRICT_TOPOLOGY_SEED as TOPOLOGY_SEED, WORKER_COUNTS,
+};
 use qosc_bench::TextTable;
 use qosc_core::{
     serve_batch_resilient_traced, serve_batch_traced, serve_batch_with_admission,
@@ -41,49 +44,14 @@ use qosc_satisfaction::{AxisPreference, SatisfactionFn, SatisfactionProfile};
 use qosc_services::{catalog, QuarantineConfig, ServiceRegistry, TranscoderDescriptor};
 use qosc_telemetry::{EventKind, FlightRecorder, MetricsRegistry};
 use qosc_workload::arrivals::{poisson_burst_arrivals, ArrivalPattern};
-use qosc_workload::generator::{random_scenario, GeneratorConfig};
-use qosc_workload::Scenario;
 
-const TOPOLOGY_SEED: u64 = 5;
 const ARRIVAL_SEED: u64 = 42;
 const CHAOS_SEED: u64 = 101;
 const CHAOS_INTENSITY: f64 = 0.75;
-const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
 const VIRTUAL_CORES: u32 = 4;
 const MEAN_COST_US: u64 = 20_000;
 /// Distinct requests in the cache cold/warm passes.
 const CACHE_REQUESTS: usize = 16;
-
-fn generator_config() -> GeneratorConfig {
-    GeneratorConfig {
-        services_per_layer: 5,
-        multi_axis: true,
-        ..GeneratorConfig::default()
-    }
-}
-
-/// The scorecard mesh with the strict 12 fps user (mirrors X12/X13).
-fn strict_scenario() -> Scenario {
-    let mut scenario = random_scenario(&generator_config(), TOPOLOGY_SEED);
-    scenario.profiles.user.satisfaction = SatisfactionProfile::new()
-        .with(AxisPreference::weighted(
-            Axis::FrameRate,
-            SatisfactionFn::Linear {
-                min_acceptable: 12.0,
-                ideal: 30.0,
-            },
-            3.0,
-        ))
-        .with(AxisPreference::weighted(
-            Axis::PixelCount,
-            SatisfactionFn::Linear {
-                min_acceptable: 0.0,
-                ideal: 307_200.0,
-            },
-            1.0,
-        ));
-    scenario
-}
 
 /// X13's `full` policy: shedding + priorities + brown-out coupling.
 fn admission_config() -> AdmissionConfig {
@@ -530,14 +498,10 @@ fn main() {
         println!("explain({id}) — brown-out:\n{}", recorder.explain(id));
     }
 
-    let config = generator_config();
     let mut json = String::new();
     json.push_str("{\n");
     json.push_str("  \"bench\": \"telemetry_audit\",\n");
-    json.push_str(&format!(
-        "  \"scenario\": {{\"topology_seed\": {TOPOLOGY_SEED}, \"layers\": {}, \"services_per_layer\": {}, \"formats_per_layer\": {}, \"multi_axis\": true, \"fps_floor\": 12.0}},\n",
-        config.layers, config.services_per_layer, config.formats_per_layer
-    ));
+    json.push_str(&strict_scenario_json());
     json.push_str(&format!(
         "  \"replay\": {{\"arrival_seed\": {ARRIVAL_SEED}, \"chaos_seed\": {CHAOS_SEED}, \"chaos_intensity\": {CHAOS_INTENSITY:.2}, \"cache_requests\": {CACHE_REQUESTS}, \"virtual_cores\": {VIRTUAL_CORES}, \"mean_cost_us\": {MEAN_COST_US}}},\n"
     ));

@@ -8,6 +8,8 @@
 //! See `EXPERIMENTS.md` at the workspace root for the experiment index
 //! and the recorded paper-vs-measured results.
 
+pub mod scorecard;
+
 use qosc_core::baseline::{exhaustive, random_walk, structural, BaselineResult};
 use qosc_core::select::label::ExtendContext;
 use qosc_core::{SelectOptions, SelectedChain};

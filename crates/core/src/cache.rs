@@ -16,7 +16,9 @@
 //! moved. Stale entries are recomposed transparently.
 //!
 //! The store is split into power-of-two **shards**, each guarded by its
-//! own `RwLock`, selected by the low bits of the request key. Requests
+//! own `RwLock`, selected by the low bits of the request key (lock
+//! shards — nothing to do with the shards of a
+//! `ShardedServiceRegistry`). Requests
 //! for different shards never contend; requests for the same shard
 //! contend only on the short map lookup/insert, not on composition
 //! itself (which always runs outside any lock). Counters are per-shard
@@ -24,21 +26,16 @@
 //! exactly: every `compose` call increments exactly one of
 //! hits/misses/stale, and `hits + misses + stale` equals the number of
 //! requests served no matter how the requests interleave.
-//!
-//! [`CompositionCache`] remains as the single-threaded facade: the same
-//! API as before, now a thin wrapper over a one-shard
-//! [`ShardedCompositionCache`].
 
 use crate::composer::Composer;
 use crate::graph::{GraphStore, GraphStoreStats};
 use crate::plan::AdaptationPlan;
 use crate::select::SelectOptions;
-use crate::sharded_compose::ShardedComposer;
 use crate::Result;
 use parking_lot::RwLock;
 use qosc_netsim::{Network, NodeId};
 use qosc_profiles::ProfileSet;
-use qosc_services::{ServiceRegistry, ShardedServiceRegistry};
+use qosc_services::ServiceRegistry;
 use qosc_telemetry::{
     CacheOutcome, EventKind, MetricsRegistry, RequestTrace, TelemetrySink, ROOT_SPAN,
 };
@@ -99,14 +96,6 @@ struct CachedPlan {
     plan: AdaptationPlan,
     registry_epoch: u64,
     network_version: u64,
-    /// Per-shard refinement of `registry_epoch`, recorded by the
-    /// sharded compose path: the epochs of exactly the shards the
-    /// plan's services live in ("touched shards"). When the flat epoch
-    /// moved but every touched shard's epoch still matches, the
-    /// mutations were confined to shards this plan never reads — the
-    /// registry half would necessarily pass, so it is skipped. `None`
-    /// on entries stamped by the flat path.
-    shard_stamps: Option<Vec<(u32, u64)>>,
 }
 
 /// One lock-guarded slice of the cache, with its own exact counters.
@@ -166,12 +155,6 @@ impl ShardedCompositionCache {
         let mut cache = ShardedCompositionCache::new(shards);
         cache.graph_store = None;
         cache
-    }
-
-    /// Replace the backing graph store (builder style).
-    pub fn with_graph_store(mut self, store: GraphStore) -> ShardedCompositionCache {
-        self.graph_store = Some(store);
-        self
     }
 
     /// The backing graph store, when one is attached.
@@ -243,14 +226,14 @@ impl ShardedCompositionCache {
         options: &SelectOptions,
         trace: &mut RequestTrace<'_, S>,
     ) -> Result<Option<AdaptationPlan>> {
-        let options = plan_only(options);
-        let world = World {
-            services: composer.services,
-            sharded: None,
-            network: composer.network,
+        // Only the plan is kept: the Table-1 trace would be built and
+        // thrown away.
+        let options = SelectOptions {
+            record_trace: false,
+            ..*options
         };
         let key = request_key(profiles, sender_host, receiver_host);
-        self.probe(key, &world, trace, || {
+        self.probe(key, composer.services, composer.network, trace, || {
             Ok(match &self.graph_store {
                 Some(store) => {
                     composer
@@ -266,76 +249,14 @@ impl ShardedCompositionCache {
         })
     }
 
-    /// [`compose`](ShardedCompositionCache::compose) against a sharded
-    /// registry through the two-level [`ShardedComposer`]. Entries are
-    /// additionally stamped with the epochs of the shards the plan
-    /// actually touches, so registry churn confined to *other* shards
-    /// keeps the probe an O(touched shards) stamp check — neither the
-    /// registry scan nor a recompose runs (proven white-box by test).
-    pub fn compose_sharded(
-        &self,
-        composer: &ShardedComposer<'_>,
-        profiles: &ProfileSet,
-        sender_host: NodeId,
-        receiver_host: NodeId,
-        options: &SelectOptions,
-    ) -> Result<Option<AdaptationPlan>> {
-        self.compose_sharded_traced(
-            composer,
-            profiles,
-            sender_host,
-            receiver_host,
-            options,
-            &mut RequestTrace::noop(),
-        )
-    }
-
-    /// [`compose_sharded`](ShardedCompositionCache::compose_sharded)
-    /// with the probe outcome recorded into `trace`.
-    pub fn compose_sharded_traced<S: TelemetrySink>(
-        &self,
-        composer: &ShardedComposer<'_>,
-        profiles: &ProfileSet,
-        sender_host: NodeId,
-        receiver_host: NodeId,
-        options: &SelectOptions,
-        trace: &mut RequestTrace<'_, S>,
-    ) -> Result<Option<AdaptationPlan>> {
-        let options = plan_only(options);
-        let world = World {
-            services: composer.services.flat(),
-            sharded: Some(composer.services),
-            network: composer.network,
-        };
-        let key = request_key(profiles, sender_host, receiver_host);
-        self.probe(key, &world, trace, || {
-            // The two-level path needs a store for its scoped graphs;
-            // without one a throwaway store preserves semantics at the
-            // cost of cold builds.
-            let throwaway;
-            let store = match &self.graph_store {
-                Some(store) => store,
-                None => {
-                    throwaway = GraphStore::new();
-                    &throwaway
-                }
-            };
-            Ok(composer
-                .compose_with_store(store, profiles, sender_host, receiver_host, &options)?
-                .composition
-                .plan)
-        })
-    }
-
-    /// The one probe behind both front doors: look `key` up, revalidate
-    /// a found entry by halves against `world`, and on a miss or a
-    /// stale entry run `compose` and store its plan.
+    /// Look `key` up, revalidate a found entry by halves against
+    /// `services` and `network`, and on a miss or a stale entry run
+    /// `compose` and store its plan.
     ///
     /// Each half of the world is re-checked only when its own stamp
     /// moved. The registry half ([`ServiceRegistry::is_available`] per
     /// stage) reads nothing but the registry, which cannot have changed
-    /// while its epoch — or, on the sharded path, the epoch of every
-    /// shard the plan touches — stands still; the network half
+    /// while its epoch stands still; the network half
     /// ([`Network::node_failed`] per host, [`Network::available_between`]
     /// per hop) reads nothing but the network, whose answers are
     /// identical at equal [`Network::version`]s. An entry is stamped
@@ -345,7 +266,8 @@ impl ShardedCompositionCache {
     fn probe<S: TelemetrySink>(
         &self,
         key: u64,
-        world: &World<'_>,
+        services: &ServiceRegistry,
+        network: &Network,
         trace: &mut RequestTrace<'_, S>,
         compose: impl FnOnce() -> Result<Option<AdaptationPlan>>,
     ) -> Result<Option<AdaptationPlan>> {
@@ -354,24 +276,15 @@ impl ShardedCompositionCache {
             let span = trace.open_span(ROOT_SPAN, "cache");
             trace.emit(span, EventKind::CacheProbe { outcome });
         };
-        let registry_epoch = world.services.epoch();
-        let network_version = world.network.version();
+        let registry_epoch = services.epoch();
+        let network_version = network.version();
         let cached = shard.entries.read().get(&key).cloned();
         match cached {
             Some(entry) => {
-                // Registry freshness, cheapest first: the registry-wide
-                // epoch (nothing anywhere moved), then the per-shard
-                // stamps (mutations happened, but only in shards this
-                // plan never touches).
-                let registry_fresh = entry.registry_epoch == registry_epoch
-                    || world.sharded.is_some_and(|sharded| {
-                        entry.shard_stamps.as_ref().is_some_and(|stamps| {
-                            stamps.iter().all(|&(s, e)| sharded.shard_epoch(s) == e)
-                        })
-                    });
+                let registry_fresh = entry.registry_epoch == registry_epoch;
                 let network_fresh = entry.network_version == network_version;
-                if (registry_fresh || services_still_available(world.services, &entry.plan))
-                    && (network_fresh || hops_still_routable(world.network, &entry.plan))
+                if (registry_fresh || services_still_available(services, &entry.plan))
+                    && (network_fresh || hops_still_routable(network, &entry.plan))
                 {
                     if !(registry_fresh && network_fresh) {
                         // The world moved but the plan survived the
@@ -380,7 +293,6 @@ impl ShardedCompositionCache {
                         if let Some(entry) = shard.entries.write().get_mut(&key) {
                             entry.registry_epoch = registry_epoch;
                             entry.network_version = network_version;
-                            entry.shard_stamps = world.shard_stamps_for(&entry.plan);
                         }
                     }
                     shard.hits.fetch_add(1, Ordering::Relaxed);
@@ -404,7 +316,6 @@ impl ShardedCompositionCache {
                     plan: plan.clone(),
                     registry_epoch,
                     network_version,
-                    shard_stamps: world.shard_stamps_for(plan),
                 },
             );
         }
@@ -476,97 +387,6 @@ impl ShardedCompositionCache {
             stats.stale += shard.stale.load(Ordering::Relaxed);
         }
         stats
-    }
-}
-
-/// A memoizing front-end over [`Composer::compose`].
-///
-/// The single-threaded facade kept for existing callers: one shard, the
-/// historical `&mut self` API, same semantics as always. Concurrent
-/// callers use [`ShardedCompositionCache`] directly.
-#[derive(Debug)]
-pub struct CompositionCache {
-    inner: ShardedCompositionCache,
-}
-
-impl Default for CompositionCache {
-    fn default() -> CompositionCache {
-        CompositionCache {
-            inner: ShardedCompositionCache::new(1),
-        }
-    }
-}
-
-impl CompositionCache {
-    /// An empty cache.
-    pub fn new() -> CompositionCache {
-        CompositionCache::default()
-    }
-
-    /// See [`ShardedCompositionCache::compose`].
-    pub fn compose(
-        &mut self,
-        composer: &Composer<'_>,
-        profiles: &ProfileSet,
-        sender_host: NodeId,
-        receiver_host: NodeId,
-        options: &SelectOptions,
-    ) -> Result<Option<AdaptationPlan>> {
-        self.inner
-            .compose(composer, profiles, sender_host, receiver_host, options)
-    }
-
-    /// Drop every cached entry.
-    pub fn clear(&mut self) {
-        self.inner.clear();
-    }
-
-    /// Number of cached plans.
-    pub fn len(&self) -> usize {
-        self.inner.len()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.inner.is_empty()
-    }
-
-    /// Hit/miss/stale counters since construction.
-    pub fn stats(&self) -> CacheStats {
-        self.inner.stats()
-    }
-}
-
-/// The world a probe validates against. `sharded` is what the two front
-/// doors differ by: with it, freshness may also be judged per shard,
-/// and entries record the stamps of the shards their plan touches.
-struct World<'a> {
-    services: &'a ServiceRegistry,
-    sharded: Option<&'a ShardedServiceRegistry>,
-    network: &'a Network,
-}
-
-impl World<'_> {
-    /// The `(shard, epoch)` stamps covering exactly the shards of
-    /// `plan`'s services — what a fresh per-shard revalidation must
-    /// match. `None` on the flat path.
-    fn shard_stamps_for(&self, plan: &AdaptationPlan) -> Option<Vec<(u32, u64)>> {
-        self.sharded.map(|sharded| {
-            sharded
-                .touched_shards(plan.steps.iter().filter_map(|s| s.service))
-                .into_iter()
-                .map(|s| (s, sharded.shard_epoch(s)))
-                .collect()
-        })
-    }
-}
-
-/// `options` for a compose whose selection outcome is dropped for its
-/// plan: the Table-1 trace would be built and thrown away.
-fn plan_only(options: &SelectOptions) -> SelectOptions {
-    SelectOptions {
-        record_trace: false,
-        ..*options
     }
 }
 
@@ -711,7 +531,7 @@ mod tests {
             services: &f.services,
             network: &f.network,
         };
-        let mut cache = CompositionCache::new();
+        let cache = ShardedCompositionCache::new(1);
         let options = SelectOptions::default();
         let a = cache
             .compose(&composer, &f.profiles, f.server, f.client, &options)
@@ -741,7 +561,7 @@ mod tests {
             services: &f.services,
             network: &f.network,
         };
-        let mut cache = CompositionCache::new();
+        let cache = ShardedCompositionCache::new(1);
         let options = SelectOptions::default();
         cache
             .compose(&composer, &f.profiles, f.server, f.client, &options)
@@ -765,14 +585,14 @@ mod tests {
                 services: &f.services,
                 network: &f.network,
             };
-            let mut cache = CompositionCache::new();
+            let cache = ShardedCompositionCache::new(1);
             cache
                 .compose(&composer, &f.profiles, f.server, f.client, &options)
                 .unwrap()
                 .expect("solvable")
         };
         // Kill every service on the cached chain, then re-request.
-        let mut cache = CompositionCache::new();
+        let cache = ShardedCompositionCache::new(1);
         {
             let composer = Composer {
                 formats: &f.formats,
@@ -941,185 +761,11 @@ mod tests {
         );
     }
 
-    /// Per-shard stamps (sharded compose path): registry churn confined
-    /// to a shard the cached plan never touches must be served as an
-    /// O(touched shards) stamp hit — *without* running the revalidation
-    /// scan. White-box proof: poison the cached plan so the scan would
-    /// reject it; the poisoned plan coming back verbatim after
-    /// other-shard churn proves the scan was skipped, and touched-shard
-    /// churn then classifies the same entry stale.
-    #[test]
-    fn other_shard_churn_skips_the_revalidation_scan() {
-        use qosc_media::{Axis, AxisDomain, DomainVector, MediaKind, VariantSpec};
-        use qosc_netsim::SimTime;
-        use qosc_profiles::{ConversionSpec, HardwareCaps, ServiceSpec};
-        use qosc_satisfaction::{AxisPreference, SatisfactionFn, SatisfactionProfile};
-
-        let mut formats = FormatRegistry::new();
-        formats.register_abstract("video/src", MediaKind::Video);
-        formats.register_abstract("video/dst", MediaKind::Video);
-        formats.register_abstract("video/mid0", MediaKind::Video);
-        formats.register_abstract("video/mid1", MediaKind::Video);
-
-        let mut topo = Topology::new();
-        let s = topo.add_node(Node::unconstrained("sender"));
-        let m = topo.add_node(Node::unconstrained("proxy"));
-        let r = topo.add_node(Node::unconstrained("receiver"));
-        topo.connect_simple(s, m, 1e9).unwrap();
-        topo.connect_simple(m, r, 1e9).unwrap();
-        let network = Network::new(topo);
-
-        let fps_domain = |fps: f64| {
-            DomainVector::new().with(
-                Axis::FrameRate,
-                AxisDomain::Continuous { min: 1.0, max: fps },
-            )
-        };
-        // Two format clusters: cluster 0 wins (30 fps), cluster 1
-        // loses (20 fps). With enough shards their heads land apart.
-        // Routing keys on the primary *input* format, so the heads
-        // (all reading video/src) share a shard while the tails
-        // (reading their cluster's mid format) spread apart — the
-        // losing tail is the cross-shard poison this proof needs.
-        let mut services = ShardedServiceRegistry::new(8);
-        let mut tails = Vec::new();
-        for c in 0..2 {
-            let fps = 30.0 - 10.0 * c as f64;
-            let head = ServiceSpec::new(
-                format!("head{c}"),
-                vec![ConversionSpec::new(
-                    "video/src",
-                    format!("video/mid{c}"),
-                    fps_domain(fps),
-                )],
-            );
-            let tail = ServiceSpec::new(
-                format!("tail{c}"),
-                vec![ConversionSpec::new(
-                    format!("video/mid{c}"),
-                    "video/dst",
-                    fps_domain(fps),
-                )],
-            );
-            services.register_static(TranscoderDescriptor::resolve(&head, &formats, m).unwrap());
-            tails.push(
-                services
-                    .register_static(TranscoderDescriptor::resolve(&tail, &formats, m).unwrap()),
-            );
-        }
-        assert_ne!(
-            services.shard_of(tails[0]),
-            services.shard_of(tails[1]),
-            "cluster tails must land in distinct shards for this proof"
-        );
-
-        let mut user = UserProfile::demo("u");
-        user.satisfaction = SatisfactionProfile::new().with(AxisPreference::new(
-            Axis::FrameRate,
-            SatisfactionFn::Linear {
-                min_acceptable: 0.0,
-                ideal: 30.0,
-            },
-        ));
-        let profiles = ProfileSet {
-            user,
-            content: ContentProfile::new(
-                "clip",
-                vec![VariantSpec {
-                    format: "video/src".to_string(),
-                    offered: fps_domain(30.0),
-                }],
-            ),
-            device: DeviceProfile::new(
-                "screen",
-                vec!["video/dst".to_string()],
-                HardwareCaps::desktop(),
-            ),
-            context: ContextProfile::default(),
-            network: NetworkProfile::broadband(),
-        };
-
-        let cache = ShardedCompositionCache::new(1);
-        let options = SelectOptions::default();
-        let compose = |services: &ShardedServiceRegistry| {
-            let composer = ShardedComposer {
-                formats: &formats,
-                services,
-                network: &network,
-            };
-            cache
-                .compose_sharded(&composer, &profiles, s, r, &options)
-                .unwrap()
-                .expect("cluster 0 chain exists")
-        };
-        let first = compose(&services);
-        let touched: Vec<u32> =
-            services.touched_shards(first.steps.iter().filter_map(|st| st.service));
-        assert!(
-            !touched.contains(&services.shard_of(tails[1]).unwrap()),
-            "the winning plan must not touch the losing cluster's shard"
-        );
-
-        // Poison the cached plan: swap a step's service for cluster 1's
-        // quarantined tail. The revalidation scan would reject this
-        // (the service is unavailable); the stamps must never let the
-        // scan run.
-        services.set_quarantine_config(qosc_services::QuarantineConfig {
-            failure_threshold: 1,
-            cooldown_us: 1_000_000,
-        });
-        assert!(services.report_failure(tails[1], SimTime(10)).unwrap());
-        let key = request_key(&profiles, s, r);
-        {
-            let shard = cache.shard_for(key);
-            let mut entries = shard.entries.write();
-            let entry = entries.get_mut(&key).expect("entry cached");
-            let step = entry
-                .plan
-                .steps
-                .iter_mut()
-                .find(|st| st.service.is_some())
-                .unwrap();
-            step.service = Some(tails[1]);
-        }
-
-        // The flat epoch moved (cluster 1 churn), but every *touched*
-        // shard's epoch is unchanged: the probe must hit on the shard
-        // stamps and return the poisoned plan verbatim — proof the
-        // scan never ran.
-        let again = compose(&services);
-        assert_eq!(
-            again
-                .steps
-                .iter()
-                .find(|st| st.service.is_some())
-                .unwrap()
-                .service,
-            Some(tails[1]),
-            "poisoned plan must come back untouched (scan skipped)"
-        );
-        assert_eq!(
-            cache.stats(),
-            CacheStats {
-                hits: 1,
-                misses: 1,
-                stale: 0
-            }
-        );
-
-        // Churn in a *touched* shard breaks the stamps: now the scan
-        // runs, rejects the poisoned plan, and the entry is recomposed.
-        services.renew(tails[0], SimTime(20), u64::MAX / 2).unwrap();
-        let healed = compose(&services);
-        assert_eq!(cache.stats().stale, 1);
-        assert_eq!(healed, first, "recompose restores the real plan");
-    }
-
     #[test]
     fn failed_node_invalidates_entry() {
         let mut f = fixture();
         let options = SelectOptions::default();
-        let mut cache = CompositionCache::new();
+        let cache = ShardedCompositionCache::new(1);
         let first = {
             let composer = Composer {
                 formats: &f.formats,
@@ -1154,84 +800,48 @@ mod tests {
     // Revalidation by halves
     // -----------------------------------------------------------------
 
-    /// Which front door a white-box test drives.
-    #[derive(Debug, Clone, Copy)]
-    enum Door {
-        Flat,
-        Sharded,
-    }
-
-    /// [`fixture`] over a sharded registry, so one world serves both
-    /// doors: the flat composer reads `services.flat()`.
+    /// [`fixture`] with a one-strike quarantine and a one-shard cache.
     struct HalvesFixture {
-        formats: FormatRegistry,
-        services: ShardedServiceRegistry,
-        network: Network,
-        profiles: ProfileSet,
-        server: NodeId,
-        client: NodeId,
+        world: Fixture,
         cache: ShardedCompositionCache,
-        door: Door,
     }
 
     impl HalvesFixture {
-        fn new(door: Door) -> HalvesFixture {
-            let f = fixture();
-            let proxy = f.services.live_services().next().unwrap().1.host;
-            let mut services = ShardedServiceRegistry::new(4);
-            for spec in catalog::full_catalog() {
-                services.register_static(
-                    TranscoderDescriptor::resolve(&spec, &f.formats, proxy).unwrap(),
-                );
-            }
-            services.set_quarantine_config(qosc_services::QuarantineConfig {
-                failure_threshold: 1,
-                cooldown_us: 1_000_000,
-            });
+        fn new() -> HalvesFixture {
+            let mut world = fixture();
+            world
+                .services
+                .set_quarantine_config(qosc_services::QuarantineConfig {
+                    failure_threshold: 1,
+                    cooldown_us: 1_000_000,
+                });
             HalvesFixture {
-                formats: f.formats,
-                services,
-                network: f.network,
-                profiles: f.profiles,
-                server: f.server,
-                client: f.client,
+                world,
                 cache: ShardedCompositionCache::new(1),
-                door,
             }
         }
 
         fn compose(&self) -> Option<AdaptationPlan> {
-            let options = SelectOptions::default();
-            match self.door {
-                Door::Flat => self.cache.compose(
+            let w = &self.world;
+            self.cache
+                .compose(
                     &Composer {
-                        formats: &self.formats,
-                        services: self.services.flat(),
-                        network: &self.network,
+                        formats: &w.formats,
+                        services: &w.services,
+                        network: &w.network,
                     },
-                    &self.profiles,
-                    self.server,
-                    self.client,
-                    &options,
-                ),
-                Door::Sharded => self.cache.compose_sharded(
-                    &ShardedComposer {
-                        formats: &self.formats,
-                        services: &self.services,
-                        network: &self.network,
-                    },
-                    &self.profiles,
-                    self.server,
-                    self.client,
-                    &options,
-                ),
-            }
-            .unwrap()
+                    &w.profiles,
+                    w.server,
+                    w.client,
+                    &SelectOptions::default(),
+                )
+                .unwrap()
         }
 
         /// Run `edit` on the one cached entry.
         fn with_entry<T>(&self, edit: impl FnOnce(&mut CachedPlan) -> T) -> T {
-            let key = request_key(&self.profiles, self.server, self.client);
+            let w = &self.world;
+            let key = request_key(&w.profiles, w.server, w.client);
             let mut entries = self.cache.shard_for(key).entries.write();
             edit(entries.get_mut(&key).expect("entry cached"))
         }
@@ -1241,15 +851,15 @@ mod tests {
         }
 
         fn world_stamps(&self) -> (u64, u64) {
-            (self.services.flat().epoch(), self.network.version())
+            (self.world.services.epoch(), self.world.network.version())
         }
 
         /// A registry mutation that leaves `service` available but moves
-        /// the flat epoch *and* the epoch of its shard, so neither door
-        /// can call the registry half fresh.
+        /// the epoch, so the registry half cannot be called fresh.
         fn churn_around(&mut self, service: qosc_services::ServiceId) {
             use qosc_netsim::SimTime;
-            self.services
+            self.world
+                .services
                 .renew(service, SimTime(20), u64::MAX / 2)
                 .unwrap();
         }
@@ -1271,35 +881,32 @@ mod tests {
     /// network version moves.
     #[test]
     fn fresh_network_stamp_skips_the_network_half() {
-        for door in [Door::Flat, Door::Sharded] {
-            let mut f = HalvesFixture::new(door);
-            let first = f.compose().expect("solvable");
-            let (service, proxy) = first_service(&first);
-            f.network.fail_node(proxy).unwrap();
-            let version = f.network.version();
-            f.with_entry(|entry| entry.network_version = version);
-            f.churn_around(service);
-            assert_ne!(f.stamps().0, f.world_stamps().0, "{door:?}");
+        let mut f = HalvesFixture::new();
+        let first = f.compose().expect("solvable");
+        let (service, proxy) = first_service(&first);
+        f.world.network.fail_node(proxy).unwrap();
+        let version = f.world.network.version();
+        f.with_entry(|entry| entry.network_version = version);
+        f.churn_around(service);
+        assert_ne!(f.stamps().0, f.world_stamps().0);
 
-            let again = f.compose().expect("network half must be skipped");
-            assert_eq!(again, first, "{door:?}");
-            assert_eq!(
-                f.cache.stats(),
-                CacheStats {
-                    hits: 1,
-                    misses: 1,
-                    stale: 0
-                },
-                "{door:?}"
-            );
-            assert_eq!(f.stamps(), f.world_stamps(), "{door:?}: re-stamped");
+        let again = f.compose().expect("network half must be skipped");
+        assert_eq!(again, first);
+        assert_eq!(
+            f.cache.stats(),
+            CacheStats {
+                hits: 1,
+                misses: 1,
+                stale: 0
+            }
+        );
+        assert_eq!(f.stamps(), f.world_stamps(), "re-stamped");
 
-            // Any network mutation, even one that changes no answer,
-            // sends the probe through the network half.
-            let _ = f.network.background_mut();
-            assert!(f.compose().is_none(), "{door:?}: the one proxy is down");
-            assert_eq!(f.cache.stats().stale, 1, "{door:?}");
-        }
+        // Any network mutation, even one that changes no answer,
+        // sends the probe through the network half.
+        let _ = f.world.network.background_mut();
+        assert!(f.compose().is_none(), "the one proxy is down");
+        assert_eq!(f.cache.stats().stale, 1);
     }
 
     /// (b) A chain service quarantined with the network untouched: the
@@ -1307,85 +914,77 @@ mod tests {
     #[test]
     fn quarantined_chain_service_is_stale_with_the_network_untouched() {
         use qosc_netsim::SimTime;
-        for door in [Door::Flat, Door::Sharded] {
-            let mut f = HalvesFixture::new(door);
-            let first = f.compose().expect("solvable");
-            let (service, _) = first_service(&first);
-            let version = f.network.version();
-            assert!(f.services.report_failure(service, SimTime(10)).unwrap());
-            assert_eq!(f.network.version(), version);
+        let mut f = HalvesFixture::new();
+        let first = f.compose().expect("solvable");
+        let (service, _) = first_service(&first);
+        let version = f.world.network.version();
+        assert!(f
+            .world
+            .services
+            .report_failure(service, SimTime(10))
+            .unwrap());
+        assert_eq!(f.world.network.version(), version);
 
-            let replacement = f.compose();
-            assert_eq!(
-                f.cache.stats(),
-                CacheStats {
-                    hits: 0,
-                    misses: 1,
-                    stale: 1
-                },
-                "{door:?}"
-            );
-            let replacement = replacement.expect("the catalog has another chain");
-            assert!(
-                replacement.steps.iter().all(|s| s.service != Some(service)),
-                "{door:?}: recomposed around the quarantined service"
-            );
-            // The stale entry made way for the recompose's.
-            assert_eq!(f.cache.len(), 1, "{door:?}");
-            assert_eq!(f.with_entry(|entry| entry.plan.clone()), replacement);
-            assert_eq!(f.stamps(), f.world_stamps(), "{door:?}");
-        }
+        let replacement = f.compose();
+        assert_eq!(
+            f.cache.stats(),
+            CacheStats {
+                hits: 0,
+                misses: 1,
+                stale: 1
+            }
+        );
+        let replacement = replacement.expect("the catalog has another chain");
+        assert!(
+            replacement.steps.iter().all(|s| s.service != Some(service)),
+            "recomposed around the quarantined service"
+        );
+        // The stale entry made way for the recompose's.
+        assert_eq!(f.cache.len(), 1);
+        assert_eq!(f.with_entry(|entry| entry.plan.clone()), replacement);
+        assert_eq!(f.stamps(), f.world_stamps());
     }
 
-    /// (c) Registry stamps fresh, network version moved: only the
+    /// (c) Registry stamp fresh, network version moved: only the
     /// network half runs. The entry's registry half is poisoned (a
-    /// chain service is quarantined) under forged-fresh registry
-    /// stamps; the probe must hit and re-stamp, and the same entry must
-    /// go stale as soon as the registry moves where the plan looks.
+    /// chain service is quarantined) under a forged-fresh registry
+    /// stamp; the probe must hit and re-stamp, and the same entry must
+    /// go stale as soon as the registry moves.
     #[test]
     fn fresh_registry_stamps_skip_the_registry_half() {
         use qosc_netsim::SimTime;
-        for door in [Door::Flat, Door::Sharded] {
-            let mut f = HalvesFixture::new(door);
-            let first = f.compose().expect("solvable");
-            let (service, _) = first_service(&first);
-            assert!(f.services.report_failure(service, SimTime(10)).unwrap());
-            let epoch = f.services.flat().epoch();
-            let shard_epochs = f.services.shard_epochs();
-            f.with_entry(|entry| {
-                entry.registry_epoch = epoch;
-                for (shard, stamp) in entry.shard_stamps.iter_mut().flatten() {
-                    *stamp = shard_epochs
-                        .iter()
-                        .find(|&&(s, _)| s == *shard)
-                        .expect("touched shard exists")
-                        .1;
-                }
-            });
-            let _ = f.network.background_mut();
-            assert_ne!(f.stamps().1, f.world_stamps().1, "{door:?}");
+        let mut f = HalvesFixture::new();
+        let first = f.compose().expect("solvable");
+        let (service, _) = first_service(&first);
+        assert!(f
+            .world
+            .services
+            .report_failure(service, SimTime(10))
+            .unwrap());
+        let epoch = f.world.services.epoch();
+        f.with_entry(|entry| entry.registry_epoch = epoch);
+        let _ = f.world.network.background_mut();
+        assert_ne!(f.stamps().1, f.world_stamps().1);
 
-            let again = f.compose().expect("registry half must be skipped");
-            assert_eq!(again, first, "{door:?}");
-            assert_eq!(
-                f.cache.stats(),
-                CacheStats {
-                    hits: 1,
-                    misses: 1,
-                    stale: 0
-                },
-                "{door:?}"
-            );
-            assert_eq!(f.stamps(), f.world_stamps(), "{door:?}: re-stamped");
+        let again = f.compose().expect("registry half must be skipped");
+        assert_eq!(again, first);
+        assert_eq!(
+            f.cache.stats(),
+            CacheStats {
+                hits: 1,
+                misses: 1,
+                stale: 0
+            }
+        );
+        assert_eq!(f.stamps(), f.world_stamps(), "re-stamped");
 
-            // Registry movement in the plan's own shard sends the probe
-            // through the registry half, which sees the quarantine.
-            f.services.release_quarantines(SimTime(11));
-            f.churn_around(service);
-            assert!(!f.services.flat().is_available(service));
-            f.compose();
-            assert_eq!(f.cache.stats().stale, 1, "{door:?}");
-        }
+        // Registry movement sends the probe through the registry half,
+        // which sees the quarantine.
+        f.world.services.release_quarantines(SimTime(11));
+        f.churn_around(service);
+        assert!(!f.world.services.is_available(service));
+        f.compose();
+        assert_eq!(f.cache.stats().stale, 1);
     }
 
     // -----------------------------------------------------------------

@@ -28,8 +28,10 @@
 //! for the property tests.
 
 use crate::graph::build::{self, BuildInput};
-use crate::graph::model::{AdaptationGraph, Edge, Vertex, VertexConversion, VertexId, VertexKind};
-use crate::Result;
+use crate::graph::model::{
+    AdaptationGraph, Edge, EdgeId, Vertex, VertexConversion, VertexId, VertexKind,
+};
+use crate::{CoreError, Result};
 use parking_lot::RwLock;
 use qosc_media::{AxisDomain, DomainVector, FormatId};
 use qosc_netsim::{Network, NodeId, PathAnnotation};
@@ -596,7 +598,7 @@ impl GraphStore {
                     let to_host = graph.vertex(target)?.host;
                     if let Some(a) = annotations.get(to_host.index()).copied().flatten() {
                         let out_pos = graph.out_edges(source).len();
-                        let in_pos = canonical_in_pos(&graph, target, source, out_pos);
+                        let in_pos = canonical_in_pos(&graph, target, source, out_pos)?;
                         graph.insert_edge_at(
                             Edge {
                                 from: source,
@@ -619,7 +621,7 @@ impl GraphStore {
                         .flatten()
                     {
                         let out_pos = graph.out_edges(source).len();
-                        let in_pos = canonical_in_pos(&graph, receiver, source, out_pos);
+                        let in_pos = canonical_in_pos(&graph, receiver, source, out_pos)?;
                         graph.insert_edge_at(
                             Edge {
                                 from: source,
@@ -664,7 +666,7 @@ impl GraphStore {
                         continue;
                     }
                     if let Some(a) = annotation {
-                        let out_pos = canonical_out_pos(&graph, source, &outputs, rank, target);
+                        let out_pos = canonical_out_pos(&graph, source, &outputs, rank, target)?;
                         let in_pos = graph.in_edges(target).len();
                         graph.insert_edge_at(
                             Edge {
@@ -796,7 +798,7 @@ fn canonical_out_pos(
     outputs: &[FormatId],
     rank: usize,
     target: VertexId,
-) -> usize {
+) -> Result<usize> {
     let receiver = graph.receiver();
     let key_of = |edge: &Edge| -> (usize, bool, usize) {
         let edge_rank = outputs
@@ -808,12 +810,11 @@ fn canonical_out_pos(
     let new_key = (rank, Some(target) == receiver, target.index());
     let list = graph.out_edges(source);
     for (pos, &edge_id) in list.iter().enumerate() {
-        let edge = graph.edge(edge_id).expect("listed edge exists");
-        if key_of(edge) > new_key {
-            return pos;
+        if key_of(graph.edge(edge_id)?) > new_key {
+            return Ok(pos);
         }
     }
-    list.len()
+    Ok(list.len())
 }
 
 /// Canonical position for a new edge `source -> target` within
@@ -827,16 +828,20 @@ fn canonical_in_pos(
     target: VertexId,
     source: VertexId,
     new_out_pos: usize,
-) -> usize {
+) -> Result<usize> {
     let new_key = (source.index(), new_out_pos);
     let list = graph.in_edges(target);
     for (pos, &edge_id) in list.iter().enumerate() {
-        let edge = graph.edge(edge_id).expect("listed edge exists");
-        let out_pos = graph
+        let edge = graph.edge(edge_id)?;
+        let Some(out_pos) = graph
             .out_edges(edge.from)
             .iter()
             .position(|&e| e == edge_id)
-            .expect("edge listed by its source");
+        else {
+            return Err(CoreError::StaleId(format!(
+                "edge {edge_id:?} not listed by its source"
+            )));
+        };
         // Same-source edges at or past the insertion point shift by
         // one once the new edge goes in.
         let effective = if edge.from == source && out_pos >= new_out_pos {
@@ -845,10 +850,10 @@ fn canonical_in_pos(
             out_pos
         };
         if (edge.from.index(), effective) > new_key {
-            return pos;
+            return Ok(pos);
         }
     }
-    list.len()
+    Ok(list.len())
 }
 
 /// Structural equivalence: identical vertices (kind, name, host,
@@ -864,10 +869,11 @@ pub fn graphs_equivalent(a: &AdaptationGraph, b: &AdaptationGraph) -> bool {
     {
         return false;
     }
-    let resolve = |graph: &AdaptationGraph, list: &[crate::graph::model::EdgeId]| -> Vec<Edge> {
-        list.iter()
-            .map(|&e| graph.edge(e).expect("listed edge exists").clone())
-            .collect()
+    // Lists compare by edge payload, position for position; a dangling
+    // id resolves to `None` and still takes part.
+    let same_edges = |in_a: &[EdgeId], in_b: &[EdgeId]| {
+        let resolved_a = in_a.iter().map(|&e| a.edge(e).ok());
+        resolved_a.eq(in_b.iter().map(|&e| b.edge(e).ok()))
     };
     for vertex in a.vertex_ids() {
         let (va, vb) = match (a.vertex(vertex), b.vertex(vertex)) {
@@ -877,10 +883,9 @@ pub fn graphs_equivalent(a: &AdaptationGraph, b: &AdaptationGraph) -> bool {
         if va != vb {
             return false;
         }
-        if resolve(a, a.out_edges(vertex)) != resolve(b, b.out_edges(vertex)) {
-            return false;
-        }
-        if resolve(a, a.in_edges(vertex)) != resolve(b, b.in_edges(vertex)) {
+        if !same_edges(a.out_edges(vertex), b.out_edges(vertex))
+            || !same_edges(a.in_edges(vertex), b.in_edges(vertex))
+        {
             return false;
         }
     }

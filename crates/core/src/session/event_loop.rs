@@ -670,19 +670,8 @@ impl<W: SessionWorld + Sync, S: TelemetrySink> Loop<'_, '_, W, S> {
             if before != after {
                 let sess = &mut self.sessions[i];
                 sess.outcome.grant_updates = sess.outcome.grant_updates.saturating_add(1);
-                if self.config.session_spans {
-                    if let Some(state) = sess.trace {
-                        let mut trace = RequestTrace::resume(self.sink, state);
-                        trace.advance_to(t);
-                        trace.emit(
-                            ROOT_SPAN,
-                            EventKind::GrantUpdated {
-                                fill_ppm: after.unwrap_or(0),
-                            },
-                        );
-                        sess.trace = Some(trace.save());
-                    }
-                }
+                let fill_ppm = after.unwrap_or(0);
+                self.emit_root(i, t, EventKind::GrantUpdated { fill_ppm });
             }
         }
     }
@@ -769,20 +758,11 @@ impl<W: SessionWorld + Sync, S: TelemetrySink> Loop<'_, '_, W, S> {
             self.world.probate_service(id, observed_ppm, t);
             let sess = &mut self.sessions[i];
             sess.outcome.sla_violations = sess.outcome.sla_violations.saturating_add(1);
-            if self.config.session_spans {
-                if let Some(state) = sess.trace {
-                    let mut trace = RequestTrace::resume(self.sink, state);
-                    trace.advance_to(t);
-                    trace.emit(
-                        ROOT_SPAN,
-                        EventKind::SlaViolation {
-                            service: id.index() as u32,
-                            observed_ppm,
-                        },
-                    );
-                    sess.trace = Some(trace.save());
-                }
-            }
+            let kind = EventKind::SlaViolation {
+                service: id.index() as u32,
+                observed_ppm,
+            };
+            self.emit_root(i, t, kind);
         }
         if flagged_in_plan {
             self.maybe_evade(t, i);
@@ -866,21 +846,12 @@ impl<W: SessionWorld + Sync, S: TelemetrySink> Loop<'_, '_, W, S> {
         let sess = &mut self.sessions[i];
         sess.outcome.evasions = sess.outcome.evasions.saturating_add(1);
         let buffer_us = sess.abr.as_ref().map(|a| a.buffer.level_us()).unwrap_or(0);
-        if self.config.session_spans {
-            if let Some(state) = sess.trace {
-                let mut trace = RequestTrace::resume(self.sink, state);
-                trace.advance_to(t);
-                trace.emit(
-                    ROOT_SPAN,
-                    EventKind::SlaEvaded {
-                        from: from.label(),
-                        to: to.label(),
-                        buffer_us,
-                    },
-                );
-                sess.trace = Some(trace.save());
-            }
-        }
+        let kind = EventKind::SlaEvaded {
+            from: from.label(),
+            to: to.label(),
+            buffer_us,
+        };
+        self.emit_root(i, t, kind);
     }
 
     /// The session's plan died at `t`: go dark and ask for another
@@ -992,14 +963,21 @@ impl<W: SessionWorld + Sync, S: TelemetrySink> Loop<'_, '_, W, S> {
             }
         }
         if let Some(stalled_us) = stall_entered_us {
-            if self.config.session_spans {
-                if let Some(state) = self.sessions[i].trace {
-                    let mut trace = RequestTrace::resume(self.sink, state);
-                    trace.advance_to(t);
-                    trace.emit(ROOT_SPAN, EventKind::Rebuffered { stalled_us });
-                    self.sessions[i].trace = Some(trace.save());
-                }
-            }
+            self.emit_root(i, t, EventKind::Rebuffered { stalled_us });
+        }
+    }
+
+    /// With `session_spans` on and a trace saved for session `i`: emit
+    /// `kind` on its root span at virtual time `t`.
+    fn emit_root(&mut self, i: usize, t: u64, kind: EventKind) {
+        if !self.config.session_spans {
+            return;
+        }
+        if let Some(state) = self.sessions[i].trace {
+            let mut trace = RequestTrace::resume(self.sink, state);
+            trace.advance_to(t);
+            trace.emit(ROOT_SPAN, kind);
+            self.sessions[i].trace = Some(trace.save());
         }
     }
 
@@ -1012,19 +990,10 @@ impl<W: SessionWorld + Sync, S: TelemetrySink> Loop<'_, '_, W, S> {
         let sess = &mut self.sessions[i];
         sess.outcome.closed_us = Some(t);
         sess.outcome.close = Some(reason);
-        if self.config.session_spans {
-            if let Some(state) = sess.trace {
-                let mut trace = RequestTrace::resume(self.sink, state);
-                trace.advance_to(t);
-                trace.emit(
-                    ROOT_SPAN,
-                    EventKind::SessionClosed {
-                        reason: reason.label(),
-                    },
-                );
-                sess.trace = Some(trace.save());
-            }
-        }
+        let kind = EventKind::SessionClosed {
+            reason: reason.label(),
+        };
+        self.emit_root(i, t, kind);
         match reason {
             CloseReason::Completed => self.counters.completed += 1,
             CloseReason::FailedOpen => self.counters.failed_open += 1,
@@ -1199,21 +1168,12 @@ impl<W: SessionWorld + Sync, S: TelemetrySink> Loop<'_, '_, W, S> {
             buffer_us = abr.buffer.level_us();
         }
         self.sessions[i].outcome.switches = self.sessions[i].outcome.switches.saturating_add(1);
-        if self.config.session_spans {
-            if let Some(state) = self.sessions[i].trace {
-                let mut trace = RequestTrace::resume(self.sink, state);
-                trace.advance_to(t);
-                trace.emit(
-                    ROOT_SPAN,
-                    EventKind::RungSwitch {
-                        from: from.label(),
-                        to: to.label(),
-                        buffer_us,
-                    },
-                );
-                self.sessions[i].trace = Some(trace.save());
-            }
-        }
+        let kind = EventKind::RungSwitch {
+            from: from.label(),
+            to: to.label(),
+            buffer_us,
+        };
+        self.emit_root(i, t, kind);
     }
 
     /// A composition served: install the plan, record the rung

@@ -32,7 +32,7 @@ use qosc_netsim::{LinkId, NetError, Network, NodeId, SimTime};
 use qosc_profiles::ServiceSpec;
 use qosc_services::{
     DiscoveryConfig, DiscoveryDriver, MemberId, QosObservation, ServiceError, ServiceId,
-    ServiceRegistry, ShardedServiceRegistry, TranscoderDescriptor, QOS_PPM,
+    ServiceRegistry, TranscoderDescriptor, QOS_PPM,
 };
 use std::collections::HashMap;
 
@@ -161,17 +161,10 @@ struct DeliveryCache {
     stats: DeliveryCacheStats,
 }
 
-/// Shard count of the world's registry. Session worlds are bounded
-/// fleets (tens of members), so a small fixed fan-out keeps per-shard
-/// epochs meaningful without per-world tuning.
-const WORLD_SHARDS: u32 = 8;
-
 #[derive(Debug)]
 pub struct ChaosWorld<'a> {
     formats: &'a FormatRegistry,
-    /// World churn routes through the sharded wrapper so per-shard
-    /// epochs stay truthful; composition reads `services.flat()`.
-    services: ShardedServiceRegistry,
+    services: ServiceRegistry,
     network: Network,
     driver: DiscoveryDriver,
     members: Vec<MemberId>,
@@ -205,7 +198,7 @@ impl<'a> ChaosWorld<'a> {
     ) -> ChaosWorld<'a> {
         ChaosWorld {
             formats,
-            services: ShardedServiceRegistry::new(WORLD_SHARDS),
+            services: ServiceRegistry::new(),
             network,
             driver: DiscoveryDriver::new(discovery),
             members: Vec::new(),
@@ -272,7 +265,11 @@ impl<'a> ChaosWorld<'a> {
     /// registered at its peak rate on every hop — conservative for the
     /// lower-rate crossings, but one rate per flow keeps the
     /// water-filling kernel exact and integer.
-    fn flow_shape(&self, plan: &AdaptationPlan, demand_bps: u64) -> (Vec<(LinkId, bool)>, u64) {
+    fn flow_shape(
+        network: &Network,
+        plan: &AdaptationPlan,
+        demand_bps: u64,
+    ) -> (Vec<(LinkId, bool)>, u64) {
         let hop_count = plan.steps.len().saturating_sub(1);
         let mut hops = Vec::new();
         let mut required = 0f64;
@@ -280,10 +277,10 @@ impl<'a> ChaosWorld<'a> {
             if pair[0].host == pair[1].host {
                 continue;
             }
-            let Ok(route) = self.network.route_between(pair[0].host, pair[1].host) else {
+            let Ok(route) = network.route_between(pair[0].host, pair[1].host) else {
                 continue;
             };
-            hops.extend(route.directed_hops(self.network.topology()));
+            hops.extend(route.directed_hops(network.topology()));
             let mut rate = pair[1].input_bps;
             if k + 1 == hop_count {
                 rate = rate.max(demand_bps as f64);
@@ -390,21 +387,9 @@ impl<'a> ChaosWorld<'a> {
         &self.network
     }
 
-    /// The current registry state (the flat ground truth).
+    /// The current registry state.
     pub fn services(&self) -> &ServiceRegistry {
-        self.services.flat()
-    }
-
-    /// The sharded registry wrapper the world's churn routes through —
-    /// exposes per-shard epochs and summary frontiers.
-    pub fn sharded_services(&self) -> &ShardedServiceRegistry {
         &self.services
-    }
-
-    /// Mutable registry access — lets experiments tune quarantine and
-    /// probation policy before a run.
-    pub fn services_mut(&mut self) -> &mut ShardedServiceRegistry {
-        &mut self.services
     }
 
     /// Replace the advertised per-stage processing latency that
@@ -428,7 +413,7 @@ impl SessionWorld for ChaosWorld<'_> {
     fn composer(&self) -> Composer<'_> {
         Composer {
             formats: self.formats,
-            services: self.services.flat(),
+            services: &self.services,
             network: &self.network,
         }
     }
@@ -436,7 +421,7 @@ impl SessionWorld for ChaosWorld<'_> {
     fn plan_alive(&self, plan: &AdaptationPlan) -> bool {
         for step in &plan.steps {
             if let Some(id) = step.service {
-                if !self.services.flat().is_available(id) {
+                if !self.services.is_available(id) {
                     return false;
                 }
             }
@@ -451,7 +436,7 @@ impl SessionWorld for ChaosWorld<'_> {
     fn plan_routable(&self, plan: &AdaptationPlan) -> bool {
         for step in &plan.steps {
             if let Some(id) = step.service {
-                if !self.services.flat().is_available(id) {
+                if !self.services.is_available(id) {
                     return false;
                 }
             }
@@ -651,13 +636,12 @@ impl SessionWorld for ChaosWorld<'_> {
         demand_bps: u64,
         weight: u32,
     ) {
-        if self.broker.is_none() {
+        let Some(broker) = self.broker.as_mut() else {
             return;
-        }
-        let (hops, required) = self.flow_shape(plan, demand_bps);
+        };
+        let (hops, required) = Self::flow_shape(&self.network, plan, demand_bps);
         let max_bps = required.saturating_mul(REFILL_HEADROOM);
         let min_bps = required / MIN_SHARE_DIV;
-        let broker = self.broker.as_mut().expect("checked above");
         broker.register(FlowSpec {
             session,
             min_bps,
@@ -730,7 +714,7 @@ impl SessionWorld for ChaosWorld<'_> {
         // Full recompute outside the lock: routability and the route
         // walk dominate.
         let routable = self.plan_routable(plan);
-        let (_, required_bps) = self.flow_shape(plan, demand_bps);
+        let (_, required_bps) = Self::flow_shape(&self.network, plan, demand_bps);
         let sag_cap_ppm = self.plan_sag_cap(plan);
         let ppm = granted_ppm(grant, routable, required_bps, sag_cap_ppm);
         let mut cache = self.delivery_cache.lock();

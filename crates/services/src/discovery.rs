@@ -12,78 +12,8 @@
 
 use crate::descriptor::{ServiceId, TranscoderDescriptor};
 use crate::registry::ServiceRegistry;
-use crate::sharded::ShardedServiceRegistry;
 use crate::Result;
 use qosc_netsim::SimTime;
-
-/// The registry surface the discovery loop drives: soft-state
-/// registration and lease maintenance.
-///
-/// Implemented by the flat [`ServiceRegistry`] and by the
-/// [`ShardedServiceRegistry`] wrapper, so a world can route its churn
-/// through per-shard epochs (keeping cache revalidation O(touched
-/// shards)) without the driver knowing which flavor it talks to.
-pub trait RegistryOps {
-    /// Register an advertisement with a lease.
-    fn register(
-        &mut self,
-        descriptor: TranscoderDescriptor,
-        now: SimTime,
-        ttl_us: u64,
-    ) -> ServiceId;
-    /// Renew an advertisement's lease.
-    fn renew(&mut self, id: ServiceId, now: SimTime, ttl_us: u64) -> Result<()>;
-    /// Expire stale leases, returning the expired ids.
-    fn expire_leases(&mut self, now: SimTime) -> Vec<ServiceId>;
-    /// Whether `id` is currently advertised.
-    fn is_live(&self, id: ServiceId) -> bool;
-}
-
-impl RegistryOps for ServiceRegistry {
-    fn register(
-        &mut self,
-        descriptor: TranscoderDescriptor,
-        now: SimTime,
-        ttl_us: u64,
-    ) -> ServiceId {
-        ServiceRegistry::register(self, descriptor, now, ttl_us)
-    }
-
-    fn renew(&mut self, id: ServiceId, now: SimTime, ttl_us: u64) -> Result<()> {
-        ServiceRegistry::renew(self, id, now, ttl_us)
-    }
-
-    fn expire_leases(&mut self, now: SimTime) -> Vec<ServiceId> {
-        ServiceRegistry::expire_leases(self, now)
-    }
-
-    fn is_live(&self, id: ServiceId) -> bool {
-        ServiceRegistry::is_live(self, id)
-    }
-}
-
-impl RegistryOps for ShardedServiceRegistry {
-    fn register(
-        &mut self,
-        descriptor: TranscoderDescriptor,
-        now: SimTime,
-        ttl_us: u64,
-    ) -> ServiceId {
-        ShardedServiceRegistry::register(self, descriptor, now, ttl_us)
-    }
-
-    fn renew(&mut self, id: ServiceId, now: SimTime, ttl_us: u64) -> Result<()> {
-        ShardedServiceRegistry::renew(self, id, now, ttl_us)
-    }
-
-    fn expire_leases(&mut self, now: SimTime) -> Vec<ServiceId> {
-        ShardedServiceRegistry::expire_leases(self, now)
-    }
-
-    fn is_live(&self, id: ServiceId) -> bool {
-        self.flat().is_live(id)
-    }
-}
 
 /// Handle to one tracked member.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -128,9 +58,9 @@ impl DiscoveryDriver {
     }
 
     /// Track (and register) a new member.
-    pub fn join<R: RegistryOps>(
+    pub fn join(
         &mut self,
-        registry: &mut R,
+        registry: &mut ServiceRegistry,
         descriptor: TranscoderDescriptor,
         now: SimTime,
     ) -> MemberId {
@@ -154,9 +84,9 @@ impl DiscoveryDriver {
 
     /// Revive a crashed member: it re-registers immediately (a fresh
     /// process on the same host).
-    pub fn revive<R: RegistryOps>(
+    pub fn revive(
         &mut self,
-        registry: &mut R,
+        registry: &mut ServiceRegistry,
         member: MemberId,
         now: SimTime,
     ) -> Result<()> {
@@ -174,7 +104,7 @@ impl DiscoveryDriver {
     /// member whose old advertisement already expired re-registers), and
     /// stale leases are expired. Returns the number of advertisements
     /// that expired this tick.
-    pub fn tick<R: RegistryOps>(&mut self, registry: &mut R, now: SimTime) -> usize {
+    pub fn tick(&mut self, registry: &mut ServiceRegistry, now: SimTime) -> usize {
         let ttl = self.config.ttl.as_micros();
         for m in &mut self.members {
             if !m.alive {
@@ -192,7 +122,7 @@ impl DiscoveryDriver {
     }
 
     /// Whether `member` currently has a live advertisement.
-    pub fn is_advertised<R: RegistryOps>(&self, registry: &R, member: MemberId) -> bool {
+    pub fn is_advertised(&self, registry: &ServiceRegistry, member: MemberId) -> bool {
         self.members
             .get(member.0)
             .and_then(|m| m.registration)

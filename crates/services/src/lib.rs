@@ -25,7 +25,7 @@ pub mod registry;
 pub mod sharded;
 
 pub use descriptor::{Conversion, ServiceId, TranscoderDescriptor};
-pub use discovery::{DiscoveryConfig, DiscoveryDriver, MemberId, RegistryOps};
+pub use discovery::{DiscoveryConfig, DiscoveryDriver, MemberId};
 pub use host::{AdmissionId, HostResources};
 pub use qos::{QosEstimator, QosEstimatorConfig, QosObservation, SlaVerdict, SlaWatchdog, QOS_PPM};
 pub use registry::{ProbationConfig, QuarantineConfig, RegistryEvent, ServiceRegistry};

@@ -16,8 +16,8 @@
 //! * a **per-shard event log** with its own monotone epoch and its own
 //!   compaction watermark, mirroring the flat log's semantics: the
 //!   shard epoch moves exactly when a mutation touches a service of
-//!   that shard, which is what lets cache revalidation and incremental
-//!   graph maintenance stay O(touched shards) instead of O(registry),
+//!   that shard, which is what lets scoped graph maintenance stay
+//!   O(touched shards) instead of O(registry),
 //! * a **summary frontier** per shard: for every
 //!   `(input format, output format, axis set)` a shard's available
 //!   services can convert between, the per-axis maximum ("hull top")
@@ -426,15 +426,6 @@ impl ShardedServiceRegistry {
             .collect()
     }
 
-    /// The sorted, deduplicated shards of `ids` — the "touched shards"
-    /// a cached plan's per-shard stamps cover.
-    pub fn touched_shards<I: IntoIterator<Item = ServiceId>>(&self, ids: I) -> Vec<u32> {
-        let mut shards: Vec<u32> = ids.into_iter().filter_map(|id| self.shard_of(id)).collect();
-        shards.sort_unstable();
-        shards.dedup();
-        shards
-    }
-
     // ----- internals -----
 
     /// Distribute every flat event recorded since `pre_epoch` to its
@@ -752,21 +743,16 @@ mod tests {
     }
 
     #[test]
-    fn scope_filter_and_touched_shards_follow_assignment() {
+    fn scope_filter_follows_assignment() {
         let f = fixture();
         let mut reg = ShardedServiceRegistry::new(8);
         let a = reg.register_static(descriptor(&f, "s1", "a", "b", 30.0));
         let b = reg.register_static(descriptor(&f, "s2", "b", "c", 30.0));
-        let (sa, sb) = (reg.shard_of(a).unwrap(), reg.shard_of(b).unwrap());
         let mut expanded = vec![false; 8];
-        expanded[sa as usize] = true;
+        expanded[reg.shard_of(a).unwrap() as usize] = true;
         let filter = reg.scope_filter(&expanded);
         assert!(filter[a.index()]);
         assert!(!filter[b.index()]);
-        let mut want = vec![sa, sb];
-        want.sort_unstable();
-        want.dedup();
-        assert_eq!(reg.touched_shards([a, b, a]), want);
     }
 
     #[test]
@@ -823,11 +809,7 @@ mod tests {
         other.register_static(descriptor(&f, "o1", "a", "b", 30.0));
         let foreign = other.register_static(descriptor(&f, "o2", "b", "c", 30.0));
         assert_eq!(reg.shard_of(foreign), None);
-        assert_eq!(
-            reg.touched_shards([foreign, a]),
-            vec![reg.shard_of(a).unwrap()],
-            "a foreign id touches no shard"
-        );
+        assert!(reg.shard_of(a).is_some());
         // Flags shorter than the shard count exclude, never panic.
         assert_eq!(reg.scope_filter(&[]), vec![false]);
         assert!(reg.deregister(foreign).is_err());

@@ -3,45 +3,14 @@
 //! the service quarantine — the workspace-level counterparts of the
 //! `chaos.rs` / `resilience.rs` / `registry.rs` unit tests.
 
+use qosc_bench::scorecard::strict_scenario;
 use qosc_core::{Composer, SelectOptions, ShardedCompositionCache};
 use qosc_media::Axis;
 use qosc_netsim::SimTime;
 use qosc_pipeline::{run_resilient, ChaosModel, ChaosPlan, ResilienceConfig, ResilientRun};
 use qosc_satisfaction::{AxisPreference, SatisfactionFn, SatisfactionProfile};
 use qosc_services::QuarantineConfig;
-use qosc_workload::generator::{random_scenario, GeneratorConfig};
 use qosc_workload::Scenario;
-
-const TOPOLOGY_SEED: u64 = 5;
-
-/// The scorecard scenario: the generated mesh with a strict 12 fps
-/// floor on top (mirrors `resilience_matrix`).
-fn strict_scenario() -> Scenario {
-    let config = GeneratorConfig {
-        services_per_layer: 5,
-        multi_axis: true,
-        ..GeneratorConfig::default()
-    };
-    let mut scenario = random_scenario(&config, TOPOLOGY_SEED);
-    scenario.profiles.user.satisfaction = SatisfactionProfile::new()
-        .with(AxisPreference::weighted(
-            Axis::FrameRate,
-            SatisfactionFn::Linear {
-                min_acceptable: 12.0,
-                ideal: 30.0,
-            },
-            3.0,
-        ))
-        .with(AxisPreference::weighted(
-            Axis::PixelCount,
-            SatisfactionFn::Linear {
-                min_acceptable: 0.0,
-                ideal: 307_200.0,
-            },
-            1.0,
-        ));
-    scenario
-}
 
 fn chaos_plan(scenario: &Scenario, chaos_seed: u64, intensity: f64) -> ChaosPlan {
     let topology = scenario.network.topology();
