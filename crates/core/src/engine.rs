@@ -33,7 +33,9 @@
 //! user listed in `degrade_first`. Each outcome reports which rung
 //! served it.
 
-use crate::admission::{plan_admission, AdmissionConfig, AdmissionPlan, ArrivalMeta};
+use crate::admission::{
+    plan_admission, AdmissionConfig, AdmissionDecision, AdmissionPlan, ArrivalMeta, ShedReason,
+};
 use crate::cache::ShardedCompositionCache;
 use crate::composer::Composer;
 use crate::graph::GraphStore;
@@ -846,6 +848,44 @@ pub struct AdmittedBatch {
     pub admission: AdmissionPlan,
 }
 
+/// The trace prologue of an admitted request, shared by the batch
+/// engine and the session loop: the verdict under an `admission` span,
+/// then the clock moves to the virtual service start.
+pub(crate) fn trace_admitted<S: TelemetrySink>(
+    trace: &mut RequestTrace<'_, S>,
+    decision: &AdmissionDecision,
+) {
+    let admission_span = trace.open_span(ROOT_SPAN, "admission");
+    trace.emit(
+        admission_span,
+        EventKind::RequestAdmitted {
+            queue_wait_us: decision.queue_wait_us,
+            rung: decision.start_rung.label(),
+        },
+    );
+    trace.advance_to(decision.start_us);
+}
+
+/// The trace prologue of a shed request, shared like
+/// [`trace_admitted`]: the clock moves to the instant the queue gave up
+/// on it (saturating at the top of the range), then the shed reason
+/// under an `admission` span.
+pub(crate) fn trace_shed<S: TelemetrySink>(
+    trace: &mut RequestTrace<'_, S>,
+    arrival_us: u64,
+    queue_wait_us: u64,
+    reason: ShedReason,
+) {
+    let admission_span = trace.open_span(ROOT_SPAN, "admission");
+    trace.advance_to(arrival_us.saturating_add(queue_wait_us));
+    trace.emit(
+        admission_span,
+        EventKind::RequestShed {
+            reason: reason.label(),
+        },
+    );
+}
+
 /// Serve a batch behind the overload-protection front-end of
 /// [`crate::admission`]: requests are offered to a deterministic
 /// virtual-clock admission queue (deadline-aware shedding, strict
@@ -912,15 +952,7 @@ pub fn serve_batch_with_admission_traced<S: TelemetrySink>(
         let decision = &admission.decisions[index];
         let rung = decision.start_rung;
         let mut trace = RequestTrace::new(sink, index as u64, arrivals[index].arrival_us);
-        let admission_span = trace.open_span(ROOT_SPAN, "admission");
-        trace.emit(
-            admission_span,
-            EventKind::RequestAdmitted {
-                queue_wait_us: decision.queue_wait_us,
-                rung: rung.label(),
-            },
-        );
-        trace.advance_to(decision.start_us);
+        trace_admitted(&mut trace, decision);
         let mut outcome = serve_one(
             composer,
             &graph_store,
@@ -947,18 +979,10 @@ pub fn serve_batch_with_admission_traced<S: TelemetrySink>(
             }
             match admission.decisions[index].shed {
                 Some(reason) => {
-                    let mut trace =
-                        RequestTrace::new(sink, index as u64, arrivals[index].arrival_us);
-                    let admission_span = trace.open_span(ROOT_SPAN, "admission");
-                    trace.advance_to(
-                        arrivals[index].arrival_us + admission.decisions[index].queue_wait_us,
-                    );
-                    trace.emit(
-                        admission_span,
-                        EventKind::RequestShed {
-                            reason: reason.label(),
-                        },
-                    );
+                    let arrival_us = arrivals[index].arrival_us;
+                    let mut trace = RequestTrace::new(sink, index as u64, arrival_us);
+                    let queue_wait_us = admission.decisions[index].queue_wait_us;
+                    trace_shed(&mut trace, arrival_us, queue_wait_us, reason);
                     RequestOutcome {
                         shed: true,
                         error: Some(format!("shed: {reason}")),
@@ -1556,5 +1580,64 @@ mod tests {
             1,
             "at least one axis always survives"
         );
+    }
+
+    /// A shed at the top of the virtual clock: the shared prologue
+    /// saturates instead of wrapping, both called directly (a queue
+    /// wait that would overflow) and through the batch engine (two
+    /// arrivals at `u64::MAX - 1` on one core; the second's zero
+    /// deadline budget sheds it at arrival).
+    #[test]
+    fn shed_trace_prologue_saturates_at_the_top_of_the_clock() {
+        use qosc_telemetry::FlightRecorder;
+
+        let arrival_us = u64::MAX - 1;
+        let shed_events = |recorder: &FlightRecorder| -> Vec<(u64, u64)> {
+            recorder
+                .merged()
+                .iter()
+                .filter(|e| matches!(e.kind, EventKind::RequestShed { .. }))
+                .map(|e| (e.request_id, e.virtual_time_us))
+                .collect()
+        };
+
+        let recorder = FlightRecorder::new(1);
+        let mut trace = RequestTrace::new(&recorder, 7, arrival_us);
+        trace_shed(&mut trace, arrival_us, 5, ShedReason::QueueTimeout);
+        assert_eq!(shed_events(&recorder), vec![(7, u64::MAX)]);
+
+        let f = fixture();
+        let composer = Composer {
+            formats: &f.formats,
+            services: &f.services,
+            network: &f.network,
+        };
+        let arrival = |deadline_budget_us| ArrivalMeta {
+            arrival_us,
+            priority: crate::admission::PriorityClass::Standard,
+            service_cost_us: 1_000,
+            deadline_budget_us,
+        };
+        let config = ResilientEngineConfig {
+            workers: 1,
+            admission: AdmissionConfig {
+                virtual_cores: 1,
+                initial_limit: 1,
+                max_limit: 1,
+                ..AdmissionConfig::protected()
+            },
+            ..ResilientEngineConfig::default()
+        };
+        let recorder = FlightRecorder::new(1);
+        let served = serve_batch_with_admission_traced(
+            &composer,
+            &requests(&f, 2),
+            &[arrival(None), arrival(Some(0))],
+            &config,
+            &recorder,
+        );
+        assert!(served.admission.decisions[0].admitted);
+        assert!(served.batch.outcomes[1].shed);
+        assert_eq!(shed_events(&recorder), vec![(1, arrival_us)]);
     }
 }

@@ -38,6 +38,7 @@
 
 pub mod abr;
 pub mod event_loop;
+mod sla;
 
 use crate::admission::{AdmissionConfig, AdmissionStats, ArrivalMeta, ShedReason};
 use crate::composer::Composer;
@@ -45,11 +46,12 @@ use crate::engine::{CompositionRequest, DegradationRung, ResilientEngineConfig};
 use crate::plan::AdaptationPlan;
 use qosc_media::FormatRegistry;
 use qosc_netsim::Network;
-use qosc_services::{QosEstimatorConfig, QosObservation, ServiceId, ServiceRegistry};
+use qosc_services::{QosObservation, ServiceId, ServiceRegistry};
 use qosc_telemetry::MetricsRegistry;
 
 pub use abr::{AbrConfig, AbrMode, BolaController, BufferAdvance, PlayoutBuffer};
 pub use event_loop::run_sessions;
+pub use sla::{SlaConfig, SlaMode};
 
 /// One long-lived session offered to the engine.
 #[derive(Debug, Clone)]
@@ -126,8 +128,7 @@ pub trait SessionWorld {
     /// advertised and a route still exists — ignoring *bandwidth*.
     /// Buffer-aware modes use this instead of [`plan_alive`](Self::plan_alive):
     /// a squeezed link degrades delivery (the buffer drains) rather
-    /// than killing the plan outright. Defaults to `plan_alive`, so
-    /// worlds without a bandwidth model behave unchanged.
+    /// than killing the plan outright. Defaults to `plan_alive`.
     fn plan_routable(&self, plan: &AdaptationPlan) -> bool {
         self.plan_alive(plan)
     }
@@ -223,8 +224,7 @@ pub trait SessionWorld {
 
     /// Bumps whenever the broker's published grants change. The event
     /// loop watches this to re-evaluate ladder rungs (not re-compose)
-    /// after a reallocation. Brokerless worlds stay at 0, so the watch
-    /// never fires and their event sequence is untouched.
+    /// after a reallocation. Brokerless worlds stay at 0.
     fn grant_epoch(&self) -> u64 {
         0
     }
@@ -233,8 +233,8 @@ pub trait SessionWorld {
     /// [`delivery_ppm`](Self::delivery_ppm) but allowed to consult the
     /// session's brokered grant instead of raw worst-hop headroom.
     /// `plan_gen` identifies the adopted plan instance for memoization.
-    /// Defaults to the shared-fate `delivery_ppm`, so brokerless worlds
-    /// behave bit-identically.
+    /// Defaults to the shared-fate `delivery_ppm`: a brokerless world
+    /// has no per-session answer.
     fn session_delivery_ppm(
         &self,
         session: u64,
@@ -269,46 +269,6 @@ impl SessionWorld for StaticWorld<'_> {
     }
 }
 
-/// How the engine reacts to service-level degradation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SlaMode {
-    /// Classic binary circuit breaker: only *hard* failures (a plan
-    /// dying with a service in it) are reported to the world's
-    /// breaker. Grey faults — a service that never hard-fails but
-    /// quietly under-delivers — are invisible in this mode; it exists
-    /// as the baseline the drift-aware mode is measured against.
-    Binary,
-    /// Drift-aware detection: observed-QoS estimators per plan
-    /// service, an SLA watchdog flagging sustained drift below
-    /// `advertised × tolerance`, probation on violation, and proactive
-    /// make-before-break evasion off the sick chain.
-    DriftAware,
-}
-
-/// Grey-failure detection tuning ([`SessionEngineConfig::sla`]).
-#[derive(Debug, Clone, Copy)]
-pub struct SlaConfig {
-    /// Detection mode.
-    pub mode: SlaMode,
-    /// Estimator/watchdog tuning (EWMA shift, quantile window,
-    /// tolerances, dwell).
-    pub estimator: QosEstimatorConfig,
-    /// Minimum virtual microseconds between SLA-triggered evasions per
-    /// session — a proactive re-composition dwell, mirroring the ABR
-    /// switch dwell, so one sustained sag cannot thrash the composer.
-    pub evade_dwell_us: u64,
-}
-
-impl Default for SlaConfig {
-    fn default() -> SlaConfig {
-        SlaConfig {
-            mode: SlaMode::DriftAware,
-            estimator: QosEstimatorConfig::default(),
-            evade_dwell_us: 2_000_000,
-        }
-    }
-}
-
 /// Tuning for the session engine.
 #[derive(Debug, Clone, Copy)]
 pub struct SessionEngineConfig {
@@ -339,13 +299,15 @@ pub struct SessionEngineConfig {
     /// Off, a session logs only its compositions — admission verdict,
     /// ladder rungs, retries, mid-stream repairs.
     pub session_spans: bool,
-    /// Buffer-aware mid-stream adaptation ([`AbrConfig`]). `None` runs
-    /// the exact pre-buffer code paths — no buffer state, no extra
-    /// accruals — so existing runs stay bitwise identical.
+    /// Buffer-aware mid-stream adaptation ([`AbrConfig`]). `None`:
+    /// sessions carry no buffer model — a bandwidth squeeze is plan
+    /// death ([`SessionWorld::plan_alive`]), the delivery rate is never
+    /// sampled, session-time accrues only at lifecycle events, and the
+    /// buffer fields of [`SessionOutcome`] stay 0.
     pub abr: Option<AbrConfig>,
-    /// Grey-failure detection ([`SlaConfig`]). `None` runs the exact
-    /// pre-SLA code paths — no estimators, no watchdog, no probation,
-    /// no failure reporting — so existing runs stay bitwise identical.
+    /// Grey-failure detection ([`SlaConfig`]). `None`: a dying plan is
+    /// not reported to the world's breaker, no service is observed, no
+    /// estimator runs, nothing is probated or evaded.
     pub sla: Option<SlaConfig>,
 }
 
@@ -679,6 +641,16 @@ mod tests {
         }
     }
 
+    impl Fixture {
+        fn world(&self) -> StaticWorld<'_> {
+            StaticWorld {
+                formats: &self.formats,
+                services: &self.services,
+                network: &self.network,
+            }
+        }
+    }
+
     fn request(f: &Fixture, i: usize) -> CompositionRequest {
         CompositionRequest {
             profiles: ProfileSet {
@@ -712,11 +684,7 @@ mod tests {
     #[test]
     fn static_world_sessions_complete_with_full_availability() {
         let f = fixture();
-        let mut world = StaticWorld {
-            formats: &f.formats,
-            services: &f.services,
-            network: &f.network,
-        };
+        let mut world = f.world();
         let reqs = sessions(&f, 6, 2_000_000, 100_000);
         let config = SessionEngineConfig {
             admission: None,
@@ -744,11 +712,7 @@ mod tests {
     #[test]
     fn sessions_through_admission_carry_decisions_and_partition() {
         let f = fixture();
-        let mut world = StaticWorld {
-            formats: &f.formats,
-            services: &f.services,
-            network: &f.network,
-        };
+        let mut world = f.world();
         let reqs = sessions(&f, 8, 1_000_000, 10_000);
         let config = SessionEngineConfig {
             tick_us: 0,
@@ -767,11 +731,7 @@ mod tests {
     #[test]
     fn horizon_censors_and_counts_active_sessions() {
         let f = fixture();
-        let mut world = StaticWorld {
-            formats: &f.formats,
-            services: &f.services,
-            network: &f.network,
-        };
+        let mut world = f.world();
         // Sessions hold for 10s; the horizon cuts at 1s.
         let reqs = sessions(&f, 3, 10_000_000, 1_000);
         let config = SessionEngineConfig {
@@ -797,11 +757,7 @@ mod tests {
     #[test]
     fn zero_hold_sessions_are_degenerate_batches() {
         let f = fixture();
-        let mut world = StaticWorld {
-            formats: &f.formats,
-            services: &f.services,
-            network: &f.network,
-        };
+        let mut world = f.world();
         let reqs = sessions(&f, 4, 0, 0);
         let config = SessionEngineConfig {
             admission: None,

@@ -26,7 +26,12 @@
 //! window — are enforced by construction and pinned by the
 //! `abr_invariants` proptest suite.
 
+use qosc_telemetry::{EventKind, TelemetrySink};
+
 use crate::engine::DegradationRung;
+
+use super::event_loop::{JobKind, Loop, Sess};
+use super::{SessionEngineConfig, SessionWorld};
 
 /// One million: the fixed-point unit of fill rates (`fill_ppm`) and of
 /// the controller's utility scale.
@@ -41,10 +46,10 @@ pub enum AbrMode {
     /// shortfall never kills the plan — it drains the buffer, and the
     /// rebuffer time shows what riding a too-high rung costs.
     StaticLadder,
-    /// PR 6 semantics with the buffer model attached for observation:
-    /// a bandwidth squeeze breaks plan liveness and triggers a
-    /// reactive re-composition continuing *down* from the current rung
-    /// (never climbing back). The buffer absorbs the dark gap.
+    /// The buffer model attached for observation only: a bandwidth
+    /// squeeze breaks plan liveness and triggers a reactive
+    /// re-composition continuing *down* from the current rung (never
+    /// climbing back). The buffer absorbs the dark gap.
     Reactive,
     /// The BOLA controller: bandwidth shortfall drains the buffer, the
     /// per-tick score decides when to re-compose and which rung to
@@ -207,7 +212,7 @@ impl PlayoutBuffer {
 /// The per-session BOLA controller state: dwell bookkeeping and the
 /// oscillation guard. The scoring itself is stateless
 /// ([`BolaController::target_rung`]).
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct BolaController {
     /// Last switch *attempt* (commit or not); gates the dwell window.
     last_attempt_us: Option<u64>,
@@ -217,19 +222,10 @@ pub struct BolaController {
     left: Option<(DegradationRung, u64)>,
 }
 
-impl Default for BolaController {
-    fn default() -> BolaController {
-        BolaController::new()
-    }
-}
-
 impl BolaController {
     /// A fresh controller (no dwell history).
     pub fn new() -> BolaController {
-        BolaController {
-            last_attempt_us: None,
-            left: None,
-        }
+        BolaController::default()
     }
 
     /// The rung maximizing `(utility + gamma_b · headroom) / cost` for
@@ -295,6 +291,158 @@ impl BolaController {
     /// the oscillation guard).
     pub fn committed(&mut self, now_us: u64, from: DegradationRung) {
         self.left = Some((from, now_us));
+    }
+}
+
+/// The run's adaptation policy, resolved once from
+/// [`SessionEngineConfig::abr`]; the loop calls the entry points below
+/// from fixed places and never asks which mode runs. `None` is "off":
+/// no session ever carries a buffer, so each entry point returns at
+/// its top.
+pub(super) fn resolve(config: &SessionEngineConfig) -> Option<AbrConfig> {
+    config.abr
+}
+
+/// Buffer-side state of one streaming session, attached at stream
+/// start.
+pub(super) struct AbrSess {
+    buffer: PlayoutBuffer,
+    controller: BolaController,
+    /// Current fill rate, ppm of playback speed.
+    fill_ppm: u64,
+}
+
+impl Sess {
+    /// The buffer half of an accrual interval: fill at the sampled
+    /// delivery rate while lit, dry while dark, and account stalled
+    /// playback. Returns the stalled time when the interval *entered* a
+    /// stall.
+    pub(super) fn advance_buffer(&mut self, dt_us: u64) -> Option<u64> {
+        let abr = self.abr.as_mut()?;
+        let fill = if self.plan.is_some() { abr.fill_ppm } else { 0 };
+        let adv = abr.buffer.advance(dt_us, fill);
+        let outcome = &mut self.outcome;
+        outcome.buffer_peak_us = outcome.buffer_peak_us.max(abr.buffer.level_us());
+        outcome.rebuffer_us = outcome.rebuffer_us.saturating_add(adv.stalled_us);
+        if !adv.entered_stall {
+            return None;
+        }
+        outcome.rebuffer_events = outcome.rebuffer_events.saturating_add(1);
+        Some(adv.stalled_us)
+    }
+
+    /// Playout-buffer level, microseconds (0 without a buffer).
+    pub(super) fn buffer_level_us(&self) -> u64 {
+        self.abr.as_ref().map_or(0, |abr| abr.buffer.level_us())
+    }
+}
+
+impl<W: SessionWorld + Sync, S: TelemetrySink> Loop<'_, '_, W, S> {
+    /// Stream start: attach the buffer model. Startup latency is
+    /// modeled as pre-buffered media, so sessions open with credit.
+    pub(super) fn attach_buffer(&mut self, i: usize) {
+        let Some(cfg) = self.adaptation else {
+            return;
+        };
+        let buffer = PlayoutBuffer::new(cfg.startup_buffer_us, cfg.buffer_capacity_us);
+        let sess = &mut self.sessions[i];
+        sess.outcome.buffer_peak_us = buffer.level_us();
+        sess.abr = Some(AbrSess {
+            buffer,
+            controller: BolaController::new(),
+            fill_ppm: 0,
+        });
+        self.resample_fill(i);
+    }
+
+    /// Plan liveness. Without a buffer, and in reactive mode, a
+    /// bandwidth squeeze is plan death; the static-ladder and BOLA
+    /// modes only die on hard faults — a squeeze degrades delivery and
+    /// drains the buffer instead.
+    pub(super) fn plan_ok(&self, i: usize) -> bool {
+        let Some(plan) = self.sessions[i].plan.as_ref() else {
+            return false;
+        };
+        match self.adaptation.map(|cfg| cfg.mode) {
+            Some(AbrMode::StaticLadder | AbrMode::Bola) => self.world.plan_routable(plan),
+            Some(AbrMode::Reactive) | None => self.world.plan_alive(plan),
+        }
+    }
+
+    /// Plan adoption: re-read the plan's achieved delivery rate from
+    /// the world (per session, so brokered worlds answer with the
+    /// granted rate), capped at the configured maximum fill speed. A
+    /// dark session fills at 0.
+    pub(super) fn resample_fill(&mut self, i: usize) {
+        let sess = &mut self.sessions[i];
+        let (Some(cfg), Some(abr)) = (self.adaptation, sess.abr.as_mut()) else {
+            return;
+        };
+        abr.fill_ppm = sess.plan.as_ref().map_or(0, |plan| {
+            let demand = self.requests[i].demand_bps;
+            self.world
+                .session_delivery_ppm(i as u64, sess.plan_gen, plan, demand)
+                .min(cfg.max_fill_ppm)
+        });
+    }
+
+    /// The delivery rate may be about to change (progress tick, world
+    /// event, grant epoch): integrate up to `t` at the old rate, then
+    /// re-read it. Returns the new fill when it differs from the old.
+    pub(super) fn resync_fill(&mut self, t: u64, i: usize) -> Option<u64> {
+        let before = self.sessions[i].abr.as_ref()?.fill_ppm;
+        self.accrue(i, t);
+        self.resample_fill(i);
+        let after = self.sessions[i].abr.as_ref()?.fill_ppm;
+        (after != before).then_some(after)
+    }
+
+    /// The broker reallocated at `t`: streaming session `i` re-samples
+    /// against its new grant. The next tick's controller decision sees
+    /// the brokered rate — a grant update re-evaluates the rung, it
+    /// never re-composes.
+    pub(super) fn grant_moved(&mut self, t: u64, i: usize) {
+        let Some(fill_ppm) = self.resync_fill(t, i) else {
+            return;
+        };
+        let sess = &mut self.sessions[i];
+        sess.outcome.grant_updates = sess.outcome.grant_updates.saturating_add(1);
+        self.emit_root(i, t, EventKind::GrantUpdated { fill_ppm });
+    }
+
+    /// Tick while alive, BOLA mode only: ask the controller whether to
+    /// re-compose onto a different rung — make-before-break, and one
+    /// replacement in flight per session (a second would be stale on
+    /// arrival anyway).
+    pub(super) fn maybe_switch(&mut self, t: u64, i: usize) {
+        let sess = &mut self.sessions[i];
+        let (Some(cfg), Some(abr)) = (self.adaptation, sess.abr.as_mut()) else {
+            return;
+        };
+        if cfg.mode != AbrMode::Bola || sess.replacing {
+            return;
+        }
+        let Some(target) = abr.controller.decide(t, sess.rung, &cfg, &abr.buffer) else {
+            return;
+        };
+        sess.replacing = true;
+        self.push_job(i, JobKind::Switch, target);
+    }
+
+    /// A switch away from rung `from` went live at `t`: feed the
+    /// oscillation guard, count, emit.
+    pub(super) fn switch_committed(&mut self, t: u64, i: usize, from: DegradationRung) {
+        let sess = &mut self.sessions[i];
+        if let Some(abr) = sess.abr.as_mut() {
+            abr.controller.committed(t, from);
+        }
+        sess.outcome.switches = sess.outcome.switches.saturating_add(1);
+        let kind = EventKind::RungSwitch {
+            from: from.label(),
+            to: sess.rung.label(),
+            buffer_us: sess.buffer_level_us(),
+        };
+        self.emit_root(i, t, kind);
     }
 }
 

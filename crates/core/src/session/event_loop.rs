@@ -30,18 +30,20 @@
 //! are independent of worker count.
 
 use qosc_netsim::{EventQueue, SimTime};
-use qosc_services::{ServiceId, SlaVerdict, SlaWatchdog};
 use qosc_telemetry::{EventKind, RequestTrace, TelemetrySink, TraceState, ROOT_SPAN};
 
-use crate::admission::{AdmissionQueue, ArrivalMeta, ShedReason};
-use crate::engine::{fan_out, serve_one, DegradationRung, RequestOutcome};
+use crate::admission::{AdmissionQueue, ArrivalMeta, PriorityClass, ShedReason};
+use crate::engine::{
+    fan_out, serve_one, trace_admitted, trace_shed, DegradationRung, RequestOutcome,
+};
 use crate::graph::GraphStore;
 use crate::plan::AdaptationPlan;
 
-use super::abr::{AbrMode, BolaController, PlayoutBuffer};
+use super::abr::{self, AbrConfig, AbrSess};
+use super::sla::{same_chain, Sla};
 use super::{
     CloseReason, SessionCounters, SessionEngineConfig, SessionOutcome, SessionRequest,
-    SessionWorld, SessionsReport, SlaMode,
+    SessionWorld, SessionsReport,
 };
 
 /// One pending composition at the current virtual instant.
@@ -50,27 +52,23 @@ struct Job {
     session: usize,
     start_rung: DegradationRung,
     kind: JobKind,
-    /// Plan generation the job was issued against. A switch whose
-    /// generation is stale by apply time (the plan changed underneath
-    /// it) is discarded — the session keeps its current plan.
+    /// The session's plan generation at issue. A replacement that
+    /// comes back to a different one (the plan changed underneath it)
+    /// is discarded.
     gen: u32,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum JobKind {
+pub(super) enum JobKind {
     /// The session's opening composition.
     Open,
     /// Mid-stream repair after the plan died (goes dark first).
     Recompose,
     /// Controller-requested rung change, make-before-break: the
-    /// session keeps streaming on its old plan until the new one
-    /// serves; a failed or stale switch changes nothing.
+    /// session streams on its old plan until the new one serves.
     Switch,
-    /// SLA-triggered proactive re-composition away from a chain with a
-    /// flagged (grey-failing) service, make-before-break like `Switch`:
-    /// the session keeps streaming on its sagging plan until the
-    /// replacement serves; a failed, stale, or identical result changes
-    /// nothing.
+    /// SLA-triggered move off a chain with a flagged (grey-failing)
+    /// service, make-before-break like `Switch`.
     Evade,
 }
 
@@ -79,20 +77,6 @@ struct Served {
     plan: AdaptationPlan,
     rung: DegradationRung,
     satisfaction: f64,
-}
-
-/// Buffer-aware state attached to a streaming session when
-/// [`SessionEngineConfig::abr`] is set.
-struct AbrSess {
-    buffer: PlayoutBuffer,
-    controller: BolaController,
-    /// Current fill rate, ppm of playback speed — resampled at plan
-    /// adoption, at world events and at every progress tick.
-    fill_ppm: u64,
-    /// Bumps at every plan adoption; guards in-flight switches.
-    gen: u32,
-    /// A switch composition is in flight this instant.
-    switching: bool,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -110,27 +94,24 @@ enum Phase {
     Done,
 }
 
-struct Sess {
+pub(super) struct Sess {
     phase: Phase,
     trace: Option<TraceState>,
-    plan: Option<AdaptationPlan>,
-    rung: DegradationRung,
+    pub(super) plan: Option<AdaptationPlan>,
+    pub(super) rung: DegradationRung,
     satisfaction: f64,
     last_accrual_us: u64,
-    outcome: SessionOutcome,
-    /// Present only when the engine runs with a buffer model
-    /// (`config.abr` set) and the session has started streaming; the
-    /// `None` path takes exactly the pre-buffer code paths.
-    abr: Option<AbrSess>,
-    /// Bumps at every plan adoption; guards in-flight evasions the way
-    /// `AbrSess::gen` guards switches (evasions also run without a
-    /// buffer model, so they need their own generation counter).
-    plan_gen: u32,
-    /// An evasion composition is in flight.
-    evading: bool,
-    /// Virtual time of the last evasion issued; enforces
-    /// [`SlaConfig::evade_dwell_us`](super::SlaConfig::evade_dwell_us).
-    last_evade_us: Option<u64>,
+    pub(super) outcome: SessionOutcome,
+    /// Bumps at every plan adoption: names the adopted plan instance
+    /// to the world's delivery memo and guards in-flight replacements.
+    pub(super) plan_gen: u32,
+    /// A make-before-break replacement (switch or evasion) is in
+    /// flight; at most one per session.
+    pub(super) replacing: bool,
+    /// The adaptation policy's state; attached at stream start.
+    pub(super) abr: Option<AbrSess>,
+    /// The SLA policy's state: when the last evasion was issued.
+    pub(super) last_evade_us: Option<u64>,
 }
 
 enum Ev {
@@ -146,34 +127,35 @@ enum Ev {
     Close(usize),
 }
 
-struct Loop<'a, 'w, W: SessionWorld, S: TelemetrySink> {
-    world: &'w mut W,
-    requests: &'a [SessionRequest],
+/// The lifecycle: event queue, phases, admission, job fan-out, accrual,
+/// plan adoption. What happens in between belongs to the two policies,
+/// `adaptation` (`abr.rs`) and `sla` (`sla.rs`): each is resolved once
+/// at entry and called unconditionally from fixed points (DESIGN.md
+/// §12); "off" returns at the top of each of its own entry points.
+pub(super) struct Loop<'a, 'w, W: SessionWorld, S: TelemetrySink> {
+    pub(super) world: &'w mut W,
+    pub(super) requests: &'a [SessionRequest],
     config: &'a SessionEngineConfig,
     sink: &'a S,
+    pub(super) adaptation: Option<AbrConfig>,
+    pub(super) sla: Sla,
     queue: EventQueue<Ev>,
     admission: Option<AdmissionQueue>,
-    /// Ticket → `(session, is_recompose)`; tickets are issued
+    /// Ticket → `(session, Open | Recompose)`; tickets are issued
     /// sequentially by the admission queue.
-    tickets: Vec<(usize, bool)>,
+    tickets: Vec<(usize, JobKind)>,
     /// Virtual times with a pump already scheduled (dedup only — never
     /// iterated, so the hash order cannot leak into outcomes).
     pumps: std::collections::HashSet<u64>,
-    sessions: Vec<Sess>,
+    pub(super) sessions: Vec<Sess>,
     counters: SessionCounters,
     /// Jobs collected at the current instant.
     jobs: Vec<Job>,
     /// A world event fired at the current instant; live plans need a
     /// liveness check before time moves on.
     world_changed: bool,
-    /// Grey-failure detector, present only in
-    /// [`SlaMode::DriftAware`]; `None` takes the exact pre-SLA code
-    /// paths.
-    watchdog: Option<SlaWatchdog>,
-    /// Last observed [`SessionWorld::grant_epoch`]. When the broker
-    /// reallocates, streaming sessions re-sample their fill — rung
-    /// reevaluation, not re-composition. Brokerless worlds never move
-    /// the epoch, so this path stays cold.
+    /// Last observed [`SessionWorld::grant_epoch`]. Brokerless worlds
+    /// never move the epoch.
     last_grant_epoch: u64,
     /// Indices of the `Phase::Active` sessions, ascending — what the
     /// per-instant scans walk instead of every offered session.
@@ -186,11 +168,11 @@ struct Loop<'a, 'w, W: SessionWorld, S: TelemetrySink> {
 
 /// Priority-class weight fed to the broker: interactive traffic gets
 /// four shares for every background share.
-fn priority_weight(priority: crate::admission::PriorityClass) -> u32 {
+fn priority_weight(priority: PriorityClass) -> u32 {
     match priority {
-        crate::admission::PriorityClass::Interactive => 4,
-        crate::admission::PriorityClass::Standard => 2,
-        crate::admission::PriorityClass::Background => 1,
+        PriorityClass::Interactive => 4,
+        PriorityClass::Standard => 2,
+        PriorityClass::Background => 1,
     }
 }
 
@@ -224,6 +206,8 @@ pub fn run_sessions<W: SessionWorld + Sync, S: TelemetrySink>(
         requests,
         config,
         sink,
+        adaptation: abr::resolve(config),
+        sla: Sla::from_config(config),
         queue,
         admission: config.admission.map(AdmissionQueue::new),
         tickets: Vec::new(),
@@ -237,9 +221,9 @@ pub fn run_sessions<W: SessionWorld + Sync, S: TelemetrySink>(
                 satisfaction: 0.0,
                 last_accrual_us: 0,
                 outcome: SessionOutcome::default(),
-                abr: None,
                 plan_gen: 0,
-                evading: false,
+                replacing: false,
+                abr: None,
                 last_evade_us: None,
             })
             .collect(),
@@ -249,9 +233,6 @@ pub fn run_sessions<W: SessionWorld + Sync, S: TelemetrySink>(
         },
         jobs: Vec::new(),
         world_changed: false,
-        watchdog: config.sla.and_then(|sla| {
-            (sla.mode == SlaMode::DriftAware).then(|| SlaWatchdog::new(sla.estimator))
-        }),
         last_grant_epoch: initial_grant_epoch,
         streaming: Vec::new(),
         scan: Vec::new(),
@@ -295,9 +276,7 @@ pub fn run_sessions<W: SessionWorld + Sync, S: TelemetrySink>(
             }
         }
         // Membership changes this instant (opens, closes, switches,
-        // squeezes) may have moved the broker's grants; streaming
-        // sessions react by re-evaluating their fill, never by
-        // re-composing.
+        // squeezes) may have moved the broker's grants.
         lp.react_to_grants(t);
     }
     if let Some(h) = config.horizon_us {
@@ -360,7 +339,6 @@ impl<W: SessionWorld + Sync, S: TelemetrySink> Loop<'_, '_, W, S> {
                     q.drain_until(t);
                 }
                 self.surface_decisions(t);
-                self.schedule_pump(t);
             }
             Ev::Tick(i) => self.tick(t, i),
             Ev::Close(i) => {
@@ -369,6 +347,28 @@ impl<W: SessionWorld + Sync, S: TelemetrySink> Loop<'_, '_, W, S> {
                 }
             }
         }
+    }
+
+    /// Resume session `i`'s saved trace, let `record` write into it,
+    /// save it back. Nothing happens before `open` saved one.
+    fn with_trace(&mut self, i: usize, record: impl FnOnce(&mut RequestTrace<'_, S>)) {
+        if let Some(state) = self.sessions[i].trace {
+            let mut trace = RequestTrace::resume(self.sink, state);
+            record(&mut trace);
+            self.sessions[i].trace = Some(trace.save());
+        }
+    }
+
+    /// With `session_spans` on: emit `kind` on session `i`'s root span
+    /// at virtual time `t`.
+    pub(super) fn emit_root(&mut self, i: usize, t: u64, kind: EventKind) {
+        if !self.config.session_spans {
+            return;
+        }
+        self.with_trace(i, |trace| {
+            trace.advance_to(t);
+            trace.emit(ROOT_SPAN, kind);
+        });
     }
 
     fn open(&mut self, t: u64, i: usize) {
@@ -383,29 +383,43 @@ impl<W: SessionWorld + Sync, S: TelemetrySink> Loop<'_, '_, W, S> {
         // the whole session is one monotone per-request sequence.
         let mut trace = RequestTrace::new(self.sink, i as u64, request.arrival.arrival_us);
         if self.config.session_spans {
-            trace.emit(
-                ROOT_SPAN,
-                EventKind::SessionOpened {
-                    hold_us: request.hold_us,
-                },
-            );
+            let hold_us = request.hold_us;
+            trace.emit(ROOT_SPAN, EventKind::SessionOpened { hold_us });
         }
         sess.trace = Some(trace.save());
-        match self.admission.as_mut() {
-            Some(q) => {
-                let ticket = q.offer(request.arrival);
-                debug_assert_eq!(ticket, self.tickets.len());
-                self.tickets.push((i, false));
-                self.surface_decisions(t);
-                self.schedule_pump(t);
-            }
-            None => self.jobs.push(Job {
-                session: i,
-                start_rung: DegradationRung::Full,
-                kind: JobKind::Open,
-                gen: 0,
-            }),
-        }
+        self.request_compose(t, i, JobKind::Open, request.arrival, DegradationRung::Full);
+    }
+
+    /// Ask for an `Open` or `Recompose` composition for session `i`:
+    /// through the admission queue when one is configured (which then
+    /// picks the start rung), straight onto this instant's jobs at
+    /// `start_rung` otherwise.
+    fn request_compose(
+        &mut self,
+        t: u64,
+        i: usize,
+        kind: JobKind,
+        arrival: ArrivalMeta,
+        start_rung: DegradationRung,
+    ) {
+        let Some(q) = self.admission.as_mut() else {
+            self.push_job(i, kind, start_rung);
+            return;
+        };
+        let ticket = q.offer(arrival);
+        debug_assert_eq!(ticket, self.tickets.len());
+        self.tickets.push((i, kind));
+        self.surface_decisions(t);
+    }
+
+    /// Queue a composition for session `i` at the current instant.
+    pub(super) fn push_job(&mut self, i: usize, kind: JobKind, start_rung: DegradationRung) {
+        self.jobs.push(Job {
+            session: i,
+            start_rung,
+            kind,
+            gen: self.sessions[i].plan_gen,
+        });
     }
 
     /// Schedule a pump at the admission queue's next virtual
@@ -423,14 +437,15 @@ impl<W: SessionWorld + Sync, S: TelemetrySink> Loop<'_, '_, W, S> {
     }
 
     /// Turn decisions the admission queue just made into compose jobs
-    /// (admitted) or closes (shed).
+    /// (admitted) or closes (shed) — a decision is admitted exactly when
+    /// it carries no shed reason — and keep a pump pending.
     fn surface_decisions(&mut self, t: u64) {
         let Some(q) = self.admission.as_mut() else {
             return;
         };
         let newly = q.take_newly_decided();
         for ticket in newly {
-            let (i, recompose) = self.tickets[ticket];
+            let (i, kind) = self.tickets[ticket];
             if self.sessions[i].phase == Phase::Done {
                 continue;
             }
@@ -438,88 +453,48 @@ impl<W: SessionWorld + Sync, S: TelemetrySink> Loop<'_, '_, W, S> {
             let Some(decision) = self.admission.as_ref().and_then(|q| q.decision(ticket)) else {
                 continue;
             };
-            if recompose {
-                if decision.admitted {
-                    self.jobs.push(Job {
-                        session: i,
-                        // Never climb back above the session's current
-                        // rung mid-stream; brown-out can push further
-                        // down. (Controller up-switches go through
-                        // `JobKind::Switch` instead, which skips this
-                        // clamp deliberately.)
-                        start_rung: self.sessions[i].rung.max(decision.start_rung),
-                        kind: JobKind::Recompose,
-                        gen: 0,
-                    });
-                } else {
-                    // The queue refused the re-composition: the session
-                    // starves.
-                    if let (Some(state), Some(reason)) = (self.sessions[i].trace, decision.shed) {
-                        let mut trace = RequestTrace::resume(self.sink, state);
-                        trace.advance_to(t);
-                        trace.emit(
-                            ROOT_SPAN,
-                            EventKind::RequestShed {
-                                reason: reason.label(),
-                            },
-                        );
-                        self.sessions[i].trace = Some(trace.save());
-                    }
-                    self.close(t, i, CloseReason::Starved);
+            match (kind, decision.shed) {
+                (JobKind::Open, Some(reason)) => {
+                    self.shed_open(t, i, reason, decision.queue_wait_us)
                 }
-            } else {
-                // A decision is admitted exactly when it carries no
-                // shed reason.
-                if let Some(reason) = decision.shed {
-                    self.shed_open(t, i, reason, decision.queue_wait_us);
-                } else {
-                    // The admitted-request trace prologue of
-                    // serve_batch_with_admission_traced, byte for byte.
-                    if let Some(state) = self.sessions[i].trace {
-                        let mut trace = RequestTrace::resume(self.sink, state);
-                        let admission_span = trace.open_span(ROOT_SPAN, "admission");
-                        trace.emit(
-                            admission_span,
-                            EventKind::RequestAdmitted {
-                                queue_wait_us: decision.queue_wait_us,
-                                rung: decision.start_rung.label(),
-                            },
-                        );
-                        trace.advance_to(decision.start_us);
-                        self.sessions[i].trace = Some(trace.save());
-                    }
+                (JobKind::Open, None) => {
+                    self.with_trace(i, |trace| trace_admitted(trace, &decision));
                     debug_assert_eq!(decision.start_us, t, "admissions start now");
-                    self.jobs.push(Job {
-                        session: i,
-                        start_rung: decision.start_rung,
-                        kind: JobKind::Open,
-                        gen: 0,
+                    self.push_job(i, kind, decision.start_rung);
+                }
+                // Never climb back above the session's current rung
+                // mid-stream; brown-out can push further down.
+                // (Controller up-switches go through `JobKind::Switch`
+                // instead, which skips this clamp deliberately.)
+                (_, None) => {
+                    let start_rung = self.sessions[i].rung.max(decision.start_rung);
+                    self.push_job(i, kind, start_rung);
+                }
+                // The queue refused the re-composition: the session
+                // starves.
+                (_, Some(reason)) => {
+                    let reason = reason.label();
+                    self.with_trace(i, |trace| {
+                        trace.advance_to(t);
+                        trace.emit(ROOT_SPAN, EventKind::RequestShed { reason });
                     });
+                    self.close(t, i, CloseReason::Starved);
                 }
             }
         }
+        self.schedule_pump(t);
     }
 
     /// The admission queue refused a session's open.
     fn shed_open(&mut self, t: u64, i: usize, reason: ShedReason, queue_wait_us: u64) {
         let arrival_us = self.requests[i].arrival.arrival_us;
-        if let Some(state) = self.sessions[i].trace {
-            // Same event sequence as the shed arm of
-            // serve_batch_with_admission_traced.
-            let mut trace = RequestTrace::resume(self.sink, state);
-            let admission_span = trace.open_span(ROOT_SPAN, "admission");
-            trace.advance_to(arrival_us.saturating_add(queue_wait_us));
-            trace.emit(
-                admission_span,
-                EventKind::RequestShed {
-                    reason: reason.label(),
-                },
-            );
-            if self.config.session_spans {
+        let session_spans = self.config.session_spans;
+        self.with_trace(i, |trace| {
+            trace_shed(trace, arrival_us, queue_wait_us, reason);
+            if session_spans {
                 trace.emit(ROOT_SPAN, EventKind::SessionClosed { reason: "shed" });
             }
-            self.sessions[i].trace = Some(trace.save());
-        }
+        });
         let sess = &mut self.sessions[i];
         sess.outcome.shed = Some(reason);
         sess.outcome.closed_us = Some(t);
@@ -533,20 +508,12 @@ impl<W: SessionWorld + Sync, S: TelemetrySink> Loop<'_, '_, W, S> {
         }
         self.sessions[i].outcome.epochs += 1;
         if self.config.session_spans {
-            if let Some(state) = self.sessions[i].trace {
-                let mut trace = RequestTrace::resume(self.sink, state);
+            self.with_trace(i, |trace| {
                 trace.advance_to(t);
                 trace.open_span(ROOT_SPAN, "epoch");
-                self.sessions[i].trace = Some(trace.save());
-            }
+            });
         }
-        // Buffer-aware sessions integrate up to the tick with the old
-        // delivery rate, then resample it; `abr: None` keeps exactly
-        // the pre-buffer accrual call pattern.
-        if self.sessions[i].abr.is_some() {
-            self.accrue(i, t);
-            self.resample_fill(i);
-        }
+        self.resync_fill(t, i);
         // A tick re-checks liveness even without a world event: worlds
         // whose state decays between scheduled mutations (lease clocks)
         // surface breakage here at the latest.
@@ -554,6 +521,8 @@ impl<W: SessionWorld + Sync, S: TelemetrySink> Loop<'_, '_, W, S> {
             if !self.plan_ok(i) {
                 self.begin_recompose(t, i);
             } else {
+                // SLA pass before the controller: an evasion issued
+                // this tick pre-empts a switch.
                 self.sla_tick(t, i);
                 self.maybe_switch(t, i);
             }
@@ -581,8 +550,7 @@ impl<W: SessionWorld + Sync, S: TelemetrySink> Loop<'_, '_, W, S> {
     fn check_liveness(&mut self, t: u64) {
         // A dead plan takes its session off `streaming` mid-scan, so walk
         // a copy. No session *starts* streaming in here (only `apply`
-        // does that), so this visits exactly the sessions a scan of the
-        // whole table would.
+        // does that), so no streaming session is missed.
         let mut scan = std::mem::take(&mut self.scan);
         scan.clear();
         scan.extend_from_slice(&self.streaming);
@@ -590,12 +558,7 @@ impl<W: SessionWorld + Sync, S: TelemetrySink> Loop<'_, '_, W, S> {
             if self.sessions[i].phase != Phase::Active {
                 continue;
             }
-            // Buffer-aware sessions close the accrual interval before
-            // the mutation changes their delivery rate.
-            if self.sessions[i].abr.is_some() {
-                self.accrue(i, t);
-                self.resample_fill(i);
-            }
+            self.resync_fill(t, i);
             if !self.plan_ok(i) {
                 self.begin_recompose(t, i);
             }
@@ -603,381 +566,77 @@ impl<W: SessionWorld + Sync, S: TelemetrySink> Loop<'_, '_, W, S> {
         self.scan = scan;
     }
 
-    /// Mode-dependent plan liveness. Reactive mode (and the no-buffer
-    /// engine) treat a bandwidth squeeze as plan death
-    /// ([`SessionWorld::plan_alive`]); the static-ladder and BOLA modes
-    /// only die on hard faults ([`SessionWorld::plan_routable`]) — a
-    /// squeeze degrades delivery and drains the buffer instead.
-    fn plan_ok(&self, i: usize) -> bool {
-        let Some(plan) = self.sessions[i].plan.as_ref() else {
-            return false;
-        };
-        match self.config.abr.map(|a| a.mode) {
-            Some(AbrMode::StaticLadder) | Some(AbrMode::Bola) => self.world.plan_routable(plan),
-            Some(AbrMode::Reactive) | None => self.world.plan_alive(plan),
-        }
-    }
-
-    /// Re-read the plan's achieved delivery rate from the world
-    /// (capped at the configured maximum fill speed). Goes through the
-    /// per-session channel so brokered worlds answer with the session's
-    /// granted rate; the default implementation falls straight back to
-    /// the shared-fate `delivery_ppm`.
-    fn resample_fill(&mut self, i: usize) {
-        let Some(cfg) = self.config.abr else {
-            return;
-        };
-        let demand = self.requests[i].demand_bps;
-        let plan_gen = self.sessions[i].plan_gen;
-        let fill = self.sessions[i]
-            .plan
-            .as_ref()
-            .map(|p| {
-                self.world
-                    .session_delivery_ppm(i as u64, plan_gen, p, demand)
-                    .min(cfg.max_fill_ppm)
-            })
-            .unwrap_or(0);
-        if let Some(abr) = self.sessions[i].abr.as_mut() {
-            abr.fill_ppm = fill;
-        }
-    }
-
-    /// The broker reallocated at `t`: every streaming buffer-aware
-    /// session closes its accrual interval at the old fill and
-    /// re-samples against its new grant. The next tick's controller
-    /// decision then sees the brokered rate — grant updates trigger
-    /// rung reevaluation, never re-composition.
+    /// When the broker reallocated at `t`, every streaming session
+    /// hears of it.
     fn react_to_grants(&mut self, t: u64) {
         let epoch = self.world.grant_epoch();
         if epoch == self.last_grant_epoch {
             return;
         }
         self.last_grant_epoch = epoch;
-        if self.config.abr.is_none() {
-            return;
-        }
         // Nothing in the body changes a phase, so `streaming` is stable.
         for k in 0..self.streaming.len() {
-            let i = self.streaming[k];
-            if self.sessions[i].abr.is_none() {
-                continue;
-            }
-            let before = self.sessions[i].abr.as_ref().map(|a| a.fill_ppm);
-            self.accrue(i, t);
-            self.resample_fill(i);
-            let after = self.sessions[i].abr.as_ref().map(|a| a.fill_ppm);
-            if before != after {
-                let sess = &mut self.sessions[i];
-                sess.outcome.grant_updates = sess.outcome.grant_updates.saturating_add(1);
-                let fill_ppm = after.unwrap_or(0);
-                self.emit_root(i, t, EventKind::GrantUpdated { fill_ppm });
-            }
+            self.grant_moved(t, self.streaming[k]);
         }
-    }
-
-    /// BOLA mode only: ask the controller whether to re-compose onto a
-    /// different rung. Make-before-break — the session keeps streaming
-    /// on its current plan while the switch composes, and the job
-    /// carries the plan generation so a stale result is discarded.
-    fn maybe_switch(&mut self, t: u64, i: usize) {
-        let Some(cfg) = self.config.abr else {
-            return;
-        };
-        if cfg.mode != AbrMode::Bola {
-            return;
-        }
-        if self.sessions[i].evading {
-            // An SLA evasion is already composing this session a new
-            // chain; a concurrent controller switch would be stale on
-            // arrival anyway.
-            return;
-        }
-        let rung = self.sessions[i].rung;
-        let Some(abr) = self.sessions[i].abr.as_mut() else {
-            return;
-        };
-        if abr.switching {
-            return;
-        }
-        let Some(target) = abr.controller.decide(t, rung, &cfg, &abr.buffer) else {
-            return;
-        };
-        abr.switching = true;
-        let gen = abr.gen;
-        self.jobs.push(Job {
-            session: i,
-            start_rung: target,
-            kind: JobKind::Switch,
-            gen,
-        });
-    }
-
-    /// Drift-aware SLA pass for one streaming session's tick: sample
-    /// observed QoS for every service in its plan, feed the watchdog,
-    /// probate on violation, probe probated services back to health,
-    /// and evade the chain while any of its services stays flagged.
-    fn sla_tick(&mut self, t: u64, i: usize) {
-        let Some(watchdog) = self.watchdog.as_mut() else {
-            return; // sla: None, or Binary mode — no estimators
-        };
-        let Some(plan) = self.sessions[i].plan.as_ref() else {
-            return;
-        };
-        let services: Vec<ServiceId> = plan.steps.iter().filter_map(|s| s.service).collect();
-        let mut violations: Vec<(ServiceId, u64)> = Vec::new();
-        let mut flagged_in_plan = false;
-        for id in services {
-            // Worlds only report on *current* incarnations; a stale id
-            // (the plan outlived a crash/revive) yields no sample.
-            let Some(obs) = self.world.observe_service(id) else {
-                continue;
-            };
-            match watchdog.observe(id, obs, t) {
-                SlaVerdict::Violation { observed_ppm } => {
-                    violations.push((id, observed_ppm));
-                    flagged_in_plan = true;
-                }
-                SlaVerdict::Degraded => {
-                    if watchdog.is_flagged(id) {
-                        flagged_in_plan = true;
-                    }
-                }
-                SlaVerdict::Healthy => {
-                    // Half-open probing: a flagged service delivering a
-                    // healthy sample earns one probe credit; enough
-                    // distinct-instant credits clear its probation, and
-                    // the estimator restarts cold for the next episode.
-                    if watchdog.is_flagged(id) && self.world.probe_service(id, t) {
-                        watchdog.clear(id);
-                    }
-                }
-            }
-        }
-        for (id, observed_ppm) in violations {
-            self.world.probate_service(id, observed_ppm, t);
-            let sess = &mut self.sessions[i];
-            sess.outcome.sla_violations = sess.outcome.sla_violations.saturating_add(1);
-            let kind = EventKind::SlaViolation {
-                service: id.index() as u32,
-                observed_ppm,
-            };
-            self.emit_root(i, t, kind);
-        }
-        if flagged_in_plan {
-            self.maybe_evade(t, i);
-        }
-    }
-
-    /// Issue a make-before-break evasion off a flagged chain, rate
-    /// limited by the evade dwell. The composer sees the probated
-    /// service's penalty and steers the new chain around it when an
-    /// alternative exists.
-    fn maybe_evade(&mut self, t: u64, i: usize) {
-        let Some(sla) = self.config.sla else {
-            return;
-        };
-        let sess = &self.sessions[i];
-        if sess.evading {
-            return;
-        }
-        if sess.abr.as_ref().map(|a| a.switching).unwrap_or(false) {
-            return; // let the in-flight switch land first
-        }
-        if let Some(last) = sess.last_evade_us {
-            if t.saturating_sub(last) < sla.evade_dwell_us {
-                return;
-            }
-        }
-        // The dwell clock starts at *issuance*, not adoption: when the
-        // penalized composer still picks the same chain (no
-        // alternative exists) the session must not re-compose every
-        // tick.
-        let start_rung = sess.rung;
-        let gen = sess.plan_gen;
-        let sess = &mut self.sessions[i];
-        sess.evading = true;
-        sess.last_evade_us = Some(t);
-        self.jobs.push(Job {
-            session: i,
-            start_rung,
-            kind: JobKind::Evade,
-            gen,
-        });
-    }
-
-    /// An evasion composition came back: adopt it only if the plan
-    /// generation still matches, the session still streams, and the
-    /// new chain actually differs (different services or hosts).
-    /// Anything else is discarded — the session never goes dark over
-    /// an evasion.
-    fn apply_evade(&mut self, t: u64, job: Job, served: Option<Served>) {
-        let i = job.session;
-        self.sessions[i].evading = false;
-        if self.sessions[i].plan_gen != job.gen || self.sessions[i].phase != Phase::Active {
-            return;
-        }
-        let Some(served) = served else {
-            return; // composed nothing: keep streaming on the old plan
-        };
-        let same_chain = self.sessions[i]
-            .plan
-            .as_ref()
-            .map(|old| {
-                old.steps.len() == served.plan.steps.len()
-                    && old
-                        .steps
-                        .iter()
-                        .zip(&served.plan.steps)
-                        .all(|(a, b)| a.service == b.service && a.host == b.host)
-            })
-            .unwrap_or(false);
-        if same_chain {
-            return; // no alternative chain exists yet; dwell limits retries
-        }
-        let (from, to) = (self.sessions[i].rung, served.rung);
-        // Close the interval on the sagging chain, then go live on the
-        // replacement without a dark gap (make-before-break).
-        self.accrue(i, t);
-        self.adopt_plan(t, i, served);
-        if self.sessions[i].abr.is_some() {
-            self.resample_fill(i);
-        }
-        let sess = &mut self.sessions[i];
-        sess.outcome.evasions = sess.outcome.evasions.saturating_add(1);
-        let buffer_us = sess.abr.as_ref().map(|a| a.buffer.level_us()).unwrap_or(0);
-        let kind = EventKind::SlaEvaded {
-            from: from.label(),
-            to: to.label(),
-            buffer_us,
-        };
-        self.emit_root(i, t, kind);
     }
 
     /// The session's plan died at `t`: go dark and ask for another
     /// composition (through admission when configured).
     fn begin_recompose(&mut self, t: u64, i: usize) {
         self.accrue(i, t);
-        // With SLA detection on (either mode), a dying plan counts as a
-        // hard failure against every service in it — the world's
-        // circuit breaker attributes bluntly, which is exactly the
-        // binary baseline's behaviour. The `sla: None` path reports
-        // nothing, preserving the pre-SLA code paths bit for bit.
-        if self.config.sla.is_some() {
-            let services: Vec<ServiceId> = self.sessions[i]
-                .plan
-                .as_ref()
-                .map(|p| p.steps.iter().filter_map(|s| s.service).collect())
-                .unwrap_or_default();
-            for id in services {
-                self.world.report_service_failure(id, t);
-            }
-        }
-        {
-            let sess = &mut self.sessions[i];
-            sess.plan = None;
-            sess.satisfaction = 0.0;
-        }
+        self.report_plan_death(t, i);
+        let sess = &mut self.sessions[i];
+        sess.plan = None;
+        sess.satisfaction = 0.0;
+        let attempt = sess.outcome.recompositions.saturating_add(1);
         // The dead plan's pinned flow no longer exists; release its
         // grant so survivors absorb it while the repair composes.
         self.world.deregister_session_flow(i as u64);
-        let attempt = self.sessions[i].outcome.recompositions.saturating_add(1);
-        if let Some(state) = self.sessions[i].trace {
-            let mut trace = RequestTrace::resume(self.sink, state);
+        self.with_trace(i, |trace| {
             trace.advance_to(t);
             let span = trace.open_span(ROOT_SPAN, "recompose");
             trace.emit(span, EventKind::Recomposed { attempt });
-            self.sessions[i].trace = Some(trace.save());
-        }
+        });
         if self.sessions[i].outcome.recompositions >= self.config.max_recompositions {
             self.close(t, i, CloseReason::GaveUp);
             return;
         }
         self.sessions[i].outcome.recompositions = attempt;
         self.set_phase(i, Phase::Recomposing);
-        match self.admission.as_mut() {
-            Some(q) => {
-                // Re-compositions inherit the session's class and cost
-                // but drop the deadline budget: mid-stream repair is
-                // best-effort, only QueueFull can refuse it.
-                let arrival = self.requests[i].arrival;
-                let ticket = q.offer(ArrivalMeta {
-                    arrival_us: t,
-                    priority: arrival.priority,
-                    service_cost_us: arrival.service_cost_us,
-                    deadline_budget_us: None,
-                });
-                debug_assert_eq!(ticket, self.tickets.len());
-                self.tickets.push((i, true));
-                self.surface_decisions(t);
-                self.schedule_pump(t);
-            }
-            None => self.jobs.push(Job {
-                session: i,
-                start_rung: self.sessions[i].rung,
-                kind: JobKind::Recompose,
-                gen: 0,
-            }),
-        }
+        // Re-compositions inherit the session's class and cost but drop
+        // the deadline budget: mid-stream repair is best-effort, only
+        // QueueFull can refuse it.
+        let arrival = ArrivalMeta {
+            arrival_us: t,
+            deadline_budget_us: None,
+            ..self.requests[i].arrival
+        };
+        self.request_compose(t, i, JobKind::Recompose, arrival, self.sessions[i].rung);
     }
 
     /// Integrate session-time since the last accrual point: lit on the
-    /// current rung while a plan is live, dark otherwise. With a buffer
-    /// model attached, the same interval also fills/drains the playout
-    /// buffer — at the session's sampled delivery rate while lit, dry
-    /// while dark — and accounts stalled playback.
-    fn accrue(&mut self, i: usize, t: u64) {
-        let mut stall_entered_us = None;
-        {
-            let sess = &mut self.sessions[i];
-            if sess.outcome.started_us.is_none() {
-                return;
-            }
-            let dt = t.saturating_sub(sess.last_accrual_us);
-            sess.last_accrual_us = t;
-            if dt == 0 {
-                return;
-            }
-            if sess.plan.is_some() {
-                sess.outcome.lit_us = sess.outcome.lit_us.saturating_add(dt);
-                sess.outcome.satisfaction_us += sess.satisfaction * dt as f64;
-                let slot = &mut sess.outcome.rung_us[sess.rung as usize];
-                *slot = slot.saturating_add(dt);
-            } else {
-                sess.outcome.dark_us = sess.outcome.dark_us.saturating_add(dt);
-            }
-            if let Some(abr) = sess.abr.as_mut() {
-                let fill = if sess.plan.is_some() { abr.fill_ppm } else { 0 };
-                let adv = abr.buffer.advance(dt, fill);
-                if adv.stalled_us > 0 {
-                    sess.outcome.rebuffer_us =
-                        sess.outcome.rebuffer_us.saturating_add(adv.stalled_us);
-                    if adv.entered_stall {
-                        sess.outcome.rebuffer_events =
-                            sess.outcome.rebuffer_events.saturating_add(1);
-                        stall_entered_us = Some(adv.stalled_us);
-                    }
-                }
-                sess.outcome.buffer_peak_us =
-                    sess.outcome.buffer_peak_us.max(abr.buffer.level_us());
-            }
-        }
-        if let Some(stalled_us) = stall_entered_us {
-            self.emit_root(i, t, EventKind::Rebuffered { stalled_us });
-        }
-    }
-
-    /// With `session_spans` on and a trace saved for session `i`: emit
-    /// `kind` on its root span at virtual time `t`.
-    fn emit_root(&mut self, i: usize, t: u64, kind: EventKind) {
-        if !self.config.session_spans {
+    /// current rung while a plan is live, dark otherwise; the same
+    /// interval moves the playout buffer, when there is one.
+    pub(super) fn accrue(&mut self, i: usize, t: u64) {
+        let sess = &mut self.sessions[i];
+        if sess.outcome.started_us.is_none() {
             return;
         }
-        if let Some(state) = self.sessions[i].trace {
-            let mut trace = RequestTrace::resume(self.sink, state);
-            trace.advance_to(t);
-            trace.emit(ROOT_SPAN, kind);
-            self.sessions[i].trace = Some(trace.save());
+        let dt = t.saturating_sub(sess.last_accrual_us);
+        sess.last_accrual_us = t;
+        if dt == 0 {
+            return;
+        }
+        if sess.plan.is_some() {
+            sess.outcome.lit_us = sess.outcome.lit_us.saturating_add(dt);
+            sess.outcome.satisfaction_us += sess.satisfaction * dt as f64;
+            let slot = &mut sess.outcome.rung_us[sess.rung as usize];
+            *slot = slot.saturating_add(dt);
+        } else {
+            sess.outcome.dark_us = sess.outcome.dark_us.saturating_add(dt);
+        }
+        if let Some(stalled_us) = sess.advance_buffer(dt) {
+            self.emit_root(i, t, EventKind::Rebuffered { stalled_us });
         }
     }
 
@@ -1044,42 +703,22 @@ impl<W: SessionWorld + Sync, S: TelemetrySink> Loop<'_, '_, W, S> {
         if self.sessions[i].phase == Phase::Done {
             return; // decided after the session already closed
         }
-        let Some((outcome, state)) = result else {
-            // The worker thread died outside composition; account for
-            // the loss the way the batch paths do. A lost *switch* or
-            // *evasion* changes nothing — make-before-break keeps the
-            // session on its current plan.
-            match job.kind {
-                JobKind::Switch => {
-                    if let Some(abr) = self.sessions[i].abr.as_mut() {
-                        abr.switching = false;
-                    }
-                }
-                JobKind::Evade => self.sessions[i].evading = false,
-                JobKind::Recompose => {
-                    self.accrue(i, t);
-                    self.close(t, i, CloseReason::Starved);
-                }
-                JobKind::Open => self.close(t, i, CloseReason::FailedOpen),
-            }
-            return;
-        };
-        let sess = &mut self.sessions[i];
-        sess.trace = Some(state);
-        sess.outcome.attempts = sess.outcome.attempts.saturating_add(outcome.attempts);
-        // `serve_one` sets plan and rung together; an outcome with one
-        // but not the other did not serve.
-        let served = match (outcome.plan, outcome.rung) {
-            (Some(plan), Some(rung)) => Some(Served {
-                plan,
-                rung,
+        // A `None` result is a worker that died outside composition:
+        // nothing served, accounted the way the batch paths do.
+        let served = result.and_then(|(outcome, state)| {
+            let sess = &mut self.sessions[i];
+            sess.trace = Some(state);
+            sess.outcome.attempts = sess.outcome.attempts.saturating_add(outcome.attempts);
+            // `serve_one` sets plan and rung together; an outcome with
+            // one but not the other did not serve.
+            Some(Served {
+                plan: outcome.plan?,
+                rung: outcome.rung?,
                 satisfaction: outcome.satisfaction,
-            }),
-            _ => None,
-        };
+            })
+        });
         match job.kind {
-            JobKind::Switch => self.apply_switch(t, job, served),
-            JobKind::Evade => self.apply_evade(t, job, served),
+            JobKind::Switch | JobKind::Evade => self.apply_replacement(t, job, served),
             JobKind::Recompose => {
                 // Close the dark interval *before* the new plan goes
                 // live, so the repair latency accrues as dark time.
@@ -1090,9 +729,6 @@ impl<W: SessionWorld + Sync, S: TelemetrySink> Loop<'_, '_, W, S> {
                 };
                 self.adopt_plan(t, i, served);
                 self.set_phase(i, Phase::Active);
-                if self.sessions[i].abr.is_some() {
-                    self.resample_fill(i);
-                }
             }
             JobKind::Open => {
                 let Some(served) = served else {
@@ -1109,21 +745,7 @@ impl<W: SessionWorld + Sync, S: TelemetrySink> Loop<'_, '_, W, S> {
                     self.close(t, i, CloseReason::Completed);
                     return;
                 }
-                // Attach the buffer model: startup latency is modeled
-                // as pre-buffered media, so sessions open with credit.
-                if let Some(cfg) = self.config.abr {
-                    let buffer = PlayoutBuffer::new(cfg.startup_buffer_us, cfg.buffer_capacity_us);
-                    let sess = &mut self.sessions[i];
-                    sess.outcome.buffer_peak_us = buffer.level_us();
-                    sess.abr = Some(AbrSess {
-                        buffer,
-                        controller: BolaController::new(),
-                        fill_ppm: 0,
-                        gen: 0,
-                        switching: false,
-                    });
-                    self.resample_fill(i);
-                }
+                self.attach_buffer(i);
                 let close_at = t.saturating_add(hold);
                 self.queue.schedule(SimTime(close_at), Ev::Close(i));
                 self.schedule_tick(t, i);
@@ -1131,77 +753,62 @@ impl<W: SessionWorld + Sync, S: TelemetrySink> Loop<'_, '_, W, S> {
         }
     }
 
-    /// A controller switch came back: adopt it only if it still
-    /// matches the plan generation it was issued against, actually
-    /// changed rung, and the session is still streaming. Anything else
-    /// is discarded — the session never goes dark over a switch.
-    fn apply_switch(&mut self, t: u64, job: Job, served: Option<Served>) {
+    /// A make-before-break replacement (controller switch or SLA
+    /// evasion) came back: adopt it only if the session still streams
+    /// on the plan generation it was issued against, it served, and it
+    /// changed something — the rung for a switch (the ladder can fall
+    /// back to the rung already streamed on), the chain for an evasion
+    /// (no alternative may exist yet). Anything else is discarded: the
+    /// session never goes dark over a replacement.
+    fn apply_replacement(&mut self, t: u64, job: Job, served: Option<Served>) {
         let i = job.session;
-        let stale = self.sessions[i]
-            .abr
-            .as_ref()
-            .map(|a| a.gen != job.gen)
-            .unwrap_or(true);
-        if let Some(abr) = self.sessions[i].abr.as_mut() {
-            abr.switching = false;
-        }
-        if stale || self.sessions[i].phase != Phase::Active {
+        let sess = &mut self.sessions[i];
+        sess.replacing = false;
+        if sess.plan_gen != job.gen || sess.phase != Phase::Active {
             return;
         }
-        let Some(served) = served else {
-            return; // composed nothing: stay on the current plan
+        let (Some(served), Some(old)) = (served, sess.plan.as_ref()) else {
+            return;
         };
-        let (from, to) = (self.sessions[i].rung, served.rung);
-        if to == from {
-            // The ladder fell back to the rung we already stream on
-            // (an up-switch that was not feasible): not a switch.
+        let from = sess.rung;
+        let switch = job.kind == JobKind::Switch;
+        let unchanged = if switch {
+            served.rung == from
+        } else {
+            same_chain(old, &served.plan)
+        };
+        if unchanged {
             return;
         }
-        // Close the interval on the old rung, then go live on the new
-        // plan without a dark gap (make-before-break).
+        // Close the interval on the old plan, then go live on the new
+        // one without a dark gap.
         self.accrue(i, t);
         self.adopt_plan(t, i, served);
-        self.resample_fill(i);
-        let mut buffer_us = 0;
-        if let Some(abr) = self.sessions[i].abr.as_mut() {
-            abr.controller.committed(t, from);
-            buffer_us = abr.buffer.level_us();
+        if switch {
+            self.switch_committed(t, i, from);
+        } else {
+            self.evade_committed(t, i, from);
         }
-        self.sessions[i].outcome.switches = self.sessions[i].outcome.switches.saturating_add(1);
-        let kind = EventKind::RungSwitch {
-            from: from.label(),
-            to: to.label(),
-            buffer_us,
-        };
-        self.emit_root(i, t, kind);
     }
 
     /// A composition served: install the plan, record the rung
     /// transition.
     fn adopt_plan(&mut self, t: u64, i: usize, served: Served) {
-        let Served {
-            plan,
-            rung,
-            satisfaction,
-        } = served;
         let sess = &mut self.sessions[i];
-        sess.plan = Some(plan);
-        sess.rung = rung;
-        sess.satisfaction = satisfaction;
-        sess.outcome.final_rung = Some(rung);
-        sess.outcome.rung_history.push((t, rung));
+        sess.rung = served.rung;
+        sess.satisfaction = served.satisfaction;
+        sess.outcome.final_rung = Some(served.rung);
+        sess.outcome.rung_history.push((t, served.rung));
         sess.plan_gen = sess.plan_gen.wrapping_add(1);
-        if let Some(abr) = sess.abr.as_mut() {
-            abr.gen = abr.gen.wrapping_add(1);
-        }
         // Adoption is the admission-commit point: pin the plan's demand
         // with the world's broker (a re-pin after a rung switch lowers
         // or raises the registered window in place). No-op without a
         // broker.
-        if let Some(plan) = sess.plan.as_ref() {
-            let weight = priority_weight(self.requests[i].arrival.priority);
-            self.world
-                .register_session_flow(i as u64, plan, self.requests[i].demand_bps, weight);
-        }
+        let request = &self.requests[i];
+        let weight = priority_weight(request.arrival.priority);
+        let plan = sess.plan.insert(served.plan);
+        self.world
+            .register_session_flow(i as u64, plan, request.demand_bps, weight);
+        self.resample_fill(i);
     }
 }
