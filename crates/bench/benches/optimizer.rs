@@ -1,7 +1,10 @@
 //! The constrained parameter optimizer (Step 2/8 of Figure 4): fast path
-//! vs constrained single-axis vs constrained multi-axis.
+//! vs constrained single-axis vs constrained multi-axis, then the two
+//! constrained shapes the benchmark's meshes really run — the X15 mesh's
+//! one link-bound axis and the strict mesh's frame rate × pixel count.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use qosc_bench::scorecard::strict_scenario;
 use qosc_media::{Axis, AxisDomain, BitrateModel, DomainVector, ParamVector};
 use qosc_satisfaction::{
     optimize, AxisPreference, OptimizeOptions, Problem, SatisfactionFn, SatisfactionProfile,
@@ -65,7 +68,7 @@ fn bench_optimizer(c: &mut Criterion) {
         b.iter(|| optimize(&p, &options).expect("feasible"))
     });
 
-    // Constrained single axis: bisection to the exact boundary.
+    // Constrained single axis: the boundary is the largest feasible float.
     c.bench_function("optimizer/single_axis_constrained", |b| {
         let p = Problem {
             profile: &profile,
@@ -112,6 +115,58 @@ fn bench_optimizer(c: &mut Criterion) {
             bitrate: &video,
             bandwidth_limit: 400_000.0,
             cost: &free,
+            budget: f64::INFINITY,
+        };
+        b.iter(|| optimize(&p, &options).expect("feasible"))
+    });
+
+    // X15 (`compose_hot`): frame rate in [0, cap] with the cap drawn
+    // from 10–30 fps, 1 000 bit per frame, a 15–60 kbit/s link below it.
+    let capped = DomainVector::new().with(
+        Axis::FrameRate,
+        AxisDomain::Continuous {
+            min: 0.0,
+            max: 23.7,
+        },
+    );
+    let flat = |_: &ParamVector| 1.0;
+    c.bench_function("optimizer/x15_link_bound", |b| {
+        let p = Problem {
+            profile: &profile,
+            domain: &capped,
+            bitrate: &bitrate,
+            bandwidth_limit: 17_340.0,
+            cost: &flat,
+            budget: f64::INFINITY,
+        };
+        b.iter(|| optimize(&p, &options).expect("feasible"))
+    });
+
+    // The strict mesh (`sessions_chaos`): frame rate × pixel count, the
+    // rate set by the frames alone, a 12 fps floor, weights 3 : 1.
+    let strict = strict_scenario().profiles.user.satisfaction;
+    let frames_by_pixels = DomainVector::new()
+        .with(
+            Axis::FrameRate,
+            AxisDomain::Continuous {
+                min: 0.0,
+                max: 23.7,
+            },
+        )
+        .with(
+            Axis::PixelCount,
+            AxisDomain::Continuous {
+                min: 4_800.0,
+                max: 181_300.0,
+            },
+        );
+    c.bench_function("optimizer/strict_two_axis_link_bound", |b| {
+        let p = Problem {
+            profile: &strict,
+            domain: &frames_by_pixels,
+            bitrate: &bitrate,
+            bandwidth_limit: 17_340.0,
+            cost: &flat,
             budget: f64::INFINITY,
         };
         b.iter(|| optimize(&p, &options).expect("feasible"))

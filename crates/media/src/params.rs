@@ -385,29 +385,54 @@ impl AxisDomain {
     /// always including the domain's min and max. Used by the grid phase
     /// of the parameter optimizer.
     pub fn sample(&self, n: usize) -> Vec<f64> {
+        let mut out = vec![0.0; n.max(2)];
+        let len = self.sample_into(n, &mut out);
+        out.truncate(len);
+        out
+    }
+
+    /// Allocation-free form of [`sample`](AxisDomain::sample): writes the
+    /// sample to the front of `out` and returns its length.
+    ///
+    /// # Panics
+    ///
+    /// If `out` is shorter than `n.max(2)`.
+    pub fn sample_into(&self, n: usize, out: &mut [f64]) -> usize {
         let n = n.max(2);
+        let out = &mut out[..n];
         match self {
             AxisDomain::Continuous { min, max } => {
                 if (max - min).abs() < 1e-12 {
-                    return vec![*min];
+                    out[0] = *min;
+                    return 1;
                 }
-                (0..n)
+                for (i, slot) in out.iter_mut().enumerate() {
                     // The interpolation can overshoot `max` by an ulp at
                     // large magnitudes; samples must stay admissible.
-                    .map(|i| (min + (max - min) * i as f64 / (n - 1) as f64).clamp(*min, *max))
-                    .collect()
+                    *slot = (min + (max - min) * i as f64 / (n - 1) as f64).clamp(*min, *max);
+                }
+                n
             }
             AxisDomain::Discrete(values) => {
                 if values.len() <= n {
-                    return values.clone();
+                    out[..values.len()].copy_from_slice(values);
+                    return values.len();
                 }
-                let mut out: Vec<f64> = (0..n)
-                    .map(|i| values[i * (values.len() - 1) / (n - 1)])
-                    .collect();
-                out.dedup();
-                out
+                // Strided picks, with repeats of a value collapsed.
+                let mut len = 0;
+                for i in 0..n {
+                    let value = values[i * (values.len() - 1) / (n - 1)];
+                    if len == 0 || out[len - 1] != value {
+                        out[len] = value;
+                        len += 1;
+                    }
+                }
+                len
             }
-            AxisDomain::Fixed(v) => vec![*v],
+            AxisDomain::Fixed(v) => {
+                out[0] = *v;
+                1
+            }
         }
     }
 
@@ -683,6 +708,34 @@ mod tests {
 
         let d = AxisDomain::discrete(Axis::FrameRate, vec![1.0, 2.0, 3.0]).unwrap();
         assert_eq!(d.sample(10), vec![1.0, 2.0, 3.0]);
+    }
+
+    #[test]
+    fn domain_sample_into_fills_the_front_of_the_buffer() {
+        let mut out = [f64::NAN; 6];
+        let c = AxisDomain::continuous(Axis::FrameRate, 0.0, 30.0).unwrap();
+        assert_eq!(c.sample_into(4, &mut out), 4);
+        assert_eq!(out[..4], [0.0, 10.0, 20.0, 30.0]);
+        // Fewer than two samples asked for is two: both ends.
+        assert_eq!(c.sample_into(0, &mut out), 2);
+        assert_eq!(out[..2], [0.0, 30.0]);
+
+        let point = AxisDomain::continuous(Axis::FrameRate, 7.0, 7.0).unwrap();
+        assert_eq!(point.sample_into(6, &mut out), 1);
+        assert_eq!(out[0], 7.0);
+        assert_eq!(AxisDomain::Fixed(3.0).sample_into(6, &mut out), 1);
+        assert_eq!(out[0], 3.0);
+
+        // A longer value set is picked at even strides, ends included.
+        let values: Vec<f64> = (0..13).map(f64::from).collect();
+        let d = AxisDomain::discrete(Axis::FrameRate, values).unwrap();
+        assert_eq!(d.sample_into(4, &mut out), 4);
+        assert_eq!(out[..4], [0.0, 4.0, 8.0, 12.0]);
+        // Picks that repeat a value (a hand-built set) collapse.
+        let repeats = AxisDomain::Discrete(vec![1.0, 1.0, 1.0, 2.0, 3.0]);
+        assert_eq!(repeats.sample_into(3, &mut out), 2);
+        assert_eq!(out[..2], [1.0, 3.0]);
+        assert_eq!(repeats.sample(3), vec![1.0, 3.0]);
     }
 
     #[test]
