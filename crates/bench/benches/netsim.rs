@@ -2,8 +2,9 @@
 //! reservations and event-queue operations.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use qosc_netsim::generators::{random_waxman, LinkTemplate};
-use qosc_netsim::{EventQueue, Network, SimTime};
+use qosc_bench::scorecard;
+use qosc_netsim::generators::{fat_tree, random_waxman, LinkTemplate};
+use qosc_netsim::{EventQueue, Network, NodeId, SimTime};
 
 fn bench_routing_and_bandwidth(c: &mut Criterion) {
     let mut group = c.benchmark_group("netsim");
@@ -25,6 +26,82 @@ fn bench_routing_and_bandwidth(c: &mut Criterion) {
                     .reserve_between(nodes2[0], nodes2[n - 1], 100.0)
                     .expect("headroom");
                 net.release(id).expect("active");
+            })
+        });
+    }
+    group.finish();
+}
+
+/// The route queries a session tick makes, on the two session-workload
+/// topologies: answered from the memoized shortest-path tree (`warm`),
+/// and as the first query after a link failure dropped the trees
+/// (`after_fail_link`: one failure, one rebuild, one answer, and the
+/// restoration, per iteration).
+fn bench_route_queries(c: &mut Criterion) {
+    let mesh = scorecard::strict_scenario();
+    let (mesh_ends, mesh) = ((mesh.sender_host, mesh.receiver_host), mesh.network);
+    let (tree, hosts, _cores) = fat_tree(
+        4,
+        LinkTemplate::fixed(1.1e9, 500),
+        LinkTemplate::fixed(4.4e9, 1_000),
+        19,
+    );
+    let worlds: [(&str, Network, (NodeId, NodeId)); 2] = [
+        ("x16_mesh", mesh, mesh_ends),
+        ("fat_tree_k4", Network::new(tree), (hosts[0], hosts[15])),
+    ];
+
+    let mut group = c.benchmark_group("netsim_routes");
+    for (name, mut net, (a, b)) in worlds {
+        let route = net.route_between(a, b).expect("connected");
+        // A failure off the route: the answer stays, the trees go.
+        let spare = net
+            .topology()
+            .link_ids()
+            .find(|link| !route.links.contains(link))
+            .expect("a link off the route");
+
+        group.bench_function(BenchmarkId::new("route_between/warm", name), |bch| {
+            bch.iter(|| net.route_between(a, b).expect("connected"))
+        });
+        group.bench_function(BenchmarkId::new("available_between/warm", name), |bch| {
+            bch.iter(|| net.available_between(a, b).expect("connected"))
+        });
+        group.bench_function(BenchmarkId::new("routable/warm", name), |bch| {
+            bch.iter(|| net.routable(a, b))
+        });
+        group.bench_function(BenchmarkId::new("path_annotations_from", name), |bch| {
+            bch.iter(|| net.path_annotations_from(a).expect("known node"))
+        });
+
+        group.bench_function(
+            BenchmarkId::new("route_between/after_fail_link", name),
+            |bch| {
+                bch.iter(|| {
+                    net.fail_link(spare).expect("known link");
+                    let route = net.route_between(a, b).expect("connected");
+                    net.restore_link(spare);
+                    route
+                })
+            },
+        );
+        group.bench_function(
+            BenchmarkId::new("available_between/after_fail_link", name),
+            |bch| {
+                bch.iter(|| {
+                    net.fail_link(spare).expect("known link");
+                    let available = net.available_between(a, b).expect("connected");
+                    net.restore_link(spare);
+                    available
+                })
+            },
+        );
+        group.bench_function(BenchmarkId::new("routable/after_fail_link", name), |bch| {
+            bch.iter(|| {
+                net.fail_link(spare).expect("known link");
+                let routable = net.routable(a, b);
+                net.restore_link(spare);
+                routable
             })
         });
     }
@@ -58,6 +135,6 @@ fn config() -> Criterion {
 criterion_group! {
     name = benches;
     config = config();
-    targets = bench_routing_and_bandwidth, bench_event_queue
+    targets = bench_routing_and_bandwidth, bench_route_queries, bench_event_queue
 }
 criterion_main!(benches);

@@ -12,10 +12,12 @@
 
 use crate::bandwidth::{BandwidthLedger, ReservationId};
 use crate::dynamics::{BackgroundTraffic, TrafficConfig};
-use crate::routing::{min_delay_route_filtered, Route};
-use crate::topology::{LinkId, NodeId, Topology};
+use crate::routing::{shortest_path_tree, Route, RouteTree};
+use crate::topology::{Link, LinkId, NodeId, Topology};
 use crate::{NetError, Result};
-use std::collections::HashSet;
+use std::borrow::Cow;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 
 /// Everything the composer needs to know about the min-delay path from
 /// one node to another, computed in bulk by
@@ -34,6 +36,13 @@ pub struct PathAnnotation {
 
 /// Live network state: topology + reservations + background traffic +
 /// failures.
+///
+/// Routes depend on the topology and the failure sets only — the
+/// *routing state* — so every route query is answered from a per-source
+/// shortest-path tree built on first use and kept until a routing
+/// mutation (`fail_*`, `restore_*`, [`Network::topology_mut`]).
+/// Reservations, releases and background traffic change headroom along
+/// a route, never the route, and leave the trees alone.
 ///
 /// ```
 /// use qosc_netsim::{Network, Node, Topology};
@@ -55,11 +64,37 @@ pub struct Network {
     topology: Topology,
     ledger: BandwidthLedger,
     background: BackgroundTraffic,
-    failed_nodes: HashSet<NodeId>,
-    failed_links: HashSet<LinkId>,
+    /// Failure flags by node / link index; an index past the end reads
+    /// as not failed.
+    failed_nodes: Vec<bool>,
+    failed_links: Vec<bool>,
     /// Bumped by every mutation that can change routing, headroom or
     /// failure answers (see [`Network::version`]).
     version: u64,
+    /// `route_trees[source]`: the shortest-path tree of the current
+    /// routing state, built by the first query from `source`. Emptied
+    /// and re-sized to the node count by [`Network::drop_route_trees`];
+    /// a node added since then has no slot and gets a tree per query.
+    route_trees: Vec<OnceLock<RouteTree>>,
+    route_tree_builds: AtomicU64,
+}
+
+/// `flags[index]`, `false` past the end.
+fn flag(flags: &[bool], index: usize) -> bool {
+    flags.get(index).copied().unwrap_or(false)
+}
+
+/// Set `flags[index]`, growing the vector for an index past the end;
+/// whether the flag changed.
+fn set_flag(flags: &mut Vec<bool>, index: usize, value: bool) -> bool {
+    if flag(flags, index) == value {
+        return false;
+    }
+    if index >= flags.len() {
+        flags.resize(index + 1, false);
+    }
+    flags[index] = value;
+    true
 }
 
 impl Network {
@@ -67,27 +102,28 @@ impl Network {
     /// bandwidth, like the paper's worked example).
     pub fn new(topology: Topology) -> Network {
         let background = BackgroundTraffic::quiescent(topology.link_count());
-        Network {
-            topology,
-            ledger: BandwidthLedger::new(),
-            background,
-            failed_nodes: HashSet::new(),
-            failed_links: HashSet::new(),
-            version: 0,
-        }
+        Network::assemble(topology, background)
     }
 
     /// A network with seeded background-traffic fluctuation.
     pub fn with_background(topology: Topology, config: TrafficConfig, seed: u64) -> Network {
         let background = BackgroundTraffic::new(topology.link_count(), config, seed);
-        Network {
+        Network::assemble(topology, background)
+    }
+
+    fn assemble(topology: Topology, background: BackgroundTraffic) -> Network {
+        let mut network = Network {
             topology,
             ledger: BandwidthLedger::new(),
             background,
-            failed_nodes: HashSet::new(),
-            failed_links: HashSet::new(),
+            failed_nodes: Vec::new(),
+            failed_links: Vec::new(),
             version: 0,
-        }
+            route_trees: Vec::new(),
+            route_tree_builds: AtomicU64::new(0),
+        };
+        network.drop_route_trees();
+        network
     }
 
     /// Monotone state version: bumped by every mutation that can change
@@ -99,8 +135,22 @@ impl Network {
     /// Two equal versions on the same instance therefore guarantee
     /// identical edge annotations, so graph stores and plan caches can
     /// revalidate with one integer compare instead of a rescan.
+    ///
+    /// The converse does not hold, and for routes it is far from
+    /// holding: most bumps (reservations, releases, background steps and
+    /// squeezes) move headroom only. Routes change with the topology and
+    /// the failure sets alone, and the network keeps its own
+    /// shortest-path trees across every other bump.
     pub fn version(&self) -> u64 {
         self.version
+    }
+
+    /// How many shortest-path trees route queries have built so far: one
+    /// per queried source and routing state (plus one per query from a
+    /// node added through [`Network::topology_mut`] since the last
+    /// routing mutation). A work counter for gates and tests.
+    pub fn route_tree_builds(&self) -> u64 {
+        self.route_tree_builds.load(Ordering::Relaxed)
     }
 
     /// The underlying topology.
@@ -115,8 +165,62 @@ impl Network {
         // Handing out `&mut Topology` is assumed to mutate: bumping on
         // access keeps `version()` conservative (a spurious bump costs
         // one revalidation; a missed one would serve stale answers).
-        self.version += 1;
+        // The borrow ends before the next query can run, so trees built
+        // after it see whatever the caller changed.
+        self.routing_changed();
         &mut self.topology
+    }
+
+    /// Forget every memoized tree: called by exactly the mutations
+    /// routing depends on.
+    fn drop_route_trees(&mut self) {
+        self.route_trees.clear();
+        self.route_trees
+            .resize_with(self.topology.node_count(), OnceLock::new);
+    }
+
+    /// The shortest-path tree from `from` under the current failure
+    /// sets, or `None` when `from` itself has failed (nothing is
+    /// reachable from a failed node). Warm reads take no lock.
+    fn route_tree(&self, from: NodeId) -> Option<Cow<'_, RouteTree>> {
+        if self.node_failed(from) {
+            return None;
+        }
+        let build = || {
+            self.route_tree_builds.fetch_add(1, Ordering::Relaxed);
+            shortest_path_tree(
+                &self.topology,
+                from,
+                |link| !flag(&self.failed_links, link.index()),
+                |node| !self.node_failed(node),
+            )
+        };
+        Some(match self.route_trees.get(from.index()) {
+            Some(slot) => Cow::Borrowed(slot.get_or_init(build)),
+            None => Cow::Owned(build()),
+        })
+    }
+
+    /// The tree from `a`, once it is known to reach `b`: the checks of
+    /// every pair query, in `min_delay_route_filtered`'s order (unknown
+    /// `a`, unknown `b`, then no route — a failed endpoint included).
+    fn route_tree_reaching(&self, a: NodeId, b: NodeId) -> Result<Cow<'_, RouteTree>> {
+        self.topology.node(a)?;
+        self.topology.node(b)?;
+        self.route_tree(a)
+            .filter(|tree| tree.dist.get(b.index()).is_some_and(|&d| d != u64::MAX))
+            .ok_or(NetError::NoRoute { from: a, to: b })
+    }
+
+    fn headroom(&self, link: LinkId, spec: &Link, direction: bool) -> f64 {
+        if flag(&self.failed_links, link.index())
+            || self.node_failed(spec.a)
+            || self.node_failed(spec.b)
+        {
+            return 0.0;
+        }
+        let usable = spec.capacity_bps * (1.0 - self.background.utilization(link));
+        (usable - self.ledger.reserved_on(link, direction)).max(0.0)
     }
 
     /// Headroom of one link direction right now: `capacity × (1 −
@@ -124,27 +228,47 @@ impl Network {
     /// endpoint) has failed. Links are full duplex: each direction has
     /// its own capacity pool.
     pub fn link_headroom(&self, link: LinkId, direction: bool) -> Result<f64> {
-        let spec = self.topology.link(link)?;
-        if self.failed_links.contains(&link)
-            || self.failed_nodes.contains(&spec.a)
-            || self.failed_nodes.contains(&spec.b)
-        {
-            return Ok(0.0);
-        }
-        let usable = spec.capacity_bps * (1.0 - self.background.utilization(link));
-        Ok((usable - self.ledger.reserved_on(link, direction)).max(0.0))
+        Ok(self.headroom(link, self.topology.link(link)?, direction))
     }
 
     /// The current minimum-delay route between two nodes, avoiding failed
     /// nodes and links.
     pub fn route_between(&self, a: NodeId, b: NodeId) -> Result<Route> {
-        min_delay_route_filtered(
-            &self.topology,
-            a,
-            b,
-            &|l| !self.failed_links.contains(&l),
-            &|n| !self.failed_nodes.contains(&n),
-        )
+        if a == b {
+            self.topology.node(a)?;
+            return Ok(Route {
+                from: a,
+                to: b,
+                links: Vec::new(),
+                nodes: vec![a],
+                delay_us: 0,
+            });
+        }
+        let tree = self.route_tree_reaching(a, b)?;
+        let mut links = Vec::new();
+        let mut nodes = vec![b];
+        for (from, link) in tree.hops_back(b) {
+            links.push(link);
+            nodes.push(from);
+        }
+        links.reverse();
+        nodes.reverse();
+        Ok(Route {
+            from: a,
+            to: b,
+            links,
+            nodes,
+            delay_us: tree.dist[b.index()],
+        })
+    }
+
+    /// Whether a route from `a` to `b` survives the failure set:
+    /// [`Network::route_between`]`.is_ok()` without building the route.
+    pub fn routable(&self, a: NodeId, b: NodeId) -> bool {
+        if a == b {
+            return self.topology.node(a).is_ok();
+        }
+        self.route_tree_reaching(a, b).is_ok()
     }
 
     /// `Bandwidth_AvailableBetween(a, b)`: infinite on the same host
@@ -155,10 +279,13 @@ impl Network {
             self.topology.node(a)?;
             return Ok(f64::INFINITY);
         }
-        let route = self.route_between(a, b)?;
+        let tree = self.route_tree_reaching(a, b)?;
+        // Folded destination-first, which a minimum does not notice:
+        // headroom is never NaN (`max(0.0)` absorbs one).
         let mut bottleneck = f64::INFINITY;
-        for (link, direction) in route.directed_hops(&self.topology) {
-            bottleneck = bottleneck.min(self.link_headroom(link, direction)?);
+        for (from, link) in tree.hops_back(b) {
+            let spec = self.topology.link(link)?;
+            bottleneck = bottleneck.min(self.headroom(link, spec, spec.a == from));
         }
         Ok(bottleneck)
     }
@@ -170,23 +297,27 @@ impl Network {
             self.topology.node(a)?;
             return Ok(0);
         }
-        Ok(self.route_between(a, b)?.delay_us)
+        Ok(self.route_tree_reaching(a, b)?.dist[b.index()])
+    }
+
+    /// The link specs of the current route from `a` to `b` with the
+    /// direction each is crossed in, source first (`a != b`).
+    fn route_hops(&self, a: NodeId, b: NodeId) -> Result<Vec<(LinkId, &Link, bool)>> {
+        let tree = self.route_tree_reaching(a, b)?;
+        let mut hops = Vec::new();
+        for (from, link) in tree.hops_back(b) {
+            let spec = self.topology.link(link)?;
+            hops.push((link, spec, spec.a == from));
+        }
+        hops.reverse();
+        Ok(hops)
     }
 
     /// Transmission price between two nodes: the sum of per-link prices
     /// along the route, in monetary units per megabit. Zero on the same
     /// host.
     pub fn price_per_mbit_between(&self, a: NodeId, b: NodeId) -> Result<f64> {
-        if a == b {
-            self.topology.node(a)?;
-            return Ok(0.0);
-        }
-        let route = self.route_between(a, b)?;
-        let mut price = 0.0;
-        for &link in &route.links {
-            price += self.topology.link(link)?.price_per_mbit;
-        }
-        Ok(price)
+        Ok(self.transmission_price_between(a, b)?.1)
     }
 
     /// Transmission price between two nodes as `(flat, per_mbit)`: the
@@ -197,11 +328,9 @@ impl Network {
             self.topology.node(a)?;
             return Ok((0.0, 0.0));
         }
-        let route = self.route_between(a, b)?;
         let mut flat = 0.0;
         let mut per_mbit = 0.0;
-        for &link in &route.links {
-            let spec = self.topology.link(link)?;
+        for (_, spec, _) in self.route_hops(a, b)? {
             flat += spec.price_flat;
             per_mbit += spec.price_per_mbit;
         }
@@ -210,60 +339,46 @@ impl Network {
 
     /// Single-source path annotations: for every reachable node, the
     /// bottleneck available bandwidth, delay and transmission prices of
-    /// the minimum-delay route from `from` — in one Dijkstra run.
+    /// the minimum-delay route from `from` — one pass over the source's
+    /// shortest-path tree.
     ///
     /// Produces exactly the values the per-pair queries
     /// ([`Network::available_between`] etc.) would return (same
     /// tie-breaking), but amortized: graph construction annotates all
-    /// edges out of one host with a single call instead of one Dijkstra
+    /// edges out of one host with a single call instead of one walk
     /// per edge. Unreachable nodes are `None`; the `from` entry is
     /// `(∞, 0, 0, 0)` (same host, Section 4.3).
     pub fn path_annotations_from(&self, from: NodeId) -> Result<Vec<Option<PathAnnotation>>> {
-        use std::cmp::Reverse;
-        use std::collections::BinaryHeap;
         self.topology.node(from)?;
-        let n = self.topology.node_count();
-        let mut out: Vec<Option<PathAnnotation>> = vec![None; n];
-        if self.failed_nodes.contains(&from) {
+        let mut out: Vec<Option<PathAnnotation>> = vec![None; self.topology.node_count()];
+        let Some(tree) = self.route_tree(from) else {
             return Ok(out);
-        }
-        let mut dist = vec![u64::MAX; n];
-        let mut heap: BinaryHeap<Reverse<(u64, u32)>> = BinaryHeap::new();
-        dist[from.index()] = 0;
+        };
         out[from.index()] = Some(PathAnnotation {
             available_bps: f64::INFINITY,
             delay_us: 0,
             price_flat: 0.0,
             price_per_mbit: 0.0,
         });
-        heap.push(Reverse((0, from.index() as u32)));
-        while let Some(Reverse((d, node_raw))) = heap.pop() {
-            let node_index = node_raw as usize;
-            if d > dist[node_index] {
+        // Settle order puts a node's parent before it, so each node
+        // extends its parent's finished annotation by one link: sums
+        // accumulate source-to-destination, as the pair queries add them.
+        for &node in &tree.settled {
+            let Some((parent, link)) = tree.parent[node.index()] else {
                 continue;
-            }
-            let annotation = out[node_index].expect("settled nodes are annotated");
-            let node = NodeId(node_raw);
-            for &(neighbor, link) in self.topology.neighbors(node) {
-                if self.failed_links.contains(&link) || self.failed_nodes.contains(&neighbor) {
-                    continue;
-                }
-                let spec = self.topology.link(link)?;
-                let next = d.saturating_add(spec.delay_us);
-                if next < dist[neighbor.index()] {
-                    dist[neighbor.index()] = next;
-                    let direction = spec.a == node;
-                    out[neighbor.index()] = Some(PathAnnotation {
-                        available_bps: annotation
-                            .available_bps
-                            .min(self.link_headroom(link, direction)?),
-                        delay_us: next,
-                        price_flat: annotation.price_flat + spec.price_flat,
-                        price_per_mbit: annotation.price_per_mbit + spec.price_per_mbit,
-                    });
-                    heap.push(Reverse((next, neighbor.index() as u32)));
-                }
-            }
+            };
+            let Some(base) = out[parent.index()] else {
+                continue;
+            };
+            let spec = self.topology.link(link)?;
+            out[node.index()] = Some(PathAnnotation {
+                available_bps: base
+                    .available_bps
+                    .min(self.headroom(link, spec, spec.a == parent)),
+                delay_us: tree.dist[node.index()],
+                price_flat: base.price_flat + spec.price_flat,
+                price_per_mbit: base.price_per_mbit + spec.price_per_mbit,
+            });
         }
         Ok(out)
     }
@@ -281,10 +396,9 @@ impl Network {
             self.topology.node(a)?;
             return self.ledger.reserve(Vec::new(), rate_bps);
         }
-        let route = self.route_between(a, b)?;
-        let hops = route.directed_hops(&self.topology);
-        for &(link, direction) in &hops {
-            let headroom = self.link_headroom(link, direction)?;
+        let mut hops = Vec::new();
+        for (link, spec, direction) in self.route_hops(a, b)? {
+            let headroom = self.headroom(link, spec, direction);
             if rate_bps > headroom * (1.0 + 1e-9) + 1e-9 {
                 return Err(NetError::InsufficientBandwidth {
                     link,
@@ -292,6 +406,7 @@ impl Network {
                     available: headroom,
                 });
             }
+            hops.push((link, direction));
         }
         self.version += 1;
         self.ledger.reserve(hops, rate_bps)
@@ -319,8 +434,8 @@ impl Network {
     /// avoids it.
     pub fn fail_node(&mut self, node: NodeId) -> Result<()> {
         self.topology.node(node)?;
-        if self.failed_nodes.insert(node) {
-            self.version += 1;
+        if set_flag(&mut self.failed_nodes, node.index(), true) {
+            self.routing_changed();
         }
         Ok(())
     }
@@ -328,32 +443,40 @@ impl Network {
     /// Mark a link failed.
     pub fn fail_link(&mut self, link: LinkId) -> Result<()> {
         self.topology.link(link)?;
-        if self.failed_links.insert(link) {
-            self.version += 1;
+        if set_flag(&mut self.failed_links, link.index(), true) {
+            self.routing_changed();
         }
         Ok(())
     }
 
     /// Restore a failed node.
     pub fn restore_node(&mut self, node: NodeId) {
-        if self.failed_nodes.remove(&node) {
-            self.version += 1;
+        if set_flag(&mut self.failed_nodes, node.index(), false) {
+            self.routing_changed();
         }
     }
 
     /// Restore a failed link.
     pub fn restore_link(&mut self, link: LinkId) {
-        if self.failed_links.remove(&link) {
-            self.version += 1;
+        if set_flag(&mut self.failed_links, link.index(), false) {
+            self.routing_changed();
         }
+    }
+
+    /// The topology or a failure set changed: new version, new routes.
+    fn routing_changed(&mut self) {
+        self.version += 1;
+        self.drop_route_trees();
     }
 
     /// Whether `node` is currently failed.
     pub fn node_failed(&self, node: NodeId) -> bool {
-        self.failed_nodes.contains(&node)
+        flag(&self.failed_nodes, node.index())
     }
 
     /// Direct access to the background process (tests, experiments).
+    /// Background traffic moves headroom, never a route, so the
+    /// shortest-path trees stay.
     pub fn background_mut(&mut self) -> &mut BackgroundTraffic {
         // Same conservatism as `topology_mut`.
         self.version += 1;
@@ -394,6 +517,186 @@ mod tests {
             })
             .unwrap();
         (Network::new(t), a, b, c, l1, l2)
+    }
+
+    /// `path_annotations_from` as it was before the route memo — its own
+    /// heap search, annotations carried along the relaxations — kept as
+    /// the bitwise reference for the fold over the memoized tree.
+    fn path_annotations_reference(
+        net: &Network,
+        from: NodeId,
+    ) -> Result<Vec<Option<PathAnnotation>>> {
+        use std::cmp::Reverse;
+        use std::collections::BinaryHeap;
+        net.topology.node(from)?;
+        let n = net.topology.node_count();
+        let mut out: Vec<Option<PathAnnotation>> = vec![None; n];
+        if net.node_failed(from) {
+            return Ok(out);
+        }
+        let mut dist = vec![u64::MAX; n];
+        let mut heap: BinaryHeap<Reverse<(u64, u32)>> = BinaryHeap::new();
+        dist[from.index()] = 0;
+        out[from.index()] = Some(PathAnnotation {
+            available_bps: f64::INFINITY,
+            delay_us: 0,
+            price_flat: 0.0,
+            price_per_mbit: 0.0,
+        });
+        heap.push(Reverse((0, from.index() as u32)));
+        while let Some(Reverse((d, node_raw))) = heap.pop() {
+            let node_index = node_raw as usize;
+            if d > dist[node_index] {
+                continue;
+            }
+            let annotation = out[node_index].expect("settled nodes are annotated");
+            let node = NodeId(node_raw);
+            for &(neighbor, link) in net.topology.neighbors(node) {
+                if flag(&net.failed_links, link.index()) || net.node_failed(neighbor) {
+                    continue;
+                }
+                let spec = net.topology.link(link)?;
+                let next = d.saturating_add(spec.delay_us);
+                if next < dist[neighbor.index()] {
+                    dist[neighbor.index()] = next;
+                    let direction = spec.a == node;
+                    out[neighbor.index()] = Some(PathAnnotation {
+                        available_bps: annotation
+                            .available_bps
+                            .min(net.link_headroom(link, direction)?),
+                        delay_us: next,
+                        price_flat: annotation.price_flat + spec.price_flat,
+                        price_per_mbit: annotation.price_per_mbit + spec.price_per_mbit,
+                    });
+                    heap.push(Reverse((next, neighbor.index() as u32)));
+                }
+            }
+        }
+        Ok(out)
+    }
+
+    proptest::proptest! {
+        /// The fold over the memoized tree returns what the dedicated
+        /// search returned, bit for bit, on meshes with few distinct
+        /// delays (ties), failures, reservations and squeezed links.
+        #[test]
+        fn path_annotations_match_the_reference(
+            n in 3usize..24,
+            seed in 0u64..10_000,
+            faults in proptest::collection::vec((0usize..4, 0usize..64, 0u32..11), 0..12),
+        ) {
+            use crate::generators::{random_waxman, LinkTemplate};
+            let template = LinkTemplate {
+                delay_us: (0, 3),
+                price_per_mbit: (0.0, 1.0),
+                ..LinkTemplate::default()
+            };
+            let (topology, nodes) = random_waxman(n, 0.5, 0.4, template, seed);
+            let links: Vec<LinkId> = topology.link_ids().collect();
+            let mut net = Network::new(topology);
+            for (kind, pick, level) in faults {
+                let (node, link) = (nodes[pick % n], links[pick % links.len()]);
+                match kind {
+                    0 => net.fail_node(node).unwrap(),
+                    1 => net.fail_link(link).unwrap(),
+                    2 => net.background_mut().set_utilization(link, level as f64 / 10.0),
+                    _ => {
+                        let _ = net.reserve_between(nodes[0], node, 1_000.0 * level as f64);
+                    }
+                }
+            }
+            for &from in &nodes {
+                let bits = |table: Vec<Option<PathAnnotation>>| -> Vec<Option<[u64; 4]>> {
+                    table
+                        .into_iter()
+                        .map(|entry| {
+                            entry.map(|e| {
+                                [
+                                    e.available_bps.to_bits(),
+                                    e.delay_us,
+                                    e.price_flat.to_bits(),
+                                    e.price_per_mbit.to_bits(),
+                                ]
+                            })
+                        })
+                        .collect()
+                };
+                proptest::prop_assert_eq!(
+                    net.path_annotations_from(from).map(bits),
+                    path_annotations_reference(&net, from).map(bits)
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn route_trees_outlive_everything_but_routing_mutations() {
+        let (mut net, a, b, c, l1, _) = two_hop();
+        assert_eq!(net.route_tree_builds(), 0);
+        net.available_between(a, c).unwrap();
+        assert!(net.routable(a, b));
+        net.route_between(a, c).unwrap();
+        net.path_annotations_from(a).unwrap();
+        assert_eq!(net.route_tree_builds(), 1, "one tree serves every query");
+
+        // Headroom mutations keep it...
+        let id = net.reserve_between(a, c, 100.0).unwrap();
+        net.release(id).unwrap();
+        net.advance_background();
+        net.background_mut().set_utilization(l1, 0.5);
+        assert_eq!(net.available_between(a, c).unwrap(), 500.0);
+        assert_eq!(net.route_tree_builds(), 1);
+        // ...and so do failure calls that change nothing.
+        net.restore_link(l1);
+        net.restore_node(b);
+        assert!(net.routable(a, c));
+        assert_eq!(net.route_tree_builds(), 1);
+
+        // Routing mutations drop it.
+        net.fail_link(l1).unwrap();
+        assert!(!net.routable(a, c));
+        assert_eq!(net.route_tree_builds(), 2);
+        net.restore_link(l1);
+        assert!(net.routable(a, c));
+        assert_eq!(net.route_tree_builds(), 3);
+        let _ = net.topology_mut();
+        assert!(net.routable(a, c));
+        assert_eq!(net.route_tree_builds(), 4);
+
+        // A failed source needs no tree to know it reaches nothing.
+        net.fail_node(a).unwrap();
+        assert!(!net.routable(a, c));
+        assert!(net.routable(a, a), "same host answers before failures");
+        assert_eq!(net.route_tree_builds(), 4);
+    }
+
+    #[test]
+    fn a_node_added_through_topology_mut_is_routed_at_once() {
+        let (mut net, a, _, c, ..) = two_hop();
+        assert!(net.routable(a, c));
+        let topology = net.topology_mut();
+        let d = topology.add_node(Node::unconstrained("d"));
+        let l3 = topology.connect_simple(c, d, 250.0).unwrap();
+        // `d` has no memo slot until the next routing mutation, as a
+        // destination and as a source alike.
+        assert_eq!(net.available_between(a, d).unwrap(), 250.0);
+        assert_eq!(net.route_between(d, a).unwrap().hop_count(), 3);
+        assert_eq!(net.delay_between_us(d, a).unwrap(), 1_300);
+        assert!(net.path_annotations_from(d).unwrap()[a.index()].is_some());
+        net.fail_link(l3).unwrap();
+        assert!(!net.routable(a, d) && !net.routable(d, a));
+        net.fail_node(d).unwrap();
+        net.restore_link(l3);
+        assert!(net.node_failed(d));
+        assert_eq!(net.link_headroom(l3, true).unwrap(), 0.0);
+        net.restore_node(d);
+        assert_eq!(net.available_between(d, a).unwrap(), 250.0);
+    }
+
+    #[test]
+    fn network_is_sync() {
+        fn assert_sync<T: Sync + Send>() {}
+        assert_sync::<Network>();
     }
 
     #[test]

@@ -37,14 +37,15 @@ impl Route {
     /// The directed link crossings of this route: for each link, `true`
     /// when crossed from its `a` endpoint towards its `b` endpoint.
     /// Links are full duplex, so bandwidth accounting is per direction.
-    pub fn directed_hops(&self, topology: &Topology) -> Vec<(LinkId, bool)> {
+    /// Errors with [`NetError::UnknownLink`] when the route was computed
+    /// on a different topology.
+    pub fn directed_hops(&self, topology: &Topology) -> Result<Vec<(LinkId, bool)>> {
+        // `nodes[i]` is the node link `i` is entered from (`nodes` has
+        // `links.len() + 1` entries).
         self.links
             .iter()
-            .enumerate()
-            .map(|(i, &link)| {
-                let spec = topology.link(link).expect("route links are valid");
-                (link, spec.a == self.nodes[i])
-            })
+            .zip(&self.nodes)
+            .map(|(&link, &from)| Ok((link, topology.link(link)?.a == from)))
             .collect()
     }
 }
@@ -102,11 +103,7 @@ pub fn min_delay_route_filtered(
             if !link_ok(link) || !node_ok(neighbor) {
                 continue;
             }
-            let delay = topology
-                .link(link)
-                .expect("adjacency is consistent")
-                .delay_us;
-            let next = d.saturating_add(delay);
+            let next = d.saturating_add(topology.link(link)?.delay_us);
             if next < dist[neighbor.index()] {
                 dist[neighbor.index()] = next;
                 prev[neighbor.index()] = Some((node, link));
@@ -123,7 +120,11 @@ pub fn min_delay_route_filtered(
     let mut nodes = vec![to];
     let mut cursor = to;
     while cursor != from {
-        let (parent, link) = prev[cursor.index()].expect("reached node has a parent");
+        // Every node with a finite distance other than `from` got it
+        // from a relaxation, which also set its parent.
+        let Some((parent, link)) = prev[cursor.index()] else {
+            return Err(NetError::NoRoute { from, to });
+        };
         links.push(link);
         nodes.push(parent);
         cursor = parent;
@@ -139,36 +140,90 @@ pub fn min_delay_route_filtered(
     })
 }
 
-/// All-pairs minimum-delay routes from one origin (single Dijkstra run),
-/// as a parent table. Used by experiment sweeps that query many
-/// destinations.
-pub fn route_table(topology: &Topology, from: NodeId) -> Result<Vec<Option<(NodeId, LinkId)>>> {
-    topology.node(from)?;
+/// The minimum-delay routes from one source to every node, as a parent
+/// table: what [`crate::network::Network`] memoizes per source and per
+/// routing state.
+#[derive(Debug, Clone)]
+pub(crate) struct RouteTree {
+    /// Minimum delay from the source in microseconds; `u64::MAX` for an
+    /// unreachable node.
+    pub(crate) dist: Vec<u64>,
+    /// The node a reachable node is entered from and the link crossed;
+    /// `None` for the source and for unreachable nodes.
+    pub(crate) parent: Vec<Option<(NodeId, LinkId)>>,
+    /// Reachable nodes in the order the search settled them, source
+    /// first: a node's parent always precedes it.
+    pub(crate) settled: Vec<NodeId>,
+}
+
+impl RouteTree {
+    /// The route to `to`, walked backwards: `(entered from, link)` for
+    /// each hop, last hop first. Empty for the source and for
+    /// unreachable or unknown nodes.
+    pub(crate) fn hops_back(&self, to: NodeId) -> impl Iterator<Item = (NodeId, LinkId)> + '_ {
+        let mut cursor = to;
+        std::iter::from_fn(move || {
+            let hop = (*self.parent.get(cursor.index())?)?;
+            cursor = hop.0;
+            Some(hop)
+        })
+    }
+}
+
+/// One full Dijkstra run from `from` over the links and nodes the
+/// predicates admit (`from` itself is not checked; from an unknown
+/// `from` nothing is reachable).
+///
+/// Same relaxation rule as [`min_delay_route_filtered`] — strict `<`,
+/// heap key `(delay, node index)`, neighbors in insertion order — minus
+/// the early exit. The two searches pop the same sequence up to the
+/// point the early exit leaves, and a strict-`<` search fixes
+/// `parent[v]` before `v` settles (only a strictly smaller distance
+/// rewrites it, and a settled distance is final), so the chain of
+/// parents from any `to` is exactly the route the early-exit search
+/// returns for `(from, to)`.
+pub(crate) fn shortest_path_tree(
+    topology: &Topology,
+    from: NodeId,
+    link_ok: impl Fn(LinkId) -> bool,
+    node_ok: impl Fn(NodeId) -> bool,
+) -> RouteTree {
     let n = topology.node_count();
-    let mut dist = vec![u64::MAX; n];
-    let mut prev: Vec<Option<(NodeId, LinkId)>> = vec![None; n];
+    let mut tree = RouteTree {
+        dist: vec![u64::MAX; n],
+        parent: vec![None; n],
+        settled: Vec::with_capacity(n),
+    };
     let mut heap: BinaryHeap<Reverse<(u64, u32)>> = BinaryHeap::new();
-    dist[from.index()] = 0;
-    heap.push(Reverse((0, from.0)));
+    if let Some(origin) = tree.dist.get_mut(from.index()) {
+        *origin = 0;
+        heap.push(Reverse((0, from.0)));
+    }
     while let Some(Reverse((d, node_raw))) = heap.pop() {
         let node = NodeId(node_raw);
-        if d > dist[node.index()] {
+        // Indexing: only `from` (checked above) and adjacency entries are
+        // ever pushed, and `Topology::connect` admits a link only between
+        // nodes it holds and files it under both.
+        if d > tree.dist[node.index()] {
             continue;
         }
+        tree.settled.push(node);
         for &(neighbor, link) in topology.neighbors(node) {
-            let delay = topology
-                .link(link)
-                .expect("adjacency is consistent")
-                .delay_us;
-            let next = d.saturating_add(delay);
-            if next < dist[neighbor.index()] {
-                dist[neighbor.index()] = next;
-                prev[neighbor.index()] = Some((node, link));
+            if !link_ok(link) || !node_ok(neighbor) {
+                continue;
+            }
+            let Ok(spec) = topology.link(link) else {
+                continue;
+            };
+            let next = d.saturating_add(spec.delay_us);
+            if next < tree.dist[neighbor.index()] {
+                tree.dist[neighbor.index()] = next;
+                tree.parent[neighbor.index()] = Some((node, link));
                 heap.push(Reverse((next, neighbor.0)));
             }
         }
     }
-    Ok(prev)
+    tree
 }
 
 #[cfg(test)]
@@ -268,15 +323,15 @@ mod tests {
     #[test]
     fn route_table_matches_single_route() {
         let (t, nodes) = line(5, 100);
-        let table = route_table(&t, nodes[0]).unwrap();
-        // Walk back from node 4.
-        let mut hops = 0;
-        let mut cursor = nodes[4];
-        while cursor != nodes[0] {
-            let (parent, _) = table[cursor.index()].unwrap();
-            cursor = parent;
-            hops += 1;
+        let tree = shortest_path_tree(&t, nodes[0], |_| true, |_| true);
+        assert_eq!(tree.settled, nodes);
+        assert_eq!(tree.dist, vec![0, 100, 200, 300, 400]);
+        for &to in &nodes {
+            let route = min_delay_route(&t, nodes[0], to).unwrap();
+            let mut links: Vec<LinkId> = tree.hops_back(to).map(|(_, link)| link).collect();
+            links.reverse();
+            assert_eq!(links, route.links);
+            assert_eq!(tree.dist[to.index()], route.delay_us);
         }
-        assert_eq!(hops, 4);
     }
 }

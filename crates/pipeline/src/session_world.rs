@@ -277,10 +277,13 @@ impl<'a> ChaosWorld<'a> {
             if pair[0].host == pair[1].host {
                 continue;
             }
-            let Ok(route) = network.route_between(pair[0].host, pair[1].host) else {
+            let Ok(route_hops) = network
+                .route_between(pair[0].host, pair[1].host)
+                .and_then(|route| route.directed_hops(network.topology()))
+            else {
                 continue;
             };
-            hops.extend(route.directed_hops(network.topology()));
+            hops.extend(route_hops);
             let mut rate = pair[1].input_bps;
             if k + 1 == hop_count {
                 rate = rate.max(demand_bps as f64);
@@ -405,7 +408,12 @@ impl<'a> ChaosWorld<'a> {
     /// incarnations.
     fn grey_index(&self, id: ServiceId) -> Option<usize> {
         let member = self.driver.member_of(id)?;
-        self.members.iter().position(|&m| m == member)
+        // `ChaosWorld::join` is `driver.join`'s only caller, and the driver
+        // numbers members in join order: `members` is sorted, and a
+        // member's position in it is its position in the driver.
+        let index = self.members.binary_search(&member).ok();
+        debug_assert_eq!(index, self.members.iter().position(|&m| m == member));
+        index
     }
 }
 
@@ -448,11 +456,7 @@ impl SessionWorld for ChaosWorld<'_> {
             if pair[0].host == pair[1].host {
                 continue;
             }
-            if self
-                .network
-                .route_between(pair[0].host, pair[1].host)
-                .is_err()
-            {
+            if !self.network.routable(pair[0].host, pair[1].host) {
                 return false;
             }
         }

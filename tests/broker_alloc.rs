@@ -85,7 +85,7 @@ fn fat_tree_flows() -> (Vec<(qosc_netsim::LinkId, bool, u64)>, Vec<FlowSpec>) {
                 min_bps: required / 4,
                 max_bps: required * 2,
                 weight: [4, 2, 1][session as usize % 3],
-                hops: route.directed_hops(&topo),
+                hops: route.directed_hops(&topo).expect("routed on this topology"),
             }
         })
         .collect();
