@@ -82,7 +82,6 @@ struct OutcomeDigest {
     degraded: usize,
     failed: usize,
     shed: usize,
-    deadline_exceeded: usize,
     satisfaction_bits: Vec<u64>,
 }
 
@@ -136,7 +135,6 @@ fn replay(
         degraded: counters.degraded,
         failed: counters.failed,
         shed: counters.shed,
-        deadline_exceeded: counters.deadline_exceeded,
         satisfaction_bits: result
             .batch
             .outcomes
@@ -441,7 +439,6 @@ fn main() {
         degraded: noop_counters.degraded,
         failed: noop_counters.failed,
         shed: noop_counters.shed,
-        deadline_exceeded: noop_counters.deadline_exceeded,
         satisfaction_bits: noop
             .batch
             .outcomes

@@ -395,7 +395,7 @@ impl ShardedCompositionCache {
 /// hasher (see `impl Hash for ProfileSet`), so equal requests collide
 /// and different requests do not (modulo 64-bit hashing), without
 /// rendering or allocating anything.
-fn request_key(profiles: &ProfileSet, sender: NodeId, receiver: NodeId) -> u64 {
+pub(crate) fn request_key(profiles: &ProfileSet, sender: NodeId, receiver: NodeId) -> u64 {
     let mut hasher = DefaultHasher::new();
     profiles.hash(&mut hasher);
     sender.index().hash(&mut hasher);

@@ -23,25 +23,27 @@
 //!
 //! [`serve_batch_resilient`] is the graceful-degradation front-end: it
 //! wraps every request in `catch_unwind` (one poisoned profile turns
-//! into an `Err` for that index instead of aborting the batch), enforces
-//! a per-request deadline through [`SelectOptions::deadline`], retries
+//! into an `Err` for that index instead of aborting the batch), retries
 //! transient registry/network errors with seeded exponential backoff,
 //! and — when a request is infeasible or below the user's satisfaction
 //! floor — walks the **degradation ladder** of Section 3's adaptation
 //! policy: relax the quality floors, fall back to the weighted
 //! combination of [29], and finally drop the axes of the media kinds the
 //! user listed in `degrade_first`. Each outcome reports which rung
-//! served it.
+//! served it. Every rung composes through a [`ComposeMemo`], which
+//! answers a repeated (request, rung) from the world state it was
+//! composed in exactly as a fresh compose would.
 
 use crate::admission::{
     plan_admission, AdmissionConfig, AdmissionDecision, AdmissionPlan, ArrivalMeta, ShedReason,
 };
-use crate::cache::ShardedCompositionCache;
+use crate::cache::{request_key, ShardedCompositionCache};
 use crate::composer::Composer;
 use crate::graph::GraphStore;
 use crate::plan::AdaptationPlan;
 use crate::select::{SelectFailure, SelectOptions};
 use crate::Result;
+use parking_lot::RwLock;
 use qosc_media::{Axis, MediaKind};
 use qosc_netsim::NodeId;
 use qosc_profiles::ProfileSet;
@@ -51,13 +53,13 @@ use qosc_telemetry::{
 };
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
+use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::time::{Duration, Instant};
 
 /// One composition request: who is sending what to whom, under which
 /// profiles.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CompositionRequest {
     /// The five CC/PP profiles describing the request.
     pub profiles: ProfileSet,
@@ -414,12 +416,9 @@ impl RetryPolicy {
 pub struct ResilientEngineConfig {
     /// Worker threads (clamped to at least 1).
     pub workers: usize,
-    /// Base selection options; the per-request deadline is layered on
-    /// top of these.
+    /// Selection options applied to every composition (the Table-1
+    /// trace is never recorded: no outcome carries it).
     pub options: SelectOptions,
-    /// Per-request wall-clock budget in microseconds. `None` disables
-    /// deadlines (and keeps outcomes machine-independent).
-    pub deadline_budget_us: Option<u64>,
     /// Retry policy for transient errors.
     pub retry: RetryPolicy,
     /// Walk the degradation ladder on infeasible/below-floor requests.
@@ -440,7 +439,6 @@ impl Default for ResilientEngineConfig {
         ResilientEngineConfig {
             workers: 1,
             options: SelectOptions::default(),
-            deadline_budget_us: None,
             retry: RetryPolicy::default(),
             ladder: true,
             seed: 0,
@@ -464,8 +462,6 @@ pub struct RequestOutcome {
     /// Total backoff this request accrued, microseconds (recorded, not
     /// slept — the simulation clock is not the wall clock).
     pub backoff_us: u64,
-    /// The per-request deadline expired before a plan was found.
-    pub deadline_exceeded: bool,
     /// The admission queue refused this request (never reached a
     /// worker; always `attempts == 0`). Only
     /// [`serve_batch_with_admission`] sheds.
@@ -495,7 +491,7 @@ impl RequestOutcome {
     }
 }
 
-/// Batch-level accounting. The five counters are disjoint and sum to
+/// Batch-level accounting. The four counters are disjoint and sum to
 /// the batch size.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct BatchCounters {
@@ -505,8 +501,6 @@ pub struct BatchCounters {
     pub degraded: usize,
     /// Unserved: error, panic, or infeasible at every rung.
     pub failed: usize,
-    /// Unserved because the deadline expired first.
-    pub deadline_exceeded: usize,
     /// Refused by the admission queue before composing.
     pub shed: usize,
 }
@@ -514,13 +508,13 @@ pub struct BatchCounters {
 impl BatchCounters {
     /// Total requests accounted for.
     pub fn total(&self) -> usize {
-        self.served + self.degraded + self.failed + self.deadline_exceeded + self.shed
+        self.served + self.degraded + self.failed + self.shed
     }
 
     /// Mirror this snapshot into `registry` as the
-    /// `qosc_batch_{served,degraded,failed,deadline_exceeded,shed}_total`
-    /// counters. The struct stays the cheap view; the registry is the
-    /// unified export surface.
+    /// `qosc_batch_{served,degraded,failed,shed}_total` counters. The
+    /// struct stays the cheap view; the registry is the unified export
+    /// surface.
     pub fn record_metrics(&self, registry: &MetricsRegistry) {
         registry
             .counter("qosc_batch_served_total")
@@ -531,9 +525,6 @@ impl BatchCounters {
         registry
             .counter("qosc_batch_failed_total")
             .store(self.failed as u64);
-        registry
-            .counter("qosc_batch_deadline_exceeded_total")
-            .store(self.deadline_exceeded as u64);
         registry
             .counter("qosc_batch_shed_total")
             .store(self.shed as u64);
@@ -559,8 +550,6 @@ impl ResilientBatch {
                 counters.served += 1;
             } else if outcome.is_degraded() {
                 counters.degraded += 1;
-            } else if outcome.deadline_exceeded {
-                counters.deadline_exceeded += 1;
             } else {
                 counters.failed += 1;
             }
@@ -580,19 +569,13 @@ fn is_transient(error: &crate::CoreError) -> bool {
     )
 }
 
-fn unserved(
-    attempts: u32,
-    backoff_us: u64,
-    deadline_exceeded: bool,
-    error: Option<String>,
-) -> RequestOutcome {
+fn unserved(attempts: u32, backoff_us: u64, error: Option<String>) -> RequestOutcome {
     RequestOutcome {
         plan: None,
         rung: None,
         satisfaction: 0.0,
         attempts,
         backoff_us,
-        deadline_exceeded,
         shed: false,
         brownout_rung: None,
         error,
@@ -601,36 +584,139 @@ fn unserved(
 
 /// The outcome of a request whose [`fan_out`] worker was lost.
 fn lost_worker() -> RequestOutcome {
-    unserved(0, 0, false, Some(LOST_WORKER.to_string()))
+    unserved(0, 0, Some(LOST_WORKER.to_string()))
+}
+
+// ---------------------------------------------------------------------
+// Composition memo
+// ---------------------------------------------------------------------
+
+/// What one rung's composition hands [`serve_one`]: the plan, if
+/// selection found one, and why not otherwise.
+#[derive(Debug, Clone)]
+pub(crate) struct Composed {
+    plan: Option<AdaptationPlan>,
+    failure: Option<SelectFailure>,
+}
+
+/// One memoized composition: the request it answers (the map key is
+/// only that request's hash), the world stamp `(registry epoch, network
+/// version)` it was composed at, and the answer.
+struct MemoEntry {
+    request: CompositionRequest,
+    stamp: (u64, u64),
+    composed: Composed,
+}
+
+/// The exact memo [`serve_one`] composes through (DESIGN.md §12).
+///
+/// A rung's composition is a pure function of the request, the rung,
+/// the format table, the selection options and what it reads of the
+/// registry and the network. Formats and options are fixed for the
+/// memo's lifetime; equal registry epochs give identical availability
+/// and probation penalties ([`ServiceRegistry::epoch`]), equal network
+/// versions identical routes and bandwidth ([`Network::version`]). So an
+/// entry keyed by (request, rung) answers only when its stamp equals the
+/// world's, and then it answers bit for bit what
+/// [`Composer::compose_with_store`] would. Unlike
+/// [`ShardedCompositionCache`] it never keeps a plan across a stamp move
+/// because the plan still works: a fresh compose may now pick another.
+///
+/// Only `Ok` results are stored — an error recomposes, so retry and
+/// backoff draws are those of a memo-less run — and each key keeps one
+/// stamp, so entries are bounded by the distinct (request, rung) pairs
+/// served. Lookup and insert take a short lock; composition runs
+/// outside it, and workers racing on a cold key insert equal values.
+///
+/// [`ServiceRegistry::epoch`]: qosc_services::ServiceRegistry::epoch
+/// [`Network::version`]: qosc_netsim::Network::version
+pub(crate) struct ComposeMemo {
+    options: SelectOptions,
+    /// Where misses get their adaptation graphs.
+    store: GraphStore,
+    entries: RwLock<HashMap<(u64, DegradationRung), MemoEntry>>,
+}
+
+impl ComposeMemo {
+    /// An empty memo composing with `options`, minus the Table-1 trace:
+    /// no [`RequestOutcome`] carries one.
+    pub(crate) fn new(options: &SelectOptions) -> ComposeMemo {
+        ComposeMemo {
+            options: SelectOptions {
+                record_trace: false,
+                ..*options
+            },
+            store: GraphStore::new(),
+            entries: RwLock::new(HashMap::new()),
+        }
+    }
+
+    /// The hash half of `request`'s key; a hit is confirmed with `==`.
+    pub(crate) fn key(request: &CompositionRequest) -> u64 {
+        request_key(
+            &request.profiles,
+            request.sender_host,
+            request.receiver_host,
+        )
+    }
+
+    /// `request` composed at `rung` against `composer`'s world: the
+    /// stored answer when one was composed at this world's stamp,
+    /// otherwise a fresh composition (stored when it succeeds). `key`
+    /// is [`ComposeMemo::key`] of `request`.
+    pub(crate) fn compose(
+        &self,
+        composer: &Composer<'_>,
+        request: &CompositionRequest,
+        key: u64,
+        rung: DegradationRung,
+    ) -> Result<Composed> {
+        let stamp = (composer.services.epoch(), composer.network.version());
+        if let Some(entry) = self.entries.read().get(&(key, rung)) {
+            if entry.stamp == stamp && entry.request == *request {
+                return Ok(entry.composed.clone());
+            }
+        }
+        let composition = composer.compose_with_store(
+            &self.store,
+            &degrade_profiles(&request.profiles, rung),
+            request.sender_host,
+            request.receiver_host,
+            &self.options,
+        )?;
+        let composed = Composed {
+            plan: composition.plan,
+            failure: composition.selection.failure,
+        };
+        self.entries.write().insert(
+            (key, rung),
+            MemoEntry {
+                request: request.clone(),
+                stamp,
+                composed: composed.clone(),
+            },
+        );
+        Ok(composed)
+    }
 }
 
 /// Serve one request through the ladder (from `start_rung` down), with
 /// retries and panic isolation. Pure in `(composer snapshot, request,
 /// index, config, start_rung)` — the trace records, it never steers,
-/// and the graph store only changes where the adaptation graph comes
-/// from (reuse/delta instead of rebuild), never its structure.
+/// and the memo only changes where a rung's answer comes from (stored,
+/// or composed over a reused or delta-updated graph), never what it is.
 pub(crate) fn serve_one<S: TelemetrySink>(
     composer: &Composer<'_>,
-    store: &GraphStore,
+    memo: &ComposeMemo,
     request: &CompositionRequest,
     index: usize,
     config: &ResilientEngineConfig,
     start_rung: DegradationRung,
     trace: &mut RequestTrace<'_, S>,
 ) -> RequestOutcome {
-    // A zero budget can never be met: fail fast, deterministically,
-    // before any composition attempt — never by racing the wall clock.
-    if config.deadline_budget_us == Some(0) {
-        trace.emit(ROOT_SPAN, EventKind::DeadlineExpired);
-        return unserved(0, 0, true, Some("deadline budget is zero".to_string()));
-    }
-    let deadline = config
-        .deadline_budget_us
-        .map(|us| Instant::now() + Duration::from_micros(us));
-    let mut options = config.options;
-    options.deadline = deadline;
     let mut rng =
         SmallRng::seed_from_u64(config.seed ^ (index as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+    let key = ComposeMemo::key(request);
     let start = start_rung as usize;
     let rungs: &[DegradationRung] = if config.ladder {
         &DegradationRung::LADDER[start..]
@@ -642,30 +728,17 @@ pub(crate) fn serve_one<S: TelemetrySink>(
     let mut backoff_us = 0u64;
     let mut last_failure: Option<String> = None;
     for (position, &rung) in rungs.iter().enumerate() {
-        if let Some(d) = deadline {
-            if Instant::now() >= d {
-                trace.emit(ROOT_SPAN, EventKind::DeadlineExpired);
-                return unserved(attempts, backoff_us, true, last_failure);
-            }
-        }
         let rung_span = trace.open_span(ROOT_SPAN, rung.label());
         trace.emit(
             rung_span,
             EventKind::CompositionStarted { rung: rung.label() },
         );
-        let profiles = degrade_profiles(&request.profiles, rung);
         let mut attempt_in_rung = 0u32;
-        let composition = loop {
+        let composed = loop {
             attempts += 1;
             attempt_in_rung += 1;
             let result = catch_unwind(AssertUnwindSafe(|| {
-                composer.compose_with_store(
-                    store,
-                    &profiles,
-                    request.sender_host,
-                    request.receiver_host,
-                    &options,
-                )
+                memo.compose(composer, request, key, rung)
             }));
             match result {
                 Err(payload) => {
@@ -683,7 +756,6 @@ pub(crate) fn serve_one<S: TelemetrySink>(
                     return unserved(
                         attempts,
                         backoff_us,
-                        false,
                         Some(format!("panic: {}", panic_message(payload))),
                     );
                 }
@@ -701,7 +773,6 @@ pub(crate) fn serve_one<S: TelemetrySink>(
                             backoff_us: step,
                         },
                     );
-                    last_failure = Some(e.to_string());
                 }
                 Ok(Err(e)) => {
                     // Terminal error: deterministic, or retries exhausted.
@@ -714,16 +785,12 @@ pub(crate) fn serve_one<S: TelemetrySink>(
                             attempts,
                         },
                     );
-                    return unserved(attempts, backoff_us, false, Some(e.to_string()));
+                    return unserved(attempts, backoff_us, Some(e.to_string()));
                 }
-                Ok(Ok(composition)) => break composition,
+                Ok(Ok(composed)) => break composed,
             }
         };
-        if composition.selection.failure == Some(SelectFailure::DeadlineExceeded) {
-            trace.emit(rung_span, EventKind::DeadlineExpired);
-            return unserved(attempts, backoff_us, true, last_failure);
-        }
-        match composition.plan {
+        match composed.plan {
             // A zero-satisfaction plan is below the user's stated
             // minimum — delivering it serves nobody (Section 4.1's
             // floors); the next rung relaxes what "minimum" means.
@@ -743,7 +810,6 @@ pub(crate) fn serve_one<S: TelemetrySink>(
                     rung: Some(rung),
                     attempts,
                     backoff_us,
-                    deadline_exceeded: false,
                     shed: false,
                     brownout_rung: None,
                     error: None,
@@ -754,8 +820,7 @@ pub(crate) fn serve_one<S: TelemetrySink>(
             }
             None => {
                 last_failure = Some(
-                    composition
-                        .selection
+                    composed
                         .failure
                         .map(|f| f.to_string())
                         .unwrap_or_else(|| "no chain".to_string()),
@@ -781,17 +846,18 @@ pub(crate) fn serve_one<S: TelemetrySink>(
             );
         }
     }
-    unserved(attempts, backoff_us, false, last_failure)
+    unserved(attempts, backoff_us, last_failure)
 }
 
-/// Serve a batch with panic isolation, per-request deadlines, seeded
-/// retry/backoff, and the degradation ladder.
+/// Serve a batch with panic isolation, seeded retry/backoff, and the
+/// degradation ladder.
 ///
 /// Returns exactly one [`RequestOutcome`] per request, in request
-/// order, for any worker count. Composition goes straight through the
-/// [`Composer`] (no cache): under churn, revalidating a cached plan and
-/// reporting the rung that produced it are at odds — the resilient
-/// path always reflects the current registry and network.
+/// order, for any worker count. Every rung composes through one
+/// per-batch [`ComposeMemo`], not the [`ShardedCompositionCache`]: the
+/// memo answers only what a fresh compose against the current registry
+/// and network would, where the cache would keep any cached plan that
+/// still works.
 pub fn serve_batch_resilient(
     composer: &Composer<'_>,
     requests: &[CompositionRequest],
@@ -801,7 +867,7 @@ pub fn serve_batch_resilient(
 }
 
 /// [`serve_batch_resilient`] with the full causal chain of every
-/// request — ladder rungs, retries, deadline expiries — recorded into
+/// request — ladder rungs and retries — recorded into
 /// `sink` (request id = batch index, virtual time 0 — this path has no
 /// virtual clock). With [`NoopSink`] this is exactly
 /// `serve_batch_resilient`: outcomes are bitwise identical.
@@ -811,15 +877,14 @@ pub fn serve_batch_resilient_traced<S: TelemetrySink>(
     config: &ResilientEngineConfig,
     sink: &S,
 ) -> ResilientBatch {
-    // One graph store per batch, shared across workers: the snapshot
-    // cannot move mid-batch, so every request after the first per
-    // (endpoints, variants, decoders) key reuses the built graph.
-    let graph_store = GraphStore::new();
+    // One memo per batch, shared across workers: the snapshot cannot
+    // move mid-batch, so a repeated (request, rung) composes once.
+    let memo = ComposeMemo::new(&config.options);
     let outcomes = fan_out(config.workers, requests.len(), |index| {
         let mut trace = RequestTrace::new(sink, index as u64, 0);
         serve_one(
             composer,
-            &graph_store,
+            &memo,
             &requests[index],
             index,
             config,
@@ -943,10 +1008,10 @@ pub fn serve_batch_with_admission_traced<S: TelemetrySink>(
     let admitted: Vec<usize> = (0..requests.len())
         .filter(|&i| admission.decisions[i].admitted)
         .collect();
-    // Shared per-batch graph store (see serve_batch_resilient_traced);
-    // brown-out rungs rewrite only the user profile, so every rung of
-    // every admitted request maps to the same graph key.
-    let graph_store = GraphStore::new();
+    // Shared per-batch memo (see serve_batch_resilient_traced); brown-out
+    // rungs rewrite only the user profile, so every rung of every
+    // admitted request maps to the same graph in its store.
+    let memo = ComposeMemo::new(&config.options);
     let composed = fan_out(config.workers, admitted.len(), |slot| {
         let index = admitted[slot];
         let decision = &admission.decisions[index];
@@ -955,7 +1020,7 @@ pub fn serve_batch_with_admission_traced<S: TelemetrySink>(
         trace_admitted(&mut trace, decision);
         let mut outcome = serve_one(
             composer,
-            &graph_store,
+            &memo,
             &requests[index],
             index,
             config,
@@ -986,7 +1051,7 @@ pub fn serve_batch_with_admission_traced<S: TelemetrySink>(
                     RequestOutcome {
                         shed: true,
                         error: Some(format!("shed: {reason}")),
-                        ..unserved(0, 0, false, None)
+                        ..unserved(0, 0, None)
                     }
                 }
                 None => lost_worker(),
@@ -998,6 +1063,9 @@ pub fn serve_batch_with_admission_traced<S: TelemetrySink>(
         admission,
     }
 }
+
+#[cfg(test)]
+mod memo_oracle;
 
 #[cfg(test)]
 mod tests {
@@ -1384,37 +1452,6 @@ mod tests {
                     .contains("panic"),
                 "panic surfaced as an error string"
             );
-        }
-    }
-
-    #[test]
-    fn zero_deadline_budget_times_every_request_out() {
-        let f = fixture();
-        let composer = Composer {
-            formats: &f.formats,
-            services: &f.services,
-            network: &f.network,
-        };
-        let batch = requests(&f, 4);
-        let served = serve_batch_resilient(
-            &composer,
-            &batch,
-            &ResilientEngineConfig {
-                deadline_budget_us: Some(0),
-                ..ResilientEngineConfig::default()
-            },
-        );
-        let counters = served.counters();
-        assert_eq!(counters.deadline_exceeded, batch.len());
-        assert_eq!(counters.total(), batch.len());
-        for outcome in &served.outcomes {
-            assert!(outcome.deadline_exceeded);
-            assert!(outcome.plan.is_none());
-            // Regression: a zero budget fails fast, deterministically,
-            // before any composition attempt — not by racing the wall
-            // clock after consuming a worker.
-            assert_eq!(outcome.attempts, 0, "no composition attempt on zero budget");
-            assert_eq!(outcome.backoff_us, 0);
         }
     }
 

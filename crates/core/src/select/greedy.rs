@@ -86,14 +86,9 @@ pub struct SelectOptions {
     /// Record the Table-1 trace: one log entry per state discovered and
     /// per round (rows are materialised when read, not when recorded).
     pub record_trace: bool,
-    /// Safety valve on rounds (defaults to effectively unlimited).
+    /// Safety valve on rounds (defaults to effectively unlimited) — the
+    /// counted budget: a run's outcome never depends on host speed.
     pub max_rounds: usize,
-    /// Wall-clock deadline for this selection run, checked between
-    /// rounds. `None` (the default) never trips, keeping seeded runs
-    /// deterministic; the resilient engine sets it from a per-request
-    /// latency budget so a pathological search returns
-    /// [`SelectFailure::DeadlineExceeded`] instead of stalling a worker.
-    pub deadline: Option<std::time::Instant>,
 }
 
 impl Default for SelectOptions {
@@ -103,7 +98,6 @@ impl Default for SelectOptions {
             optimizer: OptimizeOptions::default(),
             record_trace: true,
             max_rounds: usize::MAX,
-            deadline: None,
         }
     }
 }
@@ -151,9 +145,6 @@ pub enum SelectFailure {
     MissingEndpoints,
     /// The round safety valve tripped.
     RoundLimit,
-    /// The per-request deadline passed between rounds
-    /// ([`SelectOptions::deadline`]).
-    DeadlineExceeded,
 }
 
 impl std::fmt::Display for SelectFailure {
@@ -167,7 +158,6 @@ impl std::fmt::Display for SelectFailure {
             }
             SelectFailure::MissingEndpoints => write!(f, "graph lacks a sender or receiver"),
             SelectFailure::RoundLimit => write!(f, "round limit exceeded"),
-            SelectFailure::DeadlineExceeded => write!(f, "per-request deadline exceeded"),
         }
     }
 }
@@ -565,17 +555,6 @@ fn select_with_scratch(
                 rounds,
                 optimizations,
             });
-        }
-        if let Some(deadline) = options.deadline {
-            if std::time::Instant::now() >= deadline {
-                return Ok(SelectionOutcome {
-                    chain: None,
-                    failure: Some(SelectFailure::DeadlineExceeded),
-                    trace,
-                    rounds,
-                    optimizations,
-                });
-            }
         }
         if rounds >= options.max_rounds {
             return Ok(SelectionOutcome {
@@ -1012,28 +991,6 @@ mod tests {
             select_chain(&graph, &formats, &profile, 0.5, &SelectOptions::default()).unwrap();
         assert!(broke.chain.is_none());
         assert_eq!(broke.failure, Some(SelectFailure::CandidatesExhausted));
-    }
-
-    #[test]
-    fn expired_deadline_trips_between_rounds() {
-        let (formats, graph) = fork_fixture();
-        let profile = qosc_satisfaction::SatisfactionProfile::paper_table1();
-        let options = SelectOptions {
-            deadline: Some(std::time::Instant::now() - std::time::Duration::from_millis(1)),
-            ..SelectOptions::default()
-        };
-        let outcome = select_chain(&graph, &formats, &profile, f64::INFINITY, &options).unwrap();
-        assert!(outcome.chain.is_none());
-        assert_eq!(outcome.failure, Some(SelectFailure::DeadlineExceeded));
-        assert_eq!(outcome.rounds, 0, "tripped before the first settle");
-
-        // A generous deadline changes nothing.
-        let relaxed = SelectOptions {
-            deadline: Some(std::time::Instant::now() + std::time::Duration::from_secs(3600)),
-            ..SelectOptions::default()
-        };
-        let ok = select_chain(&graph, &formats, &profile, f64::INFINITY, &relaxed).unwrap();
-        assert!(ok.chain.is_some());
     }
 
     #[test]

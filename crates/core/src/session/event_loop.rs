@@ -34,9 +34,8 @@ use qosc_telemetry::{EventKind, RequestTrace, TelemetrySink, TraceState, ROOT_SP
 
 use crate::admission::{AdmissionQueue, ArrivalMeta, PriorityClass, ShedReason};
 use crate::engine::{
-    fan_out, serve_one, trace_admitted, trace_shed, DegradationRung, RequestOutcome,
+    fan_out, serve_one, trace_admitted, trace_shed, ComposeMemo, DegradationRung, RequestOutcome,
 };
-use crate::graph::GraphStore;
 use crate::plan::AdaptationPlan;
 
 use super::abr::{self, AbrConfig, AbrSess};
@@ -238,10 +237,11 @@ pub fn run_sessions<W: SessionWorld + Sync, S: TelemetrySink>(
         scan: Vec::new(),
     };
 
-    // Shared per-run graph store: the world snapshot only moves at
-    // world events, and the store itself revalidates against the
-    // network epoch, so reuse across instants is safe and cheap.
-    let graph_store = GraphStore::new();
+    // One memo per run: the world snapshot moves only at world events
+    // and session-driven registry or network writes, and a stored answer
+    // is served only at the exact (registry epoch, network version) it
+    // was composed at, so reuse across instants is exact and cheap.
+    let memo = ComposeMemo::new(&config.resilient.options);
 
     let mut end_us = 0u64;
     while let Some(head) = lp.queue.peek_time() {
@@ -270,7 +270,7 @@ pub fn run_sessions<W: SessionWorld + Sync, S: TelemetrySink>(
         // apply results in collection order.
         if !lp.jobs.is_empty() {
             let jobs = std::mem::take(&mut lp.jobs);
-            let results = lp.run_jobs(&jobs, &graph_store);
+            let results = lp.run_jobs(&jobs, &memo);
             for (job, result) in jobs.iter().zip(results) {
                 lp.apply(t, *job, result);
             }
@@ -669,7 +669,7 @@ impl<W: SessionWorld + Sync, S: TelemetrySink> Loop<'_, '_, W, S> {
     fn run_jobs(
         &self,
         jobs: &[Job],
-        graph_store: &GraphStore,
+        memo: &ComposeMemo,
     ) -> Vec<Option<(RequestOutcome, TraceState)>> {
         let sessions = &self.sessions;
         let composer = self.world.composer();
@@ -683,7 +683,7 @@ impl<W: SessionWorld + Sync, S: TelemetrySink> Loop<'_, '_, W, S> {
             let mut trace = RequestTrace::resume(sink, sessions[job.session].trace?);
             let outcome = serve_one(
                 &composer,
-                graph_store,
+                memo,
                 &requests[job.session].request,
                 job.session,
                 config,

@@ -101,8 +101,6 @@ pub enum EventKind {
         /// Rung tried next.
         to: &'static str,
     },
-    /// The per-request deadline expired before a plan was found.
-    DeadlineExpired,
     /// The circuit breaker opened for a service.
     QuarantineOpened {
         /// Registry service id.
@@ -254,7 +252,6 @@ impl EventKind {
             } => "cache_stale",
             EventKind::Retry { .. } => "retry",
             EventKind::RungChange { .. } => "rung_change",
-            EventKind::DeadlineExpired => "deadline_expired",
             EventKind::QuarantineOpened { .. } => "quarantine_opened",
             EventKind::QuarantineReleased { .. } => "quarantine_released",
             EventKind::LeaseExpired { .. } => "lease_expired",
@@ -309,7 +306,6 @@ impl EventKind {
                 backoff_us,
             } => format!("retry attempt={attempt} backoff_us={backoff_us}"),
             EventKind::RungChange { from, to } => format!("rung_change from={from} to={to}"),
-            EventKind::DeadlineExpired => "deadline_expired".to_string(),
             EventKind::QuarantineOpened { service } => {
                 format!("quarantine_opened service={service}")
             }
@@ -455,7 +451,7 @@ mod tests {
             request_id: r,
             span: 0,
             seq: s,
-            kind: EventKind::DeadlineExpired,
+            kind: EventKind::Recomposed { attempt: 1 },
         };
         let mut events = [mk(5, 0, 0), mk(1, 9, 0), mk(1, 2, 1), mk(1, 2, 0)];
         events.sort_by_key(Event::sort_key);

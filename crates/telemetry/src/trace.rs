@@ -177,7 +177,7 @@ mod tests {
     fn noop_sink_records_nothing() {
         let mut trace = RequestTrace::noop();
         let span = trace.open_span(ROOT_SPAN, "cache");
-        trace.emit(span, EventKind::DeadlineExpired);
+        trace.emit(span, EventKind::Recomposed { attempt: 1 });
         // Nothing observable; the point is it compiles to nothing and
         // never panics.
     }
@@ -211,7 +211,7 @@ mod tests {
         // No second root span; counters pick up where save left off.
         let span = resumed.open_span(ROOT_SPAN, "epoch");
         assert_eq!(span, 2);
-        resumed.emit(span, EventKind::DeadlineExpired);
+        resumed.emit(span, EventKind::Recomposed { attempt: 1 });
         let events = recorder.merged();
         assert_eq!(events.len(), 4, "root + admission + epoch + one event");
         let seqs: Vec<u32> = events.iter().map(|e| e.seq).collect();
@@ -238,9 +238,9 @@ mod tests {
         let recorder = FlightRecorder::default();
         let mut trace = RequestTrace::new(&recorder, 1, 500);
         trace.advance_to(200);
-        trace.emit(ROOT_SPAN, EventKind::DeadlineExpired);
+        trace.emit(ROOT_SPAN, EventKind::Recomposed { attempt: 1 });
         trace.advance_to(900);
-        trace.emit(ROOT_SPAN, EventKind::DeadlineExpired);
+        trace.emit(ROOT_SPAN, EventKind::Recomposed { attempt: 1 });
         let times: Vec<u64> = recorder
             .merged()
             .iter()

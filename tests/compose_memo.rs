@@ -1,0 +1,249 @@
+//! Work gate for the session loop's compose memo: one
+//! `benchmark/`-shaped `sessions_chaos` unit (the X16 strict mesh under
+//! a full storm, 256 concurrent sessions, BOLA, the SLA watchdog and
+//! admission on) runs the Figure-4 kernel once per distinct (request,
+//! rung, world stamp) it composes, not once per composition attempt.
+//!
+//! The kernel count is the process-wide `arena_reuse_total()` delta, so
+//! this binary holds a single `#[test]`: no other selection may land in
+//! the counter while it runs.
+
+use std::collections::BTreeSet;
+use std::sync::Mutex;
+
+use qosc_bench::scorecard;
+use qosc_core::{
+    arena_reuse_total, run_sessions, AbrConfig, AbrMode, AdaptationPlan, AdmissionConfig, Composer,
+    CompositionRequest, ResilientEngineConfig, SelectOptions, SessionEngineConfig, SessionWorld,
+    SlaConfig,
+};
+use qosc_netsim::SimTime;
+use qosc_pipeline::{ChaosModel, ChaosPlan, ChaosWorld};
+use qosc_services::{QosObservation, ServiceId};
+use qosc_telemetry::{Event, EventKind, TelemetrySink};
+use qosc_workload::arrivals::{session_arrivals, ArrivalPattern, SessionPattern};
+
+/// The world stamp a composition reads: `(registry epoch, network
+/// version)`.
+type Stamp = (u64, u64);
+
+/// A `SessionWorld` that forwards every method to a [`ChaosWorld`] and
+/// publishes the stamp of each composer it hands out. The loop asks for
+/// one composer per virtual instant with jobs, and the world cannot move
+/// while that instant's jobs compose.
+struct StampingWorld<'a> {
+    inner: ChaosWorld<'a>,
+    stamp: &'a Mutex<Stamp>,
+}
+
+impl SessionWorld for StampingWorld<'_> {
+    fn composer(&self) -> Composer<'_> {
+        let composer = self.inner.composer();
+        *self.stamp.lock().expect("no panic under the lock") =
+            (composer.services.epoch(), composer.network.version());
+        composer
+    }
+
+    fn plan_alive(&self, plan: &AdaptationPlan) -> bool {
+        self.inner.plan_alive(plan)
+    }
+
+    fn plan_routable(&self, plan: &AdaptationPlan) -> bool {
+        self.inner.plan_routable(plan)
+    }
+
+    fn delivery_ppm(&self, plan: &AdaptationPlan, demand_bps: u64) -> u64 {
+        self.inner.delivery_ppm(plan, demand_bps)
+    }
+
+    fn observe_service(&self, service: ServiceId) -> Option<QosObservation> {
+        self.inner.observe_service(service)
+    }
+
+    fn observed_latency_us(&self, plan: &AdaptationPlan) -> u64 {
+        self.inner.observed_latency_us(plan)
+    }
+
+    fn probate_service(&mut self, service: ServiceId, observed_ppm: u64, now_us: u64) -> bool {
+        self.inner.probate_service(service, observed_ppm, now_us)
+    }
+
+    fn probe_service(&mut self, service: ServiceId, now_us: u64) -> bool {
+        self.inner.probe_service(service, now_us)
+    }
+
+    fn report_service_failure(&mut self, service: ServiceId, now_us: u64) {
+        self.inner.report_service_failure(service, now_us)
+    }
+
+    fn world_event_times(&self) -> &[u64] {
+        self.inner.world_event_times()
+    }
+
+    fn apply_world_event(&mut self, index: usize) {
+        self.inner.apply_world_event(index)
+    }
+
+    fn register_session_flow(
+        &mut self,
+        session: u64,
+        plan: &AdaptationPlan,
+        demand_bps: u64,
+        weight: u32,
+    ) {
+        self.inner
+            .register_session_flow(session, plan, demand_bps, weight)
+    }
+
+    fn deregister_session_flow(&mut self, session: u64) {
+        self.inner.deregister_session_flow(session)
+    }
+
+    fn grant_epoch(&self) -> u64 {
+        self.inner.grant_epoch()
+    }
+
+    fn session_delivery_ppm(
+        &self,
+        session: u64,
+        plan_gen: u32,
+        plan: &AdaptationPlan,
+        demand_bps: u64,
+    ) -> u64 {
+        self.inner
+            .session_delivery_ppm(session, plan_gen, plan, demand_bps)
+    }
+}
+
+/// Collects every (distinct request, rung, stamp) a `composition_started`
+/// event names — the inputs a memo-less loop would have run the kernel
+/// on, deduplicated. Every other event is dropped.
+struct TripleSink<'a> {
+    /// Session index → index of its request among the distinct ones.
+    request_of: &'a [usize],
+    stamp: &'a Mutex<Stamp>,
+    triples: Mutex<BTreeSet<(usize, &'static str, Stamp)>>,
+}
+
+impl TelemetrySink for TripleSink<'_> {
+    fn enabled(&self) -> bool {
+        true
+    }
+
+    fn record(&self, event: Event) {
+        if let EventKind::CompositionStarted { rung } = event.kind {
+            let request = self.request_of[event.request_id as usize];
+            let stamp = *self.stamp.lock().expect("no panic under the lock");
+            self.triples
+                .lock()
+                .expect("no panic under the lock")
+                .insert((request, rung, stamp));
+        }
+    }
+}
+
+#[test]
+fn a_chaos_unit_runs_the_kernel_once_per_distinct_input() {
+    // `benchmark/`'s `sessions_chaos` unit 0 at `--seed 1`: storm plan 1,
+    // arrival seed 1 000.
+    let scenario = scorecard::strict_scenario();
+    // Warm this thread's selection arena: from here on every kernel run
+    // counts as a reuse.
+    scenario
+        .compose(&SelectOptions::default())
+        .expect("the mesh composes");
+    let topology = scenario.network.topology();
+    let backbone = topology
+        .node_by_name("backbone")
+        .expect("generated meshes have a backbone");
+    let model = ChaosModel {
+        total_duration: SimTime::from_secs(30),
+        flap_rate_per_min: 0.0,
+        protect: vec![scenario.sender_host, scenario.receiver_host, backbone],
+        ..ChaosModel::default()
+    };
+    let plan = ChaosPlan::generate(topology, scenario.services.live_count(), &model, 1, 1.0);
+    let pattern = SessionPattern {
+        arrivals: ArrivalPattern {
+            horizon_us: 25_000_000,
+            rate_per_sec: 256,
+            ..ArrivalPattern::default()
+        },
+        hold_range_us: (500_000, 1_500_000),
+        demand_range_bps: (0, 0),
+    };
+    let requests = scorecard::session_requests(&scenario, session_arrivals(&pattern, 1_000));
+    let config = SessionEngineConfig {
+        resilient: ResilientEngineConfig {
+            workers: 1,
+            ..ResilientEngineConfig::default()
+        },
+        admission: Some(AdmissionConfig {
+            virtual_cores: 512,
+            initial_limit: 512,
+            max_limit: 1024,
+            ..AdmissionConfig::protected()
+        }),
+        tick_us: 250_000,
+        max_recompositions: 8,
+        horizon_us: Some(30_000_000),
+        session_spans: true,
+        abr: Some(AbrConfig::with_mode(AbrMode::Bola)),
+        sla: Some(SlaConfig::default()),
+    };
+
+    let mut distinct: Vec<&CompositionRequest> = Vec::new();
+    let request_of: Vec<usize> = requests
+        .iter()
+        .map(|r| match distinct.iter().position(|d| **d == r.request) {
+            Some(index) => index,
+            None => {
+                distinct.push(&r.request);
+                distinct.len() - 1
+            }
+        })
+        .collect();
+
+    let stamp = Mutex::new((0, 0));
+    let sink = TripleSink {
+        request_of: &request_of,
+        stamp: &stamp,
+        triples: Mutex::new(BTreeSet::new()),
+    };
+    let mut inner = scorecard::chaos_world(&scenario.formats, &scenario.services, scenario.network);
+    inner.load_plan(&plan);
+    let mut world = StampingWorld {
+        inner,
+        stamp: &stamp,
+    };
+
+    let kernel_before = arena_reuse_total();
+    let report = run_sessions(&mut world, &requests, &config, &sink);
+    let kernel_runs = arena_reuse_total() - kernel_before;
+
+    let attempts: u64 = report.outcomes.iter().map(|o| u64::from(o.attempts)).sum();
+    let triples = sink.triples.lock().expect("no panic under the lock").len() as u64;
+    println!(
+        "{} sessions, {} distinct requests, {attempts} compose attempts, \
+         {triples} distinct (request, rung, stamp), {kernel_runs} kernel runs",
+        requests.len(),
+        distinct.len()
+    );
+    assert!(
+        report.outcomes.iter().any(|o| o.recompositions > 0),
+        "the storm broke plans"
+    );
+    assert_eq!(
+        attempts, COMPOSE_ATTEMPTS,
+        "the memo must not change what the loop asks for"
+    );
+    assert_eq!(kernel_runs, triples, "one kernel run per distinct input");
+    assert_eq!(kernel_runs, KERNEL_RUNS, "the run is deterministic");
+}
+
+/// What the unit asks for: 7 589 sessions, one distinct request. The
+/// loop before the memo made the same 7 832 composition attempts and
+/// ran the kernel on every one of them.
+const COMPOSE_ATTEMPTS: u64 = 7_832;
+/// What the unit runs: the 15 distinct (request, rung, stamp) inputs.
+const KERNEL_RUNS: u64 = 15;

@@ -85,10 +85,6 @@ fn batch_counter_registry_totals_equal_legacy_counters() {
         ("qosc_batch_served_total", counters.served),
         ("qosc_batch_degraded_total", counters.degraded),
         ("qosc_batch_failed_total", counters.failed),
-        (
-            "qosc_batch_deadline_exceeded_total",
-            counters.deadline_exceeded,
-        ),
         ("qosc_batch_shed_total", counters.shed),
     ] {
         assert_eq!(
@@ -98,13 +94,9 @@ fn batch_counter_registry_totals_equal_legacy_counters() {
         );
     }
     assert_eq!(
-        counters.served
-            + counters.degraded
-            + counters.failed
-            + counters.deadline_exceeded
-            + counters.shed,
+        counters.served + counters.degraded + counters.failed + counters.shed,
         requests.len(),
-        "the five counters partition the batch"
+        "the four counters partition the batch"
     );
 }
 
