@@ -49,24 +49,76 @@
 //! - **Flows** live in slots (a free list recycles them, keeping each
 //!   slot's hop buffer). A flow's hops are translated to link ids once, at
 //!   `register`, and kept sorted so duplicates are adjacent. Each link keeps
-//!   the list of slots crossing it. A `(session, slot)` vector sorted by
-//!   session answers [`BandwidthBroker::grant`] and
-//!   [`BandwidthBroker::flow`] by binary search.
+//!   the list of slots crossing it. A [`SessionMap`] from session to slot
+//!   answers [`BandwidthBroker::grant`], [`BandwidthBroker::flow`] and
+//!   [`BandwidthBroker::bottleneck`] in O(1); `deregister` removes the
+//!   entry before the slot is recycled.
 //! - **Per-recompute state** (`residual` and `weight_sum` per link; working
-//!   level, `active` bit and freeze reason per slot; the cap-limited order)
-//!   is overwritten in place. Whether any grant changed is decided as each
-//!   final grant is written.
+//!   level, `active` bit and freeze reason per slot; the cap-limited order;
+//!   the flows a round froze) is overwritten in place. Whether any grant
+//!   changed is decided as each final grant is written.
 //!
-//! A recompute costs `O(flows·hops + a·log a + rounds·links)` where `a` is
-//! the number of flows still below their cap after the floors; see
-//! [`BandwidthBroker::bottleneck`] for what each flow's outcome records.
+//! A recompute walks each flow's hops once to lay the floors and the weight
+//! sums together, and once more only if the flow freezes in a round that is
+//! not the last: a round writes its flows' grants first and replays their
+//! residual / weight bookkeeping only when flows remain after it. That
+//! costs `O(flows·hops + a·log a + (rounds−1)·flows·hops + rounds·links)`
+//! where `a` is the number of flows still below their cap after the floors;
+//! see [`BandwidthBroker::bottleneck`] for what each flow's outcome records.
 
 use qosc_netsim::LinkId;
 use qosc_telemetry::MetricsRegistry;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 
 #[cfg(test)]
 mod reference;
+#[cfg(test)]
+mod work_gate;
+
+/// A map keyed by session id, hashed by [`SessionHasher`].
+pub type SessionMap<V> = HashMap<u64, V, BuildHasherDefault<SessionHasher>>;
+
+/// Hasher for session-id keys: one folded 64 × 64 → 128-bit multiply per
+/// `u64`. Session ids are chosen by the serving loop, not by remote
+/// parties, so the map needs a well-spread hash (hashbrown reads both the
+/// top and the bottom bits), not a keyed one. Total on every input.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct SessionHasher(u64);
+
+impl Hasher for SessionHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.write_u64(u64::from(byte));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        const MIX: u128 = 0xA076_1D64_78BD_642F;
+        let product = u128::from(self.0 ^ n) * MIX;
+        self.0 = (product as u64) ^ ((product >> 64) as u64);
+    }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Hop visits made by water-filling recomputes on this thread — the
+    /// meter of the counted-work gate in `work_gate.rs`.
+    static HOP_VISITS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// Meter a walk over `hops` of one flow's hops (test builds only).
+#[inline(always)]
+fn visit_hops(hops: usize) {
+    #[cfg(test)]
+    HOP_VISITS.with(|visits| visits.set(visits.get() + hops as u64));
+    #[cfg(not(test))]
+    let _ = hops;
+}
 
 /// A directed traversal of one link: `(link, forward?)` — the same encoding
 /// `Route::directed_hops` produces.
@@ -164,7 +216,7 @@ struct FlowSlot {
 
 impl FlowSlot {
     /// The tenant's spec, for slots the caller knows are occupied (it found
-    /// them through `index`, or marked them active in this recompute).
+    /// them through `sessions`, or marked them active in this recompute).
     fn flow(&self) -> &FlowSpec {
         self.spec.as_ref().expect("occupied slot")
     }
@@ -179,14 +231,16 @@ pub struct BandwidthBroker {
     slots: Vec<FlowSlot>,
     /// Vacant slots.
     free: Vec<u32>,
-    /// `(session, slot)` of every registered flow, ascending session.
-    index: Vec<(u64, u32)>,
+    /// The slot of every registered flow.
+    sessions: SessionMap<u32>,
     next_seq: u64,
     epoch: u64,
     reallocations: u64,
     /// Recompute scratch: `(⌈headroom / weight⌉, slot)` of the active flows
     /// under water-filling, `(seq, slot)` of every flow under FCFS.
     order: Vec<(u64, u32)>,
+    /// Recompute scratch: the slots one water-filling round froze.
+    frozen: Vec<u32>,
 }
 
 impl BandwidthBroker {
@@ -196,11 +250,12 @@ impl BandwidthBroker {
             links: Vec::new(),
             slots: Vec::new(),
             free: Vec::new(),
-            index: Vec::new(),
+            sessions: SessionMap::default(),
             next_seq: 0,
             epoch: 0,
             reallocations: 0,
             order: Vec::new(),
+            frozen: Vec::new(),
         }
     }
 
@@ -223,13 +278,12 @@ impl BandwidthBroker {
         for &hop in &flow.hops {
             self.intern(hop);
         }
-        let (slot, arrived) = match self.index.binary_search_by_key(&flow.session, |e| e.0) {
-            Ok(at) => {
-                let slot = self.index[at].1;
+        let (slot, arrived) = match self.sessions.get(&flow.session) {
+            Some(&slot) => {
                 self.unlink(slot);
                 (slot, false)
             }
-            Err(at) => {
+            None => {
                 let slot = self.free.pop().unwrap_or_else(|| {
                     let slot = u32::try_from(self.slots.len()).expect("fewer than 2^32 flows");
                     self.slots.push(FlowSlot {
@@ -243,7 +297,7 @@ impl BandwidthBroker {
                     });
                     slot
                 });
-                self.index.insert(at, (flow.session, slot));
+                self.sessions.insert(flow.session, slot);
                 self.slots[slot as usize].seq = self.next_seq;
                 self.next_seq += 1;
                 (slot, true)
@@ -270,10 +324,9 @@ impl BandwidthBroker {
     /// redistributed preemption-free: survivors are water-filled upward
     /// from their current grants, so no survivor's grant decreases.
     pub fn deregister(&mut self, session: u64) -> bool {
-        let Ok(at) = self.index.binary_search_by_key(&session, |e| e.0) else {
+        let Some(slot) = self.sessions.remove(&session) else {
             return false;
         };
-        let slot = self.index.remove(at).1;
         self.unlink(slot);
         self.slots[slot as usize].spec = None;
         self.free.push(slot);
@@ -315,15 +368,15 @@ impl BandwidthBroker {
     }
 
     pub fn flow_count(&self) -> usize {
-        self.index.len()
+        self.sessions.len()
     }
 
     /// All current grants (session → bps), in session-id order,
     /// materialised on demand.
     pub fn grants(&self) -> BTreeMap<u64, u64> {
-        self.index
+        self.sessions
             .iter()
-            .map(|&(session, slot)| (session, self.slots[slot as usize].grant))
+            .map(|(&session, &slot)| (session, self.slots[slot as usize].grant))
             .collect()
     }
 
@@ -349,8 +402,8 @@ impl BandwidthBroker {
     }
 
     fn slot_of(&self, session: u64) -> Option<&FlowSlot> {
-        let at = self.index.binary_search_by_key(&session, |e| e.0).ok()?;
-        Some(&self.slots[self.index[at].1 as usize])
+        let &slot = self.sessions.get(&session)?;
+        Some(&self.slots[slot as usize])
     }
 
     /// Dense id of `key`, interning it (unconstrained) if it is new. Ids
@@ -499,11 +552,24 @@ impl BandwidthBroker {
     /// flow can be cap-limited, and when floors nearly fill the shared
     /// links — one bottleneck freezing everybody at a low level — it never
     /// runs.
+    ///
+    /// # Walking the hops once per flow
+    ///
+    /// The floors (tier 1) and the weight sums tier 2 starts from are laid
+    /// in one walk over each flow's hops: they touch different fields with
+    /// commutative updates, so interleaving them changes nothing. A round
+    /// then fixes its flows' grants first and records them in `frozen`;
+    /// their residual and weight bookkeeping only matters to later rounds,
+    /// so it is replayed from `frozen` only when flows remain. The last
+    /// round — usually the only one — walks no hops at all. "Flows remain"
+    /// is counted in distinct flows frozen, never in a link's crossers: a
+    /// flow crossing the bottleneck twice appears there twice.
     fn waterfill(&mut self, floors: Floors) -> bool {
         let BandwidthBroker {
             links,
             slots,
             order,
+            frozen,
             ..
         } = self;
         for link in links.iter_mut() {
@@ -511,8 +577,15 @@ impl BandwidthBroker {
             link.weight_sum = 0;
         }
 
-        // Tier 1: floors.
-        for slot in slots.iter_mut() {
+        // Tier 1 and tier 2's setup in one walk: every flow's floor comes
+        // off the residuals of the links it crosses; a flow below its cap
+        // adds its weight to the constrained ones and goes active. Flows
+        // already at their cap, or crossing no constrained link, are
+        // settled here.
+        let mut changed = false;
+        let mut lowest_cap = u64::MAX;
+        order.clear();
+        for (s, slot) in slots.iter_mut().enumerate() {
             let Some(flow) = &slot.spec else { continue };
             let floor = match floors {
                 Floors::None => flow.min_bps,
@@ -520,31 +593,22 @@ impl BandwidthBroker {
             }
             .min(flow.max_bps);
             slot.floor = floor;
+            let weight = if floor < flow.max_bps {
+                flow.weight_u64()
+            } else {
+                0
+            };
+            let mut constrained = false;
+            visit_hops(slot.links.len());
             for &id in &slot.links {
                 let link = &mut links[id as usize];
                 link.residual = link.residual.saturating_sub(floor);
-            }
-        }
-
-        // Tier 2: water-fill the headroom above the floors. Flows already
-        // at their cap, or crossing no constrained link, are settled here;
-        // the rest go active.
-        let mut changed = false;
-        let mut lowest_cap = u64::MAX;
-        order.clear();
-        for (s, slot) in slots.iter_mut().enumerate() {
-            let Some(flow) = &slot.spec else { continue };
-            let weight = flow.weight_u64();
-            slot.active = false;
-            if slot.floor < flow.max_bps {
-                for &id in &slot.links {
-                    let link = &mut links[id as usize];
-                    if link.capacity.is_some() {
-                        link.weight_sum += weight;
-                        slot.active = true;
-                    }
+                if link.capacity.is_some() {
+                    link.weight_sum += weight;
+                    constrained = true;
                 }
             }
+            slot.active = weight > 0 && constrained;
             if !slot.active {
                 changed |= slot.grant != flow.max_bps;
                 slot.grant = flow.max_bps;
@@ -559,6 +623,10 @@ impl BandwidthBroker {
         let mut remaining = order.len();
         let mut sorted = false;
         let mut next_capped = 0;
+        // A round freezes at most every active flow; reserving that once
+        // keeps steady-state recomputes allocation-free.
+        frozen.clear();
+        frozen.reserve(remaining);
         while remaining > 0 {
             // Global water level and bottleneck link (first achiever in
             // ascending id = (LinkId, direction) order wins ties).
@@ -582,7 +650,7 @@ impl BandwidthBroker {
             // Cap-limited flows freeze first (at their cap, which is at or
             // below the level share); only if none exist does the
             // bottleneck link freeze its crossers at exactly λ·w.
-            let before = remaining;
+            frozen.clear();
             if level >= lowest_cap {
                 if !sorted {
                     order.sort_unstable();
@@ -595,49 +663,61 @@ impl BandwidthBroker {
                             break;
                         }
                         let headroom = slot.flow().max_bps - slot.floor;
-                        changed |= freeze(slot, links, headroom, Bottleneck::Cap);
-                        remaining -= 1;
+                        changed |= freeze(slot, headroom, Bottleneck::Cap);
+                        frozen.push(s);
                     }
                     next_capped += 1;
                 }
             }
-            if remaining < before {
-                continue;
-            }
-            let key = links[bottleneck].key;
-            let limit = if level == 0 {
-                Bottleneck::Floor { link: key }
-            } else {
-                Bottleneck::Link { link: key, level }
-            };
-            for at in 0..links[bottleneck].crossers.len() {
-                let slot = &mut slots[links[bottleneck].crossers[at] as usize];
-                if slot.active {
-                    // Not cap-limited, so λ·w is below the headroom and
-                    // cannot have saturated.
-                    let extra = level * slot.flow().weight_u64();
-                    changed |= freeze(slot, links, extra, limit);
-                    remaining -= 1;
+            if frozen.is_empty() {
+                let key = links[bottleneck].key;
+                let limit = if level == 0 {
+                    Bottleneck::Floor { link: key }
+                } else {
+                    Bottleneck::Link { link: key, level }
+                };
+                for &s in &links[bottleneck].crossers {
+                    let slot = &mut slots[s as usize];
+                    if slot.active {
+                        // Not cap-limited, so λ·w is below the headroom
+                        // and cannot have saturated.
+                        let extra = level * slot.flow().weight_u64();
+                        changed |= freeze(slot, extra, limit);
+                        frozen.push(s);
+                    }
+                }
+                if frozen.is_empty() {
+                    debug_assert!(false, "a round must freeze a flow");
+                    break;
                 }
             }
-            debug_assert!(remaining < before, "a round must freeze a flow");
+            remaining -= frozen.len();
+            if remaining == 0 {
+                break;
+            }
+            // Flows remain: take what this round granted from the links
+            // the next rounds level.
+            for &s in frozen.iter() {
+                let slot = &slots[s as usize];
+                let extra = slot.grant - slot.floor;
+                let weight = slot.flow().weight_u64();
+                visit_hops(slot.links.len());
+                for &id in &slot.links {
+                    // Unconstrained links carry no weight (their sum stays
+                    // 0) and nobody reads their residual.
+                    let link = &mut links[id as usize];
+                    link.residual = link.residual.saturating_sub(extra);
+                    link.weight_sum = link.weight_sum.saturating_sub(weight);
+                }
+            }
         }
         changed
     }
 }
 
-/// Fix an active flow's grant at `floor + extra`: take `extra` from the
-/// residual and the flow's weight from the weight sum of every link it
-/// crosses, and report whether the published grant moved.
-fn freeze(slot: &mut FlowSlot, links: &mut [Link], extra: u64, limit: Bottleneck) -> bool {
-    let weight = slot.flow().weight_u64();
-    for &id in &slot.links {
-        // Unconstrained links carry no weight (their sum stays 0) and
-        // nobody reads their residual.
-        let link = &mut links[id as usize];
-        link.residual = link.residual.saturating_sub(extra);
-        link.weight_sum = link.weight_sum.saturating_sub(weight);
-    }
+/// Fix an active flow's grant at `floor + extra` and report whether the
+/// published grant moved. The links it crosses are left to the caller.
+fn freeze(slot: &mut FlowSlot, extra: u64, limit: Bottleneck) -> bool {
     let grant = slot.floor + extra;
     let changed = slot.grant != grant;
     slot.grant = grant;

@@ -9,8 +9,12 @@
 //! and kept its floor. Both kernels now accept the first weighted link
 //! whatever its level (`u64_max_capacity_is_not_mistaken_for_no_link` below).
 //!
-//! The proptest drives both brokers through the same random op sequence and
-//! compares grants, `epoch` and `reallocations` after every step.
+//! The proptests drive both brokers through the same random op sequence and
+//! compare grants, `epoch` and `reallocations` after every step, and check
+//! that every departed session id answers nothing. One family draws
+//! arbitrary hops over 14 links; the hub family routes most flows through
+//! one link, some of them twice, so recomputes take several rounds and a
+//! round can freeze fewer flows than its bottleneck has crossers.
 
 use crate::{BandwidthBroker, Bottleneck, DirectedLink, Floors, FlowSpec, SharingPolicy};
 use proptest::prelude::*;
@@ -338,12 +342,63 @@ fn arb_op(sessions: u16) -> impl Strategy<Value = GenOp> {
         )
 }
 
+/// Hops around one hub link (link 0, forward) that most flows share:
+/// crossed twice, once, or not at all beside one of three side links. A
+/// flow crossing the hub twice is one flow but two of its crossers.
+fn arb_hub_hops() -> BoxedStrategy<Vec<(usize, bool)>> {
+    const HUB: (usize, bool) = (0, true);
+    prop_oneof![
+        Just(vec![HUB, HUB]),
+        Just(vec![HUB]),
+        (1..4usize).prop_map(|side| vec![HUB, (side, true)]),
+        (1..4usize).prop_map(|side| vec![HUB, (side, true), HUB]),
+        (1..4usize).prop_map(|side| vec![(side, true)]),
+    ]
+    .boxed()
+}
+
+/// Ops for the hub family: modest rates so the hub and the side links
+/// saturate at different levels (several rounds per recompute), small caps
+/// so cap-limited rounds come first, and `min ≥ max` often enough that
+/// flows sit at their cap from the floors on. A capacity op names one
+/// link, which gets `capacity_bps` itself.
+fn arb_hub_op(sessions: u16) -> impl Strategy<Value = GenOp> {
+    (
+        (0u8..12, 0..sessions),
+        (
+            0u64..=4_000,
+            prop_oneof![1u64..=4_000, 4_000u64..=60_000],
+            1u32..=4,
+        ),
+        arb_hub_hops(),
+        1_000u64..=60_000,
+    )
+        .prop_map(
+            |((kind, session), (min_bps, max_bps, weight), mut hops, capacity_bps)| {
+                if kind >= 10 {
+                    hops.truncate(1);
+                }
+                GenOp {
+                    kind,
+                    session,
+                    min_bps,
+                    max_bps,
+                    weight,
+                    hops,
+                    capacity_bps,
+                }
+            },
+        )
+}
+
 /// Both brokers under one op stream, compared after every step.
 struct Pair {
     links: Vec<LinkId>,
     dense: BandwidthBroker,
     reference: ReferenceBroker,
     live: BTreeSet<u64>,
+    /// Every session id an op has registered, live or departed.
+    seen: BTreeSet<u64>,
 }
 
 impl Pair {
@@ -353,7 +408,15 @@ impl Pair {
             dense: BandwidthBroker::new(policy),
             reference: ReferenceBroker::new(policy),
             live: BTreeSet::new(),
+            seen: BTreeSet::new(),
         }
+    }
+
+    fn set_capacity(&mut self, link: usize, forward: bool, capacity_bps: u64) {
+        self.dense
+            .set_capacity(self.links[link], forward, capacity_bps);
+        self.reference
+            .set_capacity(self.links[link], forward, capacity_bps);
     }
 
     fn spec(&self, op: &GenOp) -> FlowSpec {
@@ -372,6 +435,7 @@ impl Pair {
 
     fn register(&mut self, spec: FlowSpec) {
         self.live.insert(spec.session);
+        self.seen.insert(spec.session);
         self.dense.register(spec.clone());
         self.reference.register(spec);
     }
@@ -424,8 +488,7 @@ impl Pair {
             _ => {
                 for (i, &(l, dir)) in op.hops.iter().enumerate() {
                     let cap = op.capacity_bps.rotate_left(i as u32 * 7) >> (i % 3 * 20);
-                    self.dense.set_capacity(self.links[l], dir, cap);
-                    self.reference.set_capacity(self.links[l], dir, cap);
+                    self.set_capacity(l, dir, cap);
                 }
                 self.dense.rebalance();
                 self.reference.rebalance();
@@ -460,6 +523,13 @@ impl Pair {
                     assert!(flow.hops.contains(&link), "step {step}");
                 }
             }
+        }
+        // A departed session's slot may hold another tenant by now; the
+        // departed id must answer nothing.
+        for &session in self.seen.difference(&self.live) {
+            assert_eq!(self.dense.grant(session), None, "step {step}");
+            assert_eq!(self.dense.bottleneck(session), None, "step {step}");
+            assert!(self.dense.flow(session).is_none(), "step {step}");
         }
     }
 
@@ -509,13 +579,35 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+    /// Multi-round recomputes around a hub some flows cross twice: cap
+    /// rounds, then the hub or a side link, then the rest. A round on the
+    /// hub that freezes a double-crossing flow freezes fewer flows than
+    /// the hub has crossers, so it must not pass for the last round while
+    /// side-link flows are still rising.
+    #[test]
+    fn double_crossings_of_the_bottleneck_match_reference(
+        capacities in proptest::collection::vec(1_000u64..=60_000, 4),
+        ops in proptest::collection::vec(arb_hub_op(10), 20..=60),
+    ) {
+        for policy in POLICIES {
+            let mut pair = Pair::new(policy);
+            for (link, &capacity) in capacities.iter().enumerate() {
+                pair.set_capacity(link, true, capacity);
+            }
+            pair.run(&ops);
+        }
+    }
+}
+
 #[test]
 fn u64_max_capacity_is_not_mistaken_for_no_link() {
-    let link = link_ids()[0];
     for weight in [1, 2] {
         let mut pair = Pair::new(SharingPolicy::WeightedMaxMin);
-        pair.dense.set_capacity(link, true, u64::MAX);
-        pair.reference.set_capacity(link, true, u64::MAX);
+        pair.set_capacity(0, true, u64::MAX);
+        let link = pair.links[0];
         pair.register(FlowSpec {
             session: 0,
             min_bps: 0,

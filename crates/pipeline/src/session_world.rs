@@ -25,7 +25,7 @@ use crate::chaos::{ChaosAction, ChaosPlan};
 use crate::failure::{FailureEvent, FailureSchedule};
 use crate::resilience::plan_affected;
 use parking_lot::Mutex;
-use qosc_broker::{BandwidthBroker, FlowSpec, SharingPolicy};
+use qosc_broker::{BandwidthBroker, FlowSpec, SessionMap, SharingPolicy};
 use qosc_core::{AdaptationPlan, Composer, SessionWorld};
 use qosc_media::FormatRegistry;
 use qosc_netsim::{LinkId, NetError, Network, NodeId, SimTime};
@@ -34,7 +34,6 @@ use qosc_services::{
     DiscoveryConfig, DiscoveryDriver, MemberId, QosObservation, ServiceError, ServiceId,
     ServiceRegistry, TranscoderDescriptor, QOS_PPM,
 };
-use std::collections::HashMap;
 
 /// Typed construction failure for chaos-world topologies and fleets —
 /// what a scorecard bin reports instead of an `unwrap` panic when a
@@ -157,7 +156,7 @@ struct DeliveryCacheEntry {
 
 #[derive(Debug, Default)]
 struct DeliveryCache {
-    entries: HashMap<u64, DeliveryCacheEntry>,
+    entries: SessionMap<DeliveryCacheEntry>,
     stats: DeliveryCacheStats,
 }
 
@@ -183,8 +182,9 @@ pub struct ChaosWorld<'a> {
     /// changes); part of the delivery memo key.
     world_mutations: u64,
     /// Per-session delivery memo, exercised only when a broker is
-    /// attached. Interior mutability because `session_delivery_ppm`
-    /// takes `&self` from many engine workers (`parking_lot::Mutex`
+    /// attached. Only the serving loop's thread calls
+    /// `session_delivery_ppm`, so the lock is never contended; it exists
+    /// because the trait method takes `&self` (`parking_lot::Mutex`
     /// keeps `ChaosWorld: Sync`).
     delivery_cache: Mutex<DeliveryCache>,
 }
