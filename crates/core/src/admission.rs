@@ -581,41 +581,82 @@ impl AdmissionQueue {
     /// assuming no further arrivals and the current limit: assign every
     /// queued request ahead of it to the earliest-freeing slot, then
     /// read off the earliest remaining slot.
+    ///
+    /// Of the `limit` slots, the `limit − min(running, limit)` idle ones
+    /// are kept as a count: `offer` drains to `now` first, so every
+    /// running finish is later than `now` and an idle slot (free at
+    /// `now`) always pops before a busy one. Only the kept finishes —
+    /// the latest `min(running, limit)`; with the limit just shrunk the
+    /// earliest completions only bring `in_flight` back down to it — and
+    /// what the requests ahead push back ever sit on a heap, and with
+    /// nobody ahead nothing is allocated. No path costs anything in
+    /// `limit`.
     fn predict_start(&self, now: u64, class: usize) -> u64 {
         let limit = self.limit.max(1) as usize;
+        let busy = self.running.len().min(limit);
+        let mut idle = limit - busy;
+        let mut ahead = self.queues[..=class.min(2)]
+            .iter()
+            .flat_map(VecDeque::iter)
+            .peekable();
+        if ahead.peek().is_none() {
+            return if idle > 0 {
+                now
+            } else {
+                self.earliest_kept_finish(limit).max(now)
+            };
+        }
         let mut finishes: Vec<u64> = self
             .running
             .iter()
             .map(|&Reverse((finish, _, _))| finish)
             .collect();
         finishes.sort_unstable();
-        // With in_flight > limit (the limit just shrank) the earliest
-        // completions only bring us back down to the limit; drop them.
-        let excess = finishes.len().saturating_sub(limit);
-        let mut slots: BinaryHeap<Reverse<u64>> =
-            finishes[excess..].iter().map(|&f| Reverse(f)).collect();
-        while slots.len() < limit {
-            slots.push(Reverse(now));
-        }
+        let excess = finishes.len() - busy;
+        let mut slots: BinaryHeap<Reverse<u64>> = finishes.drain(excess..).map(Reverse).collect();
+        meter_slots(slots.len());
         let rung = self.current_rung();
-        let ahead = self.queues[..=class.min(2)]
-            .iter()
-            .flat_map(|q| q.iter())
-            .copied();
-        for index in ahead {
-            let Some(Reverse(free_at)) = slots.pop() else {
-                break;
+        for &index in ahead {
+            let start = if idle > 0 {
+                idle -= 1;
+                now
+            } else {
+                // `busy == limit ≥ 1` slots are on the heap whenever
+                // none is idle, and each pop is pushed back.
+                let Some(Reverse(free_at)) = slots.pop() else {
+                    break;
+                };
+                free_at.max(now)
             };
-            let start = free_at.max(now);
             let cost = self
                 .config
                 .rung_cost(self.arrivals[index].service_cost_us, rung);
             slots.push(Reverse(start.saturating_add(cost)));
+            meter_slots(1);
+        }
+        if idle > 0 {
+            return now;
         }
         slots
             .peek()
-            .map(|&Reverse(free_at)| free_at.max(now))
-            .unwrap_or(now)
+            .map_or(now, |&Reverse(free_at)| free_at.max(now))
+    }
+
+    /// The earliest of the `limit` latest running finishes: when every
+    /// slot is busy, the first one to free. Callers hold `running ≥
+    /// limit`.
+    fn earliest_kept_finish(&self, limit: usize) -> u64 {
+        match self.running.len().saturating_sub(limit) {
+            0 => self.next_finish_us().unwrap_or(0),
+            excess => {
+                let mut finishes: Vec<u64> = self
+                    .running
+                    .iter()
+                    .map(|&Reverse((finish, _, _))| finish)
+                    .collect();
+                *finishes.select_nth_unstable(excess).1
+            }
+        }
     }
 
     /// Start queued work while slots are free, highest class first,
@@ -701,6 +742,16 @@ impl AdmissionQueue {
     /// inside a future `offer`/`drain_until`; poll
     /// [`take_newly_decided`](Self::take_newly_decided) either way.
     pub fn offer(&mut self, meta: ArrivalMeta) -> usize {
+        self.offer_with(meta, Self::predict_start)
+    }
+
+    /// [`offer`](Self::offer) with the start-time predictor passed in:
+    /// the seam the test-only reference predictor plugs into.
+    fn offer_with(
+        &mut self,
+        meta: ArrivalMeta,
+        predict_start: impl Fn(&Self, u64, usize) -> u64,
+    ) -> usize {
         debug_assert!(
             self.arrivals
                 .last()
@@ -724,7 +775,7 @@ impl AdmissionQueue {
         }
         if self.config.deadline_shed {
             if let Some(budget) = arrival.deadline_budget_us {
-                let predicted_wait = self.predict_start(now, class).saturating_sub(now);
+                let predicted_wait = predict_start(self, now, class).saturating_sub(now);
                 if predicted_wait > budget {
                     self.decide(index, AdmissionDecision::shed(ShedReason::PredictedLate, 0));
                     self.stats.shed_predicted_late += 1;
@@ -737,6 +788,16 @@ impl AdmissionQueue {
         self.start_queued(now);
         index
     }
+}
+
+/// Meter `count` slots materialised on `predict_start`'s heap (test
+/// builds only).
+#[inline(always)]
+fn meter_slots(count: usize) {
+    #[cfg(test)]
+    tests::SLOTS.with(|slots| slots.set(slots.get() + count as u64));
+    #[cfg(not(test))]
+    let _ = count;
 }
 
 /// Run the admission queue over `arrivals` (any order; processed by
@@ -770,6 +831,262 @@ pub fn plan_admission(arrivals: &[ArrivalMeta], config: &AdmissionConfig) -> Adm
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::{run_cases, ProptestConfig, TestRng};
+    use rand::RngExt;
+
+    thread_local! {
+        /// Slots `predict_start` put on its heap on this thread — the
+        /// meter of the counted-work gate below.
+        pub(super) static SLOTS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    }
+
+    /// Slots `work` makes `predict_start` materialise on this thread.
+    fn slots_in(work: impl FnOnce()) -> u64 {
+        let before = SLOTS.with(|slots| slots.get());
+        work();
+        SLOTS.with(|slots| slots.get()) - before
+    }
+
+    impl AdmissionQueue {
+        /// The predictor before idle slots were counted, verbatim: one
+        /// heap entry per slot, the idle ones padded with `now`.
+        fn predict_start_reference(&self, now: u64, class: usize) -> u64 {
+            let limit = self.limit.max(1) as usize;
+            let mut finishes: Vec<u64> = self
+                .running
+                .iter()
+                .map(|&Reverse((finish, _, _))| finish)
+                .collect();
+            finishes.sort_unstable();
+            // With in_flight > limit (the limit just shrank) the earliest
+            // completions only bring us back down to the limit; drop them.
+            let excess = finishes.len().saturating_sub(limit);
+            let mut slots: BinaryHeap<Reverse<u64>> =
+                finishes[excess..].iter().map(|&f| Reverse(f)).collect();
+            while slots.len() < limit {
+                slots.push(Reverse(now));
+            }
+            let rung = self.current_rung();
+            let ahead = self.queues[..=class.min(2)]
+                .iter()
+                .flat_map(|q| q.iter())
+                .copied();
+            for index in ahead {
+                let Some(Reverse(free_at)) = slots.pop() else {
+                    break;
+                };
+                let start = free_at.max(now);
+                let cost = self
+                    .config
+                    .rung_cost(self.arrivals[index].service_cost_us, rung);
+                slots.push(Reverse(start.saturating_add(cost)));
+            }
+            slots
+                .peek()
+                .map(|&Reverse(free_at)| free_at.max(now))
+                .unwrap_or(now)
+        }
+    }
+
+    /// A small random config: limit 1–64 with AIMD on (misses shrink the
+    /// limit, down below `in_flight`), priority on or off, brown-out on
+    /// or off, queues of 1–6.
+    fn random_config(rng: &mut TestRng) -> AdmissionConfig {
+        let max_limit = rng.random_range(1..=64u32);
+        let exit_pct = rng.random_range(0..=40u32);
+        AdmissionConfig {
+            deadline_shed: true,
+            priority: rng.random_bool(0.5),
+            brownout: rng.random_bool(0.5),
+            adaptive: true,
+            queue_capacity: rng.random_range(1..=6usize),
+            virtual_cores: rng.random_range(1..=8u32),
+            initial_limit: rng.random_range(1..=max_limit),
+            min_limit: rng.random_range(1..=max_limit),
+            max_limit,
+            aimd_increase: rng.random_range(1..=4u32),
+            aimd_window: rng.random_range(1..=4u32),
+            aimd_decrease_pct: rng.random_range(10..=90u32),
+            aimd_cooldown_us: rng.random_range(0..=2_000u64),
+            overload_penalty_pct: rng.random_range(0..=50u32),
+            brownout_enter_pct: rng.random_range(exit_pct..=100),
+            brownout_exit_pct: exit_pct,
+            brownout_dwell: rng.random_range(1..=3u32),
+            rung_cost_pct: [100, 85, 70, 55],
+        }
+    }
+
+    fn random_arrival(rng: &mut TestRng, arrival_us: u64) -> ArrivalMeta {
+        meta(
+            arrival_us,
+            PriorityClass::ALL[rng.random_range(0..3usize)],
+            rng.random_range(1..=5_000u64),
+            if rng.random_bool(0.25) {
+                None
+            } else {
+                Some(rng.random_range(0..=8_000u64))
+            },
+        )
+    }
+
+    /// Random offer/drain sequences over random configs: at every offer
+    /// the counted-slot predictor answers what the padded heap answers for
+    /// every class, and a queue driven by each makes the same decisions
+    /// in the same order — the same ones `plan_admission` makes.
+    #[test]
+    fn predictions_equal_the_padded_heap_on_random_offer_sequences() {
+        let config = ProptestConfig {
+            cases: 1_024,
+            ..ProptestConfig::default()
+        };
+        run_cases(config, "admission_predictions", |rng| {
+            let config = random_config(rng);
+            let mut now = 0u64;
+            let arrivals: Vec<ArrivalMeta> = (0..rng.random_range(1..=60usize))
+                .map(|_| {
+                    now += rng.random_range(0..=1_500u64);
+                    random_arrival(rng, now)
+                })
+                .collect();
+            let mut fast = AdmissionQueue::new(config);
+            let mut slow = AdmissionQueue::new(config);
+            for (k, &arrival) in arrivals.iter().enumerate() {
+                let now = arrival.arrival_us;
+                // The state `offer` predicts from: drained to the arrival.
+                fast.drain_until(now);
+                for class in 0..3 {
+                    assert_eq!(
+                        fast.predict_start(now, class),
+                        fast.predict_start_reference(now, class),
+                        "offer {k}, class {class}, {config:?}"
+                    );
+                }
+                fast.offer(arrival);
+                slow.offer_with(arrival, AdmissionQueue::predict_start_reference);
+                assert_eq!(fast.take_newly_decided(), slow.take_newly_decided());
+                // Drain part of the way to the next arrival now and then.
+                if rng.random_bool(0.3) {
+                    let next = arrivals.get(k + 1).map_or(u64::MAX, |a| a.arrival_us);
+                    if let Some(finish) = fast.next_finish_us() {
+                        fast.drain_until(finish.min(next));
+                        slow.drain_until(finish.min(next));
+                    }
+                }
+            }
+            fast.drain_until(u64::MAX);
+            slow.drain_until(u64::MAX);
+            let plan = plan_admission(&arrivals, &config);
+            for (i, decision) in plan.decisions.iter().enumerate() {
+                assert_eq!(fast.decision(i), Some(*decision));
+                assert_eq!(slow.decision(i), Some(*decision), "arrival {i}");
+            }
+            assert_eq!(slow.stats(), plan.stats);
+            assert_eq!(fast.stats(), plan.stats);
+        });
+    }
+
+    /// The two predictors agree on any state, not only reachable ones:
+    /// idle slots beside a queue ahead, finishes at or before `now`, a
+    /// running set above a shrunken limit.
+    #[test]
+    fn predictions_equal_the_padded_heap_on_arbitrary_states() {
+        let config = ProptestConfig {
+            cases: 2_048,
+            ..ProptestConfig::default()
+        };
+        run_cases(config, "admission_states", |rng| {
+            let mut queue = AdmissionQueue::new(random_config(rng));
+            let now = rng.random_range(0..=10_000u64);
+            queue.limit = rng.random_range(1..=16u32);
+            queue.rung = rng.random_range(0..DegradationRung::LADDER.len());
+            for seq in 0..rng.random_range(0..=24u64) {
+                let finish = now.saturating_sub(2) + rng.random_range(0..=3_000u64);
+                queue.running.push(Reverse((finish, seq, 0)));
+            }
+            for index in 0..rng.random_range(0..=12usize) {
+                queue.arrivals.push(random_arrival(rng, now));
+                queue.decisions.push(None);
+                queue.queues[rng.random_range(0..3usize)].push_back(index);
+            }
+            for class in 0..3 {
+                assert_eq!(
+                    queue.predict_start(now, class),
+                    queue.predict_start_reference(now, class),
+                    "class {class}, limit {}, {} running, queues {:?}",
+                    queue.limit,
+                    queue.running.len(),
+                    queue.queues
+                );
+            }
+        });
+    }
+
+    /// Counted-work gate: with nobody queued ahead a prediction puts no
+    /// slot on a heap (the padded heap put `limit` there on every offer,
+    /// 512 at `benchmark/`'s `sessions_chaos` limit).
+    #[test]
+    fn predictions_materialise_no_slot_when_nobody_is_ahead() {
+        let config = AdmissionConfig {
+            virtual_cores: 512,
+            initial_limit: 512,
+            max_limit: 1_024,
+            ..AdmissionConfig::protected()
+        };
+        // ≈ 250 running at a time, each with a deadline budget it meets.
+        let arrivals: Vec<ArrivalMeta> = (0..2_000u64)
+            .map(|i| meta(i * 40, PriorityClass::Standard, 10_000, Some(20_000)))
+            .collect();
+        let mut plan = None;
+        let slots = slots_in(|| plan = Some(plan_admission(&arrivals, &config)));
+        let plan = plan.expect("planned");
+        assert_eq!(plan.stats.admitted, arrivals.len());
+        assert!(
+            plan.stats.peak_in_flight >= 250,
+            "the slots really are busy"
+        );
+        assert_eq!(slots, 0);
+
+        // A queue ahead costs what it holds, not what the limit is.
+        let config = AdmissionConfig {
+            initial_limit: 2,
+            max_limit: 2,
+            adaptive: false,
+            brownout: false,
+            ..AdmissionConfig::default()
+        };
+        let arrivals: Vec<ArrivalMeta> = (0..5)
+            .map(|i| meta(i, PriorityClass::Standard, 10_000, Some(1_000_000)))
+            .collect();
+        // Offer 3 finds both slots busy and nobody queued; offers 4 and 5
+        // find the two busy finishes and one, then two requests ahead.
+        let slots = slots_in(|| {
+            plan_admission(&arrivals, &config);
+        });
+        assert_eq!(slots, (2 + 1) + (2 + 2));
+    }
+
+    /// A hostile limit costs nothing per slot: at `u32::MAX` the padded
+    /// heap would ask for ≈ 34 GB on the first offer.
+    #[test]
+    fn a_u32_max_limit_admits_everyone_at_once() {
+        let config = AdmissionConfig {
+            initial_limit: u32::MAX,
+            max_limit: u32::MAX,
+            virtual_cores: u32::MAX,
+            ..AdmissionConfig::protected()
+        };
+        assert!(config.deadline_shed);
+        let arrivals: Vec<ArrivalMeta> = (0..1_000u64)
+            .map(|i| meta(i, PriorityClass::ALL[i as usize % 3], 50_000, Some(100_000)))
+            .collect();
+        let start = std::time::Instant::now();
+        let plan = plan_admission(&arrivals, &config);
+        let elapsed = start.elapsed();
+        assert!(elapsed.as_secs_f64() < 1.0, "took {elapsed:?}");
+        assert_eq!(plan.stats.admitted, arrivals.len());
+        assert!(plan.decisions.iter().all(|d| d.queue_wait_us == 0));
+        assert_eq!(plan.stats.final_limit, u32::MAX);
+    }
 
     fn meta(
         arrival_us: u64,

@@ -754,6 +754,56 @@ mod tests {
         }
     }
 
+    /// Counted-work gate: the agenda's queue holds what the run schedules
+    /// — at most a tick and a close per session that opened and whose
+    /// last event is still pending, plus one pump per running admission —
+    /// so it grows with the live sessions. One queue for everything
+    /// started at the offered count, 2 000 here.
+    #[test]
+    fn the_agenda_queue_grows_with_live_sessions_not_offered_ones() {
+        let f = fixture();
+        let mut world = f.world();
+        let reqs = sessions(&f, 2_000, 100_000, 10_000);
+        let config = SessionEngineConfig {
+            tick_us: 25_000,
+            ..SessionEngineConfig::default()
+        };
+        assert!(config.admission.is_some(), "pumps are counted too");
+        let mut report = None;
+        let peak = event_loop::tests::queue_peak_in(|| {
+            report = Some(run_sessions(
+                &mut world,
+                &reqs,
+                &config,
+                &qosc_telemetry::NoopSink,
+            ));
+        });
+        let report = report.expect("ran");
+        assert_eq!(report.counters.completed, reqs.len());
+        // Sessions between their open and one tick past their close, at
+        // the busiest instant (an open before a close at equal times).
+        let mut edges: Vec<(u64, i64)> = report
+            .outcomes
+            .iter()
+            .flat_map(|o| {
+                let gone = o.closed_us.expect("completed") + config.tick_us;
+                [(o.opened_us, 1), (gone, -1)]
+            })
+            .collect();
+        edges.sort_by_key(|&(t, delta)| (t, -delta));
+        let live = edges
+            .iter()
+            .scan(0i64, |open, &(_, delta)| {
+                *open += delta;
+                Some(*open)
+            })
+            .max()
+            .unwrap_or(0) as usize;
+        assert!(live <= 14, "13 sessions overlap, got {live}");
+        assert!(peak >= 2, "ticks and closes were queued");
+        assert!(peak <= 3 * live, "peak {peak} for {live} live sessions");
+    }
+
     #[test]
     fn zero_hold_sessions_are_degenerate_batches() {
         let f = fixture();

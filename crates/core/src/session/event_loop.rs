@@ -1,17 +1,25 @@
 //! The session engine's discrete-event loop.
 //!
-//! One [`EventQueue`] drives everything. Event ordering at equal
-//! virtual times is the queue's insertion order, and the engine
-//! schedules deliberately:
+//! An [`Agenda`] drives everything. World events and session opens are
+//! known before the run starts, so each sits in a list sorted by
+//! `(time, index)` behind a cursor; only what the run itself schedules
+//! (admission pumps, progress ticks, closes) goes on an [`EventQueue`],
+//! whose heap therefore grows with the live sessions, not the offered
+//! ones. The agenda pops the earliest time, and at equal virtual times
 //!
-//! 1. **world events** are scheduled before any session event, so a
-//!    fault at `t` is visible to everything else happening at `t`;
-//! 2. **session opens** follow, in session-index order — at equal
-//!    arrival times the admission queue therefore sees offers in the
-//!    exact order [`plan_admission`](crate::plan_admission) would have
-//!    offered them;
-//! 3. events scheduled *during* the run (admission pumps, progress
-//!    ticks, closes) pop after those, in creation order.
+//! 1. **world events** first, in index order, so a fault at `t` is
+//!    visible to everything else happening at `t`;
+//! 2. **session opens** next, in session-index order — at equal arrival
+//!    times the admission queue therefore sees offers in the exact order
+//!    [`plan_admission`](crate::plan_admission) would have offered them;
+//! 3. events scheduled *during* the run last, in creation order (the
+//!    queue's own insertion-order tie-break).
+//!
+//! That is the `(time, insertion)` order of one queue fed every world
+//! event, then every open, then the run's events as they are made —
+//! the loop's order before the agenda, kept bit for bit. The run never
+//! schedules before the current instant, so the queue's clamp to its
+//! `now` never fires.
 //!
 //! The admission queue is drained through **pump events**: whenever
 //! work is running, a pump is scheduled at the earliest virtual
@@ -113,6 +121,7 @@ pub(super) struct Sess {
     pub(super) last_evade_us: Option<u64>,
 }
 
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Ev {
     /// Apply world mutation `k`.
     World(usize),
@@ -124,6 +133,86 @@ enum Ev {
     Tick(usize),
     /// Session `i`'s holding time elapses.
     Close(usize),
+}
+
+/// The loop's event order (module docs): the world events and opens known
+/// at the start as two sorted lists behind cursors, and a queue of what
+/// the run schedules.
+struct Agenda {
+    /// `(time, world event index)`, ascending.
+    world: Vec<(u64, usize)>,
+    next_world: usize,
+    /// `(arrival, session index)`, ascending.
+    opens: Vec<(u64, usize)>,
+    next_open: usize,
+    /// Pumps, ticks and closes.
+    queue: EventQueue<Ev>,
+    /// The current instant: the time of the last pop.
+    now: u64,
+}
+
+impl Agenda {
+    fn new(world_times: &[u64], arrivals: impl Iterator<Item = u64>) -> Agenda {
+        // Indices are unique, so an unstable sort is deterministic.
+        let mut world: Vec<(u64, usize)> = world_times.iter().copied().zip(0..).collect();
+        world.sort_unstable();
+        let mut opens: Vec<(u64, usize)> = arrivals.zip(0..).collect();
+        opens.sort_unstable();
+        Agenda {
+            world,
+            next_world: 0,
+            opens,
+            next_open: 0,
+            queue: EventQueue::new(),
+            now: 0,
+        }
+    }
+
+    /// The earliest pending time.
+    fn peek_time(&self) -> Option<u64> {
+        let world = self.world.get(self.next_world).map(|&(t, _)| t);
+        let open = self.opens.get(self.next_open).map(|&(t, _)| t);
+        let queued = self.queue.peek_time().map(|t| t.0);
+        [world, open, queued].into_iter().flatten().min()
+    }
+
+    /// Pop the next event if it is due at `t`, the earliest pending time:
+    /// a world event before an open before a scheduled event.
+    fn pop_at(&mut self, t: u64) -> Option<Ev> {
+        self.now = t;
+        if let Some(&(at, k)) = self.world.get(self.next_world) {
+            if at == t {
+                self.next_world += 1;
+                return Some(Ev::World(k));
+            }
+        }
+        if let Some(&(at, i)) = self.opens.get(self.next_open) {
+            if at == t {
+                self.next_open += 1;
+                return Some(Ev::Open(i));
+            }
+        }
+        if self.queue.peek_time() == Some(SimTime(t)) {
+            return self.queue.pop().map(|(_, ev)| ev);
+        }
+        None
+    }
+
+    /// Schedule `ev` at `at`, never before the current instant.
+    fn schedule(&mut self, at: u64, ev: Ev) {
+        debug_assert!(at >= self.now, "the run never schedules into the past");
+        self.queue.schedule(SimTime(at), ev);
+        meter_queue_len(self.queue.len());
+    }
+}
+
+/// Meter the agenda queue's length after a push (test builds only).
+#[inline(always)]
+fn meter_queue_len(len: usize) {
+    #[cfg(test)]
+    tests::QUEUE_PEAK.with(|peak| peak.set(peak.get().max(len)));
+    #[cfg(not(test))]
+    let _ = len;
 }
 
 /// The lifecycle: event queue, phases, admission, job fan-out, accrual,
@@ -138,7 +227,7 @@ pub(super) struct Loop<'a, 'w, W: SessionWorld, S: TelemetrySink> {
     sink: &'a S,
     pub(super) adaptation: Option<AbrConfig>,
     pub(super) sla: Sla,
-    queue: EventQueue<Ev>,
+    agenda: Agenda,
     admission: Option<AdmissionQueue>,
     /// Ticket → `(session, Open | Recompose)`; tickets are issued
     /// sequentially by the admission queue.
@@ -189,14 +278,10 @@ pub fn run_sessions<W: SessionWorld + Sync, S: TelemetrySink>(
     sink: &S,
 ) -> SessionsReport {
     let horizon = config.horizon_us.unwrap_or(u64::MAX);
-    let mut queue = EventQueue::new();
-    // World events first (see module docs for the equal-time contract).
-    for (k, &t) in world.world_event_times().iter().enumerate() {
-        queue.schedule(SimTime(t), Ev::World(k));
-    }
-    for (i, request) in requests.iter().enumerate() {
-        queue.schedule(SimTime(request.arrival.arrival_us), Ev::Open(i));
-    }
+    let agenda = Agenda::new(
+        world.world_event_times(),
+        requests.iter().map(|r| r.arrival.arrival_us),
+    );
 
     let n = requests.len();
     let initial_grant_epoch = world.grant_epoch();
@@ -207,7 +292,7 @@ pub fn run_sessions<W: SessionWorld + Sync, S: TelemetrySink>(
         sink,
         adaptation: abr::resolve(config),
         sla: Sla::from_config(config),
-        queue,
+        agenda,
         admission: config.admission.map(AdmissionQueue::new),
         tickets: Vec::new(),
         pumps: std::collections::HashSet::new(),
@@ -244,25 +329,23 @@ pub fn run_sessions<W: SessionWorld + Sync, S: TelemetrySink>(
     let memo = ComposeMemo::new(&config.resilient.options);
 
     let mut end_us = 0u64;
-    while let Some(head) = lp.queue.peek_time() {
-        if head.0 > horizon {
+    while let Some(t) = lp.agenda.peek_time() {
+        if t > horizon {
             break;
         }
-        let t = head.0;
         end_us = t;
         // Drain every event at this instant; handlers may schedule more
         // same-instant events (pumps, opens deciding immediately) and
         // collect compose jobs.
         loop {
-            while lp.queue.peek_time() == Some(head) {
-                let Some((_, ev)) = lp.queue.pop() else { break };
+            while let Some(ev) = lp.agenda.pop_at(t) {
                 lp.handle(t, ev);
             }
             if lp.world_changed {
                 lp.world_changed = false;
                 lp.check_liveness(t);
             }
-            if lp.queue.peek_time() != Some(head) {
+            if lp.agenda.peek_time() != Some(t) {
                 break;
             }
         }
@@ -431,7 +514,7 @@ impl<W: SessionWorld + Sync, S: TelemetrySink> Loop<'_, '_, W, S> {
         if let Some(finish) = q.next_finish_us() {
             debug_assert!(finish > t, "completions never land in the past");
             if finish > t && self.pumps.insert(finish) {
-                self.queue.schedule(SimTime(finish), Ev::Pump);
+                self.agenda.schedule(finish, Ev::Pump);
             }
         }
     }
@@ -541,7 +624,7 @@ impl<W: SessionWorld + Sync, S: TelemetrySink> Loop<'_, '_, W, S> {
         // would not advance time, and scheduling it would spin forever.
         let next = t.saturating_add(tick);
         if next > t {
-            self.queue.schedule(SimTime(next), Ev::Tick(i));
+            self.agenda.schedule(next, Ev::Tick(i));
         }
     }
 
@@ -747,7 +830,7 @@ impl<W: SessionWorld + Sync, S: TelemetrySink> Loop<'_, '_, W, S> {
                 }
                 self.attach_buffer(i);
                 let close_at = t.saturating_add(hold);
-                self.queue.schedule(SimTime(close_at), Ev::Close(i));
+                self.agenda.schedule(close_at, Ev::Close(i));
                 self.schedule_tick(t, i);
             }
         }
@@ -810,5 +893,73 @@ impl<W: SessionWorld + Sync, S: TelemetrySink> Loop<'_, '_, W, S> {
         self.world
             .register_session_flow(i as u64, plan, request.demand_bps, weight);
         self.resample_fill(i);
+    }
+}
+
+#[cfg(test)]
+pub(super) mod tests {
+    use super::*;
+    use proptest::{run_cases, ProptestConfig};
+    use rand::RngExt;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// The agenda queue's longest length on this thread — the meter
+        /// of the counted-work gate in `session.rs`.
+        pub(super) static QUEUE_PEAK: Cell<usize> = const { Cell::new(0) };
+    }
+
+    /// The agenda queue's peak length while `work` runs on this thread.
+    pub(in crate::session) fn queue_peak_in(work: impl FnOnce()) -> usize {
+        QUEUE_PEAK.with(|peak| peak.set(0));
+        work();
+        QUEUE_PEAK.with(Cell::get)
+    }
+
+    /// The agenda pops exactly what the order it replaced pops: one
+    /// `EventQueue` fed every world event, then every open, then the
+    /// run's events as they are made. World times and arrivals are
+    /// unsorted and tie with each other and with run events, same-instant
+    /// run events included.
+    #[test]
+    fn agenda_pops_in_the_single_queue_order() {
+        let config = ProptestConfig {
+            cases: 1_024,
+            ..ProptestConfig::default()
+        };
+        run_cases(config, "agenda_order", |rng| {
+            let times = |rng: &mut proptest::TestRng| -> Vec<u64> {
+                let n = rng.random_range(0..=12usize);
+                (0..n).map(|_| rng.random_range(0..=20u64)).collect()
+            };
+            let world_times = times(rng);
+            let arrivals = times(rng);
+            let mut agenda = Agenda::new(&world_times, arrivals.iter().copied());
+            let mut single = EventQueue::new();
+            for (k, &t) in world_times.iter().enumerate() {
+                single.schedule(SimTime(t), Ev::World(k));
+            }
+            for (i, &t) in arrivals.iter().enumerate() {
+                single.schedule(SimTime(t), Ev::Open(i));
+            }
+            let mut made = 0;
+            while let Some(t) = agenda.peek_time() {
+                assert_eq!(single.peek_time(), Some(SimTime(t)));
+                while let Some(ev) = agenda.pop_at(t) {
+                    assert_eq!(single.pop(), Some((SimTime(t), ev)));
+                    for _ in 0..rng.random_range(0..=2usize) {
+                        if made == 40 {
+                            break;
+                        }
+                        let at = t + rng.random_range(0..=6u64);
+                        let ev = [Ev::Pump, Ev::Tick(made), Ev::Close(made)][made % 3];
+                        made += 1;
+                        agenda.schedule(at, ev);
+                        single.schedule(SimTime(at), ev);
+                    }
+                }
+            }
+            assert_eq!(single.pop(), None);
+        });
     }
 }

@@ -83,14 +83,6 @@ pub enum WorldOp {
     Settle,
 }
 
-/// A mutable world under a chaos schedule, implementing
-/// [`SessionWorld`] for [`run_sessions`](qosc_core::run_sessions).
-///
-/// Construction order matters for determinism the same way it does for
-/// the chaos generator: join members first, then schedule events. At
-/// equal virtual times events apply in scheduling order (the engine
-/// preserves insertion order), which is how a node crash keeps its
-/// correlated link faults adjacent.
 /// Per-member grey-fault state: 1000 permille means "as advertised".
 /// Grey faults degrade *behaviour* while leaving every liveness signal
 /// intact, so this state is invisible to `plan_alive`/`plan_routable`
@@ -121,8 +113,10 @@ impl Default for GreyState {
 const REFILL_HEADROOM: u64 = 2;
 const MIN_SHARE_DIV: u64 = 4;
 
-/// Hit/miss/refresh counters of the per-session delivery memo —
-/// scorecards use `hits > 0` as proof the cache is actually exercised.
+/// Hit/miss/refresh counters of the per-session delivery memo's
+/// *brokered* answers — scorecards use `hits > 0` as proof the cache is
+/// actually exercised. Brokerless answers go through the same memo but
+/// are not counted, so a brokerless world reads all zeros.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DeliveryCacheStats {
     /// Full memo hits (plan shape and grant both unchanged).
@@ -131,24 +125,42 @@ pub struct DeliveryCacheStats {
     /// shape (routes, required rate, sag cap) was reused and only the
     /// cheap grant division re-ran.
     pub refreshes: u64,
-    /// Full recomputes (new plan generation, world event, or demand
-    /// change).
+    /// Full recomputes (new plan generation, world event, registry write
+    /// or demand change).
     pub misses: u64,
 }
 
-/// One session's memoized delivery state. The key splits in two: the
-/// *shape* part (`plan_gen`, `mutation`, `net_version`, `demand_bps`)
-/// guards the expensive route walk, while `epoch` guards only the cheap
-/// grant-dependent division — a broker reallocation invalidates the ppm
-/// without re-walking routes.
-#[derive(Debug, Clone, Copy)]
-struct DeliveryCacheEntry {
+/// Everything a session's delivery answer reads besides the broker's
+/// grant: which plan (`plan_gen`; with the session it names one plan
+/// within one run), grey state and discovery membership (`mutation`, the
+/// world event count), routes, headroom and failures (`net_version`),
+/// service availability (`registry_epoch` — a quarantine or probation
+/// between world events moves it) and the demand floor.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct DeliveryKey {
     plan_gen: u32,
     mutation: u64,
     net_version: u64,
+    registry_epoch: u64,
     demand_bps: u64,
-    epoch: u64,
+}
+
+/// One session's memoized delivery answer, valid while its key holds.
+#[derive(Debug, Clone, Copy)]
+struct DeliveryCacheEntry {
+    key: DeliveryKey,
     ppm: u64,
+    /// Brokered entries only: the shape part of the answer and the grant
+    /// epoch `ppm` was divided at, so a reallocation redoes only the
+    /// division.
+    shape: Option<GrantShape>,
+}
+
+/// The grant-independent part of a brokered answer (the route walk),
+/// and the broker epoch its entry's `ppm` was divided at.
+#[derive(Debug, Clone, Copy)]
+struct GrantShape {
+    epoch: u64,
     routable: bool,
     required_bps: u64,
     sag_cap_ppm: u64,
@@ -160,6 +172,30 @@ struct DeliveryCache {
     stats: DeliveryCacheStats,
 }
 
+/// Meter one memoized sample of `session` at `key` (test builds only).
+#[inline(always)]
+fn meter_sample(session: u64, key: DeliveryKey) {
+    #[cfg(test)]
+    delivery_oracle::SAMPLED.with(|sampled| sampled.borrow_mut().push((session, key)));
+    #[cfg(not(test))]
+    let _ = (session, key);
+}
+
+/// Meter one full delivery recompute (test builds only).
+#[inline(always)]
+fn meter_recompute() {
+    #[cfg(test)]
+    delivery_oracle::RECOMPUTES.with(|n| n.set(n.get() + 1));
+}
+
+/// A mutable world under a chaos schedule, implementing
+/// [`SessionWorld`] for [`run_sessions`](qosc_core::run_sessions).
+///
+/// Construction order matters for determinism the same way it does for
+/// the chaos generator: join members first, then schedule events. At
+/// equal virtual times events apply in scheduling order (the engine
+/// orders world events by `(time, index)`), which is how a node crash
+/// keeps its correlated link faults adjacent.
 #[derive(Debug)]
 pub struct ChaosWorld<'a> {
     formats: &'a FormatRegistry,
@@ -181,8 +217,12 @@ pub struct ChaosWorld<'a> {
     /// Bumps on every applied world event (and on sharing-mode
     /// changes); part of the delivery memo key.
     world_mutations: u64,
-    /// Per-session delivery memo, exercised only when a broker is
-    /// attached. Only the serving loop's thread calls
+    /// Per-session delivery memo behind `session_delivery_ppm`, with or
+    /// without a broker: an answer is reused only at the exact
+    /// [`DeliveryKey`] it was computed at, and an entry dies with its
+    /// session's flow. `(session, plan_gen)` names a plan only within
+    /// one `run_sessions`, which is all a `ChaosWorld` serves (its world
+    /// events replay from index 0). Only the serving loop's thread calls
     /// `session_delivery_ppm`, so the lock is never contended; it exists
     /// because the trait method takes `&self` (`parking_lot::Mutex`
     /// keeps `ChaosWorld: Sync`).
@@ -658,22 +698,24 @@ impl SessionWorld for ChaosWorld<'_> {
     fn deregister_session_flow(&mut self, session: u64) {
         if let Some(broker) = self.broker.as_mut() {
             broker.deregister(session);
-            // A departed flow is either closed for good or comes back
-            // under a new plan generation: its memo entry can never hit
-            // again, so the memo tracks live flows, not offered sessions.
-            self.delivery_cache.get_mut().entries.remove(&session);
         }
+        // A departed flow is either closed for good or comes back under a
+        // new plan generation: its memo entry can never hit again, so the
+        // memo tracks live sessions, not offered ones.
+        self.delivery_cache.get_mut().entries.remove(&session);
     }
 
     fn grant_epoch(&self) -> u64 {
         self.broker.as_ref().map_or(0, |b| b.epoch())
     }
 
-    /// Brokered delivery: the session's granted rate over its plan's
-    /// peak required rate, in ppm — in place of the shared-fate
-    /// worst-hop division — memoized per session. Hard-unroutable plans
-    /// still deliver 0 and grey sags still cap the result, so every
-    /// invariant of [`delivery_ppm`](Self::delivery_ppm) carries over.
+    /// Per-session delivery, memoized per session at its
+    /// [`DeliveryKey`]. Without a broker it is the shared-fate
+    /// [`delivery_ppm`](Self::delivery_ppm). With one it is the
+    /// session's granted rate over its plan's peak required rate, in ppm,
+    /// in place of the worst-hop division; hard-unroutable plans still
+    /// deliver 0 and grey sags still cap the result, so every invariant
+    /// of `delivery_ppm` carries over.
     fn session_delivery_ppm(
         &self,
         session: u64,
@@ -681,75 +723,83 @@ impl SessionWorld for ChaosWorld<'_> {
         plan: &AdaptationPlan,
         demand_bps: u64,
     ) -> u64 {
-        let Some(broker) = self.broker.as_ref() else {
-            return self.delivery_ppm(plan, demand_bps);
+        let grant = match self.broker.as_ref() {
+            None => None,
+            Some(broker) => match broker.grant(session) {
+                Some(grant) => Some((grant, broker.epoch())),
+                // Not yet registered (e.g. a probe before adoption):
+                // answer shared-fate rather than starving the session.
+                None => return self.delivery_ppm(plan, demand_bps),
+            },
         };
-        let Some(grant) = broker.grant(session) else {
-            // Not yet registered (e.g. a probe before adoption): answer
-            // shared-fate rather than starving the session.
-            return self.delivery_ppm(plan, demand_bps);
+        let key = DeliveryKey {
+            plan_gen,
+            mutation: self.world_mutations,
+            net_version: self.network.version(),
+            registry_epoch: self.services.epoch(),
+            demand_bps,
         };
-        let epoch = broker.epoch();
-        let net_version = self.network.version();
+        meter_sample(session, key);
         {
             let mut cache = self.delivery_cache.lock();
             let DeliveryCache { entries, stats } = &mut *cache;
-            if let Some(entry) = entries.get_mut(&session) {
-                if entry.plan_gen == plan_gen
-                    && entry.mutation == self.world_mutations
-                    && entry.net_version == net_version
-                    && entry.demand_bps == demand_bps
-                {
-                    if entry.epoch == epoch {
+            if let Some(entry) = entries.get_mut(&session).filter(|e| e.key == key) {
+                match (grant, entry.shape.as_mut()) {
+                    (None, None) => return entry.ppm,
+                    (Some((_, epoch)), Some(shape)) if shape.epoch == epoch => {
                         stats.hits += 1;
                         return entry.ppm;
                     }
-                    // Broker reallocation: invalidate only the
-                    // grant-dependent part.
-                    let ppm =
-                        granted_ppm(grant, entry.routable, entry.required_bps, entry.sag_cap_ppm);
-                    entry.epoch = epoch;
-                    entry.ppm = ppm;
-                    stats.refreshes += 1;
-                    return ppm;
+                    // Broker reallocation: redo only the grant division.
+                    (Some((grant, epoch)), Some(shape)) => {
+                        shape.epoch = epoch;
+                        entry.ppm = shape.granted_ppm(grant);
+                        stats.refreshes += 1;
+                        return entry.ppm;
+                    }
+                    // `set_sharing` empties the memo, so an entry always
+                    // matches the world's mode; recompute if it does not.
+                    _ => {}
                 }
             }
         }
         // Full recompute outside the lock: routability and the route
         // walk dominate.
-        let routable = self.plan_routable(plan);
-        let (_, required_bps) = Self::flow_shape(&self.network, plan, demand_bps);
-        let sag_cap_ppm = self.plan_sag_cap(plan);
-        let ppm = granted_ppm(grant, routable, required_bps, sag_cap_ppm);
+        meter_recompute();
+        let (ppm, shape) = match grant {
+            None => (self.delivery_ppm(plan, demand_bps), None),
+            Some((grant, epoch)) => {
+                let shape = GrantShape {
+                    epoch,
+                    routable: self.plan_routable(plan),
+                    required_bps: Self::flow_shape(&self.network, plan, demand_bps).1,
+                    sag_cap_ppm: self.plan_sag_cap(plan),
+                };
+                (shape.granted_ppm(grant), Some(shape))
+            }
+        };
         let mut cache = self.delivery_cache.lock();
-        cache.entries.insert(
-            session,
-            DeliveryCacheEntry {
-                plan_gen,
-                mutation: self.world_mutations,
-                net_version,
-                demand_bps,
-                epoch,
-                ppm,
-                routable,
-                required_bps,
-                sag_cap_ppm,
-            },
-        );
-        cache.stats.misses += 1;
+        cache
+            .entries
+            .insert(session, DeliveryCacheEntry { key, ppm, shape });
+        if shape.is_some() {
+            cache.stats.misses += 1;
+        }
         ppm
     }
 }
 
-/// The grant-dependent half of a brokered delivery answer: granted
-/// rate over required rate in ppm, zeroed for unroutable plans, capped
-/// by the worst grey sag.
-fn granted_ppm(grant: u64, routable: bool, required_bps: u64, sag_cap_ppm: u64) -> u64 {
-    if !routable {
-        return 0;
+impl GrantShape {
+    /// The grant-dependent half of a brokered delivery answer: granted
+    /// rate over required rate in ppm, zeroed for unroutable plans,
+    /// capped by the worst grey sag.
+    fn granted_ppm(&self, grant: u64) -> u64 {
+        if !self.routable {
+            return 0;
+        }
+        let ppm = grant.saturating_mul(1_000_000) / self.required_bps.max(1);
+        ppm.min(self.sag_cap_ppm)
     }
-    let ppm = grant.saturating_mul(1_000_000) / required_bps.max(1);
-    ppm.min(sag_cap_ppm)
 }
 
 #[cfg(test)]
@@ -766,18 +816,18 @@ mod tests {
     };
     use qosc_services::catalog;
 
-    struct Fixture {
-        formats: FormatRegistry,
+    pub(super) struct Fixture {
+        pub(super) formats: FormatRegistry,
     }
 
-    struct Hosts {
-        server: NodeId,
-        proxy: NodeId,
-        client: NodeId,
-        last_hop: LinkId,
+    pub(super) struct Hosts {
+        pub(super) server: NodeId,
+        pub(super) proxy: NodeId,
+        pub(super) client: NodeId,
+        pub(super) last_hop: LinkId,
     }
 
-    fn fixture() -> Fixture {
+    pub(super) fn fixture() -> Fixture {
         Fixture {
             formats: FormatRegistry::with_builtins(),
         }
@@ -785,7 +835,7 @@ mod tests {
 
     /// server —100M— proxy —1M— client, with the full transcoder
     /// catalog joined on the proxy through the discovery driver.
-    fn world(f: &Fixture) -> (ChaosWorld<'_>, Hosts) {
+    pub(super) fn world(f: &Fixture) -> (ChaosWorld<'_>, Hosts) {
         let mut topo = Topology::new();
         let server = topo.add_node(Node::unconstrained("server"));
         let proxy = topo.add_node(Node::unconstrained("proxy"));
@@ -807,7 +857,7 @@ mod tests {
         )
     }
 
-    fn profiles() -> ProfileSet {
+    pub(super) fn profiles() -> ProfileSet {
         ProfileSet {
             user: UserProfile::demo("user-0"),
             content: ContentProfile::demo_video("clip"),
@@ -1296,3 +1346,6 @@ mod tests {
         }
     }
 }
+
+#[cfg(test)]
+mod delivery_oracle;
