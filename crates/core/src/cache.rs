@@ -31,6 +31,7 @@ use crate::composer::Composer;
 use crate::graph::{GraphStore, GraphStoreStats};
 use crate::plan::AdaptationPlan;
 use crate::select::SelectOptions;
+use crate::stamp::WorldStamp;
 use crate::Result;
 use parking_lot::RwLock;
 use qosc_netsim::{Network, NodeId};
@@ -85,17 +86,15 @@ impl CacheStats {
 /// A cached plan stamped with the world state it was validated
 /// against. While the registry epoch holds still nothing the registry
 /// half of a revalidation reads can have changed, and likewise the
-/// network version for the network half (every registry mutation bumps
-/// the epoch, every network mutation bumps the version), so a stamp
-/// match certifies its half of the plan with one integer compare. The
-/// half whose stamp moved is re-checked — and on success the entry is
+/// network version for the network half, so each part of the stamp
+/// certifies its half of the plan with one integer compare. The half
+/// whose part moved is re-checked — and on success the entry is
 /// re-stamped, so the classification is exactly what a
 /// scan-everything-every-time cache produces.
 #[derive(Debug, Clone)]
 struct CachedPlan {
     plan: AdaptationPlan,
-    registry_epoch: u64,
-    network_version: u64,
+    stamp: WorldStamp,
 }
 
 /// One lock-guarded slice of the cache, with its own exact counters.
@@ -276,13 +275,12 @@ impl ShardedCompositionCache {
             let span = trace.open_span(ROOT_SPAN, "cache");
             trace.emit(span, EventKind::CacheProbe { outcome });
         };
-        let registry_epoch = services.epoch();
-        let network_version = network.version();
+        let stamp = WorldStamp::of(services, network);
         let cached = shard.entries.read().get(&key).cloned();
         match cached {
             Some(entry) => {
-                let registry_fresh = entry.registry_epoch == registry_epoch;
-                let network_fresh = entry.network_version == network_version;
+                let registry_fresh = entry.stamp.registry_epoch == stamp.registry_epoch;
+                let network_fresh = entry.stamp.network_version == stamp.network_version;
                 if (registry_fresh || services_still_available(services, &entry.plan))
                     && (network_fresh || hops_still_routable(network, &entry.plan))
                 {
@@ -291,8 +289,7 @@ impl ShardedCompositionCache {
                         // half that moved: re-stamp so the next probe
                         // is a stamp compare again.
                         if let Some(entry) = shard.entries.write().get_mut(&key) {
-                            entry.registry_epoch = registry_epoch;
-                            entry.network_version = network_version;
+                            entry.stamp = stamp;
                         }
                     }
                     shard.hits.fetch_add(1, Ordering::Relaxed);
@@ -314,8 +311,7 @@ impl ShardedCompositionCache {
                 key,
                 CachedPlan {
                     plan: plan.clone(),
-                    registry_epoch,
-                    network_version,
+                    stamp,
                 },
             );
         }
@@ -661,8 +657,7 @@ mod tests {
             let shard = cache.shard_for(key);
             let mut entries = shard.entries.write();
             let entry = entries.get_mut(&key).expect("entry cached");
-            entry.registry_epoch = f.services.epoch();
-            entry.network_version = f.network.version();
+            entry.stamp = WorldStamp::of(&f.services, &f.network);
         }
         let again = {
             let composer = Composer {
@@ -726,18 +721,17 @@ mod tests {
         let stamps = |cache: &ShardedCompositionCache| {
             let shard = cache.shard_for(key);
             let entries = shard.entries.read();
-            let entry = entries.get(&key).expect("entry cached");
-            (entry.registry_epoch, entry.network_version)
+            entries.get(&key).expect("entry cached").stamp
         };
         let stamped_at_insert = stamps(&cache);
-        assert_eq!(stamped_at_insert, (f.services.epoch(), f.network.version()));
+        assert_eq!(stamped_at_insert, WorldStamp::of(&f.services, &f.network));
         // Unrelated churn: duplicate one catalog service on the proxy.
         // The cached chain stays valid but the epoch moves.
         let spec = &catalog::full_catalog()[0];
         let proxy_host = f.services.live_services().next().unwrap().1.host;
         f.services
             .register_static(TranscoderDescriptor::resolve(spec, &f.formats, proxy_host).unwrap());
-        assert_ne!(f.services.epoch(), stamped_at_insert.0);
+        assert_ne!(f.services.epoch(), stamped_at_insert.registry_epoch);
         compose(&f);
         assert_eq!(
             cache.stats(),
@@ -748,7 +742,7 @@ mod tests {
             }
         );
         // The surviving entry was re-stamped to the post-churn world…
-        assert_eq!(stamps(&cache), (f.services.epoch(), f.network.version()));
+        assert_eq!(stamps(&cache), WorldStamp::of(&f.services, &f.network));
         // …so the next probe is a same-stamp hit without another scan.
         compose(&f);
         assert_eq!(
@@ -846,12 +840,12 @@ mod tests {
             edit(entries.get_mut(&key).expect("entry cached"))
         }
 
-        fn stamps(&self) -> (u64, u64) {
-            self.with_entry(|entry| (entry.registry_epoch, entry.network_version))
+        fn stamps(&self) -> WorldStamp {
+            self.with_entry(|entry| entry.stamp)
         }
 
-        fn world_stamps(&self) -> (u64, u64) {
-            (self.world.services.epoch(), self.world.network.version())
+        fn world_stamps(&self) -> WorldStamp {
+            WorldStamp::of(&self.world.services, &self.world.network)
         }
 
         /// A registry mutation that leaves `service` available but moves
@@ -886,9 +880,9 @@ mod tests {
         let (service, proxy) = first_service(&first);
         f.world.network.fail_node(proxy).unwrap();
         let version = f.world.network.version();
-        f.with_entry(|entry| entry.network_version = version);
+        f.with_entry(|entry| entry.stamp.network_version = version);
         f.churn_around(service);
-        assert_ne!(f.stamps().0, f.world_stamps().0);
+        assert_ne!(f.stamps().registry_epoch, f.world_stamps().registry_epoch);
 
         let again = f.compose().expect("network half must be skipped");
         assert_eq!(again, first);
@@ -962,9 +956,9 @@ mod tests {
             .report_failure(service, SimTime(10))
             .unwrap());
         let epoch = f.world.services.epoch();
-        f.with_entry(|entry| entry.registry_epoch = epoch);
+        f.with_entry(|entry| entry.stamp.registry_epoch = epoch);
         let _ = f.world.network.background_mut();
-        assert_ne!(f.stamps().1, f.world_stamps().1);
+        assert_ne!(f.stamps().network_version, f.world_stamps().network_version);
 
         let again = f.compose().expect("registry half must be skipped");
         assert_eq!(again, first);

@@ -42,10 +42,11 @@ use crate::composer::Composer;
 use crate::graph::GraphStore;
 use crate::plan::AdaptationPlan;
 use crate::select::{SelectFailure, SelectOptions};
+use crate::stamp::WorldStamp;
 use crate::Result;
 use parking_lot::RwLock;
 use qosc_media::{Axis, MediaKind};
-use qosc_netsim::NodeId;
+use qosc_netsim::{memo::memos_off, NodeId};
 use qosc_profiles::ProfileSet;
 use qosc_satisfaction::{AxisPreference, SatisfactionFn, SatisfactionProfile};
 use qosc_telemetry::{
@@ -600,24 +601,21 @@ pub(crate) struct Composed {
 }
 
 /// One memoized composition: the request it answers (the map key is
-/// only that request's hash), the world stamp `(registry epoch, network
-/// version)` it was composed at, and the answer.
+/// only that request's hash), the world it was composed in, and the
+/// answer.
 struct MemoEntry {
     request: CompositionRequest,
-    stamp: (u64, u64),
+    stamp: WorldStamp,
     composed: Composed,
 }
 
-/// The exact memo [`serve_one`] composes through (DESIGN.md §12).
+/// The exact memo [`serve_one`] composes through (DESIGN.md, "Memos").
 ///
 /// A rung's composition is a pure function of the request, the rung,
-/// the format table, the selection options and what it reads of the
-/// registry and the network. Formats and options are fixed for the
-/// memo's lifetime; equal registry epochs give identical availability
-/// and probation penalties ([`ServiceRegistry::epoch`]), equal network
-/// versions identical routes and bandwidth ([`Network::version`]). So an
-/// entry keyed by (request, rung) answers only when its stamp equals the
-/// world's, and then it answers bit for bit what
+/// the format table, the selection options and the world it reads.
+/// Formats and options are fixed for the memo's lifetime, so an entry
+/// keyed by (request, rung) answers only at the [`WorldStamp`] it was
+/// composed at, and then it answers bit for bit what
 /// [`Composer::compose_with_store`] would. Unlike
 /// [`ShardedCompositionCache`] it never keeps a plan across a stamp move
 /// because the plan still works: a fresh compose may now pick another.
@@ -627,9 +625,6 @@ struct MemoEntry {
 /// stamp, so entries are bounded by the distinct (request, rung) pairs
 /// served. Lookup and insert take a short lock; composition runs
 /// outside it, and workers racing on a cold key insert equal values.
-///
-/// [`ServiceRegistry::epoch`]: qosc_services::ServiceRegistry::epoch
-/// [`Network::version`]: qosc_netsim::Network::version
 pub(crate) struct ComposeMemo {
     options: SelectOptions,
     /// Where misses get their adaptation graphs.
@@ -671,9 +666,9 @@ impl ComposeMemo {
         key: u64,
         rung: DegradationRung,
     ) -> Result<Composed> {
-        let stamp = (composer.services.epoch(), composer.network.version());
+        let stamp = WorldStamp::of(composer.services, composer.network);
         if let Some(entry) = self.entries.read().get(&(key, rung)) {
-            if entry.stamp == stamp && entry.request == *request {
+            if !memos_off() && entry.stamp == stamp && entry.request == *request {
                 return Ok(entry.composed.clone());
             }
         }

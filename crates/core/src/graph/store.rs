@@ -22,10 +22,9 @@
 //! canonical position a fresh build would have produced (sources in
 //! vertex order, formats in first-appearance order, targets in
 //! registration order with the receiver last). Edge *ids* may differ —
-//! nothing outside the graph stores one. A verification mode (on by
-//! default in debug builds) asserts structural equivalence against a
-//! fresh build after every delta; `graphs_equivalent` is also exported
-//! for the property tests.
+//! nothing outside the graph stores one. Debug builds assert structural
+//! equivalence against a fresh build after every delta;
+//! `graphs_equivalent` is also exported for the property tests.
 
 use crate::graph::build::{self, BuildInput};
 use crate::graph::model::{
@@ -34,7 +33,7 @@ use crate::graph::model::{
 use crate::{CoreError, Result};
 use parking_lot::RwLock;
 use qosc_media::{AxisDomain, DomainVector, FormatId};
-use qosc_netsim::{Network, NodeId, PathAnnotation};
+use qosc_netsim::{memo::memos_off, Network, NodeId, PathAnnotation};
 use qosc_services::{RegistryEvent, ServiceId, ServiceRegistry, ShardedServiceRegistry};
 use qosc_telemetry::{
     Event as TelemetryEvent, EventKind as TelemetryEventKind, MetricsRegistry, TelemetrySink,
@@ -173,11 +172,12 @@ type DeltaOutcome = Option<(AdaptationGraph, Vec<(ServiceId, bool)>)>;
 
 /// Epoch-stamped incremental graph store. Shared by reference across
 /// engine workers; all interior mutability is lock- or atomic-based.
+/// Under [`memos_off`] every request rebuilds (and so reads no
+/// annotation table either).
 pub struct GraphStore {
     entries: RwLock<HashMap<u64, StoreEntry>>,
     annotations: RwLock<AnnotationCache>,
     delta_threshold: usize,
-    verify_deltas: bool,
     rebuilds: AtomicU64,
     deltas: AtomicU64,
     delta_ops: AtomicU64,
@@ -195,16 +195,13 @@ impl std::fmt::Debug for GraphStore {
         f.debug_struct("GraphStore")
             .field("graphs", &self.entries.read().len())
             .field("delta_threshold", &self.delta_threshold)
-            .field("verify_deltas", &self.verify_deltas)
             .field("stats", &self.stats())
             .finish()
     }
 }
 
 impl GraphStore {
-    /// A store with the default delta threshold; delta verification is
-    /// on in debug builds (so the test suite proves delta == rebuild on
-    /// every replay) and off in release builds.
+    /// A store with the default delta threshold.
     pub fn new() -> GraphStore {
         GraphStore {
             entries: RwLock::new(HashMap::new()),
@@ -213,7 +210,6 @@ impl GraphStore {
                 tables: HashMap::new(),
             }),
             delta_threshold: DEFAULT_DELTA_THRESHOLD,
-            verify_deltas: cfg!(debug_assertions),
             rebuilds: AtomicU64::new(0),
             deltas: AtomicU64::new(0),
             delta_ops: AtomicU64::new(0),
@@ -224,12 +220,6 @@ impl GraphStore {
     /// Override the rebuild fallback threshold.
     pub fn with_delta_threshold(mut self, threshold: usize) -> GraphStore {
         self.delta_threshold = threshold;
-        self
-    }
-
-    /// Force delta verification on or off regardless of build profile.
-    pub fn with_verification(mut self, verify: bool) -> GraphStore {
-        self.verify_deltas = verify;
         self
     }
 
@@ -334,9 +324,10 @@ impl GraphStore {
             Some(scope) => scope.stamp(),
         };
         let version = input.network.version();
+        let reads_stored = !memos_off();
 
         // Fast path: the stored graph is current.
-        {
+        if reads_stored {
             let guard = self.entries.read();
             if let Some(entry) = guard.get(&key) {
                 if entry.stamp == stamp && entry.network_version == version {
@@ -350,7 +341,7 @@ impl GraphStore {
         // Snapshot the stale entry (if any) outside the lock.
         let snapshot = {
             let guard = self.entries.read();
-            guard.get(&key).map(|entry| {
+            guard.get(&key).filter(|_| reads_stored).map(|entry| {
                 (
                     entry.graph.clone(),
                     entry.stamp.clone(),
@@ -377,7 +368,7 @@ impl GraphStore {
                     if let Some((updated, updated_services)) =
                         self.apply_delta(&graph, &services, &plan, input, filter)?
                     {
-                        if self.verify_deltas {
+                        if cfg!(debug_assertions) {
                             let fresh = build::build_filtered(input, filter)?;
                             assert!(
                                 graphs_equivalent(&updated, &fresh),
@@ -1037,7 +1028,7 @@ mod tests {
     #[test]
     fn same_epoch_requests_share_the_graph() {
         let sc = scenario(4);
-        let store = GraphStore::new().with_verification(true);
+        let store = GraphStore::new();
         let a = store.graph_for(&sc.input()).unwrap();
         let b = store.graph_for(&sc.input()).unwrap();
         assert!(Arc::ptr_eq(&a, &b));
@@ -1052,7 +1043,7 @@ mod tests {
     #[test]
     fn registration_churn_is_served_by_deltas() {
         let mut sc = scenario(4);
-        let store = GraphStore::new().with_verification(true);
+        let store = GraphStore::new();
         store.graph_for(&sc.input()).unwrap();
 
         // Register two more services: delta, not rebuild (the internal
@@ -1079,7 +1070,7 @@ mod tests {
     #[test]
     fn quarantine_reinstate_and_expiry_deltas_match_fresh_builds() {
         let mut sc = scenario(5);
-        let store = GraphStore::new().with_verification(true);
+        let store = GraphStore::new();
         store.graph_for(&sc.input()).unwrap();
 
         let ids: Vec<ServiceId> = sc.services.live_services().map(|(id, _)| id).collect();
@@ -1120,7 +1111,7 @@ mod tests {
     #[test]
     fn network_changes_force_a_rebuild() {
         let mut sc = scenario(3);
-        let store = GraphStore::new().with_verification(true);
+        let store = GraphStore::new();
         store.graph_for(&sc.input()).unwrap();
         sc.network.advance_background();
         store.graph_for(&sc.input()).unwrap();
@@ -1131,7 +1122,7 @@ mod tests {
     #[test]
     fn compacted_event_tails_fall_back_to_rebuild() {
         let mut sc = scenario(3);
-        let store = GraphStore::new().with_verification(true);
+        let store = GraphStore::new();
         store.graph_for(&sc.input()).unwrap();
 
         // Registry moves, then the log the store would replay is
@@ -1211,7 +1202,7 @@ mod tests {
             };
         }
 
-        let store = GraphStore::new().with_verification(true);
+        let store = GraphStore::new();
         let mut expanded = vec![false; 4];
         expanded[sa as usize] = true;
 
@@ -1276,9 +1267,7 @@ mod tests {
     #[test]
     fn oversized_event_tails_fall_back_to_rebuild() {
         let mut sc = scenario(2);
-        let store = GraphStore::new()
-            .with_verification(true)
-            .with_delta_threshold(1);
+        let store = GraphStore::new().with_delta_threshold(1);
         store.graph_for(&sc.input()).unwrap();
         register_one(&mut sc, "N0", SimTime::ZERO.plus_micros(10));
         register_one(&mut sc, "N1", SimTime::ZERO.plus_micros(20));

@@ -55,6 +55,7 @@ pub mod plan;
 pub mod select;
 pub mod session;
 pub mod sharded_compose;
+pub mod stamp;
 
 pub use admission::{
     plan_admission, AdmissionConfig, AdmissionDecision, AdmissionPlan, AdmissionQueue,
@@ -84,6 +85,7 @@ pub use session::{
     SessionsReport, SlaConfig, SlaMode, StaticWorld,
 };
 pub use sharded_compose::{ShardedComposer, TwoLevelComposition};
+pub use stamp::WorldStamp;
 
 /// Errors produced by this crate.
 #[derive(Debug)]

@@ -179,11 +179,6 @@ impl PlayoutBuffer {
         self.capacity_us.saturating_sub(self.level_us)
     }
 
-    /// Whether playback is currently stalled (last advance ended dry).
-    pub fn stalled(&self) -> bool {
-        self.stalled
-    }
-
     /// Advance `dt_us` of virtual time with media arriving at
     /// `fill_ppm` (parts-per-million of real time; [`PPM`] = exactly
     /// real-time). Playback consumes one microsecond of media per

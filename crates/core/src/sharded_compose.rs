@@ -621,7 +621,7 @@ mod tests {
     fn two_level_matches_flat_and_skips_losing_shards() {
         for shards in [1u32, 2, 4, 8] {
             let w = world(shards);
-            let store = GraphStore::new().with_verification(true);
+            let store = GraphStore::new();
             let composer = ShardedComposer {
                 formats: &w.formats,
                 services: &w.services,
@@ -679,7 +679,7 @@ mod tests {
             .unwrap();
         w.services.deregister(head3).unwrap();
 
-        let store = GraphStore::new().with_verification(true);
+        let store = GraphStore::new();
         let composer = ShardedComposer {
             formats: &w.formats,
             services: &w.services,
@@ -714,7 +714,7 @@ mod tests {
     #[test]
     fn churn_in_unexpanded_shards_keeps_the_scoped_graph_warm() {
         let w = world(8);
-        let store = GraphStore::new().with_verification(true);
+        let store = GraphStore::new();
         let composer = ShardedComposer {
             formats: &w.formats,
             services: &w.services,

@@ -20,7 +20,8 @@
 //!   dynamics so that bandwidth *fluctuates* over time (Section 3,
 //!   "Network Profile"),
 //! * [`events`] — a discrete-event core (time-ordered queue) the
-//!   streaming pipeline schedules on.
+//!   streaming pipeline schedules on,
+//! * [`memo`] — the debug-build memo-off switch, a test oracle.
 //!
 //! Determinism: all randomness is seeded (`StdRng`), all iteration is in
 //! index order, so every experiment is reproducible bit-for-bit.
@@ -29,6 +30,7 @@ pub mod bandwidth;
 pub mod dynamics;
 pub mod events;
 pub mod generators;
+pub mod memo;
 pub mod network;
 pub mod routing;
 pub mod topology;

@@ -12,6 +12,7 @@
 
 use crate::bandwidth::{BandwidthLedger, ReservationId};
 use crate::dynamics::{BackgroundTraffic, TrafficConfig};
+use crate::memo::memos_off;
 use crate::routing::{shortest_path_tree, Route, RouteTree};
 use crate::topology::{Link, LinkId, NodeId, Topology};
 use crate::{NetError, Result};
@@ -196,8 +197,8 @@ impl Network {
             )
         };
         Some(match self.route_trees.get(from.index()) {
-            Some(slot) => Cow::Borrowed(slot.get_or_init(build)),
-            None => Cow::Owned(build()),
+            Some(slot) if !memos_off() => Cow::Borrowed(slot.get_or_init(build)),
+            _ => Cow::Owned(build()),
         })
     }
 

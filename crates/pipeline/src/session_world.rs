@@ -26,9 +26,9 @@ use crate::failure::{FailureEvent, FailureSchedule};
 use crate::resilience::plan_affected;
 use parking_lot::Mutex;
 use qosc_broker::{BandwidthBroker, FlowSpec, SessionMap, SharingPolicy};
-use qosc_core::{AdaptationPlan, Composer, SessionWorld};
+use qosc_core::{AdaptationPlan, Composer, SessionWorld, WorldStamp};
 use qosc_media::FormatRegistry;
-use qosc_netsim::{LinkId, NetError, Network, NodeId, SimTime};
+use qosc_netsim::{memo::memos_off, LinkId, NetError, Network, NodeId, SimTime};
 use qosc_profiles::ServiceSpec;
 use qosc_services::{
     DiscoveryConfig, DiscoveryDriver, MemberId, QosObservation, ServiceError, ServiceId,
@@ -132,16 +132,14 @@ pub struct DeliveryCacheStats {
 
 /// Everything a session's delivery answer reads besides the broker's
 /// grant: which plan (`plan_gen`; with the session it names one plan
-/// within one run), grey state and discovery membership (`mutation`, the
-/// world event count), routes, headroom and failures (`net_version`),
-/// service availability (`registry_epoch` — a quarantine or probation
-/// between world events moves it) and the demand floor.
+/// within one run), the world it is read in (the whole [`WorldStamp`]:
+/// grey state and membership move with world events, and a quarantine
+/// or probation between them moves the registry epoch) and the demand
+/// floor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 struct DeliveryKey {
     plan_gen: u32,
-    mutation: u64,
-    net_version: u64,
-    registry_epoch: u64,
+    stamp: WorldStamp,
     demand_bps: u64,
 }
 
@@ -215,17 +213,17 @@ pub struct ChaosWorld<'a> {
     /// bit-identical to the pre-broker engine.
     broker: Option<BandwidthBroker>,
     /// Bumps on every applied world event (and on sharing-mode
-    /// changes); part of the delivery memo key.
+    /// changes): the world-event part of [`ChaosWorld::stamp`].
     world_mutations: u64,
     /// Per-session delivery memo behind `session_delivery_ppm`, with or
     /// without a broker: an answer is reused only at the exact
-    /// [`DeliveryKey`] it was computed at, and an entry dies with its
-    /// session's flow. `(session, plan_gen)` names a plan only within
-    /// one `run_sessions`, which is all a `ChaosWorld` serves (its world
-    /// events replay from index 0). Only the serving loop's thread calls
-    /// `session_delivery_ppm`, so the lock is never contended; it exists
-    /// because the trait method takes `&self` (`parking_lot::Mutex`
-    /// keeps `ChaosWorld: Sync`).
+    /// [`DeliveryKey`] it was computed at (never under [`memos_off`]),
+    /// and an entry dies with its session's flow. `(session, plan_gen)`
+    /// names a plan only within one `run_sessions`, which is all a
+    /// `ChaosWorld` serves (its world events replay from index 0). Only
+    /// the serving loop's thread calls `session_delivery_ppm`, so the
+    /// lock is never contended; it exists because the trait method takes
+    /// `&self` (`parking_lot::Mutex` keeps `ChaosWorld: Sync`).
     delivery_cache: Mutex<DeliveryCache>,
 }
 
@@ -454,6 +452,11 @@ impl<'a> ChaosWorld<'a> {
         let index = self.members.binary_search(&member).ok();
         debug_assert_eq!(index, self.members.iter().position(|&m| m == member));
         index
+    }
+
+    /// The world this instant reads, applied world events included.
+    fn stamp(&self) -> WorldStamp {
+        WorldStamp::of(&self.services, &self.network).with_world_events(self.world_mutations)
     }
 }
 
@@ -734,13 +737,11 @@ impl SessionWorld for ChaosWorld<'_> {
         };
         let key = DeliveryKey {
             plan_gen,
-            mutation: self.world_mutations,
-            net_version: self.network.version(),
-            registry_epoch: self.services.epoch(),
+            stamp: self.stamp(),
             demand_bps,
         };
         meter_sample(session, key);
-        {
+        if !memos_off() {
             let mut cache = self.delivery_cache.lock();
             let DeliveryCache { entries, stats } = &mut *cache;
             if let Some(entry) = entries.get_mut(&session).filter(|e| e.key == key) {

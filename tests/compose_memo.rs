@@ -15,7 +15,7 @@ use qosc_bench::scorecard;
 use qosc_core::{
     arena_reuse_total, run_sessions, AbrConfig, AbrMode, AdaptationPlan, AdmissionConfig, Composer,
     CompositionRequest, ResilientEngineConfig, SelectOptions, SessionEngineConfig, SessionWorld,
-    SlaConfig,
+    SlaConfig, WorldStamp,
 };
 use qosc_netsim::SimTime;
 use qosc_pipeline::{ChaosModel, ChaosPlan, ChaosWorld};
@@ -23,24 +23,20 @@ use qosc_services::{QosObservation, ServiceId};
 use qosc_telemetry::{Event, EventKind, TelemetrySink};
 use qosc_workload::arrivals::{session_arrivals, ArrivalPattern, SessionPattern};
 
-/// The world stamp a composition reads: `(registry epoch, network
-/// version)`.
-type Stamp = (u64, u64);
-
 /// A `SessionWorld` that forwards every method to a [`ChaosWorld`] and
 /// publishes the stamp of each composer it hands out. The loop asks for
 /// one composer per virtual instant with jobs, and the world cannot move
 /// while that instant's jobs compose.
 struct StampingWorld<'a> {
     inner: ChaosWorld<'a>,
-    stamp: &'a Mutex<Stamp>,
+    stamp: &'a Mutex<WorldStamp>,
 }
 
 impl SessionWorld for StampingWorld<'_> {
     fn composer(&self) -> Composer<'_> {
         let composer = self.inner.composer();
         *self.stamp.lock().expect("no panic under the lock") =
-            (composer.services.epoch(), composer.network.version());
+            WorldStamp::of(composer.services, composer.network);
         composer
     }
 
@@ -121,8 +117,8 @@ impl SessionWorld for StampingWorld<'_> {
 struct TripleSink<'a> {
     /// Session index → index of its request among the distinct ones.
     request_of: &'a [usize],
-    stamp: &'a Mutex<Stamp>,
-    triples: Mutex<BTreeSet<(usize, &'static str, Stamp)>>,
+    stamp: &'a Mutex<WorldStamp>,
+    triples: Mutex<BTreeSet<(usize, &'static str, WorldStamp)>>,
 }
 
 impl TelemetrySink for TripleSink<'_> {
@@ -204,7 +200,7 @@ fn a_chaos_unit_runs_the_kernel_once_per_distinct_input() {
         })
         .collect();
 
-    let stamp = Mutex::new((0, 0));
+    let stamp = Mutex::new(WorldStamp::of(&scenario.services, &scenario.network));
     let sink = TripleSink {
         request_of: &request_of,
         stamp: &stamp,

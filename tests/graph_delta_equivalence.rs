@@ -154,7 +154,7 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
 
     /// Delta-maintained graphs match fresh builds under arbitrary churn,
-    /// with the store's own debug verification enabled as a second,
+    /// with the store's own debug-build verification as a second,
     /// structural witness.
     #[test]
     fn delta_maintained_graph_matches_fresh_build(
@@ -162,7 +162,7 @@ proptest! {
         ops in proptest::collection::vec(arb_op(), 1..10),
     ) {
         let scenario = random_scenario(&config, seed);
-        let store = GraphStore::new().with_verification(true);
+        let store = GraphStore::new();
         run_churn(scenario, &store, &ops);
         let stats = store.stats();
         prop_assert!(stats.rebuilds >= 1);
@@ -186,7 +186,7 @@ proptest! {
         ops in proptest::collection::vec(arb_op(), 1..6),
     ) {
         let scenario = random_scenario(&config, seed);
-        let store = GraphStore::new().with_delta_threshold(0).with_verification(false);
+        let store = GraphStore::new().with_delta_threshold(0);
         run_churn(scenario, &store, &ops);
     }
 }

@@ -12,6 +12,11 @@
 //!
 //! On a mismatch the test prints the whole fresh table, so a deliberate
 //! change is a copy into the golden file; an accidental one is a diff.
+//!
+//! The same world is the memo contract's oracle (debug builds): every
+//! setting, and seeded random storms over it, must produce the same
+//! report digest and the same rendered log with every memo of the
+//! serving path switched off (`qosc_netsim::memo`) as with them on.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -22,7 +27,7 @@ use qosc_core::{
     SessionRequest, SessionWorld, SessionsReport, SlaConfig, SlaMode,
 };
 use qosc_netsim::{LinkId, SimTime};
-use qosc_pipeline::{ChaosAction, ChaosWorld, FailureEvent, SharingPolicy};
+use qosc_pipeline::{ChaosAction, ChaosPlan, ChaosWorld, FailureEvent, SharingPolicy};
 use qosc_services::{DiscoveryConfig, QosObservation, ServiceId};
 use qosc_telemetry::FlightRecorder;
 use qosc_workload::Scenario;
@@ -34,6 +39,9 @@ const HORIZON_US: u64 = 10_000_000;
 /// Short leases, so a crashed member's advertisement dies inside the
 /// horizon.
 const LEASE_TTL_US: u64 = 2_000_000;
+/// Per-session demands, so brokered flows differ in their registered
+/// windows and contend.
+const DEMANDS_BPS: [u64; 4] = [0, 2_000, 4_000, 8_000];
 
 const ABR: [(&str, Option<AbrMode>); 4] = [
     ("none", None),
@@ -156,8 +164,9 @@ impl Setting {
 
 /// Six bursts of four sessions, one burst a second; holds of 4–6.4 s,
 /// so every fault window below lands mid-stream and the last sessions
-/// are still open at the horizon.
-fn requests(scenario: &Scenario) -> Vec<SessionRequest> {
+/// are still open at the horizon. Sessions `2k` and `2k + 1` ask for
+/// `demands[k % 4]`.
+fn requests(scenario: &Scenario, demands: [u64; 4]) -> Vec<SessionRequest> {
     (0..SESSIONS as u64)
         .map(|i| {
             let (burst, k) = (i / 4, i % 4);
@@ -179,9 +188,7 @@ fn requests(scenario: &Scenario) -> Vec<SessionRequest> {
                     deadline_budget_us: (k == 3).then_some(30_000),
                 },
                 hold_us: 4_000_000 + (i % 5) * 600_000,
-                // Per-session demands, so brokered flows differ in
-                // their registered windows and contend.
-                demand_bps: [0, 2_000, 4_000, 8_000][(i as usize / 2) % 4],
+                demand_bps: demands[(i as usize / 2) % 4],
             }
         })
         .collect()
@@ -382,13 +389,57 @@ impl SessionWorld for CountingWorld<'_> {
     }
 }
 
-/// One run's golden row, and the report behind it.
-struct Run {
-    row: String,
-    report: SessionsReport,
+/// Everything one run serves: a setting, the fleet's lease TTL, the
+/// per-session demands, and the chaos the world replays — a generated
+/// plan with host outages scheduled beside it, or (`None`) the golden
+/// table's fixed schedule.
+struct Case {
+    setting: Setting,
+    lease_ttl_us: u64,
+    demands: [u64; 4],
+    storm: Option<(ChaosPlan, Vec<(u64, FailureEvent)>)>,
 }
 
-fn run(setting: Setting, workers: usize) -> Run {
+impl Case {
+    fn golden(setting: Setting) -> Case {
+        Case {
+            setting,
+            lease_ttl_us: LEASE_TTL_US,
+            demands: DEMANDS_BPS,
+            storm: None,
+        }
+    }
+}
+
+/// One run's outputs.
+struct Run {
+    report: SessionsReport,
+    /// The rendered flight-recorder log.
+    log: String,
+    /// The loop's calls into each `SessionWorld` method.
+    calls: String,
+}
+
+impl Run {
+    /// The golden-table row of `setting`.
+    fn row(&self, setting: Setting) -> String {
+        let mut log = Digest::new();
+        log.update(&self.log);
+        let mut row = format!(
+            "{} {:016x} {:016x}",
+            setting.label(),
+            scorecard::sessions_digest_with_admission(&self.report),
+            log.finish()
+        );
+        if setting.constructed() {
+            row.push_str(" | ");
+            row.push_str(&self.calls);
+        }
+        row
+    }
+}
+
+fn run(case: &Case, workers: usize) -> Run {
     // The world is stateful (faults, discovery, probation, broker), so
     // every run gets a fresh copy of the same seeded scenario.
     let scenario = scorecard::strict_scenario();
@@ -402,19 +453,27 @@ fn run(setting: Setting, workers: usize) -> Run {
         assert_eq!(neighbors.len(), 1, "one receiver access link");
         neighbors[0].1
     };
-    let requests = requests(&scenario);
+    let requests = requests(&scenario, case.demands);
     let mut inner = ChaosWorld::new(
         &scenario.formats,
         scenario.network,
         DiscoveryConfig {
-            ttl: SimTime(LEASE_TTL_US),
+            ttl: SimTime(case.lease_ttl_us),
         },
     );
     for (_, descriptor) in scenario.services.live_services() {
         inner.join(descriptor.clone());
     }
-    schedule_chaos(&mut inner, &sick, access_link);
-    match SHARING[setting.sharing].1 {
+    match &case.storm {
+        None => schedule_chaos(&mut inner, &sick, access_link),
+        Some((plan, outages)) => {
+            inner.load_plan(plan);
+            for &(at_us, fault) in outages {
+                inner.schedule_fault(at_us, fault);
+            }
+        }
+    }
+    match SHARING[case.setting.sharing].1 {
         Sharing::Unset => {}
         Sharing::Off => inner.set_sharing(None),
         Sharing::Fcfs => inner.set_sharing(Some(SharingPolicy::Fcfs)),
@@ -428,22 +487,14 @@ fn run(setting: Setting, workers: usize) -> Run {
     let report = run_sessions(
         &mut world,
         &requests,
-        &setting.engine_config(workers),
+        &case.setting.engine_config(workers),
         &recorder,
     );
-    let mut log = Digest::new();
-    log.update(&recorder.render_log());
-    let mut row = format!(
-        "{} {:016x} {:016x}",
-        setting.label(),
-        scorecard::sessions_digest_with_admission(&report),
-        log.finish()
-    );
-    if setting.constructed() {
-        row.push_str(" | ");
-        row.push_str(&world.render_calls());
+    Run {
+        report,
+        log: recorder.render_log(),
+        calls: world.render_calls(),
     }
-    Run { row, report }
 }
 
 #[derive(Debug, Default)]
@@ -482,7 +533,8 @@ fn all_96_settings_match_the_golden_table() {
     let mut table = String::new();
     let mut totals = Totals::default();
     for &setting in &settings {
-        let Run { row, report } = run(setting, 1);
+        let run = run(&Case::golden(setting), 1);
+        let (row, report) = (run.row(setting), run.report);
         assert!(report.counters.partitions_exactly(), "{row}");
         totals.add(&report);
         eprintln!(
@@ -535,6 +587,162 @@ fn all_96_settings_match_the_golden_table() {
 #[test]
 fn constructed_settings_are_worker_invariant() {
     for setting in Setting::all().into_iter().filter(|s| s.constructed()) {
-        assert_eq!(run(setting, 1).row, run(setting, 4).row);
+        let case = Case::golden(setting);
+        assert_eq!(run(&case, 1).row(setting), run(&case, 4).row(setting));
+    }
+}
+
+/// The memo contract (debug builds only: release builds compile the
+/// memo-off switch out).
+#[cfg(debug_assertions)]
+mod memo_contract {
+    use super::*;
+    use qosc_netsim::NodeId;
+    use qosc_pipeline::ChaosModel;
+    use rand::rngs::SmallRng;
+    use rand::{RngExt, SeedableRng};
+    use std::sync::atomic::AtomicUsize;
+
+    /// Seeded random cases the memo contract runs besides the 96 settings.
+    const RANDOM_CASES: u64 = 256;
+
+    /// Random case `seed`. Half the cases run a setting with adaptation,
+    /// SLA and sharing all on — where the memos meet: a quarantine between
+    /// world events, a grant epoch, a recomposition — and half any of the
+    /// 96. The storm draws every kind `ChaosPlan::generate` knows (node
+    /// crashes with their links, link flaps, squeezes, lease storms, grey
+    /// lags and sags) plus up to two bare host outages, which it never
+    /// draws. One case in four is a blackout: lease storms wide enough to
+    /// crash the whole fleet, so nothing renews and only the world-event
+    /// count sees the sags that follow.
+    fn random_case(scenario: &Scenario, seed: u64) -> Case {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let settings = Setting::all();
+        let mut setting = settings[rng.random_range(0..settings.len())];
+        if rng.random_bool(0.5) {
+            setting.abr = rng.random_range(1..ABR.len());
+            setting.sla = rng.random_range(1..SLA.len());
+            setting.sharing = rng.random_range(2..SHARING.len());
+        }
+        let fleet = scenario.services.live_count();
+        let blackout = rng.random_bool(0.25);
+        let mut rate = |max: u32| f64::from(rng.random_range(0..=max));
+        let model = ChaosModel {
+            total_duration: SimTime(HORIZON_US),
+            crash_rate_per_min: rate(12),
+            flap_rate_per_min: rate(12),
+            squeeze_rate_per_min: rate(18),
+            storm_rate_per_min: if blackout { 12.0 } else { rate(12) },
+            storm_size: if blackout {
+                (3 * fleet as u32, 3 * fleet as u32)
+            } else {
+                (1, 3)
+            },
+            lag_rate_per_min: rate(12),
+            sag_rate_per_min: if blackout { 120.0 } else { rate(30) },
+            protect: vec![scenario.sender_host, scenario.receiver_host],
+            ..ChaosModel::default()
+        };
+        let topology = scenario.network.topology();
+        let hosts: Vec<NodeId> = topology
+            .node_ids()
+            .filter(|node| !model.protect.contains(node))
+            .collect();
+        let mut outages = Vec::new();
+        for _ in 0..rng.random_range(0..=2) {
+            let node = hosts[rng.random_range(0..hosts.len())];
+            let down_us = rng.random_range(0..HORIZON_US);
+            let up_us = down_us + rng.random_range(500_000..=4_000_000u64);
+            outages.push((down_us, FailureEvent::NodeDown(node)));
+            outages.push((up_us, FailureEvent::NodeUp(node)));
+        }
+        let min_ttl_us = if blackout { 2_000_000 } else { 500_000 };
+        const DEMAND_POOL: [u64; 5] = [0, 1_000, 4_000, 16_000, 64_000];
+        Case {
+            setting,
+            lease_ttl_us: rng.random_range(min_ttl_us..=4_000_000),
+            demands: [(); 4].map(|_| DEMAND_POOL[rng.random_range(0..DEMAND_POOL.len())]),
+            storm: Some((
+                ChaosPlan::generate(topology, fleet, &model, seed, 1.0),
+                outages,
+            )),
+        }
+    }
+
+    /// How `case` runs differently with every memo of the serving path
+    /// answering fresh, if it does: the report digests, then the first line
+    /// where the rendered logs part.
+    fn memos_off_difference(case: &Case) -> Option<String> {
+        let on = run(case, 1);
+        let off = qosc_netsim::memo::with_memos_off(|| run(case, 1));
+        let (on_digest, off_digest) = (
+            scorecard::sessions_digest_with_admission(&on.report),
+            scorecard::sessions_digest_with_admission(&off.report),
+        );
+        if on_digest != off_digest {
+            return Some(format!(
+                "report digest {on_digest:016x} (memo on) vs {off_digest:016x} (off)"
+            ));
+        }
+        let (mut on_lines, mut off_lines) = (on.log.lines(), off.log.lines());
+        for line in 1.. {
+            match (on_lines.next(), off_lines.next()) {
+                (None, None) => break,
+                (a, b) if a != b => {
+                    return Some(format!("log line {line}:\n  on  {a:?}\n  off {b:?}"));
+                }
+                _ => {}
+            }
+        }
+        None
+    }
+
+    /// The memo contract, as one whole-engine property: with every memo of
+    /// the serving path answering fresh (`qosc_netsim::memo`), all 96
+    /// settings of the golden world and [`RANDOM_CASES`] random storms over
+    /// it produce the memoized run's report digest and rendered log. Cases
+    /// are independent and the switch is per thread, so they spread over
+    /// the host's cores; each run serves on one worker.
+    #[test]
+    fn memo_off_runs_equal_memo_on_runs() {
+        let scenario = scorecard::strict_scenario();
+        let golden = Setting::all()
+            .into_iter()
+            .map(|setting| (format!("golden{}", setting.label()), Case::golden(setting)));
+        let random = (0..RANDOM_CASES)
+            .map(|seed| (format!("random seed {seed}"), random_case(&scenario, seed)));
+        let cases: Vec<(String, Case)> = golden.chain(random).collect();
+        let next = AtomicUsize::new(0);
+        let threads = std::thread::available_parallelism().map_or(1, |n| n.get().min(4));
+        let mut broken: Vec<(usize, String)> = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..threads)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let mut broken = Vec::new();
+                        loop {
+                            let index = next.fetch_add(1, Ordering::Relaxed);
+                            let Some((name, case)) = cases.get(index) else {
+                                return broken;
+                            };
+                            if let Some(difference) = memos_off_difference(case) {
+                                broken.push((index, format!("{name}: {difference}")));
+                            }
+                        }
+                    })
+                })
+                .collect();
+            workers
+                .into_iter()
+                .flat_map(|worker| worker.join().expect("a case panicked"))
+                .collect()
+        });
+        broken.sort();
+        assert!(
+            broken.is_empty(),
+            "{} of {} cases run differently with memos off; the first is {}",
+            broken.len(),
+            cases.len(),
+            broken[0].1
+        );
     }
 }
