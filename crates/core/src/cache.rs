@@ -43,7 +43,7 @@ use qosc_telemetry::{
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 /// Cache statistics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -386,12 +386,24 @@ impl ShardedCompositionCache {
     }
 }
 
+/// Process-wide count of [`request_key`] calls.
+static REQUEST_HASHES: AtomicU64 = AtomicU64::new(0);
+
+/// Requests hashed into a key across all threads since process start:
+/// one per cache probe, and one per request the batch engines and the
+/// session loop intern that differs from the request before it. A
+/// compose-memo hit hashes none (counted-work gates only).
+pub fn request_hashes_total() -> u64 {
+    REQUEST_HASHES.load(Ordering::Relaxed)
+}
+
 /// Key a request by hashing its profile set structurally, plus the
 /// endpoints: every field of every profile goes straight into the
 /// hasher (see `impl Hash for ProfileSet`), so equal requests collide
 /// and different requests do not (modulo 64-bit hashing), without
 /// rendering or allocating anything.
 pub(crate) fn request_key(profiles: &ProfileSet, sender: NodeId, receiver: NodeId) -> u64 {
+    REQUEST_HASHES.fetch_add(1, Ordering::Relaxed);
     let mut hasher = DefaultHasher::new();
     profiles.hash(&mut hasher);
     sender.index().hash(&mut hasher);

@@ -30,9 +30,10 @@
 //! policy: relax the quality floors, fall back to the weighted
 //! combination of [29], and finally drop the axes of the media kinds the
 //! user listed in `degrade_first`. Each outcome reports which rung
-//! served it. Every rung composes through a [`ComposeMemo`], which
-//! answers a repeated (request, rung) from the world state it was
-//! composed in exactly as a fresh compose would.
+//! served it. Every rung composes through a [`ComposeMemo`]: the batch
+//! names each distinct request once, up front ([`intern`]), and the
+//! memo answers a repeated (request id, rung) from the world state it
+//! was composed in exactly as a fresh compose would.
 
 use crate::admission::{
     plan_admission, AdmissionConfig, AdmissionDecision, AdmissionPlan, ArrivalMeta, ShedReason,
@@ -57,6 +58,7 @@ use rand::{RngExt, SeedableRng};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 /// One composition request: who is sending what to whom, under which
 /// profiles.
@@ -592,84 +594,120 @@ fn lost_worker() -> RequestOutcome {
 // Composition memo
 // ---------------------------------------------------------------------
 
-/// What one rung's composition hands [`serve_one`]: the plan, if
-/// selection found one, and why not otherwise.
-#[derive(Debug, Clone)]
-pub(crate) struct Composed {
-    plan: Option<AdaptationPlan>,
-    failure: Option<SelectFailure>,
+/// The bucket hash [`intern`] is given outside tests: the composition
+/// cache's request key.
+pub(crate) fn request_hash(request: &CompositionRequest) -> u64 {
+    request_key(
+        &request.profiles,
+        request.sender_host,
+        request.receiver_host,
+    )
 }
 
-/// One memoized composition: the request it answers (the map key is
-/// only that request's hash), the world it was composed in, and the
-/// answer.
-struct MemoEntry {
-    request: CompositionRequest,
-    stamp: WorldStamp,
-    composed: Composed,
+/// Name each of `requests` by a dense id: equal ids exactly for `==`
+/// requests, numbered in order of first appearance. Returns the ids, in
+/// order, and how many distinct requests there are. A request `==` to
+/// the one before it takes that one's id unhashed; any other is hashed
+/// with `hash` and confirmed with `==` against the requests already in
+/// its bucket, so a collision costs a comparison, never a wrong id.
+pub(crate) fn intern<'r>(
+    requests: impl IntoIterator<Item = &'r CompositionRequest>,
+    hash: impl Fn(&CompositionRequest) -> u64,
+) -> (Vec<u32>, usize) {
+    let requests = requests.into_iter();
+    let mut distinct: Vec<&CompositionRequest> = Vec::new();
+    let mut buckets: HashMap<u64, Vec<u32>> = HashMap::new();
+    let mut ids = Vec::with_capacity(requests.size_hint().0);
+    let mut previous: Option<(&CompositionRequest, u32)> = None;
+    for request in requests {
+        let id = match previous {
+            Some((last, id)) if last == request => id,
+            _ => {
+                let bucket = buckets.entry(hash(request)).or_default();
+                match bucket.iter().find(|&&id| distinct[id as usize] == request) {
+                    Some(&id) => id,
+                    None => {
+                        let id = u32::try_from(distinct.len()).expect("fewer than 2^32 requests");
+                        distinct.push(request);
+                        bucket.push(id);
+                        id
+                    }
+                }
+            }
+        };
+        ids.push(id);
+        previous = Some((request, id));
+    }
+    (ids, distinct.len())
+}
+
+/// What one rung's composition hands [`serve_one`]: the plan, if
+/// selection found one, and why not otherwise. The plan is shared with
+/// the memo, so a hit hands it out without copying it.
+#[derive(Debug, Clone)]
+pub(crate) struct Composed {
+    plan: Option<Arc<AdaptationPlan>>,
+    failure: Option<SelectFailure>,
 }
 
 /// The exact memo [`serve_one`] composes through (DESIGN.md, "Memos").
 ///
 /// A rung's composition is a pure function of the request, the rung,
 /// the format table, the selection options and the world it reads.
-/// Formats and options are fixed for the memo's lifetime, so an entry
-/// keyed by (request, rung) answers only at the [`WorldStamp`] it was
+/// Formats and options are fixed for the memo's lifetime, and its
+/// owner names every request it serves by an [`intern`]ed id, so the
+/// slot of (request id, rung) answers only at the [`WorldStamp`] it was
 /// composed at, and then it answers bit for bit what
-/// [`Composer::compose_with_store`] would. Unlike
-/// [`ShardedCompositionCache`] it never keeps a plan across a stamp move
-/// because the plan still works: a fresh compose may now pick another.
+/// [`Composer::compose_with_store`] would. A hit hashes and compares no
+/// request. Unlike [`ShardedCompositionCache`] it never keeps a plan
+/// across a stamp move because the plan still works: a fresh compose
+/// may now pick another.
 ///
 /// Only `Ok` results are stored — an error recomposes, so retry and
-/// backoff draws are those of a memo-less run — and each key keeps one
-/// stamp, so entries are bounded by the distinct (request, rung) pairs
-/// served. Lookup and insert take a short lock; composition runs
-/// outside it, and workers racing on a cold key insert equal values.
+/// backoff draws are those of a memo-less run — and each slot keeps one
+/// stamp, so the memo holds at most one answer per (request id, rung).
+/// Lookup and insert take a short lock; composition runs outside it,
+/// and workers racing on a cold slot store equal values.
 pub(crate) struct ComposeMemo {
     options: SelectOptions,
     /// Where misses get their adaptation graphs.
     store: GraphStore,
-    entries: RwLock<HashMap<(u64, DegradationRung), MemoEntry>>,
+    /// Slot `id * LADDER.len() + rung`: the last successful composition
+    /// of request `id` at `rung`, and the stamp it was composed at.
+    entries: RwLock<Vec<Option<(WorldStamp, Composed)>>>,
 }
 
 impl ComposeMemo {
-    /// An empty memo composing with `options`, minus the Table-1 trace:
-    /// no [`RequestOutcome`] carries one.
-    pub(crate) fn new(options: &SelectOptions) -> ComposeMemo {
+    /// An empty memo for `requests` distinct request ids, composing with
+    /// `options` minus the Table-1 trace: no [`RequestOutcome`] carries
+    /// one.
+    pub(crate) fn new(options: &SelectOptions, requests: usize) -> ComposeMemo {
         ComposeMemo {
             options: SelectOptions {
                 record_trace: false,
                 ..*options
             },
             store: GraphStore::new(),
-            entries: RwLock::new(HashMap::new()),
+            entries: RwLock::new(vec![None; requests * DegradationRung::LADDER.len()]),
         }
     }
 
-    /// The hash half of `request`'s key; a hit is confirmed with `==`.
-    pub(crate) fn key(request: &CompositionRequest) -> u64 {
-        request_key(
-            &request.profiles,
-            request.sender_host,
-            request.receiver_host,
-        )
-    }
-
-    /// `request` composed at `rung` against `composer`'s world: the
-    /// stored answer when one was composed at this world's stamp,
-    /// otherwise a fresh composition (stored when it succeeds). `key`
-    /// is [`ComposeMemo::key`] of `request`.
+    /// `request`, whose interned id is `id`, composed at `rung` against
+    /// `composer`'s world: the stored answer when one was composed at
+    /// this world's stamp, otherwise a fresh composition (stored when it
+    /// succeeds).
     pub(crate) fn compose(
         &self,
         composer: &Composer<'_>,
         request: &CompositionRequest,
-        key: u64,
+        id: u32,
         rung: DegradationRung,
     ) -> Result<Composed> {
         let stamp = WorldStamp::of(composer.services, composer.network);
-        if let Some(entry) = self.entries.read().get(&(key, rung)) {
-            if !memos_off() && entry.stamp == stamp && entry.request == *request {
-                return Ok(entry.composed.clone());
+        let slot = id as usize * DegradationRung::LADDER.len() + rung as usize;
+        if let Some((at, composed)) = &self.entries.read()[slot] {
+            if !memos_off() && *at == stamp {
+                return Ok(composed.clone());
             }
         }
         let composition = composer.compose_with_store(
@@ -680,38 +718,60 @@ impl ComposeMemo {
             &self.options,
         )?;
         let composed = Composed {
-            plan: composition.plan,
+            plan: composition.plan.map(Arc::new),
             failure: composition.selection.failure,
         };
-        self.entries.write().insert(
-            (key, rung),
-            MemoEntry {
-                request: request.clone(),
-                stamp,
-                composed: composed.clone(),
-            },
-        );
+        self.entries.write()[slot] = Some((stamp, composed.clone()));
         Ok(composed)
     }
 }
 
+/// A [`RequestOutcome`] as [`serve_one`] reports it: the served plan
+/// still shared with the memo. The session loop keeps the `Arc`; the
+/// batch paths copy the plan out once, into the owned
+/// [`RequestOutcome::plan`] their callers get.
+pub(crate) struct SharedOutcome {
+    pub(crate) plan: Option<Arc<AdaptationPlan>>,
+    /// Everything else; its own `plan` is `None`.
+    pub(crate) outcome: RequestOutcome,
+}
+
+impl SharedOutcome {
+    fn unserved(attempts: u32, backoff_us: u64, error: Option<String>) -> SharedOutcome {
+        SharedOutcome {
+            plan: None,
+            outcome: unserved(attempts, backoff_us, error),
+        }
+    }
+
+    /// The public outcome, owning its plan.
+    fn into_outcome(self) -> RequestOutcome {
+        RequestOutcome {
+            plan: self.plan.map(Arc::unwrap_or_clone),
+            ..self.outcome
+        }
+    }
+}
+
 /// Serve one request through the ladder (from `start_rung` down), with
-/// retries and panic isolation. Pure in `(composer snapshot, request,
-/// index, config, start_rung)` — the trace records, it never steers,
-/// and the memo only changes where a rung's answer comes from (stored,
-/// or composed over a reused or delta-updated graph), never what it is.
+/// retries and panic isolation. `id` is `request`'s [`intern`]ed id in
+/// `memo`. Pure in `(composer snapshot, request, index, config,
+/// start_rung)` — the trace records, it never steers, and the memo only
+/// changes where a rung's answer comes from (stored, or composed over a
+/// reused or delta-updated graph), never what it is.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn serve_one<S: TelemetrySink>(
     composer: &Composer<'_>,
     memo: &ComposeMemo,
     request: &CompositionRequest,
+    id: u32,
     index: usize,
     config: &ResilientEngineConfig,
     start_rung: DegradationRung,
     trace: &mut RequestTrace<'_, S>,
-) -> RequestOutcome {
+) -> SharedOutcome {
     let mut rng =
         SmallRng::seed_from_u64(config.seed ^ (index as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-    let key = ComposeMemo::key(request);
     let start = start_rung as usize;
     let rungs: &[DegradationRung] = if config.ladder {
         &DegradationRung::LADDER[start..]
@@ -733,7 +793,7 @@ pub(crate) fn serve_one<S: TelemetrySink>(
             attempts += 1;
             attempt_in_rung += 1;
             let result = catch_unwind(AssertUnwindSafe(|| {
-                memo.compose(composer, request, key, rung)
+                memo.compose(composer, request, id, rung)
             }));
             match result {
                 Err(payload) => {
@@ -748,7 +808,7 @@ pub(crate) fn serve_one<S: TelemetrySink>(
                             attempts,
                         },
                     );
-                    return unserved(
+                    return SharedOutcome::unserved(
                         attempts,
                         backoff_us,
                         Some(format!("panic: {}", panic_message(payload))),
@@ -780,7 +840,7 @@ pub(crate) fn serve_one<S: TelemetrySink>(
                             attempts,
                         },
                     );
-                    return unserved(attempts, backoff_us, Some(e.to_string()));
+                    return SharedOutcome::unserved(attempts, backoff_us, Some(e.to_string()));
                 }
                 Ok(Ok(composed)) => break composed,
             }
@@ -799,15 +859,18 @@ pub(crate) fn serve_one<S: TelemetrySink>(
                         attempts,
                     },
                 );
-                return RequestOutcome {
-                    satisfaction: plan.predicted_satisfaction,
+                return SharedOutcome {
+                    outcome: RequestOutcome {
+                        satisfaction: plan.predicted_satisfaction,
+                        plan: None,
+                        rung: Some(rung),
+                        attempts,
+                        backoff_us,
+                        shed: false,
+                        brownout_rung: None,
+                        error: None,
+                    },
                     plan: Some(plan),
-                    rung: Some(rung),
-                    attempts,
-                    backoff_us,
-                    shed: false,
-                    brownout_rung: None,
-                    error: None,
                 };
             }
             Some(_) => {
@@ -841,18 +904,19 @@ pub(crate) fn serve_one<S: TelemetrySink>(
             );
         }
     }
-    unserved(attempts, backoff_us, last_failure)
+    SharedOutcome::unserved(attempts, backoff_us, last_failure)
 }
 
 /// Serve a batch with panic isolation, seeded retry/backoff, and the
 /// degradation ladder.
 ///
 /// Returns exactly one [`RequestOutcome`] per request, in request
-/// order, for any worker count. Every rung composes through one
-/// per-batch [`ComposeMemo`], not the [`ShardedCompositionCache`]: the
-/// memo answers only what a fresh compose against the current registry
-/// and network would, where the cache would keep any cached plan that
-/// still works.
+/// order, for any worker count. The batch's requests are [`intern`]ed
+/// once, up front, and every rung composes through one per-batch
+/// [`ComposeMemo`] keyed by the ids, not the [`ShardedCompositionCache`]:
+/// the memo answers only what a fresh compose against the current
+/// registry and network would, where the cache would keep any cached
+/// plan that still works. Each served outcome owns a copy of its plan.
 pub fn serve_batch_resilient(
     composer: &Composer<'_>,
     requests: &[CompositionRequest],
@@ -874,18 +938,21 @@ pub fn serve_batch_resilient_traced<S: TelemetrySink>(
 ) -> ResilientBatch {
     // One memo per batch, shared across workers: the snapshot cannot
     // move mid-batch, so a repeated (request, rung) composes once.
-    let memo = ComposeMemo::new(&config.options);
+    let (ids, distinct) = intern(requests, request_hash);
+    let memo = ComposeMemo::new(&config.options, distinct);
     let outcomes = fan_out(config.workers, requests.len(), |index| {
         let mut trace = RequestTrace::new(sink, index as u64, 0);
         serve_one(
             composer,
             &memo,
             &requests[index],
+            ids[index],
             index,
             config,
             DegradationRung::Full,
             &mut trace,
         )
+        .into_outcome()
     })
     .into_iter()
     .map(|slot| slot.unwrap_or_else(lost_worker))
@@ -1003,10 +1070,12 @@ pub fn serve_batch_with_admission_traced<S: TelemetrySink>(
     let admitted: Vec<usize> = (0..requests.len())
         .filter(|&i| admission.decisions[i].admitted)
         .collect();
-    // Shared per-batch memo (see serve_batch_resilient_traced); brown-out
-    // rungs rewrite only the user profile, so every rung of every
-    // admitted request maps to the same graph in its store.
-    let memo = ComposeMemo::new(&config.options);
+    // Shared per-batch memo over the admitted requests (see
+    // serve_batch_resilient_traced); brown-out rungs rewrite only the
+    // user profile, so every rung of every admitted request maps to the
+    // same graph in its store.
+    let (ids, distinct) = intern(admitted.iter().map(|&index| &requests[index]), request_hash);
+    let memo = ComposeMemo::new(&config.options, distinct);
     let composed = fan_out(config.workers, admitted.len(), |slot| {
         let index = admitted[slot];
         let decision = &admission.decisions[index];
@@ -1017,11 +1086,13 @@ pub fn serve_batch_with_admission_traced<S: TelemetrySink>(
             composer,
             &memo,
             &requests[index],
+            ids[slot],
             index,
             config,
             rung,
             &mut trace,
-        );
+        )
+        .into_outcome();
         outcome.brownout_rung = Some(rung);
         outcome
     });

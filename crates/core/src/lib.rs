@@ -62,7 +62,7 @@ pub use admission::{
     AdmissionStats, ArrivalMeta, PriorityClass, ShedReason,
 };
 pub use bundle::{compose_bundle, BundleComposition, BundleStream};
-pub use cache::{CacheStats, ShardedCompositionCache};
+pub use cache::{request_hashes_total, CacheStats, ShardedCompositionCache};
 pub use composer::{Composer, Composition, StoredComposition};
 pub use engine::{
     degrade_profiles, serve_batch, serve_batch_resilient, serve_batch_resilient_traced,

@@ -42,9 +42,11 @@ use qosc_telemetry::{EventKind, RequestTrace, TelemetrySink, TraceState, ROOT_SP
 
 use crate::admission::{AdmissionQueue, ArrivalMeta, PriorityClass, ShedReason};
 use crate::engine::{
-    fan_out, serve_one, trace_admitted, trace_shed, ComposeMemo, DegradationRung, RequestOutcome,
+    fan_out, intern, request_hash, serve_one, trace_admitted, trace_shed, ComposeMemo,
+    DegradationRung, SharedOutcome,
 };
 use crate::plan::AdaptationPlan;
+use std::sync::Arc;
 
 use super::abr::{self, AbrConfig, AbrSess};
 use super::sla::{same_chain, Sla};
@@ -81,7 +83,7 @@ pub(super) enum JobKind {
 
 /// What a composition that served hands its session.
 struct Served {
-    plan: AdaptationPlan,
+    plan: Arc<AdaptationPlan>,
     rung: DegradationRung,
     satisfaction: f64,
 }
@@ -104,7 +106,9 @@ enum Phase {
 pub(super) struct Sess {
     phase: Phase,
     trace: Option<TraceState>,
-    pub(super) plan: Option<AdaptationPlan>,
+    /// The adopted plan, shared with the compose memo and with every
+    /// session served the same answer.
+    pub(super) plan: Option<Arc<AdaptationPlan>>,
     pub(super) rung: DegradationRung,
     satisfaction: f64,
     last_accrual_us: u64,
@@ -223,6 +227,8 @@ fn meter_queue_len(len: usize) {
 pub(super) struct Loop<'a, 'w, W: SessionWorld, S: TelemetrySink> {
     pub(super) world: &'w mut W,
     pub(super) requests: &'a [SessionRequest],
+    /// Each session's request as the compose memo names it ([`intern`]).
+    request_ids: Vec<u32>,
     config: &'a SessionEngineConfig,
     sink: &'a S,
     pub(super) adaptation: Option<AbrConfig>,
@@ -283,11 +289,20 @@ pub fn run_sessions<W: SessionWorld + Sync, S: TelemetrySink>(
         requests.iter().map(|r| r.arrival.arrival_us),
     );
 
+    // One memo per run, over the run's distinct requests, each named
+    // once here: the world snapshot moves only at world events and
+    // session-driven registry or network writes, and a stored answer is
+    // served only at the exact world stamp it was composed at, so reuse
+    // across instants is exact and cheap.
+    let (request_ids, distinct) = intern(requests.iter().map(|r| &r.request), request_hash);
+    let memo = ComposeMemo::new(&config.resilient.options, distinct);
+
     let n = requests.len();
     let initial_grant_epoch = world.grant_epoch();
     let mut lp = Loop {
         world,
         requests,
+        request_ids,
         config,
         sink,
         adaptation: abr::resolve(config),
@@ -321,12 +336,6 @@ pub fn run_sessions<W: SessionWorld + Sync, S: TelemetrySink>(
         streaming: Vec::new(),
         scan: Vec::new(),
     };
-
-    // One memo per run: the world snapshot moves only at world events
-    // and session-driven registry or network writes, and a stored answer
-    // is served only at the exact (registry epoch, network version) it
-    // was composed at, so reuse across instants is exact and cheap.
-    let memo = ComposeMemo::new(&config.resilient.options);
 
     let mut end_us = 0u64;
     while let Some(t) = lp.agenda.peek_time() {
@@ -753,10 +762,11 @@ impl<W: SessionWorld + Sync, S: TelemetrySink> Loop<'_, '_, W, S> {
         &self,
         jobs: &[Job],
         memo: &ComposeMemo,
-    ) -> Vec<Option<(RequestOutcome, TraceState)>> {
+    ) -> Vec<Option<(SharedOutcome, TraceState)>> {
         let sessions = &self.sessions;
         let composer = self.world.composer();
         let requests = self.requests;
+        let request_ids = &self.request_ids;
         let config = &self.config.resilient;
         let sink = self.sink;
         fan_out(config.workers, jobs.len(), |slot| {
@@ -768,6 +778,7 @@ impl<W: SessionWorld + Sync, S: TelemetrySink> Loop<'_, '_, W, S> {
                 &composer,
                 memo,
                 &requests[job.session].request,
+                request_ids[job.session],
                 job.session,
                 config,
                 job.start_rung,
@@ -781,21 +792,21 @@ impl<W: SessionWorld + Sync, S: TelemetrySink> Loop<'_, '_, W, S> {
     }
 
     /// Apply one composition result back onto its session.
-    fn apply(&mut self, t: u64, job: Job, result: Option<(RequestOutcome, TraceState)>) {
+    fn apply(&mut self, t: u64, job: Job, result: Option<(SharedOutcome, TraceState)>) {
         let i = job.session;
         if self.sessions[i].phase == Phase::Done {
             return; // decided after the session already closed
         }
         // A `None` result is a worker that died outside composition:
         // nothing served, accounted the way the batch paths do.
-        let served = result.and_then(|(outcome, state)| {
+        let served = result.and_then(|(SharedOutcome { plan, outcome }, state)| {
             let sess = &mut self.sessions[i];
             sess.trace = Some(state);
             sess.outcome.attempts = sess.outcome.attempts.saturating_add(outcome.attempts);
             // `serve_one` sets plan and rung together; an outcome with
             // one but not the other did not serve.
             Some(Served {
-                plan: outcome.plan?,
+                plan: plan?,
                 rung: outcome.rung?,
                 satisfaction: outcome.satisfaction,
             })

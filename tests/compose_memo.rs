@@ -2,20 +2,22 @@
 //! `benchmark/`-shaped `sessions_chaos` unit (the X16 strict mesh under
 //! a full storm, 256 concurrent sessions, BOLA, the SLA watchdog and
 //! admission on) runs the Figure-4 kernel once per distinct (request,
-//! rung, world stamp) it composes, not once per composition attempt.
+//! rung, world stamp) it composes, not once per composition attempt,
+//! and hashes its requests once per run, not once per attempt.
 //!
-//! The kernel count is the process-wide `arena_reuse_total()` delta, so
-//! this binary holds a single `#[test]`: no other selection may land in
-//! the counter while it runs.
+//! The kernel and hash counts are the process-wide `arena_reuse_total()`
+//! and `request_hashes_total()` deltas, so this binary holds a single
+//! `#[test]`: no other selection or hash may land in the counters while
+//! it runs.
 
 use std::collections::BTreeSet;
 use std::sync::Mutex;
 
 use qosc_bench::scorecard;
 use qosc_core::{
-    arena_reuse_total, run_sessions, AbrConfig, AbrMode, AdaptationPlan, AdmissionConfig, Composer,
-    CompositionRequest, ResilientEngineConfig, SelectOptions, SessionEngineConfig, SessionWorld,
-    SlaConfig, WorldStamp,
+    arena_reuse_total, request_hashes_total, run_sessions, AbrConfig, AbrMode, AdaptationPlan,
+    AdmissionConfig, Composer, CompositionRequest, ResilientEngineConfig, SelectOptions,
+    SessionEngineConfig, SessionWorld, SlaConfig, WorldStamp,
 };
 use qosc_netsim::SimTime;
 use qosc_pipeline::{ChaosModel, ChaosPlan, ChaosWorld};
@@ -214,14 +216,17 @@ fn a_chaos_unit_runs_the_kernel_once_per_distinct_input() {
     };
 
     let kernel_before = arena_reuse_total();
+    let hashes_before = request_hashes_total();
     let report = run_sessions(&mut world, &requests, &config, &sink);
     let kernel_runs = arena_reuse_total() - kernel_before;
+    let hashes = request_hashes_total() - hashes_before;
 
     let attempts: u64 = report.outcomes.iter().map(|o| u64::from(o.attempts)).sum();
     let triples = sink.triples.lock().expect("no panic under the lock").len() as u64;
     println!(
         "{} sessions, {} distinct requests, {attempts} compose attempts, \
-         {triples} distinct (request, rung, stamp), {kernel_runs} kernel runs",
+         {triples} distinct (request, rung, stamp), {kernel_runs} kernel runs, \
+         {hashes} request hashes",
         requests.len(),
         distinct.len()
     );
@@ -235,6 +240,7 @@ fn a_chaos_unit_runs_the_kernel_once_per_distinct_input() {
     );
     assert_eq!(kernel_runs, triples, "one kernel run per distinct input");
     assert_eq!(kernel_runs, KERNEL_RUNS, "the run is deterministic");
+    assert_eq!(hashes, REQUEST_HASHES, "requests are interned once per run");
 }
 
 /// What the unit asks for: 7 589 sessions, one distinct request. The
@@ -243,3 +249,7 @@ fn a_chaos_unit_runs_the_kernel_once_per_distinct_input() {
 const COMPOSE_ATTEMPTS: u64 = 7_832;
 /// What the unit runs: the 15 distinct (request, rung, stamp) inputs.
 const KERNEL_RUNS: u64 = 15;
+/// What the unit hashes: its one distinct request, once. Each session's
+/// request equals the one before it, so interning compares and does not
+/// hash; no attempt hashes. Before interning every attempt hashed: 7 832.
+const REQUEST_HASHES: u64 = 1;
