@@ -1,12 +1,10 @@
 //! Streaming-pipeline throughput: frames simulated per second of a
-//! clean session and of a resilient run with one failure.
+//! clean session. Runs under faults are the serving loop's, which
+//! `benchmark/` times.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use qosc_core::SelectOptions;
-use qosc_netsim::SimTime;
-use qosc_pipeline::{
-    run_resilient, run_session, FailureEvent, FailureSchedule, ResilienceConfig, SessionConfig,
-};
+use qosc_pipeline::{run_session, SessionConfig};
 use qosc_workload::paper;
 
 fn bench_session(c: &mut Criterion) {
@@ -31,32 +29,6 @@ fn bench_session(c: &mut Criterion) {
     });
 }
 
-fn bench_resilient(c: &mut Criterion) {
-    c.bench_function("pipeline/resilient_30s_one_failure", |b| {
-        b.iter(|| {
-            let mut scenario = paper::figure6_scenario(true);
-            let t7 = scenario
-                .network
-                .topology()
-                .node_by_name("host-T7")
-                .expect("named host");
-            let schedule =
-                FailureSchedule::new().at(SimTime::from_secs(10), FailureEvent::NodeDown(t7));
-            run_resilient(
-                &scenario.formats,
-                &scenario.services,
-                &mut scenario.network,
-                &scenario.profiles,
-                scenario.sender_host,
-                scenario.receiver_host,
-                &schedule,
-                &ResilienceConfig::default(),
-            )
-            .expect("resilient run completes")
-        })
-    });
-}
-
 fn config() -> Criterion {
     Criterion::default()
         .sample_size(20)
@@ -67,6 +39,6 @@ fn config() -> Criterion {
 criterion_group! {
     name = benches;
     config = config();
-    targets = bench_session, bench_resilient
+    targets = bench_session
 }
 criterion_main!(benches);

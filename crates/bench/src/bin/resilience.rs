@@ -1,89 +1,60 @@
 //! X4 — resilient data distribution: stream the Figure-6 content while
 //! T7's host dies mid-session, with and without re-composition.
 //!
+//! Each run is one 30 s session on the serving loop
+//! ([`scorecard::one_session`]). The fault is a world event: the loop
+//! re-checks the live plan at that instant and, when recovery is on,
+//! re-composes on the surviving graph then and there.
+//!
 //! ```text
 //! cargo run -p qosc-bench --bin resilience
 //! ```
 
-use qosc_bench::TextTable;
+use qosc_bench::scorecard;
+use qosc_core::run_sessions;
 use qosc_netsim::SimTime;
-use qosc_pipeline::{run_resilient, FailureEvent, FailureSchedule, ResilienceConfig};
+use qosc_pipeline::{FailureEvent, FailureSchedule};
+use qosc_telemetry::FlightRecorder;
 use qosc_workload::paper;
-
-fn run(recompose: bool, preplan: bool) -> qosc_pipeline::ResilientRun {
-    let mut scenario = paper::figure6_scenario(true);
-    let t7_host = scenario
-        .network
-        .topology()
-        .node_by_name("host-T7")
-        .expect("figure-6 hosts are named");
-    let schedule =
-        FailureSchedule::new().at(SimTime::from_secs(10), FailureEvent::NodeDown(t7_host));
-    let config = ResilienceConfig {
-        total_duration: SimTime::from_secs(30),
-        detection_timeout: SimTime::from_secs(1),
-        recompose,
-        preplan_backups: preplan,
-        ..ResilienceConfig::default()
-    };
-    run_resilient(
-        &scenario.formats,
-        &scenario.services,
-        &mut scenario.network,
-        &scenario.profiles,
-        scenario.sender_host,
-        scenario.receiver_host,
-        &schedule,
-        &config,
-    )
-    .expect("resilient run completes")
-}
 
 fn main() {
     println!("X4 — resilience: T7's host fails at t = 10 s of a 30 s stream");
     println!();
 
-    for (label, recompose, preplan) in [
-        ("PRE-PLANNED BACKUP (100 ms failover)", true, true),
-        ("REACTIVE RE-COMPOSITION (1 s detection)", true, false),
-        ("NO RECOVERY", false, false),
-    ] {
-        let run = run(recompose, preplan);
-        println!("=== {label} ===");
-        let mut table =
-            TextTable::new(["t (s)", "chain", "delivered fps", "measured satisfaction"]);
-        for segment in &run.segments {
-            table.row([
-                format!(
-                    "{:.0}–{:.0}",
-                    segment.start.as_secs_f64(),
-                    segment.start.as_secs_f64() + segment.duration.as_secs_f64()
-                ),
-                if segment.chain.is_empty() {
-                    "(dark)".to_string()
-                } else {
-                    segment.chain.join(",")
-                },
-                format!("{:.1}", segment.report.delivered_fps),
-                format!("{:.3}", segment.report.measured_satisfaction),
-            ]);
+    let scenario = paper::figure6_scenario(true);
+    let t7_host = scenario
+        .network
+        .topology()
+        .node_by_name("host-T7")
+        .expect("figure-6 hosts are named");
+    let faults = FailureSchedule::new().at(SimTime::from_secs(10), FailureEvent::NodeDown(t7_host));
+
+    for (label, recover) in [("REACTIVE RE-COMPOSITION", true), ("NO RECOVERY", false)] {
+        let (mut world, request, mut config) = scorecard::one_session(&scenario, &faults);
+        if !recover {
+            config.max_recompositions = 0;
         }
-        print!("{}", table.render());
+        let recorder = FlightRecorder::default();
+        let report = run_sessions(&mut world, &[request], &config, &recorder);
+        let outcome = &report.outcomes[0];
+        println!("=== {label} ===");
+        // The session's own timeline, without the per-tick epoch spans.
+        for line in recorder.explain(0).lines().filter(|l| l.trim() != "epoch") {
+            println!("{line}");
+        }
         println!(
-            "re-compositions: {}  failovers: {}  recovery gap: {}  time-weighted satisfaction: {:.3}",
-            run.recompositions,
-            run.failovers,
-            run.recovery_gap
-                .map(|g| format!("{:.1} s", g.as_secs_f64()))
-                .unwrap_or_else(|| "-".to_string()),
-            run.mean_satisfaction
+            "re-compositions: {}  lit: {:.1} s  dark: {:.1} s  time-weighted satisfaction: {:.3}",
+            outcome.recompositions,
+            outcome.lit_us as f64 / 1e6,
+            outcome.dark_us as f64 / 1e6,
+            outcome.satisfaction_us / report.end_us as f64
         );
         println!();
     }
     println!(
-        "Expected shape: the pre-planned backup switches to the \
-         sender,T10,receiver fallback within 100 ms; reactive recovery \
-         pays the 1 s detection window before re-running selection; \
-         without recovery everything after t = 10 s is lost."
+        "Expected shape: re-composition moves the stream onto the \
+         sender,T10,receiver fallback at the fault instant, so it never goes \
+         dark; without recovery the session gives up at t = 10 s and \
+         everything after it is lost."
     );
 }

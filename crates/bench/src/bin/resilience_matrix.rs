@@ -1,43 +1,58 @@
 //! X12 — the resilience scorecard: chaos intensity × recovery policy.
 //!
 //! Sweeps the deterministic chaos generator ([`ChaosPlan`]) over a
-//! seeded random mesh and measures how each recovery policy holds up:
+//! seeded random mesh and measures how each recovery policy holds up.
+//! Every cell is one 30 s session on the serving loop
+//! ([`scorecard::one_session`]) with the chaos plan's network faults as
+//! world events:
 //!
-//! * `none`       — keep the dead chain (the X4 ablation),
-//! * `recompose`  — detect and re-run selection on the surviving graph,
-//! * `preplan`    — re-compose plus pre-planned backup chains,
-//! * `ladder`     — re-compose plus the degradation ladder (relaxed
+//! * `none`       — `max_recompositions: 0`: the first fault that kills
+//!   the chain closes the session (the X4 ablation),
+//! * `recompose`  — re-run selection on the surviving graph at the fault
+//!   instant, at the user's own floors only (`ladder: false`),
+//! * `ladder`     — re-compose down the degradation ladder (relaxed
 //!   floors → weighted combiner → drop secondary axes) when composition
 //!   at the user's own floors comes back empty or below the floor.
 //!
 //! Emits `BENCH_resilience.json` (first CLI argument overrides the
 //! path). Every value is derived from seeds and simulated time — no
 //! wall clock — so the file is byte-identical across runs with the same
-//! seeds, and CI snapshots it.
+//! seeds, and CI `cmp`s a fresh one against the checked-in copy. Every
+//! cell runs at 1/2/4/8 workers and the run digests must agree; the
+//! file records the digest.
 //!
-//! Expected shape: availability falls with intensity for every policy;
-//! `recompose` beats `none`; the `ladder` dominates `recompose` because
+//! Expected shape: availability falls with intensity for `none` and
+//! `recompose`; `recompose` beats `none`; the `ladder` dominates
+//! `recompose` because
 //! a squeezed path that no longer clears the user's 12 fps floor still
-//! carries a degraded stream instead of going dark.
+//! carries a degraded stream, where `recompose` finds no plan and the
+//! session closes as `starved`.
 
 use qosc_bench::scorecard::{
-    strict_scenario, strict_scenario_json, STRICT_TOPOLOGY_SEED as TOPOLOGY_SEED,
+    self, strict_scenario, strict_scenario_json, STRICT_TOPOLOGY_SEED as TOPOLOGY_SEED,
+    WORKER_COUNTS,
 };
 use qosc_bench::TextTable;
-use qosc_pipeline::{run_resilient, ChaosModel, ChaosPlan, ResilienceConfig, ResilientRun};
+use qosc_core::{run_sessions, CloseReason, SessionEngineConfig};
+use qosc_pipeline::{ChaosModel, ChaosPlan};
+use qosc_workload::Scenario;
 
 const CHAOS_SEEDS: [u64; 3] = [101, 202, 303];
 const INTENSITIES: [f64; 4] = [0.25, 0.5, 0.75, 1.0];
-const POLICIES: [&str; 4] = ["none", "recompose", "preplan", "ladder"];
+const POLICIES: [&str; 3] = ["none", "recompose", "ladder"];
 
-fn policy_config(policy: &str, seed: u64) -> ResilienceConfig {
-    ResilienceConfig {
-        recompose: policy != "none",
-        preplan_backups: policy == "preplan",
-        ladder: policy == "ladder",
-        seed,
-        ..ResilienceConfig::default()
+fn policy_config(
+    policy: &str,
+    mut config: SessionEngineConfig,
+    workers: usize,
+) -> SessionEngineConfig {
+    config.resilient.workers = workers;
+    match policy {
+        "none" => config.max_recompositions = 0,
+        "recompose" => config.resilient.ladder = false,
+        _ => config.resilient.ladder = true,
     }
+    config
 }
 
 struct Cell {
@@ -47,52 +62,13 @@ struct Cell {
     fault_events: usize,
     availability: f64,
     mean_satisfaction: f64,
-    predicted_mean: f64,
     degraded_fraction: f64,
-    recompositions: usize,
-    failovers: usize,
-    gave_up: bool,
-    recovery_gap_us: Option<u64>,
+    recompositions: u32,
+    close: Option<CloseReason>,
+    digest: u64,
 }
 
-/// Time-weighted mean of the *predicted* satisfaction over the run.
-fn predicted_mean(run: &ResilientRun) -> f64 {
-    let total: f64 = run.segments.iter().map(|s| s.duration.as_secs_f64()).sum();
-    if total <= 0.0 {
-        return 0.0;
-    }
-    // +0.0 renormalizes the -0.0 an empty `Sum for f64` starts from.
-    (run.segments
-        .iter()
-        .map(|s| s.predicted * s.duration.as_secs_f64())
-        .sum::<f64>()
-        + 0.0)
-        / total
-}
-
-/// Fraction of the run served on a rung below `Full`.
-fn degraded_fraction(run: &ResilientRun) -> f64 {
-    let total: f64 = run.segments.iter().map(|s| s.duration.as_secs_f64()).sum();
-    if total <= 0.0 {
-        return 0.0;
-    }
-    (run.segments
-        .iter()
-        .filter(|s| {
-            s.rung
-                .map(|r| r > qosc_core::DegradationRung::Full)
-                .unwrap_or(false)
-        })
-        .map(|s| s.duration.as_secs_f64())
-        .sum::<f64>()
-        + 0.0)
-        / total
-}
-
-fn run_cell(intensity: f64, policy: &'static str, chaos_seed: u64) -> Cell {
-    // Network is stateful (faults, reservations), so each cell gets a
-    // fresh copy of the *same* seeded scenario.
-    let mut scenario = strict_scenario();
+fn run_cell(scenario: &Scenario, intensity: f64, policy: &'static str, chaos_seed: u64) -> Cell {
     let plan = {
         let topology = scenario.network.topology();
         let backbone = topology
@@ -104,31 +80,26 @@ fn run_cell(intensity: f64, policy: &'static str, chaos_seed: u64) -> Cell {
         };
         ChaosPlan::generate(topology, 0, &model, chaos_seed, intensity)
     };
-    let config = policy_config(policy, chaos_seed);
-    let run = run_resilient(
-        &scenario.formats,
-        &scenario.services,
-        &mut scenario.network,
-        &scenario.profiles,
-        scenario.sender_host,
-        scenario.receiver_host,
-        plan.schedule(),
-        &config,
-    )
-    .expect("resilient run completes");
+    let cell = format!("intensity {intensity:.2} × {policy} × chaos seed {chaos_seed}");
+    let (digest, report) = scorecard::worker_sweep(&cell, &WORKER_COUNTS, |workers| {
+        let (mut world, request, config) = scorecard::one_session(scenario, plan.schedule());
+        let config = policy_config(policy, config, workers);
+        let report = run_sessions(&mut world, &[request], &config, &qosc_telemetry::NoopSink);
+        (scorecard::sessions_digest(&report), report)
+    });
+    let outcome = &report.outcomes[0];
+    let horizon = report.end_us as f64;
     Cell {
         intensity,
         policy,
         chaos_seed,
         fault_events: plan.summary().fault_events,
-        availability: run.availability(),
-        mean_satisfaction: run.mean_satisfaction,
-        predicted_mean: predicted_mean(&run),
-        degraded_fraction: degraded_fraction(&run),
-        recompositions: run.recompositions,
-        failovers: run.failovers,
-        gave_up: run.gave_up,
-        recovery_gap_us: run.recovery_gap.map(|g| g.as_micros()),
+        availability: outcome.lit_us as f64 / horizon,
+        mean_satisfaction: outcome.satisfaction_us / horizon,
+        degraded_fraction: outcome.rung_us[1..].iter().sum::<u64>() as f64 / horizon,
+        recompositions: outcome.recompositions,
+        close: outcome.close,
+        digest,
     }
 }
 
@@ -138,15 +109,17 @@ fn main() {
         .unwrap_or_else(|| "BENCH_resilience.json".to_string());
 
     println!(
-        "X12 — resilience scorecard (topology seed {TOPOLOGY_SEED}, chaos seeds {CHAOS_SEEDS:?})"
+        "X12 — resilience scorecard (topology seed {TOPOLOGY_SEED}, chaos seeds {CHAOS_SEEDS:?}, \
+         workers {WORKER_COUNTS:?})"
     );
     println!();
 
+    let scenario = strict_scenario();
     let mut cells: Vec<Cell> = Vec::new();
     for &intensity in &INTENSITIES {
         for &policy in &POLICIES {
             for &chaos_seed in &CHAOS_SEEDS {
-                cells.push(run_cell(intensity, policy, chaos_seed));
+                cells.push(run_cell(&scenario, intensity, policy, chaos_seed));
             }
         }
     }
@@ -156,12 +129,11 @@ fn main() {
         "intensity",
         "policy",
         "availability",
-        "measured sat",
-        "predicted sat",
+        "satisfaction",
         "degraded time",
         "recomps",
-        "failovers",
         "gave up",
+        "starved",
     ]);
     let seeds = CHAOS_SEEDS.len() as f64;
     for &intensity in &INTENSITIES {
@@ -170,6 +142,13 @@ fn main() {
                 .iter()
                 .filter(|c| c.intensity == intensity && c.policy == policy)
                 .collect();
+            let closed = |reason: CloseReason| {
+                group
+                    .iter()
+                    .filter(|c| c.close == Some(reason))
+                    .count()
+                    .to_string()
+            };
             table.row([
                 format!("{intensity:.2}"),
                 policy.to_string(),
@@ -183,19 +162,15 @@ fn main() {
                 ),
                 format!(
                     "{:.3}",
-                    group.iter().map(|c| c.predicted_mean).sum::<f64>() / seeds
-                ),
-                format!(
-                    "{:.3}",
                     group.iter().map(|c| c.degraded_fraction).sum::<f64>() / seeds
                 ),
                 group
                     .iter()
                     .map(|c| c.recompositions)
-                    .sum::<usize>()
+                    .sum::<u32>()
                     .to_string(),
-                group.iter().map(|c| c.failovers).sum::<usize>().to_string(),
-                group.iter().filter(|c| c.gave_up).count().to_string(),
+                closed(CloseReason::GaveUp),
+                closed(CloseReason::Starved),
             ]);
         }
     }
@@ -213,24 +188,28 @@ fn main() {
             .collect::<Vec<_>>()
             .join(", ")
     ));
+    json.push_str(&format!(
+        "  \"workers_verified\": [{}],\n",
+        WORKER_COUNTS
+            .iter()
+            .map(|w| w.to_string())
+            .collect::<Vec<_>>()
+            .join(", ")
+    ));
     json.push_str("  \"cells\": [\n");
     for (i, cell) in cells.iter().enumerate() {
         json.push_str(&format!(
-            "    {{\"intensity\": {:.2}, \"policy\": \"{}\", \"chaos_seed\": {}, \"fault_events\": {}, \"availability\": {:.6}, \"mean_satisfaction\": {:.6}, \"predicted_mean\": {:.6}, \"degraded_fraction\": {:.6}, \"recompositions\": {}, \"failovers\": {}, \"gave_up\": {}, \"recovery_gap_us\": {}}}{}\n",
+            "    {{\"intensity\": {:.2}, \"policy\": \"{}\", \"chaos_seed\": {}, \"fault_events\": {}, \"availability\": {:.6}, \"mean_satisfaction\": {:.6}, \"degraded_fraction\": {:.6}, \"recompositions\": {}, \"close\": \"{}\", \"digest\": \"{:016x}\"}}{}\n",
             cell.intensity,
             cell.policy,
             cell.chaos_seed,
             cell.fault_events,
             cell.availability,
             cell.mean_satisfaction,
-            cell.predicted_mean,
             cell.degraded_fraction,
             cell.recompositions,
-            cell.failovers,
-            cell.gave_up,
-            cell.recovery_gap_us
-                .map(|g| g.to_string())
-                .unwrap_or_else(|| "null".to_string()),
+            cell.close.map_or("active_at_end", CloseReason::label),
+            cell.digest,
             if i + 1 == cells.len() { "" } else { "," }
         ));
     }

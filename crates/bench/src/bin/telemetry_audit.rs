@@ -18,8 +18,8 @@
 //! The replay covers four event sources: the admission front-end at 2×
 //! offered load (admitted/shed chains with brown-out rung changes), a
 //! cold + warm pass through the sharded composition cache (miss then
-//! hit probes on per-request keys), a chaos-schedule resilient stream
-//! (failover / re-composition events on the virtual clock), and a
+//! hit probes on per-request keys), one chaos-schedule session on the
+//! serving loop (re-composition events on the virtual clock), and a
 //! scripted registry lease storm (register / renew / expire /
 //! quarantine / release / deregister).
 //!
@@ -29,17 +29,18 @@
 //! byte-identical across runs and machines, and CI snapshots it.
 
 use qosc_bench::scorecard::{
-    strict_scenario, strict_scenario_json, STRICT_TOPOLOGY_SEED as TOPOLOGY_SEED, WORKER_COUNTS,
+    one_session, strict_scenario, strict_scenario_json, STRICT_TOPOLOGY_SEED as TOPOLOGY_SEED,
+    WORKER_COUNTS,
 };
 use qosc_bench::TextTable;
 use qosc_core::{
-    serve_batch_resilient_traced, serve_batch_traced, serve_batch_with_admission,
+    run_sessions, serve_batch_resilient_traced, serve_batch_traced, serve_batch_with_admission,
     serve_batch_with_admission_traced, AdmissionConfig, CompositionRequest, EngineConfig,
     ResilientEngineConfig, ShardedCompositionCache,
 };
 use qosc_media::{Axis, FormatRegistry};
 use qosc_netsim::{Node, SimTime, Topology};
-use qosc_pipeline::{run_resilient_traced, ChaosModel, ChaosPlan, ResilienceConfig};
+use qosc_pipeline::{ChaosModel, ChaosPlan};
 use qosc_satisfaction::{AxisPreference, SatisfactionFn, SatisfactionProfile};
 use qosc_services::{catalog, QuarantineConfig, ServiceRegistry, TranscoderDescriptor};
 use qosc_telemetry::{EventKind, FlightRecorder, MetricsRegistry};
@@ -239,15 +240,15 @@ fn replay(
     };
     serve_batch_resilient_traced(&composer, &ladder_requests, &ladder_config, &ladder);
 
-    // Phase 3 — chaos: one resilient stream under the canned fault
-    // schedule; failovers and re-compositions land on the virtual clock.
+    // Phase 3 — chaos: one 30 s session under the canned fault
+    // schedule; its re-compositions and ladder descents land on the
+    // virtual clock.
     let chaos = FlightRecorder::new(16);
-    let mut chaos_scenario = strict_scenario();
     let chaos_model = ChaosModel {
         protect: vec![
-            chaos_scenario.sender_host,
-            chaos_scenario.receiver_host,
-            chaos_scenario
+            scenario.sender_host,
+            scenario.receiver_host,
+            scenario
                 .network
                 .topology()
                 .node_by_name("backbone")
@@ -256,30 +257,15 @@ fn replay(
         ..ChaosModel::default()
     };
     let plan = ChaosPlan::generate(
-        chaos_scenario.network.topology(),
+        scenario.network.topology(),
         0,
         &chaos_model,
         CHAOS_SEED,
         CHAOS_INTENSITY,
     );
-    let resilience = ResilienceConfig {
-        ladder: true,
-        preplan_backups: true,
-        seed: CHAOS_SEED,
-        ..ResilienceConfig::default()
-    };
-    run_resilient_traced(
-        &chaos_scenario.formats,
-        &chaos_scenario.services,
-        &mut chaos_scenario.network,
-        &chaos_scenario.profiles,
-        chaos_scenario.sender_host,
-        chaos_scenario.receiver_host,
-        plan.schedule(),
-        &resilience,
-        &chaos,
-    )
-    .expect("chaos replay composes");
+    let (mut world, request, mut session_config) = one_session(&scenario, plan.schedule());
+    session_config.resilient.workers = workers;
+    run_sessions(&mut world, &[request], &session_config, &chaos);
 
     // Phase 4 — registry: a scripted lease storm over the real catalog,
     // replayed into the recorder off the registry's timed event log.

@@ -1,14 +1,18 @@
-//! What the deterministic scorecard bins (X12–X20) share: the run
+//! What the deterministic scorecard bins (X4, X12–X20) share: the run
 //! digest, the strict 12 fps mesh and its world/request builders, the
-//! worker-invariance sweep, and the rank statistics.
+//! one-session builder, the worker-invariance sweep, and the rank
+//! statistics.
 //!
 //! Every byte a checked-in `BENCH_*.json` digest covers is decided
 //! here, so a change to this module is a change to those files.
 
-use qosc_core::{CompositionRequest, SessionRequest, SessionsReport};
+use qosc_core::{
+    ArrivalMeta, CompositionRequest, PriorityClass, SessionEngineConfig, SessionRequest,
+    SessionsReport,
+};
 use qosc_media::{Axis, FormatRegistry};
 use qosc_netsim::Network;
-use qosc_pipeline::ChaosWorld;
+use qosc_pipeline::{ChaosWorld, FailureSchedule};
 use qosc_satisfaction::{AxisPreference, SatisfactionFn, SatisfactionProfile};
 use qosc_services::{DiscoveryConfig, ServiceRegistry};
 use qosc_workload::arrivals::SessionArrival;
@@ -136,6 +140,47 @@ pub fn chaos_world<'a>(
         world.join(descriptor.clone());
     }
     world
+}
+
+/// X4, X12 and X14's chaos phase as one 30 s session: `scenario`'s own
+/// request opens at 0 and holds to the horizon on a [`chaos_world`]
+/// that applies `faults`, with admission off and the engine defaults
+/// otherwise. The world runs on a fresh network over `scenario`'s
+/// topology, so one scenario serves every run. Callers set the recovery
+/// policy on the config — `max_recompositions: 0` never recovers,
+/// `resilient.ladder` picks recompose-only or the degradation ladder —
+/// and serve the request through [`run_sessions`](qosc_core::run_sessions).
+pub fn one_session<'a>(
+    scenario: &'a Scenario,
+    faults: &FailureSchedule,
+) -> (ChaosWorld<'a>, SessionRequest, SessionEngineConfig) {
+    const HORIZON_US: u64 = 30_000_000;
+    let network = Network::new(scenario.network.topology().clone());
+    let mut world = chaos_world(&scenario.formats, &scenario.services, network);
+    for &(at, fault) in faults.events() {
+        world.schedule_fault(at.as_micros(), fault);
+    }
+    let request = SessionRequest {
+        request: CompositionRequest {
+            profiles: scenario.profiles.clone(),
+            sender_host: scenario.sender_host,
+            receiver_host: scenario.receiver_host,
+        },
+        arrival: ArrivalMeta {
+            arrival_us: 0,
+            priority: PriorityClass::Standard,
+            service_cost_us: 0,
+            deadline_budget_us: None,
+        },
+        hold_us: HORIZON_US,
+        demand_bps: 0,
+    };
+    let config = SessionEngineConfig {
+        admission: None,
+        horizon_us: Some(HORIZON_US),
+        ..SessionEngineConfig::default()
+    };
+    (world, request, config)
 }
 
 /// One session request per arrival, each asking for `scenario`'s own

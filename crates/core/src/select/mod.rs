@@ -1,13 +1,11 @@
 //! The QoS selection algorithm (Section 4.4, Figure 4).
 
-pub mod alternates;
 pub mod greedy;
 pub mod label;
 #[cfg(test)]
 mod reference;
 pub mod trace;
 
-pub use alternates::{alternates, Alternate};
 pub use greedy::{
     arena_reuse_total, arena_slots, select_chain, select_chain_with_penalties, SelectFailure,
     SelectOptions, SelectionOutcome, TieBreak,

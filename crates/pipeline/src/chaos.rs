@@ -10,8 +10,8 @@
 //!   the link failures *correlated* to the crashed host (its access
 //!   links go down at the same instant, the realistic shape of a host
 //!   loss), link flap bursts, and background-bandwidth squeeze windows
-//!   ([`FailureEvent::Squeeze`]) — fed straight into
-//!   [`run_resilient`](crate::run_resilient);
+//!   ([`FailureEvent::Squeeze`]) — the world events of a
+//!   [`ChaosWorld`](crate::ChaosWorld);
 //! * a time-ordered list of [`ChaosAction`]s — lease-expiry storms
 //!   (service processes crashing and reviving) — replayed against a
 //!   [`DiscoveryDriver`]/[`ServiceRegistry`] pair via
@@ -353,7 +353,7 @@ impl ChaosPlan {
     }
 
     /// The network-fault schedule, ready for
-    /// [`run_resilient`](crate::run_resilient).
+    /// [`ChaosWorld::schedule_fault`](crate::ChaosWorld::schedule_fault).
     pub fn schedule(&self) -> &FailureSchedule {
         &self.faults
     }

@@ -13,23 +13,25 @@
 //!   receiver measures what actually arrived,
 //! * [`report`] — delivery metrics and the *measured* satisfaction,
 //!   comparable against the algorithm's *predicted* satisfaction,
-//! * [`failure`] — a schedule of node/link failures to inject,
+//! * [`failure`] — a schedule of node/link failures, the network half
+//!   of a chaos world's events,
 //! * [`chaos`] — the deterministic chaos generator: a declarative
 //!   [`ChaosModel`] compiled into correlated network faults and
 //!   lease-expiry storms, bitwise reproducible from `(chaos_seed,
 //!   intensity)`,
-//! * [`resilience`] — the self-organizing part: stream, detect starvation
-//!   caused by an injected failure, re-compose on the surviving graph,
-//!   resume, and report the recovery gap,
-//! * [`session_world`] — the chaos-driven world for `qosc-core`'s
-//!   steady-state session engine: network faults, discovery churn and
-//!   lease expiry fire as the engine's world events and break live
-//!   plans mid-session.
+//! * [`session_world`] — the self-organizing part: the chaos-driven
+//!   world for `qosc-core`'s serving loop. Network faults, discovery
+//!   churn and lease expiry fire as the loop's world events and break
+//!   live plans mid-session; the loop re-composes on the surviving
+//!   graph at the fault instant.
+//!
+//! The frame-level [`session`] simulation measures per-frame loss,
+//! latency and jitter on a fault-free chain; resilience under faults is
+//! the serving loop's (X4, X12, X14–X19).
 
 pub mod chaos;
 pub mod failure;
 pub mod report;
-pub mod resilience;
 pub mod session;
 pub mod session_world;
 
@@ -37,10 +39,6 @@ pub use chaos::{ChaosAction, ChaosModel, ChaosPlan, ChaosSummary};
 pub use failure::{FailureEvent, FailureSchedule};
 pub use qosc_broker::{BandwidthBroker, FlowSpec, SharingPolicy};
 pub use report::SessionReport;
-pub use resilience::{
-    plan_affected, run_resilient, run_resilient_traced, ResilienceConfig, ResilientRun,
-    SegmentReport,
-};
 pub use session::{run_session, SessionConfig};
 pub use session_world::{ChaosWorld, DeliveryCacheStats, WorldBuildError, WorldOp};
 

@@ -6,11 +6,12 @@
 //! stage's CPU demand against the host's capacity), then a serialization
 //! delay at the reserved session rate plus the route's propagation delay
 //! on the hop to the next stage; seeded Bernoulli loss applies per hop.
-//! Frames that reach a failed node are dropped — failure injection is a
-//! [`FailureSchedule`](crate::FailureSchedule) applied at simulation
-//! time.
+//! Frames that reach a failed node are dropped. Faults *during* a
+//! stream are the serving loop's business
+//! ([`ChaosWorld`](crate::ChaosWorld)): this simulation measures what a
+//! chain delivers frame by frame — loss, latency, jitter — which the
+//! loop's fluid model does not.
 
-use crate::failure::FailureSchedule;
 use crate::report::SessionReport;
 use crate::{PipelineError, Result};
 use qosc_core::AdaptationPlan;
@@ -20,6 +21,10 @@ use qosc_services::ServiceRegistry;
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
 
+/// Frame rate for plans without a frame-rate axis (page/image "tick"
+/// rate).
+const FALLBACK_FPS: f64 = 10.0;
+
 /// Configuration of one streaming session.
 #[derive(Debug, Clone)]
 pub struct SessionConfig {
@@ -27,11 +32,6 @@ pub struct SessionConfig {
     pub duration: SimTime,
     /// RNG seed for loss and processing-noise draws.
     pub seed: u64,
-    /// Faults injected during the session.
-    pub failures: FailureSchedule,
-    /// Frame rate fallback for plans without a frame-rate axis (page/
-    /// image "tick" rate).
-    pub fallback_fps: f64,
 }
 
 impl Default for SessionConfig {
@@ -39,8 +39,6 @@ impl Default for SessionConfig {
         SessionConfig {
             duration: SimTime::from_secs(10),
             seed: 0,
-            failures: FailureSchedule::new(),
-            fallback_fps: 10.0,
         }
     }
 }
@@ -49,15 +47,12 @@ impl Default for SessionConfig {
 enum Event {
     Emit { frame: u64 },
     Arrive { frame: u64, stage: usize },
-    Fault(crate::failure::FailureEvent),
 }
 
 struct Hop {
     rate_bps: f64,
     prop_delay_us: u64,
     loss: f64,
-    alive: bool,
-    from: qosc_netsim::NodeId,
     to: qosc_netsim::NodeId,
 }
 
@@ -85,7 +80,7 @@ pub fn run_session(
         .params
         .get(qosc_media::Axis::FrameRate)
         .filter(|f| *f > 0.0)
-        .unwrap_or(config.fallback_fps);
+        .unwrap_or(FALLBACK_FPS);
     let frame_interval_us = (1e6 / fps).round() as u64;
 
     // Hops between consecutive stages; reserve the session rate.
@@ -118,8 +113,6 @@ pub fn run_session(
             rate_bps: rate,
             prop_delay_us: route.delay_us,
             loss,
-            alive: true,
-            from: from.host,
             to: to.host,
         });
     }
@@ -142,9 +135,6 @@ pub fn run_session(
 
     // Event loop.
     let mut queue: EventQueue<Event> = EventQueue::new();
-    for &(time, fault) in config.failures.events() {
-        queue.schedule(time, Event::Fault(fault));
-    }
     queue.schedule(SimTime::ZERO, Event::Emit { frame: 0 });
 
     let frames_total = ((config.duration.as_secs_f64()) * fps).floor() as u64;
@@ -180,7 +170,7 @@ pub fn run_session(
                     continue;
                 }
                 let hop = &hops[stage];
-                if !hop.alive || network.node_failed(hop.to) {
+                if network.node_failed(hop.to) {
                     continue;
                 }
                 // Trans-coding delay (with up to 10% seeded noise).
@@ -209,13 +199,6 @@ pub fn run_session(
                     },
                 );
             }
-            Event::Fault(fault) => {
-                FailureSchedule::apply(fault, network);
-                // Re-evaluate hop viability under the new failure set.
-                for hop in &mut hops {
-                    hop.alive = network.available_between(hop.from, hop.to).is_ok();
-                }
-            }
         }
     }
 
@@ -231,7 +214,6 @@ pub fn run_session(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::failure::FailureEvent;
     use qosc_core::SelectOptions;
     use qosc_workload::paper;
 
@@ -263,35 +245,6 @@ mod tests {
             report.measured_satisfaction
         );
         assert!(report.mean_latency_us > 0.0);
-    }
-
-    #[test]
-    fn mid_session_failure_halves_delivery() {
-        let mut scenario = paper::figure6_scenario(true);
-        let composition = scenario.compose(&SelectOptions::default()).unwrap();
-        let plan = composition.plan.unwrap();
-        let profile = scenario.profiles.effective_satisfaction();
-        // T7's host dies at t = 5 s of a 10 s stream.
-        let t7_host = plan.steps[1].host;
-        let config = SessionConfig {
-            failures: FailureSchedule::new()
-                .at(SimTime::from_secs(5), FailureEvent::NodeDown(t7_host)),
-            ..SessionConfig::default()
-        };
-        let report = run_session(
-            &mut scenario.network,
-            &scenario.services,
-            &plan,
-            &profile,
-            &config,
-        )
-        .unwrap();
-        let delivered_fraction = report.frames_delivered as f64 / report.frames_sent as f64;
-        assert!(
-            (0.4..0.6).contains(&delivered_fraction),
-            "expected roughly half the frames, got {delivered_fraction}"
-        );
-        assert!(report.measured_satisfaction < 0.5);
     }
 
     #[test]

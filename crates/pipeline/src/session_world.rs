@@ -19,11 +19,10 @@
 //! [`ChaosPlan::drive_discovery`](crate::ChaosPlan::drive_discovery)
 //! uses), then applies the operation. A plan is alive while every
 //! service it references is still advertised and the network still
-//! carries it ([`plan_affected`](crate::resilience::plan_affected)).
+//! carries it at the plan's rates.
 
 use crate::chaos::{ChaosAction, ChaosPlan};
 use crate::failure::{FailureEvent, FailureSchedule};
-use crate::resilience::plan_affected;
 use parking_lot::Mutex;
 use qosc_broker::{BandwidthBroker, FlowSpec, SessionMap, SharingPolicy};
 use qosc_core::{AdaptationPlan, Composer, SessionWorld, WorldStamp};
@@ -402,9 +401,8 @@ impl<'a> ChaosWorld<'a> {
     /// Load a compiled [`ChaosPlan`]: its network faults and discovery
     /// actions merge into one time-ordered schedule (stable — faults
     /// keep their node-then-links adjacency, and at equal instants
-    /// faults apply before discovery actions, matching
-    /// [`run_resilient`](crate::run_resilient)'s order of network fault
-    /// first, discovery churn second).
+    /// faults apply before discovery actions: network fault first,
+    /// discovery churn second).
     pub fn load_plan(&mut self, plan: &ChaosPlan) {
         let mut merged: Vec<(u64, WorldOp)> = plan
             .schedule()
@@ -788,6 +786,30 @@ impl SessionWorld for ChaosWorld<'_> {
         }
         ppm
     }
+}
+
+/// Whether a fault set on `network` breaks the plan: a stage host is
+/// failed, or some hop no longer has a route / its reserved rate.
+/// [`ChaosWorld::plan_alive`]'s network half.
+fn plan_affected(network: &Network, plan: &qosc_core::AdaptationPlan) -> bool {
+    for step in &plan.steps {
+        if network.node_failed(step.host) {
+            return true;
+        }
+    }
+    for pair in plan.steps.windows(2) {
+        match network.available_between(pair[0].host, pair[1].host) {
+            Ok(available) => {
+                // Small relative slack: the optimizer works to the same
+                // boundary within bisection tolerance.
+                if available * (1.0 + 1e-6) + 1e-6 < pair[1].input_bps {
+                    return true;
+                }
+            }
+            Err(_) => return true,
+        }
+    }
+    false
 }
 
 impl GrantShape {

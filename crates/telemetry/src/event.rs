@@ -131,14 +131,9 @@ pub enum EventKind {
         /// Registry service id.
         service: u32,
     },
-    /// The resilience monitor re-composed around a chain-killing fault.
+    /// A session's plan died and it asked for a re-composition.
     Recomposed {
-        /// 1-based re-composition count within the run.
-        attempt: u32,
-    },
-    /// The resilience monitor switched to a pre-planned backup chain.
-    Failover {
-        /// 1-based failover count within the run.
+        /// 1-based re-composition count within the session.
         attempt: u32,
     },
     /// The graph store rebuilt an adaptation graph from scratch.
@@ -259,7 +254,6 @@ impl EventKind {
             EventKind::LeaseRenewed { .. } => "lease_renewed",
             EventKind::ServiceDeregistered { .. } => "service_deregistered",
             EventKind::Recomposed { .. } => "recomposed",
-            EventKind::Failover { .. } => "failover",
             EventKind::GraphRebuilt { .. } => "graph_rebuilt",
             EventKind::GraphDelta { .. } => "graph_delta",
             EventKind::ArenaReused { .. } => "arena_reused",
@@ -321,7 +315,6 @@ impl EventKind {
                 format!("service_deregistered service={service}")
             }
             EventKind::Recomposed { attempt } => format!("recomposed attempt={attempt}"),
-            EventKind::Failover { attempt } => format!("failover attempt={attempt}"),
             EventKind::GraphRebuilt { total } => format!("graph_rebuilt total={total}"),
             EventKind::GraphDelta { ops, total } => format!("graph_delta ops={ops} total={total}"),
             EventKind::ArenaReused { total } => format!("arena_reused total={total}"),

@@ -1,65 +1,42 @@
 //! Resilient streaming on the paper's Figure-6 scenario: T7's host dies
-//! mid-session; the framework notices, re-runs the selection algorithm
-//! on the surviving graph and resumes over the fallback chain.
+//! mid-session; the serving loop notices at the fault instant, re-runs
+//! the selection algorithm on the surviving graph and resumes over the
+//! fallback chain.
 //!
 //! ```text
 //! cargo run -p qosc-bench --example resilient_streaming
 //! ```
 
+use qosc_bench::scorecard;
+use qosc_core::run_sessions;
 use qosc_netsim::SimTime;
-use qosc_pipeline::{run_resilient, FailureEvent, FailureSchedule, ResilienceConfig};
+use qosc_pipeline::{FailureEvent, FailureSchedule};
+use qosc_telemetry::FlightRecorder;
 use qosc_workload::paper;
 
 fn main() {
-    let mut scenario = paper::figure6_scenario(true);
+    let scenario = paper::figure6_scenario(true);
     let t7_host = scenario
         .network
         .topology()
         .node_by_name("host-T7")
         .expect("figure-6 names its hosts");
+    let faults = FailureSchedule::new().at(SimTime::from_secs(12), FailureEvent::NodeDown(t7_host));
 
-    let schedule =
-        FailureSchedule::new().at(SimTime::from_secs(12), FailureEvent::NodeDown(t7_host));
-    let config = ResilienceConfig {
-        total_duration: SimTime::from_secs(30),
-        detection_timeout: SimTime::from_millis(800),
-        ..ResilienceConfig::default()
-    };
-    let run = run_resilient(
-        &scenario.formats,
-        &scenario.services,
-        &mut scenario.network,
-        &scenario.profiles,
-        scenario.sender_host,
-        scenario.receiver_host,
-        &schedule,
-        &config,
-    )
-    .expect("resilient run completes");
+    let (mut world, request, config) = scorecard::one_session(&scenario, &faults);
+    let recorder = FlightRecorder::default();
+    let report = run_sessions(&mut world, &[request], &config, &recorder);
+    let outcome = &report.outcomes[0];
 
     println!("timeline (T7's host dies at t = 12 s):");
-    for segment in &run.segments {
-        let chain = if segment.chain.is_empty() {
-            "⚠ dark (detecting / no chain)".to_string()
-        } else {
-            segment.chain.join(" → ")
-        };
-        println!(
-            "  t = {:5.1} s … {:5.1} s  {:<40}  {:5.1} fps  sat {:.3}",
-            segment.start.as_secs_f64(),
-            segment.start.as_secs_f64() + segment.duration.as_secs_f64(),
-            chain,
-            segment.report.delivered_fps,
-            segment.report.measured_satisfaction,
-        );
+    for line in recorder.explain(0).lines().filter(|l| l.trim() != "epoch") {
+        println!("  {line}");
     }
     println!();
     println!(
-        "re-compositions: {}   recovery gap: {}   time-weighted satisfaction: {:.3}",
-        run.recompositions,
-        run.recovery_gap
-            .map(|g| format!("{:.2} s", g.as_secs_f64()))
-            .unwrap_or_else(|| "-".to_string()),
-        run.mean_satisfaction
+        "re-compositions: {}   dark time: {:.2} s   time-weighted satisfaction: {:.3}",
+        outcome.recompositions,
+        outcome.dark_us as f64 / 1e6,
+        outcome.satisfaction_us / report.end_us as f64
     );
 }

@@ -1,15 +1,19 @@
 //! Chaos-harness integration: the full loop from deterministic fault
-//! generation through resilient streaming, the degradation ladder, and
-//! the service quarantine — the workspace-level counterparts of the
-//! `chaos.rs` / `resilience.rs` / `registry.rs` unit tests.
+//! generation through one session on the serving loop, the degradation
+//! ladder, and the service quarantine — the workspace-level
+//! counterparts of the `chaos.rs` / `session_world.rs` / `registry.rs`
+//! unit tests.
 
-use qosc_bench::scorecard::strict_scenario;
-use qosc_core::{Composer, SelectOptions, ShardedCompositionCache};
+use qosc_bench::scorecard::{one_session, sessions_digest, strict_scenario};
+use qosc_core::{
+    run_sessions, Composer, DegradationRung, SelectOptions, SessionsReport, ShardedCompositionCache,
+};
 use qosc_media::Axis;
 use qosc_netsim::SimTime;
-use qosc_pipeline::{run_resilient, ChaosModel, ChaosPlan, ResilienceConfig, ResilientRun};
+use qosc_pipeline::{ChaosModel, ChaosPlan};
 use qosc_satisfaction::{AxisPreference, SatisfactionFn, SatisfactionProfile};
 use qosc_services::QuarantineConfig;
+use qosc_telemetry::NoopSink;
 use qosc_workload::Scenario;
 
 fn chaos_plan(scenario: &Scenario, chaos_seed: u64, intensity: f64) -> ChaosPlan {
@@ -22,40 +26,27 @@ fn chaos_plan(scenario: &Scenario, chaos_seed: u64, intensity: f64) -> ChaosPlan
     ChaosPlan::generate(topology, 0, &model, chaos_seed, intensity)
 }
 
-fn chaos_run(chaos_seed: u64, intensity: f64, ladder: bool) -> ResilientRun {
-    let mut scenario = strict_scenario();
+/// One 30 s strict-mesh session under the chaos plan's faults,
+/// re-composing down the degradation ladder when `ladder`.
+fn chaos_run(chaos_seed: u64, intensity: f64, ladder: bool) -> SessionsReport {
+    let scenario = strict_scenario();
     let plan = chaos_plan(&scenario, chaos_seed, intensity);
-    let config = ResilienceConfig {
-        ladder,
-        seed: chaos_seed,
-        ..ResilienceConfig::default()
-    };
-    run_resilient(
-        &scenario.formats,
-        &scenario.services,
-        &mut scenario.network,
-        &scenario.profiles,
-        scenario.sender_host,
-        scenario.receiver_host,
-        plan.schedule(),
-        &config,
-    )
-    .unwrap()
+    let (mut world, request, mut config) = one_session(&scenario, plan.schedule());
+    config.resilient.ladder = ladder;
+    run_sessions(&mut world, &[request], &config, &NoopSink)
+}
+
+/// Share of the run with a live plan.
+fn availability(report: &SessionsReport) -> f64 {
+    report.outcomes[0].lit_us as f64 / report.end_us as f64
 }
 
 #[test]
 fn identical_seeds_reproduce_the_run_and_a_new_chaos_seed_changes_the_faults() {
     let a = chaos_run(101, 0.75, true);
     let b = chaos_run(101, 0.75, true);
-    assert_eq!(a.availability(), b.availability());
-    assert_eq!(a.mean_satisfaction, b.mean_satisfaction);
-    assert_eq!(a.recompositions, b.recompositions);
-    assert_eq!(a.segments.len(), b.segments.len());
-    for (x, y) in a.segments.iter().zip(&b.segments) {
-        assert_eq!(x.chain, y.chain);
-        assert_eq!(x.rung, y.rung);
-        assert_eq!(x.report.frames_delivered, y.report.frames_delivered);
-    }
+    assert_eq!(sessions_digest(&a), sessions_digest(&b));
+    assert_eq!(a.outcomes, b.outcomes);
 
     let scenario = strict_scenario();
     let p1 = chaos_plan(&scenario, 101, 0.75);
@@ -73,12 +64,12 @@ fn degradation_ladder_dominates_recompose_only_availability() {
     for &intensity in &[0.25f64, 1.0] {
         let recompose: f64 = seeds
             .iter()
-            .map(|&s| chaos_run(s, intensity, false).availability())
+            .map(|&s| availability(&chaos_run(s, intensity, false)))
             .sum::<f64>()
             / seeds.len() as f64;
         let ladder: f64 = seeds
             .iter()
-            .map(|&s| chaos_run(s, intensity, true).availability())
+            .map(|&s| availability(&chaos_run(s, intensity, true)))
             .sum::<f64>()
             / seeds.len() as f64;
         assert!(
@@ -98,32 +89,40 @@ fn degradation_ladder_dominates_recompose_only_availability() {
 #[test]
 fn ladder_runs_report_the_serving_rung() {
     // At full intensity the ladder serves part of the run degraded; the
-    // segments say which rung carried them.
+    // outcome says which rungs carried it and for how long.
     let run = chaos_run(202, 1.0, true);
-    let degraded: Vec<_> = run
-        .segments
-        .iter()
-        .filter(|s| {
-            s.rung
-                .map(|r| r > qosc_core::DegradationRung::Full)
-                .unwrap_or(false)
-        })
-        .collect();
+    let outcome = &run.outcomes[0];
     assert!(
-        !degraded.is_empty(),
+        outcome.rung_us[1..].iter().sum::<u64>() > 0,
         "chaos seed 202 at intensity 1.0 pushes the stream below the floor"
     );
-    for segment in &degraded {
-        assert!(!segment.chain.is_empty(), "degraded segments still stream");
-        assert!(
-            segment.predicted > 0.0,
-            "rung-scored prediction is above zero"
-        );
-    }
-    // And the degraded stream is exactly what the recompose-only run
-    // loses: same seed without the ladder has strictly less lit time.
+    assert!(outcome
+        .rung_history
+        .iter()
+        .any(|&(_, rung)| rung > DegradationRung::Full));
+    // Every re-composition happens at a fault instant, off the 250 ms
+    // tick grid too, and the ladder always finds a rung there.
+    let faults = chaos_plan(&strict_scenario(), 202, 1.0);
+    let fault_us: Vec<u64> = faults
+        .schedule()
+        .events()
+        .iter()
+        .map(|&(t, _)| t.as_micros())
+        .collect();
+    assert!(
+        outcome.rung_history[1..]
+            .iter()
+            .all(|(t, _)| fault_us.contains(t)),
+        "{:?}",
+        outcome.rung_history
+    );
+    assert_eq!(outcome.dark_us, 0);
+    // Degraded time is lit time, and the degraded stream is exactly what
+    // the recompose-only run loses: same seed without the ladder has
+    // strictly less lit time.
+    assert_eq!(outcome.rung_us.iter().sum::<u64>(), outcome.lit_us);
     let strict = chaos_run(202, 1.0, false);
-    assert!(run.availability() > strict.availability());
+    assert!(availability(&run) > availability(&strict));
 }
 
 #[test]
