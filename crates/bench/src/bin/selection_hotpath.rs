@@ -1,13 +1,17 @@
-//! X15: the selection hot path — incremental graph store vs
-//! rebuild-per-request.
+//! X15: the selection hot path — incremental graph store and compose
+//! memo vs rebuild-per-request.
 //!
 //! Sweeps registry churn rate × request repeat rate and serves every
 //! request twice in the same run: once through a store-backed
-//! [`ShardedCompositionCache`] (graph reuse + delta maintenance) and
-//! once through a store-free cache (the historical rebuild-per-compose
-//! path). Reports per-request compose p50/p99 for both paths, the
-//! store's rebuild/delta/reuse counters, the arena-reuse count of the
-//! zero-allocation selection kernel, and — the point of the exercise —
+//! [`ShardedCompositionCache`] (graph reuse + delta maintenance, and
+//! one kernel run per request class per world state) and once through
+//! a store-free cache (the historical rebuild-per-compose path, no
+//! memo). Every cell's requests are one class under 96 or 10 user
+//! names, so the store path mostly measures memo answers. Reports
+//! per-request compose p50/p99 for both paths, the store's
+//! rebuild/delta/reuse counters, the kernel runs behind the store path,
+//! the arena-reuse count of the zero-allocation selection kernel, and —
+//! the point of the exercise —
 //! asserts the two paths produce **bitwise-identical plans** and
 //! identical hit/miss/stale classification, then repeats the identity
 //! assertion across 1/2/4/8 workers.
@@ -77,6 +81,8 @@ struct Cell {
     deltas: u64,
     delta_ops: u64,
     reuses: u64,
+    /// Selection-kernel runs behind the store-backed cache.
+    kernel_runs: u64,
     digest: u64,
     store: PathStats,
     baseline: PathStats,
@@ -107,6 +113,7 @@ fn run_cell(config: &GeneratorConfig, churn_rate: f64, repeat_rate: f64) -> Cell
     let mut churn_ops = 0usize;
     let mut churn_due = 0.0f64;
     let mut now_us = 1_000u64;
+    let mut kernel_runs = 0u64;
 
     for profiles in &profiles {
         // Deterministic churn pacing: `churn_rate` ops per request on
@@ -130,6 +137,7 @@ fn run_cell(config: &GeneratorConfig, churn_rate: f64, repeat_rate: f64) -> Cell
             network: &scenario.network,
         };
 
+        let kernel_before = arena_reuse_total();
         let start = Instant::now();
         let via_store = store_cache
             .compose(
@@ -141,6 +149,7 @@ fn run_cell(config: &GeneratorConfig, churn_rate: f64, repeat_rate: f64) -> Cell
             )
             .expect("compose");
         store_latencies.push(start.elapsed().as_secs_f64() * 1e6);
+        kernel_runs += arena_reuse_total() - kernel_before;
 
         let start = Instant::now();
         let via_rebuild = base_cache
@@ -186,6 +195,7 @@ fn run_cell(config: &GeneratorConfig, churn_rate: f64, repeat_rate: f64) -> Cell
         deltas: graph.deltas,
         delta_ops: graph.delta_ops,
         reuses: graph.reuses,
+        kernel_runs,
         digest: digest.finish(),
         store: path_stats(&mut store_latencies),
         baseline: path_stats(&mut base_latencies),
@@ -278,6 +288,7 @@ fn main() {
         "rebuilds",
         "deltas",
         "reuses",
+        "kernels",
         "store p50 us",
         "rebuild p50 us",
         "speedup",
@@ -292,6 +303,7 @@ fn main() {
             cell.rebuilds.to_string(),
             cell.deltas.to_string(),
             cell.reuses.to_string(),
+            cell.kernel_runs.to_string(),
             format!("{:.1}", cell.store.p50_us),
             format!("{:.1}", cell.baseline.p50_us),
             format!("{:.2}x", cell.baseline.seconds / cell.store.seconds),
@@ -335,7 +347,7 @@ fn main() {
     json.push_str("  \"cells\": [\n");
     for (i, cell) in cells.iter().enumerate() {
         json.push_str(&format!(
-            "    {{\"churn_rate\": {:.2}, \"repeat_rate\": {:.1}, \"requests\": {}, \"solved\": {}, \"churn_ops\": {}, \"hits\": {}, \"misses\": {}, \"stale\": {}, \"rebuilds\": {}, \"deltas\": {}, \"delta_ops\": {}, \"reuses\": {}, \"plan_digest\": \"{:016x}\"",
+            "    {{\"churn_rate\": {:.2}, \"repeat_rate\": {:.1}, \"requests\": {}, \"solved\": {}, \"churn_ops\": {}, \"hits\": {}, \"misses\": {}, \"stale\": {}, \"rebuilds\": {}, \"deltas\": {}, \"delta_ops\": {}, \"reuses\": {}, \"kernel_runs\": {}, \"plan_digest\": \"{:016x}\"",
             cell.churn_rate,
             cell.repeat_rate,
             cell.requests,
@@ -348,6 +360,7 @@ fn main() {
             cell.deltas,
             cell.delta_ops,
             cell.reuses,
+            cell.kernel_runs,
             cell.digest,
         ));
         if !deterministic {

@@ -15,6 +15,17 @@
 //! re-checked only when its own stamp (registry epoch, network version)
 //! moved. Stale entries are recomposed transparently.
 //!
+//! The key covers the whole profile set, user name included, so one
+//! (content, device, preference) class spans many entries. A miss or a
+//! stale probe therefore asks the compose memo first (`class_memo`): it
+//! keeps one fresh answer per request class — what selection reads, the
+//! name not among it — at the current [`WorldStamp`], so after a world
+//! write the kernel runs once per class, not once per stale entry.
+//! Entries and the memo share each plan by `Arc`; a probe copies it out
+//! once, on return. The store-free cache
+//! ([`new_without_graph_store`](ShardedCompositionCache::new_without_graph_store))
+//! has no memo and is the reference X15 compares both against.
+//!
 //! The store is split into power-of-two **shards**, each guarded by its
 //! own `RwLock`, selected by the low bits of the request key (lock
 //! shards — nothing to do with the shards of a
@@ -27,12 +38,15 @@
 //! hits/misses/stale, and `hits + misses + stale` equals the number of
 //! requests served no matter how the requests interleave.
 
+mod class_memo;
+
 use crate::composer::Composer;
 use crate::graph::{GraphStore, GraphStoreStats};
 use crate::plan::AdaptationPlan;
 use crate::select::SelectOptions;
 use crate::stamp::WorldStamp;
 use crate::Result;
+use class_memo::{class_hash, ClassMemo};
 use parking_lot::RwLock;
 use qosc_netsim::{Network, NodeId};
 use qosc_profiles::ProfileSet;
@@ -44,6 +58,7 @@ use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::Arc;
 
 /// Cache statistics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -93,7 +108,8 @@ impl CacheStats {
 /// scan-everything-every-time cache produces.
 #[derive(Debug, Clone)]
 struct CachedPlan {
-    plan: AdaptationPlan,
+    /// Shared with the compose memo; a hit copies it out once.
+    plan: Arc<AdaptationPlan>,
     stamp: WorldStamp,
 }
 
@@ -120,6 +136,9 @@ pub struct ShardedCompositionCache {
     /// `None` runs the historical rebuild-per-compose path (kept for
     /// baseline measurement).
     graph_store: Option<GraphStore>,
+    /// One fresh answer per request class at the current world stamp,
+    /// consulted by misses and stale probes on the store-backed path.
+    memo: ClassMemo,
 }
 
 impl Default for ShardedCompositionCache {
@@ -143,13 +162,17 @@ impl ShardedCompositionCache {
             shards: (0..count).map(|_| Shard::default()).collect(),
             mask: count - 1,
             graph_store: Some(GraphStore::new()),
+            memo: ClassMemo::default(),
         }
     }
 
-    /// An empty cache that rebuilds the adaptation graph on every
-    /// compose (the pre-store behaviour). Plans, traces and counters
-    /// are identical to the store-backed cache; only the work done per
-    /// miss differs. Kept so benchmarks can measure both paths.
+    /// An empty cache that rebuilds the adaptation graph and runs the
+    /// selection kernel on every miss and stale probe (the pre-store
+    /// behaviour): no graph store, no compose memo. Plans, traces and
+    /// counters are identical to the store-backed cache; only the work
+    /// done per miss differs. X15 (`selection_hotpath`) serves every
+    /// request through both and compares them request by request, so
+    /// this cache is the reference for both memos.
     pub fn new_without_graph_store(shards: usize) -> ShardedCompositionCache {
         let mut cache = ShardedCompositionCache::new(shards);
         cache.graph_store = None;
@@ -232,25 +255,33 @@ impl ShardedCompositionCache {
             ..*options
         };
         let key = request_key(profiles, sender_host, receiver_host);
-        self.probe(key, composer.services, composer.network, trace, || {
-            Ok(match &self.graph_store {
-                Some(store) => {
-                    composer
-                        .compose_with_store(store, profiles, sender_host, receiver_host, &options)?
-                        .plan
-                }
-                None => {
-                    composer
-                        .compose(profiles, sender_host, receiver_host, &options)?
-                        .plan
-                }
-            })
-        })
+        self.probe(
+            key,
+            composer.services,
+            composer.network,
+            trace,
+            |stamp| match &self.graph_store {
+                Some(store) => self.memo.compose(
+                    composer,
+                    store,
+                    profiles,
+                    sender_host,
+                    receiver_host,
+                    &options,
+                    stamp,
+                    class_hash,
+                ),
+                None => Ok(composer
+                    .compose(profiles, sender_host, receiver_host, &options)?
+                    .plan
+                    .map(Arc::new)),
+            },
+        )
     }
 
     /// Look `key` up, revalidate a found entry by halves against
     /// `services` and `network`, and on a miss or a stale entry run
-    /// `compose` and store its plan.
+    /// `compose` at the world's stamp and store its plan.
     ///
     /// Each half of the world is re-checked only when its own stamp
     /// moved. The registry half ([`ServiceRegistry::is_available`] per
@@ -268,7 +299,7 @@ impl ShardedCompositionCache {
         services: &ServiceRegistry,
         network: &Network,
         trace: &mut RequestTrace<'_, S>,
-        compose: impl FnOnce() -> Result<Option<AdaptationPlan>>,
+        compose: impl FnOnce(WorldStamp) -> Result<Option<Arc<AdaptationPlan>>>,
     ) -> Result<Option<AdaptationPlan>> {
         let shard = self.shard_for(key);
         let mut record = |outcome: CacheOutcome| {
@@ -294,7 +325,7 @@ impl ShardedCompositionCache {
                     }
                     shard.hits.fetch_add(1, Ordering::Relaxed);
                     record(CacheOutcome::Hit);
-                    return Ok(Some(entry.plan));
+                    return Ok(Some(AdaptationPlan::clone(&entry.plan)));
                 }
                 shard.entries.write().remove(&key);
                 shard.stale.fetch_add(1, Ordering::Relaxed);
@@ -305,17 +336,17 @@ impl ShardedCompositionCache {
                 record(CacheOutcome::Miss);
             }
         }
-        let plan = compose()?;
+        let plan = compose(stamp)?;
         if let Some(plan) = &plan {
             shard.entries.write().insert(
                 key,
                 CachedPlan {
-                    plan: plan.clone(),
+                    plan: Arc::clone(plan),
                     stamp,
                 },
             );
         }
-        Ok(plan)
+        Ok(plan.map(|plan| AdaptationPlan::clone(&plan)))
     }
 
     /// Drop every cached entry (counters are kept).
@@ -947,7 +978,7 @@ mod tests {
         );
         // The stale entry made way for the recompose's.
         assert_eq!(f.cache.len(), 1);
-        assert_eq!(f.with_entry(|entry| entry.plan.clone()), replacement);
+        assert_eq!(*f.with_entry(|entry| Arc::clone(&entry.plan)), replacement);
         assert_eq!(f.stamps(), f.world_stamps());
     }
 

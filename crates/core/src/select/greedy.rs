@@ -77,7 +77,7 @@ pub enum TieBreak {
 }
 
 /// Options for [`select_chain`].
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SelectOptions {
     /// Tie-breaking policy.
     pub tie_break: TieBreak,

@@ -15,6 +15,7 @@ use qosc_services::ServiceRegistry;
 /// | `ComposeMemo` | the stamp, interned request id, rung | nothing; a compose reads no grey state and meets discovery only through the registry, so its event count is always 0 |
 /// | `ChaosWorld` delivery memo | the stamp, plan generation, demand | the grant epoch, for the brokered shape (routability, required rate, sag cap): only the grant division reads it, redone whenever it moved |
 /// | `ShardedCompositionCache` | no part: a moved registry or network part re-checks its half of the plan | the event count; the cache keeps a plan that still works, and hit/miss/stale is output |
+/// | the cache's compose memo | the whole stamp, then the request class with `==` | nothing of the stamp (its event count is always 0, as for `ComposeMemo`); of the request, every field selection does not read — `user.name` first — because the class is resolved before the lookup |
 /// | `GraphStore` | network version; its own per-shard `RegistryStamp` for the registry | a scoped graph reads only its expanded shards, so the registry-wide epoch would rebuild it on churn it never reads; builds read no grey state |
 /// | route trees (`Network`) | nothing | dropped eagerly at `Network::routing_changed`; every other version bump moves headroom, never a minimum-delay route |
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]

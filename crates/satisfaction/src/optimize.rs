@@ -38,7 +38,7 @@ use qosc_media::{Axis, AxisDomain, BitrateModel, DomainVector, ParamVector};
 
 /// Tuning knobs for [`optimize`]. The defaults are deterministic and fast
 /// enough for graphs with thousands of candidate evaluations.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OptimizeOptions {
     /// Grid samples per axis in the fallback search.
     pub grid_per_axis: usize,

@@ -4,7 +4,10 @@
 //! allocates exactly what cloning the cached plan allocates. The key is
 //! hashed straight out of the profile set (no JSON text, no value
 //! tree), and with the network version unchanged no hop is re-routed
-//! (no `Route`).
+//! (no `Route`). A stale probe whose class the compose memo already
+//! answered at this world stamp allocates the resolve that names its
+//! class plus the one plan it returns: no graph, no selection, no copy
+//! of the dead entry's plan.
 //!
 //! One test only, on one thread: the counter is per thread. The
 //! counting allocator is the one of `tests/broker_alloc.rs`.
@@ -76,17 +79,19 @@ fn a_hit_allocates_only_the_plan_it_returns() {
     });
     let cache = ShardedCompositionCache::new(1);
     let options = SelectOptions::default();
-    let probe = |scenario: &qosc_workload::Scenario| {
+    let probe_as = |scenario: &qosc_workload::Scenario, profiles: &qosc_profiles::ProfileSet| {
         cache
             .compose(
                 &scenario.composer(),
-                &scenario.profiles,
+                profiles,
                 scenario.sender_host,
                 scenario.receiver_host,
                 &options,
             )
             .expect("compose")
-            .expect("the mesh solves")
+    };
+    let probe = |scenario: &qosc_workload::Scenario| {
+        probe_as(scenario, &scenario.profiles).expect("the mesh solves")
     };
     let first = probe(&scenario);
     let plan_cost = allocations_in(|| {
@@ -120,4 +125,53 @@ fn a_hit_allocates_only_the_plan_it_returns() {
 
     let stats = cache.stats();
     assert_eq!((stats.hits, stats.misses, stats.stale), (2, 1, 0));
+
+    // A second user of the same class, cached too; then a failure on
+    // the chain both entries hold makes both stale.
+    let mut twin = scenario.profiles.clone();
+    twin.user.name.push_str("-twin");
+    assert_eq!(probe_as(&scenario, &twin).as_ref(), Some(&first));
+    let on_chain = first
+        .steps
+        .iter()
+        .find_map(|s| s.service)
+        .expect("a transcoder");
+    assert!(scenario
+        .services
+        .report_failure(on_chain, SimTime(20))
+        .unwrap());
+    // The first stale probe of the class composes…
+    let replacement = probe(&scenario);
+    assert_ne!(replacement, first);
+    let plan_cost = allocations_in(|| {
+        std::hint::black_box(replacement.clone());
+    });
+    let resolve_cost = allocations_in(|| {
+        let profiles = &scenario.profiles;
+        profiles.validate().expect("valid");
+        std::hint::black_box((
+            profiles
+                .content
+                .resolve(&scenario.formats)
+                .expect("resolves"),
+            profiles
+                .device
+                .resolve_decoders(&scenario.formats)
+                .expect("resolves"),
+            profiles.device.hardware.quality_caps(),
+            profiles.effective_satisfaction(),
+        ));
+    });
+    // …and the second is answered by the memo.
+    let mut stale = None;
+    let allocations = allocations_in(|| stale = Some(probe_as(&scenario, &twin)));
+    assert_eq!(stale, Some(Some(replacement)));
+    assert_eq!(
+        allocations,
+        resolve_cost + plan_cost,
+        "memo-answered stale probe"
+    );
+
+    let stats = cache.stats();
+    assert_eq!((stats.hits, stats.misses, stats.stale), (2, 2, 2));
 }
