@@ -18,11 +18,15 @@
 //! The key covers the whole profile set, user name included, so one
 //! (content, device, preference) class spans many entries. A miss or a
 //! stale probe therefore asks the compose memo first (`class_memo`): it
-//! keeps one fresh answer per request class — what selection reads, the
-//! name not among it — at the current [`WorldStamp`], so after a world
-//! write the kernel runs once per class, not once per stale entry.
-//! Entries and the memo share each plan by `Arc`; a probe copies it out
-//! once, on return. The store-free cache
+//! interns each request class — what selection reads, the name not
+//! among it — to a dense id with one answer slot at the current
+//! [`WorldStamp`], so after a world write the kernel runs once per
+//! class, not once per stale entry. Each entry keeps its class id, and
+//! a stale probe under the class's options hands it back, so it
+//! resolves, hashes and compares no class. Entries and the memo share
+//! each plan by `Arc`; a probe copies it out once, on return. Keys are
+//! hashed by the crate's deterministic folded-multiply `KeyHasher`. The
+//! store-free cache
 //! ([`new_without_graph_store`](ShardedCompositionCache::new_without_graph_store))
 //! has no memo and is the reference X15 compares both against.
 //!
@@ -42,6 +46,7 @@ mod class_memo;
 
 use crate::composer::Composer;
 use crate::graph::{GraphStore, GraphStoreStats};
+use crate::key_hash::KeyHasher;
 use crate::plan::AdaptationPlan;
 use crate::select::SelectOptions;
 use crate::stamp::WorldStamp;
@@ -54,7 +59,6 @@ use qosc_services::ServiceRegistry;
 use qosc_telemetry::{
     CacheOutcome, EventKind, MetricsRegistry, RequestTrace, TelemetrySink, ROOT_SPAN,
 };
-use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -111,6 +115,10 @@ struct CachedPlan {
     /// Shared with the compose memo; a hit copies it out once.
     plan: Arc<AdaptationPlan>,
     stamp: WorldStamp,
+    /// The request's class id in the compose memo, which a stale probe
+    /// hands back to it; `None` in the store-free cache, which has no
+    /// memo.
+    class: Option<u32>,
 }
 
 /// One lock-guarded slice of the cache, with its own exact counters.
@@ -136,8 +144,9 @@ pub struct ShardedCompositionCache {
     /// `None` runs the historical rebuild-per-compose path (kept for
     /// baseline measurement).
     graph_store: Option<GraphStore>,
-    /// One fresh answer per request class at the current world stamp,
-    /// consulted by misses and stale probes on the store-backed path.
+    /// Request classes by dense id, each with one answer slot at the
+    /// world stamp it was composed at, consulted by misses and stale
+    /// probes on the store-backed path.
     memo: ClassMemo,
 }
 
@@ -260,28 +269,36 @@ impl ShardedCompositionCache {
             composer.services,
             composer.network,
             trace,
-            |stamp| match &self.graph_store {
-                Some(store) => self.memo.compose(
-                    composer,
-                    store,
-                    profiles,
-                    sender_host,
-                    receiver_host,
-                    &options,
-                    stamp,
-                    class_hash,
-                ),
-                None => Ok(composer
-                    .compose(profiles, sender_host, receiver_host, &options)?
-                    .plan
-                    .map(Arc::new)),
+            |stamp, known| match &self.graph_store {
+                Some(store) => {
+                    let (class, plan) = self.memo.compose(
+                        composer,
+                        store,
+                        profiles,
+                        sender_host,
+                        receiver_host,
+                        &options,
+                        stamp,
+                        known,
+                        class_hash,
+                    )?;
+                    Ok((Some(class), plan))
+                }
+                None => Ok((
+                    None,
+                    composer
+                        .compose(profiles, sender_host, receiver_host, &options)?
+                        .plan
+                        .map(Arc::new),
+                )),
             },
         )
     }
 
     /// Look `key` up, revalidate a found entry by halves against
     /// `services` and `network`, and on a miss or a stale entry run
-    /// `compose` at the world's stamp and store its plan.
+    /// `compose` at the world's stamp — with the stale entry's class
+    /// id — and store its plan under the class id it returns.
     ///
     /// Each half of the world is re-checked only when its own stamp
     /// moved. The registry half ([`ServiceRegistry::is_available`] per
@@ -299,7 +316,10 @@ impl ShardedCompositionCache {
         services: &ServiceRegistry,
         network: &Network,
         trace: &mut RequestTrace<'_, S>,
-        compose: impl FnOnce(WorldStamp) -> Result<Option<Arc<AdaptationPlan>>>,
+        compose: impl FnOnce(
+            WorldStamp,
+            Option<u32>,
+        ) -> Result<(Option<u32>, Option<Arc<AdaptationPlan>>)>,
     ) -> Result<Option<AdaptationPlan>> {
         let shard = self.shard_for(key);
         let mut record = |outcome: CacheOutcome| {
@@ -308,6 +328,7 @@ impl ShardedCompositionCache {
         };
         let stamp = WorldStamp::of(services, network);
         let cached = shard.entries.read().get(&key).cloned();
+        let mut known = None;
         match cached {
             Some(entry) => {
                 let registry_fresh = entry.stamp.registry_epoch == stamp.registry_epoch;
@@ -328,6 +349,7 @@ impl ShardedCompositionCache {
                     return Ok(Some(AdaptationPlan::clone(&entry.plan)));
                 }
                 shard.entries.write().remove(&key);
+                known = entry.class;
                 shard.stale.fetch_add(1, Ordering::Relaxed);
                 record(CacheOutcome::Stale);
             }
@@ -336,13 +358,14 @@ impl ShardedCompositionCache {
                 record(CacheOutcome::Miss);
             }
         }
-        let plan = compose(stamp)?;
+        let (class, plan) = compose(stamp, known)?;
         if let Some(plan) = &plan {
             shard.entries.write().insert(
                 key,
                 CachedPlan {
                     plan: Arc::clone(plan),
                     stamp,
+                    class,
                 },
             );
         }
@@ -435,7 +458,7 @@ pub fn request_hashes_total() -> u64 {
 /// rendering or allocating anything.
 pub(crate) fn request_key(profiles: &ProfileSet, sender: NodeId, receiver: NodeId) -> u64 {
     REQUEST_HASHES.fetch_add(1, Ordering::Relaxed);
-    let mut hasher = DefaultHasher::new();
+    let mut hasher = KeyHasher::default();
     profiles.hash(&mut hasher);
     sender.index().hash(&mut hasher);
     receiver.index().hash(&mut hasher);
@@ -479,6 +502,7 @@ mod tests {
         ContentProfile, ContextProfile, DeviceProfile, NetworkProfile, UserProfile,
     };
     use qosc_services::{catalog, ServiceRegistry, TranscoderDescriptor};
+    use std::collections::hash_map::DefaultHasher;
 
     struct Fixture {
         formats: FormatRegistry,
@@ -1025,6 +1049,71 @@ mod tests {
     }
 
     // -----------------------------------------------------------------
+    // The entry's class id
+    // -----------------------------------------------------------------
+
+    /// An entry keeps the class id its options named. A stale probe of
+    /// the same request under other options must not reuse it: it
+    /// resolves its own class and gets what a fresh compose under its
+    /// options gets, although the entry's class was answered at this
+    /// very stamp.
+    #[test]
+    fn a_stale_probe_under_other_options_resolves_afresh() {
+        use qosc_netsim::SimTime;
+        let mut f = HalvesFixture::new();
+        let compose_as = |f: &HalvesFixture, profiles: &ProfileSet, options: &SelectOptions| {
+            let w = &f.world;
+            let composer = Composer {
+                formats: &w.formats,
+                services: &w.services,
+                network: &w.network,
+            };
+            let cached = f
+                .cache
+                .compose(&composer, profiles, w.server, w.client, options)
+                .unwrap();
+            let fresh = composer
+                .compose(profiles, w.server, w.client, options)
+                .unwrap()
+                .plan;
+            (cached, fresh)
+        };
+        let stored_under = SelectOptions::default();
+        let probed_under = SelectOptions {
+            max_rounds: 1,
+            ..SelectOptions::default()
+        };
+        let profiles = f.world.profiles.clone();
+        let mut twin = profiles.clone();
+        twin.user.name.push_str("-twin");
+        let (first, _) = compose_as(&f, &profiles, &stored_under);
+        let (service, _) = first_service(&first.expect("solvable"));
+        compose_as(&f, &twin, &stored_under);
+        assert!(f
+            .world
+            .services
+            .report_failure(service, SimTime(10))
+            .unwrap());
+
+        // The twin's stale probe answers the class at the new stamp…
+        let (class_answer, fresh) = compose_as(&f, &twin, &stored_under);
+        assert_eq!(class_answer, fresh);
+        // …and the other options' probe of the first request does not
+        // take that answer.
+        let (answer, fresh) = compose_as(&f, &profiles, &probed_under);
+        assert_ne!(fresh, class_answer, "the options change the plan");
+        assert_eq!(answer, fresh);
+        assert_eq!(
+            f.cache.stats(),
+            CacheStats {
+                hits: 0,
+                misses: 2,
+                stale: 2
+            }
+        );
+    }
+
+    // -----------------------------------------------------------------
     // The request key
     // -----------------------------------------------------------------
 
@@ -1538,6 +1627,150 @@ mod tests {
                 _ => {}
             }
             b
+        }
+
+        /// The profile set of the generated X15 mesh (`compose_hot`'s
+        /// request): frame rate only, no budget, three variants, three
+        /// decoders, a desktop on a LAN.
+        fn x15() -> ProfileSet {
+            let offered = DomainVector::new().with(
+                Axis::FrameRate,
+                AxisDomain::Continuous {
+                    min: 0.0,
+                    max: 30.0,
+                },
+            );
+            let satisfaction = SatisfactionProfile::new().with(AxisPreference::new(
+                Axis::FrameRate,
+                SatisfactionFn::Linear {
+                    min_acceptable: 0.0,
+                    ideal: 30.0,
+                },
+            ));
+            ProfileSet {
+                user: UserProfile::new("generated-user", satisfaction),
+                content: ContentProfile::new(
+                    "generated-content",
+                    (0..3)
+                        .map(|i| VariantSpec {
+                            format: format!("L0_{i}"),
+                            offered: offered.clone(),
+                        })
+                        .collect(),
+                ),
+                device: DeviceProfile::new(
+                    "generated-device",
+                    (0..3).map(|i| format!("L5_{i}")).collect(),
+                    HardwareCaps::desktop(),
+                ),
+                context: ContextProfile::default(),
+                network: NetworkProfile::lan(),
+            }
+        }
+
+        /// Values of the perturbed fields: far from every base value,
+        /// and with integers in one shared range, so that a hash that
+        /// loses positions keys two fields' perturbations alike.
+        const PERTURBED: u64 = 1 << 20;
+        /// Perturbations per field and base.
+        const PER_FIELD: u64 = 6_250;
+
+        type Perturbation = fn(&mut ProfileSet, u64);
+
+        /// One field each: names, floats, integers, a domain bound.
+        const PERTURBATIONS: &[Perturbation] = &[
+            |p, i| p.user.name = format!("user-{i:016x}"),
+            |p, i| p.user.budget = Some((PERTURBED + i) as f64),
+            |p, i| p.network.delay_us = PERTURBED + i,
+            |p, i| p.device.hardware.screen_width = (PERTURBED + i) as u32,
+            |p, i| p.network.downlink_bps = (PERTURBED + i) as f64,
+            |p, i| p.context.ambient_noise = i as f64 / PER_FIELD as f64 + 1.0,
+            |p, i| p.content.title = format!("clip {i}"),
+            |p, i| {
+                p.content.variants[0].offered.set(
+                    Axis::FrameRate,
+                    AxisDomain::Continuous {
+                        min: 0.0,
+                        max: (PERTURBED + i) as f64,
+                    },
+                );
+            },
+        ];
+
+        /// χ² over 16 equally likely cells: 15 degrees of freedom, and
+        /// 40 is exceeded with probability below 0.001.
+        const CHI_SQUARED_BOUND: f64 = 40.0;
+
+        /// Key every single-field perturbation of the X15 and the
+        /// catalog-fixture request with `key`: no two may collide in 64
+        /// bits, and the low 4 bits — a 16-shard cache's shard — must
+        /// pass the χ² bound.
+        fn check_spread(key: impl Fn(&ProfileSet) -> u64) -> std::result::Result<(), String> {
+            let mut seen = std::collections::HashSet::new();
+            let mut shards = [0u64; 16];
+            for base in [x15(), fixture().profiles] {
+                for perturb in PERTURBATIONS {
+                    for i in 0..PER_FIELD {
+                        let mut profiles = base.clone();
+                        perturb(&mut profiles, i);
+                        let k = key(&profiles);
+                        if !seen.insert(k) {
+                            return Err(format!("64-bit collision at {profiles:?}"));
+                        }
+                        shards[(k & 15) as usize] += 1;
+                    }
+                }
+            }
+            let expected = seen.len() as f64 / 16.0;
+            let chi_squared: f64 = shards
+                .iter()
+                .map(|&n| (n as f64 - expected).powi(2) / expected)
+                .sum();
+            if chi_squared > CHI_SQUARED_BOUND {
+                return Err(format!("χ² {chi_squared:.1} over shards {shards:?}"));
+            }
+            Ok(())
+        }
+
+        #[test]
+        fn perturbed_requests_never_collide_and_spread_over_shards() {
+            assert_eq!(
+                2 * PERTURBATIONS.len() as u64 * PER_FIELD,
+                100_000,
+                "the sample size"
+            );
+            check_spread(key_of).expect("request_key");
+        }
+
+        /// The check bites: with the multiply dropped, the hasher only
+        /// xors words together, and fails it.
+        #[test]
+        fn a_hasher_without_the_multiply_fails_the_spread_check() {
+            #[derive(Default)]
+            struct XorHasher(u64);
+            impl Hasher for XorHasher {
+                fn write(&mut self, bytes: &[u8]) {
+                    for chunk in bytes.chunks(8) {
+                        let mut word = [0u8; 8];
+                        word[..chunk.len()].copy_from_slice(chunk);
+                        self.write_u64(u64::from_le_bytes(word));
+                    }
+                }
+                fn write_u64(&mut self, word: u64) {
+                    self.0 ^= word;
+                }
+                fn finish(&self) -> u64 {
+                    self.0
+                }
+            }
+            let weak = |profiles: &ProfileSet| {
+                let mut hasher = XorHasher::default();
+                profiles.hash(&mut hasher);
+                node(0).index().hash(&mut hasher);
+                node(1).index().hash(&mut hasher);
+                hasher.finish()
+            };
+            assert!(check_spread(weak).is_err());
         }
 
         proptest! {

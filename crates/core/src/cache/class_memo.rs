@@ -9,9 +9,17 @@
 //! classes get equal answers: the first miss or stale probe of a class
 //! composes, and the rest of the class's probes at that stamp are
 //! answered from here.
+//!
+//! The memo has [`ComposeMemo`](crate::engine::ComposeMemo)'s shape:
+//! each class is interned once to a dense id, and id `i` owns one
+//! answer slot, valid at the stamp stored beside it. The cache keeps
+//! each entry's class id, so a stale probe of a known request resolves,
+//! hashes and compares no class — see [`ClassMemo::compose`] for when
+//! an id may be reused.
 
 use crate::composer::Composer;
 use crate::graph::GraphStore;
+use crate::key_hash::KeyHasher;
 use crate::plan::AdaptationPlan;
 use crate::select::SelectOptions;
 use crate::stamp::WorldStamp;
@@ -21,7 +29,6 @@ use qosc_media::{hash_f64, ContentVariant, FormatId, FormatRegistry, ParamVector
 use qosc_netsim::{memo::memos_off, NodeId};
 use qosc_profiles::ProfileSet;
 use qosc_satisfaction::SatisfactionProfile;
-use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
@@ -74,7 +81,7 @@ impl Class {
 /// [`hash_f64`]); the options are left to the `==` confirmation, as a
 /// cache serves them all alike.
 pub(crate) fn class_hash(class: &Class) -> u64 {
-    let mut hasher = DefaultHasher::new();
+    let mut hasher = KeyHasher::default();
     class.sender_host.index().hash(&mut hasher);
     class.receiver_host.index().hash(&mut hasher);
     class.variants.len().hash(&mut hasher);
@@ -96,35 +103,58 @@ pub(crate) fn class_hash(class: &Class) -> u64 {
 /// serve it, or `None` for a class that is unsolvable at the stamp.
 type Answer = Option<Arc<AdaptationPlan>>;
 
-/// The classes composed at one stamp, bucketed by hash.
+/// Every class met so far, by dense id, and each id's answer slot.
 #[derive(Debug, Default)]
-struct Generation {
-    /// `None` until the first answer is stored.
-    stamp: Option<WorldStamp>,
-    buckets: HashMap<u64, Vec<(Class, Answer)>>,
+struct Interned {
+    /// Class `id` is `classes[id]`.
+    classes: Vec<Class>,
+    /// Ids by class hash; a bucket collision costs an `==`.
+    buckets: HashMap<u64, Vec<u32>>,
+    /// Slot `id`: the last answer composed for class `id`, and the
+    /// stamp it was composed at.
+    slots: Vec<Option<(WorldStamp, Answer)>>,
+}
+
+impl Interned {
+    fn find(&self, bucket: u64, class: &Class) -> Option<u32> {
+        self.buckets
+            .get(&bucket)?
+            .iter()
+            .copied()
+            .find(|&id| self.classes[id as usize] == *class)
+    }
 }
 
 /// The exact memo behind the cache's misses and stale probes.
 ///
-/// It holds only answers composed at one [`WorldStamp`], and drops them
-/// all when an answer arrives from another: it keeps the classes seen
-/// since the last world write and needs no eviction. `Ok(Some)` and
-/// `Ok(None)` are stored; an error recomposes. A hit is confirmed with
-/// `==` on the whole [`Class`], so a bucket collision costs a
-/// comparison, never a wrong answer, and under
-/// [`memos_off`](qosc_netsim::memo::memos_off) nothing is answered.
+/// A slot answers only at the [`WorldStamp`] it was composed at, and
+/// under [`memos_off`](qosc_netsim::memo::memos_off) never. `Ok(Some)`
+/// and `Ok(None)` are stored; an error recomposes and interns nothing.
+/// Ids carry no world state, so they are kept across stamps (and under
+/// `memos_off`) and never evicted: the table grows with the distinct
+/// classes the cache has met, as the cache grows with its requests.
 /// Lookup and insert take a short lock; composition runs outside it,
-/// and threads racing on a cold class store one answer.
+/// and threads racing on a cold class intern one id and store one
+/// answer.
 #[derive(Debug, Default)]
 pub(crate) struct ClassMemo {
-    generation: RwLock<Generation>,
+    interned: RwLock<Interned>,
 }
 
 impl ClassMemo {
     /// What [`Composer::compose_with_store`] returns for this request's
-    /// plan at `stamp`, `composer`'s world: the stored answer of the
-    /// request's class at `stamp`, or a fresh compose through `store`
-    /// (then stored). `hash` buckets classes.
+    /// plan at `stamp`, `composer`'s world, and the request's class id:
+    /// the stored answer of the request's class at `stamp`, or a fresh
+    /// compose through `store` (then stored). `hash` buckets classes.
+    ///
+    /// `known` is the class id the memo returned for this request
+    /// before, which the cache keeps on the request's entry. It is
+    /// reused only when `options` equal the class's, and then the
+    /// request is not resolved at all. That is exact because the entry
+    /// is keyed by the whole request, and the class reads only the
+    /// request, the options and `composer.formats`, whose names keep
+    /// their ids once registered (`FormatRegistry::register`: the first
+    /// registration wins; `ComposeMemo` relies on the same).
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn compose(
         &self,
@@ -135,25 +165,28 @@ impl ClassMemo {
         receiver_host: NodeId,
         options: &SelectOptions,
         stamp: WorldStamp,
+        known: Option<u32>,
         hash: impl Fn(&Class) -> u64,
-    ) -> Result<Answer> {
-        let class = Class::of(
-            composer.formats,
-            profiles,
-            sender_host,
-            receiver_host,
-            options,
-        )?;
-        let bucket = hash(&class);
+    ) -> Result<(u32, Answer)> {
+        let known =
+            known.filter(|&id| self.interned.read().classes[id as usize].options == *options);
+        let id = match known {
+            Some(id) => id,
+            None => self.intern(
+                Class::of(
+                    composer.formats,
+                    profiles,
+                    sender_host,
+                    receiver_host,
+                    options,
+                )?,
+                hash,
+            ),
+        };
         if !memos_off() {
-            let generation = self.generation.read();
-            if generation.stamp == Some(stamp) {
-                let stored = generation
-                    .buckets
-                    .get(&bucket)
-                    .and_then(|entries| entries.iter().find(|(other, _)| *other == class));
-                if let Some((_, answer)) = stored {
-                    return Ok(answer.clone());
+            if let Some((at, answer)) = &self.interned.read().slots[id as usize] {
+                if *at == stamp {
+                    return Ok((id, answer.clone()));
                 }
             }
         }
@@ -161,22 +194,34 @@ impl ClassMemo {
             .compose_with_store(store, profiles, sender_host, receiver_host, options)?
             .plan
             .map(Arc::new);
-        let mut generation = self.generation.write();
-        if generation.stamp != Some(stamp) {
-            generation.buckets.clear();
-            generation.stamp = Some(stamp);
+        let slot = &mut self.interned.write().slots[id as usize];
+        if !matches!(slot, Some((at, _)) if *at == stamp) {
+            *slot = Some((stamp, answer.clone()));
         }
-        let entries = generation.buckets.entry(bucket).or_default();
-        if !entries.iter().any(|(other, _)| *other == class) {
-            entries.push((class, answer.clone()));
-        }
-        Ok(answer)
+        Ok((id, answer))
     }
 
-    /// Classes stored at the current generation's stamp.
+    /// `class`'s id, interning it on first sight.
+    fn intern(&self, class: Class, hash: impl Fn(&Class) -> u64) -> u32 {
+        let bucket = hash(&class);
+        if let Some(id) = self.interned.read().find(bucket, &class) {
+            return id;
+        }
+        let mut interned = self.interned.write();
+        if let Some(id) = interned.find(bucket, &class) {
+            return id;
+        }
+        let id = u32::try_from(interned.classes.len()).expect("fewer than 2^32 classes");
+        interned.classes.push(class);
+        interned.slots.push(None);
+        interned.buckets.entry(bucket).or_default().push(id);
+        id
+    }
+
+    /// Classes interned so far.
     #[cfg(test)]
     fn len(&self) -> usize {
-        self.generation.read().buckets.values().map(Vec::len).sum()
+        self.interned.read().classes.len()
     }
 }
 
@@ -184,6 +229,7 @@ impl ClassMemo {
 mod tests {
     use super::*;
     use qosc_media::{Axis, AxisDomain};
+    #[cfg(debug_assertions)]
     use qosc_netsim::memo::with_memos_off;
     use qosc_netsim::{Network, Node, SimTime, Topology};
     use qosc_profiles::{
@@ -256,9 +302,11 @@ mod tests {
                 self.client,
                 &SelectOptions::default(),
                 self.stamp(),
+                None,
                 hash,
             )
             .expect("valid request")
+            .1
         }
 
         /// `profiles` composed from scratch, memo-less.
@@ -398,7 +446,7 @@ mod tests {
             .expect("has a transcoder");
         assert!(world.services.report_failure(chain, SimTime(10)).unwrap());
         assert_eq!(composes(&world, &all), classes.len() as u64);
-        assert_eq!(memo.len(), classes.len(), "the old stamp's classes dropped");
+        assert_eq!(memo.len(), classes.len(), "ids outlive the stamp");
         for profiles in &all {
             let answer = world.compose(&memo, &store, profiles, class_hash);
             assert_eq!(answer.as_deref(), world.fresh(profiles).as_ref());
@@ -414,8 +462,72 @@ mod tests {
             assert_eq!(world.compose(&memo, &store, profiles, class_hash), None);
         }
 
-        let off = with_memos_off(|| composes(&world, &all));
-        assert_eq!(off, all.len() as u64, "memos off: every compose is fresh");
+        // The switch exists in debug builds only.
+        #[cfg(debug_assertions)]
+        {
+            let off = with_memos_off(|| composes(&world, &all));
+            assert_eq!(off, all.len() as u64, "memos off: every compose is fresh");
+        }
+    }
+
+    /// The id a cache entry keeps stands for its class while the options
+    /// are the class's: the request is then not resolved at all, so a
+    /// request that would no longer resolve is still answered from the
+    /// slot. Under other options it is resolved, and is a class of its
+    /// own. Under `memos_off` the id is reused and the slot never read.
+    #[test]
+    fn a_known_id_skips_the_resolve_only_under_its_own_options() {
+        use crate::select::TieBreak;
+        let world = World::new();
+        let memo = ClassMemo::default();
+        let store = GraphStore::new();
+        let compose = |profiles: &ProfileSet, options: &SelectOptions, known| {
+            memo.compose(
+                &world.composer(),
+                &store,
+                profiles,
+                world.server,
+                world.client,
+                options,
+                world.stamp(),
+                known,
+                class_hash,
+            )
+        };
+        let valid = profiles(UserProfile::demo("demo"));
+        let mut unresolvable = valid.clone();
+        unresolvable
+            .device
+            .decoders
+            .push("no/such-format".to_string());
+        let options = SelectOptions::default();
+        let other = SelectOptions {
+            tie_break: TieBreak::Fifo,
+            ..options
+        };
+
+        let (id, answer) = compose(&valid, &options, None).expect("valid request");
+        let (again, stored) = compose(&unresolvable, &options, Some(id)).expect("not resolved");
+        assert_eq!(again, id);
+        assert!(Arc::ptr_eq(
+            stored.as_ref().expect("solvable"),
+            answer.as_ref().expect("solvable")
+        ));
+
+        compose(&unresolvable, &other, Some(id)).expect_err("resolved: unknown decoder");
+        let (other_id, _) = compose(&valid, &other, Some(id)).expect("valid request");
+        assert_ne!(other_id, id);
+        assert_eq!(memo.len(), 2);
+
+        #[cfg(debug_assertions)]
+        {
+            let (off_id, _) =
+                with_memos_off(|| compose(&valid, &options, Some(id))).expect("valid request");
+            assert_eq!(off_id, id);
+            with_memos_off(|| compose(&unresolvable, &options, Some(id)))
+                .expect_err("memos off: composed, so resolved");
+            assert_eq!(memo.len(), 2);
+        }
     }
 
     /// An invalid request fails as the compose would, and stores nothing.
@@ -435,6 +547,7 @@ mod tests {
                 world.client,
                 &SelectOptions::default(),
                 world.stamp(),
+                None,
                 class_hash,
             )
             .expect_err("unknown decoder");

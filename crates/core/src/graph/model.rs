@@ -101,12 +101,19 @@ impl Vertex {
     /// Distinct output formats, in first-appearance order.
     pub fn output_formats(&self) -> Vec<FormatId> {
         let mut seen = Vec::new();
+        self.output_formats_into(&mut seen);
+        seen
+    }
+
+    /// [`output_formats`](Vertex::output_formats) into `seen`, cleared
+    /// first: the graph store's delta reuses one buffer per delta.
+    pub(crate) fn output_formats_into(&self, seen: &mut Vec<FormatId>) {
+        seen.clear();
         for c in &self.conversions {
             if !seen.contains(&c.output) {
                 seen.push(c.output);
             }
         }
-        seen
     }
 }
 
@@ -291,7 +298,8 @@ impl AdaptationGraph {
     /// it). Surviving vertices and edges keep their relative order and
     /// are renumbered densely; adjacency lists keep their relative
     /// per-vertex order. Matches what a fresh build over the reduced
-    /// input would produce, modulo global edge numbering.
+    /// input would produce, modulo global edge numbering. Compacts in
+    /// place: the only allocations are the two renumbering tables.
     pub(crate) fn retain_canonical(
         &mut self,
         keep_vertex: impl Fn(VertexId) -> bool,
@@ -322,34 +330,38 @@ impl AdaptationGraph {
             }
         }
 
-        let old_edges = std::mem::take(&mut self.edges);
-        self.edges = old_edges
-            .into_iter()
-            .enumerate()
-            .filter_map(|(index, mut edge)| {
-                edge_map[index].map(|_| {
-                    edge.from = VertexId(vertex_map[edge.from.index()].expect("endpoint kept"));
-                    edge.to = VertexId(vertex_map[edge.to.index()].expect("endpoint kept"));
-                    edge
-                })
-            })
-            .collect();
-
-        let remap_list = |list: &Vec<EdgeId>| -> Vec<EdgeId> {
-            list.iter()
-                .filter_map(|e| edge_map[e.index()].map(EdgeId))
-                .collect()
-        };
-        let old_out = std::mem::take(&mut self.out);
-        let old_in = std::mem::take(&mut self.in_);
-        let old_vertices = std::mem::take(&mut self.vertices);
-        for (index, vertex) in old_vertices.into_iter().enumerate() {
-            if vertex_map[index].is_some() {
-                self.vertices.push(vertex);
-                self.out.push(remap_list(&old_out[index]));
-                self.in_.push(remap_list(&old_in[index]));
+        let mut index = 0;
+        self.edges.retain_mut(|edge| {
+            index += 1;
+            let kept = edge_map[index - 1].is_some();
+            if kept {
+                edge.from = VertexId(vertex_map[edge.from.index()].expect("endpoint kept"));
+                edge.to = VertexId(vertex_map[edge.to.index()].expect("endpoint kept"));
             }
-        }
+            kept
+        });
+        // Keep each kept vertex's list, its kept edges renumbered.
+        let compact = |lists: &mut Vec<Vec<EdgeId>>| {
+            let mut index = 0;
+            lists.retain_mut(|list| {
+                index += 1;
+                list.retain_mut(|e| match edge_map[e.index()] {
+                    Some(renumbered) => {
+                        *e = EdgeId(renumbered);
+                        true
+                    }
+                    None => false,
+                });
+                vertex_map[index - 1].is_some()
+            });
+        };
+        compact(&mut self.out);
+        compact(&mut self.in_);
+        let mut index = 0;
+        self.vertices.retain(|_| {
+            index += 1;
+            vertex_map[index - 1].is_some()
+        });
 
         self.sender = self
             .sender

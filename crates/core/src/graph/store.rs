@@ -12,7 +12,8 @@
 //! * same epoch + version → return the shared graph as-is (`reuses`);
 //! * registry moved a little → replay the event tail as **delta
 //!   updates** (add/remove service vertices, unwire/rewire quarantined
-//!   ones) against a clone of the stored graph (`deltas`);
+//!   ones) onto the stored graph, in place while the store holds its
+//!   only `Arc` and on a copy while a caller still holds it (`deltas`);
 //! * registry moved a lot, or the network changed → fall back to a
 //!   fresh `build()` (`rebuilds`).
 //!
@@ -30,6 +31,7 @@ use crate::graph::build::{self, BuildInput};
 use crate::graph::model::{
     AdaptationGraph, Edge, EdgeId, Vertex, VertexConversion, VertexId, VertexKind,
 };
+use crate::key_hash::KeyHasher;
 use crate::{CoreError, Result};
 use parking_lot::RwLock;
 use qosc_media::{AxisDomain, DomainVector, FormatId};
@@ -39,7 +41,6 @@ use qosc_telemetry::{
     Event as TelemetryEvent, EventKind as TelemetryEventKind, MetricsRegistry, TelemetrySink,
     REQUEST_NONE,
 };
-use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -325,56 +326,67 @@ impl GraphStore {
         };
         let version = input.network.version();
         let reads_stored = !memos_off();
+        let current = |entry: &StoreEntry| entry.stamp == stamp && entry.network_version == version;
 
         // Fast path: the stored graph is current.
         if reads_stored {
             let guard = self.entries.read();
-            if let Some(entry) = guard.get(&key) {
-                if entry.stamp == stamp && entry.network_version == version {
-                    self.reuses.fetch_add(1, Ordering::Relaxed);
-                    return Ok(entry.graph.clone());
-                }
+            if let Some(entry) = guard.get(&key).filter(|entry| current(entry)) {
+                self.reuses.fetch_add(1, Ordering::Relaxed);
+                return Ok(entry.graph.clone());
             }
         }
         let filter = scope.map(GraphScope::filter);
 
-        // Snapshot the stale entry (if any) outside the lock.
-        let snapshot = {
-            let guard = self.entries.read();
-            guard.get(&key).filter(|_| reads_stored).map(|entry| {
-                (
-                    entry.graph.clone(),
-                    entry.stamp.clone(),
-                    entry.network_version,
-                    entry.services.clone(),
-                )
-            })
+        // Take the stale entry (if any) out of the map, so that a delta
+        // edits its graph in place and a failed delta never reaches the
+        // store. Meanwhile a concurrent fetch of this key finds no entry
+        // and rebuilds; both then store equivalent graphs.
+        let stale = if reads_stored {
+            let mut guard = self.entries.write();
+            match guard.get(&key) {
+                // Another thread caught the entry up since the read.
+                Some(entry) if current(entry) => {
+                    self.reuses.fetch_add(1, Ordering::Relaxed);
+                    return Ok(entry.graph.clone());
+                }
+                _ => guard.remove(&key),
+            }
+        } else {
+            None
         };
 
-        if let Some((graph, stored_stamp, stored_version, services)) = snapshot {
+        if let Some(entry) = stale {
             // Epochs only advance (they count events); a changed
             // network invalidates every edge annotation, so only
             // registry movement is delta-eligible. A compacted tail
             // (`None`) means the events this entry missed are gone —
             // fall through to the rebuild path.
-            let tail = if stored_version == version {
-                stamped_tail(&stored_stamp, input, scope)
+            let tail = if entry.network_version == version {
+                stamped_tail(&entry.stamp, input, scope)
             } else {
                 None
             };
             if let Some(tail) = tail {
-                let plan = plan_delta(&services, &tail, input.services);
-                if plan.op_count() <= self.delta_threshold {
-                    if let Some((updated, updated_services)) =
-                        self.apply_delta(&graph, &services, &plan, input, filter)?
+                let plan = plan_delta(&entry.services, &tail, input.services);
+                let ops = plan.op_count();
+                if ops <= self.delta_threshold {
+                    // Copy-on-write: a caller still holding the graph
+                    // keeps it unchanged, and the delta edits a copy.
+                    let graph = Arc::try_unwrap(entry.graph)
+                        .unwrap_or_else(|shared| AdaptationGraph::clone(&shared));
+                    // A delta that bails or errors drops its half-edited
+                    // graph and rebuilds below.
+                    if let Ok(Some((updated, updated_services))) =
+                        self.apply_delta(graph, entry.services, plan, input, filter)
                     {
                         if cfg!(debug_assertions) {
                             let fresh = build::build_filtered(input, filter)?;
                             assert!(
                                 graphs_equivalent(&updated, &fresh),
                                 "graph delta diverged from fresh build \
-                                 ({stored_stamp:?} -> {stamp:?}, {} ops)",
-                                plan.op_count()
+                                 ({stored:?} -> {stamp:?}, {ops} ops)",
+                                stored = entry.stamp
                             );
                         }
                         let arc = Arc::new(updated);
@@ -388,8 +400,7 @@ impl GraphStore {
                             },
                         );
                         self.deltas.fetch_add(1, Ordering::Relaxed);
-                        self.delta_ops
-                            .fetch_add(plan.op_count() as u64, Ordering::Relaxed);
+                        self.delta_ops.fetch_add(ops as u64, Ordering::Relaxed);
                         return Ok(arc);
                     }
                 }
@@ -449,16 +460,16 @@ impl GraphStore {
         table
     }
 
-    /// Apply `plan` to a clone of `graph`. Returns `None` when a stored
+    /// Apply `plan` to `graph` in place. Returns `None` when a stored
     /// invariant does not hold (the caller then rebuilds). With a
     /// `scope`, out-of-scope services looked up through the registry's
     /// format index are expected absences and are skipped rather than
     /// treated as broken invariants.
     fn apply_delta(
         &self,
-        graph: &AdaptationGraph,
-        services: &[(ServiceId, bool)],
-        plan: &DeltaPlan,
+        mut graph: AdaptationGraph,
+        mut services: Vec<(ServiceId, bool)>,
+        mut plan: DeltaPlan,
         input: &BuildInput<'_>,
         scope: Option<&[bool]>,
     ) -> Result<DeltaOutcome> {
@@ -469,9 +480,6 @@ impl GraphStore {
         {
             return Ok(None);
         }
-
-        let mut graph = graph.clone();
-        let mut services: Vec<(ServiceId, bool)> = services.to_vec();
 
         // Phase A: one compaction pass removes dead vertices (and their
         // incident edges) and the in-edges of every vertex whose
@@ -499,9 +507,8 @@ impl GraphStore {
         // Phase B: append new service vertices, ascending id — new ids
         // are larger than every stored one, so appending lands them in
         // registration order, exactly where a fresh build puts them.
-        let mut additions = plan.additions.clone();
-        additions.sort_by_key(|id| id.index());
-        for &id in &additions {
+        plan.additions.sort_by_key(|id| id.index());
+        for &id in &plan.additions {
             let descriptor = input.services.get(id)?;
             let vertex = graph.add_vertex(Vertex {
                 kind: VertexKind::Transcoder(id),
@@ -542,7 +549,7 @@ impl GraphStore {
                 None => return Ok(None),
             }
         }
-        for &id in &additions {
+        for &id in &plan.additions {
             if input.services.is_available(id) {
                 match vertex_of(&services, id) {
                     Some(v) => rebuild_in.push(v),
@@ -557,6 +564,8 @@ impl GraphStore {
         }
 
         let receiver = VertexId::from_index(1);
+        let mut tables = HostTables::new(self, input.network);
+        let mut outputs: Vec<FormatId> = Vec::new();
 
         // Phase C1: out-edges of new vertices, skipping targets whose
         // in-lists are rebuilt below (those edges are generated there).
@@ -564,15 +573,15 @@ impl GraphStore {
         // first-appearance order, accepting services in registration
         // order, receiver last — so appending to the new vertex's empty
         // out-list is canonical.
-        for &id in &additions {
+        for &id in &plan.additions {
             let source = match vertex_of(&services, id) {
                 Some(v) => v,
                 None => return Ok(None),
             };
             let from_host = graph.vertex(source)?.host;
-            let annotations = self.annotation_table(input.network, from_host);
-            let outputs = graph.vertex(source)?.output_formats();
-            for format in outputs {
+            let annotations = tables.out_of(from_host);
+            graph.vertex(source)?.output_formats_into(&mut outputs);
+            for &format in &outputs {
                 for target_id in input.services.accepting(format) {
                     if let Some(filter) = scope {
                         if !filter.get(target_id.index()).copied().unwrap_or(false) {
@@ -648,10 +657,13 @@ impl GraphStore {
                     continue; // the receiver has no out-edges
                 }
                 let source = VertexId::from_index(source_index);
-                let outputs = graph.vertex(source)?.output_formats();
-                let from_host = graph.vertex(source)?.host;
-                let annotations = self.annotation_table(input.network, from_host);
-                let annotation = annotations.get(to_host.index()).copied().flatten();
+                let source_vertex = graph.vertex(source)?;
+                source_vertex.output_formats_into(&mut outputs);
+                let annotation = tables
+                    .out_of(source_vertex.host)
+                    .get(to_host.index())
+                    .copied()
+                    .flatten();
                 for (rank, &format) in outputs.iter().enumerate() {
                     if !graph.vertex(target)?.accepts(format) {
                         continue;
@@ -683,6 +695,38 @@ impl GraphStore {
         }
 
         Ok(Some((graph, services)))
+    }
+}
+
+/// The annotation tables one delta reads, each fetched from the store's
+/// shared cache (and its lock) once per source host, not once per edge.
+struct HostTables<'a> {
+    store: &'a GraphStore,
+    network: &'a Network,
+    /// Indexed by host.
+    tables: Vec<Option<Arc<Vec<Option<PathAnnotation>>>>>,
+}
+
+impl<'a> HostTables<'a> {
+    fn new(store: &'a GraphStore, network: &'a Network) -> HostTables<'a> {
+        HostTables {
+            store,
+            network,
+            tables: Vec::new(),
+        }
+    }
+
+    /// The annotation table for paths out of `host`.
+    fn out_of(&mut self, host: NodeId) -> Arc<Vec<Option<PathAnnotation>>> {
+        if self.tables.len() <= host.index() {
+            self.tables.resize(
+                self.network.topology().node_count().max(host.index() + 1),
+                None,
+            );
+        }
+        self.tables[host.index()]
+            .get_or_insert_with(|| self.store.annotation_table(self.network, host))
+            .clone()
     }
 }
 
@@ -888,7 +932,7 @@ pub fn graphs_equivalent(a: &AdaptationGraph, b: &AdaptationGraph) -> bool {
 /// hardware caps share a graph — notably every degradation rung that
 /// only rewrites the *user* profile maps to the same key.
 fn graph_key(input: &BuildInput<'_>) -> u64 {
-    let mut hasher = DefaultHasher::new();
+    let mut hasher = KeyHasher::default();
     input.sender_host.index().hash(&mut hasher);
     input.receiver_host.index().hash(&mut hasher);
     input.variants.len().hash(&mut hasher);
@@ -907,7 +951,7 @@ fn graph_key(input: &BuildInput<'_>) -> u64 {
     hasher.finish()
 }
 
-fn hash_domain_vector(domain: &DomainVector, hasher: &mut DefaultHasher) {
+fn hash_domain_vector(domain: &DomainVector, hasher: &mut KeyHasher) {
     for (axis, axis_domain) in domain.iter() {
         axis.index().hash(hasher);
         match axis_domain {
@@ -1106,6 +1150,47 @@ mod tests {
 
         let stats = store.stats();
         assert_eq!((stats.rebuilds, stats.deltas), (1, 3), "{stats:?}");
+    }
+
+    /// A delta that bails after it has begun editing the graph leaves
+    /// nothing behind: the half-edited graph is dropped with its entry,
+    /// the fetch rebuilds, and the store holds the fresh build.
+    #[test]
+    fn a_delta_that_bails_part_way_leaves_no_trace() {
+        let mut sc = scenario(5);
+        let store = GraphStore::new();
+        drop(store.graph_for(&sc.input()).unwrap());
+        // Break the roster's registration order: Phase A still compacts
+        // the graph in place, then Phase B's order check bails.
+        let key = graph_key(&sc.input());
+        store
+            .entries
+            .write()
+            .get_mut(&key)
+            .expect("stored")
+            .services
+            .swap(0, 1);
+        let ids: Vec<ServiceId> = sc.services.live_services().map(|(id, _)| id).collect();
+        assert!(sc
+            .services
+            .report_failure(ids[2], SimTime::ZERO.plus_micros(10))
+            .unwrap());
+
+        let fetched = store.graph_for(&sc.input()).unwrap();
+        let fresh = build::build(&sc.input()).unwrap();
+        assert!(graphs_equivalent(&fetched, &fresh));
+        let stats = store.stats();
+        assert_eq!(
+            (stats.rebuilds, stats.deltas, stats.delta_ops),
+            (2, 0, 0),
+            "{stats:?}"
+        );
+        // The entry is the rebuilt one: the next fetch reuses it.
+        assert!(Arc::ptr_eq(
+            &fetched,
+            &store.graph_for(&sc.input()).unwrap()
+        ));
+        assert!(graphs_equivalent(&fetched, &fresh));
     }
 
     #[test]

@@ -51,6 +51,7 @@ pub mod cache;
 pub mod composer;
 pub mod engine;
 pub mod graph;
+mod key_hash;
 pub mod plan;
 pub mod select;
 pub mod session;

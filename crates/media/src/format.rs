@@ -85,6 +85,12 @@ impl FormatRegistry {
     /// Intern `spec`, returning its id. If a format with the same name is
     /// already registered, the existing id is returned and the existing
     /// spec is kept (first registration wins).
+    ///
+    /// Ids are dense and never renumbered, so a name that resolved once
+    /// resolves to the same id for the registry's lifetime: the
+    /// composition cache's entries keep their request's class id, and
+    /// the batch engines' compose memo its interned request ids, on
+    /// that promise.
     pub fn register(&mut self, spec: FormatSpec) -> FormatId {
         if let Some(&id) = self.by_name.get(&spec.name) {
             return id;
@@ -234,6 +240,33 @@ mod tests {
             "first registration wins"
         );
         assert_eq!(reg.len(), 1);
+    }
+
+    /// What memos that key resolved requests rely on: once a name has
+    /// an id, no later registration — of that name or of any other —
+    /// moves it, and ids stay `0..len`.
+    #[test]
+    fn re_registering_never_renumbers_and_ids_stay_dense() {
+        let mut reg = FormatRegistry::new();
+        let names = ["a", "b", "c"];
+        let first: Vec<FormatId> = names
+            .iter()
+            .map(|&name| reg.register_abstract(name, MediaKind::Video))
+            .collect();
+        for round in 0..3 {
+            reg.register_abstract(format!("new-{round}"), MediaKind::Audio);
+            for (&name, &id) in names.iter().zip(&first) {
+                assert_eq!(reg.register_abstract(name, MediaKind::Audio), id);
+                assert_eq!(reg.lookup(name).unwrap(), id);
+            }
+        }
+        assert_eq!(reg.len(), names.len() + 3);
+        let ids: Vec<usize> = reg.iter().map(|(id, _)| id.index()).collect();
+        assert_eq!(ids, (0..reg.len()).collect::<Vec<_>>());
+        assert_eq!(
+            first.iter().map(|id| id.index()).collect::<Vec<_>>(),
+            [0, 1, 2]
+        );
     }
 
     #[test]

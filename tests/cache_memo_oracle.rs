@@ -13,6 +13,11 @@
 //! must be equal request by request, and the hit/miss/stale counters
 //! equal; a failure names the stream's seed and the request.
 //!
+//! A further 64 streams draw each request's tie-break policy afresh, so
+//! one request is probed under other `SelectOptions` than its cache
+//! entry was stored under: the class id the entry keeps names the old
+//! options, and the memo must resolve such a probe afresh.
+//!
 //! The switch exists in debug builds only, and so does this test. The
 //! kernel-run count is the process-wide `arena_reuse_total()`, so this
 //! binary holds a single `#[test]`.
@@ -20,7 +25,7 @@
 #![cfg(debug_assertions)]
 
 use qosc_core::{
-    arena_reuse_total, AdaptationPlan, CacheStats, SelectOptions, ShardedCompositionCache,
+    arena_reuse_total, AdaptationPlan, CacheStats, SelectOptions, ShardedCompositionCache, TieBreak,
 };
 use qosc_media::{Axis, AxisDomain};
 use qosc_netsim::memo::with_memos_off;
@@ -34,6 +39,9 @@ use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
 
 const STREAMS: u64 = 256;
+/// Streams after the first [`STREAMS`] whose requests alternate
+/// tie-break policies.
+const TIE_BREAK_STREAMS: u64 = 64;
 /// Operations per stream; four in five are requests.
 const STEPS: usize = 36;
 /// User names per class.
@@ -86,6 +94,8 @@ struct Stream {
     /// (mesh service index, lease in µs) of each leased copy.
     leased: Vec<(usize, u64)>,
     ops: Vec<Op>,
+    /// The tie-break policy of the request at each op.
+    tie_breaks: Vec<TieBreak>,
 }
 
 impl Stream {
@@ -94,7 +104,9 @@ impl Stream {
     /// so 11 leaves none and 12 leaves all), the frame-rate ideal, one
     /// decoder dropped, or one content variant dropped or capped. Two
     /// classes of a stream then often differ in one field only, which
-    /// is where a key part left out would show.
+    /// is where a key part left out would show. From seed [`STREAMS`]
+    /// on, each request also draws its tie-break policy, from its own
+    /// generator so that the rest of the stream is drawn as before.
     fn draw(seed: u64, base: &ProfileSet) -> Stream {
         let mut rng = SmallRng::seed_from_u64(seed);
         let classes = (0..rng.random_range(2..=6usize))
@@ -155,10 +167,25 @@ impl Stream {
                 _ => Op::RestoreHosts,
             })
             .collect();
+        let mut policies = SmallRng::seed_from_u64(seed ^ 0x7469_6562_7265_616b);
+        let tie_breaks = (0..STEPS)
+            .map(|_| {
+                if seed < STREAMS {
+                    TieBreak::PaperOrder
+                } else {
+                    [
+                        TieBreak::PaperOrder,
+                        TieBreak::Fifo,
+                        TieBreak::ByVertexIndex,
+                    ][policies.random_range(0..3usize)]
+                }
+            })
+            .collect();
         Stream {
             classes,
             leased,
             ops,
+            tie_breaks,
         }
     }
 }
@@ -187,18 +214,21 @@ fn serve(stream: &Stream) -> (Vec<Option<AdaptationPlan>>, CacheStats) {
         })
         .collect();
     let cache = ShardedCompositionCache::new(4);
-    let options = SelectOptions::default();
     let mut plans = Vec::new();
     let mut last_chain: Vec<ServiceId> = Vec::new();
     let mut failed_hosts = Vec::new();
     let mut now_us = 0u64;
-    for op in &stream.ops {
+    for (op, &tie_break) in stream.ops.iter().zip(&stream.tie_breaks) {
         now_us += TICK_US;
         let now = SimTime(now_us);
         match *op {
             Op::Request { class, user } => {
                 let mut profiles = stream.classes[class].clone();
                 profiles.user.name = format!("user-{class}-{user}");
+                let options = SelectOptions {
+                    tie_break,
+                    ..SelectOptions::default()
+                };
                 let plan = cache
                     .compose(
                         &scenario.composer(),
@@ -253,7 +283,7 @@ fn the_cache_serves_what_it_serves_with_every_memo_off() {
     let base = mesh().profiles;
     let (mut kernel_on, mut kernel_off) = (0u64, 0u64);
     let mut totals = CacheStats::default();
-    for seed in 0..STREAMS {
+    for seed in 0..STREAMS + TIE_BREAK_STREAMS {
         let stream = Stream::draw(seed, &base);
         let before = arena_reuse_total();
         let (plans, stats) = serve(&stream);
