@@ -48,7 +48,7 @@ fn main() {
     let highlight: Vec<String> = composition
         .plan
         .as_ref()
-        .map(|p| p.steps.iter().map(|s| s.name.clone()).collect())
+        .map(|p| p.steps.iter().map(|s| s.name.to_string()).collect())
         .unwrap_or_default();
     println!("selected chain: {}", highlight.join(" → "));
     println!();

@@ -164,7 +164,7 @@ fn compose(args: &[String]) -> ExitCode {
         let highlight: Vec<String> = composition
             .plan
             .as_ref()
-            .map(|p| p.steps.iter().map(|s| s.name.clone()).collect())
+            .map(|p| p.steps.iter().map(|s| s.name.to_string()).collect())
             .unwrap_or_default();
         println!();
         print!(

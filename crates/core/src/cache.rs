@@ -21,11 +21,14 @@
 //! interns each request class — what selection reads, the name not
 //! among it — to a dense id with one answer slot at the current
 //! [`WorldStamp`], so after a world write the kernel runs once per
-//! class, not once per stale entry. Each entry keeps its class id, and
-//! a stale probe under the class's options hands it back, so it
-//! resolves, hashes and compares no class. Entries and the memo share
-//! each plan by `Arc`; a probe copies it out once, on return. Keys are
-//! hashed by the crate's deterministic folded-multiply `KeyHasher`. The
+//! class, not once per stale entry; on a stamp miss it also looks the
+//! world's content up among the class's recent answers, so a world that
+//! returns to an earlier state runs no kernel. Each entry keeps its
+//! class id, and a stale probe under the class's options hands it back,
+//! so it resolves, hashes and compares no class. Entries and the memo
+//! share each plan by `Arc`; a probe copies it out once, on return. Keys
+//! are hashed by the crate's deterministic folded-multiply `KeyHasher`.
+//! The
 //! store-free cache
 //! ([`new_without_graph_store`](ShardedCompositionCache::new_without_graph_store))
 //! has no memo and is the reference X15 compares both against.
@@ -145,8 +148,9 @@ pub struct ShardedCompositionCache {
     /// baseline measurement).
     graph_store: Option<GraphStore>,
     /// Request classes by dense id, each with one answer slot at the
-    /// world stamp it was composed at, consulted by misses and stale
-    /// probes on the store-backed path.
+    /// world stamp it was filled at and its recent answers by world
+    /// content, consulted by misses and stale probes on the store-backed
+    /// path.
     memo: ClassMemo,
 }
 

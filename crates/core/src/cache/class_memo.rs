@@ -16,6 +16,35 @@
 //! each entry's class id, so a stale probe of a known request resolves,
 //! hashes and compares no class — see [`ClassMemo::compose`] for when
 //! an id may be reused.
+//!
+//! The stamp's registry epoch counts every write, so a world that
+//! returns to an earlier state — a service quarantined, then released —
+//! gets a new stamp. Beside its slot, each id therefore keeps its last
+//! [`HISTORY`] answers keyed by what the world *is*: the network version
+//! and the registry's [`SelectionView`] (membership count, live
+//! quarantined ids, probation penalties). A stamp miss looks the current
+//! content up there before it composes; a match fills the slot and runs
+//! no graph delta and no kernel. Equal (network version, membership,
+//! quarantined ids, penalties) mean equal compose inputs, because:
+//!
+//! * liveness changes only through `Registered`, `Deregistered` and
+//!   `Expired`, which the membership count counts — `renew` needs a live
+//!   entry and an id never comes back — so equal counts on one registry
+//!   mean equal live sets;
+//! * availability is live and not quarantined, and the quarantined ids
+//!   are compared whole;
+//! * the penalties, the one other registry value selection reads, are
+//!   compared whole;
+//! * an id's descriptor and its `by_input` rows never change after
+//!   registration;
+//! * `Network` answers are equal at equal versions;
+//! * `FormatRegistry` is append-only, so a resolved format id keeps its
+//!   spec;
+//! * the class covers the request and the options.
+//!
+//! The network version and the membership count only grow, so an entry
+//! that differs from the current world in either can never match again:
+//! each insert first drops those.
 
 use crate::composer::Composer;
 use crate::graph::GraphStore;
@@ -29,7 +58,8 @@ use qosc_media::{hash_f64, ContentVariant, FormatId, FormatRegistry, ParamVector
 use qosc_netsim::{memo::memos_off, NodeId};
 use qosc_profiles::ProfileSet;
 use qosc_satisfaction::SatisfactionProfile;
-use std::collections::HashMap;
+use qosc_services::{SelectionView, ServiceId};
+use std::collections::{HashMap, VecDeque};
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
@@ -103,16 +133,92 @@ pub(crate) fn class_hash(class: &Class) -> u64 {
 /// serve it, or `None` for a class that is unsolvable at the stamp.
 type Answer = Option<Arc<AdaptationPlan>>;
 
-/// Every class met so far, by dense id, and each id's answer slot.
+/// Answers each class keeps by world content. The compose-hot traffic
+/// meets 27–36 distinct world states per class in a full run.
+const HISTORY: usize = 64;
+
+/// One answer of a class's history and the world content it was
+/// composed in: an owned copy of the registry's [`SelectionView`]
+/// beside the network version.
+#[derive(Debug)]
+struct Recent {
+    network_version: u64,
+    membership: u64,
+    quarantined: Box<[ServiceId]>,
+    penalties: Box<[(ServiceId, u64)]>,
+    answer: Answer,
+}
+
+impl Recent {
+    /// Whether this answer was composed in a world with this content.
+    fn is_at(&self, network_version: u64, view: &SelectionView<'_>) -> bool {
+        self.network_version == network_version
+            && self.membership == view.membership
+            && *self.quarantined == *view.quarantined
+            && *self.penalties == *view.penalties
+    }
+}
+
+/// What the memo knows of one class id.
+#[derive(Debug, Default)]
+struct Slot {
+    /// The last answer composed or recalled for the class, and the
+    /// stamp it is valid at.
+    last: Option<(WorldStamp, Answer)>,
+    /// Fresh answers by world content, oldest first, at most
+    /// [`HISTORY`].
+    recent: VecDeque<Recent>,
+}
+
+impl Slot {
+    /// Make `answer` the slot's answer at `stamp`, unless a racing
+    /// probe already did.
+    fn fill(&mut self, stamp: WorldStamp, answer: &Answer) {
+        if !matches!(&self.last, Some((at, _)) if *at == stamp) {
+            self.last = Some((stamp, answer.clone()));
+        }
+    }
+
+    /// The answer composed in a world with this content, if kept.
+    fn recall(&self, network_version: u64, view: &SelectionView<'_>) -> Option<&Answer> {
+        self.recent
+            .iter()
+            .rev()
+            .find(|recent| recent.is_at(network_version, view))
+            .map(|recent| &recent.answer)
+    }
+
+    /// Keep `answer`, composed in a world with this content. Entries of
+    /// another network version or membership go first: both only grow.
+    fn remember(&mut self, network_version: u64, view: &SelectionView<'_>, answer: &Answer) {
+        self.recent.retain(|recent| {
+            recent.network_version == network_version && recent.membership == view.membership
+        });
+        if self.recall(network_version, view).is_some() {
+            return;
+        }
+        if self.recent.len() == HISTORY {
+            self.recent.pop_front();
+        }
+        self.recent.push_back(Recent {
+            network_version,
+            membership: view.membership,
+            quarantined: view.quarantined.into(),
+            penalties: view.penalties.into(),
+            answer: answer.clone(),
+        });
+    }
+}
+
+/// Every class met so far, by dense id, and each id's slot.
 #[derive(Debug, Default)]
 struct Interned {
     /// Class `id` is `classes[id]`.
     classes: Vec<Class>,
     /// Ids by class hash; a bucket collision costs an `==`.
     buckets: HashMap<u64, Vec<u32>>,
-    /// Slot `id`: the last answer composed for class `id`, and the
-    /// stamp it was composed at.
-    slots: Vec<Option<(WorldStamp, Answer)>>,
+    /// Slot `id`: what the memo knows of class `id`.
+    slots: Vec<Slot>,
 }
 
 impl Interned {
@@ -127,8 +233,9 @@ impl Interned {
 
 /// The exact memo behind the cache's misses and stale probes.
 ///
-/// A slot answers only at the [`WorldStamp`] it was composed at, and
-/// under [`memos_off`](qosc_netsim::memo::memos_off) never. `Ok(Some)`
+/// A slot answers at the [`WorldStamp`] it was filled at, its history
+/// at the world content each answer was composed in, and under
+/// [`memos_off`](qosc_netsim::memo::memos_off) neither does. `Ok(Some)`
 /// and `Ok(None)` are stored; an error recomposes and interns nothing.
 /// Ids carry no world state, so they are kept across stamps (and under
 /// `memos_off`) and never evicted: the table grows with the distinct
@@ -144,8 +251,9 @@ pub(crate) struct ClassMemo {
 impl ClassMemo {
     /// What [`Composer::compose_with_store`] returns for this request's
     /// plan at `stamp`, `composer`'s world, and the request's class id:
-    /// the stored answer of the request's class at `stamp`, or a fresh
-    /// compose through `store` (then stored). `hash` buckets classes.
+    /// the stored answer of the request's class at `stamp`, else the one
+    /// its history holds for the world's content, else a fresh compose
+    /// through `store` (then stored). `hash` buckets classes.
     ///
     /// `known` is the class id the memo returned for this request
     /// before, which the cache keeps on the request's entry. It is
@@ -183,11 +291,20 @@ impl ClassMemo {
                 hash,
             ),
         };
+        let network_version = stamp.network_version;
         if !memos_off() {
-            if let Some((at, answer)) = &self.interned.read().slots[id as usize] {
+            let interned = self.interned.read();
+            let slot = &interned.slots[id as usize];
+            if let Some((at, answer)) = &slot.last {
                 if *at == stamp {
                     return Ok((id, answer.clone()));
                 }
+            }
+            let view = composer.services.selection_view();
+            if let Some(answer) = slot.recall(network_version, &view).cloned() {
+                drop(interned);
+                self.interned.write().slots[id as usize].fill(stamp, &answer);
+                return Ok((id, answer));
             }
         }
         let answer = composer
@@ -195,9 +312,12 @@ impl ClassMemo {
             .plan
             .map(Arc::new);
         let slot = &mut self.interned.write().slots[id as usize];
-        if !matches!(slot, Some((at, _)) if *at == stamp) {
-            *slot = Some((stamp, answer.clone()));
-        }
+        slot.fill(stamp, &answer);
+        slot.remember(
+            network_version,
+            &composer.services.selection_view(),
+            &answer,
+        );
         Ok((id, answer))
     }
 
@@ -213,7 +333,7 @@ impl ClassMemo {
         }
         let id = u32::try_from(interned.classes.len()).expect("fewer than 2^32 classes");
         interned.classes.push(class);
-        interned.slots.push(None);
+        interned.slots.push(Slot::default());
         interned.buckets.entry(bucket).or_default().push(id);
         id
     }
@@ -235,7 +355,9 @@ mod tests {
     use qosc_profiles::{
         ContentProfile, ContextProfile, DeviceProfile, NetworkProfile, UserProfile,
     };
-    use qosc_services::{catalog, QuarantineConfig, ServiceRegistry, TranscoderDescriptor};
+    use qosc_services::{
+        catalog, ProbationConfig, QuarantineConfig, ServiceRegistry, TranscoderDescriptor,
+    };
 
     /// server —100M— proxy —1M— client, the full catalog on the proxy.
     struct World {
@@ -422,10 +544,6 @@ mod tests {
         let (classes, aliases) = classes_and_aliases();
         let memo = ClassMemo::default();
         let store = GraphStore::new();
-        let fetches = |store: &GraphStore| {
-            let stats = store.stats();
-            stats.rebuilds + stats.deltas + stats.reuses
-        };
         let composes = |world: &World, requests: &[ProfileSet]| {
             let before = fetches(&store);
             for profiles in requests {
@@ -468,6 +586,155 @@ mod tests {
             let off = with_memos_off(|| composes(&world, &all));
             assert_eq!(off, all.len() as u64, "memos off: every compose is fresh");
         }
+    }
+
+    /// The store's graph fetches: one per compose, none per answer the
+    /// memo serves (the process-wide kernel counter would count other
+    /// tests' runs).
+    fn fetches(store: &GraphStore) -> u64 {
+        let stats = store.stats();
+        stats.rebuilds + stats.deltas + stats.reuses
+    }
+
+    /// A world that returns to a state it was in answers from the
+    /// class's history, though its stamp is new: the same `Arc` back and
+    /// no compose, whichever part of the registry view made the round
+    /// trip. A network write or a membership move does not return, so
+    /// it composes; under `memos_off` every visit composes.
+    #[test]
+    fn a_world_that_returns_to_a_state_recalls_its_answer() {
+        let mut world = World::new();
+        let memo = ClassMemo::default();
+        let store = GraphStore::new();
+        let request = profiles(UserProfile::demo("demo"));
+        let compose = |world: &World| {
+            let before = fetches(&store);
+            let answer = world.compose(&memo, &store, &request, class_hash);
+            (answer, fetches(&store) - before)
+        };
+        let same = |a: &Answer, b: &Answer| match (a, b) {
+            (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+            (None, None) => true,
+            _ => false,
+        };
+        let (healthy, runs) = compose(&world);
+        assert_eq!(runs, 1);
+        let victim = healthy
+            .as_ref()
+            .expect("solvable")
+            .steps
+            .iter()
+            .find_map(|step| step.service)
+            .expect("has a transcoder");
+
+        // Quarantine and release.
+        assert!(world.services.report_failure(victim, SimTime(10)).unwrap());
+        let (quarantined, runs) = compose(&world);
+        assert_eq!(runs, 1);
+        assert_eq!(quarantined.as_deref(), world.fresh(&request).as_ref());
+        assert_eq!(
+            world.services.release_quarantines(SimTime(2_000_000)),
+            [victim]
+        );
+        let (back, runs) = compose(&world);
+        assert_eq!(runs, 0, "the healthy state again");
+        assert!(same(&back, &healthy));
+
+        // Probation and its clear.
+        world.services.set_probation_config(ProbationConfig {
+            probe_successes: 1,
+            ..ProbationConfig::default()
+        });
+        assert!(world.services.probate(victim, 0, SimTime(3_000_000)));
+        let (probated, runs) = compose(&world);
+        assert_eq!(runs, 1);
+        assert_eq!(probated.as_deref(), world.fresh(&request).as_ref());
+        assert!(world.services.probe_success(victim, SimTime(3_000_001)));
+        let (back, runs) = compose(&world);
+        assert_eq!(runs, 0, "the healthy state again");
+        assert!(same(&back, &healthy));
+        assert!(world
+            .services
+            .report_failure(victim, SimTime(3_000_002))
+            .unwrap());
+        let (again, runs) = compose(&world);
+        assert_eq!(runs, 0, "the quarantined state again");
+        assert!(same(&again, &quarantined));
+        assert_eq!(
+            world.services.release_quarantines(SimTime(5_000_000)),
+            [victim]
+        );
+
+        #[cfg(debug_assertions)]
+        {
+            let (off, runs) = with_memos_off(|| compose(&world));
+            assert_eq!(runs, 1, "memos off: no answer from the history either");
+            assert_eq!(off.as_deref(), healthy.as_deref());
+        }
+
+        // A network write and its undo: the version only grows.
+        world.network.fail_node(world.client).unwrap();
+        assert_eq!(compose(&world), (None, 1));
+        world.network.restore_node(world.client);
+        let (restored, runs) = compose(&world);
+        assert_eq!(runs, 1, "a new network version");
+        assert_eq!(restored.as_deref(), healthy.as_deref());
+
+        // A membership move: the live set never comes back.
+        let bystander = world
+            .services
+            .live_services()
+            .map(|(id, _)| id)
+            .find(|&id| id != victim)
+            .expect("the catalog has more than one service");
+        world.services.deregister(bystander).unwrap();
+        let (_, runs) = compose(&world);
+        assert_eq!(runs, 1, "a new membership");
+    }
+
+    /// Each class keeps its last [`HISTORY`] world states: after one
+    /// more distinct state, the oldest composes again and the rest are
+    /// still answered.
+    #[test]
+    fn the_history_keeps_the_last_states_of_a_class() {
+        let mut world = World::new();
+        world.services.set_probation_config(ProbationConfig {
+            probe_successes: 1,
+            ..ProbationConfig::default()
+        });
+        let memo = ClassMemo::default();
+        let store = GraphStore::new();
+        let request = profiles(UserProfile::demo("demo"));
+        let victim = world
+            .fresh(&request)
+            .expect("solvable")
+            .steps
+            .iter()
+            .find_map(|step| step.service)
+            .expect("has a transcoder");
+        let mut now = 0;
+        // State `k` probates the victim at its own factor; state
+        // `HISTORY` is the unprobated world.
+        let mut visit = |world: &mut World, k: usize| {
+            now += 10;
+            for &(id, _) in world.services.selection_penalties().to_vec().iter() {
+                assert!(world.services.probe_success(id, SimTime(now)));
+            }
+            if k < HISTORY {
+                assert!(world
+                    .services
+                    .probate(victim, 10_000 * k as u64, SimTime(now)));
+            }
+            let before = fetches(&store);
+            world.compose(&memo, &store, &request, class_hash);
+            fetches(&store) - before
+        };
+        for k in 0..=HISTORY {
+            assert_eq!(visit(&mut world, k), 1, "first visit to state {k}");
+        }
+        assert_eq!(visit(&mut world, 1), 0, "state 1 is kept");
+        assert_eq!(visit(&mut world, HISTORY), 0, "the last state is kept");
+        assert_eq!(visit(&mut world, 0), 1, "state 0 went first");
     }
 
     /// The id a cache entry keeps stands for its class while the options

@@ -202,7 +202,7 @@ mod tests {
             .unwrap();
 
         let plan = composition.plan.expect("chain exists via mpeg2-to-h263");
-        let names: Vec<&str> = plan.steps.iter().map(|s| s.name.as_str()).collect();
+        let names: Vec<&str> = plan.steps.iter().map(|s| &*s.name).collect();
         assert_eq!(names.first().copied(), Some("sender"));
         assert_eq!(names.last().copied(), Some("receiver"));
         assert!(
@@ -307,6 +307,6 @@ mod tests {
             .compose(&profiles, a, b, &SelectOptions::default())
             .unwrap();
         let plan = composition.plan.expect("html-to-wml reaches the phone");
-        assert!(plan.steps.iter().any(|s| s.name == "html-to-wml"));
+        assert!(plan.steps.iter().any(|s| &*s.name == "html-to-wml"));
     }
 }

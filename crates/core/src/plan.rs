@@ -11,12 +11,14 @@ use crate::Result;
 use qosc_media::{FormatId, FormatRegistry, ParamVector};
 use qosc_netsim::NodeId;
 use qosc_services::ServiceId;
+use std::sync::Arc;
 
 /// One stage of an adaptation plan.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PlanStep {
-    /// Display name of the stage (`"sender"`, `"T7"`, `"receiver"`).
-    pub name: String,
+    /// Display name of the stage (`"sender"`, `"T7"`, `"receiver"`),
+    /// shared by every copy of the plan.
+    pub name: Arc<str>,
     /// Registry id of the service (`None` for the endpoints).
     pub service: Option<ServiceId>,
     /// Node the stage runs on.
@@ -76,7 +78,7 @@ impl AdaptationPlan {
                     .bits_per_second(&step.params),
             };
             steps.push(PlanStep {
-                name: step.name.clone(),
+                name: Arc::from(step.name.as_str()),
                 service,
                 host: vertex.host,
                 output_format: step.output_format,

@@ -28,7 +28,9 @@ pub use descriptor::{Conversion, ServiceId, TranscoderDescriptor};
 pub use discovery::{DiscoveryConfig, DiscoveryDriver, MemberId};
 pub use host::{AdmissionId, HostResources};
 pub use qos::{QosEstimator, QosEstimatorConfig, QosObservation, SlaVerdict, SlaWatchdog, QOS_PPM};
-pub use registry::{ProbationConfig, QuarantineConfig, RegistryEvent, ServiceRegistry};
+pub use registry::{
+    ProbationConfig, QuarantineConfig, RegistryEvent, SelectionView, ServiceRegistry,
+};
 pub use sharded::{PairKey, ShardRouter, ShardedServiceRegistry};
 
 use qosc_netsim::NodeId;

@@ -163,6 +163,37 @@ pub struct ServiceRegistry {
     /// Empty whenever nothing is probated, so the healthy hot path
     /// never pays for the feature.
     penalties: Vec<(ServiceId, u64)>,
+    /// Ascending ids of every live, quarantined entry: with `membership`
+    /// and `penalties`, what selection reads of the registry that can
+    /// move (see [`ServiceRegistry::selection_view`]).
+    quarantined: Vec<ServiceId>,
+    /// `Registered`, `Deregistered` and `Expired` events recorded so far.
+    membership: u64,
+}
+
+/// What a compose reads of a [`ServiceRegistry`] beyond each id's
+/// descriptor (fixed at registration) and the format index (append-only,
+/// one row per registration): which services are live, which of those
+/// are quarantined, and the probation penalties. Returned borrowed by
+/// [`ServiceRegistry::selection_view`].
+///
+/// On one registry, equal views mean equal compose inputs. Liveness
+/// moves only through `Registered`, `Deregistered` and `Expired` —
+/// [`ServiceRegistry::renew`] needs a live entry and no id ever comes
+/// back — so, the log being one sequence, equal `membership` counts
+/// mean equal live sets. Availability is live and not quarantined, and
+/// the penalties are compared whole. The registry `epoch` moves on
+/// every write, so a world that returns to an earlier state gets a new
+/// epoch but its old view.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SelectionView<'a> {
+    /// `Registered`, `Deregistered` and `Expired` events so far; never
+    /// decreases.
+    pub membership: u64,
+    /// Ascending ids of the live, quarantined services.
+    pub quarantined: &'a [ServiceId],
+    /// [`ServiceRegistry::selection_penalties`].
+    pub penalties: &'a [(ServiceId, u64)],
 }
 
 impl ServiceRegistry {
@@ -192,6 +223,7 @@ impl ServiceRegistry {
             quarantined_until: None,
             probation: None,
         });
+        self.membership += 1;
         self.push_event(RegistryEvent::Registered(id), now);
         id
     }
@@ -225,6 +257,8 @@ impl ServiceRegistry {
         let was_probated = entry.probation.take().is_some();
         // No `now` parameter: stamp with the latest time seen.
         let at = self.clock;
+        self.membership += 1;
+        self.unquarantine(id);
         self.push_event(RegistryEvent::Deregistered(id), at);
         if was_probated {
             self.rebuild_penalties();
@@ -246,6 +280,8 @@ impl ServiceRegistry {
             }
         }
         for &id in &expired {
+            self.membership += 1;
+            self.unquarantine(id);
             self.push_event(RegistryEvent::Expired(id), now);
         }
         if dropped_probation {
@@ -477,6 +513,9 @@ impl ServiceRegistry {
         if entry.failures >= threshold {
             entry.quarantined_until = Some(now.plus_micros(cooldown));
             let was_probated = entry.probation.take().is_some();
+            if let Err(at) = self.quarantined.binary_search(&id) {
+                self.quarantined.insert(at, id);
+            }
             self.push_event(RegistryEvent::Quarantined(id), now);
             if was_probated {
                 self.rebuild_penalties();
@@ -525,6 +564,7 @@ impl ServiceRegistry {
             }
         }
         for &id in &reinstated {
+            self.unquarantine(id);
             self.push_event(RegistryEvent::Reinstated(id), now);
         }
         reinstated
@@ -636,6 +676,26 @@ impl ServiceRegistry {
                         .push((ServiceId(i as u32), state.effective_ppm));
                 }
             }
+        }
+    }
+
+    /// What selection reads of this registry that can move, borrowed:
+    /// the membership count, the live quarantined ids and the penalty
+    /// view. Kept up to date by the writes, so reading it costs nothing.
+    pub fn selection_view(&self) -> SelectionView<'_> {
+        SelectionView {
+            membership: self.membership,
+            quarantined: &self.quarantined,
+            penalties: &self.penalties,
+        }
+    }
+
+    /// Drop `id` from the quarantined view, if it is there: its
+    /// quarantine was released, or it died (a dead entry is never
+    /// available, quarantined or not).
+    fn unquarantine(&mut self, id: ServiceId) {
+        if let Ok(at) = self.quarantined.binary_search(&id) {
+            self.quarantined.remove(at);
         }
     }
 
@@ -1063,6 +1123,178 @@ mod tests {
         reg.record_telemetry(&tail);
         let kept: Vec<u32> = tail.merged().into_iter().map(|e| e.seq).collect();
         assert_eq!(kept, vec![2, 3], "seq survives compaction unchanged");
+    }
+
+    /// One write of [`selection_view_tracks_a_scan`]'s op sequences;
+    /// `pick` chooses among the ids registered so far, dead ones too.
+    #[derive(Debug, Clone, Copy)]
+    enum Op {
+        Register { ttl_us: u64 },
+        Renew { pick: usize },
+        Deregister { pick: usize },
+        Expire,
+        ReportFailure { pick: usize },
+        Release,
+        Probate { pick: usize, observed_ppm: u64 },
+        ProbeSuccess { pick: usize },
+    }
+
+    fn arb_op() -> impl proptest::prelude::Strategy<Value = Op> {
+        use proptest::prelude::*;
+        (0u8..8, 0usize..64, 1u64..8, 0u64..1_000_000).prop_map(
+            |(kind, pick, span, ppm)| match kind {
+                0 => Op::Register { ttl_us: span * 500 },
+                1 => Op::Renew { pick },
+                2 => Op::Deregister { pick },
+                3 => Op::Expire,
+                4 => Op::ReportFailure { pick },
+                5 => Op::Release,
+                6 => Op::Probate {
+                    pick,
+                    observed_ppm: ppm,
+                },
+                _ => Op::ProbeSuccess { pick },
+            },
+        )
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig {
+            cases: 512,
+            ..proptest::prelude::ProptestConfig::default()
+        })]
+
+        /// After every write, the selection view equals a scan of entry
+        /// state: the live quarantined ids ascending, the live probated
+        /// ids with their factors, and a membership count that moved by
+        /// exactly the `Registered`, `Deregistered` and `Expired` events
+        /// the write recorded. `renew` of a dead id errs and records
+        /// nothing, which the view's exactness argument relies on.
+        #[test]
+        fn selection_view_tracks_a_scan(
+            ops in proptest::collection::vec(arb_op(), 1..48),
+        ) {
+            let (mut reg, _, descriptor) = setup();
+            reg.set_quarantine_config(QuarantineConfig {
+                failure_threshold: 2,
+                cooldown_us: 700,
+            });
+            reg.set_probation_config(ProbationConfig {
+                probe_successes: 2,
+                ..ProbationConfig::default()
+            });
+            let mut ids: Vec<ServiceId> = Vec::new();
+            let mut now = 0u64;
+            for op in ops {
+                now += 250;
+                let at = SimTime(now);
+                let (epoch, membership) = (reg.epoch(), reg.selection_view().membership);
+                let id = |pick: usize| ids.get(pick % ids.len().max(1)).copied();
+                match op {
+                    Op::Register { ttl_us } => ids.push(reg.register(descriptor.clone(), at, ttl_us)),
+                    Op::Renew { pick } => {
+                        if let Some(id) = id(pick) {
+                            let live = reg.is_live(id);
+                            proptest::prop_assert_eq!(reg.renew(id, at, 1_000).is_ok(), live);
+                            if !live {
+                                proptest::prop_assert_eq!(reg.epoch(), epoch, "a refused renew records nothing");
+                            }
+                        }
+                    }
+                    Op::Deregister { pick } => {
+                        if let Some(id) = id(pick) {
+                            let _ = reg.deregister(id);
+                        }
+                    }
+                    Op::Expire => {
+                        reg.expire_leases(at);
+                    }
+                    Op::ReportFailure { pick } => {
+                        if let Some(id) = id(pick) {
+                            let _ = reg.report_failure(id, at);
+                        }
+                    }
+                    Op::Release => {
+                        reg.release_quarantines(at);
+                    }
+                    Op::Probate { pick, observed_ppm } => {
+                        if let Some(id) = id(pick) {
+                            reg.probate(id, observed_ppm, at);
+                        }
+                    }
+                    Op::ProbeSuccess { pick } => {
+                        if let Some(id) = id(pick) {
+                            reg.probe_success(id, at);
+                        }
+                    }
+                }
+                let view = reg.selection_view();
+                let quarantined: Vec<ServiceId> = reg
+                    .live_services()
+                    .map(|(id, _)| id)
+                    .filter(|&id| reg.is_quarantined(id))
+                    .collect();
+                proptest::prop_assert_eq!(view.quarantined, &quarantined[..]);
+                let penalties: Vec<(ServiceId, u64)> = reg
+                    .live_services()
+                    .map(|(id, _)| id)
+                    .filter(|&id| reg.is_probated(id))
+                    .map(|id| (id, reg.effective_qos_ppm(id)))
+                    .collect();
+                proptest::prop_assert_eq!(view.penalties, &penalties[..]);
+                proptest::prop_assert_eq!(view.penalties, reg.selection_penalties());
+                let moved = reg
+                    .events_since(epoch)
+                    .expect("never compacted")
+                    .iter()
+                    .filter(|event| {
+                        matches!(
+                            event,
+                            RegistryEvent::Registered(_)
+                                | RegistryEvent::Deregistered(_)
+                                | RegistryEvent::Expired(_)
+                        )
+                    })
+                    .count() as u64;
+                proptest::prop_assert_eq!(view.membership, membership + moved);
+            }
+        }
+    }
+
+    /// The view forgets a quarantine when it is released and when the
+    /// quarantined service dies, and a world that returns to an earlier
+    /// state returns to its view under a new epoch.
+    #[test]
+    fn the_selection_view_returns_with_the_state() {
+        let (mut reg, _, descriptor) = setup();
+        reg.set_quarantine_config(QuarantineConfig {
+            failure_threshold: 1,
+            cooldown_us: 100,
+        });
+        let a = reg.register_static(descriptor.clone());
+        let b = reg.register(descriptor, SimTime::ZERO, 1_000);
+        let before = reg.selection_view();
+        let (membership, epoch) = (before.membership, reg.epoch());
+        assert_eq!(membership, 2);
+        assert!(before.quarantined.is_empty());
+
+        assert!(reg.report_failure(b, SimTime(10)).unwrap());
+        assert!(reg.report_failure(a, SimTime(10)).unwrap());
+        assert_eq!(reg.selection_view().quarantined, &[a, b]);
+        assert_eq!(reg.release_quarantines(SimTime(200)), vec![a, b]);
+        let back = reg.selection_view();
+        assert_eq!(back.quarantined, &[] as &[ServiceId]);
+        assert_eq!(back.membership, membership);
+        assert_ne!(reg.epoch(), epoch, "the epoch counts the round trip");
+
+        assert!(reg.report_failure(b, SimTime(300)).unwrap());
+        assert_eq!(reg.expire_leases(SimTime(2_000)), vec![b]);
+        let view = reg.selection_view();
+        assert!(view.quarantined.is_empty(), "a dead service is not listed");
+        assert_eq!(view.membership, membership + 1);
+        // Renewing the dead lease errs, so liveness never comes back.
+        assert!(reg.renew(b, SimTime(2_100), 1_000).is_err());
+        assert_eq!(reg.selection_view().membership, membership + 1);
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Allocation gate for the composition cache's probe: a request that
 //! hits — even after the registry epoch moved, so that the registry
 //! half of the revalidation runs and the entry is re-stamped —
-//! allocates exactly what cloning the cached plan allocates. The key is
+//! allocates exactly what cloning the cached plan allocates, which is
+//! one allocation: the step list (step names are shared). The key is
 //! hashed straight out of the profile set (no JSON text, no value
 //! tree), and with the network version unchanged no hop is re-routed
 //! (no `Route`). A stale probe whose class the compose memo already
@@ -102,10 +103,12 @@ fn a_hit_allocates_only_the_plan_it_returns() {
         probe_as(scenario, &scenario.profiles).expect("the mesh solves")
     };
     let first = probe(&scenario);
+    // The steps share their names, so a plan copy allocates its step
+    // list and nothing else.
     let plan_cost = allocations_in(|| {
         std::hint::black_box(first.clone());
     });
-    assert!(plan_cost > first.steps.len() as u64);
+    assert_eq!(plan_cost, 1, "a plan copy of {} steps", first.steps.len());
 
     // Same stamps: a lookup and a clone.
     let mut hit = None;
@@ -186,6 +189,7 @@ fn a_hit_allocates_only_the_plan_it_returns() {
     let plan_cost = allocations_in(|| {
         std::hint::black_box(replacement.clone());
     });
+    assert_eq!(plan_cost, 1);
     // …and the second is answered by the memo.
     let mut stale = None;
     let allocations = allocations_in(|| stale = Some(probe_as(&scenario, &twin)));

@@ -18,6 +18,17 @@
 //! entry was stored under: the class id the entry keeps names the old
 //! options, and the memo must resolve such a probe afresh.
 //!
+//! The memo also answers a stamp miss from a class's recent answers
+//! when the world's content — network version, registry membership
+//! count, quarantined ids, probation penalties — equals the content one
+//! was composed in. A last 128 streams revisit world states while moving
+//! each of those parts: services probated and cleared, quarantined and
+//! released, deregistered, registered, expired and renewed, and the
+//! links around a chain host squeezed and restored. Their plans and
+//! counters must also equal the store-free reference cache's, which has
+//! no memo, and under `with_memos_off` every miss and stale probe must
+//! run the kernel.
+//!
 //! The switch exists in debug builds only, and so does this test. The
 //! kernel-run count is the process-wide `arena_reuse_total()`, so this
 //! binary holds a single `#[test]`.
@@ -29,10 +40,10 @@ use qosc_core::{
 };
 use qosc_media::{Axis, AxisDomain};
 use qosc_netsim::memo::with_memos_off;
-use qosc_netsim::SimTime;
+use qosc_netsim::{LinkId, SimTime};
 use qosc_profiles::ProfileSet;
 use qosc_satisfaction::{AxisPreference, SatisfactionFn};
-use qosc_services::{QuarantineConfig, ServiceId};
+use qosc_services::{ProbationConfig, QuarantineConfig, ServiceId};
 use qosc_workload::generator::{random_scenario, GeneratorConfig};
 use qosc_workload::Scenario;
 use rand::rngs::SmallRng;
@@ -42,6 +53,11 @@ const STREAMS: u64 = 256;
 /// Streams after the first [`STREAMS`] whose requests alternate
 /// tie-break policies.
 const TIE_BREAK_STREAMS: u64 = 64;
+/// Streams after those that revisit world states, moving one part of
+/// the memo's content key at a time.
+const REVISIT_STREAMS: u64 = 128;
+/// Operations per revisit stream.
+const REVISIT_STEPS: usize = 48;
 /// Operations per stream; four in five are requests.
 const STEPS: usize = 36;
 /// User names per class.
@@ -52,7 +68,8 @@ const LEASED: usize = 4;
 /// Virtual time between two operations.
 const TICK_US: u64 = 400_000;
 
-/// The X15 mesh of `compose_hot`, with one-strike quarantines.
+/// The X15 mesh of `compose_hot`, with one-strike quarantines and
+/// one-probe probation clears.
 fn mesh() -> Scenario {
     let config = GeneratorConfig {
         layers: 5,
@@ -65,6 +82,10 @@ fn mesh() -> Scenario {
     scenario.services.set_quarantine_config(QuarantineConfig {
         failure_threshold: 1,
         cooldown_us: 1_000_000,
+    });
+    scenario.services.set_probation_config(ProbationConfig {
+        probe_successes: 1,
+        ..ProbationConfig::default()
     });
     scenario
 }
@@ -87,6 +108,20 @@ enum Op {
     /// served last.
     FailChainHost(usize),
     RestoreHosts,
+    /// Probate service `index` (mod its length) of the chain served
+    /// last, observed at `ppm` of its advertised QoS.
+    ProbateOnChain(usize, u64),
+    /// One healthy probe for every probated service, which clears it.
+    ClearProbations,
+    /// Deregister service `index` (mod its length) of the chain served
+    /// last.
+    DeregisterOnChain(usize),
+    /// Register a static copy of mesh service `index`.
+    RegisterCopy(usize),
+    /// Cut every link of the host of service `index` (mod its length)
+    /// of the chain served last to a hundredth of its capacity.
+    SqueezeChainHost(usize),
+    RestoreLinks,
 }
 
 struct Stream {
@@ -188,11 +223,55 @@ impl Stream {
             tie_breaks,
         }
     }
+
+    /// A stream whose world keeps returning to earlier states: classes
+    /// and leased copies as [`Stream::draw`] draws them, eight user
+    /// names per class (so misses keep asking the memo), and writes
+    /// that come in undo pairs — quarantine and release, probation and
+    /// clear, squeeze and restore — beside membership moves, which no
+    /// later state undoes.
+    fn draw_revisits(seed: u64, base: &ProfileSet) -> Stream {
+        let drawn = Stream::draw(seed, base);
+        let mut rng = SmallRng::seed_from_u64(seed ^ 0x7265_7669_7369_7473);
+        let ops = (0..REVISIT_STEPS)
+            .map(|_| match rng.random_range(0..100) {
+                0..=64 => Op::Request {
+                    class: rng.random_range(0..drawn.classes.len()),
+                    user: rng.random_range(0..2 * USERS),
+                },
+                65..=69 => Op::FailOnChain(rng.random_range(0..8)),
+                70..=74 => Op::ReleaseQuarantines,
+                75..=79 => {
+                    Op::ProbateOnChain(rng.random_range(0..8), rng.random_range(0..1_000_000))
+                }
+                80..=84 => Op::ClearProbations,
+                85..=86 => Op::DeregisterOnChain(rng.random_range(0..8)),
+                87 => Op::RegisterCopy(rng.random_range(0..60)),
+                88 => Op::ExpireLeases,
+                89 => Op::Renew(rng.random_range(0..LEASED)),
+                90..=94 => Op::SqueezeChainHost(rng.random_range(0..8)),
+                _ => Op::RestoreLinks,
+            })
+            .collect();
+        Stream {
+            ops,
+            tie_breaks: vec![TieBreak::PaperOrder; REVISIT_STEPS],
+            ..drawn
+        }
+    }
 }
 
 /// Serve `stream` on a fresh mesh through a fresh store-backed cache:
 /// the plan of every request, in order, and the cache's counters.
 fn serve(stream: &Stream) -> (Vec<Option<AdaptationPlan>>, CacheStats) {
+    serve_through(stream, ShardedCompositionCache::new(4))
+}
+
+/// [`serve`] through `cache`.
+fn serve_through(
+    stream: &Stream,
+    cache: ShardedCompositionCache,
+) -> (Vec<Option<AdaptationPlan>>, CacheStats) {
     let mut scenario = mesh();
     let mesh_ids: Vec<ServiceId> = scenario
         .services
@@ -213,10 +292,10 @@ fn serve(stream: &Stream) -> (Vec<Option<AdaptationPlan>>, CacheStats) {
                 .register(descriptor, SimTime::ZERO, lease_us)
         })
         .collect();
-    let cache = ShardedCompositionCache::new(4);
     let mut plans = Vec::new();
     let mut last_chain: Vec<ServiceId> = Vec::new();
     let mut failed_hosts = Vec::new();
+    let mut squeezed: Vec<(LinkId, f64)> = Vec::new();
     let mut now_us = 0u64;
     for (op, &tie_break) in stream.ops.iter().zip(&stream.tie_breaks) {
         now_us += TICK_US;
@@ -273,6 +352,70 @@ fn serve(stream: &Stream) -> (Vec<Option<AdaptationPlan>>, CacheStats) {
                     scenario.network.restore_node(host);
                 }
             }
+            Op::ProbateOnChain(index, ppm) => {
+                if !last_chain.is_empty() {
+                    let victim = last_chain[index % last_chain.len()];
+                    scenario.services.probate(victim, ppm, now);
+                }
+            }
+            Op::ClearProbations => {
+                let probated: Vec<ServiceId> = scenario
+                    .services
+                    .selection_penalties()
+                    .iter()
+                    .map(|&(id, _)| id)
+                    .collect();
+                for id in probated {
+                    scenario.services.probe_success(id, now);
+                }
+            }
+            Op::DeregisterOnChain(index) => {
+                if !last_chain.is_empty() {
+                    let _ = scenario
+                        .services
+                        .deregister(last_chain[index % last_chain.len()]);
+                }
+            }
+            Op::RegisterCopy(index) => {
+                let descriptor = scenario
+                    .services
+                    .get(mesh_ids[index % mesh_ids.len()])
+                    .ok()
+                    .cloned();
+                if let Some(descriptor) = descriptor {
+                    scenario.services.register_static(descriptor);
+                }
+            }
+            Op::SqueezeChainHost(index) => {
+                let host = last_chain
+                    .get(index % last_chain.len().max(1))
+                    .and_then(|&id| scenario.services.get(id).ok())
+                    .map(|descriptor| descriptor.host);
+                if let Some(host) = host {
+                    let links: Vec<LinkId> = scenario
+                        .network
+                        .topology()
+                        .neighbors(host)
+                        .iter()
+                        .map(|&(_, link)| link)
+                        .filter(|link| squeezed.iter().all(|(held, _)| held != link))
+                        .collect();
+                    let topology = scenario.network.topology_mut();
+                    for link in links {
+                        let spec = topology.link_mut(link).expect("a mesh link");
+                        squeezed.push((link, spec.capacity_bps));
+                        spec.capacity_bps /= 100.0;
+                    }
+                }
+            }
+            Op::RestoreLinks => {
+                if !squeezed.is_empty() {
+                    let topology = scenario.network.topology_mut();
+                    for (link, capacity_bps) in squeezed.drain(..) {
+                        topology.link_mut(link).expect("a mesh link").capacity_bps = capacity_bps;
+                    }
+                }
+            }
         }
     }
     (plans, cache.stats())
@@ -311,5 +454,51 @@ fn the_cache_serves_what_it_serves_with_every_memo_off() {
     assert!(
         3 * kernel_on < 2 * kernel_off,
         "kernel runs memo on {kernel_on}, memo off {kernel_off}"
+    );
+
+    // Streams that revisit world states: memo on against the store-free
+    // reference and against memo off, where no stored answer is served.
+    let (mut kernel_on, mut composing) = (0u64, 0u64);
+    let first = STREAMS + TIE_BREAK_STREAMS;
+    for seed in first..first + REVISIT_STREAMS {
+        let stream = Stream::draw_revisits(seed, &base);
+        let before = arena_reuse_total();
+        let (plans, stats) = serve(&stream);
+        kernel_on += arena_reuse_total() - before;
+        let (reference, reference_stats) =
+            serve_through(&stream, ShardedCompositionCache::new_without_graph_store(4));
+        let before = arena_reuse_total();
+        let (fresh_plans, fresh_stats) = with_memos_off(|| serve(&stream));
+        let kernel_off = arena_reuse_total() - before;
+
+        assert_eq!(plans.len(), reference.len());
+        for (request, ((plan, reference), fresh)) in
+            plans.iter().zip(&reference).zip(&fresh_plans).enumerate()
+        {
+            assert_eq!(plan, reference, "revisit seed {seed}: request {request}");
+            assert_eq!(
+                plan, fresh,
+                "revisit seed {seed}: request {request}, memos off"
+            );
+        }
+        assert_eq!(
+            stats, reference_stats,
+            "revisit seed {seed}: cache counters"
+        );
+        assert_eq!(
+            stats, fresh_stats,
+            "revisit seed {seed}: counters, memos off"
+        );
+        let probes = (stats.misses + stats.stale) as u64;
+        assert_eq!(
+            kernel_off, probes,
+            "revisit seed {seed}: memos off, every miss and stale probe composes"
+        );
+        composing += probes;
+    }
+    // Not vacuous: the memo answers some of the probes that compose.
+    assert!(
+        kernel_on < composing,
+        "revisit streams: {kernel_on} kernel runs for {composing} misses and stale probes"
     );
 }

@@ -226,7 +226,7 @@ fn quarantine_reroutes_composition_and_lifts_after_cooldown() {
         cache
             .compose(&composer, &profiles, server, client, &options)
             .unwrap()
-            .map(|plan| plan.steps.iter().map(|s| s.name.clone()).collect())
+            .map(|plan| plan.steps.iter().map(|s| s.name.to_string()).collect())
             .unwrap_or_default()
     };
 
@@ -261,5 +261,5 @@ fn quarantine_reroutes_composition_and_lifts_after_cooldown() {
         .unwrap()
         .plan
         .unwrap();
-    assert!(fresh.steps.iter().any(|s| s.name == "T-fast"));
+    assert!(fresh.steps.iter().any(|s| &*s.name == "T-fast"));
 }

@@ -105,7 +105,7 @@ fn registry_churn_changes_composition() {
         .unwrap()
         .plan
         .expect("solvable");
-    let uses_h263 = baseline.steps.iter().any(|s| s.name == "mpeg2-to-h263");
+    let uses_h263 = baseline.steps.iter().any(|s| &*s.name == "mpeg2-to-h263");
     assert!(uses_h263);
 
     // Kill the down-coder's lease; composition must adapt or fail —
@@ -127,7 +127,7 @@ fn registry_churn_changes_composition() {
         .compose(&profiles, server, pda, &SelectOptions::default())
         .unwrap();
     if let Some(plan) = after.plan {
-        assert!(plan.steps.iter().all(|s| s.name != "mpeg2-to-h263"));
+        assert!(plan.steps.iter().all(|s| &*s.name != "mpeg2-to-h263"));
     }
 }
 
@@ -245,7 +245,7 @@ fn text_only_terminal_gets_a_transcript() {
         .plan
         .expect("video-to-text reaches the terminal");
     assert!(
-        plan.steps.iter().any(|s| s.name == "video-to-text"),
+        plan.steps.iter().any(|s| &*s.name == "video-to-text"),
         "expected the transcript service, got {:?}",
         plan.steps.iter().map(|s| &s.name).collect::<Vec<_>>()
     );

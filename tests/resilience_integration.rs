@@ -30,7 +30,7 @@ impl SessionWorld for Recording<'_> {
     }
 
     fn plan_alive(&self, plan: &AdaptationPlan) -> bool {
-        let chain: Vec<String> = plan.steps.iter().map(|s| s.name.clone()).collect();
+        let chain: Vec<String> = plan.steps.iter().map(|s| s.name.to_string()).collect();
         let mut chains = self.chains.lock().unwrap();
         if chains.last() != Some(&chain) {
             chains.push(chain);
