@@ -1,5 +1,5 @@
 //! X9 — composition caching at a proxy front-end (motivated by the
-//! paper's reference [7], Chang & Chen's trans-coding proxy caches):
+//! paper's reference \[7\], Chang & Chen's trans-coding proxy caches):
 //! replay a skewed request stream with and without the
 //! [`ShardedCompositionCache`], under light service churn so cached
 //! chains occasionally go stale.

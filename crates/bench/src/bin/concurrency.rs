@@ -1,5 +1,5 @@
 //! X7 — scaling with the number of clients (Section 2's claim that
-//! proxy-based adaptation "scal[es] properly with the number of
+//! proxy-based adaptation "scal\[es\] properly with the number of
 //! clients"): admit clients one by one through a shared proxy; each
 //! composition sees the bandwidth the previous sessions left behind.
 //!

@@ -2,11 +2,12 @@
 //!
 //! Sweeps a seeded open-loop Poisson-burst arrival schedule
 //! ([`poisson_burst_arrivals`]) over the strict 12 fps mesh at
-//! 0.5×/1×/2×/4× of virtual capacity, serving each schedule through
-//! [`serve_batch_with_admission`] under four policies:
+//! 0.5×/1×/2×/4× of virtual capacity. Each arrival is a zero-hold
+//! session on the serving loop ([`run_sessions`]), opened through the
+//! admission queue under one of four policies:
 //!
 //! * `none`          — unbounded FIFO, fixed concurrency: the
-//!   unprotected engine (what `serve_batch_resilient` does implicitly),
+//!   unprotected engine,
 //! * `shed`          — deadline-aware shedding + bounded queue + AIMD
 //!   adaptive concurrency, one class,
 //! * `shed_priority` — plus strict-priority Interactive/Standard/
@@ -14,6 +15,12 @@
 //! * `full`          — plus brown-out coupling into the degradation
 //!   ladder (sustained pressure lowers the starting rung; degraded
 //!   compositions are cheaper and drain the queue).
+//!
+//! The loop decides admission one pump at a time; the offline
+//! [`plan_admission`] makes the same decisions (the bin asserts equal
+//! aggregates and per-request verdicts) and supplies each request's
+//! virtual latency and deadline verdict. What each session was served
+//! comes from a [`ServedWorld`].
 //!
 //! Emits `BENCH_overload.json` (first CLI argument overrides the
 //! path). Admission runs on a virtual clock and composition is
@@ -28,14 +35,16 @@
 //! brown-out holds interactive goodput ≥ 0.9 at 4× offered load.
 
 use qosc_bench::scorecard::{
-    strict_scenario, strict_scenario_json, STRICT_TOPOLOGY_SEED as TOPOLOGY_SEED,
+    session_requests, strict_scenario, strict_scenario_json, ServedWorld,
+    STRICT_TOPOLOGY_SEED as TOPOLOGY_SEED,
 };
 use qosc_bench::TextTable;
 use qosc_core::{
-    serve_batch_with_admission, AdmissionConfig, CompositionRequest, PriorityClass,
-    ResilientEngineConfig,
+    plan_admission, run_sessions, AdmissionConfig, DegradationRung, PriorityClass,
+    ResilientEngineConfig, SessionEngineConfig, StaticWorld,
 };
-use qosc_workload::arrivals::{poisson_burst_arrivals, ArrivalPattern};
+use qosc_telemetry::NoopSink;
+use qosc_workload::arrivals::{poisson_burst_arrivals, ArrivalPattern, SessionArrival};
 
 const ARRIVAL_SEEDS: [u64; 3] = [41, 42, 43];
 /// Offered load as a percentage of virtual capacity.
@@ -97,30 +106,57 @@ struct Cell {
 
 fn run_cell(load: &'static str, load_pct: u64, policy: &'static str, arrival_seed: u64) -> Cell {
     let scenario = strict_scenario();
-    let composer = scenario.composer();
     let arrivals = poisson_burst_arrivals(&pattern_for(load_pct), arrival_seed);
-    let requests: Vec<CompositionRequest> = arrivals
-        .iter()
-        .map(|_| CompositionRequest {
-            profiles: scenario.profiles.clone(),
-            sender_host: scenario.sender_host,
-            receiver_host: scenario.receiver_host,
-        })
-        .collect();
-    let config = ResilientEngineConfig {
-        workers: 4,
-        admission: policy_config(policy),
-        ..ResilientEngineConfig::default()
+    let sessions = session_requests(
+        &scenario,
+        arrivals
+            .iter()
+            .map(|&meta| SessionArrival {
+                meta,
+                hold_us: 0,
+                demand_bps: 0,
+            })
+            .collect(),
+    );
+    let admission = policy_config(policy);
+    let config = SessionEngineConfig {
+        resilient: ResilientEngineConfig {
+            workers: 4,
+            ..ResilientEngineConfig::default()
+        },
+        admission: Some(admission),
+        tick_us: 0,
+        session_spans: false,
+        abr: None,
+        sla: None,
+        ..SessionEngineConfig::default()
     };
-    let result = serve_batch_with_admission(&composer, &requests, &arrivals, &config);
-    let counters = result.batch.counters();
-    let stats = result.admission.stats;
+    let mut world = ServedWorld::new(StaticWorld {
+        formats: &scenario.formats,
+        services: &scenario.services,
+        network: &scenario.network,
+    });
+    let report = run_sessions(&mut world, &sessions, &config, &NoopSink);
+    let plan = plan_admission(&arrivals, &admission);
+    let stats = report.admission;
+    assert_eq!(stats, plan.stats, "the loop admits as the offline plan");
+
+    for (outcome, decision) in report.outcomes.iter().zip(&plan.decisions) {
+        assert_eq!(outcome.shed, decision.shed, "the loop sheds as the plan");
+    }
+    // Every session is served (completed, at its final rung), failed at
+    // open, or shed.
+    let served_full = report
+        .outcomes
+        .iter()
+        .filter(|o| o.final_rung == Some(DegradationRung::Full))
+        .count();
+    let degraded = report.counters.completed - served_full;
+    let failed = report.counters.failed_open;
 
     // A request is *good* when it was admitted, produced a plan, and
     // its virtual finish landed within its deadline budget.
-    let good = |i: usize| {
-        result.admission.decisions[i].deadline_met && result.batch.outcomes[i].plan.is_some()
-    };
+    let good = |i: usize| plan.decisions[i].deadline_met && world.plan(i).is_some();
     let goodput =
         (0..arrivals.len()).filter(|&i| good(i)).count() as f64 / arrivals.len().max(1) as f64;
 
@@ -131,8 +167,8 @@ fn run_cell(load: &'static str, load_pct: u64, policy: &'static str, arrival_see
     let interactive_goodput = interactive_good as f64 / interactive.len().max(1) as f64;
     let mut interactive_latencies: Vec<u64> = interactive
         .iter()
-        .filter(|&&i| result.admission.decisions[i].admitted)
-        .map(|&i| result.admission.decisions[i].latency_us)
+        .filter(|&&i| plan.decisions[i].admitted)
+        .map(|&i| plan.decisions[i].latency_us)
         .collect();
     interactive_latencies.sort_unstable();
     let interactive_p99_latency_us = if interactive_latencies.is_empty() {
@@ -141,16 +177,13 @@ fn run_cell(load: &'static str, load_pct: u64, policy: &'static str, arrival_see
         interactive_latencies[(interactive_latencies.len() * 99).div_ceil(100).max(1) - 1]
     };
 
-    let served: Vec<&qosc_core::RequestOutcome> = result
-        .batch
-        .outcomes
-        .iter()
-        .filter(|o| o.plan.is_some())
+    let served: Vec<usize> = (0..arrivals.len())
+        .filter(|&i| world.plan(i).is_some())
         .collect();
     let mean_satisfaction = if served.is_empty() {
         0.0
     } else {
-        served.iter().map(|o| o.satisfaction).sum::<f64>() / served.len() as f64
+        served.iter().map(|&i| world.satisfaction(i)).sum::<f64>() / served.len() as f64
     };
 
     Cell {
@@ -163,9 +196,9 @@ fn run_cell(load: &'static str, load_pct: u64, policy: &'static str, arrival_see
         shed_queue_full: stats.shed_queue_full,
         shed_predicted_late: stats.shed_predicted_late,
         shed_queue_timeout: stats.shed_queue_timeout,
-        served_full: counters.served,
-        degraded: counters.degraded,
-        failed: counters.failed,
+        served_full,
+        degraded,
+        failed,
         deadline_misses: stats.deadline_misses,
         goodput,
         interactive_goodput,

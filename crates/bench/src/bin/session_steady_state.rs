@@ -5,7 +5,7 @@
 //! ([`session_arrivals`]) over the strict 12 fps mesh at three target
 //! concurrencies, under the deterministic chaos generator
 //! ([`ChaosPlan`]) at three intensities, serving each cell through the
-//! continuous session engine ([`run_sessions`]) on a [`ChaosWorld`]:
+//! continuous session engine ([`run_sessions`]) on a [`ChaosWorld`](qosc_pipeline::ChaosWorld):
 //! admission decides every session open and re-composition, progress
 //! ticks detect plans broken by mid-session faults or lease expiry,
 //! and each break re-composes on the surviving graph.

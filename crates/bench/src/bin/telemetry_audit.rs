@@ -21,7 +21,11 @@
 //! hit probes on per-request keys), one chaos-schedule session on the
 //! serving loop (re-composition events on the virtual clock), and a
 //! scripted registry lease storm (register / renew / expire /
-//! quarantine / release / deregister).
+//! quarantine / release / deregister). The overload phase and the
+//! ladder-descent phase are batches of zero-hold sessions on the
+//! serving loop ([`run_sessions`]); a [`ServedWorld`] keeps what each
+//! was served, and [`plan_admission`] — the offline twin of the loop's
+//! admission queue — supplies the queue waits.
 //!
 //! Emits `BENCH_telemetry.json` (first CLI argument overrides the
 //! path): per-kind event counts, histogram snapshots (queue wait,
@@ -29,22 +33,23 @@
 //! byte-identical across runs and machines, and CI snapshots it.
 
 use qosc_bench::scorecard::{
-    one_session, strict_scenario, strict_scenario_json, STRICT_TOPOLOGY_SEED as TOPOLOGY_SEED,
-    WORKER_COUNTS,
+    one_session, session_requests, strict_scenario, strict_scenario_json, ServedWorld,
+    STRICT_TOPOLOGY_SEED as TOPOLOGY_SEED, WORKER_COUNTS,
 };
 use qosc_bench::TextTable;
 use qosc_core::{
-    run_sessions, serve_batch_resilient_traced, serve_batch_traced, serve_batch_with_admission,
-    serve_batch_with_admission_traced, AdmissionConfig, CompositionRequest, EngineConfig,
-    ResilientEngineConfig, ShardedCompositionCache,
+    plan_admission, run_sessions, serve_batch_traced, AdmissionConfig, ArrivalMeta,
+    CompositionRequest, DegradationRung, EngineConfig, PriorityClass, ResilientEngineConfig,
+    SessionEngineConfig, SessionsReport, ShardedCompositionCache, StaticWorld,
 };
 use qosc_media::{Axis, FormatRegistry};
 use qosc_netsim::{Node, SimTime, Topology};
 use qosc_pipeline::{ChaosModel, ChaosPlan};
 use qosc_satisfaction::{AxisPreference, SatisfactionFn, SatisfactionProfile};
 use qosc_services::{catalog, QuarantineConfig, ServiceRegistry, TranscoderDescriptor};
-use qosc_telemetry::{EventKind, FlightRecorder, MetricsRegistry};
-use qosc_workload::arrivals::{poisson_burst_arrivals, ArrivalPattern};
+use qosc_telemetry::{EventKind, FlightRecorder, MetricsRegistry, NoopSink, TelemetrySink};
+use qosc_workload::arrivals::{poisson_burst_arrivals, ArrivalPattern, SessionArrival};
+use qosc_workload::Scenario;
 
 const ARRIVAL_SEED: u64 = 42;
 const CHAOS_SEED: u64 = 101;
@@ -86,6 +91,70 @@ struct OutcomeDigest {
     satisfaction_bits: Vec<u64>,
 }
 
+impl OutcomeDigest {
+    /// A batch of zero-hold sessions, each scored by what `world` saw it
+    /// adopt (0.0 unserved).
+    fn of(report: &SessionsReport, world: &ServedWorld<'_>) -> OutcomeDigest {
+        let full = report
+            .outcomes
+            .iter()
+            .filter(|o| o.final_rung == Some(DegradationRung::Full))
+            .count();
+        OutcomeDigest {
+            served: full,
+            degraded: report.counters.completed - full,
+            failed: report.counters.failed_open,
+            shed: report.counters.shed,
+            satisfaction_bits: (0..report.outcomes.len())
+                .map(|i| world.satisfaction(i).to_bits())
+                .collect(),
+        }
+    }
+}
+
+/// One zero-hold session per arrival, each asking for `scenario`'s own
+/// composition, served at `workers` into `sink` through `admission`
+/// when given. No ticks, no session spans, no adaptation or SLA policy:
+/// each session logs only its admission verdict and its ladder.
+fn serve_batch<'a, S: TelemetrySink>(
+    scenario: &'a Scenario,
+    arrivals: &[ArrivalMeta],
+    workers: usize,
+    admission: Option<AdmissionConfig>,
+    sink: &S,
+) -> (SessionsReport, ServedWorld<'a>) {
+    let sessions = session_requests(
+        scenario,
+        arrivals
+            .iter()
+            .map(|&meta| SessionArrival {
+                meta,
+                hold_us: 0,
+                demand_bps: 0,
+            })
+            .collect(),
+    );
+    let config = SessionEngineConfig {
+        resilient: ResilientEngineConfig {
+            workers,
+            ..ResilientEngineConfig::default()
+        },
+        admission,
+        tick_us: 0,
+        session_spans: false,
+        abr: None,
+        sla: None,
+        ..SessionEngineConfig::default()
+    };
+    let mut world = ServedWorld::new(StaticWorld {
+        formats: &scenario.formats,
+        services: &scenario.services,
+        network: &scenario.network,
+    });
+    let report = run_sessions(&mut world, &sessions, &config, sink);
+    (report, world)
+}
+
 /// One full instrumented replay at `workers` composition workers.
 /// Returns the merged transcript (all four phases), the Prometheus
 /// snapshot, the overload recorder (for explain/depth stats), the
@@ -105,44 +174,20 @@ fn replay(
 
     // Phase 1 — overload: admission front-end at 2× capacity.
     let scenario = strict_scenario();
-    let composer = scenario.composer();
     let arrivals = poisson_burst_arrivals(&overload_pattern(), ARRIVAL_SEED);
-    let requests: Vec<CompositionRequest> = arrivals
-        .iter()
-        .map(|_| CompositionRequest {
-            profiles: scenario.profiles.clone(),
-            sender_host: scenario.sender_host,
-            receiver_host: scenario.receiver_host,
-        })
-        .collect();
-    let config = ResilientEngineConfig {
-        workers,
-        admission: admission_config(),
-        ..ResilientEngineConfig::default()
-    };
-    let result =
-        serve_batch_with_admission_traced(&composer, &requests, &arrivals, &config, &recorder);
-    let counters = result.batch.counters();
-    counters.record_metrics(&registry);
+    let admission = Some(admission_config());
+    let (report, world) = serve_batch(&scenario, &arrivals, workers, admission, &recorder);
+    report.record_metrics(&registry);
+    let plan = plan_admission(&arrivals, &admission_config());
+    assert_eq!(report.admission, plan.stats, "the loop admits as the plan");
     let queue_wait = registry.histogram(
         "qosc_admission_queue_wait_us",
         &[0, 1_000, 5_000, 20_000, 100_000, 500_000],
     );
-    for decision in result.admission.decisions.iter().filter(|d| d.admitted) {
+    for decision in plan.decisions.iter().filter(|d| d.admitted) {
         queue_wait.observe(decision.queue_wait_us);
     }
-    let digest = OutcomeDigest {
-        served: counters.served,
-        degraded: counters.degraded,
-        failed: counters.failed,
-        shed: counters.shed,
-        satisfaction_bits: result
-            .batch
-            .outcomes
-            .iter()
-            .map(|o| o.satisfaction.to_bits())
-            .collect(),
-    };
+    let digest = OutcomeDigest::of(&report, &world);
     let overload_log = recorder.render_log();
     let overload_recorder = recorder;
 
@@ -217,28 +262,23 @@ fn replay(
     // forces every request down the degradation ladder, emitting
     // per-rung spans and rung-change events.
     let ladder = FlightRecorder::new(16);
-    let mut ladder_profiles = scenario.profiles.clone();
-    ladder_profiles.user.satisfaction = SatisfactionProfile::new().with(AxisPreference::weighted(
-        Axis::FrameRate,
-        SatisfactionFn::Linear {
-            min_acceptable: 120.0,
-            ideal: 240.0,
-        },
-        1.0,
-    ));
-    let ladder_requests: Vec<CompositionRequest> = (0..4)
-        .map(|_| CompositionRequest {
-            profiles: ladder_profiles.clone(),
-            sender_host: scenario.sender_host,
-            receiver_host: scenario.receiver_host,
-        })
-        .collect();
-    let ladder_config = ResilientEngineConfig {
-        workers,
-        ladder: true,
-        ..ResilientEngineConfig::default()
+    let mut ladder_scenario = strict_scenario();
+    ladder_scenario.profiles.user.satisfaction =
+        SatisfactionProfile::new().with(AxisPreference::weighted(
+            Axis::FrameRate,
+            SatisfactionFn::Linear {
+                min_acceptable: 120.0,
+                ideal: 240.0,
+            },
+            1.0,
+        ));
+    let at_zero = ArrivalMeta {
+        arrival_us: 0,
+        priority: PriorityClass::Standard,
+        service_cost_us: 0,
+        deadline_budget_us: None,
     };
-    serve_batch_resilient_traced(&composer, &ladder_requests, &ladder_config, &ladder);
+    serve_batch(&ladder_scenario, &[at_zero; 4], workers, None, &ladder);
 
     // Phase 3 — chaos: one 30 s session under the canned fault
     // schedule; its re-compositions and ladder descents land on the
@@ -403,35 +443,10 @@ fn main() {
     // No-perturbation: the uninstrumented engine decides exactly the
     // same things the instrumented one did.
     let scenario = strict_scenario();
-    let composer = scenario.composer();
     let arrivals = poisson_burst_arrivals(&overload_pattern(), ARRIVAL_SEED);
-    let requests: Vec<CompositionRequest> = arrivals
-        .iter()
-        .map(|_| CompositionRequest {
-            profiles: scenario.profiles.clone(),
-            sender_host: scenario.sender_host,
-            receiver_host: scenario.receiver_host,
-        })
-        .collect();
-    let config = ResilientEngineConfig {
-        workers: 4,
-        admission: admission_config(),
-        ..ResilientEngineConfig::default()
-    };
-    let noop = serve_batch_with_admission(&composer, &requests, &arrivals, &config);
-    let noop_counters = noop.batch.counters();
-    let noop_digest = OutcomeDigest {
-        served: noop_counters.served,
-        degraded: noop_counters.degraded,
-        failed: noop_counters.failed,
-        shed: noop_counters.shed,
-        satisfaction_bits: noop
-            .batch
-            .outcomes
-            .iter()
-            .map(|o| o.satisfaction.to_bits())
-            .collect(),
-    };
+    let admission = Some(admission_config());
+    let (noop, noop_world) = serve_batch(&scenario, &arrivals, 4, admission, &NoopSink);
+    let noop_digest = OutcomeDigest::of(&noop, &noop_world);
     assert_eq!(
         noop_digest, reference_digest,
         "NoopSink run diverged from instrumented run"

@@ -1,14 +1,14 @@
 //! What the deterministic scorecard bins (X4, X12–X20) share: the run
 //! digest, the strict 12 fps mesh and its world/request builders, the
-//! one-session builder, the worker-invariance sweep, and the rank
-//! statistics.
+//! one-session builder, the world that keeps what each session was
+//! served, the worker-invariance sweep, and the rank statistics.
 //!
 //! Every byte a checked-in `BENCH_*.json` digest covers is decided
 //! here, so a change to this module is a change to those files.
 
 use qosc_core::{
-    ArrivalMeta, CompositionRequest, PriorityClass, SessionEngineConfig, SessionRequest,
-    SessionsReport,
+    AdaptationPlan, ArrivalMeta, Composer, CompositionRequest, PriorityClass, SessionEngineConfig,
+    SessionRequest, SessionWorld, SessionsReport, StaticWorld,
 };
 use qosc_media::{Axis, FormatRegistry};
 use qosc_netsim::Network;
@@ -181,6 +181,63 @@ pub fn one_session<'a>(
         ..SessionEngineConfig::default()
     };
     (world, request, config)
+}
+
+/// A [`StaticWorld`] that keeps the last plan each session adopted.
+///
+/// The serving loop hands every adopted plan to
+/// [`SessionWorld::register_session_flow`], zero-hold sessions included,
+/// on the loop's own thread; this world has no broker and keeps the plan
+/// instead. A batch served as zero-hold sessions (X13, X14) reads each
+/// request's served plan and satisfaction here: a zero-hold session
+/// closes at open, so its outcome accrues no satisfaction-time.
+#[derive(Debug, Clone)]
+pub struct ServedWorld<'a> {
+    world: StaticWorld<'a>,
+    plans: Vec<Option<AdaptationPlan>>,
+}
+
+impl<'a> ServedWorld<'a> {
+    /// `world`, with no session served yet.
+    pub fn new(world: StaticWorld<'a>) -> ServedWorld<'a> {
+        ServedWorld {
+            world,
+            plans: Vec::new(),
+        }
+    }
+
+    /// The last plan session `session` adopted (`None` when it never
+    /// served).
+    pub fn plan(&self, session: usize) -> Option<&AdaptationPlan> {
+        self.plans.get(session).and_then(Option::as_ref)
+    }
+
+    /// The predicted satisfaction of [`plan`](Self::plan), 0.0 when the
+    /// session never served.
+    pub fn satisfaction(&self, session: usize) -> f64 {
+        self.plan(session)
+            .map_or(0.0, |plan| plan.predicted_satisfaction)
+    }
+}
+
+impl SessionWorld for ServedWorld<'_> {
+    fn composer(&self) -> Composer<'_> {
+        self.world.composer()
+    }
+
+    fn register_session_flow(
+        &mut self,
+        session: u64,
+        plan: &AdaptationPlan,
+        _demand_bps: u64,
+        _weight: u32,
+    ) {
+        let session = session as usize;
+        if session >= self.plans.len() {
+            self.plans.resize(session + 1, None);
+        }
+        self.plans[session] = Some(plan.clone());
+    }
 }
 
 /// One session request per arrival, each asking for `scenario`'s own

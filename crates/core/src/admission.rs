@@ -1,6 +1,6 @@
 //! Admission control and overload protection.
 //!
-//! `serve_batch_resilient` survives *faults*; this module makes the
+//! The degradation ladder survives *faults*; this module makes the
 //! front-end survive *load*. Past saturation an unprotected queue
 //! grows without bound, every request times out after consuming a
 //! worker, and goodput collapses batch-wide. The admission queue in
@@ -86,9 +86,9 @@ impl std::fmt::Display for PriorityClass {
     }
 }
 
-/// Virtual-time metadata of one offered request. Parallel to the
-/// `CompositionRequest` slice handed to
-/// [`serve_batch_with_admission`](crate::engine::serve_batch_with_admission).
+/// Virtual-time metadata of one offered request: what the admission
+/// queue sees of a [`SessionRequest`](crate::SessionRequest), and what
+/// [`plan_admission`] plans over.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ArrivalMeta {
     /// Virtual arrival time, microseconds.
@@ -136,7 +136,7 @@ impl std::fmt::Display for ShedReason {
 
 /// Tuning for the admission front-end. All-integer so the simulation
 /// is exactly reproducible; `Copy` so it rides inside
-/// [`ResilientEngineConfig`](crate::engine::ResilientEngineConfig).
+/// [`SessionEngineConfig`](crate::SessionEngineConfig).
 #[derive(Debug, Clone, Copy)]
 pub struct AdmissionConfig {
     /// Refuse requests whose predicted queue wait exceeds their budget.
@@ -216,8 +216,8 @@ impl Default for AdmissionConfig {
 
 impl AdmissionConfig {
     /// The unprotected baseline: one unbounded FIFO, fixed concurrency,
-    /// no shedding, no brown-out — what `serve_batch_resilient` does
-    /// implicitly today.
+    /// no shedding, no brown-out — queueing that never refuses anyone
+    /// (X13's `none` policy).
     pub fn unprotected() -> AdmissionConfig {
         AdmissionConfig {
             deadline_shed: false,

@@ -13,7 +13,7 @@
 //! * [`random_walk`] — a seeded random feasible chain.
 //!
 //! Every baseline *labels* its chosen chain with the same
-//! [`ExtendContext`](crate::select::label::ExtendContext) the greedy
+//! [`ExtendContext`] the greedy
 //! algorithm uses, so satisfactions are directly comparable.
 
 pub mod exhaustive;

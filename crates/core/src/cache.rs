@@ -1,6 +1,6 @@
 //! Composition caching.
 //!
-//! The paper's related work (its reference [7], Chang & Chen, ICDE 2002)
+//! The paper's related work (its reference \[7\], Chang & Chen, ICDE 2002)
 //! studies caching in trans-coding proxies; a composition front-end
 //! naturally wants the same: most requests repeat a (content, device
 //! class, preference) combination, and re-running graph construction +

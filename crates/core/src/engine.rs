@@ -21,28 +21,26 @@
 //!
 //! ## Fault tolerance
 //!
-//! [`serve_batch_resilient`] is the graceful-degradation front-end: it
-//! wraps every request in `catch_unwind` (one poisoned profile turns
-//! into an `Err` for that index instead of aborting the batch), retries
+//! The serving loop ([`run_sessions`](crate::run_sessions)) composes
+//! every session's chain through one function here, private to the
+//! crate: it wraps each composition in `catch_unwind` (a poisoned
+//! profile fails its own session instead of aborting the run), retries
 //! transient registry/network errors with seeded exponential backoff,
 //! and — when a request is infeasible or below the user's satisfaction
 //! floor — walks the **degradation ladder** of Section 3's adaptation
 //! policy: relax the quality floors, fall back to the weighted
-//! combination of [29], and finally drop the axes of the media kinds the
-//! user listed in `degrade_first`. Each outcome reports which rung
-//! served it. Every rung composes through a [`ComposeMemo`]: the batch
-//! names each distinct request once, up front ([`intern`]), and the
-//! memo answers a repeated (request id, rung) from the world state it
-//! was composed in exactly as a fresh compose would.
+//! combination of \[29\], and finally drop the axes of the media kinds the
+//! user listed in `degrade_first`. Every rung composes through the
+//! run's exact compose memo, keyed by request ids interned once per run
+//! (DESIGN.md §17). A batch that wants the ladder, retries or admission
+//! is a run of zero-hold sessions.
 
-use crate::admission::{
-    plan_admission, AdmissionConfig, AdmissionDecision, AdmissionPlan, ArrivalMeta, ShedReason,
-};
+use crate::admission::{AdmissionDecision, ShedReason};
 use crate::cache::{request_key, ShardedCompositionCache};
 use crate::composer::Composer;
 use crate::graph::GraphStore;
 use crate::plan::AdaptationPlan;
-use crate::select::{SelectFailure, SelectOptions};
+use crate::select::SelectOptions;
 use crate::stamp::WorldStamp;
 use crate::Result;
 use parking_lot::RwLock;
@@ -50,9 +48,7 @@ use qosc_media::{Axis, MediaKind};
 use qosc_netsim::{memo::memos_off, NodeId};
 use qosc_profiles::ProfileSet;
 use qosc_satisfaction::{AxisPreference, SatisfactionFn, SatisfactionProfile};
-use qosc_telemetry::{
-    EventKind, MetricsRegistry, NoopSink, RequestTrace, TelemetrySink, ROOT_SPAN,
-};
+use qosc_telemetry::{EventKind, NoopSink, RequestTrace, TelemetrySink, ROOT_SPAN};
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
 use std::collections::HashMap;
@@ -216,7 +212,7 @@ pub enum DegradationRung {
     /// nothing.
     RelaxedFloor,
     /// Floors relaxed and the combiner switched to the weighted
-    /// combination of [29], so strong axes can compensate weak ones.
+    /// combination of \[29\], so strong axes can compensate weak ones.
     WeightedCombiner,
     /// Floors relaxed, weighted combiner, and the preference axes of the
     /// media kinds the user listed in
@@ -368,10 +364,6 @@ pub struct RetryPolicy {
     pub base_backoff_us: u64,
     /// Backoff ceiling, microseconds.
     pub max_backoff_us: u64,
-    /// Cap on the *accrued* backoff a single request may record across
-    /// all rungs and retries ([`RequestOutcome::backoff_us`] saturates
-    /// here instead of growing without bound at high attempt counts).
-    pub max_total_backoff_us: u64,
 }
 
 impl Default for RetryPolicy {
@@ -380,7 +372,6 @@ impl Default for RetryPolicy {
             max_attempts: 3,
             base_backoff_us: 1_000,
             max_backoff_us: 250_000,
-            max_total_backoff_us: 10_000_000,
         }
     }
 }
@@ -406,15 +397,11 @@ impl RetryPolicy {
         };
         base.saturating_add(jitter)
     }
-
-    /// Accrue `next` onto `total`, saturating at
-    /// [`max_total_backoff_us`](RetryPolicy::max_total_backoff_us).
-    pub fn accrue(&self, total: u64, next: u64) -> u64 {
-        total.saturating_add(next).min(self.max_total_backoff_us)
-    }
 }
 
-/// Tuning for [`serve_batch_resilient`].
+/// How the serving loop ([`run_sessions`](crate::run_sessions)) composes
+/// one session's chain: workers, selection options, retries, ladder and
+/// seed.
 #[derive(Debug, Clone, Copy)]
 pub struct ResilientEngineConfig {
     /// Worker threads (clamped to at least 1).
@@ -425,16 +412,12 @@ pub struct ResilientEngineConfig {
     /// Retry policy for transient errors.
     pub retry: RetryPolicy,
     /// Walk the degradation ladder on infeasible/below-floor requests.
-    /// When `false` only [`DegradationRung::Full`] is tried — the binary
+    /// When `false` only the starting rung is tried — the binary
     /// served-or-failed behaviour of [`serve_batch`].
     pub ladder: bool,
-    /// Seed for backoff jitter; request `i` derives its own stream from
+    /// Seed for backoff jitter; session `i` derives its own stream from
     /// `seed` and `i`, so outcomes are independent of worker scheduling.
     pub seed: u64,
-    /// Overload-protection policy, used by
-    /// [`serve_batch_with_admission`] (ignored by
-    /// [`serve_batch_resilient`], which admits unconditionally).
-    pub admission: AdmissionConfig,
 }
 
 impl Default for ResilientEngineConfig {
@@ -445,120 +428,21 @@ impl Default for ResilientEngineConfig {
             retry: RetryPolicy::default(),
             ladder: true,
             seed: 0,
-            admission: AdmissionConfig::default(),
         }
     }
 }
 
-/// What happened to one request of a resilient batch.
-#[derive(Debug, Clone)]
-pub struct RequestOutcome {
-    /// The served plan, if any rung produced one above the floor.
-    pub plan: Option<AdaptationPlan>,
-    /// The rung that served it (`None` when unserved).
-    pub rung: Option<DegradationRung>,
-    /// Predicted satisfaction of the served plan under its rung's
-    /// scoring (0.0 when unserved).
-    pub satisfaction: f64,
+/// A composition that served: the plan, still shared with the memo, and
+/// the rung that served it.
+pub(crate) type Served = (Arc<AdaptationPlan>, DegradationRung);
+
+/// What [`serve_one`] hands the serving loop for one composition.
+#[derive(Debug)]
+pub(crate) struct RequestOutcome {
+    /// What served (`None` when no rung produced a plan above the floor).
+    pub(crate) served: Option<Served>,
     /// Composition attempts across all rungs and retries.
-    pub attempts: u32,
-    /// Total backoff this request accrued, microseconds (recorded, not
-    /// slept — the simulation clock is not the wall clock).
-    pub backoff_us: u64,
-    /// The admission queue refused this request (never reached a
-    /// worker; always `attempts == 0`). Only
-    /// [`serve_batch_with_admission`] sheds.
-    pub shed: bool,
-    /// Starting rung the admission brown-out assigned (`None` outside
-    /// the admission path, [`DegradationRung::Full`] when no brown-out
-    /// was active).
-    pub brownout_rung: Option<DegradationRung>,
-    /// Terminal error or last rung-failure reason (`None` when served).
-    pub error: Option<String>,
-}
-
-impl RequestOutcome {
-    /// Served at full quality.
-    pub fn is_served_full(&self) -> bool {
-        self.plan.is_some() && self.rung == Some(DegradationRung::Full)
-    }
-
-    /// Served, but on a lower rung.
-    pub fn is_degraded(&self) -> bool {
-        self.plan.is_some() && self.rung.map(|r| r > DegradationRung::Full) == Some(true)
-    }
-
-    /// Refused by the admission queue.
-    pub fn is_shed(&self) -> bool {
-        self.shed
-    }
-}
-
-/// Batch-level accounting. The four counters are disjoint and sum to
-/// the batch size.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct BatchCounters {
-    /// Served at [`DegradationRung::Full`].
-    pub served: usize,
-    /// Served at a lower rung.
-    pub degraded: usize,
-    /// Unserved: error, panic, or infeasible at every rung.
-    pub failed: usize,
-    /// Refused by the admission queue before composing.
-    pub shed: usize,
-}
-
-impl BatchCounters {
-    /// Total requests accounted for.
-    pub fn total(&self) -> usize {
-        self.served + self.degraded + self.failed + self.shed
-    }
-
-    /// Mirror this snapshot into `registry` as the
-    /// `qosc_batch_{served,degraded,failed,shed}_total` counters. The
-    /// struct stays the cheap view; the registry is the unified export
-    /// surface.
-    pub fn record_metrics(&self, registry: &MetricsRegistry) {
-        registry
-            .counter("qosc_batch_served_total")
-            .store(self.served as u64);
-        registry
-            .counter("qosc_batch_degraded_total")
-            .store(self.degraded as u64);
-        registry
-            .counter("qosc_batch_failed_total")
-            .store(self.failed as u64);
-        registry
-            .counter("qosc_batch_shed_total")
-            .store(self.shed as u64);
-    }
-}
-
-/// A resilient batch: one outcome per request, in request order.
-#[derive(Debug, Clone)]
-pub struct ResilientBatch {
-    /// Per-request outcomes.
-    pub outcomes: Vec<RequestOutcome>,
-}
-
-impl ResilientBatch {
-    /// Classify the outcomes. Every request lands in exactly one
-    /// counter, so `counters().total() == outcomes.len()`.
-    pub fn counters(&self) -> BatchCounters {
-        let mut counters = BatchCounters::default();
-        for outcome in &self.outcomes {
-            if outcome.shed {
-                counters.shed += 1;
-            } else if outcome.is_served_full() {
-                counters.served += 1;
-            } else if outcome.is_degraded() {
-                counters.degraded += 1;
-            } else {
-                counters.failed += 1;
-            }
-        }
-        counters
-    }
+    pub(crate) attempts: u32,
 }
 
 /// Transient errors are worth retrying: the registry or network may be
@@ -570,24 +454,6 @@ fn is_transient(error: &crate::CoreError) -> bool {
         error,
         crate::CoreError::Service(_) | crate::CoreError::Net(_)
     )
-}
-
-fn unserved(attempts: u32, backoff_us: u64, error: Option<String>) -> RequestOutcome {
-    RequestOutcome {
-        plan: None,
-        rung: None,
-        satisfaction: 0.0,
-        attempts,
-        backoff_us,
-        shed: false,
-        brownout_rung: None,
-        error,
-    }
-}
-
-/// The outcome of a request whose [`fan_out`] worker was lost.
-fn lost_worker() -> RequestOutcome {
-    unserved(0, 0, Some(LOST_WORKER.to_string()))
 }
 
 // ---------------------------------------------------------------------
@@ -641,15 +507,6 @@ pub(crate) fn intern<'r>(
     (ids, distinct.len())
 }
 
-/// What one rung's composition hands [`serve_one`]: the plan, if
-/// selection found one, and why not otherwise. The plan is shared with
-/// the memo, so a hit hands it out without copying it.
-#[derive(Debug, Clone)]
-pub(crate) struct Composed {
-    plan: Option<Arc<AdaptationPlan>>,
-    failure: Option<SelectFailure>,
-}
-
 /// The exact memo [`serve_one`] composes through (DESIGN.md, "Memos").
 ///
 /// A rung's composition is a pure function of the request, the rung,
@@ -673,9 +530,14 @@ pub(crate) struct ComposeMemo {
     /// Where misses get their adaptation graphs.
     store: GraphStore,
     /// Slot `id * LADDER.len() + rung`: the last successful composition
-    /// of request `id` at `rung`, and the stamp it was composed at.
+    /// of request `id` at `rung` (its plan, if selection found one), and
+    /// the stamp it was composed at.
     entries: RwLock<Vec<Option<(WorldStamp, Composed)>>>,
 }
+
+/// One rung's composition: the plan, if selection found one, shared
+/// with the memo, so a hit hands it out without copying it.
+type Composed = Option<Arc<AdaptationPlan>>;
 
 impl ComposeMemo {
     /// An empty memo for `requests` distinct request ids, composing with
@@ -693,9 +555,9 @@ impl ComposeMemo {
     }
 
     /// `request`, whose interned id is `id`, composed at `rung` against
-    /// `composer`'s world: the stored answer when one was composed at
-    /// this world's stamp, otherwise a fresh composition (stored when it
-    /// succeeds).
+    /// `composer`'s world: the stored plan when one was composed at this
+    /// world's stamp, otherwise a fresh composition (stored when it
+    /// succeeds). `Ok(None)`: selection found no chain.
     pub(crate) fn compose(
         &self,
         composer: &Composer<'_>,
@@ -705,60 +567,33 @@ impl ComposeMemo {
     ) -> Result<Composed> {
         let stamp = WorldStamp::of(composer.services, composer.network);
         let slot = id as usize * DegradationRung::LADDER.len() + rung as usize;
-        if let Some((at, composed)) = &self.entries.read()[slot] {
+        if let Some((at, plan)) = &self.entries.read()[slot] {
             if !memos_off() && *at == stamp {
-                return Ok(composed.clone());
+                return Ok(plan.clone());
             }
         }
-        let composition = composer.compose_with_store(
-            &self.store,
-            &degrade_profiles(&request.profiles, rung),
-            request.sender_host,
-            request.receiver_host,
-            &self.options,
-        )?;
-        let composed = Composed {
-            plan: composition.plan.map(Arc::new),
-            failure: composition.selection.failure,
-        };
-        self.entries.write()[slot] = Some((stamp, composed.clone()));
-        Ok(composed)
-    }
-}
-
-/// A [`RequestOutcome`] as [`serve_one`] reports it: the served plan
-/// still shared with the memo. The session loop keeps the `Arc`; the
-/// batch paths copy the plan out once, into the owned
-/// [`RequestOutcome::plan`] their callers get.
-pub(crate) struct SharedOutcome {
-    pub(crate) plan: Option<Arc<AdaptationPlan>>,
-    /// Everything else; its own `plan` is `None`.
-    pub(crate) outcome: RequestOutcome,
-}
-
-impl SharedOutcome {
-    fn unserved(attempts: u32, backoff_us: u64, error: Option<String>) -> SharedOutcome {
-        SharedOutcome {
-            plan: None,
-            outcome: unserved(attempts, backoff_us, error),
-        }
-    }
-
-    /// The public outcome, owning its plan.
-    fn into_outcome(self) -> RequestOutcome {
-        RequestOutcome {
-            plan: self.plan.map(Arc::unwrap_or_clone),
-            ..self.outcome
-        }
+        let plan = composer
+            .compose_with_store(
+                &self.store,
+                &degrade_profiles(&request.profiles, rung),
+                request.sender_host,
+                request.receiver_host,
+                &self.options,
+            )?
+            .plan
+            .map(Arc::new);
+        self.entries.write()[slot] = Some((stamp, plan.clone()));
+        Ok(plan)
     }
 }
 
 /// Serve one request through the ladder (from `start_rung` down), with
 /// retries and panic isolation. `id` is `request`'s [`intern`]ed id in
-/// `memo`. Pure in `(composer snapshot, request, index, config,
-/// start_rung)` — the trace records, it never steers, and the memo only
-/// changes where a rung's answer comes from (stored, or composed over a
-/// reused or delta-updated graph), never what it is.
+/// `memo`, `index` its session's, which seeds the backoff jitter. Pure
+/// in `(composer snapshot, request, index, config, start_rung)` — the
+/// trace records, it never steers, and the memo only changes where a
+/// rung's answer comes from (stored, or composed over a reused or
+/// delta-updated graph), never what it is.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn serve_one<S: TelemetrySink>(
     composer: &Composer<'_>,
@@ -769,7 +604,7 @@ pub(crate) fn serve_one<S: TelemetrySink>(
     config: &ResilientEngineConfig,
     start_rung: DegradationRung,
     trace: &mut RequestTrace<'_, S>,
-) -> SharedOutcome {
+) -> RequestOutcome {
     let mut rng =
         SmallRng::seed_from_u64(config.seed ^ (index as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
     let start = start_rung as usize;
@@ -780,8 +615,6 @@ pub(crate) fn serve_one<S: TelemetrySink>(
     };
 
     let mut attempts = 0u32;
-    let mut backoff_us = 0u64;
-    let mut last_failure: Option<String> = None;
     for (position, &rung) in rungs.iter().enumerate() {
         let rung_span = trace.open_span(ROOT_SPAN, rung.label());
         trace.emit(
@@ -796,31 +629,10 @@ pub(crate) fn serve_one<S: TelemetrySink>(
                 memo.compose(composer, request, id, rung)
             }));
             match result {
-                Err(payload) => {
-                    // A panic is a deterministic fault in the compose
-                    // path; neither retrying nor degrading can help.
-                    trace.emit(
-                        rung_span,
-                        EventKind::CompositionFinished {
-                            rung: rung.label(),
-                            served: false,
-                            satisfaction_micros: 0,
-                            attempts,
-                        },
-                    );
-                    return SharedOutcome::unserved(
-                        attempts,
-                        backoff_us,
-                        Some(format!("panic: {}", panic_message(payload))),
-                    );
-                }
                 Ok(Err(e))
                     if is_transient(&e) && attempt_in_rung < config.retry.max_attempts.max(1) =>
                 {
-                    // Draw the backoff first, then accrue: the RNG call
-                    // order is part of the committed scorecards.
                     let step = config.retry.backoff_for(attempt_in_rung, &mut rng);
-                    backoff_us = config.retry.accrue(backoff_us, step);
                     trace.emit(
                         rung_span,
                         EventKind::Retry {
@@ -829,23 +641,20 @@ pub(crate) fn serve_one<S: TelemetrySink>(
                         },
                     );
                 }
-                Ok(Err(e)) => {
-                    // Terminal error: deterministic, or retries exhausted.
-                    trace.emit(
-                        rung_span,
-                        EventKind::CompositionFinished {
-                            rung: rung.label(),
-                            served: false,
-                            satisfaction_micros: 0,
-                            attempts,
-                        },
-                    );
-                    return SharedOutcome::unserved(attempts, backoff_us, Some(e.to_string()));
-                }
                 Ok(Ok(composed)) => break composed,
+                // A panic is a deterministic fault in the compose path,
+                // and any other error is deterministic or out of
+                // retries: neither retrying nor degrading can help.
+                Err(_) | Ok(Err(_)) => {
+                    trace.emit(rung_span, finished_unserved(rung, attempts));
+                    return RequestOutcome {
+                        served: None,
+                        attempts,
+                    };
+                }
             }
         };
-        match composed.plan {
+        match composed {
             // A zero-satisfaction plan is below the user's stated
             // minimum — delivering it serves nobody (Section 4.1's
             // floors); the next rung relaxes what "minimum" means.
@@ -859,41 +668,13 @@ pub(crate) fn serve_one<S: TelemetrySink>(
                         attempts,
                     },
                 );
-                return SharedOutcome {
-                    outcome: RequestOutcome {
-                        satisfaction: plan.predicted_satisfaction,
-                        plan: None,
-                        rung: Some(rung),
-                        attempts,
-                        backoff_us,
-                        shed: false,
-                        brownout_rung: None,
-                        error: None,
-                    },
-                    plan: Some(plan),
+                return RequestOutcome {
+                    served: Some((plan, rung)),
+                    attempts,
                 };
             }
-            Some(_) => {
-                last_failure = Some(format!("below the satisfaction floor at rung {rung}"));
-            }
-            None => {
-                last_failure = Some(
-                    composed
-                        .failure
-                        .map(|f| f.to_string())
-                        .unwrap_or_else(|| "no chain".to_string()),
-                );
-            }
+            _ => trace.emit(rung_span, finished_unserved(rung, attempts)),
         }
-        trace.emit(
-            rung_span,
-            EventKind::CompositionFinished {
-                rung: rung.label(),
-                served: false,
-                satisfaction_micros: 0,
-                attempts,
-            },
-        );
         if let Some(&next_rung) = rungs.get(position + 1) {
             trace.emit(
                 ROOT_SPAN,
@@ -904,80 +685,24 @@ pub(crate) fn serve_one<S: TelemetrySink>(
             );
         }
     }
-    SharedOutcome::unserved(attempts, backoff_us, last_failure)
+    RequestOutcome {
+        served: None,
+        attempts,
+    }
 }
 
-/// Serve a batch with panic isolation, seeded retry/backoff, and the
-/// degradation ladder.
-///
-/// Returns exactly one [`RequestOutcome`] per request, in request
-/// order, for any worker count. The batch's requests are [`intern`]ed
-/// once, up front, and every rung composes through one per-batch
-/// [`ComposeMemo`] keyed by the ids, not the [`ShardedCompositionCache`]:
-/// the memo answers only what a fresh compose against the current
-/// registry and network would, where the cache would keep any cached
-/// plan that still works. Each served outcome owns a copy of its plan.
-pub fn serve_batch_resilient(
-    composer: &Composer<'_>,
-    requests: &[CompositionRequest],
-    config: &ResilientEngineConfig,
-) -> ResilientBatch {
-    serve_batch_resilient_traced(composer, requests, config, &NoopSink)
+/// The event that closes a rung that served nothing.
+fn finished_unserved(rung: DegradationRung, attempts: u32) -> EventKind {
+    EventKind::CompositionFinished {
+        rung: rung.label(),
+        served: false,
+        satisfaction_micros: 0,
+        attempts,
+    }
 }
 
-/// [`serve_batch_resilient`] with the full causal chain of every
-/// request — ladder rungs and retries — recorded into
-/// `sink` (request id = batch index, virtual time 0 — this path has no
-/// virtual clock). With [`NoopSink`] this is exactly
-/// `serve_batch_resilient`: outcomes are bitwise identical.
-pub fn serve_batch_resilient_traced<S: TelemetrySink>(
-    composer: &Composer<'_>,
-    requests: &[CompositionRequest],
-    config: &ResilientEngineConfig,
-    sink: &S,
-) -> ResilientBatch {
-    // One memo per batch, shared across workers: the snapshot cannot
-    // move mid-batch, so a repeated (request, rung) composes once.
-    let (ids, distinct) = intern(requests, request_hash);
-    let memo = ComposeMemo::new(&config.options, distinct);
-    let outcomes = fan_out(config.workers, requests.len(), |index| {
-        let mut trace = RequestTrace::new(sink, index as u64, 0);
-        serve_one(
-            composer,
-            &memo,
-            &requests[index],
-            ids[index],
-            index,
-            config,
-            DegradationRung::Full,
-            &mut trace,
-        )
-        .into_outcome()
-    })
-    .into_iter()
-    .map(|slot| slot.unwrap_or_else(lost_worker))
-    .collect();
-    ResilientBatch { outcomes }
-}
-
-// ---------------------------------------------------------------------
-// Admission-controlled serving
-// ---------------------------------------------------------------------
-
-/// A resilient batch served behind the admission queue: per-request
-/// outcomes plus the virtual-clock [`AdmissionPlan`] that produced them.
-#[derive(Debug, Clone)]
-pub struct AdmittedBatch {
-    /// One outcome per offered request, in request order (shed requests
-    /// included, with `shed = true` and `attempts == 0`).
-    pub batch: ResilientBatch,
-    /// The admission decisions and queue statistics.
-    pub admission: AdmissionPlan,
-}
-
-/// The trace prologue of an admitted request, shared by the batch
-/// engine and the session loop: the verdict under an `admission` span,
-/// then the clock moves to the virtual service start.
+/// The trace prologue of an admitted session open: the verdict under an
+/// `admission` span, then the clock moves to the virtual service start.
 pub(crate) fn trace_admitted<S: TelemetrySink>(
     trace: &mut RequestTrace<'_, S>,
     decision: &AdmissionDecision,
@@ -993,10 +718,9 @@ pub(crate) fn trace_admitted<S: TelemetrySink>(
     trace.advance_to(decision.start_us);
 }
 
-/// The trace prologue of a shed request, shared like
-/// [`trace_admitted`]: the clock moves to the instant the queue gave up
-/// on it (saturating at the top of the range), then the shed reason
-/// under an `admission` span.
+/// The trace prologue of a shed session open: the clock moves to the
+/// instant the queue gave up on it (saturating at the top of the
+/// range), then the shed reason under an `admission` span.
 pub(crate) fn trace_shed<S: TelemetrySink>(
     trace: &mut RequestTrace<'_, S>,
     arrival_us: u64,
@@ -1013,129 +737,16 @@ pub(crate) fn trace_shed<S: TelemetrySink>(
     );
 }
 
-/// Serve a batch behind the overload-protection front-end of
-/// [`crate::admission`]: requests are offered to a deterministic
-/// virtual-clock admission queue (deadline-aware shedding, strict
-/// priority classes, AIMD concurrency, brown-out), and only admitted
-/// requests reach the composition workers — each starting the
-/// degradation ladder at the rung brown-out assigned it.
-///
-/// `arrivals[i]` is the virtual-time metadata of `requests[i]`; the two
-/// slices must have the same length. Admission decisions depend only on
-/// `(arrivals, config.admission)` and composition outcomes only on the
-/// shared snapshot, so the whole result is identical for any worker
-/// count. At sub-saturation load (no queueing, no brown-out) the plans
-/// of admitted requests are bitwise identical to a
-/// [`serve_batch_resilient`] run: admission is a front-end, not a
-/// scoring change.
-///
-/// # Panics
-///
-/// Panics when `requests.len() != arrivals.len()`.
-pub fn serve_batch_with_admission(
-    composer: &Composer<'_>,
-    requests: &[CompositionRequest],
-    arrivals: &[ArrivalMeta],
-    config: &ResilientEngineConfig,
-) -> AdmittedBatch {
-    serve_batch_with_admission_traced(composer, requests, arrivals, config, &NoopSink)
-}
-
-/// [`serve_batch_with_admission`] with every request's chain recorded
-/// into `sink`: admitted requests open at their virtual arrival time,
-/// record the admission verdict under an `admission` span, advance to
-/// their virtual service start, then trace the ladder exactly as
-/// [`serve_batch_resilient_traced`]; shed requests record only their
-/// arrival and the shed reason. With [`NoopSink`] this is exactly
-/// `serve_batch_with_admission`: outcomes are bitwise identical.
-///
-/// # Panics
-///
-/// Panics when `requests.len() != arrivals.len()`.
-pub fn serve_batch_with_admission_traced<S: TelemetrySink>(
-    composer: &Composer<'_>,
-    requests: &[CompositionRequest],
-    arrivals: &[ArrivalMeta],
-    config: &ResilientEngineConfig,
-    sink: &S,
-) -> AdmittedBatch {
-    assert_eq!(
-        requests.len(),
-        arrivals.len(),
-        "one ArrivalMeta per CompositionRequest"
-    );
-    let admission = plan_admission(arrivals, &config.admission);
-
-    // Compose only the admitted indices on the worker pool.
-    let admitted: Vec<usize> = (0..requests.len())
-        .filter(|&i| admission.decisions[i].admitted)
-        .collect();
-    // Shared per-batch memo over the admitted requests (see
-    // serve_batch_resilient_traced); brown-out rungs rewrite only the
-    // user profile, so every rung of every admitted request maps to the
-    // same graph in its store.
-    let (ids, distinct) = intern(admitted.iter().map(|&index| &requests[index]), request_hash);
-    let memo = ComposeMemo::new(&config.options, distinct);
-    let composed = fan_out(config.workers, admitted.len(), |slot| {
-        let index = admitted[slot];
-        let decision = &admission.decisions[index];
-        let rung = decision.start_rung;
-        let mut trace = RequestTrace::new(sink, index as u64, arrivals[index].arrival_us);
-        trace_admitted(&mut trace, decision);
-        let mut outcome = serve_one(
-            composer,
-            &memo,
-            &requests[index],
-            ids[slot],
-            index,
-            config,
-            rung,
-            &mut trace,
-        )
-        .into_outcome();
-        outcome.brownout_rung = Some(rung);
-        outcome
-    });
-
-    let mut slots: Vec<Option<RequestOutcome>> = (0..requests.len()).map(|_| None).collect();
-    for (&index, outcome) in admitted.iter().zip(composed) {
-        slots[index] = outcome;
-    }
-    let outcomes: Vec<RequestOutcome> = slots
-        .into_iter()
-        .enumerate()
-        .map(|(index, slot)| {
-            if let Some(outcome) = slot {
-                return outcome;
-            }
-            match admission.decisions[index].shed {
-                Some(reason) => {
-                    let arrival_us = arrivals[index].arrival_us;
-                    let mut trace = RequestTrace::new(sink, index as u64, arrival_us);
-                    let queue_wait_us = admission.decisions[index].queue_wait_us;
-                    trace_shed(&mut trace, arrival_us, queue_wait_us, reason);
-                    RequestOutcome {
-                        shed: true,
-                        error: Some(format!("shed: {reason}")),
-                        ..unserved(0, 0, None)
-                    }
-                }
-                None => lost_worker(),
-            }
-        })
-        .collect();
-    AdmittedBatch {
-        batch: ResilientBatch { outcomes },
-        admission,
-    }
-}
-
 #[cfg(test)]
 mod memo_oracle;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::admission::{AdmissionConfig, ArrivalMeta, PriorityClass};
+    use crate::session::{
+        run_sessions, CloseReason, SessionEngineConfig, SessionRequest, SessionsReport, StaticWorld,
+    };
     use qosc_media::{AxisDomain, DomainVector, FormatRegistry, VariantSpec};
     use qosc_netsim::{Network, Node, Topology};
     use qosc_profiles::{
@@ -1205,6 +816,48 @@ mod tests {
             }],
         );
         request
+    }
+
+    /// One session per request, opening at 0 and holding `hold_us`
+    /// (0: the requests are a batch).
+    fn sessions(requests: &[CompositionRequest], hold_us: u64) -> Vec<SessionRequest> {
+        let arrival = ArrivalMeta {
+            arrival_us: 0,
+            priority: PriorityClass::Standard,
+            service_cost_us: 1_000,
+            deadline_budget_us: None,
+        };
+        let session = |request: &CompositionRequest| SessionRequest {
+            request: request.clone(),
+            arrival,
+            hold_us,
+            demand_bps: 0,
+        };
+        requests.iter().map(session).collect()
+    }
+
+    /// `sessions` on the serving loop over `f`'s static world, without
+    /// ticks or session spans, through `admission` when given.
+    fn serve<S: TelemetrySink>(
+        f: &Fixture,
+        sessions: &[SessionRequest],
+        resilient: ResilientEngineConfig,
+        admission: Option<AdmissionConfig>,
+        sink: &S,
+    ) -> SessionsReport {
+        let mut world = StaticWorld {
+            formats: &f.formats,
+            services: &f.services,
+            network: &f.network,
+        };
+        let config = SessionEngineConfig {
+            resilient,
+            admission,
+            tick_us: 0,
+            session_spans: false,
+            ..SessionEngineConfig::default()
+        };
+        run_sessions(&mut world, sessions, &config, sink)
     }
 
     #[test]
@@ -1433,40 +1086,26 @@ mod tests {
     #[test]
     fn ladder_serves_below_floor_requests_degraded() {
         let (f, request) = floor_fixture();
-        let composer = Composer {
-            formats: &f.formats,
-            services: &f.services,
-            network: &f.network,
+        let run = |ladder| {
+            let config = ResilientEngineConfig {
+                ladder,
+                ..ResilientEngineConfig::default()
+            };
+            let one = sessions(std::slice::from_ref(&request), 1_000_000);
+            serve(&f, &one, config, None, &NoopSink)
         };
         // Without the ladder: dark.
-        let strict = serve_batch_resilient(
-            &composer,
-            std::slice::from_ref(&request),
-            &ResilientEngineConfig {
-                ladder: false,
-                ..ResilientEngineConfig::default()
-            },
-        );
-        assert_eq!(strict.counters().failed, 1);
+        assert_eq!(run(false).counters.failed_open, 1);
 
         // With the ladder: served at RelaxedFloor with the deliverable
         // 12 fps (satisfaction 12/30 under the relaxed scoring).
-        let laddered = serve_batch_resilient(
-            &composer,
-            std::slice::from_ref(&request),
-            &ResilientEngineConfig::default(),
-        );
-        let outcome = &laddered.outcomes[0];
-        assert_eq!(outcome.rung, Some(DegradationRung::RelaxedFloor));
-        assert!(outcome.plan.is_some());
+        let outcome = &run(true).outcomes[0];
+        assert_eq!(outcome.final_rung, Some(DegradationRung::RelaxedFloor));
+        let satisfaction = outcome.mean_satisfaction();
         assert!(
-            outcome.satisfaction > 0.3 && outcome.satisfaction < 0.5,
-            "≈12/30, got {}",
-            outcome.satisfaction
+            satisfaction > 0.3 && satisfaction < 0.5,
+            "≈12/30, got {satisfaction}"
         );
-        let counters = laddered.counters();
-        assert_eq!(counters.degraded, 1);
-        assert_eq!(counters.total(), 1);
     }
 
     #[test]
@@ -1474,50 +1113,39 @@ mod tests {
         let (floor_f, floor_request) = floor_fixture();
         drop(floor_f);
         let f = fixture();
-        let composer = Composer {
-            formats: &f.formats,
-            services: &f.services,
-            network: &f.network,
-        };
         let mut batch = requests(&f, 5);
         batch.push(poisoned_request(&f));
         // A request whose endpoints belong to another topology errs
-        // (degenerate endpoints / unknown formats) — a failed slot.
+        // (degenerate endpoints / unknown formats) — a failed open.
         batch.push(CompositionRequest {
             profiles: floor_request.profiles.clone(),
             sender_host: f.server,
             receiver_host: f.client,
         });
         for workers in [1usize, 4] {
-            let served = serve_batch_resilient(
-                &composer,
-                &batch,
-                &ResilientEngineConfig {
-                    workers,
-                    ..ResilientEngineConfig::default()
-                },
-            );
+            let config = ResilientEngineConfig {
+                workers,
+                ..ResilientEngineConfig::default()
+            };
+            let report = serve(&f, &sessions(&batch, 0), config, None, &NoopSink);
+            let c = report.counters;
+            assert!(c.partitions_exactly(), "workers={workers}: {c:?}");
+            assert_eq!(c.opened, batch.len());
+            assert_eq!(c.completed + c.failed_open, batch.len(), "{c:?}");
+            for outcome in &report.outcomes[..5] {
+                assert_eq!(
+                    outcome.final_rung,
+                    Some(DegradationRung::Full),
+                    "healthy requests serve at Full"
+                );
+            }
+            let poisoned = &report.outcomes[5];
+            assert_eq!(poisoned.close, Some(CloseReason::FailedOpen));
             assert_eq!(
-                served.outcomes.len(),
-                batch.len(),
-                "one outcome per request"
+                poisoned.attempts, 1,
+                "a panic is neither retried nor degraded"
             );
-            let counters = served.counters();
-            assert_eq!(
-                counters.total(),
-                batch.len(),
-                "counters partition the batch (workers={workers}): {counters:?}"
-            );
-            assert_eq!(counters.served, 5, "healthy requests serve at Full");
-            assert!(counters.failed >= 1, "the poisoned request fails");
-            assert!(
-                served.outcomes[5]
-                    .error
-                    .as_deref()
-                    .unwrap_or("")
-                    .contains("panic"),
-                "panic surfaced as an error string"
-            );
+            assert_eq!(report.outcomes[6].close, Some(CloseReason::FailedOpen));
         }
     }
 
@@ -1529,19 +1157,12 @@ mod tests {
             max_attempts: 1_000,
             base_backoff_us: u64::MAX / 2,
             max_backoff_us: u64::MAX,
-            max_total_backoff_us: 1_000_000,
         };
         let mut rng = SmallRng::seed_from_u64(3);
         for attempt in [63u32, 64, 65, 128, 1_000, u32::MAX] {
             let backoff = policy.backoff_for(attempt, &mut rng);
             assert!(backoff >= u64::MAX / 2, "saturates high, attempt {attempt}");
         }
-        // The accrued total is capped even when single backoffs are huge.
-        let mut total = 0u64;
-        for attempt in 1..=128u32 {
-            total = policy.accrue(total, policy.backoff_for(attempt, &mut rng));
-        }
-        assert_eq!(total, policy.max_total_backoff_us, "accrual saturates");
 
         // The default policy's schedule is identical to the pre-fix one
         // in its live range (the committed scorecards depend on it).
@@ -1569,26 +1190,17 @@ mod tests {
     #[test]
     fn resilient_serving_is_deterministic_per_seed() {
         let (f, request) = floor_fixture();
-        let composer = Composer {
-            formats: &f.formats,
-            services: &f.services,
-            network: &f.network,
-        };
         let batch = vec![request.clone(), request];
         let config = ResilientEngineConfig {
             workers: 2,
             seed: 7,
             ..ResilientEngineConfig::default()
         };
-        let a = serve_batch_resilient(&composer, &batch, &config);
-        let b = serve_batch_resilient(&composer, &batch, &config);
-        for (x, y) in a.outcomes.iter().zip(&b.outcomes) {
-            assert_eq!(x.rung, y.rung);
-            assert_eq!(x.attempts, y.attempts);
-            assert_eq!(x.backoff_us, y.backoff_us);
-            assert_eq!(x.satisfaction, y.satisfaction);
-        }
-        assert_eq!(a.counters(), b.counters());
+        let batch = sessions(&batch, 0);
+        let a = serve(&f, &batch, config, None, &NoopSink);
+        let b = serve(&f, &batch, config, None, &NoopSink);
+        assert_eq!(a.outcomes, b.outcomes);
+        assert_eq!(a.counters, b.counters);
     }
 
     #[test]
@@ -1687,9 +1299,9 @@ mod tests {
 
     /// A shed at the top of the virtual clock: the shared prologue
     /// saturates instead of wrapping, both called directly (a queue
-    /// wait that would overflow) and through the batch engine (two
-    /// arrivals at `u64::MAX - 1` on one core; the second's zero
-    /// deadline budget sheds it at arrival).
+    /// wait that would overflow) and through the serving loop (two
+    /// zero-hold sessions arriving at `u64::MAX - 1` on one core; the
+    /// second's zero deadline budget sheds it at arrival).
     #[test]
     fn shed_trace_prologue_saturates_at_the_top_of_the_clock() {
         use qosc_telemetry::FlightRecorder;
@@ -1710,37 +1322,23 @@ mod tests {
         assert_eq!(shed_events(&recorder), vec![(7, u64::MAX)]);
 
         let f = fixture();
-        let composer = Composer {
-            formats: &f.formats,
-            services: &f.services,
-            network: &f.network,
-        };
-        let arrival = |deadline_budget_us| ArrivalMeta {
-            arrival_us,
-            priority: crate::admission::PriorityClass::Standard,
-            service_cost_us: 1_000,
-            deadline_budget_us,
-        };
-        let config = ResilientEngineConfig {
-            workers: 1,
-            admission: AdmissionConfig {
-                virtual_cores: 1,
-                initial_limit: 1,
-                max_limit: 1,
-                ..AdmissionConfig::protected()
-            },
-            ..ResilientEngineConfig::default()
+        let mut batch = sessions(&requests(&f, 2), 0);
+        for (session, deadline_budget_us) in batch.iter_mut().zip([None, Some(0)]) {
+            session.arrival.arrival_us = arrival_us;
+            session.arrival.deadline_budget_us = deadline_budget_us;
+        }
+        let admission = AdmissionConfig {
+            virtual_cores: 1,
+            initial_limit: 1,
+            max_limit: 1,
+            ..AdmissionConfig::protected()
         };
         let recorder = FlightRecorder::new(1);
-        let served = serve_batch_with_admission_traced(
-            &composer,
-            &requests(&f, 2),
-            &[arrival(None), arrival(Some(0))],
-            &config,
-            &recorder,
-        );
-        assert!(served.admission.decisions[0].admitted);
-        assert!(served.batch.outcomes[1].shed);
+        let config = ResilientEngineConfig::default();
+        let report = serve(&f, &batch, config, Some(admission), &recorder);
+        assert_eq!(report.outcomes[0].close, Some(CloseReason::Completed));
+        assert!(report.outcomes[1].shed.is_some());
+        assert_eq!(report.outcomes[1].attempts, 0);
         assert_eq!(shed_events(&recorder), vec![(1, arrival_us)]);
     }
 }

@@ -170,7 +170,6 @@ fn every_request_and_rung_has_its_own_slot() {
     let plan = |memo: &ComposeMemo, id: u32, rung| {
         memo.compose(&composer, &world.requests[id as usize], id, rung)
             .expect("the world composes")
-            .plan
     };
     let fresh = |id: u32, rung| plan(&ComposeMemo::new(&options, 2), id, rung);
     assert_ne!(

@@ -13,7 +13,7 @@
 //!   services, keeps a candidate set `CS`, and at each round settles the
 //!   candidate whose constrained-optimal configuration yields the highest
 //!   user satisfaction. It emits a full round-by-round
-//!   [`SelectionTrace`](select::SelectionTrace) whose rows are exactly
+//!   [`SelectionTrace`] whose rows are exactly
 //!   the columns of the paper's Table 1,
 //! * [`baseline`] — comparison algorithms: the exhaustive exact optimum
 //!   (ground truth for the Figure-5 optimality argument), fewest-hops,
@@ -66,10 +66,8 @@ pub use bundle::{compose_bundle, BundleComposition, BundleStream};
 pub use cache::{request_hashes_total, CacheStats, ShardedCompositionCache};
 pub use composer::{Composer, Composition, StoredComposition};
 pub use engine::{
-    degrade_profiles, serve_batch, serve_batch_resilient, serve_batch_resilient_traced,
-    serve_batch_traced, serve_batch_with_admission, serve_batch_with_admission_traced,
-    AdmittedBatch, BatchCounters, CompositionRequest, DegradationRung, EngineConfig,
-    RequestOutcome, ResilientBatch, ResilientEngineConfig, RetryPolicy,
+    degrade_profiles, serve_batch, serve_batch_traced, CompositionRequest, DegradationRung,
+    EngineConfig, ResilientEngineConfig, RetryPolicy,
 };
 pub use graph::{
     build_filtered, graphs_equivalent, AdaptationGraph, BuildInput, Edge, EdgeId, GraphScope,

@@ -14,7 +14,7 @@
 //! ```
 //!
 //! The search runs over `(vertex, output format)` states (see
-//! [`StateKey`](crate::select::label::StateKey)); each round settles the
+//! [`StateKey`]); each round settles the
 //! candidate with the highest constrained-optimal satisfaction. Because
 //! extension never increases satisfaction (quality monotonicity), the
 //! first settled receiver state carries the maximum achievable
@@ -23,8 +23,8 @@
 //! ## The hot path: a reused arena and an O(Δ) trace log
 //!
 //! Every search structure lives in a per-thread scratch arena
-//! ([`SelectScratch`]) reused across requests. A state's handle comes
-//! from a per-request [`StateTable`]: each vertex's *advertised* outputs
+//! (`SelectScratch`) reused across requests. A state's handle comes
+//! from a per-request `StateTable`: each vertex's *advertised* outputs
 //! (the distinct `output` formats of its conversions), sorted ascending
 //! and laid end to end, so `handle(v, f) = base[v] + rank of f among v's
 //! outputs`. The settled and candidate label stores are
@@ -437,7 +437,7 @@ pub fn select_chain(
 /// effective_ppm)` pair scales that service's satisfaction score by
 /// `effective_ppm / 1e6` during label extension, steering selection
 /// around grey-failing services without excluding them. The slice must
-/// be sorted by [`ServiceId`]
+/// be sorted by [`ServiceId`](qosc_services::ServiceId)
 /// ([`ServiceRegistry::selection_penalties`](qosc_services::ServiceRegistry::selection_penalties)
 /// maintains that invariant). An empty slice is bit-identical to
 /// [`select_chain`].

@@ -1,7 +1,7 @@
 //! Labels and the extension (relaxation) step shared by the greedy
 //! algorithm and every baseline.
 //!
-//! Keeping [`extend`] in one place guarantees that the greedy search and
+//! Keeping [`extend`](ExtendContext::extend) in one place guarantees that the greedy search and
 //! the exhaustive ground truth evaluate candidate services with *exactly*
 //! the same semantics — which is what makes the Figure-5 optimality
 //! property testable.

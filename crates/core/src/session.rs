@@ -63,8 +63,8 @@ pub struct SessionRequest {
     /// composition cost and deadline budget for the admission queue.
     pub arrival: ArrivalMeta,
     /// Holding time: virtual microseconds the session stays active
-    /// after its chain is first served. `0` is a degenerate
-    /// batch-shaped session that closes at open.
+    /// after its chain is first served. `0` closes the session at open:
+    /// a batch of requests is a run of zero-hold sessions.
     pub hold_us: u64,
     /// Bitrate the session demands at full quality, bits per second.
     /// Feeds [`SessionWorld::delivery_ppm`] as a floor on the final-hop
@@ -272,15 +272,10 @@ impl SessionWorld for StaticWorld<'_> {
 /// Tuning for the session engine.
 #[derive(Debug, Clone, Copy)]
 pub struct SessionEngineConfig {
-    /// Composition tuning: workers, options, retry, ladder, seed. The
-    /// embedded `admission` field is ignored here — see
-    /// [`admission`](Self::admission).
+    /// Composition tuning: workers, options, retry, ladder, seed.
     pub resilient: ResilientEngineConfig,
     /// Admission policy for session opens and re-compositions. `None`
-    /// admits everything at its arrival instant (the
-    /// [`serve_batch`](crate::serve_batch) /
-    /// [`serve_batch_resilient`](crate::serve_batch_resilient)
-    /// behaviour).
+    /// admits everything at its arrival instant.
     pub admission: Option<AdmissionConfig>,
     /// Progress-epoch period, virtual microseconds (`0` disables
     /// ticks). Each tick re-checks plan liveness and, with session

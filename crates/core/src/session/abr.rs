@@ -12,7 +12,7 @@
 //! * every session owns a [`PlayoutBuffer`] — integer microseconds of
 //!   media, filled at the rung's *achieved* throughput through netsim
 //!   (a parts-per-million fill rate sampled from the
-//!   [`SessionWorld`](super::SessionWorld)) and drained by playback at
+//!   [`SessionWorld`]) and drained by playback at
 //!   one microsecond of media per virtual microsecond;
 //! * per progress tick a [`BolaController`] scores each ladder rung by
 //!   `(utility + gamma_b · buffer_headroom) / rung_cost` and decides

@@ -1,6 +1,6 @@
 //! The session engine's discrete-event loop.
 //!
-//! An [`Agenda`] drives everything. World events and session opens are
+//! An `Agenda` drives everything. World events and session opens are
 //! known before the run starts, so each sits in a list sorted by
 //! `(time, index)` behind a cursor; only what the run itself schedules
 //! (admission pumps, progress ticks, closes) goes on an [`EventQueue`],
@@ -43,7 +43,7 @@ use qosc_telemetry::{EventKind, RequestTrace, TelemetrySink, TraceState, ROOT_SP
 use crate::admission::{AdmissionQueue, ArrivalMeta, PriorityClass, ShedReason};
 use crate::engine::{
     fan_out, intern, request_hash, serve_one, trace_admitted, trace_shed, ComposeMemo,
-    DegradationRung, SharedOutcome,
+    DegradationRung, RequestOutcome, Served,
 };
 use crate::plan::AdaptationPlan;
 use std::sync::Arc;
@@ -81,13 +81,6 @@ pub(super) enum JobKind {
     Evade,
 }
 
-/// What a composition that served hands its session.
-struct Served {
-    plan: Arc<AdaptationPlan>,
-    rung: DegradationRung,
-    satisfaction: f64,
-}
-
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Phase {
     /// Open event not yet processed.
@@ -110,7 +103,6 @@ pub(super) struct Sess {
     /// session served the same answer.
     pub(super) plan: Option<Arc<AdaptationPlan>>,
     pub(super) rung: DegradationRung,
-    satisfaction: f64,
     last_accrual_us: u64,
     pub(super) outcome: SessionOutcome,
     /// Bumps at every plan adoption: names the adopted plan instance
@@ -317,7 +309,6 @@ pub fn run_sessions<W: SessionWorld + Sync, S: TelemetrySink>(
                 trace: None,
                 plan: None,
                 rung: DegradationRung::Full,
-                satisfaction: 0.0,
                 last_accrual_us: 0,
                 outcome: SessionOutcome::default(),
                 plan_gen: 0,
@@ -679,7 +670,6 @@ impl<W: SessionWorld + Sync, S: TelemetrySink> Loop<'_, '_, W, S> {
         self.report_plan_death(t, i);
         let sess = &mut self.sessions[i];
         sess.plan = None;
-        sess.satisfaction = 0.0;
         let attempt = sess.outcome.recompositions.saturating_add(1);
         // The dead plan's pinned flow no longer exists; release its
         // grant so survivors absorb it while the repair composes.
@@ -719,9 +709,9 @@ impl<W: SessionWorld + Sync, S: TelemetrySink> Loop<'_, '_, W, S> {
         if dt == 0 {
             return;
         }
-        if sess.plan.is_some() {
+        if let Some(plan) = &sess.plan {
             sess.outcome.lit_us = sess.outcome.lit_us.saturating_add(dt);
-            sess.outcome.satisfaction_us += sess.satisfaction * dt as f64;
+            sess.outcome.satisfaction_us += plan.predicted_satisfaction * dt as f64;
             let slot = &mut sess.outcome.rung_us[sess.rung as usize];
             *slot = slot.saturating_add(dt);
         } else {
@@ -762,7 +752,7 @@ impl<W: SessionWorld + Sync, S: TelemetrySink> Loop<'_, '_, W, S> {
         &self,
         jobs: &[Job],
         memo: &ComposeMemo,
-    ) -> Vec<Option<(SharedOutcome, TraceState)>> {
+    ) -> Vec<Option<(RequestOutcome, TraceState)>> {
         let sessions = &self.sessions;
         let composer = self.world.composer();
         let requests = self.requests;
@@ -792,24 +782,18 @@ impl<W: SessionWorld + Sync, S: TelemetrySink> Loop<'_, '_, W, S> {
     }
 
     /// Apply one composition result back onto its session.
-    fn apply(&mut self, t: u64, job: Job, result: Option<(SharedOutcome, TraceState)>) {
+    fn apply(&mut self, t: u64, job: Job, result: Option<(RequestOutcome, TraceState)>) {
         let i = job.session;
         if self.sessions[i].phase == Phase::Done {
             return; // decided after the session already closed
         }
         // A `None` result is a worker that died outside composition:
-        // nothing served, accounted the way the batch paths do.
-        let served = result.and_then(|(SharedOutcome { plan, outcome }, state)| {
+        // nothing served, and no attempt is counted.
+        let served = result.and_then(|(outcome, state)| {
             let sess = &mut self.sessions[i];
             sess.trace = Some(state);
             sess.outcome.attempts = sess.outcome.attempts.saturating_add(outcome.attempts);
-            // `serve_one` sets plan and rung together; an outcome with
-            // one but not the other did not serve.
-            Some(Served {
-                plan: plan?,
-                rung: outcome.rung?,
-                satisfaction: outcome.satisfaction,
-            })
+            outcome.served
         });
         match job.kind {
             JobKind::Switch | JobKind::Evade => self.apply_replacement(t, job, served),
@@ -861,15 +845,15 @@ impl<W: SessionWorld + Sync, S: TelemetrySink> Loop<'_, '_, W, S> {
         if sess.plan_gen != job.gen || sess.phase != Phase::Active {
             return;
         }
-        let (Some(served), Some(old)) = (served, sess.plan.as_ref()) else {
+        let (Some((plan, rung)), Some(old)) = (served, sess.plan.as_ref()) else {
             return;
         };
         let from = sess.rung;
         let switch = job.kind == JobKind::Switch;
         let unchanged = if switch {
-            served.rung == from
+            rung == from
         } else {
-            same_chain(old, &served.plan)
+            same_chain(old, &plan)
         };
         if unchanged {
             return;
@@ -877,7 +861,7 @@ impl<W: SessionWorld + Sync, S: TelemetrySink> Loop<'_, '_, W, S> {
         // Close the interval on the old plan, then go live on the new
         // one without a dark gap.
         self.accrue(i, t);
-        self.adopt_plan(t, i, served);
+        self.adopt_plan(t, i, (plan, rung));
         if switch {
             self.switch_committed(t, i, from);
         } else {
@@ -887,12 +871,11 @@ impl<W: SessionWorld + Sync, S: TelemetrySink> Loop<'_, '_, W, S> {
 
     /// A composition served: install the plan, record the rung
     /// transition.
-    fn adopt_plan(&mut self, t: u64, i: usize, served: Served) {
+    fn adopt_plan(&mut self, t: u64, i: usize, (plan, rung): Served) {
         let sess = &mut self.sessions[i];
-        sess.rung = served.rung;
-        sess.satisfaction = served.satisfaction;
-        sess.outcome.final_rung = Some(served.rung);
-        sess.outcome.rung_history.push((t, served.rung));
+        sess.rung = rung;
+        sess.outcome.final_rung = Some(rung);
+        sess.outcome.rung_history.push((t, rung));
         sess.plan_gen = sess.plan_gen.wrapping_add(1);
         // Adoption is the admission-commit point: pin the plan's demand
         // with the world's broker (a re-pin after a rung switch lowers
@@ -900,7 +883,7 @@ impl<W: SessionWorld + Sync, S: TelemetrySink> Loop<'_, '_, W, S> {
         // broker.
         let request = &self.requests[i];
         let weight = priority_weight(request.arrival.priority);
-        let plan = sess.plan.insert(served.plan);
+        let plan = sess.plan.insert(plan);
         self.world
             .register_session_flow(i as u64, plan, request.demand_bps, weight);
         self.resample_fill(i);

@@ -6,7 +6,7 @@
 //! partitioned QoS brokers do:
 //!
 //! 1. **Summary level.** Each shard of the
-//!    [`ShardedServiceRegistry`](qosc_services::ShardedServiceRegistry)
+//!    [`ShardedServiceRegistry`]
 //!    exports a frontier of `(input format, output format, axis set)`
 //!    hull tops (see `qosc_services::sharded`). Scoring a hull top with
 //!    the request's satisfaction profile gives an *admissible* bound on
@@ -43,7 +43,7 @@
 //!
 //! `FormatId` is a dense index, so everything the summary level keeps
 //! per format — bound, parent hop, "reaches a decoder" — is a flat
-//! table in a per-thread [`SummaryScratch`] (the `SelectScratch`
+//! table in a per-thread `SummaryScratch` (the `SelectScratch`
 //! pattern of `select/greedy.rs`): a warm compose's summary level
 //! descends no tree and allocates nothing. The *sweep order* is part of
 //! the contract, not an implementation detail: hops are visited in

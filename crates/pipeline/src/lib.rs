@@ -2,7 +2,7 @@
 //!
 //! Executes the plans produced by `qosc-core` as simulated streaming
 //! sessions, closing the loop the paper's abstract promises: "a framework
-//! for trans-coding multimedia streams [using] self-organizing, resilient
+//! for trans-coding multimedia streams \[using\] self-organizing, resilient
 //! data distribution".
 //!
 //! * [`session`] — an event-driven, per-frame simulation of one

@@ -711,7 +711,7 @@ impl SessionWorld for ChaosWorld<'_> {
     }
 
     /// Per-session delivery, memoized per session at its
-    /// [`DeliveryKey`]. Without a broker it is the shared-fate
+    /// `DeliveryKey`. Without a broker it is the shared-fate
     /// [`delivery_ppm`](Self::delivery_ppm). With one it is the
     /// session's granted rate over its plan's peak required rate, in ppm,
     /// in place of the worst-hop division; hard-unroutable plans still

@@ -86,7 +86,7 @@ impl ContextProfile {
     /// * `mobile` halves the weight of the pixel-count axis (small
     ///   glanceable viewing).
     ///
-    /// Weights only matter under the weighted combination of [29]; under
+    /// Weights only matter under the weighted combination of \[29\]; under
     /// plain Equa. 1 the adjusted profile equals the original scoring.
     pub fn adjust(&self, profile: &SatisfactionProfile) -> SatisfactionProfile {
         let mut adjusted = SatisfactionProfile::new().with_combiner(profile.combiner.clone());

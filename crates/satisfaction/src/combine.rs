@@ -4,7 +4,7 @@
 //! Richards et al. proposed using a combination function fcomb that
 //! computes the total satisfaction Stot from the satisfactions si for the
 //! individual parameters." Equa. 1 is `Stot = n / Σ(1/si)` — the harmonic
-//! mean. The extension presented in [29] weights the terms; we provide
+//! mean. The extension presented in \[29\] weights the terms; we provide
 //! both plus alternatives used by the ablation experiment (X6).
 
 use crate::{Result, SatisfactionError};
@@ -29,7 +29,7 @@ pub enum Combiner {
     /// parameter makes the whole configuration unacceptable), strongly
     /// dominated by the worst parameter.
     HarmonicMean,
-    /// The weighted extension of [29]: `Σwi / Σ(wi/si)`. With equal
+    /// The weighted extension of \[29\]: `Σwi / Σ(wi/si)`. With equal
     /// weights it reduces to Equa. 1.
     WeightedHarmonic {
         /// Per-parameter weights; must match the value count and be

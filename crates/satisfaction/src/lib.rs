@@ -9,13 +9,13 @@
 //!   parameter value to a satisfaction in `[0, 1]` (Figure 1),
 //! * [`Combiner`] — the combination function `fcomb`; the paper's Equa. 1
 //!   is the harmonic mean ([`Combiner::HarmonicMean`]), and the extension
-//!   of [29] is the weighted harmonic mean,
+//!   of \[29\] is the weighted harmonic mean,
 //! * [`SatisfactionProfile`] — per-axis satisfaction functions and weights
 //!   (the user's application-layer QoS preferences),
-//! * [`optimize`] — maximize combined satisfaction over a feasible domain
+//! * [`optimize`](mod@optimize) — maximize combined satisfaction over a feasible domain
 //!   subject to bandwidth (Equa. 2) and budget constraints,
 //! * [`quality_level`] — the single-dial mapping of the paper's
-//!   reference [28]: one user-facing quality level ↔ a full parameter
+//!   reference \[28\]: one user-facing quality level ↔ a full parameter
 //!   vector.
 
 pub mod combine;

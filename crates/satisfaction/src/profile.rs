@@ -2,7 +2,7 @@
 //!
 //! A [`SatisfactionProfile`] is the application-layer-QoS slice of the
 //! user profile of Section 3: for each QoS axis the user cares about, a
-//! satisfaction function and (for the weighted extension of [29]) a
+//! satisfaction function and (for the weighted extension of \[29\]) a
 //! weight. The total satisfaction of a parameter vector is the combination
 //! (Equa. 1) of the per-axis satisfactions.
 
@@ -188,7 +188,7 @@ impl SatisfactionProfile {
             .unwrap_or(0.0)
     }
 
-    /// Convenience: enable the weighted extension of [29] using the
+    /// Convenience: enable the weighted extension of \[29\] using the
     /// per-preference weights.
     pub fn use_weighted_combination(&mut self) {
         self.combiner = Combiner::WeightedHarmonic {

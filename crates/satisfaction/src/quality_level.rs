@@ -1,5 +1,5 @@
 //! Mapping a single user-level quality knob to parameter values —
-//! the paper's reference [28] (Richards et al., *"Mapping user level QoS
+//! the paper's reference \[28\] (Richards et al., *"Mapping user level QoS
 //! from a single parameter"*).
 //!
 //! End users don't think in frame rates and sample depths; they think

@@ -6,7 +6,7 @@
 //! video to text conversion", plus the web-content classics "conversion
 //! of HTML pages to WML pages, conversion of jpeg images to black and
 //! white gif images". Each function returns a wire
-//! [`ServiceSpec`](qosc_profiles::ServiceSpec) against the built-in
+//! [`ServiceSpec`] against the built-in
 //! format names of
 //! [`FormatRegistry::with_builtins`](qosc_media::FormatRegistry::with_builtins).
 //!

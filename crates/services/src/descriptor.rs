@@ -1,7 +1,7 @@
 //! Runtime trans-coding service descriptors.
 //!
 //! A [`TranscoderDescriptor`] is the resolved form of a
-//! [`ServiceSpec`](qosc_profiles::ServiceSpec): format names interned to
+//! [`ServiceSpec`]: format names interned to
 //! [`FormatId`]s and the service bound to the network node it runs on.
 //! These are the vertices of the paper's adaptation graph (Section 4.2,
 //! Figure 2).

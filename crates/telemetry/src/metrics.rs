@@ -4,7 +4,7 @@
 //! Everything is integer-valued and name-sorted on export, so a
 //! metrics snapshot — Prometheus text or JSON lines — is byte-identical
 //! for identical workloads on any machine and any worker count. The
-//! legacy per-layer counters (`CacheStats`, `BatchCounters`,
+//! legacy per-layer counters (`CacheStats`, `SessionCounters`,
 //! `AdmissionStats`) stay as cheap views; their owners mirror them in
 //! here so operators read one registry.
 
@@ -25,7 +25,7 @@ impl Counter {
     }
 
     /// Overwrite with `value` — for mirroring a legacy counter snapshot
-    /// (`CacheStats`, `BatchCounters`) into the registry.
+    /// (`CacheStats`, `SessionCounters`) into the registry.
     pub fn store(&self, value: u64) {
         self.0.store(value, Ordering::Relaxed);
     }

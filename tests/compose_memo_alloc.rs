@@ -1,10 +1,9 @@
 //! Hashing and allocation gate for the compose memo's hit path, on the
 //! strict X16 mesh of the `sessions_chaos` benchmark workload: requests
-//! are interned once per batch or run, so a hit hashes no request; and
-//! the memo shares its plan, so a hit allocates nothing. What a served
-//! request still allocates is its caller's: the owned plan of a batch
-//! [`RequestOutcome`](qosc_core::RequestOutcome), the session loop's own
-//! bookkeeping.
+//! are interned once per run, so a hit hashes no request; and the memo
+//! shares its plan, so a hit allocates nothing. What a served session
+//! still allocates is the serving loop's own bookkeeping, whether the
+//! sessions open together (a batch) or one at a time.
 //!
 //! One test only, on one thread: the allocation counter is per thread
 //! and the hash counter is process-wide. The counting allocator is the
@@ -12,9 +11,8 @@
 
 use qosc_bench::scorecard;
 use qosc_core::{
-    request_hashes_total, run_sessions, serve_batch_resilient, AdmissionConfig, ArrivalMeta,
-    CompositionRequest, DegradationRung, PriorityClass, ResilientEngineConfig, SessionEngineConfig,
-    SessionRequest, StaticWorld,
+    request_hashes_total, run_sessions, AdmissionConfig, ArrivalMeta, CompositionRequest,
+    DegradationRung, PriorityClass, SessionEngineConfig, SessionRequest, StaticWorld,
 };
 use qosc_telemetry::NoopSink;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -68,59 +66,36 @@ fn cost_of<T>(work: impl FnOnce() -> T) -> (T, u64, u64) {
 #[test]
 fn a_memo_hit_hashes_nothing_and_allocates_nothing() {
     let scenario = scorecard::strict_scenario();
-    let composer = scenario.composer();
     let request = CompositionRequest {
         profiles: scenario.profiles.clone(),
         sender_host: scenario.sender_host,
         receiver_host: scenario.receiver_host,
     };
-    let config = ResilientEngineConfig::default();
-    assert_eq!(config.workers, 1, "everything runs on this thread");
-
-    // Batches of 1..=4 copies: the first copy composes, every other one
-    // is a hit. An unmeasured batch warms this thread's selection arena,
-    // so every miss allocates alike. (Up to four jobs fit the worker's
-    // first result buffer, so the fan-out allocates alike too.)
-    let batch = |copies: usize| vec![request.clone(); copies];
-    serve_batch_resilient(&composer, &batch(1), &config);
-    let mut costs = Vec::new();
-    for copies in 1..=4 {
-        let requests = batch(copies);
-        let (served, allocations, hashes) =
-            cost_of(|| serve_batch_resilient(&composer, &requests, &config));
-        for outcome in &served.outcomes {
-            assert_eq!(outcome.rung, Some(DegradationRung::Full));
-            assert_eq!(outcome.attempts, 1);
-        }
-        assert_eq!(hashes, 1, "{copies} equal requests hash once");
-        costs.push((allocations, served));
-    }
-    let plan = costs[0].1.outcomes[0].plan.clone().expect("served");
-    // The steps share their names, so a plan copy allocates its step
-    // list and nothing else.
-    let (_, plan_cost, _) = cost_of(|| std::hint::black_box(plan.clone()));
-    assert_eq!(plan_cost, 1, "a plan copy of {} steps", plan.steps.len());
-    for pair in costs.windows(2) {
-        assert_eq!(
-            pair[1].0 - pair[0].0,
-            plan_cost,
-            "a hit allocates only the owned plan its outcome hands out"
-        );
-    }
-
-    // Runs of 1..=4 sessions, one open at a time: every open after the
-    // first is a hit, and the outcome keeps the memo's plan.
+    let config = SessionEngineConfig {
+        admission: None::<AdmissionConfig>,
+        tick_us: 0,
+        session_spans: false,
+        ..SessionEngineConfig::default()
+    };
+    assert_eq!(
+        config.resilient.workers, 1,
+        "everything runs on this thread"
+    );
     let world = StaticWorld {
         formats: &scenario.formats,
         services: &scenario.services,
         network: &scenario.network,
     };
-    let sessions = |count: u64| -> Vec<SessionRequest> {
+    // `count` zero-hold sessions `spacing_us` apart: at 0 they open in
+    // one instant and compose in one fan-out, a batch; apart, one at a
+    // time. Either way the first open composes and every other is a hit,
+    // and the outcome keeps the memo's plan.
+    let sessions = |count: u64, spacing_us: u64| -> Vec<SessionRequest> {
         (0..count)
             .map(|i| SessionRequest {
                 request: request.clone(),
                 arrival: ArrivalMeta {
-                    arrival_us: i * 1_000,
+                    arrival_us: i * spacing_us,
                     priority: PriorityClass::Standard,
                     service_cost_us: 1_000,
                     deadline_budget_us: None,
@@ -130,32 +105,41 @@ fn a_memo_hit_hashes_nothing_and_allocates_nothing() {
             })
             .collect()
     };
-    let session_config = SessionEngineConfig {
-        resilient: config,
-        admission: None::<AdmissionConfig>,
-        tick_us: 0,
-        session_spans: false,
-        ..SessionEngineConfig::default()
-    };
-    let mut costs = Vec::new();
-    for count in 1..=4 {
-        let requests = sessions(count);
-        let mut world = world;
-        let (report, allocations, hashes) =
-            cost_of(|| run_sessions(&mut world, &requests, &session_config, &NoopSink));
-        assert_eq!(report.counters.completed, requests.len());
-        assert!(report.outcomes.iter().all(|o| o.attempts == 1));
-        assert_eq!(hashes, 1, "{count} equal requests hash once");
-        costs.push(allocations);
-    }
-    for pair in costs.windows(2) {
-        assert_eq!(
-            pair[1] - pair[0],
-            OPEN_BOOKKEEPING,
-            "a session served by a hit allocates only the loop's bookkeeping"
-        );
+    // An unmeasured run warms this thread's selection arena, so every
+    // miss allocates alike.
+    let mut warm = world;
+    run_sessions(&mut warm, &sessions(1, 0), &config, &NoopSink);
+    for (spacing_us, bookkeeping) in [(0, BATCH_BOOKKEEPING), (1_000, OPEN_BOOKKEEPING)] {
+        let mut costs = Vec::new();
+        for count in 1..=4 {
+            let requests = sessions(count, spacing_us);
+            let mut world = world;
+            let (report, allocations, hashes) =
+                cost_of(|| run_sessions(&mut world, &requests, &config, &NoopSink));
+            assert_eq!(report.counters.completed, requests.len());
+            for outcome in &report.outcomes {
+                assert_eq!(outcome.final_rung, Some(DegradationRung::Full));
+                assert_eq!(outcome.attempts, 1);
+            }
+            assert_eq!(hashes, 1, "{count} equal requests hash once");
+            costs.push(allocations);
+        }
+        for pair in costs.windows(2) {
+            assert_eq!(
+                pair[1] - pair[0],
+                bookkeeping,
+                "spacing {spacing_us} µs: a session served by a hit allocates only the loop's bookkeeping"
+            );
+        }
     }
 }
+
+/// What one more session of a batch allocates when a memo hit serves
+/// it: the outcome's rung history. The instant's job list, the
+/// fan-out's slot and result buffers and the streaming list hold up to
+/// four entries from their first allocation. A hit that copied the plan
+/// would add its allocations here.
+const BATCH_BOOKKEEPING: u64 = 1;
 
 /// What one more session served by a memo hit allocates, all of it the
 /// loop's: the instant's job list; the fan-out's thread scope, slot

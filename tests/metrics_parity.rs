@@ -1,15 +1,15 @@
 //! Metrics parity: the unified registry is a *view* over the engine's
 //! legacy counters, not a second source of truth — registry totals
-//! equal `CacheStats` / `BatchCounters` exactly, the batch counters
-//! partition the batch, and the per-shard occupancy gauges stay
+//! equal `CacheStats` / `SessionCounters` exactly, the session counters
+//! partition a batch, and the per-shard occupancy gauges stay
 //! consistent under concurrent churn.
 
 use qosc_core::{
-    serve_batch, serve_batch_with_admission, AdmissionConfig, CompositionRequest, EngineConfig,
-    ResilientEngineConfig, ShardedCompositionCache,
+    run_sessions, serve_batch, AdmissionConfig, CompositionRequest, EngineConfig,
+    SessionEngineConfig, ShardedCompositionCache, StaticWorld,
 };
-use qosc_telemetry::MetricsRegistry;
-use qosc_workload::arrivals::{poisson_burst_arrivals, ArrivalPattern};
+use qosc_telemetry::{MetricsRegistry, NoopSink};
+use qosc_workload::arrivals::{poisson_burst_arrivals, ArrivalPattern, SessionArrival};
 use qosc_workload::generator::{random_scenario, GeneratorConfig};
 use qosc_workload::Scenario;
 
@@ -40,12 +40,12 @@ fn keyed_requests(scenario: &Scenario, n: usize) -> Vec<CompositionRequest> {
         .collect()
 }
 
-/// `qosc_batch_*_total` counters mirror `BatchCounters` field for
-/// field, and the fields partition the batch.
+/// A batch served as zero-hold sessions: the `qosc_sessions_*_total`
+/// counters mirror `SessionCounters` field for field, and served,
+/// failed and shed partition the batch.
 #[test]
 fn batch_counter_registry_totals_equal_legacy_counters() {
     let scenario = scenario();
-    let composer = scenario.composer();
     let arrivals = poisson_burst_arrivals(
         &ArrivalPattern {
             horizon_us: 300_000,
@@ -54,38 +54,48 @@ fn batch_counter_registry_totals_equal_legacy_counters() {
         },
         42,
     );
-    let requests: Vec<CompositionRequest> = arrivals
-        .iter()
-        .map(|_| CompositionRequest {
-            profiles: scenario.profiles.clone(),
-            sender_host: scenario.sender_host,
-            receiver_host: scenario.receiver_host,
-        })
-        .collect();
-    let result = serve_batch_with_admission(
-        &composer,
-        &requests,
-        &arrivals,
-        &ResilientEngineConfig {
-            workers: 4,
-            admission: AdmissionConfig {
-                virtual_cores: 4,
-                initial_limit: 4,
-                max_limit: 8,
-                ..AdmissionConfig::protected()
-            },
-            ..ResilientEngineConfig::default()
-        },
+    let sessions = qosc_bench::scorecard::session_requests(
+        &scenario,
+        arrivals
+            .iter()
+            .map(|&meta| SessionArrival {
+                meta,
+                hold_us: 0,
+                demand_bps: 0,
+            })
+            .collect(),
     );
-    let counters = result.batch.counters();
+    let mut config = SessionEngineConfig {
+        admission: Some(AdmissionConfig {
+            virtual_cores: 4,
+            initial_limit: 4,
+            max_limit: 8,
+            ..AdmissionConfig::protected()
+        }),
+        tick_us: 0,
+        session_spans: false,
+        ..SessionEngineConfig::default()
+    };
+    config.resilient.workers = 4;
+    let mut world = StaticWorld {
+        formats: &scenario.formats,
+        services: &scenario.services,
+        network: &scenario.network,
+    };
+    let report = run_sessions(&mut world, &sessions, &config, &NoopSink);
+    let counters = report.counters;
+    assert!(counters.shed > 0, "the batch is overloaded");
 
     let registry = MetricsRegistry::new();
-    counters.record_metrics(&registry);
+    report.record_metrics(&registry);
     for (name, legacy) in [
-        ("qosc_batch_served_total", counters.served),
-        ("qosc_batch_degraded_total", counters.degraded),
-        ("qosc_batch_failed_total", counters.failed),
-        ("qosc_batch_shed_total", counters.shed),
+        ("qosc_sessions_offered_total", counters.offered),
+        ("qosc_sessions_opened_total", counters.opened),
+        ("qosc_sessions_completed_total", counters.completed),
+        ("qosc_sessions_failed_open_total", counters.failed_open),
+        ("qosc_sessions_gave_up_total", counters.gave_up),
+        ("qosc_sessions_starved_total", counters.starved),
+        ("qosc_sessions_shed_total", counters.shed),
     ] {
         assert_eq!(
             registry.counter_value(name),
@@ -93,10 +103,11 @@ fn batch_counter_registry_totals_equal_legacy_counters() {
             "{name} diverged from the legacy counter"
         );
     }
+    assert_eq!(registry.gauge_value("qosc_active_sessions"), Some(0));
     assert_eq!(
-        counters.served + counters.degraded + counters.failed + counters.shed,
-        requests.len(),
-        "the four counters partition the batch"
+        counters.completed + counters.failed_open + counters.shed,
+        sessions.len(),
+        "a zero-hold batch is served, failed or shed"
     );
 }
 

@@ -1,15 +1,19 @@
 //! Admission-control integration: the overload front-end end to end —
 //! worker-count invariance, the front-end (not scoring) guarantee at
 //! sub-saturation, priority protection under overload, brown-out rung
-//! reporting, and shedding invariants.
+//! reporting, and shedding invariants. Every batch is a run of
+//! zero-hold sessions on the serving loop; the offline
+//! [`plan_admission`] supplies per-request deadline verdicts, and is
+//! shown to make the loop's decisions.
 
+use qosc_bench::scorecard::{session_requests, ServedWorld};
 use qosc_core::{
-    plan_admission, run_sessions, serve_batch_resilient, serve_batch_with_admission,
-    AdmissionConfig, CompositionRequest, DegradationRung, PriorityClass, ResilientEngineConfig,
-    SessionEngineConfig, SessionRequest, StaticWorld,
+    plan_admission, run_sessions, AdmissionConfig, ArrivalMeta, CompositionRequest,
+    DegradationRung, PriorityClass, ResilientEngineConfig, SessionEngineConfig, SessionRequest,
+    SessionsReport, StaticWorld,
 };
 use qosc_telemetry::NoopSink;
-use qosc_workload::arrivals::{poisson_burst_arrivals, ArrivalPattern};
+use qosc_workload::arrivals::{poisson_burst_arrivals, ArrivalPattern, SessionArrival};
 use qosc_workload::generator::{random_scenario, GeneratorConfig};
 use qosc_workload::Scenario;
 
@@ -54,125 +58,135 @@ fn calm_pattern() -> ArrivalPattern {
     }
 }
 
+/// One zero-hold session per arrival on the serving loop, opened
+/// through `admission` when given: the report, and the world that kept
+/// each session's plan.
+fn serve<'a>(
+    scenario: &'a Scenario,
+    arrivals: &[ArrivalMeta],
+    resilient: ResilientEngineConfig,
+    admission: Option<AdmissionConfig>,
+) -> (SessionsReport, ServedWorld<'a>) {
+    let sessions = session_requests(
+        scenario,
+        arrivals
+            .iter()
+            .map(|&meta| SessionArrival {
+                meta,
+                hold_us: 0,
+                demand_bps: 0,
+            })
+            .collect(),
+    );
+    let mut world = ServedWorld::new(StaticWorld {
+        formats: &scenario.formats,
+        services: &scenario.services,
+        network: &scenario.network,
+    });
+    let config = SessionEngineConfig {
+        resilient,
+        admission,
+        tick_us: 0,
+        session_spans: false,
+        ..SessionEngineConfig::default()
+    };
+    let report = run_sessions(&mut world, &sessions, &config, &NoopSink);
+    (report, world)
+}
+
+fn workers(workers: usize) -> ResilientEngineConfig {
+    ResilientEngineConfig {
+        workers,
+        ..ResilientEngineConfig::default()
+    }
+}
+
 #[test]
 fn outcomes_identical_across_worker_counts() {
     let scenario = scenario();
-    let composer = scenario.composer();
     let arrivals = poisson_burst_arrivals(&overload_pattern(), 42);
-    let requests = requests_for(&scenario, arrivals.len());
+    let seeded = |count| ResilientEngineConfig {
+        seed: 9,
+        ..workers(count)
+    };
+    let admission = Some(AdmissionConfig::default());
 
-    let reference = serve_batch_with_admission(
-        &composer,
-        &requests,
-        &arrivals,
-        &ResilientEngineConfig {
-            workers: 1,
-            seed: 9,
-            ..ResilientEngineConfig::default()
-        },
+    let (reference, reference_world) = serve(&scenario, &arrivals, seeded(1), admission);
+    assert_eq!(
+        reference.admission,
+        plan_admission(&arrivals, &AdmissionConfig::default()).stats,
+        "admission is a virtual-clock plan, independent of workers"
     );
-    for workers in [2usize, 4, 8] {
-        let got = serve_batch_with_admission(
-            &composer,
-            &requests,
-            &arrivals,
-            &ResilientEngineConfig {
-                workers,
-                seed: 9,
-                ..ResilientEngineConfig::default()
-            },
-        );
-        assert_eq!(
-            got.admission.decisions, reference.admission.decisions,
-            "admission is a virtual-clock plan, independent of workers"
-        );
-        assert_eq!(got.admission.stats, reference.admission.stats);
-        for (index, (a, b)) in got
-            .batch
-            .outcomes
-            .iter()
-            .zip(&reference.batch.outcomes)
-            .enumerate()
-        {
-            assert_eq!(a.rung, b.rung, "request {index} (workers={workers})");
-            assert_eq!(a.shed, b.shed);
-            assert_eq!(a.brownout_rung, b.brownout_rung);
-            assert_eq!(a.attempts, b.attempts);
-            assert_eq!(a.satisfaction, b.satisfaction);
+    for count in [2usize, 4, 8] {
+        let (got, world) = serve(&scenario, &arrivals, seeded(count), admission);
+        assert_eq!(got.admission, reference.admission);
+        assert_eq!(got.counters, reference.counters);
+        for (index, (a, b)) in got.outcomes.iter().zip(&reference.outcomes).enumerate() {
+            assert_eq!(a, b, "request {index} (workers={count})");
             assert_eq!(
-                a.plan.as_ref().map(|p| &p.steps),
-                b.plan.as_ref().map(|p| &p.steps)
+                world.plan(index).map(|p| &p.steps),
+                reference_world.plan(index).map(|p| &p.steps)
+            );
+            assert_eq!(
+                world.satisfaction(index).to_bits(),
+                reference_world.satisfaction(index).to_bits()
             );
         }
-        assert_eq!(got.batch.counters(), reference.batch.counters());
     }
 }
 
 #[test]
 fn sub_saturation_plans_are_bitwise_identical_to_no_admission() {
     let scenario = scenario();
-    let composer = scenario.composer();
     let arrivals = poisson_burst_arrivals(&calm_pattern(), 7);
-    let requests = requests_for(&scenario, arrivals.len());
-    let config = ResilientEngineConfig {
-        workers: 4,
-        ..ResilientEngineConfig::default()
-    };
-
-    let admitted = serve_batch_with_admission(&composer, &requests, &arrivals, &config);
-    let unguarded = serve_batch_resilient(&composer, &requests, &config);
+    let admission = AdmissionConfig::default();
+    let (admitted, admitted_world) = serve(&scenario, &arrivals, workers(4), Some(admission));
+    let (unguarded, unguarded_world) = serve(&scenario, &arrivals, workers(4), None);
 
     assert_eq!(
-        admitted.admission.stats.admitted,
-        requests.len(),
+        admitted.admission.admitted,
+        arrivals.len(),
         "sub-saturation load sheds nothing"
     );
-    assert_eq!(admitted.admission.stats.brownout_steps, 0);
+    assert_eq!(admitted.admission.brownout_steps, 0);
+    let plan = plan_admission(&arrivals, &admission);
     for (index, (a, b)) in admitted
-        .batch
         .outcomes
         .iter()
         .zip(&unguarded.outcomes)
         .enumerate()
     {
         assert_eq!(
-            a.brownout_rung,
-            Some(DegradationRung::Full),
+            plan.decisions[index].start_rung,
+            DegradationRung::Full,
             "request {index} starts at Full"
         );
         // Admission is a front-end, not a scoring change: the plan is
         // the plan the unprotected engine would have produced, bitwise.
-        let plan_a = a.plan.as_ref().expect("admitted request served");
-        let plan_b = b.plan.as_ref().expect("unguarded request served");
+        let plan_a = admitted_world.plan(index).expect("admitted request served");
+        let plan_b = unguarded_world
+            .plan(index)
+            .expect("unguarded request served");
         assert_eq!(plan_a.steps, plan_b.steps, "request {index}");
         assert!(plan_a.predicted_satisfaction == plan_b.predicted_satisfaction);
-        assert_eq!(a.rung, b.rung);
+        assert_eq!(a.final_rung, b.final_rung);
     }
 }
 
 #[test]
 fn priority_protects_interactive_goodput_under_overload() {
     let scenario = scenario();
-    let composer = scenario.composer();
     let arrivals = poisson_burst_arrivals(&overload_pattern(), 41);
-    let requests = requests_for(&scenario, arrivals.len());
 
     let goodput_of = |admission: AdmissionConfig, class: PriorityClass| {
-        let config = ResilientEngineConfig {
-            workers: 4,
-            admission,
-            ..ResilientEngineConfig::default()
-        };
-        let result = serve_batch_with_admission(&composer, &requests, &arrivals, &config);
+        let (_, world) = serve(&scenario, &arrivals, workers(4), Some(admission));
+        let plan = plan_admission(&arrivals, &admission);
         let of_class: Vec<usize> = (0..arrivals.len())
             .filter(|&i| arrivals[i].priority == class)
             .collect();
         let good = of_class
             .iter()
-            .filter(|&&i| {
-                result.admission.decisions[i].deadline_met
-                    && result.batch.outcomes[i].plan.is_some()
-            })
+            .filter(|&&i| plan.decisions[i].deadline_met && world.plan(i).is_some())
             .count();
         good as f64 / of_class.len().max(1) as f64
     };
@@ -198,87 +212,69 @@ fn priority_protects_interactive_goodput_under_overload() {
 #[test]
 fn brownout_serves_admitted_overload_degraded_and_reports_the_rung() {
     let scenario = scenario();
-    let composer = scenario.composer();
     let arrivals = poisson_burst_arrivals(&overload_pattern(), 43);
-    let requests = requests_for(&scenario, arrivals.len());
-    let config = ResilientEngineConfig {
-        workers: 4,
-        admission: AdmissionConfig::protected(),
-        ..ResilientEngineConfig::default()
-    };
-    let result = serve_batch_with_admission(&composer, &requests, &arrivals, &config);
+    let admission = AdmissionConfig::protected();
+    let (report, _) = serve(&scenario, &arrivals, workers(4), Some(admission));
+    let plan = plan_admission(&arrivals, &admission);
+    assert_eq!(report.admission, plan.stats);
 
     assert!(
-        result.admission.stats.brownout_steps > 0,
+        report.admission.brownout_steps > 0,
         "4× overload arms brown-out"
     );
-    assert!(result.admission.stats.peak_rung > DegradationRung::Full);
-    let browned: Vec<&qosc_core::RequestOutcome> = result
-        .batch
-        .outcomes
-        .iter()
-        .filter(|o| o.brownout_rung.map(|r| r > DegradationRung::Full) == Some(true))
-        .collect();
-    assert!(!browned.is_empty(), "some requests start below Full");
-    for outcome in &browned {
-        if let Some(rung) = outcome.rung {
-            assert!(
-                rung >= outcome.brownout_rung.unwrap(),
-                "a browned-out request never serves above its starting rung"
-            );
+    assert!(report.admission.peak_rung > DegradationRung::Full);
+    let mut browned = 0;
+    for (outcome, decision) in report.outcomes.iter().zip(&plan.decisions) {
+        if decision.admitted && decision.start_rung > DegradationRung::Full {
+            browned += 1;
+            if let Some(rung) = outcome.final_rung {
+                assert!(
+                    rung >= decision.start_rung,
+                    "a browned-out request never serves above its starting rung"
+                );
+            }
         }
     }
-    // Brown-out turns would-be losses into degraded service: the batch
-    // counts them as degraded, not failed.
-    let counters = result.batch.counters();
-    assert!(counters.degraded > 0);
+    assert!(browned > 0, "some requests start below Full");
+    // Brown-out turns would-be losses into degraded service: served,
+    // below Full.
+    assert!(report
+        .outcomes
+        .iter()
+        .any(|o| o.final_rung > Some(DegradationRung::Full)));
 
     // The same schedule without brown-out sheds more than the
     // brown-out run (degraded capacity is capacity).
-    let without = serve_batch_with_admission(
-        &composer,
-        &requests,
+    let (without, _) = serve(
+        &scenario,
         &arrivals,
-        &ResilientEngineConfig {
-            workers: 4,
-            admission: AdmissionConfig::shed_priority(),
-            ..ResilientEngineConfig::default()
-        },
+        workers(4),
+        Some(AdmissionConfig::shed_priority()),
     );
     assert!(
-        result.admission.stats.shed_total() < without.admission.stats.shed_total(),
+        report.admission.shed_total() < without.admission.shed_total(),
         "brown-out admits more: {} sheds vs {}",
-        result.admission.stats.shed_total(),
-        without.admission.stats.shed_total()
+        report.admission.shed_total(),
+        without.admission.shed_total()
     );
 }
 
 #[test]
 fn shed_outcomes_never_touch_a_worker() {
     let scenario = scenario();
-    let composer = scenario.composer();
     let arrivals = poisson_burst_arrivals(&overload_pattern(), 42);
-    let requests = requests_for(&scenario, arrivals.len());
-    let config = ResilientEngineConfig {
-        workers: 4,
-        admission: AdmissionConfig::protected(),
-        ..ResilientEngineConfig::default()
-    };
-    let result = serve_batch_with_admission(&composer, &requests, &arrivals, &config);
-    let counters = result.batch.counters();
-    assert!(counters.shed > 0, "4× overload sheds");
-    assert_eq!(counters.shed, result.admission.stats.shed_total());
-    for (outcome, decision) in result
-        .batch
-        .outcomes
-        .iter()
-        .zip(&result.admission.decisions)
-    {
-        assert_eq!(outcome.shed, !decision.admitted);
-        if outcome.shed {
+    let admission = AdmissionConfig::protected();
+    let (report, world) = serve(&scenario, &arrivals, workers(4), Some(admission));
+    let plan = plan_admission(&arrivals, &admission);
+    assert!(report.counters.shed > 0, "4× overload sheds");
+    assert_eq!(report.counters.shed, report.admission.shed_total());
+    for (index, (outcome, decision)) in report.outcomes.iter().zip(&plan.decisions).enumerate() {
+        assert_eq!(outcome.shed.is_some(), !decision.admitted);
+        if outcome.shed.is_some() {
             assert_eq!(outcome.attempts, 0, "shed before any composition attempt");
-            assert!(outcome.plan.is_none());
-            assert!(outcome.error.as_deref().unwrap_or("").starts_with("shed:"));
+            assert_eq!(outcome.started_us, None);
+            assert_eq!(outcome.final_rung, None);
+            assert!(world.plan(index).is_none());
         }
     }
 }

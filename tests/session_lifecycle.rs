@@ -10,15 +10,23 @@
 //!   (`opened == closed + shed + active_at_end`),
 //! * time accounting is exact (`lit + dark == active`, rung buckets sum
 //!   to the lit time),
+//! * a shed session never reached a worker (`attempts == 0`), a session
+//!   that streamed composed at least once, and nothing sheds without an
+//!   admission queue,
+//! * a poisoned request — one whose composition panics — fails its own
+//!   open after one attempt, and no healthy session fails,
 //! * the whole report — and the merged telemetry log — is bitwise
 //!   deterministic across repeated runs and across worker counts.
+//!
+//! Holding times include 0, so every case may carry zero-hold sessions:
+//! a batch, served on the same loop.
 
 use proptest::prelude::*;
 use qosc_core::{
-    run_sessions, ArrivalMeta, CompositionRequest, PriorityClass, SessionEngineConfig,
-    SessionRequest, SessionsReport, StaticWorld,
+    run_sessions, AdmissionStats, ArrivalMeta, CloseReason, CompositionRequest, PriorityClass,
+    SessionEngineConfig, SessionRequest, SessionsReport, StaticWorld,
 };
-use qosc_media::FormatRegistry;
+use qosc_media::{AxisDomain, DomainVector, FormatRegistry, VariantSpec};
 use qosc_netsim::{Network, Node, NodeId, Topology};
 use qosc_profiles::{
     ContentProfile, ContextProfile, DeviceProfile, NetworkProfile, ProfileSet, UserProfile,
@@ -66,6 +74,9 @@ struct Offered {
     priority: PriorityClass,
     cost_us: u64,
     deadline_us: Option<u64>,
+    /// The content profile violates the non-empty-domain invariant: the
+    /// optimizer panics on it.
+    poisoned: bool,
 }
 
 #[derive(Debug, Clone)]
@@ -87,14 +98,16 @@ fn offered_strategy() -> impl Strategy<Value = Offered> {
         ],
         1u64..50_000,
         prop_oneof![Just(None), (1u64..500_000).prop_map(Some)],
+        0u8..8,
     )
         .prop_map(
-            |(arrival_us, hold_us, priority, cost_us, deadline_us)| Offered {
+            |(arrival_us, hold_us, priority, cost_us, deadline_us, poison)| Offered {
                 arrival_us,
                 hold_us,
                 priority,
                 cost_us,
                 deadline_us,
+                poisoned: poison == 0,
             },
         )
 }
@@ -114,18 +127,36 @@ fn case_strategy() -> impl Strategy<Value = Case> {
         })
 }
 
-fn requests_for(f: &Fixture, case: &Case) -> Vec<SessionRequest> {
-    // The admission queue expects offers in arrival order; the engine
-    // opens sessions in offer order, so sort like plan_admission does.
+/// The case's offers in arrival order: the admission queue expects
+/// offers in arrival order, and the engine opens sessions in offer
+/// order, so sort like plan_admission does.
+fn offers(case: &Case) -> Vec<Offered> {
     let mut offered = case.offered.clone();
     offered.sort_by_key(|o| o.arrival_us);
     offered
+}
+
+fn requests_for(f: &Fixture, case: &Case) -> Vec<SessionRequest> {
+    offers(case)
         .iter()
         .map(|o| SessionRequest {
             request: CompositionRequest {
                 profiles: ProfileSet {
                     user: UserProfile::demo("user"),
-                    content: ContentProfile::demo_video("clip"),
+                    content: if o.poisoned {
+                        ContentProfile::new(
+                            "poison",
+                            vec![VariantSpec {
+                                format: "video/mpeg2".to_string(),
+                                offered: DomainVector::new().with(
+                                    qosc_media::Axis::FrameRate,
+                                    AxisDomain::Discrete(vec![]),
+                                ),
+                            }],
+                        )
+                    } else {
+                        ContentProfile::demo_video("clip")
+                    },
                     device: DeviceProfile::demo_pda(),
                     context: ContextProfile::default(),
                     network: NetworkProfile::broadband(),
@@ -183,6 +214,18 @@ fn assert_lifecycle_invariants(case: &Case, report: &SessionsReport) {
         c.active_at_end
     );
 
+    if case.with_admission {
+        assert_eq!(
+            c.shed,
+            report.admission.shed_total(),
+            "a static world sheds only opens"
+        );
+    } else {
+        assert_eq!(c.shed, 0, "nothing sheds without an admission queue");
+        assert_eq!(report.admission, AdmissionStats::default());
+    }
+
+    let offers = offers(case);
     let mut opened = 0usize;
     let mut closed = 0usize;
     let mut shed = 0usize;
@@ -202,6 +245,30 @@ fn assert_lifecycle_invariants(case: &Case, report: &SessionsReport) {
             shed += 1;
             assert!(o.started_us.is_none(), "shed session {i} streamed");
             assert_eq!(o.active_us(), 0);
+            assert_eq!(o.attempts, 0, "shed session {i} reached a worker");
+        }
+        if o.started_us.is_some() {
+            assert!(o.attempts >= 1, "session {i} streamed uncomposed");
+            assert!(
+                o.final_rung.is_some(),
+                "session {i} streamed without a rung"
+            );
+        }
+        if offers[i].poisoned {
+            assert!(o.started_us.is_none(), "poisoned session {i} streamed");
+            if let Some(reason) = o.close {
+                assert_eq!(reason, CloseReason::FailedOpen, "poisoned session {i}");
+                assert_eq!(
+                    o.attempts, 1,
+                    "poisoned session {i}: a panic is not retried"
+                );
+            }
+        } else {
+            assert_ne!(
+                o.close,
+                Some(CloseReason::FailedOpen),
+                "healthy session {i} failed"
+            );
         }
         if let Some(reason) = o.close {
             closed += 1;

@@ -3,13 +3,14 @@
 //! worker count and of repetition — and attaching a recorder never
 //! changes what the engine decides.
 
+use qosc_bench::scorecard::{session_requests, ServedWorld};
 use qosc_core::{
-    serve_batch_traced, serve_batch_with_admission, serve_batch_with_admission_traced,
-    AdmissionConfig, CompositionRequest, EngineConfig, ResilientEngineConfig,
-    ShardedCompositionCache,
+    run_sessions, serve_batch_traced, AdmissionConfig, CompositionRequest, EngineConfig,
+    ResilientEngineConfig, SessionEngineConfig, SessionsReport, ShardedCompositionCache,
+    StaticWorld,
 };
-use qosc_telemetry::{FlightRecorder, MetricsRegistry, NoopSink};
-use qosc_workload::arrivals::{poisson_burst_arrivals, ArrivalPattern};
+use qosc_telemetry::{FlightRecorder, MetricsRegistry, NoopSink, TelemetrySink};
+use qosc_workload::arrivals::{poisson_burst_arrivals, ArrivalPattern, SessionArrival};
 use qosc_workload::generator::{random_scenario, GeneratorConfig};
 use qosc_workload::Scenario;
 
@@ -36,17 +37,48 @@ fn overload_pattern() -> ArrivalPattern {
     }
 }
 
-fn engine_config(workers: usize) -> ResilientEngineConfig {
-    ResilientEngineConfig {
-        workers,
-        admission: AdmissionConfig {
+/// The overload batch — one zero-hold session per arrival, opened
+/// through the protected admission queue — served at `workers` into
+/// `sink`.
+fn overload<'a, S: TelemetrySink>(
+    scenario: &'a Scenario,
+    workers: usize,
+    sink: &S,
+) -> (SessionsReport, ServedWorld<'a>) {
+    let arrivals = poisson_burst_arrivals(&overload_pattern(), ARRIVAL_SEED);
+    let sessions = session_requests(
+        scenario,
+        arrivals
+            .iter()
+            .map(|&meta| SessionArrival {
+                meta,
+                hold_us: 0,
+                demand_bps: 0,
+            })
+            .collect(),
+    );
+    let config = SessionEngineConfig {
+        resilient: ResilientEngineConfig {
+            workers,
+            ..ResilientEngineConfig::default()
+        },
+        admission: Some(AdmissionConfig {
             virtual_cores: 4,
             initial_limit: 4,
             max_limit: 8,
             ..AdmissionConfig::protected()
-        },
-        ..ResilientEngineConfig::default()
-    }
+        }),
+        tick_us: 0,
+        session_spans: false,
+        ..SessionEngineConfig::default()
+    };
+    let mut world = ServedWorld::new(StaticWorld {
+        formats: &scenario.formats,
+        services: &scenario.services,
+        network: &scenario.network,
+    });
+    let report = run_sessions(&mut world, &sessions, &config, sink);
+    (report, world)
 }
 
 /// One instrumented overload + cache replay at `workers`. Returns the
@@ -56,22 +88,7 @@ fn replay(workers: usize) -> (String, String, String) {
     let scenario = scenario();
     let composer = scenario.composer();
     let recorder = FlightRecorder::new(16);
-    let arrivals = poisson_burst_arrivals(&overload_pattern(), ARRIVAL_SEED);
-    let requests: Vec<CompositionRequest> = arrivals
-        .iter()
-        .map(|_| CompositionRequest {
-            profiles: scenario.profiles.clone(),
-            sender_host: scenario.sender_host,
-            receiver_host: scenario.receiver_host,
-        })
-        .collect();
-    let result = serve_batch_with_admission_traced(
-        &composer,
-        &requests,
-        &arrivals,
-        &engine_config(workers),
-        &recorder,
-    );
+    let (report, _) = overload(&scenario, workers, &recorder);
 
     let cache_recorder = FlightRecorder::new(16);
     let cache = ShardedCompositionCache::new(8);
@@ -94,7 +111,7 @@ fn replay(workers: usize) -> (String, String, String) {
     serve_batch_traced(&composer, &cache, &cache_requests, &config, &cache_recorder);
 
     let registry = MetricsRegistry::new();
-    result.batch.counters().record_metrics(&registry);
+    report.record_metrics(&registry);
     cache.stats().record_metrics(&registry);
     cache.export_gauges(&registry);
     recorder.export_metrics(&registry);
@@ -148,52 +165,20 @@ fn cache_log_counts_cold_and_warm_probes() {
 #[test]
 fn noop_run_is_bitwise_identical_to_instrumented_run() {
     let scenario = scenario();
-    let composer = scenario.composer();
-    let arrivals = poisson_burst_arrivals(&overload_pattern(), ARRIVAL_SEED);
-    let requests: Vec<CompositionRequest> = arrivals
-        .iter()
-        .map(|_| CompositionRequest {
-            profiles: scenario.profiles.clone(),
-            sender_host: scenario.sender_host,
-            receiver_host: scenario.receiver_host,
-        })
-        .collect();
-
     let recorder = FlightRecorder::new(16);
-    let traced = serve_batch_with_admission_traced(
-        &composer,
-        &requests,
-        &arrivals,
-        &engine_config(4),
-        &recorder,
-    );
-    let noop_sink = serve_batch_with_admission_traced(
-        &composer,
-        &requests,
-        &arrivals,
-        &engine_config(4),
-        &NoopSink,
-    );
-    let untraced = serve_batch_with_admission(&composer, &requests, &arrivals, &engine_config(4));
+    let (traced, traced_world) = overload(&scenario, 4, &recorder);
+    let (noop, noop_world) = overload(&scenario, 4, &NoopSink);
     assert!(!recorder.is_empty(), "instrumented run recorded events");
 
-    for reference in [&noop_sink, &untraced] {
-        assert_eq!(traced.batch.counters(), reference.batch.counters());
-        for (a, b) in traced.batch.outcomes.iter().zip(&reference.batch.outcomes) {
-            assert_eq!(a.satisfaction.to_bits(), b.satisfaction.to_bits());
-            assert_eq!(a.rung, b.rung);
-            assert_eq!(a.plan.is_some(), b.plan.is_some());
-        }
-        for (a, b) in traced
-            .admission
-            .decisions
-            .iter()
-            .zip(&reference.admission.decisions)
-        {
-            assert_eq!(a.admitted, b.admitted);
-            assert_eq!(a.queue_wait_us, b.queue_wait_us);
-            assert_eq!(a.start_us, b.start_us);
-        }
+    assert_eq!(traced.counters, noop.counters);
+    assert_eq!(traced.admission, noop.admission);
+    assert_eq!(traced.outcomes, noop.outcomes);
+    for i in 0..traced.outcomes.len() {
+        assert_eq!(
+            traced_world.satisfaction(i).to_bits(),
+            noop_world.satisfaction(i).to_bits()
+        );
+        assert_eq!(traced_world.plan(i), noop_world.plan(i));
     }
 }
 
@@ -202,24 +187,8 @@ fn noop_run_is_bitwise_identical_to_instrumented_run() {
 #[test]
 fn every_event_span_was_opened() {
     let scenario = scenario();
-    let composer = scenario.composer();
     let recorder = FlightRecorder::new(16);
-    let arrivals = poisson_burst_arrivals(&overload_pattern(), ARRIVAL_SEED);
-    let requests: Vec<CompositionRequest> = arrivals
-        .iter()
-        .map(|_| CompositionRequest {
-            profiles: scenario.profiles.clone(),
-            sender_host: scenario.sender_host,
-            receiver_host: scenario.receiver_host,
-        })
-        .collect();
-    serve_batch_with_admission_traced(
-        &composer,
-        &requests,
-        &arrivals,
-        &engine_config(4),
-        &recorder,
-    );
+    overload(&scenario, 4, &recorder);
 
     use std::collections::HashSet;
     let mut opened: HashSet<(u64, u32)> = HashSet::new();
