@@ -24,7 +24,7 @@
 //! and the registry's [`SelectionView`] (membership count, live
 //! quarantined ids, probation penalties). A stamp miss looks the current
 //! content up there before it composes; a match fills the slot and runs
-//! no graph delta and no kernel. Equal (network version, membership,
+//! no graph build and no kernel. Equal (network version, membership,
 //! quarantined ids, penalties) mean equal compose inputs, because:
 //!
 //! * liveness changes only through `Registered`, `Deregistered` and
@@ -593,7 +593,7 @@ mod tests {
     /// tests' runs).
     fn fetches(store: &GraphStore) -> u64 {
         let stats = store.stats();
-        stats.rebuilds + stats.deltas + stats.reuses
+        stats.rebuilds + stats.reuses
     }
 
     /// A world that returns to a state it was in answers from the

@@ -104,12 +104,12 @@ impl Composer<'_> {
         })
     }
 
-    /// [`Composer::compose`], but sourcing the adaptation graph from an
-    /// incremental [`GraphStore`]: the graph is reused or delta-updated
-    /// when the registry epoch or network version moved, and only
-    /// rebuilt from scratch when it must be. Selection sees exactly the
-    /// graph a fresh build would produce, so plans, traces and
-    /// tie-breaks are bitwise identical to [`Composer::compose`].
+    /// [`Composer::compose`], but sourcing the adaptation graph from a
+    /// [`GraphStore`]: the stored graph is reused while the registry
+    /// epoch and network version hold still, and rebuilt when either
+    /// moved. Selection sees exactly the graph a fresh build would
+    /// produce, so plans, traces and tie-breaks are bitwise identical
+    /// to [`Composer::compose`].
     pub fn compose_with_store(
         &self,
         store: &GraphStore,

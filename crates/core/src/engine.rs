@@ -593,7 +593,7 @@ impl ComposeMemo {
 /// in `(composer snapshot, request, index, config, start_rung)` — the
 /// trace records, it never steers, and the memo only changes where a
 /// rung's answer comes from (stored, or composed over a reused or
-/// delta-updated graph), never what it is.
+/// rebuilt graph), never what it is.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn serve_one<S: TelemetrySink>(
     composer: &Composer<'_>,

@@ -17,12 +17,6 @@ use qosc_services::ServiceId;
 pub struct VertexId(pub(crate) u32);
 
 impl VertexId {
-    /// Construct from a dense vertex index (crate-internal: the graph
-    /// store computes canonical vertex positions).
-    pub(crate) fn from_index(index: usize) -> VertexId {
-        VertexId(u32::try_from(index).expect("fewer than 2^32 vertices"))
-    }
-
     /// Raw index (valid only for the graph that produced it).
     pub fn index(self) -> usize {
         self.0 as usize
@@ -101,19 +95,12 @@ impl Vertex {
     /// Distinct output formats, in first-appearance order.
     pub fn output_formats(&self) -> Vec<FormatId> {
         let mut seen = Vec::new();
-        self.output_formats_into(&mut seen);
-        seen
-    }
-
-    /// [`output_formats`](Vertex::output_formats) into `seen`, cleared
-    /// first: the graph store's delta reuses one buffer per delta.
-    pub(crate) fn output_formats_into(&self, seen: &mut Vec<FormatId>) {
-        seen.clear();
         for c in &self.conversions {
             if !seen.contains(&c.output) {
                 seen.push(c.output);
             }
         }
+        seen
     }
 }
 
@@ -269,106 +256,6 @@ impl AdaptationGraph {
             .iter()
             .position(|v| v.name == name)
             .map(|i| VertexId(i as u32))
-    }
-
-    // -----------------------------------------------------------------
-    // Canonical in-place mutation, used by the incremental graph store
-    // (`graph::store`). These operations preserve the structural
-    // invariants a fresh `build()` establishes: vertex indices are
-    // sender, receiver, then live services in registration order, and
-    // every per-vertex adjacency list keeps the builder's listing
-    // order. Edge *ids* are renumbered freely — nothing outside the
-    // graph stores an `EdgeId`, and selection only ever walks the
-    // adjacency lists.
-    // -----------------------------------------------------------------
-
-    /// Insert `edge` at position `out_pos` of `from`'s out-list and
-    /// `in_pos` of `to`'s in-list (panics if either position is out of
-    /// bounds — the store computes both canonically).
-    pub(crate) fn insert_edge_at(&mut self, edge: Edge, out_pos: usize, in_pos: usize) -> EdgeId {
-        let id = EdgeId(u32::try_from(self.edges.len()).expect("fewer than 2^32 edges"));
-        self.out[edge.from.index()].insert(out_pos, id);
-        self.in_[edge.to.index()].insert(in_pos, id);
-        self.edges.push(edge);
-        id
-    }
-
-    /// Compact away every vertex failing `keep_vertex` and every edge
-    /// failing `keep_edge` (edges incident to a dropped vertex go with
-    /// it). Surviving vertices and edges keep their relative order and
-    /// are renumbered densely; adjacency lists keep their relative
-    /// per-vertex order. Matches what a fresh build over the reduced
-    /// input would produce, modulo global edge numbering. Compacts in
-    /// place: the only allocations are the two renumbering tables.
-    pub(crate) fn retain_canonical(
-        &mut self,
-        keep_vertex: impl Fn(VertexId) -> bool,
-        keep_edge: impl Fn(&Edge) -> bool,
-    ) {
-        let mut vertex_map: Vec<Option<u32>> = Vec::with_capacity(self.vertices.len());
-        let mut next_vertex = 0u32;
-        for index in 0..self.vertices.len() {
-            if keep_vertex(VertexId(index as u32)) {
-                vertex_map.push(Some(next_vertex));
-                next_vertex += 1;
-            } else {
-                vertex_map.push(None);
-            }
-        }
-
-        let mut edge_map: Vec<Option<u32>> = Vec::with_capacity(self.edges.len());
-        let mut next_edge = 0u32;
-        for edge in &self.edges {
-            let kept = vertex_map[edge.from.index()].is_some()
-                && vertex_map[edge.to.index()].is_some()
-                && keep_edge(edge);
-            if kept {
-                edge_map.push(Some(next_edge));
-                next_edge += 1;
-            } else {
-                edge_map.push(None);
-            }
-        }
-
-        let mut index = 0;
-        self.edges.retain_mut(|edge| {
-            index += 1;
-            let kept = edge_map[index - 1].is_some();
-            if kept {
-                edge.from = VertexId(vertex_map[edge.from.index()].expect("endpoint kept"));
-                edge.to = VertexId(vertex_map[edge.to.index()].expect("endpoint kept"));
-            }
-            kept
-        });
-        // Keep each kept vertex's list, its kept edges renumbered.
-        let compact = |lists: &mut Vec<Vec<EdgeId>>| {
-            let mut index = 0;
-            lists.retain_mut(|list| {
-                index += 1;
-                list.retain_mut(|e| match edge_map[e.index()] {
-                    Some(renumbered) => {
-                        *e = EdgeId(renumbered);
-                        true
-                    }
-                    None => false,
-                });
-                vertex_map[index - 1].is_some()
-            });
-        };
-        compact(&mut self.out);
-        compact(&mut self.in_);
-        let mut index = 0;
-        self.vertices.retain(|_| {
-            index += 1;
-            vertex_map[index - 1].is_some()
-        });
-
-        self.sender = self
-            .sender
-            .and_then(|v| vertex_map[v.index()].map(VertexId));
-        self.receiver = self
-            .receiver
-            .and_then(|v| vertex_map[v.index()].map(VertexId));
     }
 }
 

@@ -1111,7 +1111,7 @@ mod tests {
         let mut wrong_format = sender;
         wrong_format.state.output_format = receiver_format;
         let mut wrong_vertex = sender;
-        wrong_vertex.state.vertex = crate::graph::VertexId::from_index(99);
+        wrong_vertex.state.vertex = crate::graph::VertexId(99);
         for label in [wrong_format, wrong_vertex] {
             let error = relax_label(label, &mut scratch).unwrap_err();
             assert!(matches!(error, CoreError::StaleId(_)), "{error}");

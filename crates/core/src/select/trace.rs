@@ -398,7 +398,7 @@ mod tests {
             })
             .collect();
         StateKey {
-            vertex: VertexId::from_index(vertex),
+            vertex: VertexId(vertex as u32),
             output_format: ids[format],
         }
     }
@@ -425,7 +425,7 @@ mod tests {
     #[test]
     fn table_rendering_contains_rows() {
         let sender = state(0, 0);
-        let mut log = TraceLog::start("sender", VertexId::from_index(9));
+        let mut log = TraceLog::start("sender", VertexId(9));
         log.discover(state(1, 1), "T1");
         log.discover(state(2, 1), "T2");
         log.select(&label(state(1, 1), sender, 30.0));
@@ -452,7 +452,7 @@ mod tests {
     #[test]
     fn rows_dedup_by_name_and_pin_the_receiver_last() {
         let sender = state(0, 0);
-        let receiver = VertexId::from_index(9);
+        let receiver = VertexId(9);
         let mut log = TraceLog::start("sender", receiver);
         // Two vertices share the display name "T1"; the receiver is
         // discovered before T2; T3 emits two formats (two states).

@@ -370,7 +370,7 @@ impl ServiceRegistry {
     /// satisfaction scoring, so cached plans must recompute. Two equal
     /// epochs on the same registry instance guarantee byte-identical
     /// availability answers, which is what makes O(1) cache
-    /// revalidation and incremental graph maintenance sound.
+    /// revalidation and graph-store reuse sound.
     pub fn epoch(&self) -> u64 {
         self.compacted + self.events.len() as u64
     }
@@ -398,9 +398,9 @@ impl ServiceRegistry {
 
     /// Discard every retained event older than `epoch`, bounding the
     /// log. After this call, `events_since(e)` is `None` for any
-    /// `e < min(epoch, self.epoch())` — consumers that kept such a
-    /// stamp (the incremental `GraphStore`, shard logs) must rebuild
-    /// from current registry state instead of replaying a delta.
+    /// `e < min(epoch, self.epoch())` — a consumer that kept such a
+    /// stamp must rebuild from current registry state instead of
+    /// replaying the tail.
     /// Compacting at or below the current watermark, or past the
     /// current epoch, is safe; the watermark never exceeds `epoch()`.
     /// Returns the number of events discarded.

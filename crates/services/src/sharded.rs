@@ -1,5 +1,5 @@
-//! The sharded registry: per-shard event logs, epochs, and summary
-//! frontiers for two-level composition.
+//! The sharded registry: per-shard epochs and summary frontiers for
+//! two-level composition.
 //!
 //! Klein et al. decompose QoS-aware composition into per-partition
 //! sub-problems stitched together through aggregated QoS summaries.
@@ -13,11 +13,11 @@
 //! * a **shard assignment** per service, fixed at registration by a
 //!   [`ShardRouter`] keyed on the service's primary input format — so
 //!   a format cluster's services co-locate in one shard,
-//! * a **per-shard event log** with its own monotone epoch and its own
-//!   compaction watermark, mirroring the flat log's semantics: the
-//!   shard epoch moves exactly when a mutation touches a service of
-//!   that shard, which is what lets scoped graph maintenance stay
-//!   O(touched shards) instead of O(registry),
+//! * a **per-shard epoch**, a monotone count of the life-cycle events
+//!   recorded against the shard's services: it moves exactly when a
+//!   mutation touches a service of that shard, which is what lets a
+//!   scoped graph stay current under churn elsewhere and revalidate in
+//!   O(expanded shards) instead of O(registry),
 //! * a **summary frontier** per shard: for every
 //!   `(input format, output format, axis set)` a shard's available
 //!   services can convert between, the per-axis maximum ("hull top")
@@ -35,6 +35,7 @@
 //! Every mutation funnels through the wrapper, which forwards to the
 //! flat registry and then distributes the newly recorded events to the
 //! owning shards, so `sum(shard epochs) == flat epoch` always holds.
+//! The flat registry keeps the one event log.
 
 use crate::descriptor::{ServiceId, TranscoderDescriptor};
 use crate::registry::{ProbationConfig, QuarantineConfig, RegistryEvent, ServiceRegistry};
@@ -146,14 +147,11 @@ fn merge_max(into: &mut ParamVector, from: &ParamVector) {
     }
 }
 
-/// One shard's overlay state: its slice of the event log and its
-/// summary frontier.
+/// One shard's overlay state: its epoch and its summary frontier.
 #[derive(Debug, Clone, Default)]
 struct ShardState {
-    events: Vec<RegistryEvent>,
-    /// Compaction watermark, mirroring
-    /// [`ServiceRegistry::compacted_epoch`] semantics per shard.
-    compacted: u64,
+    /// Life-cycle events recorded against the shard's services.
+    epoch: u64,
     /// `(pair, axis set) → hull` summary frontier over *available*
     /// members.
     frontier: BTreeMap<PairKey, GroupState>,
@@ -164,7 +162,7 @@ struct ShardState {
 }
 
 /// A flat [`ServiceRegistry`] partitioned into N shards with per-shard
-/// epochs, event logs, and summary frontiers. See the module docs.
+/// epochs and summary frontiers. See the module docs.
 #[derive(Debug, Clone)]
 pub struct ShardedServiceRegistry {
     flat: ServiceRegistry,
@@ -193,8 +191,8 @@ impl ShardedServiceRegistry {
     /// The flat ground-truth view: ids, registration order,
     /// availability, penalties — everything flat consumers (graph
     /// build, selection, the session engine) already read. Immutable:
-    /// mutations must go through the wrapper so shard logs stay
-    /// coherent.
+    /// mutations must go through the wrapper so shard epochs and
+    /// frontiers stay coherent.
     pub fn flat(&self) -> &ServiceRegistry {
         &self.flat
     }
@@ -309,17 +307,15 @@ impl ShardedServiceRegistry {
         self.flat.set_probation_config(config);
     }
 
-    // ----- per-shard epochs, logs, compaction -----
+    // ----- per-shard epochs, compaction -----
 
     /// The shard's monotone epoch: life-cycle events recorded against
-    /// services of shard `shard` (including compacted ones). Mutations
+    /// services of shard `shard`. Mutations
     /// in other shards never move it — the property per-shard cache
     /// stamps rely on. A shard this registry does not have never
     /// recorded anything: epoch 0.
     pub fn shard_epoch(&self, shard: u32) -> u64 {
-        self.shards
-            .get(shard as usize)
-            .map_or(0, |s| s.compacted + s.events.len() as u64)
+        self.shards.get(shard as usize).map_or(0, |s| s.epoch)
     }
 
     /// `(shard, epoch)` for every shard, in shard order.
@@ -329,44 +325,9 @@ impl ShardedServiceRegistry {
             .collect()
     }
 
-    /// The shard's events since `epoch` (a value previously returned
-    /// by [`Self::shard_epoch`]), oldest first — `None` when that tail
-    /// was compacted away, mirroring
-    /// [`ServiceRegistry::events_since`]. A shard this registry does
-    /// not have has no events.
-    pub fn shard_events_since(&self, shard: u32, epoch: u64) -> Option<&[RegistryEvent]> {
-        let Some(s) = self.shards.get(shard as usize) else {
-            return Some(&[]);
-        };
-        if epoch < s.compacted {
-            return None;
-        }
-        let start = ((epoch - s.compacted) as usize).min(s.events.len());
-        Some(&s.events[start..])
-    }
-
-    /// Discard shard events older than `epoch` (shard-epoch scale).
-    /// Returns the number discarded. Mirrors
-    /// [`ServiceRegistry::compact_events_below`] per shard; a shard
-    /// this registry does not have has nothing to discard.
-    pub fn compact_shard_events_below(&mut self, shard: u32, epoch: u64) -> usize {
-        let top = self.shard_epoch(shard);
-        let Some(s) = self.shards.get_mut(shard as usize) else {
-            return 0;
-        };
-        let target = epoch.min(top);
-        if target <= s.compacted {
-            return 0;
-        }
-        let drop = (target - s.compacted) as usize;
-        s.events.drain(..drop);
-        s.compacted = target;
-        drop
-    }
-
     /// Compact the underlying flat log (see
-    /// [`ServiceRegistry::compact_events_below`]). Shard logs are
-    /// independent and unaffected.
+    /// [`ServiceRegistry::compact_events_below`]). Shard epochs are
+    /// unaffected.
     pub fn compact_flat_events_below(&mut self, epoch: u64) -> usize {
         self.flat.compact_events_below(epoch)
     }
@@ -429,7 +390,7 @@ impl ShardedServiceRegistry {
     // ----- internals -----
 
     /// Distribute every flat event recorded since `pre_epoch` to its
-    /// owning shard: append to the shard log and update the shard's
+    /// owning shard: advance the shard's epoch and update its
     /// frontier.
     ///
     /// # Panics
@@ -485,7 +446,7 @@ impl ShardedServiceRegistry {
                     // bound — the frontier is unchanged.
                 }
             }
-            shard.events.push(event.clone());
+            shard.epoch += 1;
         }
     }
 }
@@ -609,16 +570,11 @@ mod tests {
         assert!(!reg.flat().is_live(a));
         let sum: u64 = reg.shard_epochs().iter().map(|&(_, e)| e).sum();
         assert_eq!(sum, reg.flat().epoch());
-        // Every event landed in the owner's log.
-        let sa = reg.shard_of(a).unwrap();
-        assert_eq!(
-            reg.shard_events_since(sa, 0).unwrap(),
-            &[
-                RegistryEvent::Registered(a),
-                RegistryEvent::Renewed(a),
-                RegistryEvent::Expired(a),
-            ]
-        );
+        // Registered, renewed, expired: every event counted in the
+        // owner's epoch.
+        let (sa, sb) = (reg.shard_of(a).unwrap(), reg.shard_of(b).unwrap());
+        assert_ne!(sa, sb, "fixture formats land in distinct shards");
+        assert_eq!((reg.shard_epoch(sa), reg.shard_epoch(sb)), (3, 2));
     }
 
     #[test]
@@ -719,7 +675,7 @@ mod tests {
     }
 
     #[test]
-    fn shard_log_compaction_mirrors_flat_semantics() {
+    fn flat_log_compaction_never_moves_shard_epochs() {
         let f = fixture();
         let mut reg = ShardedServiceRegistry::new(2);
         let a = reg.register_static(descriptor(&f, "s1", "a", "b", 30.0));
@@ -728,18 +684,14 @@ mod tests {
         let s = reg.shard_of(a).unwrap();
         assert_eq!(reg.shard_epoch(s), 3);
 
-        assert_eq!(reg.compact_shard_events_below(s, 2), 2);
-        assert_eq!(reg.shard_epoch(s), 3, "compaction never moves the epoch");
-        assert_eq!(
-            reg.shard_events_since(s, 2).unwrap(),
-            &[RegistryEvent::Renewed(a)]
-        );
-        assert_eq!(reg.shard_events_since(s, 1), None, "tail lost");
-        assert_eq!(reg.compact_shard_events_below(s, 1), 0, "idempotent");
-        // The flat log is independent.
         assert_eq!(reg.flat().events_since(0).unwrap().len(), 3);
-        assert_eq!(reg.compact_flat_events_below(1), 1);
+        assert_eq!(reg.compact_flat_events_below(2), 2);
         assert_eq!(reg.flat().events_since(0), None);
+        assert_eq!(reg.shard_epoch(s), 3, "compaction never moves an epoch");
+        // Writes after compaction still distribute.
+        reg.renew(a, SimTime(30), 1_000).unwrap();
+        assert_eq!(reg.shard_epoch(s), 4);
+        assert_eq!(reg.flat().epoch(), 4);
     }
 
     #[test]
@@ -799,9 +751,6 @@ mod tests {
             assert!(reg.frontier(shard).is_empty());
             assert!(reg.frontier_from_scratch(shard).is_empty());
             assert_eq!(reg.shard_epoch(shard), 0);
-            assert_eq!(reg.shard_events_since(shard, 0), Some(&[][..]));
-            assert_eq!(reg.shard_events_since(shard, 7), Some(&[][..]));
-            assert_eq!(reg.compact_shard_events_below(shard, u64::MAX), 0);
         }
 
         // An id issued by a larger registry.

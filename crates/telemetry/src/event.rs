@@ -136,18 +136,6 @@ pub enum EventKind {
         /// 1-based re-composition count within the session.
         attempt: u32,
     },
-    /// The graph store rebuilt an adaptation graph from scratch.
-    GraphRebuilt {
-        /// Total rebuilds so far on the emitting store.
-        total: u64,
-    },
-    /// The graph store served a graph by replaying registry deltas.
-    GraphDelta {
-        /// Net vertex/edge-set changes applied by this replay.
-        ops: u64,
-        /// Total delta replays so far on the emitting store.
-        total: u64,
-    },
     /// A selection scratch arena was reused instead of reallocated.
     ArenaReused {
         /// Total arena reuses so far on the emitting thread's arena.
@@ -254,8 +242,6 @@ impl EventKind {
             EventKind::LeaseRenewed { .. } => "lease_renewed",
             EventKind::ServiceDeregistered { .. } => "service_deregistered",
             EventKind::Recomposed { .. } => "recomposed",
-            EventKind::GraphRebuilt { .. } => "graph_rebuilt",
-            EventKind::GraphDelta { .. } => "graph_delta",
             EventKind::ArenaReused { .. } => "arena_reused",
             EventKind::SessionOpened { .. } => "session_opened",
             EventKind::SessionClosed { .. } => "session_closed",
@@ -315,8 +301,6 @@ impl EventKind {
                 format!("service_deregistered service={service}")
             }
             EventKind::Recomposed { attempt } => format!("recomposed attempt={attempt}"),
-            EventKind::GraphRebuilt { total } => format!("graph_rebuilt total={total}"),
-            EventKind::GraphDelta { ops, total } => format!("graph_delta ops={ops} total={total}"),
             EventKind::ArenaReused { total } => format!("arena_reused total={total}"),
             EventKind::SessionOpened { hold_us } => format!("session_opened hold_us={hold_us}"),
             EventKind::SessionClosed { reason } => format!("session_closed reason={reason}"),
