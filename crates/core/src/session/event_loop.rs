@@ -674,15 +674,15 @@ impl<W: SessionWorld + Sync, S: TelemetrySink> Loop<'_, '_, W, S> {
         // The dead plan's pinned flow no longer exists; release its
         // grant so survivors absorb it while the repair composes.
         self.world.deregister_session_flow(i as u64);
+        if self.sessions[i].outcome.recompositions >= self.config.max_recompositions {
+            self.close(t, i, CloseReason::GaveUp);
+            return;
+        }
         self.with_trace(i, |trace| {
             trace.advance_to(t);
             let span = trace.open_span(ROOT_SPAN, "recompose");
             trace.emit(span, EventKind::Recomposed { attempt });
         });
-        if self.sessions[i].outcome.recompositions >= self.config.max_recompositions {
-            self.close(t, i, CloseReason::GaveUp);
-            return;
-        }
         self.sessions[i].outcome.recompositions = attempt;
         self.set_phase(i, Phase::Recomposing);
         // Re-compositions inherit the session's class and cost but drop

@@ -8,7 +8,7 @@ use qosc_core::{
 };
 use qosc_netsim::{NodeId, SimTime};
 use qosc_pipeline::{ChaosWorld, FailureEvent, FailureSchedule};
-use qosc_telemetry::NoopSink;
+use qosc_telemetry::{FlightRecorder, NoopSink};
 use qosc_workload::generator::{random_scenario, GeneratorConfig};
 use qosc_workload::{paper, Scenario};
 use std::sync::Mutex;
@@ -119,12 +119,21 @@ fn no_recovery_gives_up_at_the_fault_instant() {
     assert_eq!(outcome.lit_us, 10_000_000);
     assert_eq!(outcome.close, Some(CloseReason::GaveUp));
     assert_eq!(outcome.closed_us, Some(10_000_000));
+    assert_eq!(outcome.recompositions, 0);
     // 10 s of T7's 0.667 out of 30 s.
     assert!(
         (satisfaction(&outcome) - 0.222).abs() < 1e-3,
         "{}",
         satisfaction(&outcome)
     );
+    // The log shows the close, not a re-composition that never ran.
+    let (mut world, request, mut config) = scorecard::one_session(&scenario, &faults);
+    config.max_recompositions = 0;
+    let recorder = FlightRecorder::new(16);
+    run_sessions(&mut world, &[request], &config, &recorder);
+    let log = recorder.render_log();
+    assert!(log.contains("session_closed"), "{log}");
+    assert!(!log.contains("recomposed"), "{log}");
 }
 
 #[test]
