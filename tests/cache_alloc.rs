@@ -10,8 +10,8 @@
 //! entry names its class, so nothing is resolved, and there is no
 //! graph, no selection and no copy of the dead entry's plan. The stale
 //! probe that composes after a registry write — the graph store
-//! replays the write onto its graph in place, then selection runs —
-//! stays under [`WRITE_FOLLOWING_BOUND`] allocations.
+//! rebuilds its graph, then selection runs — stays under
+//! [`WRITE_FOLLOWING_BOUND`] allocations besides the build's own.
 //!
 //! One test only, on one thread: the counter is per thread. The
 //! counting allocator is the one of `tests/broker_alloc.rs`.
@@ -68,7 +68,7 @@ fn allocations_in(work: impl FnOnce()) -> u64 {
 }
 
 /// Allocations of the stale probe that composes after a registry write,
-/// the debug-build graph check taken off.
+/// the graph rebuild taken off.
 const WRITE_FOLLOWING_BOUND: u64 = 60;
 
 #[test]
@@ -152,12 +152,12 @@ fn a_hit_allocates_only_the_plan_it_returns() {
         .report_failure(on_chain, SimTime(20))
         .unwrap());
     // The first stale probe of the class composes, over the graph the
-    // store edits in place…
+    // store rebuilds…
     let mut composed = None;
     let allocations = allocations_in(|| composed = Some(probe(&scenario)));
     let replacement = composed.expect("probed");
     assert_ne!(replacement, first);
-    let graph_check = if cfg!(debug_assertions) {
+    let graph_build = {
         let profiles = &scenario.profiles;
         let variants = profiles
             .content
@@ -178,13 +178,11 @@ fn a_hit_allocates_only_the_plan_it_returns() {
             receiver_caps: profiles.device.hardware.quality_caps(),
         };
         allocations_in(|| drop(build(&input).expect("builds")))
-    } else {
-        0
     };
     assert!(
-        allocations - graph_check <= WRITE_FOLLOWING_BOUND,
+        allocations - graph_build <= WRITE_FOLLOWING_BOUND,
         "write-following stale probe: {} allocations",
-        allocations - graph_check
+        allocations - graph_build
     );
     let plan_cost = allocations_in(|| {
         std::hint::black_box(replacement.clone());
