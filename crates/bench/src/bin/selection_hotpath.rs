@@ -1,15 +1,15 @@
-//! X15: the selection hot path — incremental graph store and compose
-//! memo vs rebuild-per-request.
+//! X15: the selection hot path — graph store and compose memo vs
+//! rebuild-per-request.
 //!
 //! Sweeps registry churn rate × request repeat rate and serves every
 //! request twice in the same run: once through a store-backed
-//! [`ShardedCompositionCache`] (graph reuse + delta maintenance, and
-//! one kernel run per request class per world state) and once through
+//! [`ShardedCompositionCache`] (graph reuse while the world holds
+//! still, and one kernel run per request class per world state) and once through
 //! a store-free cache (the historical rebuild-per-compose path, no
 //! memo). Every cell's requests are one class under 96 or 10 user
 //! names, so the store path mostly measures memo answers. Reports
 //! per-request compose p50/p99 for both paths, the store's
-//! rebuild/delta/reuse counters, the kernel runs behind the store path,
+//! rebuild/reuse counters, the kernel runs behind the store path,
 //! the arena-reuse count of the zero-allocation selection kernel, and —
 //! the point of the exercise —
 //! asserts the two paths produce **bitwise-identical plans** and
@@ -78,8 +78,6 @@ struct Cell {
     misses: usize,
     stale: usize,
     rebuilds: u64,
-    deltas: u64,
-    delta_ops: u64,
     reuses: u64,
     /// Selection-kernel runs behind the store-backed cache.
     kernel_runs: u64,
@@ -192,8 +190,6 @@ fn run_cell(config: &GeneratorConfig, churn_rate: f64, repeat_rate: f64) -> Cell
         misses: store_stats.misses,
         stale: store_stats.stale,
         rebuilds: graph.rebuilds,
-        deltas: graph.deltas,
-        delta_ops: graph.delta_ops,
         reuses: graph.reuses,
         kernel_runs,
         digest: digest.finish(),
@@ -286,7 +282,6 @@ fn main() {
         "hits",
         "stale",
         "rebuilds",
-        "deltas",
         "reuses",
         "kernels",
         "store p50 us",
@@ -301,7 +296,6 @@ fn main() {
             cell.hits.to_string(),
             cell.stale.to_string(),
             cell.rebuilds.to_string(),
-            cell.deltas.to_string(),
             cell.reuses.to_string(),
             cell.kernel_runs.to_string(),
             format!("{:.1}", cell.store.p50_us),
@@ -347,7 +341,7 @@ fn main() {
     json.push_str("  \"cells\": [\n");
     for (i, cell) in cells.iter().enumerate() {
         json.push_str(&format!(
-            "    {{\"churn_rate\": {:.2}, \"repeat_rate\": {:.1}, \"requests\": {}, \"solved\": {}, \"churn_ops\": {}, \"hits\": {}, \"misses\": {}, \"stale\": {}, \"rebuilds\": {}, \"deltas\": {}, \"delta_ops\": {}, \"reuses\": {}, \"kernel_runs\": {}, \"plan_digest\": \"{:016x}\"",
+            "    {{\"churn_rate\": {:.2}, \"repeat_rate\": {:.1}, \"requests\": {}, \"solved\": {}, \"churn_ops\": {}, \"hits\": {}, \"misses\": {}, \"stale\": {}, \"rebuilds\": {}, \"reuses\": {}, \"kernel_runs\": {}, \"plan_digest\": \"{:016x}\"",
             cell.churn_rate,
             cell.repeat_rate,
             cell.requests,
@@ -357,8 +351,6 @@ fn main() {
             cell.misses,
             cell.stale,
             cell.rebuilds,
-            cell.deltas,
-            cell.delta_ops,
             cell.reuses,
             cell.kernel_runs,
             cell.digest,
