@@ -18,7 +18,7 @@ use qosc_services::ServiceRegistry;
 /// | `ChaosWorld` delivery memo | the stamp, plan generation, demand | the grant epoch, for the brokered shape (routability, required rate, sag cap): only the grant division reads it, redone whenever it moved |
 /// | `ShardedCompositionCache` | no part: a moved registry or network part re-checks its half of the plan | the event count; the cache keeps a plan that still works, and hit/miss/stale is output |
 /// | the cache's compose memo | the stamp per slot; on a stamp miss, network version + registry view against the class's recent answers; the id is the entry's own when the options match, else the request class interned with `==` | the event count (always 0, as for `ComposeMemo`); on a stamp miss the registry epoch, because equal `ServiceRegistry::selection_view`s on one registry mean equal compose inputs (`cache/class_memo.rs`); of the request, every field selection does not read — `user.name` first — because the class is resolved before it is interned |
-/// | `GraphStore` | network version; its own per-shard `RegistryStamp` for the registry | a scoped graph reads only its expanded shards, so the registry-wide epoch would rebuild it on churn it never reads; builds read no grey state |
+/// | `GraphStore` | the build-input key, network version, and its own `RegistryStamp` (the flat epoch, or one epoch per expanded shard); equal parts reuse, any moved part rebuilds | the event count, because builds read no grey state; for a scoped graph the registry-wide epoch, because it reads only its expanded shards and would otherwise rebuild on churn it never reads |
 /// | route trees (`Network`) | nothing | dropped eagerly at `Network::routing_changed`; every other version bump moves headroom, never a minimum-delay route |
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct WorldStamp {
