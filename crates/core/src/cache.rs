@@ -17,19 +17,18 @@
 //!
 //! The key covers the whole profile set, user name included, so one
 //! (content, device, preference) class spans many entries. A miss or a
-//! stale probe therefore asks the compose memo first (`class_memo`): it
-//! interns each request class — what selection reads, the name not
-//! among it — to a dense id with one answer slot at the current
-//! [`WorldStamp`], so after a world write the kernel runs once per
-//! class, not once per stale entry; on a stamp miss it also looks the
-//! world's content up among the class's recent answers, so a world that
-//! returns to an earlier state runs no kernel. Each entry keeps its
-//! class id, and a stale probe under the class's options hands it back,
-//! so it resolves, hashes and compares no class. Entries and the memo
-//! share each plan by `Arc`; a probe copies it out once, on return. Keys
-//! are hashed by the crate's deterministic folded-multiply `KeyHasher`.
-//! The
-//! store-free cache
+//! stale probe therefore asks the crate's compose memo first: it interns
+//! each request class — what selection reads, the name not among it —
+//! to a dense id with one answer slot at the current [`WorldStamp`], so
+//! after a world write the kernel runs once per class, not once per
+//! stale entry; on a stamp miss it also looks the world's content up
+//! among the class's recent answers, so a world that returns to an
+//! earlier state runs no kernel. Each entry keeps its class id, and a
+//! stale probe under the class's options hands it back, so it resolves,
+//! hashes and compares no class. Entries and the memo share each plan by
+//! `Arc`; a probe copies it out once, on return. Keys are hashed by the
+//! crate's deterministic folded-multiply `KeyHasher`. The store-free
+//! cache
 //! ([`new_without_graph_store`](ShardedCompositionCache::new_without_graph_store))
 //! has no memo and is the reference X15 compares both against.
 //!
@@ -45,8 +44,7 @@
 //! hits/misses/stale, and `hits + misses + stale` equals the number of
 //! requests served no matter how the requests interleave.
 
-mod class_memo;
-
+use crate::compose_memo::{class_hash, ComposeMemo};
 use crate::composer::Composer;
 use crate::graph::{GraphStore, GraphStoreStats};
 use crate::key_hash::KeyHasher;
@@ -54,7 +52,6 @@ use crate::plan::AdaptationPlan;
 use crate::select::SelectOptions;
 use crate::stamp::WorldStamp;
 use crate::Result;
-use class_memo::{class_hash, ClassMemo};
 use parking_lot::RwLock;
 use qosc_netsim::{Network, NodeId};
 use qosc_profiles::ProfileSet;
@@ -143,15 +140,9 @@ struct Shard {
 pub struct ShardedCompositionCache {
     shards: Vec<Shard>,
     mask: usize,
-    /// Incremental graph store feeding misses and stale recomposes.
-    /// `None` runs the historical rebuild-per-compose path (kept for
-    /// baseline measurement).
-    graph_store: Option<GraphStore>,
-    /// Request classes by dense id, each with one answer slot at the
-    /// world stamp it was filled at and its recent answers by world
-    /// content, consulted by misses and stale probes on the store-backed
-    /// path.
-    memo: ClassMemo,
+    /// The compose memo behind misses and stale probes, with the graph
+    /// store its composes build from; `None` in the store-free cache.
+    memo: Option<ComposeMemo>,
 }
 
 impl Default for ShardedCompositionCache {
@@ -167,15 +158,14 @@ impl ShardedCompositionCache {
     pub const DEFAULT_SHARDS: usize = 16;
 
     /// An empty cache with `shards` shards (rounded up to the next
-    /// power of two, minimum 1), backed by an incremental
+    /// power of two, minimum 1), backed by the compose memo and its
     /// [`GraphStore`].
     pub fn new(shards: usize) -> ShardedCompositionCache {
         let count = shards.max(1).next_power_of_two();
         ShardedCompositionCache {
             shards: (0..count).map(|_| Shard::default()).collect(),
             mask: count - 1,
-            graph_store: Some(GraphStore::new()),
-            memo: ClassMemo::default(),
+            memo: Some(ComposeMemo::default()),
         }
     }
 
@@ -187,20 +177,20 @@ impl ShardedCompositionCache {
     /// request through both and compares them request by request, so
     /// this cache is the reference for both memos.
     pub fn new_without_graph_store(shards: usize) -> ShardedCompositionCache {
-        let mut cache = ShardedCompositionCache::new(shards);
-        cache.graph_store = None;
-        cache
+        ShardedCompositionCache {
+            memo: None,
+            ..ShardedCompositionCache::new(shards)
+        }
     }
 
     /// The backing graph store, when one is attached.
     pub fn graph_store(&self) -> Option<&GraphStore> {
-        self.graph_store.as_ref()
+        self.memo.as_ref().map(ComposeMemo::store)
     }
 
     /// Graph-store counters (zeros when no store is attached).
     pub fn graph_stats(&self) -> GraphStoreStats {
-        self.graph_store
-            .as_ref()
+        self.graph_store()
             .map(GraphStore::stats)
             .unwrap_or_default()
     }
@@ -273,11 +263,10 @@ impl ShardedCompositionCache {
             composer.services,
             composer.network,
             trace,
-            |stamp, known| match &self.graph_store {
-                Some(store) => {
-                    let (class, plan) = self.memo.compose(
+            |stamp, known| match &self.memo {
+                Some(memo) => {
+                    let (class, plan) = memo.compose(
                         composer,
-                        store,
                         profiles,
                         sender_host,
                         receiver_host,
@@ -500,51 +489,22 @@ fn hops_still_routable(network: &Network, plan: &AdaptationPlan) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qosc_media::FormatRegistry;
-    use qosc_netsim::{Network, Node, Topology};
+    use crate::test_world::World;
+    use qosc_netsim::{Node, Topology};
     use qosc_profiles::{
         ContentProfile, ContextProfile, DeviceProfile, NetworkProfile, UserProfile,
     };
-    use qosc_services::{catalog, ServiceRegistry, TranscoderDescriptor};
+    use qosc_services::{catalog, TranscoderDescriptor};
     use std::collections::hash_map::DefaultHasher;
 
-    struct Fixture {
-        formats: FormatRegistry,
-        services: ServiceRegistry,
-        network: Network,
-        profiles: ProfileSet,
-        server: NodeId,
-        client: NodeId,
-    }
-
-    fn fixture() -> Fixture {
-        let formats = FormatRegistry::with_builtins();
-        let mut topo = Topology::new();
-        let server = topo.add_node(Node::unconstrained("server"));
-        let proxy = topo.add_node(Node::unconstrained("proxy"));
-        let client = topo.add_node(Node::unconstrained("client"));
-        topo.connect_simple(server, proxy, 100e6).unwrap();
-        topo.connect_simple(proxy, client, 1e6).unwrap();
-        let network = Network::new(topo);
-        let mut services = ServiceRegistry::new();
-        for spec in catalog::full_catalog() {
-            services
-                .register_static(TranscoderDescriptor::resolve(&spec, &formats, proxy).unwrap());
-        }
-        let profiles = ProfileSet {
+    /// The cache tests' request, in the shared world.
+    fn profiles() -> ProfileSet {
+        ProfileSet {
             user: UserProfile::demo("cache-user"),
             content: ContentProfile::demo_video("clip"),
             device: DeviceProfile::demo_pda(),
             context: ContextProfile::default(),
             network: NetworkProfile::broadband(),
-        };
-        Fixture {
-            formats,
-            services,
-            network,
-            profiles,
-            server,
-            client,
         }
     }
 
@@ -558,20 +518,16 @@ mod tests {
 
     #[test]
     fn sharded_cache_serves_through_shared_reference() {
-        let f = fixture();
-        let composer = Composer {
-            formats: &f.formats,
-            services: &f.services,
-            network: &f.network,
-        };
+        let f = World::new();
+        let composer = f.composer();
         let cache = ShardedCompositionCache::default();
         let options = SelectOptions::default();
         let a = cache
-            .compose(&composer, &f.profiles, f.server, f.client, &options)
+            .compose(&composer, &profiles(), f.server, f.client, &options)
             .unwrap()
             .expect("solvable");
         let b = cache
-            .compose(&composer, &f.profiles, f.server, f.client, &options)
+            .compose(&composer, &profiles(), f.server, f.client, &options)
             .unwrap()
             .expect("solvable");
         assert_eq!(a, b);
@@ -592,20 +548,16 @@ mod tests {
 
     #[test]
     fn second_identical_request_hits() {
-        let f = fixture();
-        let composer = Composer {
-            formats: &f.formats,
-            services: &f.services,
-            network: &f.network,
-        };
+        let f = World::new();
+        let composer = f.composer();
         let cache = ShardedCompositionCache::new(1);
         let options = SelectOptions::default();
         let a = cache
-            .compose(&composer, &f.profiles, f.server, f.client, &options)
+            .compose(&composer, &profiles(), f.server, f.client, &options)
             .unwrap()
             .expect("solvable");
         let b = cache
-            .compose(&composer, &f.profiles, f.server, f.client, &options)
+            .compose(&composer, &profiles(), f.server, f.client, &options)
             .unwrap()
             .expect("solvable");
         assert_eq!(a, b);
@@ -622,18 +574,14 @@ mod tests {
 
     #[test]
     fn different_user_preferences_miss() {
-        let f = fixture();
-        let composer = Composer {
-            formats: &f.formats,
-            services: &f.services,
-            network: &f.network,
-        };
+        let f = World::new();
+        let composer = f.composer();
         let cache = ShardedCompositionCache::new(1);
         let options = SelectOptions::default();
         cache
-            .compose(&composer, &f.profiles, f.server, f.client, &options)
+            .compose(&composer, &profiles(), f.server, f.client, &options)
             .unwrap();
-        let mut other = f.profiles.clone();
+        let mut other = profiles().clone();
         other.user = UserProfile::paper_table1();
         cache
             .compose(&composer, &other, f.server, f.client, &options)
@@ -644,30 +592,22 @@ mod tests {
 
     #[test]
     fn dead_service_invalidates_entry() {
-        let mut f = fixture();
+        let mut f = World::new();
         let options = SelectOptions::default();
         let first = {
-            let composer = Composer {
-                formats: &f.formats,
-                services: &f.services,
-                network: &f.network,
-            };
+            let composer = f.composer();
             let cache = ShardedCompositionCache::new(1);
             cache
-                .compose(&composer, &f.profiles, f.server, f.client, &options)
+                .compose(&composer, &profiles(), f.server, f.client, &options)
                 .unwrap()
                 .expect("solvable")
         };
         // Kill every service on the cached chain, then re-request.
         let cache = ShardedCompositionCache::new(1);
         {
-            let composer = Composer {
-                formats: &f.formats,
-                services: &f.services,
-                network: &f.network,
-            };
+            let composer = f.composer();
             cache
-                .compose(&composer, &f.profiles, f.server, f.client, &options)
+                .compose(&composer, &profiles(), f.server, f.client, &options)
                 .unwrap();
         }
         for step in &first.steps {
@@ -675,13 +615,9 @@ mod tests {
                 f.services.deregister(id).unwrap();
             }
         }
-        let composer = Composer {
-            formats: &f.formats,
-            services: &f.services,
-            network: &f.network,
-        };
+        let composer = f.composer();
         let replacement = cache
-            .compose(&composer, &f.profiles, f.server, f.client, &options)
+            .compose(&composer, &profiles(), f.server, f.client, &options)
             .unwrap();
         assert_eq!(cache.stats().stale, 1);
         if let Some(plan) = replacement {
@@ -700,17 +636,13 @@ mod tests {
     /// very same entry must be classified stale by the scan.
     #[test]
     fn same_stamp_hit_skips_revalidation_scan() {
-        let mut f = fixture();
+        let mut f = World::new();
         let options = SelectOptions::default();
         let cache = ShardedCompositionCache::new(1);
         let first = {
-            let composer = Composer {
-                formats: &f.formats,
-                services: &f.services,
-                network: &f.network,
-            };
+            let composer = f.composer();
             cache
-                .compose(&composer, &f.profiles, f.server, f.client, &options)
+                .compose(&composer, &profiles(), f.server, f.client, &options)
                 .unwrap()
                 .expect("solvable")
         };
@@ -723,7 +655,7 @@ mod tests {
         // Invalidate the plan for the scan (proxy down bumps the
         // network version), then forge fresh stamps on the entry.
         f.network.fail_node(proxy_host).unwrap();
-        let key = request_key(&f.profiles, f.server, f.client);
+        let key = request_key(&profiles(), f.server, f.client);
         {
             let shard = cache.shard_for(key);
             let mut entries = shard.entries.write();
@@ -731,13 +663,9 @@ mod tests {
             entry.stamp = WorldStamp::of(&f.services, &f.network);
         }
         let again = {
-            let composer = Composer {
-                formats: &f.formats,
-                services: &f.services,
-                network: &f.network,
-            };
+            let composer = f.composer();
             cache
-                .compose(&composer, &f.profiles, f.server, f.client, &options)
+                .compose(&composer, &profiles(), f.server, f.client, &options)
                 .unwrap()
                 .expect("stamped entry must hit")
         };
@@ -756,13 +684,9 @@ mod tests {
         // Move the stamps: now the full scan runs and must classify the
         // same poisoned entry as stale.
         f.network.fail_node(f.client).unwrap();
-        let composer = Composer {
-            formats: &f.formats,
-            services: &f.services,
-            network: &f.network,
-        };
+        let composer = f.composer();
         let after = cache
-            .compose(&composer, &f.profiles, f.server, f.client, &options)
+            .compose(&composer, &profiles(), f.server, f.client, &options)
             .unwrap();
         assert!(after.is_none(), "proxy and client dead → unsolvable");
         assert_eq!(cache.stats().stale, 1);
@@ -773,22 +697,18 @@ mod tests {
     /// the entry, so the *next* probe is an O(1) stamp hit again.
     #[test]
     fn unrelated_churn_restamps_after_full_scan() {
-        let mut f = fixture();
+        let mut f = World::new();
         let options = SelectOptions::default();
         let cache = ShardedCompositionCache::new(1);
-        let compose = |f: &Fixture| {
-            let composer = Composer {
-                formats: &f.formats,
-                services: &f.services,
-                network: &f.network,
-            };
+        let compose = |f: &World| {
+            let composer = f.composer();
             cache
-                .compose(&composer, &f.profiles, f.server, f.client, &options)
+                .compose(&composer, &profiles(), f.server, f.client, &options)
                 .unwrap()
                 .expect("solvable")
         };
         compose(&f);
-        let key = request_key(&f.profiles, f.server, f.client);
+        let key = request_key(&profiles(), f.server, f.client);
         let stamps = |cache: &ShardedCompositionCache| {
             let shard = cache.shard_for(key);
             let entries = shard.entries.read();
@@ -828,17 +748,13 @@ mod tests {
 
     #[test]
     fn failed_node_invalidates_entry() {
-        let mut f = fixture();
+        let mut f = World::new();
         let options = SelectOptions::default();
         let cache = ShardedCompositionCache::new(1);
         let first = {
-            let composer = Composer {
-                formats: &f.formats,
-                services: &f.services,
-                network: &f.network,
-            };
+            let composer = f.composer();
             cache
-                .compose(&composer, &f.profiles, f.server, f.client, &options)
+                .compose(&composer, &profiles(), f.server, f.client, &options)
                 .unwrap()
                 .expect("solvable")
         };
@@ -849,13 +765,9 @@ mod tests {
             .expect("has a transcoder")
             .host;
         f.network.fail_node(proxy_host).unwrap();
-        let composer = Composer {
-            formats: &f.formats,
-            services: &f.services,
-            network: &f.network,
-        };
+        let composer = f.composer();
         let after = cache
-            .compose(&composer, &f.profiles, f.server, f.client, &options)
+            .compose(&composer, &profiles(), f.server, f.client, &options)
             .unwrap();
         assert_eq!(cache.stats().stale, 1);
         assert!(after.is_none(), "single proxy dead → unsolvable");
@@ -867,21 +779,14 @@ mod tests {
 
     /// [`fixture`] with a one-strike quarantine and a one-shard cache.
     struct HalvesFixture {
-        world: Fixture,
+        world: World,
         cache: ShardedCompositionCache,
     }
 
     impl HalvesFixture {
         fn new() -> HalvesFixture {
-            let mut world = fixture();
-            world
-                .services
-                .set_quarantine_config(qosc_services::QuarantineConfig {
-                    failure_threshold: 1,
-                    cooldown_us: 1_000_000,
-                });
             HalvesFixture {
-                world,
+                world: World::new(),
                 cache: ShardedCompositionCache::new(1),
             }
         }
@@ -890,12 +795,8 @@ mod tests {
             let w = &self.world;
             self.cache
                 .compose(
-                    &Composer {
-                        formats: &w.formats,
-                        services: &w.services,
-                        network: &w.network,
-                    },
-                    &w.profiles,
+                    &w.composer(),
+                    &profiles(),
                     w.server,
                     w.client,
                     &SelectOptions::default(),
@@ -906,7 +807,7 @@ mod tests {
         /// Run `edit` on the one cached entry.
         fn with_entry<T>(&self, edit: impl FnOnce(&mut CachedPlan) -> T) -> T {
             let w = &self.world;
-            let key = request_key(&w.profiles, w.server, w.client);
+            let key = request_key(&profiles(), w.server, w.client);
             let mut entries = self.cache.shard_for(key).entries.write();
             edit(entries.get_mut(&key).expect("entry cached"))
         }
@@ -1067,11 +968,7 @@ mod tests {
         let mut f = HalvesFixture::new();
         let compose_as = |f: &HalvesFixture, profiles: &ProfileSet, options: &SelectOptions| {
             let w = &f.world;
-            let composer = Composer {
-                formats: &w.formats,
-                services: &w.services,
-                network: &w.network,
-            };
+            let composer = w.composer();
             let cached = f
                 .cache
                 .compose(&composer, profiles, w.server, w.client, options)
@@ -1087,7 +984,7 @@ mod tests {
             max_rounds: 1,
             ..SelectOptions::default()
         };
-        let profiles = f.world.profiles.clone();
+        let profiles = profiles();
         let mut twin = profiles.clone();
         twin.user.name.push_str("-twin");
         let (first, _) = compose_as(&f, &profiles, &stored_under);
@@ -1712,7 +1609,7 @@ mod tests {
         fn check_spread(key: impl Fn(&ProfileSet) -> u64) -> std::result::Result<(), String> {
             let mut seen = std::collections::HashSet::new();
             let mut shards = [0u64; 16];
-            for base in [x15(), fixture().profiles] {
+            for base in [x15(), profiles()] {
                 for perturb in PERTURBATIONS {
                     for i in 0..PER_FIELD {
                         let mut profiles = base.clone();

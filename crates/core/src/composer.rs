@@ -7,9 +7,10 @@
 //! adaptation graph (4.2–4.3) → run the QoS selection algorithm (4.4) →
 //! return an executable plan.
 
-use crate::graph::{build, AdaptationGraph, BuildInput, GraphStore};
+use crate::compose_memo::Class;
+use crate::graph::{build, AdaptationGraph, GraphStore};
 use crate::plan::AdaptationPlan;
-use crate::select::{select_chain_with_penalties, SelectOptions, SelectionOutcome};
+use crate::select::{SelectOptions, SelectionOutcome};
 use crate::Result;
 use qosc_media::FormatRegistry;
 use qosc_netsim::{Network, NodeId};
@@ -65,38 +66,9 @@ impl Composer<'_> {
         receiver_host: NodeId,
         options: &SelectOptions,
     ) -> Result<Composition> {
-        profiles.validate()?;
-        let variants = profiles.content.resolve(self.formats)?;
-        let decoders = profiles.device.resolve_decoders(self.formats)?;
-        let receiver_caps = profiles.device.hardware.quality_caps();
-        let graph = build::build(&BuildInput {
-            formats: self.formats,
-            services: self.services,
-            network: self.network,
-            variants: &variants,
-            sender_host,
-            receiver_host,
-            decoders: &decoders,
-            receiver_caps,
-        })?;
-
-        let satisfaction = profiles.effective_satisfaction();
-        let budget = profiles.user.budget_or_infinite();
-        // Probation penalties ride in from the registry: empty (and
-        // bit-identical to the penalty-free path) unless grey-failure
-        // detection has probated a service.
-        let selection = select_chain_with_penalties(
-            &graph,
-            self.formats,
-            &satisfaction,
-            budget,
-            options,
-            self.services.selection_penalties(),
-        )?;
-        let plan = match &selection.chain {
-            Some(chain) => Some(AdaptationPlan::from_chain(&graph, self.formats, chain)?),
-            None => None,
-        };
+        let class = Class::of(self.formats, profiles, sender_host, receiver_host, options)?;
+        let graph = build::build(&class.build_input(self))?;
+        let (selection, plan) = class.select(self, &graph)?;
         Ok(Composition {
             graph,
             selection,
@@ -118,40 +90,7 @@ impl Composer<'_> {
         receiver_host: NodeId,
         options: &SelectOptions,
     ) -> Result<StoredComposition> {
-        profiles.validate()?;
-        let variants = profiles.content.resolve(self.formats)?;
-        let decoders = profiles.device.resolve_decoders(self.formats)?;
-        let receiver_caps = profiles.device.hardware.quality_caps();
-        let graph = store.graph_for(&BuildInput {
-            formats: self.formats,
-            services: self.services,
-            network: self.network,
-            variants: &variants,
-            sender_host,
-            receiver_host,
-            decoders: &decoders,
-            receiver_caps,
-        })?;
-
-        let satisfaction = profiles.effective_satisfaction();
-        let budget = profiles.user.budget_or_infinite();
-        let selection = select_chain_with_penalties(
-            &graph,
-            self.formats,
-            &satisfaction,
-            budget,
-            options,
-            self.services.selection_penalties(),
-        )?;
-        let plan = match &selection.chain {
-            Some(chain) => Some(AdaptationPlan::from_chain(&graph, self.formats, chain)?),
-            None => None,
-        };
-        Ok(StoredComposition {
-            graph,
-            selection,
-            plan,
-        })
+        Class::of(self.formats, profiles, sender_host, receiver_host, options)?.compose(self, store)
     }
 }
 

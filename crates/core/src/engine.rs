@@ -31,19 +31,19 @@
 //! policy: relax the quality floors, fall back to the weighted
 //! combination of \[29\], and finally drop the axes of the media kinds the
 //! user listed in `degrade_first`. Every rung composes through the
-//! run's exact compose memo, keyed by request ids interned once per run
-//! (DESIGN.md §17). A batch that wants the ladder, retries or admission
-//! is a run of zero-hold sessions.
+//! run's compose memo: requests are interned once per run, and each
+//! (request, rung) resolves its class once (DESIGN.md §17). A batch that
+//! wants the ladder, retries or admission is a run of zero-hold
+//! sessions.
 
 use crate::admission::{AdmissionDecision, ShedReason};
 use crate::cache::{request_key, ShardedCompositionCache};
+use crate::compose_memo::{class_hash, Answer, Class, ComposeMemo, Interner};
 use crate::composer::Composer;
-use crate::graph::GraphStore;
 use crate::plan::AdaptationPlan;
 use crate::select::SelectOptions;
 use crate::stamp::WorldStamp;
 use crate::Result;
-use parking_lot::RwLock;
 use qosc_media::{Axis, MediaKind};
 use qosc_netsim::{memo::memos_off, NodeId};
 use qosc_profiles::ProfileSet;
@@ -51,10 +51,9 @@ use qosc_satisfaction::{AxisPreference, SatisfactionFn, SatisfactionProfile};
 use qosc_telemetry::{EventKind, NoopSink, RequestTrace, TelemetrySink, ROOT_SPAN};
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
-use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// One composition request: who is sending what to whom, under which
 /// profiles.
@@ -481,24 +480,17 @@ pub(crate) fn intern<'r>(
     hash: impl Fn(&CompositionRequest) -> u64,
 ) -> (Vec<u32>, usize) {
     let requests = requests.into_iter();
-    let mut distinct: Vec<&CompositionRequest> = Vec::new();
-    let mut buckets: HashMap<u64, Vec<u32>> = HashMap::new();
+    let mut distinct: Interner<&CompositionRequest> = Interner::default();
     let mut ids = Vec::with_capacity(requests.size_hint().0);
     let mut previous: Option<(&CompositionRequest, u32)> = None;
     for request in requests {
         let id = match previous {
             Some((last, id)) if last == request => id,
             _ => {
-                let bucket = buckets.entry(hash(request)).or_default();
-                match bucket.iter().find(|&&id| distinct[id as usize] == request) {
-                    Some(&id) => id,
-                    None => {
-                        let id = u32::try_from(distinct.len()).expect("fewer than 2^32 requests");
-                        distinct.push(request);
-                        bucket.push(id);
-                        id
-                    }
-                }
+                let bucket = hash(request);
+                distinct
+                    .find(bucket, |&known| known == request)
+                    .unwrap_or_else(|| distinct.push(bucket, request))
             }
         };
         ids.push(id);
@@ -507,99 +499,71 @@ pub(crate) fn intern<'r>(
     (ids, distinct.len())
 }
 
-/// The exact memo [`serve_one`] composes through (DESIGN.md, "Memos").
-///
-/// A rung's composition is a pure function of the request, the rung,
-/// the format table, the selection options and the world it reads.
-/// Formats and options are fixed for the memo's lifetime, and its
-/// owner names every request it serves by an [`intern`]ed id, so the
-/// slot of (request id, rung) answers only at the [`WorldStamp`] it was
-/// composed at, and then it answers bit for bit what
-/// [`Composer::compose_with_store`] would. A hit hashes and compares no
-/// request. Unlike [`ShardedCompositionCache`] it never keeps a plan
-/// across a stamp move because the plan still works: a fresh compose
-/// may now pick another.
-///
-/// Only `Ok` results are stored — an error recomposes, so retry and
-/// backoff draws are those of a memo-less run — and each slot keeps one
-/// stamp, so the memo holds at most one answer per (request id, rung).
-/// Lookup and insert take a short lock; composition runs outside it,
-/// and workers racing on a cold slot store equal values.
-pub(crate) struct ComposeMemo {
-    options: SelectOptions,
-    /// Where misses get their adaptation graphs.
-    store: GraphStore,
-    /// Slot `id * LADDER.len() + rung`: the last successful composition
-    /// of request `id` at `rung` (its plan, if selection found one), and
-    /// the stamp it was composed at.
-    entries: RwLock<Vec<Option<(WorldStamp, Composed)>>>,
-}
-
-/// One rung's composition: the plan, if selection found one, shared
-/// with the memo, so a hit hands it out without copying it.
-type Composed = Option<Arc<AdaptationPlan>>;
-
-impl ComposeMemo {
-    /// An empty memo for `requests` distinct request ids, composing with
-    /// `options` minus the Table-1 trace: no [`RequestOutcome`] carries
-    /// one.
-    pub(crate) fn new(options: &SelectOptions, requests: usize) -> ComposeMemo {
-        ComposeMemo {
-            options: SelectOptions {
-                record_trace: false,
-                ..*options
-            },
-            store: GraphStore::new(),
-            entries: RwLock::new(vec![None; requests * DegradationRung::LADDER.len()]),
-        }
+/// `request` composed at `rung` in `composer`'s world through the run's
+/// `memo` (DESIGN.md, "Memos"). `class` is where the run keeps the class
+/// id of (request, rung): the pair's first compose resolves
+/// [`degrade_profiles`]`(request, rung)` and interns it, and every later
+/// one passes the id, so it resolves no class, clones no profile and
+/// hashes nothing. The memo answers only at the [`WorldStamp`] or the
+/// world content an answer was composed at, so an answer is bit for bit
+/// what [`Composer::compose`] would return. Unlike
+/// [`ShardedCompositionCache`] it never keeps a plan across a world
+/// change because the plan still works: a fresh compose may now pick
+/// another. An error stores nothing, so retry and backoff draws are
+/// those of a memo-less run. Under [`memos_off`] the rung's profiles are
+/// composed fresh, and `class` is neither read nor set.
+fn compose_rung(
+    composer: &Composer<'_>,
+    memo: &ComposeMemo,
+    class: &OnceLock<u32>,
+    request: &CompositionRequest,
+    rung: DegradationRung,
+    options: &SelectOptions,
+) -> Result<Answer> {
+    let CompositionRequest {
+        profiles,
+        sender_host,
+        receiver_host,
+    } = request;
+    if memos_off() {
+        let profiles = degrade_profiles(profiles, rung);
+        let composed = composer.compose(&profiles, *sender_host, *receiver_host, options)?;
+        return Ok(composed.plan.map(Arc::new));
     }
-
-    /// `request`, whose interned id is `id`, composed at `rung` against
-    /// `composer`'s world: the stored plan when one was composed at this
-    /// world's stamp, otherwise a fresh composition (stored when it
-    /// succeeds). `Ok(None)`: selection found no chain.
-    pub(crate) fn compose(
-        &self,
-        composer: &Composer<'_>,
-        request: &CompositionRequest,
-        id: u32,
-        rung: DegradationRung,
-    ) -> Result<Composed> {
-        let stamp = WorldStamp::of(composer.services, composer.network);
-        let slot = id as usize * DegradationRung::LADDER.len() + rung as usize;
-        if let Some((at, plan)) = &self.entries.read()[slot] {
-            if !memos_off() && *at == stamp {
-                return Ok(plan.clone());
-            }
+    let id = match class.get() {
+        Some(&id) => id,
+        None => {
+            let resolved = Class::of(
+                composer.formats,
+                &degrade_profiles(profiles, rung),
+                *sender_host,
+                *receiver_host,
+                options,
+            )?;
+            *class.get_or_init(|| memo.intern(resolved, class_hash))
         }
-        let plan = composer
-            .compose_with_store(
-                &self.store,
-                &degrade_profiles(&request.profiles, rung),
-                request.sender_host,
-                request.receiver_host,
-                &self.options,
-            )?
-            .plan
-            .map(Arc::new);
-        self.entries.write()[slot] = Some((stamp, plan.clone()));
-        Ok(plan)
-    }
+    };
+    memo.compose_class(
+        composer,
+        id,
+        WorldStamp::of(composer.services, composer.network),
+    )
 }
 
 /// Serve one request through the ladder (from `start_rung` down), with
-/// retries and panic isolation. `id` is `request`'s [`intern`]ed id in
-/// `memo`, `index` its session's, which seeds the backoff jitter. Pure
-/// in `(composer snapshot, request, index, config, start_rung)` — the
-/// trace records, it never steers, and the memo only changes where a
-/// rung's answer comes from (stored, or composed over a reused or
-/// rebuilt graph), never what it is.
+/// retries and panic isolation. `classes` are where the run keeps the
+/// class ids of `request`'s rungs in `memo`, one per rung of
+/// [`DegradationRung::LADDER`]; `index` is the session's, which seeds
+/// the backoff jitter. Pure in `(composer snapshot, request, index,
+/// config, start_rung)` — the trace records, it never steers, and the
+/// memo only changes where a rung's answer comes from (stored, or
+/// composed over a reused or rebuilt graph), never what it is.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn serve_one<S: TelemetrySink>(
     composer: &Composer<'_>,
     memo: &ComposeMemo,
+    classes: &[OnceLock<u32>],
     request: &CompositionRequest,
-    id: u32,
     index: usize,
     config: &ResilientEngineConfig,
     start_rung: DegradationRung,
@@ -614,6 +578,11 @@ pub(crate) fn serve_one<S: TelemetrySink>(
         &DegradationRung::LADDER[start..=start]
     };
 
+    // No outcome carries the Table-1 trace.
+    let options = SelectOptions {
+        record_trace: false,
+        ..config.options
+    };
     let mut attempts = 0u32;
     for (position, &rung) in rungs.iter().enumerate() {
         let rung_span = trace.open_span(ROOT_SPAN, rung.label());
@@ -626,7 +595,14 @@ pub(crate) fn serve_one<S: TelemetrySink>(
             attempts += 1;
             attempt_in_rung += 1;
             let result = catch_unwind(AssertUnwindSafe(|| {
-                memo.compose(composer, request, id, rung)
+                compose_rung(
+                    composer,
+                    memo,
+                    &classes[rung as usize],
+                    request,
+                    rung,
+                    &options,
+                )
             }));
             match result {
                 Ok(Err(e))
@@ -747,46 +723,16 @@ mod tests {
     use crate::session::{
         run_sessions, CloseReason, SessionEngineConfig, SessionRequest, SessionsReport, StaticWorld,
     };
+    use crate::test_world::World;
     use qosc_media::{AxisDomain, DomainVector, FormatRegistry, VariantSpec};
     use qosc_netsim::{Network, Node, Topology};
     use qosc_profiles::{
         AdaptationPolicy, ContentProfile, ContextProfile, ConversionSpec, DeviceProfile,
         HardwareCaps, NetworkProfile, ServiceSpec, UserProfile,
     };
-    use qosc_services::{catalog, ServiceRegistry, TranscoderDescriptor};
+    use qosc_services::{ServiceRegistry, TranscoderDescriptor};
 
-    struct Fixture {
-        formats: FormatRegistry,
-        services: ServiceRegistry,
-        network: Network,
-        server: NodeId,
-        client: NodeId,
-    }
-
-    fn fixture() -> Fixture {
-        let formats = FormatRegistry::with_builtins();
-        let mut topo = Topology::new();
-        let server = topo.add_node(Node::unconstrained("server"));
-        let proxy = topo.add_node(Node::unconstrained("proxy"));
-        let client = topo.add_node(Node::unconstrained("client"));
-        topo.connect_simple(server, proxy, 100e6).unwrap();
-        topo.connect_simple(proxy, client, 1e6).unwrap();
-        let network = Network::new(topo);
-        let mut services = ServiceRegistry::new();
-        for spec in catalog::full_catalog() {
-            services
-                .register_static(TranscoderDescriptor::resolve(&spec, &formats, proxy).unwrap());
-        }
-        Fixture {
-            formats,
-            services,
-            network,
-            server,
-            client,
-        }
-    }
-
-    fn requests(f: &Fixture, n: usize) -> Vec<CompositionRequest> {
+    fn requests(f: &World, n: usize) -> Vec<CompositionRequest> {
         (0..n)
             .map(|i| CompositionRequest {
                 profiles: ProfileSet {
@@ -805,7 +751,7 @@ mod tests {
     /// A profile whose content domain violates the "non-empty by
     /// construction" invariant of `AxisDomain::Discrete` — composing it
     /// panics inside the optimizer.
-    fn poisoned_request(f: &Fixture) -> CompositionRequest {
+    fn poisoned_request(f: &World) -> CompositionRequest {
         let mut request = requests(f, 1).remove(0);
         request.profiles.content = ContentProfile::new(
             "poison",
@@ -839,7 +785,7 @@ mod tests {
     /// `sessions` on the serving loop over `f`'s static world, without
     /// ticks or session spans, through `admission` when given.
     fn serve<S: TelemetrySink>(
-        f: &Fixture,
+        f: &World,
         sessions: &[SessionRequest],
         resilient: ResilientEngineConfig,
         admission: Option<AdmissionConfig>,
@@ -913,12 +859,8 @@ mod tests {
 
     #[test]
     fn batch_matches_sequential_for_any_worker_count() {
-        let f = fixture();
-        let composer = Composer {
-            formats: &f.formats,
-            services: &f.services,
-            network: &f.network,
-        };
+        let f = World::new();
+        let composer = f.composer();
         let batch = requests(&f, 12);
         let reference: Vec<_> = {
             let cache = ShardedCompositionCache::new(1);
@@ -959,12 +901,8 @@ mod tests {
 
     #[test]
     fn empty_batch_is_fine() {
-        let f = fixture();
-        let composer = Composer {
-            formats: &f.formats,
-            services: &f.services,
-            network: &f.network,
-        };
+        let f = World::new();
+        let composer = f.composer();
         let cache = ShardedCompositionCache::default();
         let served = serve_batch(&composer, &cache, &[], &EngineConfig::default());
         assert!(served.is_empty());
@@ -973,12 +911,8 @@ mod tests {
 
     #[test]
     fn one_panicking_request_does_not_abort_the_batch() {
-        let f = fixture();
-        let composer = Composer {
-            formats: &f.formats,
-            services: &f.services,
-            network: &f.network,
-        };
+        let f = World::new();
+        let composer = f.composer();
         let mut batch = requests(&f, 6);
         batch[2] = poisoned_request(&f);
         for workers in [1usize, 4] {
@@ -1007,7 +941,7 @@ mod tests {
 
     /// A tight chain whose deliverable frame rate sits below a strict
     /// quality floor: dark at `Full`, served once the floor relaxes.
-    fn floor_fixture() -> (Fixture, CompositionRequest) {
+    fn floor_fixture() -> (World, CompositionRequest) {
         let mut formats = FormatRegistry::new();
         let linear = qosc_media::BitrateModel::LinearOnAxis {
             axis: Axis::FrameRate,
@@ -1073,11 +1007,12 @@ mod tests {
             sender_host: server,
             receiver_host: client,
         };
-        let fixture = Fixture {
+        let fixture = World {
             formats,
             services,
             network,
             server,
+            proxy,
             client,
         };
         (fixture, request)
@@ -1112,7 +1047,7 @@ mod tests {
     fn counters_partition_every_mixed_batch() {
         let (floor_f, floor_request) = floor_fixture();
         drop(floor_f);
-        let f = fixture();
+        let f = World::new();
         let mut batch = requests(&f, 5);
         batch.push(poisoned_request(&f));
         // A request whose endpoints belong to another topology errs
@@ -1321,7 +1256,7 @@ mod tests {
         trace_shed(&mut trace, arrival_us, 5, ShedReason::QueueTimeout);
         assert_eq!(shed_events(&recorder), vec![(7, u64::MAX)]);
 
-        let f = fixture();
+        let f = World::new();
         let mut batch = sessions(&requests(&f, 2), 0);
         for (session, deadline_budget_us) in batch.iter_mut().zip([None, Some(0)]) {
             session.arrival.arrival_us = arrival_us;

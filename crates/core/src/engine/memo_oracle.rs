@@ -1,78 +1,105 @@
-//! White-box tests of [`ComposeMemo`] and [`intern`] for what no run
-//! shows. That every answer equals a fresh compose is the whole-run
-//! memo-off property of `tests/session_policy_matrix.rs`; but a natural
-//! run never collides two requests' hashes, rarely serves two distinct
-//! requests from one memo, and never composes an error at a stamp it
-//! composes again, so the ids' exactness, the slot per (id, rung) and
-//! the Ok-only rule are pinned here.
+//! White-box tests of the serving loop's side of the compose memo —
+//! [`intern`] and the class id per (request id, rung) that
+//! [`compose_rung`] keeps — for what no run shows. That every answer
+//! equals a fresh compose is the whole-run memo-off property of
+//! `tests/session_policy_matrix.rs`; but a natural run never collides
+//! two requests' hashes, rarely serves two distinct requests from one
+//! memo, and never composes an error at a stamp it composes again, so
+//! the ids' exactness, the class per (id, rung), the sharing of one
+//! class's answers and the Ok-only rule are pinned here.
 
-use super::{intern, request_hash, ComposeMemo, CompositionRequest, DegradationRung};
-use crate::composer::Composer;
+use super::{
+    compose_rung, degrade_profiles, intern, request_hash, CompositionRequest, DegradationRung,
+};
+use crate::compose_memo::{Answer, ComposeMemo};
 use crate::select::SelectOptions;
+use crate::test_world::World;
+use crate::Result;
 use proptest::{run_cases, ProptestConfig};
-use qosc_media::{FormatRegistry, MediaKind};
-use qosc_netsim::{Network, Node, NodeId, Topology};
+use qosc_media::MediaKind;
+use qosc_netsim::SimTime;
 use qosc_profiles::{
     AdaptationPolicy, ContentProfile, ContextProfile, DeviceProfile, NetworkProfile, ProfileSet,
     UserProfile,
 };
-use qosc_services::{catalog, ServiceRegistry, TranscoderDescriptor};
 use rand::RngExt;
+use std::sync::{Arc, OnceLock};
 
-/// server —100M— proxy —1M— client, the full catalog on the proxy, and
-/// two viewers who compose differently: the demo user and Table 1's.
-struct World {
-    formats: FormatRegistry,
-    services: ServiceRegistry,
-    network: Network,
-    proxy: NodeId,
-    requests: [CompositionRequest; 2],
+/// The demo user's request and Table 1's: two viewers who compose
+/// differently.
+fn requests(world: &World) -> [CompositionRequest; 2] {
+    [UserProfile::demo("demo"), UserProfile::paper_table1()].map(|user| CompositionRequest {
+        profiles: ProfileSet {
+            user,
+            content: ContentProfile::demo_video("clip"),
+            device: DeviceProfile::demo_pda(),
+            context: ContextProfile::default(),
+            network: NetworkProfile::broadband(),
+        },
+        sender_host: world.server,
+        receiver_host: world.client,
+    })
 }
 
-impl World {
-    fn new() -> World {
-        let formats = FormatRegistry::with_builtins();
-        let mut topo = Topology::new();
-        let [server, proxy, client] =
-            ["server", "proxy", "client"].map(|name| topo.add_node(Node::unconstrained(name)));
-        topo.connect_simple(server, proxy, 100e6)
-            .expect("valid link");
-        topo.connect_simple(proxy, client, 1e6).expect("valid link");
-        let mut services = ServiceRegistry::new();
-        for spec in catalog::full_catalog() {
-            let descriptor =
-                TranscoderDescriptor::resolve(&spec, &formats, proxy).expect("resolves");
-            services.register_static(descriptor);
-        }
-        let request = |user| CompositionRequest {
-            profiles: ProfileSet {
-                user,
-                content: ContentProfile::demo_video("clip"),
-                device: DeviceProfile::demo_pda(),
-                context: ContextProfile::default(),
-                network: NetworkProfile::broadband(),
-            },
-            sender_host: server,
-            receiver_host: client,
-        };
-        World {
-            formats,
-            services,
-            network: Network::new(topo),
-            proxy,
-            requests: [
-                request(UserProfile::demo("demo")),
-                request(UserProfile::paper_table1()),
-            ],
+/// `request` at `rung`, composed from scratch, memo-less.
+fn fresh(world: &World, request: &CompositionRequest, rung: DegradationRung) -> Answer {
+    let profiles = degrade_profiles(&request.profiles, rung);
+    let options = SelectOptions::default();
+    let composed = world.composer().compose(
+        &profiles,
+        request.sender_host,
+        request.receiver_host,
+        &options,
+    );
+    composed.expect("the world composes").plan.map(Arc::new)
+}
+
+/// One run's side of the memo: its requests interned as `run_sessions`
+/// interns them, its memo, and the class id per (request id, rung).
+struct Run {
+    requests: Vec<CompositionRequest>,
+    ids: Vec<u32>,
+    memo: ComposeMemo,
+    classes: Vec<OnceLock<u32>>,
+}
+
+impl Run {
+    fn new(requests: Vec<CompositionRequest>) -> Run {
+        let (ids, distinct) = intern(&requests, request_hash);
+        let classes = distinct * DegradationRung::LADDER.len();
+        Run {
+            requests,
+            ids,
+            memo: ComposeMemo::default(),
+            classes: (0..classes).map(|_| OnceLock::new()).collect(),
         }
     }
 
-    fn composer(&self) -> Composer<'_> {
-        Composer {
-            formats: &self.formats,
-            services: &self.services,
-            network: &self.network,
-        }
+    /// Where the run keeps the class id of request `session` at `rung`.
+    fn class(&self, session: usize, rung: DegradationRung) -> &OnceLock<u32> {
+        &self.classes[self.ids[session] as usize * DegradationRung::LADDER.len() + rung as usize]
+    }
+
+    /// Request `session` at `rung`, as `serve_one` composes it.
+    fn compose(&self, world: &World, session: usize, rung: DegradationRung) -> Result<Answer> {
+        let (memo, class) = (&self.memo, self.class(session, rung));
+        let options = SelectOptions::default();
+        compose_rung(
+            &world.composer(),
+            memo,
+            class,
+            &self.requests[session],
+            rung,
+            &options,
+        )
+    }
+
+    /// Kernel runs so far: the store's graph fetches, one per compose and
+    /// none per stored answer (the process-wide kernel counter would
+    /// count other tests' runs).
+    fn kernels(&self) -> u64 {
+        let stats = self.memo.store().stats();
+        stats.rebuilds + stats.reuses
     }
 }
 
@@ -80,7 +107,7 @@ impl World {
 /// field — the two hosts among them — plus one twin that differs only
 /// in the sign of a zero, which `==` (and so interning) treats as equal.
 fn near_duplicates(world: &World) -> Vec<CompositionRequest> {
-    let base = world.requests[0].clone();
+    let [base, _] = requests(world);
     let proxy = world.proxy;
     let variant = |change: &dyn Fn(&mut CompositionRequest)| {
         let mut request = base.clone();
@@ -120,7 +147,7 @@ fn near_duplicates(world: &World) -> Vec<CompositionRequest> {
 fn interned_ids_are_equal_exactly_when_requests_are() {
     let world = World::new();
     let pool = near_duplicates(&world);
-    assert_eq!(world.requests[0].profiles.context.ambient_noise, 0.0);
+    assert_eq!(pool[0].profiles.context.ambient_noise, 0.0);
     for (i, a) in pool.iter().enumerate() {
         for (j, b) in pool.iter().enumerate().skip(i + 1) {
             let twins = i == 0 && j == pool.len() - 1;
@@ -160,47 +187,107 @@ fn interned_ids_are_equal_exactly_when_requests_are() {
     });
 }
 
-/// Two requests at every rung in one memo: each (id, rung) answers its
-/// own composition, both fresh and from the memo.
+/// Two requests at every rung in one run: each (id, rung) resolves its
+/// own class and answers its own composition, both fresh and from the
+/// memo, and the two requests never share a class.
 #[test]
 fn every_request_and_rung_has_its_own_slot() {
     let world = World::new();
-    let composer = world.composer();
-    let options = SelectOptions::default();
-    let plan = |memo: &ComposeMemo, id: u32, rung| {
-        memo.compose(&composer, &world.requests[id as usize], id, rung)
-            .expect("the world composes")
-    };
-    let fresh = |id: u32, rung| plan(&ComposeMemo::new(&options, 2), id, rung);
+    let run = Run::new(requests(&world).to_vec());
+    let full = DegradationRung::Full;
     assert_ne!(
-        fresh(0, DegradationRung::Full),
-        fresh(1, DegradationRung::Full),
+        fresh(&world, &run.requests[0], full),
+        fresh(&world, &run.requests[1], full),
         "the two requests compose differently"
     );
-    let memo = ComposeMemo::new(&options, 2);
     for _ in 0..2 {
-        for id in [0, 1] {
+        for (session, request) in run.requests.iter().enumerate() {
             for rung in DegradationRung::LADDER {
-                assert_eq!(plan(&memo, id, rung), fresh(id, rung), "id {id} at {rung}");
+                let answer = run.compose(&world, session, rung).expect("composes");
+                assert_eq!(answer, fresh(&world, request, rung), "{session} at {rung}");
             }
         }
     }
-    assert!(memo.entries.read().iter().all(Option::is_some));
+    for rung in DegradationRung::LADDER {
+        let (a, b) = (run.class(0, rung).get(), run.class(1, rung).get());
+        assert!(a.is_some() && b.is_some() && a != b, "{rung}");
+    }
 }
 
 /// Errors are not stored: every attempt recomposes, so the retry loop
-/// sees what it would see without the memo.
+/// sees what it would see without the memo. A request whose profiles do
+/// not resolve keeps no class id and interns nothing.
 #[test]
 fn only_successful_compositions_are_stored() {
     let world = World::new();
-    let composer = world.composer();
-    let mut undecodable = world.requests[0].clone();
+    let [mut undecodable, _] = requests(&world);
     undecodable.profiles.device.decoders = vec!["no-such-format".to_string()];
-    let memo = ComposeMemo::new(&SelectOptions::default(), 1);
+    let run = Run::new(vec![undecodable]);
     for _ in 0..2 {
-        assert!(memo
-            .compose(&composer, &undecodable, 0, DegradationRung::Full)
-            .is_err());
+        assert!(run.compose(&world, 0, DegradationRung::Full).is_err());
     }
-    assert!(memo.entries.read().iter().all(Option::is_none));
+    assert!(run.classes.iter().all(|class| class.get().is_none()));
+    assert_eq!((run.memo.len(), run.kernels()), (0, 0));
+}
+
+/// What one compose memo for the cache and the sessions adds, in one
+/// run: two requests that differ only in `user.name` are two request
+/// ids but one class, so they run one kernel per world state; the demo
+/// user's four rungs resolve to two classes, because its floors are
+/// already 0 and its `degrade_first` is empty; and a quarantine followed
+/// by a release is answered from the history, with the healthy world's
+/// very answers and no kernel run.
+#[test]
+fn names_rungs_and_returning_worlds_share_one_class_answer() {
+    use DegradationRung::*;
+    let mut world = World::new();
+    let [demo, _] = requests(&world);
+    assert!(demo.profiles.user.policy.degrade_first.is_empty());
+    let mut renamed = demo.clone();
+    renamed.profiles.user.name.push('2');
+    let run = Run::new(vec![demo.clone(), renamed]);
+    assert_ne!(run.ids[0], run.ids[1]);
+    let compose_all = |world: &World| {
+        let before = run.kernels();
+        let mut answers = Vec::new();
+        for session in [0, 1] {
+            for rung in DegradationRung::LADDER {
+                let answer = run.compose(world, session, rung).expect("composes");
+                assert_eq!(answer, fresh(world, &demo, rung), "{session} at {rung}");
+                answers.push(answer);
+            }
+        }
+        (answers, run.kernels() - before)
+    };
+
+    let (healthy, kernels) = compose_all(&world);
+    assert_eq!((kernels, run.memo.len()), (2, 2), "one kernel per class");
+    let class = |session, rung| run.class(session, rung).get().copied();
+    for session in [0, 1] {
+        assert_eq!(class(session, Full), class(0, RelaxedFloor));
+        assert_eq!(class(session, WeightedCombiner), class(0, DropSecondary));
+        assert_ne!(class(session, Full), class(0, DropSecondary));
+    }
+
+    let plan = healthy[0].as_ref().expect("solvable");
+    let victim = plan.steps.iter().find_map(|step| step.service);
+    let victim = victim.expect("has a transcoder");
+    assert!(world.services.report_failure(victim, SimTime(10)).unwrap());
+    assert_eq!(
+        compose_all(&world).1,
+        2,
+        "a new world: one kernel per class"
+    );
+    let released = world.services.release_quarantines(SimTime(2_000_000));
+    assert_eq!(released, [victim]);
+    let (again, kernels) = compose_all(&world);
+    assert_eq!(
+        kernels, 0,
+        "the healthy world again: answered from the history"
+    );
+    let same = |(a, b): (&Answer, &Answer)| match (a, b) {
+        (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+        (a, b) => a.is_none() && b.is_none(),
+    };
+    assert!(again.iter().zip(&healthy).all(same));
 }

@@ -48,6 +48,7 @@ pub mod admission;
 pub mod baseline;
 pub mod bundle;
 pub mod cache;
+mod compose_memo;
 pub mod composer;
 pub mod engine;
 pub mod graph;
@@ -57,6 +58,8 @@ pub mod select;
 pub mod session;
 pub mod sharded_compose;
 pub mod stamp;
+#[cfg(test)]
+mod test_world;
 
 pub use admission::{
     plan_admission, AdmissionConfig, AdmissionDecision, AdmissionPlan, AdmissionQueue,

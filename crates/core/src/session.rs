@@ -598,45 +598,12 @@ impl SessionsReport {
 mod tests {
     use super::*;
     use crate::admission::PriorityClass;
-    use qosc_media::FormatRegistry;
-    use qosc_netsim::{Network, Node, NodeId, Topology};
+    use crate::test_world::World;
     use qosc_profiles::{
         ContentProfile, ContextProfile, DeviceProfile, NetworkProfile, ProfileSet, UserProfile,
     };
-    use qosc_services::{catalog, ServiceRegistry, TranscoderDescriptor};
 
-    struct Fixture {
-        formats: FormatRegistry,
-        services: ServiceRegistry,
-        network: Network,
-        server: NodeId,
-        client: NodeId,
-    }
-
-    fn fixture() -> Fixture {
-        let formats = FormatRegistry::with_builtins();
-        let mut topo = Topology::new();
-        let server = topo.add_node(Node::unconstrained("server"));
-        let proxy = topo.add_node(Node::unconstrained("proxy"));
-        let client = topo.add_node(Node::unconstrained("client"));
-        topo.connect_simple(server, proxy, 100e6).unwrap();
-        topo.connect_simple(proxy, client, 1e6).unwrap();
-        let network = Network::new(topo);
-        let mut services = ServiceRegistry::new();
-        for spec in catalog::full_catalog() {
-            services
-                .register_static(TranscoderDescriptor::resolve(&spec, &formats, proxy).unwrap());
-        }
-        Fixture {
-            formats,
-            services,
-            network,
-            server,
-            client,
-        }
-    }
-
-    impl Fixture {
+    impl World {
         fn world(&self) -> StaticWorld<'_> {
             StaticWorld {
                 formats: &self.formats,
@@ -646,7 +613,7 @@ mod tests {
         }
     }
 
-    fn request(f: &Fixture, i: usize) -> CompositionRequest {
+    fn request(f: &World, i: usize) -> CompositionRequest {
         CompositionRequest {
             profiles: ProfileSet {
                 user: UserProfile::demo(&format!("user-{}", i % 3)),
@@ -660,7 +627,7 @@ mod tests {
         }
     }
 
-    fn sessions(f: &Fixture, n: usize, hold_us: u64, spacing_us: u64) -> Vec<SessionRequest> {
+    fn sessions(f: &World, n: usize, hold_us: u64, spacing_us: u64) -> Vec<SessionRequest> {
         (0..n)
             .map(|i| SessionRequest {
                 request: request(f, i),
@@ -678,7 +645,7 @@ mod tests {
 
     #[test]
     fn static_world_sessions_complete_with_full_availability() {
-        let f = fixture();
+        let f = World::new();
         let mut world = f.world();
         let reqs = sessions(&f, 6, 2_000_000, 100_000);
         let config = SessionEngineConfig {
@@ -706,7 +673,7 @@ mod tests {
 
     #[test]
     fn sessions_through_admission_carry_decisions_and_partition() {
-        let f = fixture();
+        let f = World::new();
         let mut world = f.world();
         let reqs = sessions(&f, 8, 1_000_000, 10_000);
         let config = SessionEngineConfig {
@@ -725,7 +692,7 @@ mod tests {
 
     #[test]
     fn horizon_censors_and_counts_active_sessions() {
-        let f = fixture();
+        let f = World::new();
         let mut world = f.world();
         // Sessions hold for 10s; the horizon cuts at 1s.
         let reqs = sessions(&f, 3, 10_000_000, 1_000);
@@ -756,7 +723,7 @@ mod tests {
     /// started at the offered count, 2 000 here.
     #[test]
     fn the_agenda_queue_grows_with_live_sessions_not_offered_ones() {
-        let f = fixture();
+        let f = World::new();
         let mut world = f.world();
         let reqs = sessions(&f, 2_000, 100_000, 10_000);
         let config = SessionEngineConfig {
@@ -801,7 +768,7 @@ mod tests {
 
     #[test]
     fn zero_hold_sessions_are_degenerate_batches() {
-        let f = fixture();
+        let f = World::new();
         let mut world = f.world();
         let reqs = sessions(&f, 4, 0, 0);
         let config = SessionEngineConfig {

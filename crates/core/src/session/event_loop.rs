@@ -41,12 +41,13 @@ use qosc_netsim::{EventQueue, SimTime};
 use qosc_telemetry::{EventKind, RequestTrace, TelemetrySink, TraceState, ROOT_SPAN};
 
 use crate::admission::{AdmissionQueue, ArrivalMeta, PriorityClass, ShedReason};
+use crate::compose_memo::ComposeMemo;
 use crate::engine::{
-    fan_out, intern, request_hash, serve_one, trace_admitted, trace_shed, ComposeMemo,
-    DegradationRung, RequestOutcome, Served,
+    fan_out, intern, request_hash, serve_one, trace_admitted, trace_shed, DegradationRung,
+    RequestOutcome, Served,
 };
 use crate::plan::AdaptationPlan;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use super::abr::{self, AbrConfig, AbrSess};
 use super::sla::{same_chain, Sla};
@@ -219,8 +220,11 @@ fn meter_queue_len(len: usize) {
 pub(super) struct Loop<'a, 'w, W: SessionWorld, S: TelemetrySink> {
     pub(super) world: &'w mut W,
     pub(super) requests: &'a [SessionRequest],
-    /// Each session's request as the compose memo names it ([`intern`]).
+    /// Each session's request as the run names it ([`intern`]).
     request_ids: Vec<u32>,
+    /// Slot `id * LADDER.len() + rung`: the compose memo's class id of
+    /// request `id` at `rung`, once a compose resolved it.
+    classes: Vec<OnceLock<u32>>,
     config: &'a SessionEngineConfig,
     sink: &'a S,
     pub(super) adaptation: Option<AbrConfig>,
@@ -281,13 +285,13 @@ pub fn run_sessions<W: SessionWorld + Sync, S: TelemetrySink>(
         requests.iter().map(|r| r.arrival.arrival_us),
     );
 
-    // One memo per run, over the run's distinct requests, each named
+    // One memo per run, and the run's distinct requests, each named
     // once here: the world snapshot moves only at world events and
     // session-driven registry or network writes, and a stored answer is
-    // served only at the exact world stamp it was composed at, so reuse
-    // across instants is exact and cheap.
+    // served only at the world stamp or the world content it was
+    // composed at, so reuse across instants is exact and cheap.
     let (request_ids, distinct) = intern(requests.iter().map(|r| &r.request), request_hash);
-    let memo = ComposeMemo::new(&config.resilient.options, distinct);
+    let memo = ComposeMemo::default();
 
     let n = requests.len();
     let initial_grant_epoch = world.grant_epoch();
@@ -295,6 +299,9 @@ pub fn run_sessions<W: SessionWorld + Sync, S: TelemetrySink>(
         world,
         requests,
         request_ids,
+        classes: (0..distinct * DegradationRung::LADDER.len())
+            .map(|_| OnceLock::new())
+            .collect(),
         config,
         sink,
         adaptation: abr::resolve(config),
@@ -757,6 +764,7 @@ impl<W: SessionWorld + Sync, S: TelemetrySink> Loop<'_, '_, W, S> {
         let composer = self.world.composer();
         let requests = self.requests;
         let request_ids = &self.request_ids;
+        let classes = &self.classes;
         let config = &self.config.resilient;
         let sink = self.sink;
         fan_out(config.workers, jobs.len(), |slot| {
@@ -764,11 +772,13 @@ impl<W: SessionWorld + Sync, S: TelemetrySink> Loop<'_, '_, W, S> {
             // Every job is pushed after `open` saved its session's
             // trace; one without would be applied as lost.
             let mut trace = RequestTrace::resume(sink, sessions[job.session].trace?);
+            let rungs = DegradationRung::LADDER.len();
+            let id = request_ids[job.session] as usize;
             let outcome = serve_one(
                 &composer,
                 memo,
+                &classes[id * rungs..(id + 1) * rungs],
                 &requests[job.session].request,
-                request_ids[job.session],
                 job.session,
                 config,
                 job.start_rung,

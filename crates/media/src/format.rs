@@ -87,10 +87,9 @@ impl FormatRegistry {
     /// spec is kept (first registration wins).
     ///
     /// Ids are dense and never renumbered, so a name that resolved once
-    /// resolves to the same id for the registry's lifetime: the
-    /// composition cache's entries keep their request's class id, and
-    /// the batch engines' compose memo its interned request ids, on
-    /// that promise.
+    /// resolves to the same id for the registry's lifetime: the compose
+    /// memo's owners keep class ids on that promise — the composition
+    /// cache one per entry, a session run one per (request, rung).
     pub fn register(&mut self, spec: FormatSpec) -> FormatId {
         if let Some(&id) = self.by_name.get(&spec.name) {
             return id;

@@ -1,9 +1,11 @@
 //! Work gate for the session loop's compose memo: one
 //! `benchmark/`-shaped `sessions_chaos` unit (the X16 strict mesh under
 //! a full storm, 256 concurrent sessions, BOLA, the SLA watchdog and
-//! admission on) runs the Figure-4 kernel once per distinct (request,
-//! rung, world stamp) it composes, not once per composition attempt,
-//! and hashes its requests once per run, not once per attempt.
+//! admission on) runs the Figure-4 kernel once per distinct input it
+//! composes — (degraded profiles, network version, registry selection
+//! view) — not once per composition attempt, nor once per distinct
+//! (request, rung, world stamp), and hashes its requests once per run,
+//! not once per attempt.
 //!
 //! The kernel and hash counts are the process-wide `arena_reuse_total()`
 //! and `request_hashes_total()` deltas, so this binary holds a single
@@ -15,30 +17,44 @@ use std::sync::Mutex;
 
 use qosc_bench::scorecard;
 use qosc_core::{
-    arena_reuse_total, request_hashes_total, run_sessions, AbrConfig, AbrMode, AdaptationPlan,
-    AdmissionConfig, Composer, CompositionRequest, ResilientEngineConfig, SelectOptions,
-    SessionEngineConfig, SessionWorld, SlaConfig, WorldStamp,
+    arena_reuse_total, degrade_profiles, request_hashes_total, run_sessions, AbrConfig, AbrMode,
+    AdaptationPlan, AdmissionConfig, Composer, CompositionRequest, DegradationRung,
+    ResilientEngineConfig, SelectOptions, SessionEngineConfig, SessionWorld, SlaConfig, WorldStamp,
 };
 use qosc_netsim::SimTime;
 use qosc_pipeline::{ChaosModel, ChaosPlan, ChaosWorld};
+use qosc_profiles::ProfileSet;
 use qosc_services::{QosObservation, ServiceId};
 use qosc_telemetry::{Event, EventKind, TelemetrySink};
 use qosc_workload::arrivals::{session_arrivals, ArrivalPattern, SessionPattern};
 
+/// What a compose reads of the world besides its request: the network
+/// version, and an owned copy of the registry's selection view
+/// (membership count, quarantined ids, probation penalties).
+type Content = (u64, u64, Vec<ServiceId>, Vec<(ServiceId, u64)>);
+
 /// A `SessionWorld` that forwards every method to a [`ChaosWorld`] and
-/// publishes the stamp of each composer it hands out. The loop asks for
-/// one composer per virtual instant with jobs, and the world cannot move
-/// while that instant's jobs compose.
+/// publishes the stamp and the content of each composer it hands out.
+/// The loop asks for one composer per virtual instant with jobs, and the
+/// world cannot move while that instant's jobs compose.
 struct StampingWorld<'a> {
     inner: ChaosWorld<'a>,
-    stamp: &'a Mutex<WorldStamp>,
+    world: &'a Mutex<(WorldStamp, Content)>,
 }
 
 impl SessionWorld for StampingWorld<'_> {
     fn composer(&self) -> Composer<'_> {
         let composer = self.inner.composer();
-        *self.stamp.lock().expect("no panic under the lock") =
-            WorldStamp::of(composer.services, composer.network);
+        let view = composer.services.selection_view();
+        *self.world.lock().expect("no panic under the lock") = (
+            WorldStamp::of(composer.services, composer.network),
+            (
+                composer.network.version(),
+                view.membership,
+                view.quarantined.to_vec(),
+                view.penalties.to_vec(),
+            ),
+        );
         composer
     }
 
@@ -113,14 +129,21 @@ impl SessionWorld for StampingWorld<'_> {
     }
 }
 
-/// Collects every (distinct request, rung, stamp) a `composition_started`
-/// event names — the inputs a memo-less loop would have run the kernel
-/// on, deduplicated. Every other event is dropped.
+/// Collects, for every `composition_started` event, the (distinct
+/// request, rung, stamp) it names, and the distinct input it composes:
+/// its degraded profiles with the world's content. Deduplicated, these
+/// are what a memo-less loop would have run the kernel on, and what a
+/// memo that shares answers across rungs and returning worlds runs it
+/// on. Every other event is dropped.
 struct TripleSink<'a> {
     /// Session index → index of its request among the distinct ones.
     request_of: &'a [usize],
-    stamp: &'a Mutex<WorldStamp>,
+    /// Distinct request, then rung → index of its degraded profiles
+    /// among the distinct ones.
+    degraded_of: &'a [Vec<usize>],
+    world: &'a Mutex<(WorldStamp, Content)>,
     triples: Mutex<BTreeSet<(usize, &'static str, WorldStamp)>>,
+    inputs: Mutex<BTreeSet<(usize, Content)>>,
 }
 
 impl TelemetrySink for TripleSink<'_> {
@@ -131,11 +154,19 @@ impl TelemetrySink for TripleSink<'_> {
     fn record(&self, event: Event) {
         if let EventKind::CompositionStarted { rung } = event.kind {
             let request = self.request_of[event.request_id as usize];
-            let stamp = *self.stamp.lock().expect("no panic under the lock");
+            let position = DegradationRung::LADDER
+                .iter()
+                .position(|r| r.label() == rung)
+                .expect("a ladder rung");
+            let (stamp, content) = self.world.lock().expect("no panic under the lock").clone();
             self.triples
                 .lock()
                 .expect("no panic under the lock")
                 .insert((request, rung, stamp));
+            self.inputs
+                .lock()
+                .expect("no panic under the lock")
+                .insert((self.degraded_of[request][position], content));
         }
     }
 }
@@ -202,17 +233,42 @@ fn a_chaos_unit_runs_the_kernel_once_per_distinct_input() {
         })
         .collect();
 
-    let stamp = Mutex::new(WorldStamp::of(&scenario.services, &scenario.network));
+    let mut degraded: Vec<ProfileSet> = Vec::new();
+    let degraded_of: Vec<Vec<usize>> = distinct
+        .iter()
+        .map(|request| {
+            DegradationRung::LADDER
+                .iter()
+                .map(|&rung| {
+                    let profiles = degrade_profiles(&request.profiles, rung);
+                    match degraded.iter().position(|d| *d == profiles) {
+                        Some(index) => index,
+                        None => {
+                            degraded.push(profiles);
+                            degraded.len() - 1
+                        }
+                    }
+                })
+                .collect()
+        })
+        .collect();
+
+    let world = Mutex::new((
+        WorldStamp::of(&scenario.services, &scenario.network),
+        Content::default(),
+    ));
     let sink = TripleSink {
         request_of: &request_of,
-        stamp: &stamp,
+        degraded_of: &degraded_of,
+        world: &world,
         triples: Mutex::new(BTreeSet::new()),
+        inputs: Mutex::new(BTreeSet::new()),
     };
     let mut inner = scorecard::chaos_world(&scenario.formats, &scenario.services, scenario.network);
     inner.load_plan(&plan);
     let mut world = StampingWorld {
         inner,
-        stamp: &stamp,
+        world: &world,
     };
 
     let kernel_before = arena_reuse_total();
@@ -223,10 +279,11 @@ fn a_chaos_unit_runs_the_kernel_once_per_distinct_input() {
 
     let attempts: u64 = report.outcomes.iter().map(|o| u64::from(o.attempts)).sum();
     let triples = sink.triples.lock().expect("no panic under the lock").len() as u64;
+    let inputs = sink.inputs.lock().expect("no panic under the lock").len() as u64;
     println!(
         "{} sessions, {} distinct requests, {attempts} compose attempts, \
-         {triples} distinct (request, rung, stamp), {kernel_runs} kernel runs, \
-         {hashes} request hashes",
+         {triples} distinct (request, rung, stamp), {inputs} distinct (degraded profiles, \
+         world content), {kernel_runs} kernel runs, {hashes} request hashes",
         requests.len(),
         distinct.len()
     );
@@ -238,7 +295,8 @@ fn a_chaos_unit_runs_the_kernel_once_per_distinct_input() {
         attempts, COMPOSE_ATTEMPTS,
         "the memo must not change what the loop asks for"
     );
-    assert_eq!(kernel_runs, triples, "one kernel run per distinct input");
+    assert_eq!(kernel_runs, inputs, "one kernel run per distinct input");
+    assert!(inputs <= triples, "an input is never split by its stamp");
     assert_eq!(kernel_runs, KERNEL_RUNS, "the run is deterministic");
     assert_eq!(hashes, REQUEST_HASHES, "requests are interned once per run");
 }
@@ -247,8 +305,11 @@ fn a_chaos_unit_runs_the_kernel_once_per_distinct_input() {
 /// loop before the memo made the same 7 832 composition attempts and
 /// ran the kernel on every one of them.
 const COMPOSE_ATTEMPTS: u64 = 7_832;
-/// What the unit runs: the 15 distinct (request, rung, stamp) inputs.
-const KERNEL_RUNS: u64 = 15;
+/// What the unit runs: its 14 distinct (degraded profiles, world
+/// content) inputs. A memo with one answer per (request, rung, world
+/// stamp) ran 15, one per distinct triple: two rungs or two stamps that
+/// read the same input each ran the kernel.
+const KERNEL_RUNS: u64 = 14;
 /// What the unit hashes: its one distinct request, once. Each session's
 /// request equals the one before it, so interning compares and does not
 /// hash; no attempt hashes. Before interning every attempt hashed: 7 832.
