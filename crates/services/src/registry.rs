@@ -298,6 +298,12 @@ impl ServiceRegistry {
         }
     }
 
+    /// The descriptor `id` registered with, live or dead — what the
+    /// shard overlay re-derives a departed service's classes from.
+    pub(crate) fn descriptor(&self, id: ServiceId) -> Option<&TranscoderDescriptor> {
+        self.entries.get(id.index()).map(|e| &e.descriptor)
+    }
+
     /// Whether `id` refers to a live service.
     pub fn is_live(&self, id: ServiceId) -> bool {
         self.entries

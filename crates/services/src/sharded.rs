@@ -21,8 +21,12 @@
 //! * a **summary frontier** per shard: for every
 //!   `(input format, output format, axis set)` a shard's available
 //!   services can convert between, the per-axis maximum ("hull top")
-//!   of the advertised output domains, maintained incrementally on
-//!   every mutation. Scoring a hull top with the requesting user's
+//!   of the advertised output domains. Only the tops are kept, no
+//!   member lists: a service that becomes available merges its tops
+//!   into their classes, and one that leaves re-derives each class
+//!   whose hull it reached from the flat registry's index of the
+//!   class's input format.
+//!   Scoring a hull top with the requesting user's
 //!   satisfaction profile yields an *admissible* upper bound on the
 //!   satisfaction any service of the shard can contribute on that hop:
 //!   satisfaction functions are monotone per axis, upstream capping
@@ -37,12 +41,12 @@
 //! owning shards, so `sum(shard epochs) == flat epoch` always holds.
 //! The flat registry keeps the one event log.
 
-use crate::descriptor::{ServiceId, TranscoderDescriptor};
+use crate::descriptor::{Conversion, ServiceId, TranscoderDescriptor};
 use crate::registry::{ProbationConfig, QuarantineConfig, RegistryEvent, ServiceRegistry};
 use crate::Result;
 use qosc_media::{DomainVector, FormatId, ParamVector};
 use qosc_netsim::SimTime;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 /// Deterministic shard assignment for a service descriptor.
 ///
@@ -115,22 +119,12 @@ fn axis_mask(domain: &DomainVector) -> u8 {
         .fold(0u8, |mask, axis| mask | (1 << axis.index()))
 }
 
-/// One frontier group: the available services contributing conversions
-/// under a [`PairKey`], each with its own per-axis top, plus the
-/// cached hull top (per-axis maximum over members).
-#[derive(Debug, Clone, Default)]
-struct GroupState {
-    members: Vec<(ServiceId, ParamVector)>,
-    top: ParamVector,
-}
-
-impl GroupState {
-    fn recompute_top(&mut self) {
-        let mut top = ParamVector::new();
-        for (_, member_top) in &self.members {
-            merge_max(&mut top, member_top);
-        }
-        self.top = top;
+/// The frontier class a conversion falls in.
+fn pair_key(conversion: &Conversion) -> PairKey {
+    PairKey {
+        input: conversion.input,
+        output: conversion.output,
+        axes: axis_mask(&conversion.output_domain),
     }
 }
 
@@ -152,13 +146,48 @@ fn merge_max(into: &mut ParamVector, from: &ParamVector) {
 struct ShardState {
     /// Life-cycle events recorded against the shard's services.
     epoch: u64,
-    /// `(pair, axis set) → hull` summary frontier over *available*
-    /// members.
-    frontier: BTreeMap<PairKey, GroupState>,
-    /// Reverse index: which frontier keys each available service
-    /// currently contributes to — makes removal O(own keys), not
-    /// O(frontier).
-    contributions: HashMap<ServiceId, Vec<PairKey>>,
+    /// Hull top of every class with an *available* member, sorted by
+    /// [`PairKey`]. A shard holds a few dozen classes at most: at 10^4
+    /// services this vector takes half the heap of a `BTreeMap`'s
+    /// mostly empty nodes.
+    frontier: Vec<(PairKey, ParamVector)>,
+}
+
+impl ShardState {
+    /// Where class `key` sits in the sorted frontier, or would.
+    fn slot(&self, key: PairKey) -> std::result::Result<usize, usize> {
+        self.frontier.binary_search_by_key(&key, |&(k, _)| k)
+    }
+
+    /// Raise class `key`'s hull top to cover `top`. Idempotent.
+    fn merge(&mut self, key: PairKey, top: &ParamVector) {
+        match self.slot(key) {
+            Ok(at) => merge_max(&mut self.frontier[at].1, top),
+            Err(at) => self.frontier.insert(at, (key, *top)),
+        }
+    }
+
+    /// Whether `top` is strictly below class `key`'s hull top on every
+    /// axis it sets: then other members reach the hull on each axis.
+    fn below_hull(&self, key: PairKey, top: &ParamVector) -> bool {
+        self.slot(key).is_ok_and(|at| {
+            let hull = &self.frontier[at].1;
+            top.iter()
+                .all(|(axis, value)| hull.get(axis).is_some_and(|h| value < h))
+        })
+    }
+
+    /// Set class `key`'s hull top to `top`, or drop the class on `None`.
+    fn replace(&mut self, key: PairKey, top: Option<ParamVector>) {
+        match (self.slot(key), top) {
+            (Ok(at), Some(top)) => self.frontier[at].1 = top,
+            (Ok(at), None) => {
+                self.frontier.remove(at);
+            }
+            (Err(at), Some(top)) => self.frontier.insert(at, (key, top)),
+            (Err(_), None) => {}
+        }
+    }
 }
 
 /// A flat [`ServiceRegistry`] partitioned into N shards with per-shard
@@ -345,7 +374,7 @@ impl ShardedServiceRegistry {
         self.shards
             .get(shard as usize)
             .into_iter()
-            .flat_map(|s| s.frontier.iter().map(|(key, group)| (*key, group.top)))
+            .flat_map(|s| s.frontier.iter().copied())
     }
 
     /// The incrementally maintained frontier as a vector — test
@@ -364,13 +393,10 @@ impl ShardedServiceRegistry {
                 continue;
             }
             for conversion in &descriptor.conversions {
-                let key = PairKey {
-                    input: conversion.input,
-                    output: conversion.output,
-                    axes: axis_mask(&conversion.output_domain),
-                };
-                let top = conversion.output_domain.top();
-                merge_max(frontier.entry(key).or_default(), &top);
+                merge_max(
+                    frontier.entry(pair_key(conversion)).or_default(),
+                    &conversion.output_domain.top(),
+                );
             }
         }
         frontier.into_iter().collect()
@@ -419,23 +445,35 @@ impl ShardedServiceRegistry {
             // Every id in the flat log was issued by `register`, which
             // records the assignment before distributing, and every
             // assignment is `router.route(..) < shards.len()`.
-            let shard = &mut shards[shard_of[id.index()] as usize];
+            let owner = shard_of[id.index()];
+            let shard = &mut shards[owner as usize];
+            let conversions = flat.descriptor(id).map_or(&[][..], |d| &d.conversions);
             match event {
                 RegistryEvent::Registered(_) | RegistryEvent::Reinstated(_) => {
                     // `release_quarantines` can reinstate a service
                     // whose lease already expired; the availability
                     // guard keeps such ghosts out of the frontier.
-                    match flat.get(id) {
-                        Ok(descriptor) if flat.is_available(id) => {
-                            add_contributions(shard, id, descriptor);
+                    if flat.is_available(id) {
+                        for conversion in conversions {
+                            shard.merge(pair_key(conversion), &conversion.output_domain.top());
                         }
-                        _ => {}
                     }
                 }
                 RegistryEvent::Expired(_)
                 | RegistryEvent::Deregistered(_)
                 | RegistryEvent::Quarantined(_) => {
-                    remove_contributions(shard, id);
+                    // A leaving top strictly below its class's hull
+                    // never reached it, so the hull stands; any other
+                    // re-derives the class. Within one write's tail the
+                    // hull is the pre-write one, which every leaving
+                    // member reaching it re-derives, or one derived from
+                    // the post-write registry: either way the skip holds.
+                    for conversion in conversions {
+                        let key = pair_key(conversion);
+                        if !shard.below_hull(key, &conversion.output_domain.top()) {
+                            shard.replace(key, class_top(flat, shard_of, owner, key));
+                        }
+                    }
                 }
                 RegistryEvent::Renewed(_)
                 | RegistryEvent::Probated(_)
@@ -451,57 +489,32 @@ impl ShardedServiceRegistry {
     }
 }
 
-/// Add `id`'s conversions to the shard frontier. Idempotent: an
-/// already-contributing service is left untouched.
-fn add_contributions(shard: &mut ShardState, id: ServiceId, descriptor: &TranscoderDescriptor) {
-    if shard.contributions.contains_key(&id) {
-        return;
-    }
-    // One member entry per class, however many conversions the service
-    // advertises in it (almost always one conversion, one class).
-    let mut keys: Vec<PairKey> = Vec::with_capacity(descriptor.conversions.len());
-    for conversion in &descriptor.conversions {
-        let key = PairKey {
-            input: conversion.input,
-            output: conversion.output,
-            axes: axis_mask(&conversion.output_domain),
-        };
-        let top = conversion.output_domain.top();
-        let group = shard.frontier.entry(key).or_default();
-        merge_max(&mut group.top, &top);
-        match group.members.last_mut() {
-            // A further conversion of a class already entered above:
-            // `id` is the member pushed last.
-            Some((member, own)) if *member == id => merge_max(own, &top),
-            _ => {
-                group.members.push((id, top));
-                keys.push(key);
-            }
-        }
-    }
-    shard.contributions.insert(id, keys);
-}
-
-/// Remove `id`'s contributions from the shard frontier, recomputing
-/// each affected group's hull top from the remaining members.
-/// Idempotent: removing a non-contributor is a no-op.
-fn remove_contributions(shard: &mut ShardState, id: ServiceId) {
-    let Some(keys) = shard.contributions.remove(&id) else {
-        return;
-    };
-    for key in keys {
-        // Only `add_contributions` writes either index, and it enters
-        // a key in both; a missing group leaves nothing to remove.
-        let Some(group) = shard.frontier.get_mut(&key) else {
+/// Class `key`'s hull top over shard `owner`'s available services, read
+/// from the flat registry — `None` when the class has no member left.
+/// A leaving member that reached its class's hull re-derives the class
+/// this way, since a hull top cannot tell which other members reach it.
+///
+/// Cost: one pass over the flat index list of `key.input` — every
+/// service ever registered with that input format, in any shard, live
+/// or dead. At 10^5 a tail class's list is ≈ 158 ids; a 10^6 head
+/// class's is ≤ 31 250, and no workload churns heads.
+fn class_top(
+    flat: &ServiceRegistry,
+    shard_of: &[u32],
+    owner: u32,
+    key: PairKey,
+) -> Option<ParamVector> {
+    let mut top: Option<ParamVector> = None;
+    for id in flat.accepting_iter(key.input) {
+        if shard_of[id.index()] != owner {
             continue;
-        };
-        group.members.retain(|&(member, _)| member != id);
-        if group.members.is_empty() {
-            shard.frontier.remove(&key);
-        } else {
-            group.recompute_top();
+        }
+        let conversions = flat.descriptor(id).map_or(&[][..], |d| &d.conversions);
+        for conversion in conversions.iter().filter(|c| pair_key(c) == key) {
+            merge_max(top.get_or_insert_default(), &conversion.output_domain.top());
         }
     }
+    top
 }
 
 #[cfg(test)]
@@ -773,5 +786,178 @@ mod tests {
             reg.flat().epoch(),
             "nothing was recorded for the foreign id"
         );
+    }
+
+    /// A random service of [`frontier_equals_a_recompute_after_every_write`]:
+    /// a primary conversion out of cluster `cluster`'s format (which
+    /// fixes its shard), and maybe a second one.
+    #[derive(Debug, Clone, Copy)]
+    struct Shape {
+        cluster: usize,
+        output: usize,
+        cap: usize,
+        /// Adds a colour-depth axis: same pair, another class.
+        wide: bool,
+        /// `(cluster, cap)` of a second conversion to the same output:
+        /// the primary's class again when `cluster` is the primary's,
+        /// else one reading another cluster's format, whose index then
+        /// lists services of other shards.
+        second: Option<(usize, usize)>,
+        ttl_us: u64,
+    }
+
+    /// One write of [`frontier_equals_a_recompute_after_every_write`];
+    /// `pick` chooses among the ids registered so far, dead ones too.
+    #[derive(Debug, Clone, Copy)]
+    enum Op {
+        Register(Shape),
+        Deregister { pick: usize },
+        Quarantine { pick: usize },
+        Release,
+        Expire,
+        Probate { pick: usize },
+        Probe { pick: usize },
+    }
+
+    /// Members of one class differ in cap, so a leaving top member
+    /// lowers its hull.
+    const CAPS: [f64; 3] = [30.0, 25.0, 20.0];
+
+    fn arb_shape() -> impl proptest::prelude::Strategy<Value = Shape> {
+        use proptest::prelude::*;
+        (
+            (0usize..4, 0usize..4, 0usize..CAPS.len(), 0u8..4),
+            (0u8..3, 0usize..4, 0usize..CAPS.len()),
+            1u64..6,
+        )
+            .prop_map(
+                |((cluster, output, cap, wide), (second, other, cap2), span)| Shape {
+                    cluster,
+                    output,
+                    cap,
+                    wide: wide == 0,
+                    second: match second {
+                        0 => None,
+                        1 => Some((cluster, cap2)),
+                        _ => Some((other, cap2)),
+                    },
+                    ttl_us: span * 1_000,
+                },
+            )
+    }
+
+    fn arb_op() -> impl proptest::prelude::Strategy<Value = Op> {
+        use proptest::prelude::*;
+        (0u8..9, 0usize..64, arb_shape()).prop_map(|(kind, pick, shape)| match kind {
+            0..=2 => Op::Register(shape),
+            3 => Op::Deregister { pick },
+            4 => Op::Quarantine { pick },
+            5 => Op::Release,
+            6 => Op::Expire,
+            7 => Op::Probate { pick },
+            _ => Op::Probe { pick },
+        })
+    }
+
+    fn shaped(f: &Fixture, shape: Shape) -> TranscoderDescriptor {
+        let format = |i: usize| f.formats.lookup(["a", "b", "c", "d"][i]).unwrap();
+        let domain = |cap: usize| {
+            let fps = DomainVector::new().with(
+                Axis::FrameRate,
+                AxisDomain::Continuous {
+                    min: 1.0,
+                    max: CAPS[cap],
+                },
+            );
+            if shape.wide {
+                fps.with(Axis::ColorDepth, AxisDomain::Discrete(vec![8.0, 24.0]))
+            } else {
+                fps
+            }
+        };
+        let conversion = |input: usize, cap: usize| Conversion {
+            input: format(input),
+            output: format(shape.output),
+            output_domain: domain(cap),
+        };
+        let primary = conversion(shape.cluster, shape.cap);
+        let second = shape.second.map(|(cluster, cap)| conversion(cluster, cap));
+        TranscoderDescriptor {
+            name: "shaped".into(),
+            host: f.node,
+            conversions: std::iter::once(primary).chain(second).collect(),
+            cpu_mips_per_mbps: 0.0,
+            memory_bytes: 0.0,
+            price: qosc_profiles::PriceModel::free(),
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig {
+            cases: 1_024,
+            ..proptest::prelude::ProptestConfig::default()
+        })]
+
+        /// After every write, every shard's incrementally kept frontier
+        /// equals one recomputed from the flat registry. The shapes
+        /// cover what the bookkeeping can get wrong: a leaving top
+        /// member must lower its class's hull, a class shared with
+        /// another shard's services must not take their tops, and a
+        /// service with two conversions in one class must leave it once.
+        #[test]
+        fn frontier_equals_a_recompute_after_every_write(
+            shards in 2u32..5,
+            ops in proptest::collection::vec(arb_op(), 1..40),
+        ) {
+            let f = fixture();
+            let mut reg = ShardedServiceRegistry::new(shards);
+            reg.set_quarantine_config(QuarantineConfig {
+                failure_threshold: 1,
+                cooldown_us: 1_500,
+            });
+            let mut ids: Vec<ServiceId> = Vec::new();
+            let mut now = 0u64;
+            for op in ops {
+                now += 250;
+                let at = SimTime(now);
+                let id = |pick: usize| ids.get(pick % ids.len().max(1)).copied();
+                match op {
+                    Op::Register(shape) => ids.push(reg.register(shaped(&f, shape), at, shape.ttl_us)),
+                    Op::Deregister { pick } => {
+                        if let Some(id) = id(pick) {
+                            let _ = reg.deregister(id);
+                        }
+                    }
+                    Op::Quarantine { pick } => {
+                        if let Some(id) = id(pick) {
+                            let _ = reg.report_failure(id, at);
+                        }
+                    }
+                    Op::Release => {
+                        reg.release_quarantines(at);
+                    }
+                    Op::Expire => {
+                        reg.expire_leases(at);
+                    }
+                    Op::Probate { pick } => {
+                        if let Some(id) = id(pick) {
+                            reg.probate(id, 500_000, at);
+                        }
+                    }
+                    Op::Probe { pick } => {
+                        if let Some(id) = id(pick) {
+                            reg.probe_success(id, at);
+                        }
+                    }
+                }
+                for shard in 0..shards {
+                    proptest::prop_assert_eq!(
+                        format!("{:?}", reg.frontier(shard)),
+                        format!("{:?}", reg.frontier_from_scratch(shard)),
+                        "shard {} after {:?}", shard, op
+                    );
+                }
+            }
+        }
     }
 }

@@ -1,19 +1,26 @@
-//! Allocation gate for the summary level of the two-level composer: on
-//! a thread whose scratch is warm, `ShardedComposer::compose_with_store`
-//! allocates at most once more than the same compose replayed through
-//! its public expansion-level pieces — profile resolution, the scoped
-//! graph fetch, Figure-4 selection, plan assembly. The one is the
-//! `expanded_shards` vector it returns; scoring the frontier, the
-//! max-min relaxation, decoder reachability, the shard bounds and the
-//! seed expansion all run in per-thread tables that keep their capacity.
+//! Allocation gates for the two-level composer and the sharded
+//! registry under it.
 //!
-//! One test only, on one thread: the counter and the scratch are both
-//! per thread. The counting allocator is the one of
-//! `tests/select_alloc.rs`.
+//! * On a thread whose scratch is warm,
+//!   `ShardedComposer::compose_with_store` allocates at most once more
+//!   than the same compose replayed through its public expansion-level
+//!   pieces — profile resolution, the scoped graph fetch, Figure-4
+//!   selection, plan assembly. The one is the `expanded_shards` vector
+//!   it returns; scoring the frontier, the max-min relaxation, decoder
+//!   reachability, the shard bounds and the seed expansion all run in
+//!   per-thread tables that keep their capacity.
+//! * The shard overlay of a `ShardedServiceRegistry` — shard
+//!   assignments, epochs and hull tops — costs at most 16 heap bytes
+//!   per service over the flat `ServiceRegistry` it wraps.
+//!
+//! Both counters are per thread, and each test runs on its own thread.
+//! The counting allocator is the one of `tests/select_alloc.rs`,
+//! extended here to keep a thread's live heap bytes as well.
 
 use qosc_core::{
     select_chain_with_penalties, AdaptationPlan, BuildInput, GraphScope, GraphStore, SelectOptions,
 };
+use qosc_services::{ServiceRegistry, ShardedServiceRegistry, TranscoderDescriptor};
 use qosc_workload::scale::{scale_scenario, ScaleConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -22,6 +29,9 @@ thread_local! {
     /// `Some(n)` while this thread is counting; const-initialised and
     /// without a destructor, so touching it never allocates.
     static ALLOCATIONS: Cell<Option<u64>> = const { Cell::new(None) };
+    /// Heap bytes allocated on this thread minus those freed on it,
+    /// wrapping: only differences are read.
+    static LIVE_BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
 struct Counting;
@@ -30,22 +40,36 @@ fn count_one() {
     ALLOCATIONS.with(|n| n.set(n.get().map(|n| n + 1)));
 }
 
-// SAFETY: defers every request to `System` unchanged; the counter is a
-// plain thread-local `Cell` that never allocates or unwinds.
+fn count_bytes(grown: usize, shrunk: usize) {
+    LIVE_BYTES.with(|n| {
+        n.set(
+            n.get()
+                .wrapping_add(grown as u64)
+                .wrapping_sub(shrunk as u64),
+        )
+    });
+}
+
+// SAFETY: defers every request to `System` unchanged; the counters are
+// plain thread-local `Cell`s that never allocate or unwind.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count_one();
+        count_bytes(layout.size(), 0);
         System.alloc(layout)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        count_bytes(0, layout.size());
         System.dealloc(ptr, layout)
     }
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         count_one();
+        count_bytes(layout.size(), 0);
         System.alloc_zeroed(layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         count_one();
+        count_bytes(new_size, layout.size());
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -61,9 +85,17 @@ fn allocations_in(work: impl FnOnce()) -> u64 {
     ALLOCATIONS.with(|n| n.replace(None)).expect("counting")
 }
 
+/// What `build` returns, with the heap bytes it still holds: the bytes
+/// allocated on this thread while building, net of those freed.
+fn live_bytes_of<T>(build: impl FnOnce() -> T) -> (T, u64) {
+    let before = LIVE_BYTES.with(Cell::get);
+    let built = build();
+    (built, LIVE_BYTES.with(Cell::get).wrapping_sub(before))
+}
+
 #[test]
 fn a_warm_summary_level_allocates_only_the_expanded_shards_it_returns() {
-    // 10^3 services over 16 shards: 2 of them expanded, one round.
+    // 10^3 services over 64 shards: 2 of them expanded, one round.
     let scenario = scale_scenario(&ScaleConfig::default().with_total_services(1_000));
     let composer = scenario.composer();
     let store = GraphStore::new();
@@ -150,5 +182,51 @@ fn a_warm_summary_level_allocates_only_the_expanded_shards_it_returns() {
         composing <= replaying + 1,
         "a warm two-level compose allocated {composing} times, its expansion level alone \
          {replaying}: the summary level may add only the expanded_shards it returns"
+    );
+}
+
+#[test]
+fn the_shard_overlay_costs_at_most_16_bytes_per_service() {
+    // The 10^4-service scenario over 64 shards, registered twice more:
+    // once into a flat registry, once into a sharded one.
+    let scenario = scale_scenario(&ScaleConfig::default().with_total_services(10_000));
+    let descriptors: Vec<TranscoderDescriptor> = scenario
+        .services
+        .flat()
+        .live_services()
+        .map(|(_, descriptor)| descriptor.clone())
+        .collect();
+    let services = descriptors.len() as u64;
+    let (flat, flat_bytes) = live_bytes_of(|| {
+        let mut flat = ServiceRegistry::new();
+        for descriptor in &descriptors {
+            flat.register_static(descriptor.clone());
+        }
+        flat
+    });
+    let (sharded, sharded_bytes) = live_bytes_of(|| {
+        let mut sharded = ShardedServiceRegistry::new(scenario.services.shard_count());
+        for descriptor in &descriptors {
+            sharded.register_static(descriptor.clone());
+        }
+        sharded
+    });
+    assert_eq!(services, 10_000);
+    assert_eq!(sharded.flat().epoch(), flat.epoch());
+    for shard in 0..sharded.shard_count() {
+        assert_eq!(
+            sharded.frontier(shard),
+            scenario.services.frontier(shard),
+            "the same registrations summarise the same"
+        );
+    }
+
+    let overlay = sharded_bytes - flat_bytes;
+    assert!(
+        overlay <= 16 * services,
+        "the shard overlay holds {overlay} bytes for {services} services ({} B each; \
+         the flat registry {} B each): the budget is 16 B each",
+        overlay / services,
+        flat_bytes / services
     );
 }
