@@ -31,31 +31,17 @@
 //! re-composition, and every session's switch count respects the
 //! dwell-window bound `switches ≤ 1 + active/dwell`.
 
-use qosc_bench::scorecard::{self, STRICT_TOPOLOGY_SEED as TOPOLOGY_SEED, WORKER_COUNTS};
+use qosc_bench::scorecard::{
+    self, list, Line, Scorecard, Windows, BUFFERED_ARRIVAL_SEED as ARRIVAL_SEED,
+    BUFFERED_HORIZON_US as HORIZON_US, STRICT_TOPOLOGY_SEED as TOPOLOGY_SEED, WORKER_COUNTS,
+};
 use qosc_bench::TextTable;
 use qosc_core::{
     run_sessions, AbrConfig, AbrMode, ResilientEngineConfig, SessionEngineConfig, SessionsReport,
 };
 use qosc_pipeline::FailureEvent;
-use qosc_workload::arrivals::{session_arrivals, ArrivalPattern, SessionPattern};
+use qosc_workload::arrivals::session_arrivals;
 
-const ARRIVAL_SEED: u64 = 42;
-/// Virtual run length.
-const HORIZON_US: u64 = 30_000_000;
-/// Arrivals stop 5 virtual seconds before the horizon so the tail can
-/// drain.
-const ARRIVAL_HORIZON_US: u64 = 25_000_000;
-/// Long holds — 6–12 s against a 4 s buffer — so squeeze windows land
-/// mid-stream, outlast the startup credit, and leave post-window time
-/// for BOLA to climb back up the ladder.
-const HOLD_RANGE_US: (u64, u64) = (6_000_000, 12_000_000);
-/// Per-session full-quality bitrate demand, bits per second; floors
-/// the final-hop requirement inside the delivery model. Kept well
-/// below the generated access capacities (15–60 kbit/s) so a healthy
-/// plan sustains real time and the floor only documents the plumbing.
-const DEMAND_RANGE_BPS: (u64, u64) = (1_000, 4_000);
-/// Session opens per virtual second (mean concurrency ≈ rate × 9 s).
-const ARRIVAL_RATE_PER_SEC: u64 = 2;
 const INTENSITIES: [&str; 3] = ["calm", "gusty", "storm"];
 const CONTROLLERS: [(&str, AbrMode); 3] = [
     ("static", AbrMode::StaticLadder),
@@ -67,7 +53,7 @@ const CONTROLLERS: [(&str, AbrMode); 3] = [
 /// to the receiver's access link. Windows outlast the 4 s playout
 /// buffer at storm so a static ladder *must* stall, while the residual
 /// capacity still carries the lower rungs.
-fn squeeze_windows(intensity: &str) -> &'static [(u64, u64, u16)] {
+fn squeeze_windows(intensity: &str) -> Windows {
     match intensity {
         "calm" => &[],
         "gusty" => &[(6_000_000, 9_000_000, 700), (18_000_000, 21_000_000, 700)],
@@ -77,28 +63,6 @@ fn squeeze_windows(intensity: &str) -> &'static [(u64, u64, u16)] {
             (23_000_000, 29_000_000, 900),
         ],
         other => panic!("unknown intensity {other}"),
-    }
-}
-
-/// The squeeze share of the horizon — the scalar the JSON reports as
-/// the cell's intensity.
-fn squeeze_fraction(intensity: &str) -> f64 {
-    let busy: u64 = squeeze_windows(intensity)
-        .iter()
-        .map(|(s, e, _)| e - s)
-        .sum();
-    busy as f64 / HORIZON_US as f64
-}
-
-fn session_pattern() -> SessionPattern {
-    SessionPattern {
-        arrivals: ArrivalPattern {
-            horizon_us: ARRIVAL_HORIZON_US,
-            rate_per_sec: ARRIVAL_RATE_PER_SEC,
-            ..ArrivalPattern::default()
-        },
-        hold_range_us: HOLD_RANGE_US,
-        demand_range_bps: DEMAND_RANGE_BPS,
     }
 }
 
@@ -145,7 +109,7 @@ fn run_once(mode: AbrMode, intensity: &str, workers: usize) -> SessionsReport {
     };
     let requests = scorecard::session_requests(
         &scenario,
-        session_arrivals(&session_pattern(), ARRIVAL_SEED),
+        session_arrivals(&scorecard::buffered_stream(), ARRIVAL_SEED),
     );
     let mut world = scorecard::chaos_world(&scenario.formats, &scenario.services, scenario.network);
     for &(start, end, permille) in squeeze_windows(intensity) {
@@ -167,35 +131,17 @@ fn run_once(mode: AbrMode, intensity: &str, workers: usize) -> SessionsReport {
     )
 }
 
-struct Cell {
-    intensity_label: &'static str,
-    intensity: f64,
-    controller: &'static str,
-    offered: usize,
-    completed: usize,
-    starved: usize,
-    gave_up: usize,
-    failed_open: usize,
-    recompositions: u64,
-    switches: u64,
-    rebuffer_us: u64,
-    rebuffer_events: u64,
-    rebuffer_ratio: f64,
-    mean_rung: f64,
-    availability: f64,
-    buffer_peak_us: u64,
-    digest: u64,
-}
-
-fn run_cell(intensity_label: &'static str, controller: &'static str) -> Cell {
-    let mode = CONTROLLERS
-        .iter()
-        .find(|(name, _)| *name == controller)
-        .expect("known controller")
-        .1;
-    let cell = format!("{intensity_label} × {controller}");
+/// One cell: its scorecard line and its table row, from the workers=1
+/// report, after the per-session switch-rate check.
+fn run_cell(
+    chaos: &'static str,
+    (controller, mode): (&'static str, AbrMode),
+    card: &mut Scorecard,
+    table: &mut TextTable,
+) -> SessionsReport {
+    let cell = format!("{chaos} × {controller}");
     let (digest, report) = scorecard::worker_sweep(&cell, &WORKER_COUNTS, |workers| {
-        let report = run_once(mode, intensity_label, workers);
+        let report = run_once(mode, chaos, workers);
         (scorecard::sessions_digest(&report), report)
     });
 
@@ -206,54 +152,71 @@ fn run_cell(intensity_label: &'static str, controller: &'static str) -> Cell {
         let bound = 1 + outcome.active_us() / dwell;
         assert!(
             (outcome.switches as u64) <= bound,
-            "{intensity_label} × {controller}: session {i} made {} switches over {}us active \
+            "{chaos} × {controller}: session {i} made {} switches over {}us active \
              (bound {bound})",
             outcome.switches,
             outcome.active_us()
         );
     }
 
-    Cell {
-        intensity_label,
-        intensity: squeeze_fraction(intensity_label),
-        controller,
-        offered: report.counters.offered,
-        completed: report.counters.completed,
-        starved: report.counters.starved,
-        gave_up: report.counters.gave_up,
-        failed_open: report.counters.failed_open,
-        recompositions: report.recompositions(),
-        switches: report.switches(),
-        rebuffer_us: report.rebuffer_us(),
-        rebuffer_events: report
-            .outcomes
-            .iter()
-            .map(|o| o.rebuffer_events as u64)
-            .sum(),
-        rebuffer_ratio: report.rebuffer_ratio(),
-        mean_rung: report.mean_rung_index(),
-        availability: report.availability(),
-        buffer_peak_us: report
-            .outcomes
-            .iter()
-            .map(|o| o.buffer_peak_us)
-            .max()
-            .unwrap_or(0),
-        digest,
-    }
-}
-
-fn cell<'a>(cells: &'a [Cell], intensity: &str, controller: &str) -> &'a Cell {
-    cells
-        .iter()
-        .find(|c| c.intensity_label == intensity && c.controller == controller)
-        .expect("swept cell")
+    let counters = &report.counters;
+    table.row([
+        chaos.to_string(),
+        controller.to_string(),
+        counters.offered.to_string(),
+        counters.completed.to_string(),
+        counters.starved.to_string(),
+        report.recompositions().to_string(),
+        report.switches().to_string(),
+        (report.rebuffer_us() / 1_000).to_string(),
+        format!("{:.4}", report.rebuffer_ratio()),
+        format!("{:.3}", report.mean_rung_index()),
+        format!("{:.4}", report.availability()),
+    ]);
+    card.push(
+        Line::new()
+            .str("chaos", chaos)
+            .num(
+                "intensity",
+                scorecard::window_share(squeeze_windows(chaos)),
+                2,
+            )
+            .str("controller", controller)
+            .raw("offered", counters.offered)
+            .raw("completed", counters.completed)
+            .raw("starved", counters.starved)
+            .raw("gave_up", counters.gave_up)
+            .raw("failed_open", counters.failed_open)
+            .raw("recompositions", report.recompositions())
+            .raw("switches", report.switches())
+            .raw("rebuffer_us", report.rebuffer_us())
+            .raw(
+                "rebuffer_events",
+                report
+                    .outcomes
+                    .iter()
+                    .map(|o| o.rebuffer_events as u64)
+                    .sum::<u64>(),
+            )
+            .num("rebuffer_ratio", report.rebuffer_ratio(), 6)
+            .num("mean_rung", report.mean_rung_index(), 6)
+            .num("availability", report.availability(), 6)
+            .raw(
+                "buffer_peak_us",
+                report
+                    .outcomes
+                    .iter()
+                    .map(|o| o.buffer_peak_us)
+                    .max()
+                    .unwrap_or(0),
+            )
+            .digest("digest", digest),
+    );
+    report
 }
 
 fn main() {
-    let out_path = std::env::args()
-        .nth(1)
-        .unwrap_or_else(|| "BENCH_abr.json".to_string());
+    let mut card = Scorecard::from_args("abr_controller", "BENCH_abr.json");
 
     println!(
         "X17 — buffer-aware adaptation scorecard (topology seed {TOPOLOGY_SEED}, arrival seed \
@@ -261,13 +224,6 @@ fn main() {
         HORIZON_US / 1_000_000
     );
     println!();
-
-    let mut cells: Vec<Cell> = Vec::new();
-    for &intensity_label in &INTENSITIES {
-        for &(controller, _) in &CONTROLLERS {
-            cells.push(run_cell(intensity_label, controller));
-        }
-    }
 
     let mut table = TextTable::new([
         "chaos",
@@ -282,116 +238,60 @@ fn main() {
         "mean rung",
         "avail",
     ]);
-    for c in &cells {
-        table.row([
-            c.intensity_label.to_string(),
-            c.controller.to_string(),
-            c.offered.to_string(),
-            c.completed.to_string(),
-            c.starved.to_string(),
-            c.recompositions.to_string(),
-            c.switches.to_string(),
-            (c.rebuffer_us / 1_000).to_string(),
-            format!("{:.4}", c.rebuffer_ratio),
-            format!("{:.3}", c.mean_rung),
-            format!("{:.4}", c.availability),
-        ]);
+    let mut storm = Vec::new();
+    for chaos in INTENSITIES {
+        for controller in CONTROLLERS {
+            let report = run_cell(chaos, controller, &mut card, &mut table);
+            if chaos == "storm" {
+                storm.push((report.rebuffer_ratio(), report.mean_rung_index()));
+            }
+        }
     }
     println!("{}", table.render());
 
     // The robustness headline, asserted where it matters: storm.
-    let storm_static = cell(&cells, "storm", "static");
-    let storm_reactive = cell(&cells, "storm", "reactive");
-    let storm_bola = cell(&cells, "storm", "bola");
+    let [(static_rebuffer, _), (_, reactive_rung), (bola_rebuffer, bola_rung)] = storm[..] else {
+        panic!("one storm cell per controller");
+    };
     assert!(
-        storm_static.rebuffer_ratio > 0.0,
+        static_rebuffer > 0.0,
         "storm squeeze must starve the static ladder's buffer at least once"
     );
     assert!(
-        storm_bola.rebuffer_ratio < storm_static.rebuffer_ratio,
+        bola_rebuffer < static_rebuffer,
         "BOLA must strictly cut the rebuffer ratio vs the static ladder at storm: \
-         bola {:.6} vs static {:.6}",
-        storm_bola.rebuffer_ratio,
-        storm_static.rebuffer_ratio
+         bola {bola_rebuffer:.6} vs static {static_rebuffer:.6}"
     );
     assert!(
-        storm_bola.mean_rung <= storm_reactive.mean_rung,
-        "BOLA's mean rung must be no worse than reactive at storm: bola {:.4} vs reactive {:.4}",
-        storm_bola.mean_rung,
-        storm_reactive.mean_rung
+        bola_rung <= reactive_rung,
+        "BOLA's mean rung must be no worse than reactive at storm: bola {bola_rung:.4} vs \
+         reactive {reactive_rung:.4}"
     );
     println!(
-        "storm check: rebuffer bola {:.4} < static {:.4}; mean rung bola {:.3} <= reactive {:.3}",
-        storm_bola.rebuffer_ratio,
-        storm_static.rebuffer_ratio,
-        storm_bola.mean_rung,
-        storm_reactive.mean_rung
+        "storm check: rebuffer bola {bola_rebuffer:.4} < static {static_rebuffer:.4}; mean rung \
+         bola {bola_rung:.3} <= reactive {reactive_rung:.3}"
     );
 
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str("  \"bench\": \"abr_controller\",\n");
-    json.push_str(&scorecard::strict_scenario_json());
-    json.push_str(&format!(
-        "  \"run\": {{\"arrival_seed\": {ARRIVAL_SEED}, \"horizon_us\": {HORIZON_US}, \"hold_range_us\": [{}, {}], \"demand_range_bps\": [{}, {}], \"rate_per_sec\": {ARRIVAL_RATE_PER_SEC}, \"tick_us\": 250000, \"max_recompositions\": 8}},\n",
-        HOLD_RANGE_US.0, HOLD_RANGE_US.1, DEMAND_RANGE_BPS.0, DEMAND_RANGE_BPS.1
-    ));
-    json.push_str("  \"squeeze_windows\": {");
-    for (i, intensity) in INTENSITIES.iter().enumerate() {
-        let windows = squeeze_windows(intensity)
-            .iter()
-            .map(|(s, e, p)| format!("[{s}, {e}, {p}]"))
-            .collect::<Vec<_>>()
-            .join(", ");
-        json.push_str(&format!(
-            "\"{intensity}\": [{windows}]{}",
-            if i + 1 == INTENSITIES.len() { "" } else { ", " }
-        ));
-    }
-    json.push_str("},\n");
-    let abr = AbrConfig::default();
-    json.push_str(&format!(
-        "  \"abr\": {{\"buffer_capacity_us\": {}, \"startup_buffer_us\": {}, \"gamma_b_ppm\": {}, \"switch_dwell_us\": {}, \"rung_utility\": {:?}, \"rung_cost_pct\": {:?}}},\n",
-        abr.buffer_capacity_us,
-        abr.startup_buffer_us,
-        abr.gamma_b_ppm,
-        abr.switch_dwell_us,
-        abr.rung_utility,
-        abr.rung_cost_pct
-    ));
-    json.push_str(&format!(
-        "  \"workers_verified\": [{}],\n",
-        WORKER_COUNTS
-            .iter()
-            .map(|w| w.to_string())
-            .collect::<Vec<_>>()
-            .join(", ")
-    ));
-    json.push_str("  \"cells\": [\n");
-    for (i, c) in cells.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"chaos\": \"{}\", \"intensity\": {:.2}, \"controller\": \"{}\", \"offered\": {}, \"completed\": {}, \"starved\": {}, \"gave_up\": {}, \"failed_open\": {}, \"recompositions\": {}, \"switches\": {}, \"rebuffer_us\": {}, \"rebuffer_events\": {}, \"rebuffer_ratio\": {:.6}, \"mean_rung\": {:.6}, \"availability\": {:.6}, \"buffer_peak_us\": {}, \"digest\": \"{:016x}\"}}{}\n",
-            c.intensity_label,
-            c.intensity,
-            c.controller,
-            c.offered,
-            c.completed,
-            c.starved,
-            c.gave_up,
-            c.failed_open,
-            c.recompositions,
-            c.switches,
-            c.rebuffer_us,
-            c.rebuffer_events,
-            c.rebuffer_ratio,
-            c.mean_rung,
-            c.availability,
-            c.buffer_peak_us,
-            c.digest,
-            if i + 1 == cells.len() { "" } else { "," }
-        ));
-    }
-    json.push_str("  ]\n}\n");
-    std::fs::write(&out_path, &json).expect("write scorecard");
-    println!("wrote {out_path}");
+    let config = engine_config(AbrMode::Bola, 1);
+    let abr = config.abr.expect("every X17 cell runs a controller");
+    card.write(
+        &Line::new()
+            .raw("scenario", scorecard::strict_scenario_line())
+            .raw("run", scorecard::buffered_run_line(&config))
+            .raw(
+                "squeeze_windows",
+                scorecard::windows_line(&INTENSITIES, squeeze_windows),
+            )
+            .raw(
+                "abr",
+                Line::new()
+                    .raw("buffer_capacity_us", abr.buffer_capacity_us)
+                    .raw("startup_buffer_us", abr.startup_buffer_us)
+                    .raw("gamma_b_ppm", abr.gamma_b_ppm)
+                    .raw("switch_dwell_us", abr.switch_dwell_us)
+                    .raw("rung_utility", list(abr.rung_utility))
+                    .raw("rung_cost_pct", list(abr.rung_cost_pct)),
+            )
+            .raw("workers_verified", list(WORKER_COUNTS)),
+    );
 }

@@ -28,12 +28,12 @@
 //! (BOLA), so the scorecard's currency is *delivered* satisfaction —
 //! composed satisfaction discounted by the stalled share of playback.
 //!
-//! Emits `BENCH_broker.json` (first CLI argument overrides the path;
-//! `--deterministic` is accepted for CI parity — the file is always
-//! deterministic). `--scales=100,1000` restricts the sweep for smoke
-//! runs.
+//! Emits `BENCH_broker.json` (the first argument not starting with `--`
+//! overrides the path; `--deterministic` is accepted for CI parity —
+//! the file has no timing fields). `--scales=100,1000` restricts the
+//! sweep for smoke runs.
 
-use qosc_bench::scorecard::{self, WORKER_COUNTS};
+use qosc_bench::scorecard::{self, list, Line, Scorecard, WORKER_COUNTS};
 use qosc_bench::TextTable;
 use qosc_core::{
     run_sessions, AbrConfig, AbrMode, CompositionRequest, ResilientEngineConfig,
@@ -69,6 +69,8 @@ const ACCESS_PER_SESSION_BPS: u64 = 1_100_000;
 /// bottleneck (single-path routing concentrates sender-side flows).
 const FABRIC_MULT: u64 = 4;
 const SCALES: [usize; 3] = [100, 1_000, 10_000];
+/// Pods of the fat-tree.
+const FAT_TREE_K: usize = 4;
 
 /// The full worker sweep below 10k sessions; at 10k a run costs
 /// minutes, so invariance is proven at the extremes only.
@@ -165,7 +167,7 @@ fn build_world<'a>(
     let access_bps = (scale as u64 * ACCESS_PER_SESSION_BPS) as f64;
     let fabric_bps = (scale as u64 * ACCESS_PER_SESSION_BPS * FABRIC_MULT) as f64;
     let (mut topo, hosts, _cores) = fat_tree(
-        4,
+        FAT_TREE_K,
         LinkTemplate::fixed(access_bps, 500),
         LinkTemplate::fixed(fabric_bps, 1_000),
         TOPOLOGY_SEED,
@@ -237,24 +239,19 @@ fn run_once(scale: usize, mode: Mode, workers: usize) -> (SessionsReport, Delive
     (report, world.delivery_cache_stats(), reallocations)
 }
 
-struct Cell {
-    scale: usize,
-    mode: Mode,
-    offered: usize,
-    completed: usize,
-    starved: usize,
-    recompositions: u64,
-    switches: u64,
+/// What the cold-path and policy checks compare.
+struct Checked {
+    digest: u64,
+    cache: DeliveryCacheStats,
     grant_updates: u64,
     reallocations: u64,
-    rebuffer_ratio: f64,
     p5_satisfaction: f64,
     mean_satisfaction: f64,
-    cache: DeliveryCacheStats,
-    digest: u64,
 }
 
-fn run_cell(scale: usize, mode: Mode) -> Cell {
+/// One cell: its scorecard line and its table row, from the workers=1
+/// report.
+fn run_cell(scale: usize, mode: Mode, card: &mut Scorecard, table: &mut TextTable) -> Checked {
     let label = format!("{scale} × {}", mode.label());
     let (digest, (report, cache, reallocations)) =
         scorecard::worker_sweep(&label, worker_counts(scale), |workers| {
@@ -262,42 +259,58 @@ fn run_cell(scale: usize, mode: Mode) -> Cell {
             (scorecard::sessions_digest(&run.0), run)
         });
     let ratios = scorecard::delivered_ratios(&report);
-    Cell {
-        scale,
-        mode,
-        offered: report.counters.offered,
-        completed: report.counters.completed,
-        starved: report.counters.starved,
-        recompositions: report.recompositions(),
-        switches: report.switches(),
+    let checked = Checked {
+        digest,
+        cache,
         grant_updates: report.outcomes.iter().map(|o| o.grant_updates as u64).sum(),
         reallocations,
-        rebuffer_ratio: report.rebuffer_ratio(),
         p5_satisfaction: scorecard::p5(ratios.clone()),
         mean_satisfaction: mean(&ratios),
-        cache,
-        digest,
-    }
-}
-
-fn cell(cells: &[Cell], scale: usize, mode: Mode) -> &Cell {
-    cells
-        .iter()
-        .find(|c| c.scale == scale && c.mode == mode)
-        .expect("swept cell")
+    };
+    let counters = &report.counters;
+    table.row([
+        scale.to_string(),
+        mode.label().to_string(),
+        counters.offered.to_string(),
+        counters.completed.to_string(),
+        report.switches().to_string(),
+        checked.grant_updates.to_string(),
+        reallocations.to_string(),
+        format!("{}/{}/{}", cache.hits, cache.refreshes, cache.misses),
+        format!("{:.4}", report.rebuffer_ratio()),
+        format!("{:.4}", checked.p5_satisfaction),
+        format!("{:.4}", checked.mean_satisfaction),
+    ]);
+    card.push(
+        Line::new()
+            .raw("scale", scale)
+            .str("policy", mode.label())
+            .raw("offered", counters.offered)
+            .raw("completed", counters.completed)
+            .raw("starved", counters.starved)
+            .raw("recompositions", report.recompositions())
+            .raw("switches", report.switches())
+            .raw("grant_updates", checked.grant_updates)
+            .raw("reallocations", reallocations)
+            .raw(
+                "cache",
+                Line::new()
+                    .raw("hits", cache.hits)
+                    .raw("refreshes", cache.refreshes)
+                    .raw("misses", cache.misses),
+            )
+            .num("rebuffer_ratio", report.rebuffer_ratio(), 6)
+            .num("p5_satisfaction", checked.p5_satisfaction, 6)
+            .num("mean_satisfaction", checked.mean_satisfaction, 6)
+            .digest("digest", digest),
+    );
+    checked
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let out_path = args
-        .iter()
-        .find(|a| !a.starts_with("--"))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_broker.json".to_string());
-    let deterministic = args.iter().any(|a| a == "--deterministic");
-    let scales: Vec<usize> = args
-        .iter()
-        .find_map(|a| a.strip_prefix("--scales="))
+    let mut card = Scorecard::from_args("broker_fairness", "BENCH_broker.json");
+    let scales: Vec<usize> = std::env::args()
+        .find_map(|a| a.strip_prefix("--scales=").map(str::to_string))
         .map(|list| {
             list.split(',')
                 .map(|s| s.trim().parse().expect("numeric scale"))
@@ -313,20 +326,6 @@ fn main() {
     );
     println!();
 
-    let mut cells: Vec<Cell> = Vec::new();
-    for &scale in &scales {
-        // The none/baseline pair only needs one scale to prove the cold
-        // path; the policy contrast runs everywhere.
-        let modes: &[Mode] = if scale == scales[0] {
-            &[Mode::Baseline, Mode::None, Mode::Fcfs, Mode::MaxMin]
-        } else {
-            &[Mode::Fcfs, Mode::MaxMin]
-        };
-        for &mode in modes {
-            cells.push(run_cell(scale, mode));
-        }
-    }
-
     let mut table = TextTable::new([
         "scale",
         "policy",
@@ -340,27 +339,33 @@ fn main() {
         "p5 satisf",
         "mean satisf",
     ]);
-    for c in &cells {
-        table.row([
-            c.scale.to_string(),
-            c.mode.label().to_string(),
-            c.offered.to_string(),
-            c.completed.to_string(),
-            c.switches.to_string(),
-            c.grant_updates.to_string(),
-            c.reallocations.to_string(),
-            format!("{}/{}/{}", c.cache.hits, c.cache.refreshes, c.cache.misses),
-            format!("{:.4}", c.rebuffer_ratio),
-            format!("{:.4}", c.p5_satisfaction),
-            format!("{:.4}", c.mean_satisfaction),
-        ]);
+    let mut cells = Vec::new();
+    for &scale in &scales {
+        // The none/baseline pair only needs one scale to prove the cold
+        // path; the policy contrast runs everywhere.
+        let modes: &[Mode] = if scale == scales[0] {
+            &[Mode::Baseline, Mode::None, Mode::Fcfs, Mode::MaxMin]
+        } else {
+            &[Mode::Fcfs, Mode::MaxMin]
+        };
+        for &mode in modes {
+            let checked = run_cell(scale, mode, &mut card, &mut table);
+            cells.push(((scale, mode), checked));
+        }
     }
     println!("{}", table.render());
+    let cell = |scale: usize, mode: Mode| {
+        &cells
+            .iter()
+            .find(|(key, _)| *key == (scale, mode))
+            .expect("swept cell")
+            .1
+    };
 
     // The cold path: a world whose sharing was explicitly set to `None`
     // is bit-identical to one that never heard of the broker.
-    let baseline = cell(&cells, scales[0], Mode::Baseline);
-    let none = cell(&cells, scales[0], Mode::None);
+    let baseline = cell(scales[0], Mode::Baseline);
+    let none = cell(scales[0], Mode::None);
     assert_eq!(
         none.digest, baseline.digest,
         "sharing=None must be bit-identical to the broker never existing"
@@ -369,23 +374,23 @@ fn main() {
     assert_eq!(none.grant_updates, 0);
 
     for &scale in &scales {
-        let fcfs = cell(&cells, scale, Mode::Fcfs);
-        let maxmin = cell(&cells, scale, Mode::MaxMin);
+        let fcfs = cell(scale, Mode::Fcfs);
+        let maxmin = cell(scale, Mode::MaxMin);
         // Brokered cells must actually exercise the machinery: the
         // delivery memo serves hits and grant-only refreshes, and
         // reallocation epochs reach sessions as grant updates.
-        for c in [fcfs, maxmin] {
+        for (mode, c) in [(Mode::Fcfs, fcfs), (Mode::MaxMin, maxmin)] {
             assert!(
                 c.cache.hits > 0 && c.cache.refreshes > 0,
                 "scale {scale} × {}: delivery memo must be exercised, got {:?}",
-                c.mode.label(),
+                mode.label(),
                 c.cache
             );
             assert!(c.reallocations > 0);
             assert!(
                 c.grant_updates > 0,
                 "scale {scale} × {}: reallocations must reach sessions",
-                c.mode.label()
+                mode.label()
             );
         }
         // The headline: weighted max-min holds the tail FCFS collapses,
@@ -412,54 +417,49 @@ fn main() {
     }
     println!();
 
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str("  \"bench\": \"broker_fairness\",\n");
-    json.push_str(&format!(
-        "  \"scenario\": {{\"topology\": \"fat_tree\", \"k\": 4, \"topology_seed\": {TOPOLOGY_SEED}, \"access_per_session_bps\": {ACCESS_PER_SESSION_BPS}, \"fabric_mult\": {FABRIC_MULT}}},\n"
-    ));
-    json.push_str(&format!(
-        "  \"run\": {{\"arrival_seed\": {ARRIVAL_SEED}, \"horizon_us\": {HORIZON_US}, \"arrival_horizon_us\": {ARRIVAL_HORIZON_US}, \"hold_range_us\": [{}, {}], \"tick_us\": 500000, \"max_recompositions\": 8}},\n",
-        HOLD_RANGE_US.0, HOLD_RANGE_US.1
-    ));
-    json.push_str(&format!(
-        "  \"demand_mix_bps\": {{\"interactive\": [{}, {}], \"standard\": [{}, {}], \"background\": [{}, {}]}},\n",
-        MIX.interactive_bps.0,
-        MIX.interactive_bps.1,
-        MIX.standard_bps.0,
-        MIX.standard_bps.1,
-        MIX.background_bps.0,
-        MIX.background_bps.1
-    ));
-    json.push_str(
-        "  \"priority_weights\": {\"interactive\": 4, \"standard\": 2, \"background\": 1},\n",
+    let config = engine_config(1);
+    let range = |(low, high): (u64, u64)| list([low, high]);
+    card.write(
+        &Line::new()
+            .raw(
+                "scenario",
+                Line::new()
+                    .str("topology", "fat_tree")
+                    .raw("k", FAT_TREE_K)
+                    .raw("topology_seed", TOPOLOGY_SEED)
+                    .raw("access_per_session_bps", ACCESS_PER_SESSION_BPS)
+                    .raw("fabric_mult", FABRIC_MULT),
+            )
+            .raw(
+                "run",
+                Line::new()
+                    .raw("arrival_seed", ARRIVAL_SEED)
+                    .raw("horizon_us", HORIZON_US)
+                    .raw("arrival_horizon_us", ARRIVAL_HORIZON_US)
+                    .raw("hold_range_us", range(HOLD_RANGE_US))
+                    .raw("tick_us", config.tick_us)
+                    .raw("max_recompositions", config.max_recompositions),
+            )
+            .raw(
+                "demand_mix_bps",
+                Line::new()
+                    .raw("interactive", range(MIX.interactive_bps))
+                    .raw("standard", range(MIX.standard_bps))
+                    .raw("background", range(MIX.background_bps)),
+            )
+            .raw(
+                "priority_weights",
+                Line::new()
+                    .raw("interactive", 4)
+                    .raw("standard", 2)
+                    .raw("background", 1),
+            )
+            .raw(
+                "workers_verified",
+                Line::new()
+                    .raw("default", list(WORKER_COUNTS))
+                    .raw("at_10000", list(worker_counts(10_000))),
+            )
+            .raw("deterministic", card.deterministic()),
     );
-    json.push_str("  \"workers_verified\": {\"default\": [1, 2, 4, 8], \"at_10000\": [1, 8]},\n");
-    json.push_str(&format!("  \"deterministic\": {deterministic},\n"));
-    json.push_str("  \"cells\": [\n");
-    for (i, c) in cells.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"scale\": {}, \"policy\": \"{}\", \"offered\": {}, \"completed\": {}, \"starved\": {}, \"recompositions\": {}, \"switches\": {}, \"grant_updates\": {}, \"reallocations\": {}, \"cache\": {{\"hits\": {}, \"refreshes\": {}, \"misses\": {}}}, \"rebuffer_ratio\": {:.6}, \"p5_satisfaction\": {:.6}, \"mean_satisfaction\": {:.6}, \"digest\": \"{:016x}\"}}{}\n",
-            c.scale,
-            c.mode.label(),
-            c.offered,
-            c.completed,
-            c.starved,
-            c.recompositions,
-            c.switches,
-            c.grant_updates,
-            c.reallocations,
-            c.cache.hits,
-            c.cache.refreshes,
-            c.cache.misses,
-            c.rebuffer_ratio,
-            c.p5_satisfaction,
-            c.mean_satisfaction,
-            c.digest,
-            if i + 1 == cells.len() { "" } else { "," }
-        ));
-    }
-    json.push_str("  ]\n}\n");
-    std::fs::write(&out_path, &json).expect("write scorecard");
-    println!("wrote {out_path}");
 }

@@ -39,29 +39,18 @@
 //! both — while at calm all three modes are bit-identical, the
 //! estimators' do-no-harm bound.
 
-use qosc_bench::scorecard::{self, STRICT_TOPOLOGY_SEED as TOPOLOGY_SEED, WORKER_COUNTS};
+use qosc_bench::scorecard::{
+    self, list, Line, Scorecard, Windows, BUFFERED_ARRIVAL_SEED as ARRIVAL_SEED,
+    BUFFERED_HORIZON_US as HORIZON_US, STRICT_TOPOLOGY_SEED as TOPOLOGY_SEED, WORKER_COUNTS,
+};
 use qosc_bench::TextTable;
 use qosc_core::{
     run_sessions, AbrConfig, AbrMode, ResilientEngineConfig, SelectOptions, SessionEngineConfig,
     SessionsReport, SlaConfig, SlaMode,
 };
 use qosc_pipeline::ChaosAction;
-use qosc_services::QosEstimatorConfig;
-use qosc_workload::arrivals::{session_arrivals, ArrivalPattern, SessionPattern};
+use qosc_workload::arrivals::session_arrivals;
 
-const ARRIVAL_SEED: u64 = 42;
-/// Virtual run length.
-const HORIZON_US: u64 = 30_000_000;
-/// Arrivals stop 5 virtual seconds before the horizon so the tail can
-/// drain.
-const ARRIVAL_HORIZON_US: u64 = 25_000_000;
-/// Long holds — 6–12 s against a 4 s buffer — so sag windows land
-/// mid-stream and outlast the startup credit.
-const HOLD_RANGE_US: (u64, u64) = (6_000_000, 12_000_000);
-/// Per-session full-quality bitrate demand, bits per second (see X17).
-const DEMAND_RANGE_BPS: (u64, u64) = (1_000, 4_000);
-/// Session opens per virtual second (mean concurrency ≈ rate × 9 s).
-const ARRIVAL_RATE_PER_SEC: u64 = 2;
 const CHAOS: [&str; 2] = ["calm", "grey"];
 const DETECTORS: [&str; 3] = ["off", "binary", "drift"];
 
@@ -70,30 +59,11 @@ const DETECTORS: [&str; 3] = ["off", "binary", "drift"];
 /// sick members deliver a tenth of advertised — the buffer drains at
 /// 0.9× real time, far faster than BOLA's ladder can absorb, while
 /// every liveness check stays green.
-fn sag_windows(chaos: &str) -> &'static [(u64, u64, u16)] {
+fn sag_windows(chaos: &str) -> Windows {
     match chaos {
         "calm" => &[],
         "grey" => &[(3_000_000, 11_000_000, 100), (16_000_000, 24_000_000, 100)],
         other => panic!("unknown chaos {other}"),
-    }
-}
-
-/// The sagging share of the horizon — the scalar the JSON reports as
-/// the cell's intensity.
-fn sag_fraction(chaos: &str) -> f64 {
-    let busy: u64 = sag_windows(chaos).iter().map(|(s, e, _)| e - s).sum();
-    busy as f64 / HORIZON_US as f64
-}
-
-fn session_pattern() -> SessionPattern {
-    SessionPattern {
-        arrivals: ArrivalPattern {
-            horizon_us: ARRIVAL_HORIZON_US,
-            rate_per_sec: ARRIVAL_RATE_PER_SEC,
-            ..ArrivalPattern::default()
-        },
-        hold_range_us: HOLD_RANGE_US,
-        demand_range_bps: DEMAND_RANGE_BPS,
     }
 }
 
@@ -159,7 +129,7 @@ fn run_once(detector: &str, chaos: &str, workers: usize) -> SessionsReport {
     );
     let requests = scorecard::session_requests(
         &scenario,
-        session_arrivals(&session_pattern(), ARRIVAL_SEED),
+        session_arrivals(&scorecard::buffered_stream(), ARRIVAL_SEED),
     );
     let mut world = scorecard::chaos_world(&scenario.formats, &scenario.services, scenario.network);
     for &(start, end, permille) in sag_windows(chaos) {
@@ -183,60 +153,57 @@ fn run_once(detector: &str, chaos: &str, workers: usize) -> SessionsReport {
     )
 }
 
-struct Cell {
+/// One cell: its scorecard line and its table row, from the workers=1
+/// report.
+fn run_cell(
     chaos: &'static str,
-    intensity: f64,
     detector: &'static str,
-    offered: usize,
-    completed: usize,
-    starved: usize,
-    recompositions: u64,
-    switches: u64,
-    evasions: u64,
-    sla_violations: u64,
-    rebuffer_us: u64,
-    rebuffer_ratio: f64,
-    p5_satisfaction: f64,
-    availability: f64,
-    digest: u64,
-}
-
-fn run_cell(chaos: &'static str, detector: &'static str) -> Cell {
+    card: &mut Scorecard,
+    table: &mut TextTable,
+) -> (u64, SessionsReport) {
     let cell = format!("{chaos} × {detector}");
     let (digest, report) = scorecard::worker_sweep(&cell, &WORKER_COUNTS, |workers| {
         let report = run_once(detector, chaos, workers);
         (scorecard::sessions_digest(&report), report)
     });
-    Cell {
-        chaos,
-        intensity: sag_fraction(chaos),
-        detector,
-        offered: report.counters.offered,
-        completed: report.counters.completed,
-        starved: report.counters.starved,
-        recompositions: report.recompositions(),
-        switches: report.switches(),
-        evasions: report.evasions(),
-        sla_violations: report.sla_violations(),
-        rebuffer_us: report.rebuffer_us(),
-        rebuffer_ratio: report.rebuffer_ratio(),
-        p5_satisfaction: scorecard::p5(scorecard::delivered_ratios(&report)),
-        availability: report.availability(),
-        digest,
-    }
-}
-
-fn cell<'a>(cells: &'a [Cell], chaos: &str, detector: &str) -> &'a Cell {
-    cells
-        .iter()
-        .find(|c| c.chaos == chaos && c.detector == detector)
-        .expect("swept cell")
+    let counters = &report.counters;
+    let p5_satisfaction = scorecard::p5(scorecard::delivered_ratios(&report));
+    table.row([
+        chaos.to_string(),
+        detector.to_string(),
+        counters.offered.to_string(),
+        counters.completed.to_string(),
+        report.sla_violations().to_string(),
+        report.evasions().to_string(),
+        report.switches().to_string(),
+        (report.rebuffer_us() / 1_000).to_string(),
+        format!("{:.4}", report.rebuffer_ratio()),
+        format!("{p5_satisfaction:.4}"),
+        format!("{:.4}", report.availability()),
+    ]);
+    card.push(
+        Line::new()
+            .str("chaos", chaos)
+            .num("intensity", scorecard::window_share(sag_windows(chaos)), 2)
+            .str("detector", detector)
+            .raw("offered", counters.offered)
+            .raw("completed", counters.completed)
+            .raw("starved", counters.starved)
+            .raw("recompositions", report.recompositions())
+            .raw("switches", report.switches())
+            .raw("evasions", report.evasions())
+            .raw("sla_violations", report.sla_violations())
+            .raw("rebuffer_us", report.rebuffer_us())
+            .num("rebuffer_ratio", report.rebuffer_ratio(), 6)
+            .num("p5_satisfaction", p5_satisfaction, 6)
+            .num("availability", report.availability(), 6)
+            .digest("digest", digest),
+    );
+    (digest, report)
 }
 
 fn main() {
-    let out_path = std::env::args()
-        .nth(1)
-        .unwrap_or_else(|| "BENCH_grey.json".to_string());
+    let mut card = Scorecard::from_args("grey_failure", "BENCH_grey.json");
 
     println!(
         "X18 — grey-failure detection scorecard (topology seed {TOPOLOGY_SEED}, arrival seed \
@@ -244,13 +211,6 @@ fn main() {
         HORIZON_US / 1_000_000
     );
     println!();
-
-    let mut cells: Vec<Cell> = Vec::new();
-    for &chaos in &CHAOS {
-        for &detector in &DETECTORS {
-            cells.push(run_cell(chaos, detector));
-        }
-    }
 
     let mut table = TextTable::new([
         "chaos",
@@ -265,160 +225,117 @@ fn main() {
         "p5 satisf",
         "avail",
     ]);
-    for c in &cells {
-        table.row([
-            c.chaos.to_string(),
-            c.detector.to_string(),
-            c.offered.to_string(),
-            c.completed.to_string(),
-            c.sla_violations.to_string(),
-            c.evasions.to_string(),
-            c.switches.to_string(),
-            (c.rebuffer_us / 1_000).to_string(),
-            format!("{:.4}", c.rebuffer_ratio),
-            format!("{:.4}", c.p5_satisfaction),
-            format!("{:.4}", c.availability),
-        ]);
+    let mut cells = Vec::new();
+    for chaos in CHAOS {
+        for detector in DETECTORS {
+            cells.push((
+                (chaos, detector),
+                run_cell(chaos, detector, &mut card, &mut table),
+            ));
+        }
     }
     println!("{}", table.render());
+    let cell = |chaos: &str, detector: &str| {
+        &cells
+            .iter()
+            .find(|(key, _)| *key == (chaos, detector))
+            .expect("swept cell")
+            .1
+    };
 
     // Do-no-harm at calm: with nothing to detect, all three modes are
     // bit-identical — the estimators observe nominal QoS, never flag,
     // and touch nothing.
-    let calm_off = cell(&cells, "calm", "off");
+    let (calm_digest, calm_off) = cell("calm", "off");
     for detector in ["binary", "drift"] {
-        let c = cell(&cells, "calm", detector);
         assert_eq!(
-            c.digest, calm_off.digest,
+            cell("calm", detector).0,
+            *calm_digest,
             "calm × {detector} must be bit-identical to detection-off"
         );
     }
 
     // The grey-failure headline.
-    let grey_off = cell(&cells, "grey", "off");
-    let grey_binary = cell(&cells, "grey", "binary");
-    let grey_drift = cell(&cells, "grey", "drift");
+    let (off_digest, off) = cell("grey", "off");
+    let (binary_digest, binary) = cell("grey", "binary");
+    let (_, drift) = cell("grey", "drift");
+    let p5 = |report: &SessionsReport| scorecard::p5(scorecard::delivered_ratios(report));
     assert!(
-        grey_off.rebuffer_ratio > calm_off.rebuffer_ratio,
+        off.rebuffer_ratio() > calm_off.rebuffer_ratio(),
         "the sag windows must starve undetected sessions: grey {:.6} vs calm {:.6}",
-        grey_off.rebuffer_ratio,
-        calm_off.rebuffer_ratio
+        off.rebuffer_ratio(),
+        calm_off.rebuffer_ratio()
     );
     // A grey fault never kills a plan, so the binary breaker has
     // nothing to see: its run is bit-identical to no detection at all.
     assert_eq!(
-        grey_binary.digest, grey_off.digest,
+        binary_digest, off_digest,
         "the binary breaker must be provably blind to grey faults"
     );
-    assert_eq!(grey_binary.sla_violations, 0);
-    assert_eq!(grey_binary.evasions, 0);
+    assert_eq!(binary.sla_violations(), 0);
+    assert_eq!(binary.evasions(), 0);
     // Availability stays green everywhere — grey failure is invisible
     // to liveness, and drift's evasions are make-before-break.
-    for c in [grey_off, grey_binary, grey_drift] {
+    for detector in DETECTORS {
+        let availability = cell("grey", detector).1.availability();
         assert!(
-            c.availability > 0.999,
-            "{} × {}: grey faults must not dent availability, got {:.6}",
-            c.chaos,
-            c.detector,
-            c.availability
+            availability > 0.999,
+            "grey × {detector}: grey faults must not dent availability, got {availability:.6}"
         );
     }
     // The drift-aware engine detects, probates, evades — and both
     // QoE columns recover.
     assert!(
-        grey_drift.sla_violations > 0 && grey_drift.evasions > 0,
+        drift.sla_violations() > 0 && drift.evasions() > 0,
         "drift must flag the sagging chain and evade: {} violations, {} evasions",
-        grey_drift.sla_violations,
-        grey_drift.evasions
+        drift.sla_violations(),
+        drift.evasions()
     );
     assert!(
-        grey_drift.rebuffer_ratio < grey_off.rebuffer_ratio,
+        drift.rebuffer_ratio() < off.rebuffer_ratio(),
         "drift must strictly cut the rebuffer ratio vs no detection: {:.6} vs {:.6}",
-        grey_drift.rebuffer_ratio,
-        grey_off.rebuffer_ratio
+        drift.rebuffer_ratio(),
+        off.rebuffer_ratio()
     );
     assert!(
-        grey_drift.p5_satisfaction > grey_off.p5_satisfaction
-            && grey_drift.p5_satisfaction > grey_binary.p5_satisfaction,
+        p5(drift) > p5(off) && p5(drift) > p5(binary),
         "drift must lift p5 delivered satisfaction: drift {:.6} vs off {:.6} / binary {:.6}",
-        grey_drift.p5_satisfaction,
-        grey_off.p5_satisfaction,
-        grey_binary.p5_satisfaction
+        p5(drift),
+        p5(off),
+        p5(binary)
     );
     println!(
         "grey check: rebuffer drift {:.4} < off {:.4}; p5 satisfaction drift {:.4} > off {:.4}; \
          binary digest == off digest (blind breaker)",
-        grey_drift.rebuffer_ratio,
-        grey_off.rebuffer_ratio,
-        grey_drift.p5_satisfaction,
-        grey_off.p5_satisfaction
+        drift.rebuffer_ratio(),
+        off.rebuffer_ratio(),
+        p5(drift),
+        p5(off)
     );
 
-    let estimator = QosEstimatorConfig::default();
-    let sla = SlaConfig::default();
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str("  \"bench\": \"grey_failure\",\n");
-    json.push_str(&scorecard::strict_scenario_json());
-    json.push_str(&format!(
-        "  \"run\": {{\"arrival_seed\": {ARRIVAL_SEED}, \"horizon_us\": {HORIZON_US}, \"hold_range_us\": [{}, {}], \"demand_range_bps\": [{}, {}], \"rate_per_sec\": {ARRIVAL_RATE_PER_SEC}, \"tick_us\": 250000, \"max_recompositions\": 8}},\n",
-        HOLD_RANGE_US.0, HOLD_RANGE_US.1, DEMAND_RANGE_BPS.0, DEMAND_RANGE_BPS.1
-    ));
-    json.push_str("  \"sag_windows\": {");
-    for (i, chaos) in CHAOS.iter().enumerate() {
-        let windows = sag_windows(chaos)
-            .iter()
-            .map(|(s, e, p)| format!("[{s}, {e}, {p}]"))
-            .collect::<Vec<_>>()
-            .join(", ");
-        json.push_str(&format!(
-            "\"{chaos}\": [{windows}]{}",
-            if i + 1 == CHAOS.len() { "" } else { ", " }
-        ));
-    }
-    json.push_str("},\n");
-    json.push_str(&format!(
-        "  \"sla\": {{\"ewma_shift\": {}, \"window\": {}, \"quantile_permille\": {}, \"throughput_tolerance_ppm\": {}, \"latency_tolerance_ppm\": {}, \"dwell_us\": {}, \"min_samples\": {}, \"evade_dwell_us\": {}}},\n",
-        estimator.ewma_shift,
-        estimator.window,
-        estimator.quantile_permille,
-        estimator.throughput_tolerance_ppm,
-        estimator.latency_tolerance_ppm,
-        estimator.dwell_us,
-        estimator.min_samples,
-        sla.evade_dwell_us
-    ));
-    json.push_str(&format!(
-        "  \"workers_verified\": [{}],\n",
-        WORKER_COUNTS
-            .iter()
-            .map(|w| w.to_string())
-            .collect::<Vec<_>>()
-            .join(", ")
-    ));
-    json.push_str("  \"cells\": [\n");
-    for (i, c) in cells.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"chaos\": \"{}\", \"intensity\": {:.2}, \"detector\": \"{}\", \"offered\": {}, \"completed\": {}, \"starved\": {}, \"recompositions\": {}, \"switches\": {}, \"evasions\": {}, \"sla_violations\": {}, \"rebuffer_us\": {}, \"rebuffer_ratio\": {:.6}, \"p5_satisfaction\": {:.6}, \"availability\": {:.6}, \"digest\": \"{:016x}\"}}{}\n",
-            c.chaos,
-            c.intensity,
-            c.detector,
-            c.offered,
-            c.completed,
-            c.starved,
-            c.recompositions,
-            c.switches,
-            c.evasions,
-            c.sla_violations,
-            c.rebuffer_us,
-            c.rebuffer_ratio,
-            c.p5_satisfaction,
-            c.availability,
-            c.digest,
-            if i + 1 == cells.len() { "" } else { "," }
-        ));
-    }
-    json.push_str("  ]\n}\n");
-    std::fs::write(&out_path, &json).expect("write scorecard");
-    println!("wrote {out_path}");
+    let config = engine_config("drift", 1);
+    let sla = config.sla.expect("the drift detector runs an SLA policy");
+    let estimator = &sla.estimator;
+    card.write(
+        &Line::new()
+            .raw("scenario", scorecard::strict_scenario_line())
+            .raw("run", scorecard::buffered_run_line(&config))
+            .raw("sag_windows", scorecard::windows_line(&CHAOS, sag_windows))
+            .raw(
+                "sla",
+                Line::new()
+                    .raw("ewma_shift", estimator.ewma_shift)
+                    .raw("window", estimator.window)
+                    .raw("quantile_permille", estimator.quantile_permille)
+                    .raw(
+                        "throughput_tolerance_ppm",
+                        estimator.throughput_tolerance_ppm,
+                    )
+                    .raw("latency_tolerance_ppm", estimator.latency_tolerance_ppm)
+                    .raw("dwell_us", estimator.dwell_us)
+                    .raw("min_samples", estimator.min_samples)
+                    .raw("evade_dwell_us", sla.evade_dwell_us),
+            )
+            .raw("workers_verified", list(WORKER_COUNTS)),
+    );
 }

@@ -3,7 +3,7 @@
 //! Sweeps a seeded open-loop Poisson-burst arrival schedule
 //! ([`poisson_burst_arrivals`]) over the strict 12 fps mesh at
 //! 0.5×/1×/2×/4× of virtual capacity. Each arrival is a zero-hold
-//! session on the serving loop ([`run_sessions`]), opened through the
+//! session on the serving loop ([`serve_zero_hold`]), opened through the
 //! admission queue under one of four policies:
 //!
 //! * `none`          — unbounded FIFO, fixed concurrency: the
@@ -20,7 +20,7 @@
 //! [`plan_admission`] makes the same decisions (the bin asserts equal
 //! aggregates and per-request verdicts) and supplies each request's
 //! virtual latency and deadline verdict. What each session was served
-//! comes from a [`ServedWorld`].
+//! comes from a [`ServedWorld`](qosc_bench::scorecard::ServedWorld).
 //!
 //! Emits `BENCH_overload.json` (first CLI argument overrides the
 //! path). Admission runs on a virtual clock and composition is
@@ -35,16 +35,13 @@
 //! brown-out holds interactive goodput ≥ 0.9 at 4× offered load.
 
 use qosc_bench::scorecard::{
-    session_requests, strict_scenario, strict_scenario_json, ServedWorld,
+    list, serve_zero_hold, strict_scenario, strict_scenario_line, Line, Scorecard,
     STRICT_TOPOLOGY_SEED as TOPOLOGY_SEED,
 };
 use qosc_bench::TextTable;
-use qosc_core::{
-    plan_admission, run_sessions, AdmissionConfig, DegradationRung, PriorityClass,
-    ResilientEngineConfig, SessionEngineConfig, StaticWorld,
-};
+use qosc_core::{plan_admission, AdmissionConfig, DegradationRung, PriorityClass};
 use qosc_telemetry::NoopSink;
-use qosc_workload::arrivals::{poisson_burst_arrivals, ArrivalPattern, SessionArrival};
+use qosc_workload::arrivals::{poisson_burst_arrivals, ArrivalPattern};
 
 const ARRIVAL_SEEDS: [u64; 3] = [41, 42, 43];
 /// Offered load as a percentage of virtual capacity.
@@ -80,141 +77,117 @@ fn pattern_for(load_pct: u64) -> ArrivalPattern {
     }
 }
 
-struct Cell {
-    load: &'static str,
-    policy: &'static str,
-    arrival_seed: u64,
-    offered: usize,
-    offered_interactive: usize,
-    admitted: usize,
-    shed_queue_full: usize,
-    shed_predicted_late: usize,
-    shed_queue_timeout: usize,
-    served_full: usize,
-    degraded: usize,
-    failed: usize,
-    deadline_misses: usize,
-    goodput: f64,
-    interactive_goodput: f64,
-    interactive_p99_latency_us: u64,
-    brownout_steps: u32,
-    peak_rung: &'static str,
-    final_limit: u32,
-    limit_decreases: u32,
-    mean_satisfaction: f64,
-}
+/// One (load, policy) group: a scorecard line per arrival seed, and one
+/// table row of means (sums for the counts) over the seeds.
+fn run_group(
+    (load, load_pct): (&str, u64),
+    policy: &str,
+    card: &mut Scorecard,
+    table: &mut TextTable,
+) {
+    let (mut goodput_sum, mut interactive_sum, mut p99_ms_sum) = (0.0, 0.0, 0.0);
+    let (mut offered, mut shed, mut degraded_sum) = (0, 0, 0);
+    let mut limits = Vec::new();
+    for arrival_seed in ARRIVAL_SEEDS {
+        let scenario = strict_scenario();
+        let arrivals = poisson_burst_arrivals(&pattern_for(load_pct), arrival_seed);
+        let admission = policy_config(policy);
+        let (report, world) = serve_zero_hold(&scenario, &arrivals, 4, Some(admission), &NoopSink);
+        let plan = plan_admission(&arrivals, &admission);
+        let stats = report.admission;
+        assert_eq!(stats, plan.stats, "the loop admits as the offline plan");
 
-fn run_cell(load: &'static str, load_pct: u64, policy: &'static str, arrival_seed: u64) -> Cell {
-    let scenario = strict_scenario();
-    let arrivals = poisson_burst_arrivals(&pattern_for(load_pct), arrival_seed);
-    let sessions = session_requests(
-        &scenario,
-        arrivals
+        for (outcome, decision) in report.outcomes.iter().zip(&plan.decisions) {
+            assert_eq!(outcome.shed, decision.shed, "the loop sheds as the plan");
+        }
+        // Every session is served (completed, at its final rung), failed
+        // at open, or shed.
+        let served_full = report
+            .outcomes
             .iter()
-            .map(|&meta| SessionArrival {
-                meta,
-                hold_us: 0,
-                demand_bps: 0,
-            })
-            .collect(),
-    );
-    let admission = policy_config(policy);
-    let config = SessionEngineConfig {
-        resilient: ResilientEngineConfig {
-            workers: 4,
-            ..ResilientEngineConfig::default()
-        },
-        admission: Some(admission),
-        tick_us: 0,
-        session_spans: false,
-        abr: None,
-        sla: None,
-        ..SessionEngineConfig::default()
-    };
-    let mut world = ServedWorld::new(StaticWorld {
-        formats: &scenario.formats,
-        services: &scenario.services,
-        network: &scenario.network,
-    });
-    let report = run_sessions(&mut world, &sessions, &config, &NoopSink);
-    let plan = plan_admission(&arrivals, &admission);
-    let stats = report.admission;
-    assert_eq!(stats, plan.stats, "the loop admits as the offline plan");
+            .filter(|o| o.final_rung == Some(DegradationRung::Full))
+            .count();
+        let degraded = report.counters.completed - served_full;
 
-    for (outcome, decision) in report.outcomes.iter().zip(&plan.decisions) {
-        assert_eq!(outcome.shed, decision.shed, "the loop sheds as the plan");
+        // A request is *good* when it was admitted, produced a plan, and
+        // its virtual finish landed within its deadline budget.
+        let good = |i: usize| plan.decisions[i].deadline_met && world.plan(i).is_some();
+        let goodput =
+            (0..arrivals.len()).filter(|&i| good(i)).count() as f64 / arrivals.len().max(1) as f64;
+
+        let interactive: Vec<usize> = (0..arrivals.len())
+            .filter(|&i| arrivals[i].priority == PriorityClass::Interactive)
+            .collect();
+        let interactive_good = interactive.iter().filter(|&&i| good(i)).count();
+        let interactive_goodput = interactive_good as f64 / interactive.len().max(1) as f64;
+        let mut interactive_latencies: Vec<u64> = interactive
+            .iter()
+            .filter(|&&i| plan.decisions[i].admitted)
+            .map(|&i| plan.decisions[i].latency_us)
+            .collect();
+        interactive_latencies.sort_unstable();
+        let interactive_p99_latency_us = if interactive_latencies.is_empty() {
+            0
+        } else {
+            interactive_latencies[(interactive_latencies.len() * 99).div_ceil(100).max(1) - 1]
+        };
+
+        let served: Vec<usize> = (0..arrivals.len())
+            .filter(|&i| world.plan(i).is_some())
+            .collect();
+        let mean_satisfaction = if served.is_empty() {
+            0.0
+        } else {
+            served.iter().map(|&i| world.satisfaction(i)).sum::<f64>() / served.len() as f64
+        };
+
+        goodput_sum += goodput;
+        interactive_sum += interactive_goodput;
+        p99_ms_sum += interactive_p99_latency_us as f64 / 1_000.0;
+        offered += arrivals.len();
+        shed += stats.shed_queue_full + stats.shed_predicted_late + stats.shed_queue_timeout;
+        degraded_sum += degraded;
+        limits.push(stats.final_limit.to_string());
+        card.push(
+            Line::new()
+                .str("load", load)
+                .str("policy", policy)
+                .raw("arrival_seed", arrival_seed)
+                .raw("offered", arrivals.len())
+                .raw("offered_interactive", interactive.len())
+                .raw("admitted", stats.admitted)
+                .raw("shed_queue_full", stats.shed_queue_full)
+                .raw("shed_predicted_late", stats.shed_predicted_late)
+                .raw("shed_queue_timeout", stats.shed_queue_timeout)
+                .raw("served_full", served_full)
+                .raw("degraded", degraded)
+                .raw("failed", report.counters.failed_open)
+                .raw("deadline_misses", stats.deadline_misses)
+                .num("goodput", goodput, 6)
+                .num("interactive_goodput", interactive_goodput, 6)
+                .raw("interactive_p99_latency_us", interactive_p99_latency_us)
+                .raw("brownout_steps", stats.brownout_steps)
+                .str("peak_rung", stats.peak_rung.label())
+                .raw("final_limit", stats.final_limit)
+                .raw("limit_decreases", stats.limit_decreases)
+                .num("mean_satisfaction", mean_satisfaction, 6),
+        );
     }
-    // Every session is served (completed, at its final rung), failed at
-    // open, or shed.
-    let served_full = report
-        .outcomes
-        .iter()
-        .filter(|o| o.final_rung == Some(DegradationRung::Full))
-        .count();
-    let degraded = report.counters.completed - served_full;
-    let failed = report.counters.failed_open;
-
-    // A request is *good* when it was admitted, produced a plan, and
-    // its virtual finish landed within its deadline budget.
-    let good = |i: usize| plan.decisions[i].deadline_met && world.plan(i).is_some();
-    let goodput =
-        (0..arrivals.len()).filter(|&i| good(i)).count() as f64 / arrivals.len().max(1) as f64;
-
-    let interactive: Vec<usize> = (0..arrivals.len())
-        .filter(|&i| arrivals[i].priority == PriorityClass::Interactive)
-        .collect();
-    let interactive_good = interactive.iter().filter(|&&i| good(i)).count();
-    let interactive_goodput = interactive_good as f64 / interactive.len().max(1) as f64;
-    let mut interactive_latencies: Vec<u64> = interactive
-        .iter()
-        .filter(|&&i| plan.decisions[i].admitted)
-        .map(|&i| plan.decisions[i].latency_us)
-        .collect();
-    interactive_latencies.sort_unstable();
-    let interactive_p99_latency_us = if interactive_latencies.is_empty() {
-        0
-    } else {
-        interactive_latencies[(interactive_latencies.len() * 99).div_ceil(100).max(1) - 1]
-    };
-
-    let served: Vec<usize> = (0..arrivals.len())
-        .filter(|&i| world.plan(i).is_some())
-        .collect();
-    let mean_satisfaction = if served.is_empty() {
-        0.0
-    } else {
-        served.iter().map(|&i| world.satisfaction(i)).sum::<f64>() / served.len() as f64
-    };
-
-    Cell {
-        load,
-        policy,
-        arrival_seed,
-        offered: arrivals.len(),
-        offered_interactive: interactive.len(),
-        admitted: stats.admitted,
-        shed_queue_full: stats.shed_queue_full,
-        shed_predicted_late: stats.shed_predicted_late,
-        shed_queue_timeout: stats.shed_queue_timeout,
-        served_full,
-        degraded,
-        failed,
-        deadline_misses: stats.deadline_misses,
-        goodput,
-        interactive_goodput,
-        interactive_p99_latency_us,
-        brownout_steps: stats.brownout_steps,
-        peak_rung: stats.peak_rung.label(),
-        final_limit: stats.final_limit,
-        limit_decreases: stats.limit_decreases,
-        mean_satisfaction,
-    }
+    let seeds = ARRIVAL_SEEDS.len() as f64;
+    table.row([
+        load.to_string(),
+        policy.to_string(),
+        format!("{:.3}", goodput_sum / seeds),
+        format!("{:.3}", interactive_sum / seeds),
+        format!("{:.1}", p99_ms_sum / seeds),
+        format!("{:.0}%", shed as f64 * 100.0 / offered.max(1) as f64),
+        degraded_sum.to_string(),
+        limits.join("/"),
+    ]);
 }
 
 fn main() {
-    let out_path = std::env::args()
-        .nth(1)
-        .unwrap_or_else(|| "BENCH_overload.json".to_string());
+    let mut card = Scorecard::from_args("overload_matrix", "BENCH_overload.json");
 
     println!(
         "X13 — overload scorecard (topology seed {TOPOLOGY_SEED}, arrival seeds {ARRIVAL_SEEDS:?}, \
@@ -222,15 +195,6 @@ fn main() {
         VIRTUAL_CORES as u64 * 1_000_000 / MEAN_COST_US
     );
     println!();
-
-    let mut cells: Vec<Cell> = Vec::new();
-    for &(load, load_pct) in &LOADS {
-        for &policy in &POLICIES {
-            for &arrival_seed in &ARRIVAL_SEEDS {
-                cells.push(run_cell(load, load_pct, policy, arrival_seed));
-            }
-        }
-    }
 
     let mut table = TextTable::new([
         "load",
@@ -242,93 +206,23 @@ fn main() {
         "degraded",
         "limit",
     ]);
-    let seeds = ARRIVAL_SEEDS.len() as f64;
-    for &(load, _) in &LOADS {
-        for &policy in &POLICIES {
-            let group: Vec<&Cell> = cells
-                .iter()
-                .filter(|c| c.load == load && c.policy == policy)
-                .collect();
-            let shed: usize = group
-                .iter()
-                .map(|c| c.shed_queue_full + c.shed_predicted_late + c.shed_queue_timeout)
-                .sum();
-            let offered: usize = group.iter().map(|c| c.offered).sum();
-            table.row([
-                load.to_string(),
-                policy.to_string(),
-                format!(
-                    "{:.3}",
-                    group.iter().map(|c| c.goodput).sum::<f64>() / seeds
-                ),
-                format!(
-                    "{:.3}",
-                    group.iter().map(|c| c.interactive_goodput).sum::<f64>() / seeds
-                ),
-                format!(
-                    "{:.1}",
-                    group
-                        .iter()
-                        .map(|c| c.interactive_p99_latency_us as f64 / 1_000.0)
-                        .sum::<f64>()
-                        / seeds
-                ),
-                format!("{:.0}%", shed as f64 * 100.0 / offered.max(1) as f64),
-                group.iter().map(|c| c.degraded).sum::<usize>().to_string(),
-                group
-                    .iter()
-                    .map(|c| c.final_limit.to_string())
-                    .collect::<Vec<_>>()
-                    .join("/"),
-            ]);
+    for load in LOADS {
+        for policy in POLICIES {
+            run_group(load, policy, &mut card, &mut table);
         }
     }
     println!("{}", table.render());
 
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str("  \"bench\": \"overload_matrix\",\n");
-    json.push_str(&strict_scenario_json());
-    json.push_str(&format!(
-        "  \"capacity\": {{\"virtual_cores\": {VIRTUAL_CORES}, \"mean_cost_us\": {MEAN_COST_US}}},\n"
-    ));
-    json.push_str(&format!(
-        "  \"arrival_seeds\": [{}],\n",
-        ARRIVAL_SEEDS
-            .iter()
-            .map(|s| s.to_string())
-            .collect::<Vec<_>>()
-            .join(", ")
-    ));
-    json.push_str("  \"cells\": [\n");
-    for (i, c) in cells.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"load\": \"{}\", \"policy\": \"{}\", \"arrival_seed\": {}, \"offered\": {}, \"offered_interactive\": {}, \"admitted\": {}, \"shed_queue_full\": {}, \"shed_predicted_late\": {}, \"shed_queue_timeout\": {}, \"served_full\": {}, \"degraded\": {}, \"failed\": {}, \"deadline_misses\": {}, \"goodput\": {:.6}, \"interactive_goodput\": {:.6}, \"interactive_p99_latency_us\": {}, \"brownout_steps\": {}, \"peak_rung\": \"{}\", \"final_limit\": {}, \"limit_decreases\": {}, \"mean_satisfaction\": {:.6}}}{}\n",
-            c.load,
-            c.policy,
-            c.arrival_seed,
-            c.offered,
-            c.offered_interactive,
-            c.admitted,
-            c.shed_queue_full,
-            c.shed_predicted_late,
-            c.shed_queue_timeout,
-            c.served_full,
-            c.degraded,
-            c.failed,
-            c.deadline_misses,
-            c.goodput,
-            c.interactive_goodput,
-            c.interactive_p99_latency_us,
-            c.brownout_steps,
-            c.peak_rung,
-            c.final_limit,
-            c.limit_decreases,
-            c.mean_satisfaction,
-            if i + 1 == cells.len() { "" } else { "," }
-        ));
-    }
-    json.push_str("  ]\n}\n");
-    std::fs::write(&out_path, &json).expect("write scorecard");
-    println!("wrote {out_path}");
+    let admission = policy_config("full");
+    card.write(
+        &Line::new()
+            .raw("scenario", strict_scenario_line())
+            .raw(
+                "capacity",
+                Line::new()
+                    .raw("virtual_cores", admission.virtual_cores)
+                    .raw("mean_cost_us", MEAN_COST_US),
+            )
+            .raw("arrival_seeds", list(ARRIVAL_SEEDS)),
+    );
 }

@@ -23,14 +23,15 @@
 //! held at once — the scenario's registry, both graph stores, and every
 //! thread's selection arena — flat baseline included wherever it runs.
 //!
-//! Output goes to `BENCH_scale.json` (first CLI argument overrides the
-//! path). `--deterministic` omits every measured field (timings, peak
-//! RSS) so two runs produce byte-identical files — the CI `scale-smoke`
-//! step runs the bin twice with `--max=10000` and `cmp`s the outputs.
+//! Output goes to `BENCH_scale.json` (the first argument not starting
+//! with `--` overrides the path). `--deterministic` omits every measured
+//! field (timings, peak RSS) so two runs produce byte-identical files —
+//! the CI scorecard step runs the bin twice with `--max=10000`, `cmp`s
+//! the outputs and compares their cells with the checked-in ones.
 //! Stdout carries one `peak_rss_mb services=N X` line per tier in either
 //! mode; the same CI step holds the 10^4 line under a fixed ceiling.
 
-use qosc_bench::scorecard::{self, percentile, Digest, WORKER_COUNTS};
+use qosc_bench::scorecard::{self, list, percentile, Digest, Line, Scorecard, WORKER_COUNTS};
 use qosc_bench::TextTable;
 use qosc_core::{GraphStore, SelectOptions};
 use qosc_netsim::SimTime;
@@ -116,26 +117,19 @@ fn flat_warm_iters(size: usize) -> usize {
     }
 }
 
-struct Cell {
-    services: usize,
-    churn_rate: f64,
-    clusters: usize,
-    shards: u32,
-    expanded_shards: usize,
-    rounds: u32,
-    full_expansion: bool,
+/// What the plan-deviation and headline checks read off a cell.
+struct Compared {
     deviations: usize,
     compared: usize,
-    flat_ran: bool,
-    digest: u64,
-    two_cold: PathStats,
-    two_warm: PathStats,
-    flat_cold: PathStats,
-    flat_warm: PathStats,
+    /// Flat over two-level cold p50; `None` where the flat path did not
+    /// run.
+    cold_speedup: Option<f64>,
 }
 
 /// Cold + warm sweep of one (size, churn) cell through both paths.
-fn run_cell(size: usize, churn_rate: f64) -> Cell {
+/// Returns the cell's scorecard line, its table row, and what its
+/// checks compare.
+fn run_cell(size: usize, churn_rate: f64) -> (Line, Vec<String>, Compared) {
     let config = ScaleConfig::default().with_total_services(size);
     let mut scenario = scale_scenario(&config);
     let options = SelectOptions::default();
@@ -245,31 +239,55 @@ fn run_cell(size: usize, churn_rate: f64) -> Cell {
         }
     }
 
-    Cell {
-        services: config.total(),
-        churn_rate,
-        clusters: scenario.clusters,
-        shards: scenario.services.shard_count(),
-        expanded_shards,
-        rounds,
-        full_expansion,
+    let two_cold = path_stats(&mut two_cold);
+    let two_warm = path_stats(&mut two_warm);
+    let flat = flat_ran.then(|| (path_stats(&mut flat_cold), path_stats(&mut flat_warm)));
+    let cold_speedup = flat.map(|(flat_cold, _)| flat_cold.p50_us / two_cold.p50_us);
+    let shards = scenario.services.shard_count();
+    let row = vec![
+        config.total().to_string(),
+        format!("{churn_rate:.2}"),
+        format!("{expanded_shards}/{shards}"),
+        rounds.to_string(),
+        format!("{:.1}", two_cold.p50_us),
+        flat.map_or("-".into(), |(cold, _)| format!("{:.1}", cold.p50_us)),
+        cold_speedup.map_or("-".into(), |speedup| format!("{speedup:.2}x")),
+        format!("{:.1}", two_warm.p50_us),
+        flat.map_or("-".into(), |(_, warm)| format!("{:.1}", warm.p50_us)),
+    ];
+    let mut line = Line::new()
+        .raw("services", config.total())
+        .num("churn_rate", churn_rate, 2)
+        .raw("clusters", scenario.clusters)
+        .raw("shards", shards)
+        .raw("expanded_shards", expanded_shards)
+        .raw("rounds", rounds)
+        .raw("full_expansion", full_expansion)
+        .raw("flat_ran", flat_ran)
+        .raw("deviations", deviations)
+        .digest("plan_digest", digest.finish())
+        .timing()
+        .raw("two_level", timing_line(two_cold, two_warm));
+    if let (Some((flat_cold, flat_warm)), Some(speedup)) = (flat, cold_speedup) {
+        line = line
+            .raw("flat", timing_line(flat_cold, flat_warm))
+            .num("cold_speedup", speedup, 2);
+    }
+    let checked = Compared {
         deviations,
         compared,
-        flat_ran,
-        digest: digest.finish(),
-        two_cold: path_stats(&mut two_cold),
-        two_warm: path_stats(&mut two_warm),
-        flat_cold: if flat_ran {
-            path_stats(&mut flat_cold)
-        } else {
-            PathStats::default()
-        },
-        flat_warm: if flat_ran {
-            path_stats(&mut flat_warm)
-        } else {
-            PathStats::default()
-        },
-    }
+        cold_speedup,
+    };
+    (line, row, checked)
+}
+
+/// A path's cold and warm latency percentiles.
+fn timing_line(cold: PathStats, warm: PathStats) -> Line {
+    Line::new()
+        .num("cold_p50_us", cold.p50_us, 1)
+        .num("cold_p99_us", cold.p99_us, 1)
+        .num("warm_p50_us", warm.p50_us, 1)
+        .num("warm_p99_us", warm.p99_us, 1)
 }
 
 /// One request mix composed at each worker count over a shared store;
@@ -320,18 +338,13 @@ fn worker_digests(size: usize) -> u64 {
 }
 
 fn main() {
-    let mut out_path = "BENCH_scale.json".to_string();
-    let mut deterministic = false;
-    let mut max_services = usize::MAX;
-    for arg in std::env::args().skip(1) {
-        if arg == "--deterministic" {
-            deterministic = true;
-        } else if let Some(cap) = arg.strip_prefix("--max=") {
-            max_services = cap.parse().expect("--max=N takes an integer");
-        } else {
-            out_path = arg;
-        }
-    }
+    let mut card = Scorecard::from_args("registry_scale", "BENCH_scale.json");
+    let max_services = std::env::args()
+        .find_map(|arg| {
+            arg.strip_prefix("--max=")
+                .map(|cap| cap.parse().expect("--max=N takes an integer"))
+        })
+        .unwrap_or(usize::MAX);
     let sizes: Vec<usize> = SIZES
         .iter()
         .copied()
@@ -341,22 +354,6 @@ fn main() {
     // Warm-up so code pages and allocator state don't bill to the
     // first timed cell.
     let _ = run_cell(1_000, 0.0);
-
-    let mut cells = Vec::new();
-    let mut tier_peak_rss_mb = Vec::new();
-    for &size in &sizes {
-        restart_peak_rss();
-        for &churn_rate in &CHURN_RATES {
-            cells.push(run_cell(size, churn_rate));
-        }
-        tier_peak_rss_mb.push(peak_rss_mb());
-    }
-    let worker_size = if sizes.contains(&10_000) {
-        10_000
-    } else {
-        sizes.first().copied().unwrap_or(1_000)
-    };
-    let batch_digest = worker_digests(worker_size);
 
     let mut table = TextTable::new(vec![
         "services",
@@ -369,38 +366,37 @@ fn main() {
         "2L warm p50 us",
         "flat warm p50 us",
     ]);
-    for cell in &cells {
-        table.row(vec![
-            cell.services.to_string(),
-            format!("{:.2}", cell.churn_rate),
-            format!("{}/{}", cell.expanded_shards, cell.shards),
-            cell.rounds.to_string(),
-            format!("{:.1}", cell.two_cold.p50_us),
-            if cell.flat_ran {
-                format!("{:.1}", cell.flat_cold.p50_us)
-            } else {
-                "-".to_string()
-            },
-            if cell.flat_ran {
-                format!("{:.2}x", cell.flat_cold.p50_us / cell.two_cold.p50_us)
-            } else {
-                "-".to_string()
-            },
-            format!("{:.1}", cell.two_warm.p50_us),
-            if cell.flat_ran {
-                format!("{:.1}", cell.flat_warm.p50_us)
-            } else {
-                "-".to_string()
-            },
-        ]);
+    let (mut total_deviations, mut total_compared) = (0, 0);
+    // The headline acceptance number: at 10^5 services / low churn, the
+    // two-level cold compose must be at least 5x faster than flat.
+    let mut headline_speedup = None;
+    let mut tiers = Vec::new();
+    for &size in &sizes {
+        restart_peak_rss();
+        for churn_rate in CHURN_RATES {
+            let (line, row, checked) = run_cell(size, churn_rate);
+            total_deviations += checked.deviations;
+            total_compared += checked.compared;
+            if size == 100_000 && churn_rate == 0.25 {
+                headline_speedup = checked.cold_speedup;
+            }
+            card.push(line);
+            table.row(row);
+        }
+        tiers.push((size, peak_rss_mb()));
     }
+    let worker_size = if sizes.contains(&10_000) {
+        10_000
+    } else {
+        sizes.first().copied().unwrap_or(1_000)
+    };
+    let batch_digest = worker_digests(worker_size);
+
     println!("{}", table.render());
-    for (size, peak) in sizes.iter().zip(&tier_peak_rss_mb) {
+    for (size, peak) in &tiers {
         println!("peak_rss_mb services={size} {peak:.1}");
     }
 
-    let total_deviations: usize = cells.iter().map(|c| c.deviations).sum();
-    let total_compared: usize = cells.iter().map(|c| c.compared).sum();
     assert_eq!(
         total_deviations, 0,
         "two-level plans deviated from the flat path in {total_deviations}/{total_compared} composes"
@@ -410,84 +406,29 @@ fn main() {
          worker digest {batch_digest:016x} invariant across 1/2/4/8 workers"
     );
 
-    // The headline acceptance number: at 10^5 services / low churn, the
-    // two-level cold compose must be at least 5x faster than flat.
-    if !deterministic {
-        if let Some(headline) = cells
-            .iter()
-            .find(|c| c.services == 100_000 && c.churn_rate == 0.25)
-        {
-            let speedup = headline.flat_cold.p50_us / headline.two_cold.p50_us;
-            assert!(
-                speedup >= 5.0,
-                "expected >= 5x cold-compose speedup at 10^5 / low churn, measured {speedup:.2}x"
-            );
-            println!("cold-compose speedup at 10^5 / low churn: {speedup:.2}x");
-        }
+    if let Some(speedup) = headline_speedup.filter(|_| !card.deterministic()) {
+        assert!(
+            speedup >= 5.0,
+            "expected >= 5x cold-compose speedup at 10^5 / low churn, measured {speedup:.2}x"
+        );
+        println!("cold-compose speedup at 10^5 / low churn: {speedup:.2}x");
     }
 
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str("  \"bench\": \"registry_scale\",\n");
-    json.push_str(&format!(
-        "  \"sizes\": [{}],\n",
-        sizes
-            .iter()
-            .map(|s| s.to_string())
-            .collect::<Vec<_>>()
-            .join(", ")
-    ));
-    json.push_str(&format!("  \"deterministic\": {deterministic},\n"));
-    json.push_str(&format!("  \"flat_max_services\": {FLAT_MAX_SERVICES},\n"));
-    json.push_str("  \"workers_checked\": [1, 2, 4, 8],\n");
-    json.push_str(&format!("  \"worker_digest\": \"{batch_digest:016x}\",\n"));
-    json.push_str(&format!("  \"plan_deviations\": {total_deviations},\n"));
-    json.push_str(&format!("  \"plans_compared\": {total_compared},\n"));
-    if !deterministic {
-        json.push_str(&format!(
-            "  \"tiers\": [{}],\n",
-            sizes
-                .iter()
-                .zip(&tier_peak_rss_mb)
-                .map(|(size, peak)| format!("{{\"services\": {size}, \"peak_rss_mb\": {peak:.1}}}"))
-                .collect::<Vec<_>>()
-                .join(", ")
-        ));
-    }
-    json.push_str("  \"cells\": [\n");
-    for (i, cell) in cells.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"services\": {}, \"churn_rate\": {:.2}, \"clusters\": {}, \"shards\": {}, \"expanded_shards\": {}, \"rounds\": {}, \"full_expansion\": {}, \"flat_ran\": {}, \"deviations\": {}, \"plan_digest\": \"{:016x}\"",
-            cell.services,
-            cell.churn_rate,
-            cell.clusters,
-            cell.shards,
-            cell.expanded_shards,
-            cell.rounds,
-            cell.full_expansion,
-            cell.flat_ran,
-            cell.deviations,
-            cell.digest,
-        ));
-        if !deterministic {
-            json.push_str(&format!(
-                ", \"two_level\": {{\"cold_p50_us\": {:.1}, \"cold_p99_us\": {:.1}, \"warm_p50_us\": {:.1}, \"warm_p99_us\": {:.1}}}",
-                cell.two_cold.p50_us, cell.two_cold.p99_us, cell.two_warm.p50_us, cell.two_warm.p99_us,
-            ));
-            if cell.flat_ran {
-                json.push_str(&format!(
-                    ", \"flat\": {{\"cold_p50_us\": {:.1}, \"cold_p99_us\": {:.1}, \"warm_p50_us\": {:.1}, \"warm_p99_us\": {:.1}}}, \"cold_speedup\": {:.2}",
-                    cell.flat_cold.p50_us, cell.flat_cold.p99_us, cell.flat_warm.p50_us, cell.flat_warm.p99_us,
-                    cell.flat_cold.p50_us / cell.two_cold.p50_us,
-                ));
-            }
-        }
-        json.push_str(&format!(
-            "}}{}\n",
-            if i + 1 == cells.len() { "" } else { "," }
-        ));
-    }
-    json.push_str("  ]\n}\n");
-    std::fs::write(&out_path, &json).expect("write summary");
-    println!("wrote {out_path}");
+    let tiers = tiers.iter().map(|&(size, peak)| {
+        Line::new()
+            .raw("services", size)
+            .num("peak_rss_mb", peak, 1)
+    });
+    card.write(
+        &Line::new()
+            .raw("sizes", list(&sizes))
+            .raw("deterministic", card.deterministic())
+            .raw("flat_max_services", FLAT_MAX_SERVICES)
+            .raw("workers_checked", list(WORKER_COUNTS))
+            .digest("worker_digest", batch_digest)
+            .raw("plan_deviations", total_deviations)
+            .raw("plans_compared", total_compared)
+            .timing()
+            .raw("tiers", list(tiers)),
+    );
 }

@@ -16,12 +16,12 @@
 //! identical hit/miss/stale classification, then repeats the identity
 //! assertion across 1/2/4/8 workers.
 //!
-//! Output goes to `BENCH_hotpath.json` (first CLI argument overrides
-//! the path). Passing `--deterministic` as the second argument omits
-//! every timing-derived field so two runs of the bin produce
-//! byte-identical files — the CI smoke step runs it twice and `cmp`s.
+//! Output goes to `BENCH_hotpath.json` (the first argument not starting
+//! with `--` overrides the path). `--deterministic` omits every
+//! timing-derived field, so a run's file equals the checked-in one up
+//! to its timings — the CI scorecard step compares the two.
 
-use qosc_bench::scorecard::{self, percentile, Digest, WORKER_COUNTS};
+use qosc_bench::scorecard::{self, list, percentile, Digest, Line, Scorecard, WORKER_COUNTS};
 use qosc_bench::TextTable;
 use qosc_core::{
     arena_reuse_total, serve_batch, AdaptationPlan, Composer, CompositionRequest, EngineConfig,
@@ -58,6 +58,15 @@ struct PathStats {
     p99_us: f64,
 }
 
+impl PathStats {
+    fn line(&self) -> Line {
+        Line::new()
+            .num("seconds", self.seconds, 6)
+            .num("p50_us", self.p50_us, 1)
+            .num("p99_us", self.p99_us, 1)
+    }
+}
+
 fn path_stats(latencies_us: &mut [f64]) -> PathStats {
     let seconds = latencies_us.iter().sum::<f64>() / 1e6;
     latencies_us.sort_by(|a, b| a.partial_cmp(b).unwrap());
@@ -68,27 +77,14 @@ fn path_stats(latencies_us: &mut [f64]) -> PathStats {
     }
 }
 
-struct Cell {
+/// Serve one cell sequentially, composing every request through both
+/// caches and checking the plans agree bitwise. Returns the cell's
+/// scorecard line, its table row, and its compose speedup.
+fn run_cell(
+    config: &GeneratorConfig,
     churn_rate: f64,
     repeat_rate: f64,
-    requests: usize,
-    solved: usize,
-    churn_ops: usize,
-    hits: usize,
-    misses: usize,
-    stale: usize,
-    rebuilds: u64,
-    reuses: u64,
-    /// Selection-kernel runs behind the store-backed cache.
-    kernel_runs: u64,
-    digest: u64,
-    store: PathStats,
-    baseline: PathStats,
-}
-
-/// Serve one cell sequentially, composing every request through both
-/// caches and checking the plans agree bitwise.
-fn run_cell(config: &GeneratorConfig, churn_rate: f64, repeat_rate: f64) -> Cell {
+) -> (Line, Vec<String>, f64) {
     let mut scenario = random_scenario(config, SEED);
     scenario.services.set_quarantine_config(QuarantineConfig {
         failure_threshold: 1,
@@ -180,22 +176,40 @@ fn run_cell(config: &GeneratorConfig, churn_rate: f64, repeat_rate: f64) -> Cell
         "epoch revalidation must not alter hit/miss/stale classification"
     );
     let graph = store_cache.graph_stats();
-    Cell {
-        churn_rate,
-        repeat_rate,
-        requests: profiles.len(),
-        solved,
-        churn_ops,
-        hits: store_stats.hits,
-        misses: store_stats.misses,
-        stale: store_stats.stale,
-        rebuilds: graph.rebuilds,
-        reuses: graph.reuses,
-        kernel_runs,
-        digest: digest.finish(),
-        store: path_stats(&mut store_latencies),
-        baseline: path_stats(&mut base_latencies),
-    }
+    let store = path_stats(&mut store_latencies);
+    let rebuild = path_stats(&mut base_latencies);
+    let speedup = rebuild.seconds / store.seconds;
+    let row = vec![
+        format!("{churn_rate:.2}"),
+        format!("{repeat_rate:.1}"),
+        profiles.len().to_string(),
+        store_stats.hits.to_string(),
+        store_stats.stale.to_string(),
+        graph.rebuilds.to_string(),
+        graph.reuses.to_string(),
+        kernel_runs.to_string(),
+        format!("{:.1}", store.p50_us),
+        format!("{:.1}", rebuild.p50_us),
+        format!("{speedup:.2}x"),
+    ];
+    let line = Line::new()
+        .num("churn_rate", churn_rate, 2)
+        .num("repeat_rate", repeat_rate, 1)
+        .raw("requests", profiles.len())
+        .raw("solved", solved)
+        .raw("churn_ops", churn_ops)
+        .raw("hits", store_stats.hits)
+        .raw("misses", store_stats.misses)
+        .raw("stale", store_stats.stale)
+        .raw("rebuilds", graph.rebuilds)
+        .raw("reuses", graph.reuses)
+        .raw("kernel_runs", kernel_runs)
+        .digest("plan_digest", digest.finish())
+        .timing()
+        .raw("store", store.line())
+        .raw("rebuild", rebuild.line())
+        .num("speedup", speedup, 2);
+    (line, row, speedup)
 }
 
 /// The cross-worker identity check: one repeat-heavy mix served by
@@ -245,10 +259,7 @@ fn worker_digests(config: &GeneratorConfig) -> u64 {
 }
 
 fn main() {
-    let out_path = std::env::args()
-        .nth(1)
-        .unwrap_or_else(|| "BENCH_hotpath.json".to_string());
-    let deterministic = std::env::args().nth(2).as_deref() == Some("--deterministic");
+    let mut card = Scorecard::from_args("selection_hotpath", "BENCH_hotpath.json");
     // Single-conversion services keep the per-edge `Optimize()` cost
     // low, so graph construction — the work the store amortizes — is
     // the dominant share of a cold compose, as in a deep CDN-style
@@ -265,16 +276,6 @@ fn main() {
     // first timed cell.
     let _ = run_cell(&config, 0.0, 0.0);
 
-    let arena_before = arena_reuse_total();
-    let mut cells = Vec::new();
-    for &churn_rate in &CHURN_RATES {
-        for &repeat_rate in &REPEAT_RATES {
-            cells.push(run_cell(&config, churn_rate, repeat_rate));
-        }
-    }
-    let arena_reuses = arena_reuse_total() - arena_before;
-    let batch_digest = worker_digests(&config);
-
     let mut table = TextTable::new(vec![
         "churn",
         "repeat",
@@ -288,91 +289,51 @@ fn main() {
         "rebuild p50 us",
         "speedup",
     ]);
-    for cell in &cells {
-        table.row(vec![
-            format!("{:.2}", cell.churn_rate),
-            format!("{:.1}", cell.repeat_rate),
-            cell.requests.to_string(),
-            cell.hits.to_string(),
-            cell.stale.to_string(),
-            cell.rebuilds.to_string(),
-            cell.reuses.to_string(),
-            cell.kernel_runs.to_string(),
-            format!("{:.1}", cell.store.p50_us),
-            format!("{:.1}", cell.baseline.p50_us),
-            format!("{:.2}x", cell.baseline.seconds / cell.store.seconds),
-        ]);
+    let arena_before = arena_reuse_total();
+    // The headline acceptance number: at zero churn, all-distinct
+    // requests (every compose a miss), graph reuse must at least halve
+    // the compose cost relative to rebuild-per-request.
+    let mut low_churn_speedup = 0.0;
+    for churn_rate in CHURN_RATES {
+        for repeat_rate in REPEAT_RATES {
+            let (line, row, speedup) = run_cell(&config, churn_rate, repeat_rate);
+            if churn_rate == 0.0 && repeat_rate == 0.0 {
+                low_churn_speedup = speedup;
+            }
+            card.push(line);
+            table.row(row);
+        }
     }
+    let arena_reuses = arena_reuse_total() - arena_before;
+    let batch_digest = worker_digests(&config);
+
     println!("{}", table.render());
     println!(
         "arena reuses: {arena_reuses}, batch digest: {batch_digest:016x}, \
          all plans bitwise identical across paths and 1/2/4/8 workers"
     );
-
-    // The headline acceptance number: at zero churn, all-distinct
-    // requests (every compose a miss), graph reuse must at least halve
-    // the compose cost relative to rebuild-per-request.
-    let headline = cells
-        .iter()
-        .find(|c| c.churn_rate == 0.0 && c.repeat_rate == 0.0)
-        .expect("zero-churn cell");
-    let speedup = headline.baseline.seconds / headline.store.seconds;
-    if !deterministic {
+    if !card.deterministic() {
         assert!(
-            speedup >= 2.0,
-            "expected >= 2x compose speedup at low churn, measured {speedup:.2}x"
+            low_churn_speedup >= 2.0,
+            "expected >= 2x compose speedup at low churn, measured {low_churn_speedup:.2}x"
         );
     }
 
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str("  \"bench\": \"selection_hotpath\",\n");
-    json.push_str(&format!(
-        "  \"scenario\": {{\"seed\": {SEED}, \"layers\": {}, \"services_per_layer\": {}, \"formats_per_layer\": {}}},\n",
-        config.layers, config.services_per_layer, config.formats_per_layer
-    ));
-    json.push_str(&format!("  \"deterministic\": {deterministic},\n"));
-    json.push_str(&format!("  \"arena_reuses\": {arena_reuses},\n"));
-    json.push_str(&format!("  \"batch_digest\": \"{batch_digest:016x}\",\n"));
-    json.push_str("  \"workers_checked\": [1, 2, 4, 8],\n");
-    if !deterministic {
-        json.push_str(&format!("  \"low_churn_speedup\": {speedup:.2},\n"));
-    }
-    json.push_str("  \"cells\": [\n");
-    for (i, cell) in cells.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"churn_rate\": {:.2}, \"repeat_rate\": {:.1}, \"requests\": {}, \"solved\": {}, \"churn_ops\": {}, \"hits\": {}, \"misses\": {}, \"stale\": {}, \"rebuilds\": {}, \"reuses\": {}, \"kernel_runs\": {}, \"plan_digest\": \"{:016x}\"",
-            cell.churn_rate,
-            cell.repeat_rate,
-            cell.requests,
-            cell.solved,
-            cell.churn_ops,
-            cell.hits,
-            cell.misses,
-            cell.stale,
-            cell.rebuilds,
-            cell.reuses,
-            cell.kernel_runs,
-            cell.digest,
-        ));
-        if !deterministic {
-            json.push_str(&format!(
-                ", \"store\": {{\"seconds\": {:.6}, \"p50_us\": {:.1}, \"p99_us\": {:.1}}}, \"rebuild\": {{\"seconds\": {:.6}, \"p50_us\": {:.1}, \"p99_us\": {:.1}}}, \"speedup\": {:.2}",
-                cell.store.seconds,
-                cell.store.p50_us,
-                cell.store.p99_us,
-                cell.baseline.seconds,
-                cell.baseline.p50_us,
-                cell.baseline.p99_us,
-                cell.baseline.seconds / cell.store.seconds,
-            ));
-        }
-        json.push_str(&format!(
-            "}}{}\n",
-            if i + 1 == cells.len() { "" } else { "," }
-        ));
-    }
-    json.push_str("  ]\n}\n");
-    std::fs::write(&out_path, &json).expect("write summary");
-    println!("wrote {out_path}");
+    card.write(
+        &Line::new()
+            .raw(
+                "scenario",
+                Line::new()
+                    .raw("seed", SEED)
+                    .raw("layers", config.layers)
+                    .raw("services_per_layer", config.services_per_layer)
+                    .raw("formats_per_layer", config.formats_per_layer),
+            )
+            .raw("deterministic", card.deterministic())
+            .raw("arena_reuses", arena_reuses)
+            .digest("batch_digest", batch_digest)
+            .raw("workers_checked", list(WORKER_COUNTS))
+            .timing()
+            .num("low_churn_speedup", low_churn_speedup, 2),
+    );
 }

@@ -4,8 +4,9 @@
 //! Sweeps an open-loop stream of long-lived sessions
 //! ([`session_arrivals`]) over the strict 12 fps mesh at three target
 //! concurrencies, under the deterministic chaos generator
-//! ([`ChaosPlan`]) at three intensities, serving each cell through the
-//! continuous session engine ([`run_sessions`]) on a [`ChaosWorld`](qosc_pipeline::ChaosWorld):
+//! ([`ChaosPlan`](qosc_pipeline::ChaosPlan)) at three intensities,
+//! serving each cell through the continuous session engine
+//! ([`run_sessions`]) on a [`ChaosWorld`](qosc_pipeline::ChaosWorld):
 //! admission decides every session open and re-composition, progress
 //! ticks detect plans broken by mid-session faults or lease expiry,
 //! and each break re-composes on the surviving graph.
@@ -23,12 +24,13 @@
 //! on top. Satisfaction degrades gracefully — the p5 session tracks
 //! the brown-out ladder, not zero.
 
-use qosc_bench::scorecard::{self, STRICT_TOPOLOGY_SEED as TOPOLOGY_SEED, WORKER_COUNTS};
+use qosc_bench::scorecard::{
+    self, list, Line, Scorecard, STRICT_TOPOLOGY_SEED as TOPOLOGY_SEED, WORKER_COUNTS,
+};
 use qosc_bench::TextTable;
 use qosc_core::{
     run_sessions, AdmissionConfig, ResilientEngineConfig, SessionEngineConfig, SessionsReport,
 };
-use qosc_pipeline::{ChaosModel, ChaosPlan};
 use qosc_workload::arrivals::{session_arrivals, ArrivalPattern, SessionPattern};
 
 const ARRIVAL_SEED: u64 = 42;
@@ -83,23 +85,12 @@ fn run_once(concurrency: u64, intensity: f64, workers: usize) -> SessionsReport 
     // The world is stateful (faults, lease churn), so every run gets a
     // fresh copy of the *same* seeded scenario.
     let scenario = scorecard::strict_scenario();
-    let chaos = {
-        let topology = scenario.network.topology();
-        let backbone = topology
-            .node_by_name("backbone")
-            .expect("generated meshes have a backbone");
-        let model = ChaosModel {
-            protect: vec![scenario.sender_host, scenario.receiver_host, backbone],
-            ..ChaosModel::default()
-        };
-        ChaosPlan::generate(
-            topology,
-            scenario.services.live_count(),
-            &model,
-            CHAOS_SEED,
-            intensity,
-        )
-    };
+    let chaos = scorecard::chaos_plan(
+        &scenario,
+        scenario.services.live_count(),
+        CHAOS_SEED,
+        intensity,
+    );
     let requests = scorecard::session_requests(
         &scenario,
         session_arrivals(&session_pattern(concurrency), ARRIVAL_SEED),
@@ -115,34 +106,15 @@ fn run_once(concurrency: u64, intensity: f64, workers: usize) -> SessionsReport 
     )
 }
 
-struct Cell {
-    load: &'static str,
-    concurrency: u64,
-    intensity_label: &'static str,
-    intensity: f64,
-    offered: usize,
-    opened: usize,
-    completed: usize,
-    shed: usize,
-    starved: usize,
-    gave_up: usize,
-    failed_open: usize,
-    active_at_end: usize,
-    recompositions: u64,
-    availability: f64,
-    mean_satisfaction: f64,
-    p5_satisfaction: f64,
-    recompositions_per_session_hour: f64,
-    digest: u64,
-}
-
+/// One cell: its scorecard line and its table row, from the workers=1
+/// report.
 fn run_cell(
-    load: &'static str,
-    concurrency: u64,
-    intensity_label: &'static str,
-    intensity: f64,
-) -> Cell {
-    let cell = format!("load {load} × {intensity_label}");
+    (load, concurrency): (&str, u64),
+    (chaos, intensity): (&str, f64),
+    card: &mut Scorecard,
+    table: &mut TextTable,
+) {
+    let cell = format!("load {load} × {chaos}");
     let (digest, report) = scorecard::worker_sweep(&cell, &WORKER_COUNTS, |workers| {
         let report = run_once(concurrency, intensity, workers);
         (scorecard::sessions_digest_with_admission(&report), report)
@@ -167,32 +139,49 @@ fn run_cell(
         sats[(sats.len() * 5) / 100]
     };
 
-    Cell {
-        load,
-        concurrency,
-        intensity_label,
-        intensity,
-        offered: report.counters.offered,
-        opened: report.counters.opened,
-        completed: report.counters.completed,
-        shed: report.counters.shed,
-        starved: report.counters.starved,
-        gave_up: report.counters.gave_up,
-        failed_open: report.counters.failed_open,
-        active_at_end: report.counters.active_at_end,
-        recompositions: report.recompositions(),
-        availability: report.availability(),
-        mean_satisfaction,
-        p5_satisfaction,
-        recompositions_per_session_hour: report.recompositions_per_session_hour(),
-        digest,
-    }
+    let counters = &report.counters;
+    table.row([
+        load.to_string(),
+        chaos.to_string(),
+        counters.offered.to_string(),
+        counters.opened.to_string(),
+        counters.completed.to_string(),
+        counters.shed.to_string(),
+        report.recompositions().to_string(),
+        format!("{:.4}", report.availability()),
+        format!("{mean_satisfaction:.3}"),
+        format!("{p5_satisfaction:.3}"),
+        format!("{:.1}", report.recompositions_per_session_hour()),
+    ]);
+    card.push(
+        Line::new()
+            .str("load", load)
+            .raw("concurrency", concurrency)
+            .str("chaos", chaos)
+            .num("intensity", intensity, 2)
+            .raw("offered", counters.offered)
+            .raw("opened", counters.opened)
+            .raw("completed", counters.completed)
+            .raw("shed", counters.shed)
+            .raw("starved", counters.starved)
+            .raw("gave_up", counters.gave_up)
+            .raw("failed_open", counters.failed_open)
+            .raw("active_at_end", counters.active_at_end)
+            .raw("recompositions", report.recompositions())
+            .num("availability", report.availability(), 6)
+            .num("mean_satisfaction", mean_satisfaction, 6)
+            .num("p5_satisfaction", p5_satisfaction, 6)
+            .num(
+                "recompositions_per_session_hour",
+                report.recompositions_per_session_hour(),
+                6,
+            )
+            .digest("digest", digest),
+    );
 }
 
 fn main() {
-    let out_path = std::env::args()
-        .nth(1)
-        .unwrap_or_else(|| "BENCH_session.json".to_string());
+    let mut card = Scorecard::from_args("session_steady_state", "BENCH_session.json");
 
     println!(
         "X16 — steady-state session scorecard (topology seed {TOPOLOGY_SEED}, arrival seed \
@@ -200,13 +189,6 @@ fn main() {
         HORIZON_US / 1_000_000
     );
     println!();
-
-    let mut cells: Vec<Cell> = Vec::new();
-    for &(load, concurrency) in &LOADS {
-        for &(intensity_label, intensity) in &INTENSITIES {
-            cells.push(run_cell(load, concurrency, intensity_label, intensity));
-        }
-    }
 
     let mut table = TextTable::new([
         "load",
@@ -221,65 +203,29 @@ fn main() {
         "sat p5",
         "recomp/h",
     ]);
-    for c in &cells {
-        table.row([
-            c.load.to_string(),
-            c.intensity_label.to_string(),
-            c.offered.to_string(),
-            c.opened.to_string(),
-            c.completed.to_string(),
-            c.shed.to_string(),
-            c.recompositions.to_string(),
-            format!("{:.4}", c.availability),
-            format!("{:.3}", c.mean_satisfaction),
-            format!("{:.3}", c.p5_satisfaction),
-            format!("{:.1}", c.recompositions_per_session_hour),
-        ]);
+    for load in LOADS {
+        for intensity in INTENSITIES {
+            run_cell(load, intensity, &mut card, &mut table);
+        }
     }
     println!("{}", table.render());
 
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str("  \"bench\": \"session_steady_state\",\n");
-    json.push_str(&scorecard::strict_scenario_json());
-    json.push_str(&format!(
-        "  \"run\": {{\"arrival_seed\": {ARRIVAL_SEED}, \"chaos_seed\": {CHAOS_SEED}, \"horizon_us\": {HORIZON_US}, \"hold_range_us\": [{}, {}], \"tick_us\": 250000, \"max_recompositions\": 8, \"virtual_cores\": {VIRTUAL_CORES}}},\n",
-        HOLD_RANGE_US.0, HOLD_RANGE_US.1
-    ));
-    json.push_str(&format!(
-        "  \"workers_verified\": [{}],\n",
-        WORKER_COUNTS
-            .iter()
-            .map(|w| w.to_string())
-            .collect::<Vec<_>>()
-            .join(", ")
-    ));
-    json.push_str("  \"cells\": [\n");
-    for (i, c) in cells.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"load\": \"{}\", \"concurrency\": {}, \"chaos\": \"{}\", \"intensity\": {:.2}, \"offered\": {}, \"opened\": {}, \"completed\": {}, \"shed\": {}, \"starved\": {}, \"gave_up\": {}, \"failed_open\": {}, \"active_at_end\": {}, \"recompositions\": {}, \"availability\": {:.6}, \"mean_satisfaction\": {:.6}, \"p5_satisfaction\": {:.6}, \"recompositions_per_session_hour\": {:.6}, \"digest\": \"{:016x}\"}}{}\n",
-            c.load,
-            c.concurrency,
-            c.intensity_label,
-            c.intensity,
-            c.offered,
-            c.opened,
-            c.completed,
-            c.shed,
-            c.starved,
-            c.gave_up,
-            c.failed_open,
-            c.active_at_end,
-            c.recompositions,
-            c.availability,
-            c.mean_satisfaction,
-            c.p5_satisfaction,
-            c.recompositions_per_session_hour,
-            c.digest,
-            if i + 1 == cells.len() { "" } else { "," }
-        ));
-    }
-    json.push_str("  ]\n}\n");
-    std::fs::write(&out_path, &json).expect("write scorecard");
-    println!("wrote {out_path}");
+    let config = engine_config(1);
+    let admission = config.admission.expect("X16 runs with admission");
+    card.write(
+        &Line::new()
+            .raw("scenario", scorecard::strict_scenario_line())
+            .raw(
+                "run",
+                Line::new()
+                    .raw("arrival_seed", ARRIVAL_SEED)
+                    .raw("chaos_seed", CHAOS_SEED)
+                    .raw("horizon_us", HORIZON_US)
+                    .raw("hold_range_us", list([HOLD_RANGE_US.0, HOLD_RANGE_US.1]))
+                    .raw("tick_us", config.tick_us)
+                    .raw("max_recompositions", config.max_recompositions)
+                    .raw("virtual_cores", admission.virtual_cores),
+            )
+            .raw("workers_verified", list(WORKER_COUNTS)),
+    );
 }

@@ -33,23 +33,21 @@
 //! byte-identical across runs and machines, and CI snapshots it.
 
 use qosc_bench::scorecard::{
-    one_session, session_requests, strict_scenario, strict_scenario_json, ServedWorld,
-    STRICT_TOPOLOGY_SEED as TOPOLOGY_SEED, WORKER_COUNTS,
+    chaos_plan, list, one_session, serve_zero_hold, strict_scenario, strict_scenario_line, Line,
+    Scorecard, ServedWorld, STRICT_TOPOLOGY_SEED as TOPOLOGY_SEED, WORKER_COUNTS,
 };
 use qosc_bench::TextTable;
 use qosc_core::{
     plan_admission, run_sessions, serve_batch_traced, AdmissionConfig, ArrivalMeta,
-    CompositionRequest, DegradationRung, EngineConfig, PriorityClass, ResilientEngineConfig,
-    SessionEngineConfig, SessionsReport, ShardedCompositionCache, StaticWorld,
+    CompositionRequest, DegradationRung, EngineConfig, PriorityClass, SessionsReport,
+    ShardedCompositionCache,
 };
 use qosc_media::{Axis, FormatRegistry};
 use qosc_netsim::{Node, SimTime, Topology};
-use qosc_pipeline::{ChaosModel, ChaosPlan};
 use qosc_satisfaction::{AxisPreference, SatisfactionFn, SatisfactionProfile};
 use qosc_services::{catalog, QuarantineConfig, ServiceRegistry, TranscoderDescriptor};
-use qosc_telemetry::{EventKind, FlightRecorder, MetricsRegistry, NoopSink, TelemetrySink};
-use qosc_workload::arrivals::{poisson_burst_arrivals, ArrivalPattern, SessionArrival};
-use qosc_workload::Scenario;
+use qosc_telemetry::{EventKind, FlightRecorder, MetricsRegistry, NoopSink};
+use qosc_workload::arrivals::{poisson_burst_arrivals, ArrivalPattern};
 
 const ARRIVAL_SEED: u64 = 42;
 const CHAOS_SEED: u64 = 101;
@@ -112,49 +110,6 @@ impl OutcomeDigest {
     }
 }
 
-/// One zero-hold session per arrival, each asking for `scenario`'s own
-/// composition, served at `workers` into `sink` through `admission`
-/// when given. No ticks, no session spans, no adaptation or SLA policy:
-/// each session logs only its admission verdict and its ladder.
-fn serve_batch<'a, S: TelemetrySink>(
-    scenario: &'a Scenario,
-    arrivals: &[ArrivalMeta],
-    workers: usize,
-    admission: Option<AdmissionConfig>,
-    sink: &S,
-) -> (SessionsReport, ServedWorld<'a>) {
-    let sessions = session_requests(
-        scenario,
-        arrivals
-            .iter()
-            .map(|&meta| SessionArrival {
-                meta,
-                hold_us: 0,
-                demand_bps: 0,
-            })
-            .collect(),
-    );
-    let config = SessionEngineConfig {
-        resilient: ResilientEngineConfig {
-            workers,
-            ..ResilientEngineConfig::default()
-        },
-        admission,
-        tick_us: 0,
-        session_spans: false,
-        abr: None,
-        sla: None,
-        ..SessionEngineConfig::default()
-    };
-    let mut world = ServedWorld::new(StaticWorld {
-        formats: &scenario.formats,
-        services: &scenario.services,
-        network: &scenario.network,
-    });
-    let report = run_sessions(&mut world, &sessions, &config, sink);
-    (report, world)
-}
-
 /// One full instrumented replay at `workers` composition workers.
 /// Returns the merged transcript (all four phases), the Prometheus
 /// snapshot, the overload recorder (for explain/depth stats), the
@@ -176,7 +131,7 @@ fn replay(
     let scenario = strict_scenario();
     let arrivals = poisson_burst_arrivals(&overload_pattern(), ARRIVAL_SEED);
     let admission = Some(admission_config());
-    let (report, world) = serve_batch(&scenario, &arrivals, workers, admission, &recorder);
+    let (report, world) = serve_zero_hold(&scenario, &arrivals, workers, admission, &recorder);
     report.record_metrics(&registry);
     let plan = plan_admission(&arrivals, &admission_config());
     assert_eq!(report.admission, plan.stats, "the loop admits as the plan");
@@ -278,31 +233,13 @@ fn replay(
         service_cost_us: 0,
         deadline_budget_us: None,
     };
-    serve_batch(&ladder_scenario, &[at_zero; 4], workers, None, &ladder);
+    serve_zero_hold(&ladder_scenario, &[at_zero; 4], workers, None, &ladder);
 
     // Phase 3 — chaos: one 30 s session under the canned fault
     // schedule; its re-compositions and ladder descents land on the
     // virtual clock.
     let chaos = FlightRecorder::new(16);
-    let chaos_model = ChaosModel {
-        protect: vec![
-            scenario.sender_host,
-            scenario.receiver_host,
-            scenario
-                .network
-                .topology()
-                .node_by_name("backbone")
-                .expect("generated mesh has a backbone"),
-        ],
-        ..ChaosModel::default()
-    };
-    let plan = ChaosPlan::generate(
-        scenario.network.topology(),
-        0,
-        &chaos_model,
-        CHAOS_SEED,
-        CHAOS_INTENSITY,
-    );
+    let plan = chaos_plan(&scenario, 0, CHAOS_SEED, CHAOS_INTENSITY);
     let (mut world, request, mut session_config) = one_session(&scenario, plan.schedule());
     session_config.resilient.workers = workers;
     run_sessions(&mut world, &[request], &session_config, &chaos);
@@ -394,10 +331,8 @@ fn replay(
 }
 
 fn main() {
-    let out_path = std::env::args()
-        .nth(1)
-        .unwrap_or_else(|| "BENCH_telemetry.json".to_string());
-
+    let mut card =
+        Scorecard::from_args("telemetry_audit", "BENCH_telemetry.json").cells_named("histograms");
     println!(
         "X14 — telemetry audit (topology seed {TOPOLOGY_SEED}, arrival seed {ARRIVAL_SEED}, \
          chaos seed {CHAOS_SEED}, workers {WORKER_COUNTS:?})"
@@ -445,7 +380,7 @@ fn main() {
     let scenario = strict_scenario();
     let arrivals = poisson_burst_arrivals(&overload_pattern(), ARRIVAL_SEED);
     let admission = Some(admission_config());
-    let (noop, noop_world) = serve_batch(&scenario, &arrivals, 4, admission, &NoopSink);
+    let (noop, noop_world) = serve_zero_hold(&scenario, &arrivals, 4, admission, &NoopSink);
     let noop_digest = OutcomeDigest::of(&noop, &noop_world);
     assert_eq!(
         noop_digest, reference_digest,
@@ -496,80 +431,70 @@ fn main() {
         println!("explain({id}) — brown-out:\n{}", recorder.explain(id));
     }
 
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str("  \"bench\": \"telemetry_audit\",\n");
-    json.push_str(&strict_scenario_json());
-    json.push_str(&format!(
-        "  \"replay\": {{\"arrival_seed\": {ARRIVAL_SEED}, \"chaos_seed\": {CHAOS_SEED}, \"chaos_intensity\": {CHAOS_INTENSITY:.2}, \"cache_requests\": {CACHE_REQUESTS}, \"virtual_cores\": {VIRTUAL_CORES}, \"mean_cost_us\": {MEAN_COST_US}}},\n"
-    ));
-    json.push_str(&format!(
-        "  \"determinism\": {{\"worker_counts\": [{}], \"log_identical\": true, \"metrics_identical\": true, \"repeated_run_identical\": true, \"noop_outcomes_identical\": true, \"log_lines\": {}}},\n",
-        WORKER_COUNTS
-            .iter()
-            .map(|w| w.to_string())
-            .collect::<Vec<_>>()
-            .join(", "),
-        reference_log.lines().count()
-    ));
-    json.push_str("  \"events\": {\n");
-    let entries: Vec<(&str, u64)> = event_totals.iter().map(|(&k, &v)| (k, v)).collect();
-    for (i, (kind, count)) in entries.iter().enumerate() {
-        json.push_str(&format!(
-            "    \"{kind}\": {count}{}\n",
-            if i + 1 == entries.len() { "" } else { "," }
-        ));
+    let mut events = Line::new();
+    for (&kind, &count) in &event_totals {
+        events = events.raw(kind, count);
     }
-    json.push_str("  },\n");
-    json.push_str(&format!(
-        "  \"explain\": {{\"requests\": {}, \"depth_min\": {depth_min}, \"depth_mean\": {depth_mean:.6}, \"depth_max\": {depth_max}}},\n",
-        ids.len()
-    ));
-    json.push_str("  \"histograms\": [\n");
-    let histograms = [
-        (
-            "qosc_admission_queue_wait_us",
-            reference_metrics_snapshot(&reference_metrics, "qosc_admission_queue_wait_us"),
-        ),
-        (
-            "qosc_explain_depth",
-            reference_metrics_snapshot(&reference_metrics, "qosc_explain_depth"),
-        ),
-    ];
-    for (i, (name, snapshot)) in histograms.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"name\": \"{name}\", {snapshot}}}{}\n",
-            if i + 1 == histograms.len() { "" } else { "," }
-        ));
+    for name in ["qosc_admission_queue_wait_us", "qosc_explain_depth"] {
+        card.push(histogram_line(&reference_metrics, name));
     }
-    json.push_str("  ]\n}\n");
-    std::fs::write(&out_path, &json).expect("write scorecard");
-    println!("wrote {out_path}");
+    let admission = admission_config();
+    card.write(
+        &Line::new()
+            .raw("scenario", strict_scenario_line())
+            .raw(
+                "replay",
+                Line::new()
+                    .raw("arrival_seed", ARRIVAL_SEED)
+                    .raw("chaos_seed", CHAOS_SEED)
+                    .num("chaos_intensity", CHAOS_INTENSITY, 2)
+                    .raw("cache_requests", CACHE_REQUESTS)
+                    .raw("virtual_cores", admission.virtual_cores)
+                    .raw("mean_cost_us", MEAN_COST_US),
+            )
+            .raw(
+                "determinism",
+                Line::new()
+                    .raw("worker_counts", list(WORKER_COUNTS))
+                    .raw("log_identical", rows.iter().all(|row| row.2))
+                    .raw("metrics_identical", rows.iter().all(|row| row.3))
+                    .raw("repeated_run_identical", true)
+                    .raw("noop_outcomes_identical", true)
+                    .raw("log_lines", reference_log.lines().count()),
+            )
+            .raw("events", events.block())
+            .raw(
+                "explain",
+                Line::new()
+                    .raw("requests", ids.len())
+                    .raw("depth_min", depth_min)
+                    .num("depth_mean", depth_mean, 6)
+                    .raw("depth_max", depth_max),
+            ),
+    );
 }
 
-/// Re-derive a histogram snapshot (as a JSON fragment) from the
-/// Prometheus text so the emitted file reflects exactly the snapshot
-/// that was compared across worker counts.
-fn reference_metrics_snapshot(prometheus: &str, name: &str) -> String {
-    let mut buckets: Vec<(String, u64)> = Vec::new();
+/// Re-derive a histogram snapshot from the Prometheus text so the
+/// emitted file reflects exactly the snapshot that was compared across
+/// worker counts.
+fn histogram_line(prometheus: &str, name: &str) -> Line {
+    let mut buckets = Vec::new();
     let mut sum = 0u64;
     let mut count = 0u64;
     for line in prometheus.lines() {
         if let Some(rest) = line.strip_prefix(&format!("{name}_bucket{{le=\"")) {
             let (le, value) = rest.split_once("\"} ").expect("bucket line");
-            buckets.push((le.to_string(), value.parse().expect("bucket count")));
+            let value: u64 = value.parse().expect("bucket count");
+            buckets.push(Line::new().str("le", le).raw("count", value));
         } else if let Some(value) = line.strip_prefix(&format!("{name}_sum ")) {
             sum = value.parse().expect("sum");
         } else if let Some(value) = line.strip_prefix(&format!("{name}_count ")) {
             count = value.parse().expect("count");
         }
     }
-    let rendered: Vec<String> = buckets
-        .iter()
-        .map(|(le, v)| format!("{{\"le\": \"{le}\", \"count\": {v}}}"))
-        .collect();
-    format!(
-        "\"buckets\": [{}], \"sum\": {sum}, \"count\": {count}",
-        rendered.join(", ")
-    )
+    Line::new()
+        .str("name", name)
+        .raw("buckets", list(buckets))
+        .raw("sum", sum)
+        .raw("count", count)
 }

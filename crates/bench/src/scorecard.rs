@@ -1,29 +1,53 @@
 //! What the deterministic scorecard bins (X4, X12–X20) share: the run
-//! digest, the strict 12 fps mesh and its world/request builders, the
-//! one-session builder, the world that keeps what each session was
-//! served, the worker-invariance sweep, and the rank statistics.
+//! digest, the strict 12 fps mesh with its chaos plan and its
+//! world/request builders, X17's and X18's session stream, the
+//! one-session builder, the zero-hold batch and the world that keeps
+//! what each session was served, the worker-invariance sweep, the rank
+//! statistics, and the emitter every `BENCH_*.json` is written through.
 //!
 //! Every byte a checked-in `BENCH_*.json` digest covers is decided
 //! here, so a change to this module is a change to those files.
+//!
+//! # The emitter
+//!
+//! A [`Line`] is one JSON object on one line, its fields in the order
+//! they are added: an integer or a value already in JSON form
+//! ([`raw`](Line::raw)), a number at fixed decimals
+//! ([`num`](Line::num)), a string ([`str`](Line::str)) or a 16-hex
+//! digest ([`digest`](Line::digest)). Each field is named once, where
+//! its value is computed. Fields added after [`timing`](Line::timing)
+//! are wall-clock measurements.
+//!
+//! A [`Scorecard`] owns a bin's command line — the first argument not
+//! starting with `--` is the output path, `--deterministic` drops every
+//! timing field — and writes the file: `bench`, the header fields one
+//! per line, then the `cells` array, one [`Line`] per line
+//! (`emitter_golden_bytes` pins the bytes).
 
 use qosc_core::{
-    AdaptationPlan, ArrivalMeta, Composer, CompositionRequest, PriorityClass, SessionEngineConfig,
-    SessionRequest, SessionWorld, SessionsReport, StaticWorld,
+    run_sessions, AdaptationPlan, AdmissionConfig, ArrivalMeta, Composer, CompositionRequest,
+    PriorityClass, ResilientEngineConfig, SessionEngineConfig, SessionRequest, SessionWorld,
+    SessionsReport, StaticWorld,
 };
 use qosc_media::{Axis, FormatRegistry};
 use qosc_netsim::Network;
-use qosc_pipeline::{ChaosWorld, FailureSchedule};
+use qosc_pipeline::{ChaosModel, ChaosPlan, ChaosWorld, FailureSchedule};
 use qosc_satisfaction::{AxisPreference, SatisfactionFn, SatisfactionProfile};
 use qosc_services::{DiscoveryConfig, ServiceRegistry};
-use qosc_workload::arrivals::SessionArrival;
+use qosc_telemetry::TelemetrySink;
+use qosc_workload::arrivals::{ArrivalPattern, SessionArrival, SessionPattern};
 use qosc_workload::generator::{random_scenario, GeneratorConfig};
 use qosc_workload::Scenario;
+use std::fmt::{self, Display};
 
 /// Worker counts a scorecard cell is re-run at; the digests must agree.
 pub const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
 /// Topology seed of the strict mesh.
 pub const STRICT_TOPOLOGY_SEED: u64 = 5;
+
+/// The strict user's frame-rate floor, fps.
+const STRICT_FPS_FLOOR: f64 = 12.0;
 
 /// FNV-1a over a sequence of rendered values, each closed by a `0x1e`
 /// record separator — the digest two paths, two worker counts or two
@@ -102,7 +126,7 @@ pub fn strict_scenario() -> Scenario {
         .with(AxisPreference::weighted(
             Axis::FrameRate,
             SatisfactionFn::Linear {
-                min_acceptable: 12.0,
+                min_acceptable: STRICT_FPS_FLOOR,
                 ideal: 30.0,
             },
             3.0,
@@ -118,13 +142,92 @@ pub fn strict_scenario() -> Scenario {
     scenario
 }
 
-/// The `"scenario"` line every strict-mesh scorecard file carries.
-pub fn strict_scenario_json() -> String {
+/// The `"scenario"` header field every strict-mesh scorecard carries.
+pub fn strict_scenario_line() -> Line {
     let config = strict_generator_config();
-    format!(
-        "  \"scenario\": {{\"topology_seed\": {STRICT_TOPOLOGY_SEED}, \"layers\": {}, \"services_per_layer\": {}, \"formats_per_layer\": {}, \"multi_axis\": true, \"fps_floor\": 12.0}},\n",
-        config.layers, config.services_per_layer, config.formats_per_layer
-    )
+    Line::new()
+        .raw("topology_seed", STRICT_TOPOLOGY_SEED)
+        .raw("layers", config.layers)
+        .raw("services_per_layer", config.services_per_layer)
+        .raw("formats_per_layer", config.formats_per_layer)
+        .raw("multi_axis", config.multi_axis)
+        .num("fps_floor", STRICT_FPS_FLOOR, 1)
+}
+
+/// Arrival seed of X17's and X18's session stream.
+pub const BUFFERED_ARRIVAL_SEED: u64 = 42;
+
+/// Virtual run length of X17 and X18.
+pub const BUFFERED_HORIZON_US: u64 = 30_000_000;
+
+/// X17's and X18's open-loop stream: two opens per virtual second
+/// (mean concurrency ≈ 18) until 5 virtual seconds before the horizon,
+/// so the tail can drain. Holds of 6–12 s against a 4 s playout buffer
+/// put fault windows mid-stream, past the startup credit, with time
+/// left to climb back up the ladder. Full-quality demands of 1–4 kbit/s
+/// floor the final hop inside the delivery model, well below the
+/// strict mesh's 15–60 kbit/s access links, so a healthy plan sustains
+/// real time.
+pub fn buffered_stream() -> SessionPattern {
+    SessionPattern {
+        arrivals: ArrivalPattern {
+            horizon_us: 25_000_000,
+            rate_per_sec: 2,
+            ..ArrivalPattern::default()
+        },
+        hold_range_us: (6_000_000, 12_000_000),
+        demand_range_bps: (1_000, 4_000),
+    }
+}
+
+/// X17's and X18's `"run"` header field: the stream and the engine
+/// settings of `config`.
+pub fn buffered_run_line(config: &SessionEngineConfig) -> Line {
+    let stream = buffered_stream();
+    let range = |(low, high): (u64, u64)| list([low, high]);
+    Line::new()
+        .raw("arrival_seed", BUFFERED_ARRIVAL_SEED)
+        .raw("horizon_us", config.horizon_us.expect("a bounded run"))
+        .raw("hold_range_us", range(stream.hold_range_us))
+        .raw("demand_range_bps", range(stream.demand_range_bps))
+        .raw("rate_per_sec", stream.arrivals.rate_per_sec)
+        .raw("tick_us", config.tick_us)
+        .raw("max_recompositions", config.max_recompositions)
+}
+
+/// Fault windows `(start_us, end_us, permille)` of one chaos label.
+pub type Windows = &'static [(u64, u64, u16)];
+
+/// The share of X17's and X18's horizon that `windows` covers — the
+/// scalar a cell reports as its intensity.
+pub fn window_share(windows: Windows) -> f64 {
+    let busy: u64 = windows.iter().map(|(start, end, _)| end - start).sum();
+    busy as f64 / BUFFERED_HORIZON_US as f64
+}
+
+/// Each label's windows as `[start_us, end_us, permille]` triples.
+pub fn windows_line(labels: &[&'static str], windows: fn(&str) -> Windows) -> Line {
+    labels.iter().fold(Line::new(), |line, &label| {
+        let triples = windows(label)
+            .iter()
+            .map(|&(s, e, p)| list([s, e, p.into()]));
+        line.raw(label, list(triples))
+    })
+}
+
+/// The chaos plan X12, X14 and X16 run on `scenario`: the default model
+/// over `members` fleet members, with the sender, the receiver and the
+/// backbone protected.
+pub fn chaos_plan(scenario: &Scenario, members: usize, seed: u64, intensity: f64) -> ChaosPlan {
+    let topology = scenario.network.topology();
+    let backbone = topology
+        .node_by_name("backbone")
+        .expect("generated meshes have a backbone");
+    let model = ChaosModel {
+        protect: vec![scenario.sender_host, scenario.receiver_host, backbone],
+        ..ChaosModel::default()
+    };
+    ChaosPlan::generate(topology, members, &model, seed, intensity)
 }
 
 /// A chaos world over `network` whose fleet is `services`' live
@@ -149,7 +252,7 @@ pub fn chaos_world<'a>(
 /// topology, so one scenario serves every run. Callers set the recovery
 /// policy on the config — `max_recompositions: 0` never recovers,
 /// `resilient.ladder` picks recompose-only or the degradation ladder —
-/// and serve the request through [`run_sessions`](qosc_core::run_sessions).
+/// and serve the request through [`run_sessions`].
 pub fn one_session<'a>(
     scenario: &'a Scenario,
     faults: &FailureSchedule,
@@ -240,6 +343,50 @@ impl SessionWorld for ServedWorld<'_> {
     }
 }
 
+/// A batch as X13 and X14 serve it: one zero-hold session per arrival,
+/// each asking for `scenario`'s own composition, served at `workers`
+/// into `sink` through `admission` when given, on a [`ServedWorld`].
+/// No ticks, no session spans, no adaptation or SLA policy: each session
+/// logs only its admission verdict and its ladder.
+pub fn serve_zero_hold<'a, S: TelemetrySink>(
+    scenario: &'a Scenario,
+    arrivals: &[ArrivalMeta],
+    workers: usize,
+    admission: Option<AdmissionConfig>,
+    sink: &S,
+) -> (SessionsReport, ServedWorld<'a>) {
+    let sessions = session_requests(
+        scenario,
+        arrivals
+            .iter()
+            .map(|&meta| SessionArrival {
+                meta,
+                hold_us: 0,
+                demand_bps: 0,
+            })
+            .collect(),
+    );
+    let config = SessionEngineConfig {
+        resilient: ResilientEngineConfig {
+            workers,
+            ..ResilientEngineConfig::default()
+        },
+        admission,
+        tick_us: 0,
+        session_spans: false,
+        abr: None,
+        sla: None,
+        ..SessionEngineConfig::default()
+    };
+    let mut world = ServedWorld::new(StaticWorld {
+        formats: &scenario.formats,
+        services: &scenario.services,
+        network: &scenario.network,
+    });
+    let report = run_sessions(&mut world, &sessions, &config, sink);
+    (report, world)
+}
+
 /// One session request per arrival, each asking for `scenario`'s own
 /// composition.
 pub fn session_requests(scenario: &Scenario, arrivals: Vec<SessionArrival>) -> Vec<SessionRequest> {
@@ -317,6 +464,184 @@ pub fn percentile(sorted: &[f64], p: f64) -> f64 {
     sorted[index]
 }
 
+/// One JSON object on one line; fields are written in the order they
+/// are added. Names and string values are written unescaped, so they
+/// must be plain identifiers and labels.
+#[derive(Debug, Clone, Default)]
+pub struct Line {
+    fields: Vec<(&'static str, String)>,
+    /// Index of the first timing field, once [`timing`](Line::timing)
+    /// was called.
+    timed_from: Option<usize>,
+}
+
+impl Line {
+    /// An object with no fields yet.
+    pub fn new() -> Line {
+        Line::default()
+    }
+
+    /// An integer, or any value already in JSON form: a bool, a
+    /// [`list`], a nested `Line`.
+    pub fn raw(mut self, name: &'static str, value: impl Display) -> Line {
+        self.fields.push((name, value.to_string()));
+        self
+    }
+
+    /// A number with `decimals` fixed decimals.
+    pub fn num(self, name: &'static str, value: f64, decimals: usize) -> Line {
+        self.raw(name, format!("{value:.decimals$}"))
+    }
+
+    /// A quoted string.
+    pub fn str(self, name: &'static str, value: &str) -> Line {
+        self.raw(name, format!("\"{value}\""))
+    }
+
+    /// A digest as 16 quoted hex digits.
+    pub fn digest(self, name: &'static str, value: u64) -> Line {
+        self.raw(name, format!("\"{value:016x}\""))
+    }
+
+    /// Every field added from here on is a wall-clock measurement,
+    /// which a deterministic scorecard drops.
+    pub fn timing(mut self) -> Line {
+        self.timed_from.get_or_insert(self.fields.len());
+        self
+    }
+
+    /// `"name": value` per field, timing fields left out when
+    /// `deterministic`.
+    fn entries(&self, deterministic: bool) -> impl Iterator<Item = String> + '_ {
+        let end = match self.timed_from {
+            Some(start) if deterministic => start,
+            _ => self.fields.len(),
+        };
+        self.fields[..end]
+            .iter()
+            .map(|(name, value)| format!("\"{name}\": {value}"))
+    }
+
+    /// The object on one line, timing fields left out when
+    /// `deterministic`.
+    fn render(&self, deterministic: bool) -> String {
+        format!(
+            "{{{}}}",
+            self.entries(deterministic).collect::<Vec<_>>().join(", ")
+        )
+    }
+
+    /// The object one field per line, as the value of a header field
+    /// (X14's event counts).
+    pub fn block(&self) -> String {
+        format!(
+            "{{\n    {}\n  }}",
+            self.entries(false).collect::<Vec<_>>().join(",\n    ")
+        )
+    }
+}
+
+/// A nested `Line` renders with its timing fields.
+impl Display for Line {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(&self.render(false))
+    }
+}
+
+/// `values` as a JSON array: `[a, b, c]`.
+pub fn list<T: Display>(values: impl IntoIterator<Item = T>) -> String {
+    let values: Vec<String> = values.into_iter().map(|v| v.to_string()).collect();
+    format!("[{}]", values.join(", "))
+}
+
+/// One `BENCH_*.json` file: its command line, its cells, and the
+/// rendering described in the [module docs](self).
+#[derive(Debug)]
+pub struct Scorecard {
+    bench: &'static str,
+    path: String,
+    deterministic: bool,
+    array: &'static str,
+    cells: Vec<Line>,
+}
+
+impl Scorecard {
+    /// The scorecard of bin `bench`, configured from the process's
+    /// command line: written to the first argument not starting with
+    /// `--` (`default_path` when there is none), and deterministic when
+    /// an argument is `--deterministic`. Other `--` arguments are the
+    /// bin's own.
+    pub fn from_args(bench: &'static str, default_path: &str) -> Scorecard {
+        Scorecard::parse(bench, default_path, std::env::args().skip(1))
+    }
+
+    /// [`from_args`](Scorecard::from_args) over `args`.
+    fn parse(
+        bench: &'static str,
+        default_path: &str,
+        args: impl IntoIterator<Item = String>,
+    ) -> Scorecard {
+        let mut path = None;
+        let mut deterministic = false;
+        for arg in args {
+            if arg == "--deterministic" {
+                deterministic = true;
+            } else if !arg.starts_with("--") && path.is_none() {
+                path = Some(arg);
+            }
+        }
+        Scorecard {
+            bench,
+            path: path.unwrap_or_else(|| default_path.to_string()),
+            deterministic,
+            array: "cells",
+            cells: Vec::new(),
+        }
+    }
+
+    /// Name the cell array `name` instead of `cells` (X14 writes its
+    /// histograms there).
+    pub fn cells_named(mut self, name: &'static str) -> Scorecard {
+        self.array = name;
+        self
+    }
+
+    /// Whether timing fields are dropped.
+    pub fn deterministic(&self) -> bool {
+        self.deterministic
+    }
+
+    /// Append one cell.
+    pub fn push(&mut self, cell: Line) {
+        self.cells.push(cell);
+    }
+
+    /// The file's bytes under `header`.
+    fn render(&self, header: &Line) -> String {
+        let mut out = format!("{{\n  \"bench\": \"{}\",\n", self.bench);
+        for field in header.entries(self.deterministic) {
+            out.push_str(&format!("  {field},\n"));
+        }
+        out.push_str(&format!("  \"{}\": [\n", self.array));
+        for (i, cell) in self.cells.iter().enumerate() {
+            let comma = if i + 1 == self.cells.len() { "" } else { "," };
+            out.push_str(&format!("    {}{comma}\n", cell.render(self.deterministic)));
+        }
+        out.push_str("  ]\n}\n");
+        out
+    }
+
+    /// Write the file under `header` and say where.
+    ///
+    /// # Panics
+    ///
+    /// When the output path cannot be written.
+    pub fn write(&self, header: &Line) {
+        std::fs::write(&self.path, self.render(header)).expect("write scorecard");
+        println!("wrote {}", self.path);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -339,6 +664,80 @@ mod tests {
         shifted.update("a");
         shifted.update("bc");
         assert_ne!(shifted.finish(), GOLDEN);
+    }
+
+    /// Pins the emitter's bytes: one `Line` holding each value kind,
+    /// with and without its timing field; a scorecard with zero, one
+    /// and two cells; and a deterministic render that drops the header's
+    /// and the cells' timing fields.
+    #[test]
+    fn emitter_golden_bytes() {
+        let line = Line::new()
+            .raw("count", 3)
+            .raw("flag", true)
+            .raw("nested", Line::new().raw("a", 1).str("b", "x"))
+            .raw("pair", list([1, 2]))
+            .num("ratio", 0.123_456_7, 6)
+            .str("label", "storm")
+            .digest("digest", 0xab)
+            .timing()
+            .num("p50_us", 12.34, 1);
+        assert_eq!(
+            line.render(false),
+            r#"{"count": 3, "flag": true, "nested": {"a": 1, "b": "x"}, "pair": [1, 2], "ratio": 0.123457, "label": "storm", "digest": "00000000000000ab", "p50_us": 12.3}"#
+        );
+        assert_eq!(
+            line.render(true),
+            r#"{"count": 3, "flag": true, "nested": {"a": 1, "b": "x"}, "pair": [1, 2], "ratio": 0.123457, "label": "storm", "digest": "00000000000000ab"}"#
+        );
+        assert_eq!(
+            Line::new().raw("a", 1).raw("b", 2).block(),
+            "{\n    \"a\": 1,\n    \"b\": 2\n  }"
+        );
+
+        let header = Line::new().raw("seed", 7).timing().num("speedup", 2.5, 2);
+        let render = |cells: usize, args: &[&str]| {
+            let args = args.iter().map(|arg| arg.to_string());
+            let mut card = Scorecard::parse("demo", "BENCH_demo.json", args);
+            for i in 0..cells {
+                card.push(Line::new().raw("i", i).timing().num("us", 1.26, 1));
+            }
+            card.render(&header)
+        };
+        assert_eq!(
+            render(0, &[]),
+            "{\n  \"bench\": \"demo\",\n  \"seed\": 7,\n  \"speedup\": 2.50,\n  \"cells\": [\n  ]\n}\n"
+        );
+        assert_eq!(
+            render(1, &[]),
+            "{\n  \"bench\": \"demo\",\n  \"seed\": 7,\n  \"speedup\": 2.50,\n  \"cells\": [\n    {\"i\": 0, \"us\": 1.3}\n  ]\n}\n"
+        );
+        assert_eq!(
+            render(2, &[]),
+            "{\n  \"bench\": \"demo\",\n  \"seed\": 7,\n  \"speedup\": 2.50,\n  \"cells\": [\n    {\"i\": 0, \"us\": 1.3},\n    {\"i\": 1, \"us\": 1.3}\n  ]\n}\n"
+        );
+        assert_eq!(
+            render(2, &["--scales=1", "--deterministic"]),
+            "{\n  \"bench\": \"demo\",\n  \"seed\": 7,\n  \"cells\": [\n    {\"i\": 0},\n    {\"i\": 1}\n  ]\n}\n"
+        );
+    }
+
+    #[test]
+    fn the_first_plain_argument_is_the_path() {
+        let parse = |args: &[&str]| {
+            Scorecard::parse(
+                "demo",
+                "BENCH_demo.json",
+                args.iter().map(|a| a.to_string()),
+            )
+        };
+        let card = parse(&[]);
+        assert_eq!(
+            (card.path.as_str(), card.deterministic()),
+            ("BENCH_demo.json", false)
+        );
+        let card = parse(&["--max=10", "a.json", "--deterministic", "b.json"]);
+        assert_eq!((card.path.as_str(), card.deterministic()), ("a.json", true));
     }
 
     fn report() -> SessionsReport {

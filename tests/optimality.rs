@@ -20,9 +20,11 @@
 
 use qosc_core::baseline::exhaustive::{exhaustive_optimum, ExhaustiveOptions};
 use qosc_core::graph::prune::prune;
-use qosc_core::select::label::ExtendContext;
+use qosc_core::graph::{AdaptationGraph, VertexId};
+use qosc_core::select::label::{ExtendContext, Label};
 use qosc_core::{select_chain, SelectOptions};
-use qosc_satisfaction::OptimizeOptions;
+use qosc_media::{Axis, FormatId};
+use qosc_satisfaction::{OptimizeOptions, SatisfactionProfile};
 use qosc_services::ServiceRegistry;
 use qosc_workload::generator::{random_scenario, GeneratorConfig};
 use qosc_workload::Scenario;
@@ -37,6 +39,22 @@ struct Sweep {
     max_gap: f64,
 }
 
+/// The label-extension context both searches run on.
+fn extend_context<'a>(
+    scenario: &'a Scenario,
+    graph: &'a AdaptationGraph,
+    profile: &'a SatisfactionProfile,
+) -> ExtendContext<'a> {
+    ExtendContext {
+        graph,
+        formats: &scenario.formats,
+        profile,
+        budget: scenario.profiles.user.budget_or_infinite(),
+        optimizer: OptimizeOptions::default(),
+        penalties: &[],
+    }
+}
+
 /// The greedy's and the exhaustive search's satisfaction on `seed`,
 /// `None` when neither reaches the receiver. Panics when only one does,
 /// or when the greedy beats the "optimum".
@@ -48,14 +66,7 @@ fn greedy_and_optimum(config: &GeneratorConfig, seed: u64) -> Option<(f64, f64)>
     let scenario = random_scenario(config, seed);
     let composition = scenario.compose(&options).unwrap();
     let profile = scenario.profiles.effective_satisfaction();
-    let ctx = ExtendContext {
-        graph: &composition.graph,
-        formats: &scenario.formats,
-        profile: &profile,
-        budget: scenario.profiles.user.budget_or_infinite(),
-        optimizer: OptimizeOptions::default(),
-        penalties: &[],
-    };
+    let ctx = extend_context(&scenario, &composition.graph, &profile);
     let exact = exhaustive_optimum(&ctx, ExhaustiveOptions::default()).unwrap();
     match (&composition.selection.chain, &exact) {
         (Some(greedy), Some(exact)) => {
@@ -147,11 +158,80 @@ fn greedy_equals_exhaustive_multi_axis() {
 /// vertices, seventeen edges. Both searches pick the services S2 then
 /// S4, and the greedy's chain through them scores 0.006 8 below the
 /// optimum's.
+///
+/// The cause, pinned label by label: the sender's two variants each
+/// reach state (S2, `L1_0`). The greedy keeps the label with the higher
+/// satisfaction, which has more pixels but fewer frames per second, and
+/// drops the other; neither dominates the other axis by axis. S4 then
+/// caps both chains' pixels at the same value, a per-axis `min` that
+/// erases the kept label's pixel lead and keeps its frame-rate deficit,
+/// so the dropped label's chain ends higher. Figure 5's premise — the
+/// best label of a state stays best under every continuation — holds
+/// for one axis, where `min` preserves the order of labels, and fails
+/// for two.
 #[test]
 fn tiny_multi_axis_seed_63_is_a_counterexample() {
     let (greedy, exact) = greedy_and_optimum(&tiny_multi_axis(), 63).expect("solvable");
     assert!((greedy - 0.697_652_060_914_054_7).abs() < 1e-12, "{greedy}");
     assert!((exact - 0.704_489_118_945_525_7).abs() < 1e-12, "{exact}");
+
+    let scenario = random_scenario(&tiny_multi_axis(), 63);
+    let composition = scenario.compose(&SelectOptions::default()).unwrap();
+    let graph = &composition.graph;
+    let profile = scenario.profiles.effective_satisfaction();
+    let ctx = extend_context(&scenario, graph, &profile);
+    let vertex = |name| graph.vertex_by_name(name).expect("vertex");
+    let format = |name| scenario.formats.lookup(name).expect("format");
+    // `parent`'s label at `to`, emitting `output`, over their one edge.
+    let step = |parent: &Label, to: VertexId, output: FormatId| -> Label {
+        let edge = graph
+            .out_edges(parent.state.vertex)
+            .iter()
+            .copied()
+            .find(|&e| {
+                let edge = graph.edge(e).unwrap();
+                edge.to == to && edge.format == parent.state.output_format
+            })
+            .expect("edge");
+        ctx.extend(parent, edge)
+            .unwrap()
+            .into_iter()
+            .find(|label| label.state.output_format == output)
+            .expect("candidate label")
+    };
+    let at_s2: Vec<Label> = ctx
+        .sender_labels()
+        .unwrap()
+        .iter()
+        .map(|sender| step(sender, vertex("S2"), format("L1_0")))
+        .collect();
+    let [a, b] = at_s2[..] else {
+        panic!("two labels compete for (S2, L1_0)")
+    };
+    let (kept, dropped) = if a.satisfaction >= b.satisfaction {
+        (a, b)
+    } else {
+        (b, a)
+    };
+    let near = |value: f64, expected: f64, tolerance: f64| (value - expected).abs() < tolerance;
+    let fps = |label: &Label| label.params.get(Axis::FrameRate).unwrap();
+    let px = |label: &Label| label.params.get(Axis::PixelCount).unwrap();
+    assert!(near(fps(&kept), 21.106, 5e-4), "{kept:?}");
+    assert!(near(px(&kept), 234_717.0, 0.5), "{kept:?}");
+    assert!(near(kept.satisfaction, 0.7325, 5e-5), "{kept:?}");
+    assert!(near(fps(&dropped), 21.527, 5e-4), "{dropped:?}");
+    assert!(near(px(&dropped), 217_164.0, 0.5), "{dropped:?}");
+    assert!(near(dropped.satisfaction, 0.7122, 5e-5), "{dropped:?}");
+
+    let kept_at_s4 = step(&kept, vertex("S4"), format("L2_0"));
+    let dropped_at_s4 = step(&dropped, vertex("S4"), format("L2_0"));
+    for label in [&kept_at_s4, &dropped_at_s4] {
+        assert!(near(px(label), 212_542.0, 0.5), "S4's pixel cap: {label:?}");
+    }
+    assert!(near(kept_at_s4.satisfaction, 0.6977, 5e-5));
+    assert!(near(dropped_at_s4.satisfaction, 0.7045, 5e-5));
+    assert_eq!(kept_at_s4.satisfaction, greedy);
+    assert_eq!(dropped_at_s4.satisfaction, exact);
 }
 
 /// The X15 mesh of `compose_hot` and `tests/cache_memo.rs`.
