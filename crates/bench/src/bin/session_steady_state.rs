@@ -127,17 +127,14 @@ fn run_cell(
         .filter(|o| o.active_us() > 0)
         .map(|o| o.mean_satisfaction())
         .collect();
-    sats.sort_by(|a, b| a.partial_cmp(b).expect("satisfaction is finite"));
+    // Summed in ascending order, as the scorecard has always summed.
+    sats.sort_by(f64::total_cmp);
     let mean_satisfaction = if sats.is_empty() {
         0.0
     } else {
         sats.iter().sum::<f64>() / sats.len() as f64
     };
-    let p5_satisfaction = if sats.is_empty() {
-        0.0
-    } else {
-        sats[(sats.len() * 5) / 100]
-    };
+    let p5_satisfaction = scorecard::p5(sats);
 
     let counters = &report.counters;
     table.row([

@@ -10,4 +10,4 @@ pub mod store;
 pub use build::{build_filtered, BuildInput};
 pub use model::{AdaptationGraph, Edge, EdgeId, Vertex, VertexId, VertexKind};
 pub use prune::PruneStats;
-pub use store::{graphs_equivalent, GraphScope, GraphStore, GraphStoreStats};
+pub use store::{graph_fetch_totals, graphs_equivalent, GraphScope, GraphStore, GraphStoreStats};

@@ -118,6 +118,24 @@ pub struct GraphStoreStats {
     pub reuses: u64,
 }
 
+/// [`GraphStoreStats::rebuilds`] and [`GraphStoreStats::reuses`] summed
+/// over every store in the process, those a compose memo keeps to itself
+/// included: the cache's, and the one of each `run_sessions` run.
+static REBUILDS_TOTAL: AtomicU64 = AtomicU64::new(0);
+static REUSES_TOTAL: AtomicU64 = AtomicU64::new(0);
+
+/// Rebuilds and reuses of every [`GraphStore`] since process start
+/// (tests and scorecards only; a delta is exact when no other thread
+/// fetches meanwhile).
+pub fn graph_fetch_totals() -> GraphStoreStats {
+    GraphStoreStats {
+        rebuilds: REBUILDS_TOTAL.load(Ordering::Relaxed),
+        deltas: 0,
+        delta_ops: 0,
+        reuses: REUSES_TOTAL.load(Ordering::Relaxed),
+    }
+}
+
 /// Stamped graph store. Shared by reference across engine workers; all
 /// interior mutability is lock- or atomic-based. Under [`memos_off`]
 /// every request rebuilds.
@@ -209,6 +227,7 @@ impl GraphStore {
                 .filter(|entry| entry.stamp == stamp && entry.network_version == version)
             {
                 self.reuses.fetch_add(1, Ordering::Relaxed);
+                REUSES_TOTAL.fetch_add(1, Ordering::Relaxed);
                 return Ok(entry.graph.clone());
             }
         }
@@ -227,6 +246,7 @@ impl GraphStore {
             },
         );
         self.rebuilds.fetch_add(1, Ordering::Relaxed);
+        REBUILDS_TOTAL.fetch_add(1, Ordering::Relaxed);
         Ok(graph)
     }
 }

@@ -73,8 +73,8 @@ pub use engine::{
     EngineConfig, ResilientEngineConfig, RetryPolicy,
 };
 pub use graph::{
-    build_filtered, graphs_equivalent, AdaptationGraph, BuildInput, Edge, EdgeId, GraphScope,
-    GraphStore, GraphStoreStats, Vertex, VertexId, VertexKind,
+    build_filtered, graph_fetch_totals, graphs_equivalent, AdaptationGraph, BuildInput, Edge,
+    EdgeId, GraphScope, GraphStore, GraphStoreStats, Vertex, VertexId, VertexKind,
 };
 pub use plan::{AdaptationPlan, PlanStep};
 pub use select::{

@@ -53,7 +53,7 @@ use crate::select::label::{ExtendContext, Label, StateKey};
 use crate::select::trace::{SelectionTrace, TraceLog};
 use crate::select::{ChainStep, SelectedChain};
 use crate::{CoreError, Result};
-use qosc_media::{FormatId, FormatRegistry};
+use qosc_media::{DomainVector, FormatId, FormatRegistry};
 use qosc_satisfaction::{OptimizeOptions, SatisfactionProfile};
 use std::cell::RefCell;
 use std::collections::BinaryHeap;
@@ -361,6 +361,8 @@ struct SelectScratch {
     matching: Vec<EdgeId>,
     /// Relaxation buffer for [`ExtendContext::extend_into`].
     extend_buf: Vec<Label>,
+    /// The capped output domain each extension optimizes over.
+    extend_domain: DomainVector,
     /// The sender's labels ([`ExtendContext::sender_labels_into`]).
     sender_buf: Vec<Label>,
     /// Requests served by this scratch (for the reuse telemetry).
@@ -376,6 +378,7 @@ impl SelectScratch {
             heap: BinaryHeap::new(),
             matching: Vec::new(),
             extend_buf: Vec::new(),
+            extend_domain: DomainVector::new(),
             sender_buf: Vec::new(),
             requests: 0,
         }
@@ -627,6 +630,7 @@ fn expand(
         heap,
         matching,
         extend_buf,
+        extend_domain,
         ..
     } = scratch;
 
@@ -641,7 +645,7 @@ fn expand(
     }
 
     for &edge_id in matching.iter() {
-        context.extend_into(label, edge_id, extend_buf)?;
+        context.extend_into_reusing(label, edge_id, extend_buf, extend_domain)?;
         *optimizations += 1;
         for &candidate in extend_buf.iter() {
             let discovered = relax(

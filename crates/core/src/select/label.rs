@@ -8,7 +8,7 @@
 
 use crate::graph::{AdaptationGraph, EdgeId, VertexId, VertexKind};
 use crate::Result;
-use qosc_media::{AxisDomain, DomainVector, FormatId, FormatRegistry, ParamVector};
+use qosc_media::{DomainVector, FormatId, FormatRegistry, ParamVector};
 use qosc_satisfaction::{optimize, OptimizeOptions, Problem, SatisfactionProfile};
 use qosc_services::ServiceId;
 
@@ -132,16 +132,31 @@ impl ExtendContext<'_> {
         Ok(best)
     }
 
-    /// Allocation-free form of [`extend`](ExtendContext::extend): clears
+    /// [`extend`](ExtendContext::extend) into a caller's buffer: clears
     /// `best` and fills it with the best candidate label per output
-    /// format of the target. The greedy hot path passes one reusable
-    /// scratch buffer here for every edge expansion instead of
-    /// allocating a fresh `Vec` per edge.
+    /// format of the target, allocating nothing for one-axis domains. The
+    /// greedy hot path passes one reusable scratch buffer for every edge
+    /// expansion instead of allocating a fresh `Vec` per edge, and one
+    /// reusable domain as well (`extend_into_reusing`).
     pub fn extend_into(
         &self,
         parent: &Label,
         edge_id: EdgeId,
         best: &mut Vec<Label>,
+    ) -> Result<()> {
+        self.extend_into_reusing(parent, edge_id, best, &mut DomainVector::new())
+    }
+
+    /// [`extend_into`](ExtendContext::extend_into) that writes each
+    /// candidate's capped output domain into `domain`, whose storage a
+    /// caller keeping it across calls reuses: multi-axis domains then
+    /// cost no allocation per extension.
+    pub(crate) fn extend_into_reusing(
+        &self,
+        parent: &Label,
+        edge_id: EdgeId,
+        best: &mut Vec<Label>,
+        domain: &mut DomainVector,
     ) -> Result<()> {
         best.clear();
         let edge = self.graph.edge(edge_id)?;
@@ -153,16 +168,22 @@ impl ExtendContext<'_> {
             return Ok(());
         }
         for conversion in target.conversions_from(edge.format) {
-            let domain = match target.kind {
+            match target.kind {
                 // The receiver renders what arrives: its feasible
                 // "output" is anything up to the delivered quality,
                 // capped by its hardware (device profile).
-                VertexKind::Receiver => receiver_domain(&parent.params, self.graph.receiver_caps()),
-                _ => match conversion.output_domain.capped_by(&parent.params) {
-                    Some(d) => d,
-                    None => continue, // upstream already below this service's floor
-                },
-            };
+                VertexKind::Receiver => {
+                    domain.set_downward_closure(&parent.params.meet(self.graph.receiver_caps()))
+                }
+                _ => {
+                    if !conversion
+                        .output_domain
+                        .capped_by_into(&parent.params, domain)
+                    {
+                        continue; // upstream already below this service's floor
+                    }
+                }
+            }
 
             let price_per_second = target.price_per_second + edge.price_flat;
             let price_per_mbit = target.price_per_mbit + edge.price_per_mbit;
@@ -172,7 +193,7 @@ impl ExtendContext<'_> {
             };
             let problem = Problem {
                 profile: self.profile,
-                domain: &domain,
+                domain,
                 bitrate: edge_bitrate,
                 bandwidth_limit: edge.available_bps,
                 cost: &cost,
@@ -227,24 +248,6 @@ impl ExtendContext<'_> {
         }
         Ok(())
     }
-}
-
-/// The receiver's feasible rendering domain: every axis the content
-/// carries, from zero up to the delivered value capped by the device
-/// hardware. Returns an empty domain for an empty parameter vector.
-fn receiver_domain(delivered: &ParamVector, hardware_caps: &ParamVector) -> DomainVector {
-    let capped = delivered.meet(hardware_caps);
-    let mut domain = DomainVector::new();
-    for (axis, value) in capped.iter() {
-        domain.set(
-            axis,
-            AxisDomain::Continuous {
-                min: 0.0,
-                max: value,
-            },
-        );
-    }
-    domain
 }
 
 #[cfg(test)]

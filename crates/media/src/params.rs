@@ -9,7 +9,7 @@
 //!   the optimizer in `qosc-satisfaction` picks a configuration.
 
 use crate::MediaError;
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Serialize, Value};
 use std::hash::{Hash, Hasher};
 
 /// Feed `x` to `state` so that hashing agrees with `f64`'s `PartialEq`:
@@ -120,9 +120,36 @@ impl std::fmt::Display for Axis {
 ///
 /// Axes not present are "not applicable" for the media at hand (an audio
 /// stream has no frame rate). Values are finite, non-negative `f64`s.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+///
+/// Stored as a presence mask beside a fixed array of seven values
+/// (64 bytes, where seven `Option<f64>` slots took 112). An unset slot
+/// always holds `0.0`, so the derived `PartialEq` compares exactly the
+/// axes that are set. `Debug` and the serde form still show the seven
+/// slots as options: `{"values":[30,null,…]}`.
+#[derive(Clone, Copy, PartialEq, Default)]
 pub struct ParamVector {
-    values: [Option<f64>; Axis::COUNT],
+    /// Slot `i` holds axis `i`'s value when bit `i` of `mask` is on,
+    /// and `0.0` when it is off.
+    values: [f64; Axis::COUNT],
+    /// Bit `axis.index()` is on when that axis has a value.
+    mask: u8,
+}
+
+/// The axes whose bits are on in `mask`, in index order.
+fn mask_axes(mut mask: u8) -> impl Iterator<Item = Axis> {
+    std::iter::from_fn(move || {
+        if mask == 0 {
+            return None;
+        }
+        let index = mask.trailing_zeros() as usize;
+        mask &= mask - 1;
+        Some(Axis::ALL[index])
+    })
+}
+
+/// The mask bit of `axis`.
+fn bit(axis: Axis) -> u8 {
+    1 << axis.index()
 }
 
 impl ParamVector {
@@ -142,15 +169,21 @@ impl ParamVector {
     }
 
     /// Value on `axis`, if set.
+    #[inline]
     pub fn get(&self, axis: Axis) -> Option<f64> {
-        self.values[axis.index()]
+        (self.mask & bit(axis) != 0).then_some(self.values[axis.index()])
     }
 
     /// Set `axis` to `value` (overwrites). Non-finite values are stored as
     /// unset, so a `ParamVector` never contains NaN.
     pub fn set(&mut self, axis: Axis, value: f64) -> &mut ParamVector {
-        self.values[axis.index()] = value.is_finite().then_some(value);
-        self
+        if value.is_finite() {
+            self.values[axis.index()] = value;
+            self.mask |= bit(axis);
+            self
+        } else {
+            self.unset(axis)
+        }
     }
 
     /// Builder-style [`ParamVector::set`].
@@ -161,32 +194,29 @@ impl ParamVector {
 
     /// Remove `axis` from the vector.
     pub fn unset(&mut self, axis: Axis) -> &mut ParamVector {
-        self.values[axis.index()] = None;
+        self.values[axis.index()] = 0.0;
+        self.mask &= !bit(axis);
         self
     }
 
     /// Axes that have a value, in index order.
     pub fn axes(&self) -> impl Iterator<Item = Axis> + '_ {
-        Axis::ALL
-            .iter()
-            .copied()
-            .filter(move |a| self.values[a.index()].is_some())
+        mask_axes(self.mask)
     }
 
     /// `(axis, value)` pairs, in index order.
     pub fn iter(&self) -> impl Iterator<Item = (Axis, f64)> + '_ {
-        self.axes()
-            .map(move |a| (a, self.values[a.index()].unwrap()))
+        self.axes().map(move |a| (a, self.values[a.index()]))
     }
 
     /// Number of axes set.
     pub fn len(&self) -> usize {
-        self.values.iter().filter(|v| v.is_some()).count()
+        self.mask.count_ones() as usize
     }
 
     /// Whether no axis is set.
     pub fn is_empty(&self) -> bool {
-        self.values.iter().all(|v| v.is_none())
+        self.mask == 0
     }
 
     /// Axis-wise minimum with `caps`, over the axes of `self`.
@@ -198,10 +228,9 @@ impl ParamVector {
     /// Axes set in `caps` but not in `self` are ignored.
     pub fn meet(&self, caps: &ParamVector) -> ParamVector {
         let mut out = *self;
-        for axis in Axis::ALL {
-            if let (Some(own), Some(cap)) = (self.get(axis), caps.get(axis)) {
-                out.set(axis, own.min(cap));
-            }
+        for axis in mask_axes(self.mask & caps.mask) {
+            let i = axis.index();
+            out.set(axis, self.values[i].min(caps.values[i]));
         }
         out
     }
@@ -210,12 +239,8 @@ impl ParamVector {
     /// than or equal to `other`'s (i.e. `self` is a degraded-or-equal
     /// configuration). Axes present in only one vector are ignored.
     pub fn le_on_common_axes(&self, other: &ParamVector) -> bool {
-        Axis::ALL
-            .iter()
-            .all(|&axis| match (self.get(axis), other.get(axis)) {
-                (Some(a), Some(b)) => a <= b + 1e-12,
-                _ => true,
-            })
+        mask_axes(self.mask & other.mask)
+            .all(|axis| self.values[axis.index()] <= other.values[axis.index()] + 1e-12)
     }
 
     /// Validate that every value is finite and non-negative.
@@ -226,6 +251,45 @@ impl ParamVector {
             }
         }
         Ok(())
+    }
+
+    /// The seven slots as options, in index order: the shape `Debug` and
+    /// serde show.
+    fn slots(&self) -> [Option<f64>; Axis::COUNT] {
+        std::array::from_fn(|i| self.get(Axis::ALL[i]))
+    }
+}
+
+impl std::fmt::Debug for ParamVector {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ParamVector")
+            .field("values", &self.slots())
+            .finish()
+    }
+}
+
+impl Serialize for ParamVector {
+    fn to_value(&self) -> Value {
+        Value::Obj(vec![(String::from("values"), self.slots().to_value())])
+    }
+}
+
+impl Deserialize for ParamVector {
+    fn from_value(value: &Value) -> Result<ParamVector, DeError> {
+        let entries = value
+            .as_obj()
+            .ok_or_else(|| DeError::expected("object for ParamVector", value))?;
+        let slots: [Option<f64>; Axis::COUNT] = serde::field(entries, "values")?;
+        // Stored as read, like the seven-option form did: a document
+        // is not filtered through `set`.
+        let mut out = ParamVector::new();
+        for (axis, slot) in Axis::ALL.into_iter().zip(slots) {
+            if let Some(value) = slot {
+                out.values[axis.index()] = value;
+                out.mask |= bit(axis);
+            }
+        }
+        Ok(out)
     }
 }
 
@@ -448,15 +512,27 @@ impl AxisDomain {
 
 /// Per-axis feasible sets: the configuration space of a trans-coding
 /// service's output (or of a content variant at the sender).
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+///
+/// Stored as a presence mask and only the domains that are present, in
+/// axis order: the first inline, the rest in a boxed slice that stays
+/// unallocated for the one-axis domains most services advertise
+/// (48 bytes, where seven `Option<AxisDomain>` slots took 168).
+/// `Debug`, serde and `Hash` still see the seven slots as options, so
+/// text, documents and hash values read as they did for that layout.
+#[derive(Clone, PartialEq, Default)]
 pub struct DomainVector {
-    domains: [Option<AxisDomain>; Axis::COUNT],
+    /// The domain of the lowest-indexed axis in `mask`.
+    head: Option<AxisDomain>,
+    /// The domains of the other axes in `mask`, in index order.
+    tail: Box<[AxisDomain]>,
+    /// Bit `axis.index()` is on when that axis has a domain.
+    mask: u8,
 }
 
 impl Hash for DomainVector {
     fn hash<H: Hasher>(&self, state: &mut H) {
-        let DomainVector { domains } = self;
-        domains.hash(state);
+        // Slot by slot, as the seven-option array hashed.
+        self.slots().hash(state);
     }
 }
 
@@ -464,6 +540,33 @@ impl DomainVector {
     /// The empty domain vector (no axis constrained or available).
     pub fn new() -> DomainVector {
         DomainVector::default()
+    }
+
+    /// The vector with a domain on each axis of `mask`, taken from
+    /// `domains` in index order.
+    fn from_parts(mask: u8, mut domains: impl Iterator<Item = AxisDomain>) -> DomainVector {
+        let head = domains.next();
+        let mut tail = Vec::with_capacity((mask.count_ones() as usize).saturating_sub(1));
+        tail.extend(domains);
+        debug_assert_eq!(
+            head.is_some() as usize + tail.len(),
+            mask.count_ones() as usize
+        );
+        DomainVector {
+            head,
+            tail: tail.into_boxed_slice(),
+            mask,
+        }
+    }
+
+    /// The present domains, in index order.
+    fn domains(&self) -> impl Iterator<Item = &AxisDomain> + '_ {
+        self.head.iter().chain(self.tail.iter())
+    }
+
+    /// Where `axis`'s domain sits among the present ones.
+    fn rank(&self, axis: Axis) -> usize {
+        (self.mask & (bit(axis) - 1)).count_ones() as usize
     }
 
     /// Builder-style: set the domain for `axis`.
@@ -474,37 +577,51 @@ impl DomainVector {
 
     /// Set the domain for `axis`.
     pub fn set(&mut self, axis: Axis, domain: AxisDomain) -> &mut DomainVector {
-        self.domains[axis.index()] = Some(domain);
+        let rank = self.rank(axis);
+        if self.mask & bit(axis) != 0 {
+            *self.slot_mut(rank) = domain;
+        } else if self.mask == 0 {
+            self.head = Some(domain);
+            self.mask = bit(axis);
+        } else {
+            let mut domains: Vec<AxisDomain> = self.head.take().into_iter().collect();
+            domains.extend(std::mem::take(&mut self.tail).into_vec());
+            domains.insert(rank, domain);
+            *self = DomainVector::from_parts(self.mask | bit(axis), domains.into_iter());
+        }
         self
     }
 
     /// Domain on `axis`, if any.
+    #[inline]
     pub fn get(&self, axis: Axis) -> Option<&AxisDomain> {
-        self.domains[axis.index()].as_ref()
+        if self.mask & bit(axis) == 0 {
+            return None;
+        }
+        match self.rank(axis) {
+            0 => self.head.as_ref(),
+            rank => self.tail.get(rank - 1),
+        }
     }
 
     /// Axes with a domain, in index order.
     pub fn axes(&self) -> impl Iterator<Item = Axis> + '_ {
-        Axis::ALL
-            .iter()
-            .copied()
-            .filter(move |a| self.domains[a.index()].is_some())
+        mask_axes(self.mask)
     }
 
     /// `(axis, domain)` pairs, in index order.
     pub fn iter(&self) -> impl Iterator<Item = (Axis, &AxisDomain)> + '_ {
-        self.axes()
-            .map(move |a| (a, self.domains[a.index()].as_ref().unwrap()))
+        self.axes().zip(self.domains())
     }
 
     /// Number of axes with a domain.
     pub fn len(&self) -> usize {
-        self.domains.iter().filter(|d| d.is_some()).count()
+        self.mask.count_ones() as usize
     }
 
     /// Whether no axis has a domain.
     pub fn is_empty(&self) -> bool {
-        self.domains.iter().all(|d| d.is_none())
+        self.mask == 0
     }
 
     /// The best (maximal) configuration: every axis at its domain maximum.
@@ -531,26 +648,74 @@ impl DomainVector {
     /// can produce.
     pub fn capped_by(&self, caps: &ParamVector) -> Option<DomainVector> {
         let mut out = DomainVector::new();
-        for (axis, domain) in self.iter() {
+        self.capped_by_into(caps, &mut out).then_some(out)
+    }
+
+    /// [`capped_by`](DomainVector::capped_by) written into `out`, whose
+    /// storage is reused when it has as many axes as `self`: a caller
+    /// that keeps one `out` across calls allocates nothing for
+    /// continuous and fixed domains. Returns `false` when an axis
+    /// becomes infeasible; `out` then holds some valid vector.
+    pub fn capped_by_into(&self, caps: &ParamVector, out: &mut DomainVector) -> bool {
+        out.reshape(self.mask);
+        for (slot, (axis, domain)) in self.iter().enumerate() {
             let restricted = match caps.get(axis) {
-                Some(cap) => domain.capped(cap)?,
+                Some(cap) => match domain.capped(cap) {
+                    Some(restricted) => restricted,
+                    None => return false,
+                },
                 None => domain.clone(),
             };
-            out.set(axis, restricted);
+            *out.slot_mut(slot) = restricted;
         }
-        Some(out)
+        true
+    }
+
+    /// Make this the downward closure of `point`: `[0, v]` on every axis
+    /// `v` of `point`, and no other axis. Reuses the storage as
+    /// [`capped_by_into`](DomainVector::capped_by_into) does.
+    pub fn set_downward_closure(&mut self, point: &ParamVector) {
+        self.reshape(point.mask);
+        for (slot, (_, value)) in point.iter().enumerate() {
+            *self.slot_mut(slot) = AxisDomain::Continuous {
+                min: 0.0,
+                max: value,
+            };
+        }
+    }
+
+    /// Give `self` a domain on exactly the axes of `mask`, keeping the
+    /// tail's allocation when the axis count does not change. The
+    /// domains are placeholders for the caller to overwrite.
+    fn reshape(&mut self, mask: u8) {
+        let placeholder = || AxisDomain::Fixed(0.0);
+        let count = mask.count_ones() as usize;
+        if count == 0 {
+            self.head = None;
+        } else if self.head.is_none() {
+            self.head = Some(placeholder());
+        }
+        if self.tail.len() != count.saturating_sub(1) {
+            self.tail = (1..count).map(|_| placeholder()).collect();
+        }
+        self.mask = mask;
+    }
+
+    /// The `slot`-th present domain, for writing.
+    fn slot_mut(&mut self, slot: usize) -> &mut AxisDomain {
+        match slot {
+            0 => self.head.get_or_insert(AxisDomain::Fixed(0.0)),
+            _ => &mut self.tail[slot - 1],
+        }
     }
 
     /// Whether `point` is admissible: every axis of `self` has a value in
     /// `point` inside its domain, and `point` has no extra axes.
     pub fn contains(&self, point: &ParamVector) -> bool {
-        let same_axes = Axis::ALL
-            .iter()
-            .all(|&a| self.get(a).is_some() == point.get(a).is_some());
-        same_axes
+        self.mask == point.mask
             && self
                 .iter()
-                .all(|(axis, domain)| domain.contains(point.get(axis).expect("axis checked")))
+                .all(|(axis, domain)| domain.contains(point.values[axis.index()]))
     }
 
     /// Clamp `point` axis-wise into the domain (projecting each value to
@@ -568,6 +733,47 @@ impl DomainVector {
         }
         out
     }
+
+    /// The seven slots as options, in index order: the shape `Debug`,
+    /// serde and `Hash` see.
+    fn slots(&self) -> [Option<&AxisDomain>; Axis::COUNT] {
+        let mut domains = self.domains();
+        std::array::from_fn(|i| {
+            if self.mask & (1 << i) != 0 {
+                domains.next()
+            } else {
+                None
+            }
+        })
+    }
+}
+
+impl std::fmt::Debug for DomainVector {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("DomainVector")
+            .field("domains", &self.slots())
+            .finish()
+    }
+}
+
+impl Serialize for DomainVector {
+    fn to_value(&self) -> Value {
+        Value::Obj(vec![(String::from("domains"), self.slots().to_value())])
+    }
+}
+
+impl Deserialize for DomainVector {
+    fn from_value(value: &Value) -> Result<DomainVector, DeError> {
+        let entries = value
+            .as_obj()
+            .ok_or_else(|| DeError::expected("object for DomainVector", value))?;
+        let slots: [Option<AxisDomain>; Axis::COUNT] = serde::field(entries, "domains")?;
+        let mask = Axis::ALL
+            .into_iter()
+            .filter(|&axis| slots[axis.index()].is_some())
+            .fold(0, |mask, axis| mask | bit(axis));
+        Ok(DomainVector::from_parts(mask, slots.into_iter().flatten()))
+    }
 }
 
 impl std::fmt::Display for DomainVector {
@@ -584,6 +790,287 @@ impl std::fmt::Display for DomainVector {
             }
         }
         write!(f, "}}")
+    }
+}
+
+#[cfg(test)]
+mod reference;
+
+#[cfg(test)]
+mod oracle {
+    //! The compact `ParamVector` and `DomainVector` against the
+    //! seven-slot layout they replaced (`reference.rs`): random op
+    //! sequences applied to both, every observable compared after each
+    //! op — values, iteration order, `==`, `Debug`, the serde JSON and,
+    //! for domains, the `Hash` input sequence.
+
+    use super::reference;
+    use super::*;
+    use proptest::prelude::*;
+    use std::hash::DefaultHasher;
+
+    #[derive(Debug, Clone)]
+    enum Op {
+        Set(Axis, f64),
+        Unset(Axis),
+        Meet(Vec<(Axis, f64)>),
+        SetDomain(Axis, AxisDomain),
+        CappedBy(Vec<(Axis, f64)>),
+        /// `capped_by_into` the scratch vector kept across ops.
+        CappedByInto(Vec<(Axis, f64)>),
+        /// `set_downward_closure` of the worked-on params into the
+        /// scratch vector.
+        DownwardClosure,
+        Clamp,
+        Top,
+        Bottom,
+        /// Swap the worked-on pair with the second pair, which `==`
+        /// compares against.
+        Swap,
+    }
+
+    fn arb_axis() -> impl Strategy<Value = Axis> {
+        (0..Axis::COUNT).prop_map(|i| Axis::ALL[i])
+    }
+
+    /// Mostly ordinary values, with the edges `set` and `==` treat
+    /// specially: signed zeros, negatives, non-finite values.
+    fn arb_value() -> impl Strategy<Value = f64> {
+        prop_oneof![
+            0.0f64..100.0,
+            0.0f64..1e7,
+            (0u32..4).prop_map(f64::from),
+            Just(-0.0),
+            Just(-1.0),
+            Just(f64::NAN),
+            Just(f64::INFINITY),
+        ]
+    }
+
+    fn arb_domain() -> impl Strategy<Value = AxisDomain> {
+        prop_oneof![
+            (0.0f64..100.0, 0.0f64..100.0).prop_map(|(a, b)| AxisDomain::Continuous {
+                min: a.min(b),
+                max: a.max(b),
+            }),
+            proptest::collection::vec(0.0f64..100.0, 1..5).prop_map(|mut values| {
+                values.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+                AxisDomain::Discrete(values)
+            }),
+            (0u32..4).prop_map(|v| AxisDomain::Fixed(f64::from(v))),
+        ]
+    }
+
+    fn arb_pairs() -> impl Strategy<Value = Vec<(Axis, f64)>> {
+        proptest::collection::vec((arb_axis(), arb_value()), 0..5)
+    }
+
+    fn arb_op() -> impl Strategy<Value = Op> {
+        prop_oneof![
+            (arb_axis(), arb_value()).prop_map(|(a, v)| Op::Set(a, v)),
+            (arb_axis(), arb_value()).prop_map(|(a, v)| Op::Set(a, v)),
+            arb_axis().prop_map(Op::Unset),
+            arb_pairs().prop_map(Op::Meet),
+            (arb_axis(), arb_domain()).prop_map(|(a, d)| Op::SetDomain(a, d)),
+            (arb_axis(), arb_domain()).prop_map(|(a, d)| Op::SetDomain(a, d)),
+            arb_pairs().prop_map(Op::CappedBy),
+            arb_pairs().prop_map(Op::CappedByInto),
+            Just(Op::DownwardClosure),
+            Just(Op::Clamp),
+            Just(Op::Top),
+            Just(Op::Bottom),
+            Just(Op::Swap),
+        ]
+    }
+
+    /// One side's worked-on pair and its second pair.
+    #[derive(Default)]
+    struct Compact {
+        params: [ParamVector; 2],
+        domains: [DomainVector; 2],
+        /// Written in place by the `*Into` ops, never reset.
+        scratch: DomainVector,
+    }
+
+    #[derive(Default)]
+    struct Reference {
+        params: [reference::ParamVector; 2],
+        domains: [reference::DomainVector; 2],
+    }
+
+    fn ref_params(pairs: &[(Axis, f64)]) -> reference::ParamVector {
+        let mut out = reference::ParamVector::default();
+        for &(axis, value) in pairs {
+            out.set(axis, value);
+        }
+        out
+    }
+
+    fn hash_of(value: &impl Hash) -> u64 {
+        let mut state = DefaultHasher::new();
+        value.hash(&mut state);
+        state.finish()
+    }
+
+    fn agree_params(compact: &ParamVector, reference: &reference::ParamVector) {
+        assert_eq!(format!("{compact:?}"), format!("{reference:?}"));
+        let compact_pairs: Vec<(Axis, u64)> =
+            compact.iter().map(|(a, v)| (a, v.to_bits())).collect();
+        let reference_pairs: Vec<(Axis, u64)> =
+            reference.iter().map(|(a, v)| (a, v.to_bits())).collect();
+        assert_eq!(compact_pairs, reference_pairs, "iter");
+        assert!(compact.axes().eq(reference.iter().map(|(a, _)| a)), "axes");
+        assert_eq!(compact.len(), reference.len());
+        assert_eq!(compact.is_empty(), reference.len() == 0);
+        for axis in Axis::ALL {
+            assert_eq!(
+                compact.get(axis).map(f64::to_bits),
+                reference.get(axis).map(f64::to_bits)
+            );
+        }
+        let json = serde_json::to_string(compact).unwrap();
+        assert_eq!(json, serde_json::to_string(reference).unwrap());
+        assert_eq!(
+            serde_json::from_str::<ParamVector>(&json).unwrap(),
+            *compact
+        );
+    }
+
+    fn agree_domains(compact: &DomainVector, reference: &reference::DomainVector) {
+        assert_eq!(format!("{compact:?}"), format!("{reference:?}"));
+        assert!(compact.iter().eq(reference.iter()), "iter");
+        assert!(compact.axes().eq(reference.iter().map(|(a, _)| a)), "axes");
+        assert_eq!(compact.len(), reference.len());
+        assert_eq!(compact.is_empty(), reference.len() == 0);
+        for axis in Axis::ALL {
+            assert_eq!(compact.get(axis), reference.get(axis));
+        }
+        assert_eq!(hash_of(compact), hash_of(reference), "hash");
+        let json = serde_json::to_string(compact).unwrap();
+        assert_eq!(json, serde_json::to_string(reference).unwrap());
+        assert_eq!(
+            &serde_json::from_str::<DomainVector>(&json).unwrap(),
+            compact
+        );
+        agree_params(&compact.top(), &reference.top());
+        agree_params(&compact.bottom(), &reference.bottom());
+    }
+
+    fn agree(compact: &Compact, reference: &Reference) {
+        for side in 0..2 {
+            agree_params(&compact.params[side], &reference.params[side]);
+            agree_domains(&compact.domains[side], &reference.domains[side]);
+        }
+        let [p, q] = &compact.params;
+        let [rp, rq] = &reference.params;
+        assert_eq!(p == q, rp == rq, "== on params");
+        assert_eq!(p.le_on_common_axes(q), rp.le_on_common_axes(rq));
+        let [d, e] = &compact.domains;
+        let [rd, re] = &reference.domains;
+        assert_eq!(d == e, rd == re, "== on domains");
+        assert_eq!(d.contains(p), rd.contains(rp), "contains");
+        assert_eq!(d.contains(&d.top()), rd.contains(&rd.top()), "contains top");
+        agree_params(&d.clamp(p), &rd.clamp(rp));
+    }
+
+    fn apply(op: &Op, compact: &mut Compact, reference: &mut Reference) {
+        let (p, rp) = (&mut compact.params[0], &mut reference.params[0]);
+        let (d, rd) = (&mut compact.domains[0], &mut reference.domains[0]);
+        match op {
+            Op::Set(axis, value) => {
+                p.set(*axis, *value);
+                rp.set(*axis, *value);
+            }
+            Op::Unset(axis) => {
+                p.unset(*axis);
+                rp.unset(*axis);
+            }
+            Op::Meet(pairs) => {
+                *p = p.meet(&ParamVector::from_pairs(pairs.iter().copied()));
+                *rp = rp.meet(&ref_params(pairs));
+            }
+            Op::SetDomain(axis, domain) => {
+                d.set(*axis, domain.clone());
+                rd.set(*axis, domain.clone());
+            }
+            Op::CappedBy(pairs) => {
+                let capped = d.capped_by(&ParamVector::from_pairs(pairs.iter().copied()));
+                let ref_capped = rd.capped_by(&ref_params(pairs));
+                assert_eq!(
+                    capped.is_some(),
+                    ref_capped.is_some(),
+                    "capped_by feasibility"
+                );
+                if let (Some(capped), Some(ref_capped)) = (capped, ref_capped) {
+                    *d = capped;
+                    *rd = ref_capped;
+                }
+            }
+            Op::CappedByInto(pairs) => {
+                let scratch = &mut compact.scratch;
+                let feasible =
+                    d.capped_by_into(&ParamVector::from_pairs(pairs.iter().copied()), scratch);
+                let ref_capped = rd.capped_by(&ref_params(pairs));
+                assert_eq!(feasible, ref_capped.is_some(), "capped_by_into feasibility");
+                if let Some(ref_capped) = ref_capped {
+                    agree_domains(scratch, &ref_capped);
+                    *d = scratch.clone();
+                    *rd = ref_capped;
+                }
+            }
+            Op::DownwardClosure => {
+                let scratch = &mut compact.scratch;
+                scratch.set_downward_closure(p);
+                let mut ref_closure = reference::DomainVector::default();
+                for (axis, value) in rp.iter() {
+                    ref_closure.set(
+                        axis,
+                        AxisDomain::Continuous {
+                            min: 0.0,
+                            max: value,
+                        },
+                    );
+                }
+                agree_domains(scratch, &ref_closure);
+                *d = scratch.clone();
+                *rd = ref_closure;
+            }
+            Op::Clamp => {
+                *p = d.clamp(p);
+                *rp = rd.clamp(rp);
+            }
+            Op::Top => {
+                *p = d.top();
+                *rp = rd.top();
+            }
+            Op::Bottom => {
+                *p = d.bottom();
+                *rp = rd.bottom();
+            }
+            Op::Swap => {
+                compact.params.swap(0, 1);
+                compact.domains.swap(0, 1);
+                reference.params.swap(0, 1);
+                reference.domains.swap(0, 1);
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 1_000, ..ProptestConfig::default() })]
+
+        #[test]
+        fn compact_vectors_match_the_seven_slot_layout(
+            ops in proptest::collection::vec(arb_op(), 0..40)
+        ) {
+            let mut compact = Compact::default();
+            let mut reference = Reference::default();
+            agree(&compact, &reference);
+            for op in &ops {
+                apply(op, &mut compact, &mut reference);
+                agree(&compact, &reference);
+            }
+        }
     }
 }
 
@@ -640,8 +1127,7 @@ mod tests {
 
     #[test]
     fn validate_rejects_negative() {
-        let mut v = ParamVector::new();
-        v.values[Axis::FrameRate.index()] = Some(-1.0);
+        let v = ParamVector::new().with(Axis::FrameRate, -1.0);
         assert!(matches!(
             v.validate(),
             Err(MediaError::InvalidValue {
@@ -793,6 +1279,92 @@ mod tests {
             Some(24.0),
             "missing axis fills with max"
         );
+    }
+
+    /// The JSON, `Debug` text and hash value the seven-slot layout
+    /// produced for these vectors, pinned byte for byte.
+    #[test]
+    fn serde_debug_and_hash_match_the_seven_slot_layout() {
+        use std::hash::DefaultHasher;
+
+        let v = ParamVector::new()
+            .with(Axis::FrameRate, 30.0)
+            .with(Axis::PixelCount, 76800.5)
+            .with(Axis::Fidelity, 0.25);
+        let dv = DomainVector::new()
+            .with(
+                Axis::PixelCount,
+                AxisDomain::Discrete(vec![76800.0, 307200.0]),
+            )
+            .with(
+                Axis::FrameRate,
+                AxisDomain::Continuous {
+                    min: 5.0,
+                    max: 30.0,
+                },
+            )
+            .with(Axis::Fidelity, AxisDomain::Fixed(80.0));
+        let golden_json = [
+            (
+                serde_json::to_string(&v).unwrap(),
+                r#"{"values":[30,76800.5,null,null,null,null,0.25]}"#,
+            ),
+            (
+                serde_json::to_string(&ParamVector::new()).unwrap(),
+                r#"{"values":[null,null,null,null,null,null,null]}"#,
+            ),
+            (
+                serde_json::to_string(&dv).unwrap(),
+                r#"{"domains":[{"Continuous":{"min":5,"max":30}},{"Discrete":[76800,307200]},null,null,null,null,{"Fixed":80}]}"#,
+            ),
+            (
+                serde_json::to_string(&DomainVector::new()).unwrap(),
+                r#"{"domains":[null,null,null,null,null,null,null]}"#,
+            ),
+        ];
+        for (json, golden) in &golden_json {
+            assert_eq!(json, golden);
+        }
+        assert_eq!(
+            serde_json::from_str::<ParamVector>(&golden_json[0].0).unwrap(),
+            v
+        );
+        assert_eq!(
+            serde_json::from_str::<DomainVector>(&golden_json[2].0).unwrap(),
+            dv
+        );
+
+        assert_eq!(
+            format!("{v:?}"),
+            "ParamVector { values: [Some(30.0), Some(76800.5), None, None, None, None, Some(0.25)] }"
+        );
+        assert_eq!(
+            format!("{:?}", ParamVector::new()),
+            "ParamVector { values: [None, None, None, None, None, None, None] }"
+        );
+        assert_eq!(
+            format!("{dv:?}"),
+            "DomainVector { domains: [Some(Continuous { min: 5.0, max: 30.0 }), \
+             Some(Discrete([76800.0, 307200.0])), None, None, None, None, Some(Fixed(80.0))] }"
+        );
+        assert_eq!(
+            format!(
+                "{:#?}",
+                DomainVector::new().with(Axis::SampleRate, AxisDomain::Fixed(8000.0))
+            ),
+            "DomainVector {\n    domains: [\n        None,\n        None,\n        None,\n        \
+             Some(\n            Fixed(\n                8000.0,\n            ),\n        ),\n        \
+             None,\n        None,\n        None,\n    ],\n}"
+        );
+        assert_eq!(
+            format!("{:#?}", ParamVector::new().with(Axis::Channels, 2.0)),
+            "ParamVector {\n    values: [\n        None,\n        None,\n        None,\n        None,\n        \
+             Some(\n            2.0,\n        ),\n        None,\n        None,\n    ],\n}"
+        );
+
+        let mut state = DefaultHasher::new();
+        dv.hash(&mut state);
+        assert_eq!(state.finish(), 0xf28d_ecff_ad2d_3188);
     }
 
     #[test]

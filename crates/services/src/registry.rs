@@ -108,7 +108,7 @@ impl Default for ProbationConfig {
     }
 }
 
-/// Per-entry probation bookkeeping.
+/// Probation bookkeeping of one probated service.
 #[derive(Debug, Clone, Copy)]
 struct ProbationState {
     /// The effective-QoS factor selection multiplies in, PPM.
@@ -131,14 +131,74 @@ struct Entry {
     failures: u32,
     /// `Some(t)`: excluded from lookups until `t` has passed.
     quarantined_until: Option<SimTime>,
-    /// `Some`: soft-demoted — advertised, but penalized in selection.
-    probation: Option<ProbationState>,
+}
+
+/// Entries per page of the entry table: 61 440 bytes at 120-byte
+/// entries. A power of two, so a page grown by doubling fills its
+/// allocation exactly.
+const PAGE_ENTRIES: usize = 512;
+
+// A page stays below the 128 KiB at which the system allocator starts
+// mapping blocks of their own.
+const _: () = assert!(PAGE_ENTRIES * std::mem::size_of::<Entry>() < 128 << 10);
+
+/// The entry table, indexed by [`ServiceId::index`], kept in pages of
+/// [`PAGE_ENTRIES`] entries. A page grows by doubling, so a small
+/// registry stays small; a full page is never copied again, and no
+/// allocation of the table is large: 10^5 entries in one 12 MB block,
+/// grown by doubling and rebuilt after a free, leave their earlier
+/// copies resident in the allocator's heap.
+#[derive(Clone, Default)]
+struct Entries {
+    pages: Vec<Vec<Entry>>,
+}
+
+impl Entries {
+    fn len(&self) -> usize {
+        match self.pages.last() {
+            Some(page) => (self.pages.len() - 1) * PAGE_ENTRIES + page.len(),
+            None => 0,
+        }
+    }
+
+    fn push(&mut self, entry: Entry) {
+        match self.pages.last_mut() {
+            Some(page) if page.len() < PAGE_ENTRIES => page.push(entry),
+            _ => self.pages.push(vec![entry]),
+        }
+    }
+
+    fn get(&self, index: usize) -> Option<&Entry> {
+        self.pages
+            .get(index / PAGE_ENTRIES)?
+            .get(index % PAGE_ENTRIES)
+    }
+
+    fn get_mut(&mut self, index: usize) -> Option<&mut Entry> {
+        self.pages
+            .get_mut(index / PAGE_ENTRIES)?
+            .get_mut(index % PAGE_ENTRIES)
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &Entry> + '_ {
+        self.pages.iter().flatten()
+    }
+
+    fn iter_mut(&mut self) -> impl Iterator<Item = &mut Entry> + '_ {
+        self.pages.iter_mut().flatten()
+    }
+}
+
+impl std::fmt::Debug for Entries {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
 }
 
 /// The service registry.
 #[derive(Debug, Clone, Default)]
 pub struct ServiceRegistry {
-    entries: Vec<Entry>,
+    entries: Entries,
     events: Vec<RegistryEvent>,
     /// When each event happened (parallel to `events`). Operations
     /// without their own `now` parameter stamp with `clock`, the latest
@@ -158,6 +218,11 @@ pub struct ServiceRegistry {
     by_input: HashMap<FormatId, Vec<ServiceId>>,
     quarantine: QuarantineConfig,
     probation: ProbationConfig,
+    /// The state of every probated service, sorted by id: soft-demoted —
+    /// advertised, but penalized in selection. Kept beside the entries
+    /// rather than in each, since few services are ever probated; every
+    /// id here is live (death and quarantine end a probation).
+    probations: Vec<(ServiceId, ProbationState)>,
     /// Sorted `(id, effective_ppm)` pairs for every probated entry —
     /// the zero-allocation view selection reads on every compose.
     /// Empty whenever nothing is probated, so the healthy hot path
@@ -221,7 +286,6 @@ impl ServiceRegistry {
             alive: true,
             failures: 0,
             quarantined_until: None,
-            probation: None,
         });
         self.membership += 1;
         self.push_event(RegistryEvent::Registered(id), now);
@@ -254,7 +318,7 @@ impl ServiceRegistry {
     pub fn deregister(&mut self, id: ServiceId) -> Result<()> {
         let entry = self.live_entry_mut(id)?;
         entry.alive = false;
-        let was_probated = entry.probation.take().is_some();
+        let was_probated = self.end_probation(id);
         // No `now` parameter: stamp with the latest time seen.
         let at = self.clock;
         self.membership += 1;
@@ -270,16 +334,15 @@ impl ServiceRegistry {
     /// registration order.
     pub fn expire_leases(&mut self, now: SimTime) -> Vec<ServiceId> {
         let mut expired = Vec::new();
-        let mut dropped_probation = false;
         for (i, entry) in self.entries.iter_mut().enumerate() {
             if entry.alive && entry.lease_until < now {
                 entry.alive = false;
-                dropped_probation |= entry.probation.take().is_some();
-                let id = ServiceId(i as u32);
-                expired.push(id);
+                expired.push(ServiceId(i as u32));
             }
         }
+        let mut dropped_probation = false;
         for &id in &expired {
+            dropped_probation |= self.end_probation(id);
             self.membership += 1;
             self.unquarantine(id);
             self.push_event(RegistryEvent::Expired(id), now);
@@ -518,7 +581,7 @@ impl ServiceRegistry {
         entry.failures = entry.failures.saturating_add(1);
         if entry.failures >= threshold {
             entry.quarantined_until = Some(now.plus_micros(cooldown));
-            let was_probated = entry.probation.take().is_some();
+            let was_probated = self.end_probation(id);
             if let Err(at) = self.quarantined.binary_search(&id) {
                 self.quarantined.insert(at, id);
             }
@@ -600,15 +663,19 @@ impl ServiceRegistry {
     /// episode must not reset half-open progress.
     pub fn probate(&mut self, id: ServiceId, observed_ppm: u64, now: SimTime) -> bool {
         let config = self.probation;
-        let entry = match self.entries.get_mut(id.index()) {
-            Some(e) if e.alive && e.quarantined_until.is_none() && e.probation.is_none() => e,
+        let slot = match self.entries.get(id.index()) {
+            Some(e) if e.alive && e.quarantined_until.is_none() => self.probation_slot(id),
             _ => return false,
         };
-        entry.probation = Some(ProbationState {
+        let Err(at) = slot else {
+            return false;
+        };
+        let state = ProbationState {
             effective_ppm: blend_effective_ppm(&config, observed_ppm),
             probes: 0,
             last_probe_at: None,
-        });
+        };
+        self.probations.insert(at, (id, state));
         self.push_event(RegistryEvent::Probated(id), now);
         self.rebuild_penalties();
         true
@@ -624,20 +691,17 @@ impl ServiceRegistry {
     /// bump). Returns `true` when this call cleared it.
     pub fn probe_success(&mut self, id: ServiceId, now: SimTime) -> bool {
         let needed = self.probation.probe_successes.max(1);
-        let entry = match self.entries.get_mut(id.index()) {
-            Some(e) if e.alive => e,
-            _ => return false,
-        };
-        let Some(state) = entry.probation.as_mut() else {
+        let Ok(at) = self.probation_slot(id) else {
             return false;
         };
+        let state = &mut self.probations[at].1;
         if state.last_probe_at == Some(now) {
             return false;
         }
         state.last_probe_at = Some(now);
         state.probes += 1;
         if state.probes >= needed {
-            entry.probation = None;
+            self.probations.remove(at);
             self.push_event(RegistryEvent::ProbationCleared(id), now);
             self.rebuild_penalties();
             return true;
@@ -647,19 +711,14 @@ impl ServiceRegistry {
 
     /// Whether `id` is currently probated (advertised but penalized).
     pub fn is_probated(&self, id: ServiceId) -> bool {
-        self.entries
-            .get(id.index())
-            .map(|e| e.alive && e.probation.is_some())
-            .unwrap_or(false)
+        self.probation_slot(id).is_ok()
     }
 
     /// The effective-QoS factor selection should multiply into `id`'s
     /// satisfaction, PPM. 1_000_000 (advertised-as-is) unless probated.
     pub fn effective_qos_ppm(&self, id: ServiceId) -> u64 {
-        self.entries
-            .get(id.index())
-            .and_then(|e| e.probation.as_ref())
-            .map(|p| p.effective_ppm)
+        self.probation_slot(id)
+            .map(|at| self.probations[at].1.effective_ppm)
             .unwrap_or(EFFECTIVE_PPM_UNIT)
     }
 
@@ -671,17 +730,32 @@ impl ServiceRegistry {
         &self.penalties
     }
 
-    /// Recompute the sorted penalty view from entry state. Entries are
-    /// scanned in id order, so the result is sorted by construction.
+    /// Recompute the sorted penalty view from the probation table,
+    /// which is sorted by id.
     fn rebuild_penalties(&mut self) {
         self.penalties.clear();
-        for (i, entry) in self.entries.iter().enumerate() {
-            if entry.alive {
-                if let Some(state) = &entry.probation {
-                    self.penalties
-                        .push((ServiceId(i as u32), state.effective_ppm));
-                }
+        self.penalties.extend(
+            self.probations
+                .iter()
+                .map(|(id, state)| (*id, state.effective_ppm)),
+        );
+    }
+
+    /// Where `id` sits in the probation table: `Ok` when probated.
+    fn probation_slot(&self, id: ServiceId) -> std::result::Result<usize, usize> {
+        self.probations
+            .binary_search_by_key(&id, |&(probated, _)| probated)
+    }
+
+    /// End `id`'s probation, if it has one; whether it had. The caller
+    /// rebuilds the penalty view.
+    fn end_probation(&mut self, id: ServiceId) -> bool {
+        match self.probation_slot(id) {
+            Ok(at) => {
+                self.probations.remove(at);
+                true
             }
+            Err(_) => false,
         }
     }
 
@@ -744,6 +818,35 @@ mod tests {
         );
         let descriptor = TranscoderDescriptor::resolve(&spec, &formats, node).unwrap();
         (ServiceRegistry::new(), formats, descriptor)
+    }
+
+    #[test]
+    fn the_entry_table_reads_the_same_across_its_pages() {
+        let (mut reg, _, d) = setup();
+        let count = 2 * PAGE_ENTRIES + 3;
+        for i in 0..count {
+            let ttl = if i % 2 == 0 { 10 } else { 1_000 };
+            assert_eq!(reg.register(d.clone(), SimTime::ZERO, ttl).index(), i);
+        }
+        assert_eq!(reg.entries.len(), count);
+        assert_eq!(reg.entries.pages.len(), 3);
+        assert!(reg.entries.pages[..2]
+            .iter()
+            .all(|p| p.capacity() == PAGE_ENTRIES));
+        let last = ServiceId((count - 1) as u32);
+        reg.deregister(last).unwrap();
+        assert!(!reg.is_live(last));
+        assert!(reg.get(ServiceId(count as u32)).is_err());
+        // Every even id expires, across all three pages, in id order.
+        let expired = reg.expire_leases(SimTime(100));
+        let even: Vec<ServiceId> = (0..count - 1)
+            .step_by(2)
+            .map(|i| ServiceId(i as u32))
+            .collect();
+        assert_eq!(expired, even);
+        assert_eq!(reg.live_count(), (count - 1) / 2);
+        assert!(reg.is_live(ServiceId(PAGE_ENTRIES as u32 + 1)));
+        assert!(!reg.is_live(ServiceId(PAGE_ENTRIES as u32)));
     }
 
     #[test]

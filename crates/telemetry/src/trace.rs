@@ -4,8 +4,10 @@
 //! disabled path monomorphizes away: with [`NoopSink`],
 //! [`TelemetrySink::enabled`] is a constant `false`, every
 //! [`RequestTrace`] method folds to nothing, and the hot path compiles
-//! exactly as it did before telemetry existed (the throughput bench
-//! guards the < 2 % budget).
+//! exactly as it did before telemetry existed. What recording costs
+//! over that path is metered by `benchmark/`'s traced `sessions_chaos`
+//! run as `telemetry.recorder_overhead_share` (one chaos unit into a
+//! `FlightRecorder` against the same unit into [`NoopSink`]).
 
 use crate::event::{Event, EventKind, NO_PARENT};
 

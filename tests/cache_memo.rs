@@ -8,6 +8,9 @@
 //! not once per world stamp: a world that returns to an earlier state
 //! is answered from the class's history.
 //!
+//! The first test also counts the graph fetches of the memo's
+//! `GraphStore`: the reuses a memo miss gets from it.
+//!
 //! The kernel count is the process-wide `arena_reuse_total()` delta, so
 //! every test of this binary holds [`KERNEL_COUNTER`] while it runs: no
 //! other selection may land in the counter meanwhile.
@@ -128,6 +131,12 @@ fn the_kernel_runs_once_per_class_and_world_content() {
         }
     }
     let kernel_runs = arena_reuse_total() - kernel_before;
+    let graphs = cache.graph_stats();
+    println!(
+        "{composing_probes} composing probes, {kernel_runs} kernel runs, graph store: \
+         {} rebuilds, {} reuses",
+        graphs.rebuilds, graphs.reuses
+    );
 
     let stats = cache.stats();
     assert!(stats.stale > 0 && churn_ops > 0, "{stats:?}");
@@ -139,6 +148,11 @@ fn the_kernel_runs_once_per_class_and_world_content() {
         met.len()
     );
     assert!(kernel_runs * 4 < composing_probes as u64);
+    // Each kernel run fetches its graph from the memo's store. The three
+    // classes differ in budget only, so they read one graph per world
+    // content: two of every three fetches reuse it.
+    assert_eq!(graphs.rebuilds + graphs.reuses, kernel_runs);
+    assert_eq!((graphs.rebuilds, graphs.reuses), (19, 38));
 }
 
 /// Quarantine a service of the served chain, probe, release it, probe:

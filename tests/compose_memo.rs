@@ -7,8 +7,9 @@
 //! (request, rung, world stamp), and hashes its requests once per run,
 //! not once per attempt.
 //!
-//! The kernel and hash counts are the process-wide `arena_reuse_total()`
-//! and `request_hashes_total()` deltas, so this binary holds a single
+//! The kernel, hash and graph-fetch counts are the process-wide
+//! `arena_reuse_total()`, `request_hashes_total()` and
+//! `graph_fetch_totals()` deltas, so this binary holds a single
 //! `#[test]`: no other selection or hash may land in the counters while
 //! it runs.
 
@@ -17,9 +18,10 @@ use std::sync::Mutex;
 
 use qosc_bench::scorecard;
 use qosc_core::{
-    arena_reuse_total, degrade_profiles, request_hashes_total, run_sessions, AbrConfig, AbrMode,
-    AdaptationPlan, AdmissionConfig, Composer, CompositionRequest, DegradationRung,
-    ResilientEngineConfig, SelectOptions, SessionEngineConfig, SessionWorld, SlaConfig, WorldStamp,
+    arena_reuse_total, degrade_profiles, graph_fetch_totals, request_hashes_total, run_sessions,
+    AbrConfig, AbrMode, AdaptationPlan, AdmissionConfig, Composer, CompositionRequest,
+    DegradationRung, ResilientEngineConfig, SelectOptions, SessionEngineConfig, SessionWorld,
+    SlaConfig, WorldStamp,
 };
 use qosc_netsim::SimTime;
 use qosc_pipeline::{ChaosModel, ChaosPlan, ChaosWorld};
@@ -273,9 +275,16 @@ fn a_chaos_unit_runs_the_kernel_once_per_distinct_input() {
 
     let kernel_before = arena_reuse_total();
     let hashes_before = request_hashes_total();
+    let graphs_before = graph_fetch_totals();
     let report = run_sessions(&mut world, &requests, &config, &sink);
     let kernel_runs = arena_reuse_total() - kernel_before;
     let hashes = request_hashes_total() - hashes_before;
+    let graphs = graph_fetch_totals();
+    let (rebuilds, reuses) = (
+        graphs.rebuilds - graphs_before.rebuilds,
+        graphs.reuses - graphs_before.reuses,
+    );
+    println!("graph store of the run's memo: {rebuilds} rebuilds, {reuses} reuses");
 
     let attempts: u64 = report.outcomes.iter().map(|o| u64::from(o.attempts)).sum();
     let triples = sink.triples.lock().expect("no panic under the lock").len() as u64;
@@ -299,6 +308,16 @@ fn a_chaos_unit_runs_the_kernel_once_per_distinct_input() {
     assert!(inputs <= triples, "an input is never split by its stamp");
     assert_eq!(kernel_runs, KERNEL_RUNS, "the run is deterministic");
     assert_eq!(hashes, REQUEST_HASHES, "requests are interned once per run");
+    assert_eq!(
+        rebuilds + reuses,
+        kernel_runs,
+        "each kernel run fetches one graph"
+    );
+    assert_eq!(
+        (rebuilds, reuses),
+        GRAPH_FETCHES,
+        "the run's graph store is deterministic"
+    );
 }
 
 /// What the unit asks for: 7 589 sessions, one distinct request. The
@@ -314,3 +333,7 @@ const KERNEL_RUNS: u64 = 14;
 /// request equals the one before it, so interning compares and does not
 /// hash; no attempt hashes. Before interning every attempt hashed: 7 832.
 const REQUEST_HASHES: u64 = 1;
+/// How the memo's graph store answers those 14 kernel runs: 13 builds
+/// and 1 reuse, where two inputs met at one world content read the same
+/// graph. The graph fetch totals are process-wide too.
+const GRAPH_FETCHES: (u64, u64) = (13, 1);

@@ -230,3 +230,61 @@ fn the_shard_overlay_costs_at_most_16_bytes_per_service() {
         flat_bytes / services
     );
 }
+
+#[test]
+fn the_flat_registry_holds_at_most_260_bytes_per_service() {
+    // The 10^5-service scenario `compose_scale` runs, registered once
+    // more into a fresh flat registry: the entries, each descriptor's
+    // name and conversion list, the format index and the event log.
+    // 409 B each while every conversion kept seven domain slots and
+    // every entry its probation state inline.
+    let scenario = scale_scenario(&ScaleConfig::default().with_total_services(100_000));
+    let descriptors: Vec<TranscoderDescriptor> = scenario
+        .services
+        .flat()
+        .live_services()
+        .map(|(_, descriptor)| descriptor.clone())
+        .collect();
+    drop(scenario);
+    let services = descriptors.len() as u64;
+    let (flat, bytes) = live_bytes_of(|| {
+        let mut flat = ServiceRegistry::new();
+        for descriptor in &descriptors {
+            flat.register_static(descriptor.clone());
+        }
+        flat
+    });
+    assert_eq!(services, 100_000);
+    assert_eq!(flat.live_count() as u64, services);
+    let per_service = bytes as f64 / services as f64;
+    println!("flat registry: {per_service:.1} heap bytes per service at 10^5");
+    assert!(
+        per_service <= 260.0,
+        "the flat registry holds {per_service:.1} heap bytes per service at 10^5: \
+         the budget is 260"
+    );
+}
+
+#[test]
+fn registry_and_label_values_fit_their_size_budgets() {
+    use qosc_core::select::{ChainStep, Label};
+    use qosc_media::{DomainVector, ParamVector};
+    use qosc_services::Conversion;
+    use std::mem::size_of;
+
+    // Seven `Option<f64>` slots took 112 B, seven `Option<AxisDomain>`
+    // slots 168 B, and the types holding them 176 B and 160 B.
+    assert!(
+        size_of::<ParamVector>() <= 64,
+        "{}",
+        size_of::<ParamVector>()
+    );
+    assert!(
+        size_of::<DomainVector>() <= 48,
+        "{}",
+        size_of::<DomainVector>()
+    );
+    assert!(size_of::<Conversion>() <= 56, "{}", size_of::<Conversion>());
+    assert!(size_of::<Label>() <= 112, "{}", size_of::<Label>());
+    assert!(size_of::<ChainStep>() <= 112, "{}", size_of::<ChainStep>());
+}
